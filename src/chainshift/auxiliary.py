@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError
-from .structure import ComponentChain, IncidenceMatrix, IntMatrix
+from .structure import ComponentChain, IncidenceMatrix
 from .words import Substitution, language
 
 
@@ -148,25 +148,3 @@ def level_empty_diag(aux: AuxiliarySubstitution, i: int) -> bool:
             empty = len(img) >= 2 and img[-1] == s and all(c in lower for c in img[:-1])
     assert empty == (len(aux.q_blocks[i - 1]) == 0), "structural test must match the block"
     return empty
-
-
-def restricted_matrix(
-    aux: AuxiliarySubstitution, first_level: int
-) -> tuple[tuple[str, ...], IntMatrix]:
-    """Submatrix over the coordinates above the level ``first_level - 1`` language.
-
-    Returns the coordinate words (matrix order) and the integer submatrix;
-    used for the divergent limit data where that submatrix has the level's
-    block eigenvalue as a simple dominant eigenvalue.
-    """
-    blocks = aux.blocks_in_order()
-    keep: list[str] = []
-    for kind, level, ws in blocks:
-        if (kind == "G" and level >= first_level - 1) or (kind == "Q" and level >= first_level):
-            keep.extend(ws)
-    full = auxiliary_matrix(aux)
-    pos = {w: i for i, w in enumerate(aux.words)}
-    entries = tuple(
-        tuple(full.entries[pos[u]][pos[v]] for v in keep) for u in keep
-    )
-    return tuple(keep), entries

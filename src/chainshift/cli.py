@@ -415,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:
             spec = parse_input(fh.read())
         result = args.fn(spec, args)
     except OSError as exc:

@@ -243,13 +243,10 @@ def _min_positive_normalize(values: dict[str, object], exact: bool) -> dict[str,
     return {w: (float(v) / scale if float(v) > tol else 0.0) for w, v in values.items()}
 
 
-@dataclass
-class _RestrictedView:
-    entries: IntMatrix
-
-
-def _residual(matrix, order, values: dict[str, object], lam_float: float, side: str) -> float:
-    arr = np.array(matrix.entries, dtype=float)
+def _residual(
+    entries: IntMatrix, order, values: dict[str, object], lam_float: float, side: str
+) -> float:
+    arr = np.array(entries, dtype=float)
     x = np.array([float(values[w]) for w in order])
     r = arr @ x - lam_float * x if side == "right" else x @ arr - lam_float * x
     scale = max(np.max(np.abs(x)), 1e-300)
@@ -305,7 +302,7 @@ def pf_vectors(
     beta = _min_positive_normalize(beta, exact)
     lam_float = float(lam)
     for side, values in (("right", alpha), ("left", beta)):
-        res = _residual(matrix, aux.words, values, lam_float, side)
+        res = _residual(matrix.entries, aux.words, values, lam_float, side)
         if res > RESIDUAL_TOL:
             raise AssertionError(f"eigenvector residual {res:.3e} exceeds {RESIDUAL_TOL}")
     return EigenPair(m=m, aux=aux, lam=lam, alpha=alpha, beta=beta, exact=exact)
@@ -391,10 +388,9 @@ def limit_data(
     pairing = sum(gamma[w] * delta[w] for w in restricted)
     delta = {w: v / pairing for w, v in delta.items()}
     sub_entries = tuple(tuple(entry(u, v) for v in restricted) for u in restricted)
-    sub_matrix = _RestrictedView(sub_entries)
     theta_float = float(theta)
     for side, values in (("right", gamma), ("left", delta)):
-        res = _residual(sub_matrix, restricted, values, theta_float, side)
+        res = _residual(sub_entries, restricted, values, theta_float, side)
         if res > RESIDUAL_TOL:
             raise AssertionError(f"limit vector residual {res:.3e} exceeds {RESIDUAL_TOL}")
     infinite = aux.level_words[ip - 2]

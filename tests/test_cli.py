@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,35 @@ def test_exit_code_budget(tmp_path, capsys):
     path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
     code, out = _run(capsys, "simulate", path, "-i", "1", "-v", "a", "-L", str(10**9))
     assert code == 5
+
+
+def test_rule_file_with_utf8_bom(tmp_path, capsys):
+    plain = tmp_path / "plain.sub"
+    plain.write_bytes(b"a -> ab\nb -> a\n")
+    bom = tmp_path / "bom.sub"
+    bom.write_bytes(b"\xef\xbb\xbfa -> ab\nb -> a\n")
+    assert main(["classify", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["classify", str(bom)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_python_dash_m_entry_point(tmp_path, capsys):
+    path = _write(tmp_path, "chacon.sub", CORPUS_RULES["chacon"])
+    assert main(["classify", path]) == 0
+    expected = capsys.readouterr().out
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainshift", "classify", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+    assert proc.stderr == ""
 
 
 def test_exit_code_missing_file(capsys):

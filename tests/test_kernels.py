@@ -1,31 +1,23 @@
 import random
+import tracemalloc
 
 import pytest
 
 from chainshift.kernels import (
-    HAVE_SPEEDUPS,
-    _pure,
     apply_bytes,
     count_subword,
     encode_images,
     encode_word,
     expand_prefix,
 )
-from chainshift import apply
-from conftest import make
-
-IMPLS = [_pure]
-if HAVE_SPEEDUPS:
-    from chainshift.kernels import _speedups
-
-    IMPLS.append(_speedups)
+from chainshift import Substitution, apply
+from conftest import CORPUS_RULES, make
 
 
-@pytest.mark.parametrize("impl", IMPLS)
-def test_count_subword_overlaps(impl):
-    assert impl.count_subword(b"aa", b"aaaa") == 3
-    assert impl.count_subword(b"ab", b"") == 0
-    assert impl.count_subword(b"abc", b"ab") == 0
+def test_count_subword_overlaps():
+    assert count_subword(b"aa", b"aaaa") == 3
+    assert count_subword(b"ab", b"") == 0
+    assert count_subword(b"abc", b"ab") == 0
     rng = random.Random(42)
     for _ in range(300):
         hay = bytes(rng.randrange(4) for _ in range(rng.randrange(0, 64)))
@@ -35,43 +27,61 @@ def test_count_subword_overlaps(impl):
             for i in range(len(hay) - len(needle) + 1)
             if hay[i : i + len(needle)] == needle
         )
-        assert impl.count_subword(needle, hay) == brute
+        assert count_subword(needle, hay) == brute
 
 
-@pytest.mark.parametrize("impl", IMPLS)
-def test_expand_prefix_matches_apply(impl):
-    sub = make("golden_tower")
+def _wide_alphabet() -> Substitution:
+    """200 letters outside latin-1, so letter indices run past 127."""
+    letters = [chr(0x4E00 + i) for i in range(200)]
+    rules = {
+        c: letters[(3 * i + 1) % 200] + letters[(i * i + 7) % 200] + (c if i % 3 == 0 else "")
+        for i, c in enumerate(letters)
+    }
+    return Substitution.from_rules(rules)
+
+
+@pytest.mark.parametrize(
+    "sub",
+    [make(name) for name in sorted(CORPUS_RULES)] + [_wide_alphabet()],
+    ids=sorted(CORPUS_RULES) + ["wide"],
+)
+def test_expand_prefix_matches_apply(sub):
     letters = sub.alphabet.letters
     images = encode_images(letters, sub.images)
-    for k in range(7):
-        for c in letters:
+    for c in letters:
+        for k in range(7):
             full = encode_word(letters, apply(sub, c, k, allow_identity=True))
-            assert impl.expand_prefix(images, letters.index(c), k, 10**6) == full
-            assert impl.expand_prefix(images, letters.index(c), k, 5) == full[:5]
+            for limit in (1, len(sub.image(c)) - 1, 5, 10**6):
+                got = expand_prefix(images, letters.index(c), k, limit)
+                assert got == full[:limit], (c, k, limit)
 
 
-@pytest.mark.parametrize("impl", IMPLS)
-def test_apply_bytes_matches_step(impl):
-    sub = make("quartic")
+def test_expand_prefix_memory_ignores_image_length():
+    # |sigma^k(a)| = 1, 1000, 10^6, ...: the last step rewrites a 1000-letter
+    # word whose full image has 10^6 letters, but only 10^4 are asked for.
+    sub = Substitution.from_rules({"a": "ab" * 500, "b": "ba" * 500})
+    letters = sub.alphabet.letters
+    images = encode_images(letters, sub.images)
+    limit = 10**4
+    tracemalloc.start()
+    try:
+        got = expand_prefix(images, 0, 2, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == encode_word(letters, apply(sub, "a", 2))[:limit]
+    assert peak < 5 * limit
+
+
+@pytest.mark.parametrize("sub", [make("quartic"), _wide_alphabet()], ids=["quartic", "wide"])
+def test_apply_bytes_matches_step(sub):
     letters = sub.alphabet.letters
     images = encode_images(letters, sub.images)
     rng = random.Random(9)
     for _ in range(50):
         word = "".join(rng.choice(letters) for _ in range(rng.randrange(0, 40)))
         encoded = encode_word(letters, word)
-        assert impl.apply_bytes(images, encoded) == encode_word(letters, sub.step(word))
-
-
-@pytest.mark.skipif(not HAVE_SPEEDUPS, reason="compiled kernels unavailable")
-def test_compiled_and_pure_agree_on_long_streams():
-    sub = make("golden_tower")
-    letters = sub.alphabet.letters
-    images = encode_images(letters, sub.images)
-    a = _pure.expand_prefix(images, 0, 25, 200_000)
-    b = _speedups.expand_prefix(images, 0, 25, 200_000)
-    assert a == b
-    needle = encode_word(letters, "ab")
-    assert _pure.count_subword(needle, a) == _speedups.count_subword(needle, b)
+        assert apply_bytes(images, encoded) == encode_word(letters, sub.step(word))
 
 
 def test_selected_interface_works():
