@@ -414,6 +414,14 @@ def classify_level(
     spectral: SpectralProfile,
     i: int,
 ) -> LevelReport:
+    return spectral.memo(
+        sub, chain, ("classify_level", i), lambda: _classify_level(sub, chain, spectral, i)
+    )
+
+
+def _classify_level(
+    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int
+) -> LevelReport:
     chain.check_level(i)
     if i < 2:
         raise DomainError("classify_level applies to levels >= 2; level 1 is the bottom report")

@@ -268,6 +268,12 @@ def cmd_simulate(spec: InputSpec, args) -> dict:
     return out
 
 
+def _require(ok: bool, what: str) -> None:
+    """Fail the running check; unlike ``assert``, this survives ``python -O``."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _check(name: str, fn) -> dict:
     try:
         fn()
@@ -285,7 +291,7 @@ def cmd_check(spec: InputSpec, args) -> dict:
     def row_sums():
         matrix = incidence_matrix(sub)
         for letter, total in zip(matrix.letters, matrix.row_sums()):
-            assert total == len(sub.image(letter))
+            _require(total == len(sub.image(letter)), f"row sum of {letter!r}")
 
     checks.append(_check("incidence_row_sums", row_sums))
 
@@ -293,13 +299,16 @@ def cmd_check(spec: InputSpec, args) -> dict:
         for i in range(1, chain.n + 1):
             level = set(chain.alphabet_at(i))
             for c in level:
-                assert set(sub.image(c)) <= level
+                _require(set(sub.image(c)) <= level, f"level {i} not closed at {c!r}")
         matrix = incidence_matrix(sub)
         power = matrix.power(chain.witness_k)
         for a in sub.alphabet:
             for b in sub.alphabet:
                 if chain.level_of(a) >= chain.level_of(b):
-                    assert power[matrix.letters.index(a)][matrix.letters.index(b)] > 0
+                    _require(
+                        power[matrix.letters.index(a)][matrix.letters.index(b)] > 0,
+                        f"witness power misses {a!r} -> {b!r}",
+                    )
 
     checks.append(_check("chain_closure_and_witness", chain_closure))
 
@@ -312,9 +321,12 @@ def cmd_check(spec: InputSpec, args) -> dict:
                 for w in ws:
                     block_ord[w] = rank
             for u, row in zip(matrix.letters, matrix.entries):
-                assert sum(row) == len(sub.image(u[0]))
+                _require(sum(row) == len(sub.image(u[0])), f"row sum of window {u!r}")
                 for v, value in zip(matrix.letters, row):
-                    assert value == 0 or block_ord[v] <= block_ord[u]
+                    _require(
+                        value == 0 or block_ord[v] <= block_ord[u],
+                        f"window {u!r} -> {v!r} above the block diagonal",
+                    )
 
     checks.append(_check("window_matrix_triangular", aux_rows))
 
@@ -329,7 +341,9 @@ def cmd_check(spec: InputSpec, args) -> dict:
                 windows = sum(
                     1 for j in range(width) if expanded[j : j + 2] == v
                 )
-                assert windows == power[aux.index(u)][aux.index(v)]
+                _require(
+                    windows == power[aux.index(u)][aux.index(v)], f"windows {u!r} -> {v!r}"
+                )
 
     checks.append(_check("window_matrix_power_semantics", aux_powers))
 
@@ -347,9 +361,10 @@ def cmd_check(spec: InputSpec, args) -> dict:
             if seed is None:
                 continue
             if seed.orientation == "forward":
-                assert apply(sub, seed.a + seed.b, seed.k) == seed.u + seed.a + seed.b + seed.v
+                ok = apply(sub, seed.a + seed.b, seed.k) == seed.u + seed.a + seed.b + seed.v
             else:
-                assert apply(sub, seed.b + seed.a, seed.k) == seed.v + seed.b + seed.a + seed.u
+                ok = apply(sub, seed.b + seed.a, seed.k) == seed.v + seed.b + seed.a + seed.u
+            _require(ok, f"seed identity of level {lr.level}")
 
     checks.append(_check("seed_identities", seeds))
 
@@ -371,8 +386,11 @@ def cmd_check(spec: InputSpec, args) -> dict:
                     for a in sub_i.alphabet
                     if v + a in language(sub_i, 2)
                 ]
-                total = sum(e.value for e in exts)
-                assert abs(total - base.value) <= 1e-9
+                if base.exact is not None and all(e.exact is not None for e in exts):
+                    ok = sum(e.exact for e in exts) == base.exact
+                else:
+                    ok = abs(sum(e.value for e in exts) - base.value) <= 1e-9
+                _require(ok, f"extensions of {v!r} at level {i}")
 
     checks.append(_check("cylinder_consistency", measures_consistent))
 

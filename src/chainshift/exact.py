@@ -1,6 +1,6 @@
 """Exact algebra: integer characteristic polynomials, Sturm-sequence root
-isolation, algebraic reals with decidable ordering, and rational linear
-solves.
+isolation, algebraic reals with decidable ordering, and fraction-free
+integer linear solves.
 
 Polynomials are tuples of coefficients in descending degree order. The
 characteristic polynomial of an integer matrix is computed division-free, so
@@ -11,6 +11,8 @@ as final approximations.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import index
 
 Poly = tuple[Fraction, ...]
 
@@ -207,7 +209,7 @@ class AlgebraicReal:
             q = Fraction(other)
             if self.rational is not None:
                 return (self.rational > q) - (self.rational < q)
-            if poly_eval(self._sf, q) == 0 and self.lo < q <= self.hi:
+            if self.lo < q <= self.hi and poly_eval(self._sf, q) == 0:
                 return 0
             while self.lo < q <= self.hi:
                 self.refine((self.hi - self.lo) / 2)
@@ -254,48 +256,80 @@ class AlgebraicReal:
         return f"AlgebraicReal({float(self):.12g}, poly={self.poly})"
 
 
-def solve_linear(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular rational system by Gaussian elimination."""
-    n = len(A)
-    M = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(A, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular system")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * c for a, c in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+def _bareiss(M: list[list[int]], cols: int) -> list[int]:
+    """Fraction-free (Bareiss) forward elimination of an integer matrix, in place.
 
-
-def nullspace_vector(A: list[list[Fraction]]) -> list[Fraction]:
-    """A nonzero kernel vector of a rational matrix with 1-dimensional kernel."""
-    n = len(A)
-    M = [list(map(Fraction, row)) for row in A]
+    Brings the first ``cols`` columns to row echelon form; further columns (a
+    right-hand side) are carried along. After each pivot every entry below it
+    is an integer minor of the row-permuted input, so each division by the
+    previous pivot is exact (Bareiss, Math. Comp. 22, 1968). Returns the pivot
+    column of each nonzero row, in row order.
+    """
+    n = len(M)
     pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if M[i][col] != 0), None)
-        if pivot is None:
+    prev = 1
+    for col in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if M[i][col]), None)
+        if p is None:
             continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [v * inv for v in M[r]]
-        for i in range(n):
-            if i != r and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * c for a, c in zip(M[i], M[r])]
+        M[r], M[p] = M[p], M[r]
+        top = M[r][col:]
+        piv = top[0]
+        for i in range(r + 1, n):
+            row = M[i]
+            f = row[col]
+            row[col:] = [(piv * a - f * b) // prev for a, b in zip(row[col:], top)]
         pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+        prev = piv
+    return pivots
+
+
+def solve_linear(A, b) -> list[Fraction]:
+    """Solve a square nonsingular integer system with a rational right-hand side.
+
+    The right-hand side is scaled to integers by its common denominator, so
+    elimination and back-substitution run on integers only. A non-integer
+    matrix entry raises ``TypeError``.
+    """
+    n = len(A)
+    if n == 0:
+        return []
+    rhs = [Fraction(v) for v in b]
+    scale = lcm(*(v.denominator for v in rhs))
+    M = [
+        [index(a) for a in row] + [v.numerator * (scale // v.denominator)]
+        for row, v in zip(A, rhs)
+    ]
+    if len(_bareiss(M, n)) < n:
+        raise ZeroDivisionError("singular system")
+    # By Cramer's rule det * x is integral; the last pivot is +-det.
+    det = M[n - 1][n - 1]
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = M[k]
+        acc = det * row[n] - sum(row[j] * y[j] for j in range(k + 1, n))
+        y[k] = acc // row[k]
+    return [Fraction(v, det * scale) for v in y]
+
+
+def nullspace_vector(A) -> list[int]:
+    """A primitive integer kernel vector of a square integer matrix whose
+    kernel is 1-dimensional (unique up to sign). A non-integer entry raises
+    ``TypeError``."""
+    n = len(A)
+    M = [[index(a) for a in row] for row in A]
+    pivots = _bareiss(M, n)
+    free = sorted(set(range(n)) - set(pivots))
     if len(free) != 1:
         raise ZeroDivisionError(f"kernel is {len(free)}-dimensional, expected 1")
-    x = [Fraction(0)] * n
-    x[free[0]] = Fraction(1)
-    for row_idx, col in enumerate(pivots):
-        x[col] = -M[row_idx][free[0]]
-    return x
+    # Setting the free coordinate to the last pivot (+-the pivot minor)
+    # makes every pivot coordinate integral, by Cramer's rule.
+    x = [0] * n
+    x[free[0]] = M[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for k in range(len(pivots) - 1, -1, -1):
+        row, col = M[k], pivots[k]
+        acc = -sum(row[j] * x[j] for j in range(col + 1, n))
+        x[col] = acc // row[col]
+    g = gcd(*x)
+    return [v // g for v in x]

@@ -29,7 +29,7 @@ from .errors import (
     WordNotInLevelLanguage,
 )
 from .kernels import apply_bytes, count_subword, encode_images, encode_word, expand_prefix
-from .spectral import SpectralProfile, limit_data, pf_vectors
+from .spectral import SpectralProfile, level_profile, limit_data, pf_vectors
 from .structure import ComponentChain, mat_pow
 from .words import Substitution, language
 
@@ -134,9 +134,8 @@ def cylinder_measure(
     if v not in language(sub_i, m):
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
     if desc.kind == "finite_ergodic":
-        pair = pf_vectors(sub_i, chain_i, m)
-        total = sum(pair.beta.values())
-        value = pair.beta[v] / total
+        pair = pf_vectors(sub_i, chain_i, m, level_profile(sub, chain, i, spectral))
+        value = pair.beta[v] / pair.beta_total
         if pair.exact:
             return CylinderValue(i, v, False, value, float(value), desc.anchor)
         return CylinderValue(
@@ -303,7 +302,7 @@ def uniformity_check(
     if spectral.theta_is_one(i):
         raise DomainError(f"level {i} has eigenvalue 1; no frequency target exists")
     if spectral.level_is_finite(i):
-        pair = pf_vectors(sub_i, chain_i, m)
+        pair = pf_vectors(sub_i, chain_i, m, level_profile(sub, chain, i, spectral))
         data = pair.beta
     else:
         ld = limit_data(sub, chain, m, i, spectral)

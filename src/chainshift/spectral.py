@@ -3,21 +3,35 @@ windowed incidence matrix.
 
 Eigenvalue comparisons (equality between levels, equality with 1) are decided
 exactly through integer characteristic polynomials; floating point enters
-only for eigenvector entries when the dominant root is irrational, and every
-computed vector is residual-checked.
+only for eigenvector entries when the dominant root is irrational. When the
+dominant root is an integer the blocks are solved by fraction-free integer
+elimination and every vector must satisfy M x = lam x exactly; float vectors
+are residual-checked instead.
 
 The right vector is built downward from the last block attaining the global
 rate: the attaining block contributes its Perron vector, coordinates above it
 are zero, and each block below solves (lam*I - D) x = coupling, which is
 nonsingular because every lower diagonal block has spectral radius < lam. The
 left vector is built symmetrically upward from the first attaining block.
+
+Every cylinder value of one level and window length reads the same vectors,
+so they are solved once: ``pf_vectors`` (key: window length m),
+``limit_data`` (key: m and level i), ``level_profile`` (key: i) and
+``classify.classify_level`` (key: i) store their results in a dict on the
+``SpectralProfile`` they are given, and only while that profile's chain is the
+``chain`` argument. The memo holds at most one entry per level and window
+length actually asked for, and lives as long as its profile. The profiles
+``block_eigenvalues`` returns are kept by the unbounded
+``_block_eigenvalues_cached``, so the memo is not per run: it lasts as long
+as the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -53,6 +67,22 @@ class SpectralProfile:
                 best = i
         self.i_min = min(i for i in range(1, n + 1) if self.theta(i) == self.theta(best))
         self.i_max = max(i for i in range(1, n + 1) if self.theta(i) == self.theta(best))
+        self._memo: dict[tuple, object] = {}
+
+    def describes(self, sub: Substitution, chain: ComponentChain) -> bool:
+        return chain == self.chain and sub == chain.sub
+
+    def memo(self, sub: Substitution, chain: ComponentChain, key: tuple, compute):
+        """``compute()`` once per ``key`` while this profile describes ``(sub, chain)``.
+
+        A profile asked about another chain computes afresh and stores nothing.
+        The stored result is shared by every later caller: treat it as read-only.
+        """
+        if not self.describes(sub, chain):
+            return compute()
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def n(self) -> int:
@@ -139,6 +169,28 @@ def _block_eigenvalues_cached(sub: Substitution, chain: ComponentChain) -> Spect
     return SpectralProfile(chain, levels)
 
 
+def level_profile(
+    sub: Substitution, chain: ComponentChain, i: int, spectral: SpectralProfile
+) -> SpectralProfile:
+    """Profile of the level-i sub-chain ``chain.restrict(i)``.
+
+    When ``spectral`` describes ``(sub, chain)`` the level profile is built
+    from its first i levels and stored with it, so the sub-chain's
+    characteristic polynomials are not solved again and the level's memo
+    lives as long as ``spectral``; the two profiles then share the level
+    eigenvalues, whose refinement only narrows the interval of the same
+    root. The top level is ``spectral`` itself.
+    """
+    sub_i, chain_i = chain.restrict(i)
+    if not spectral.describes(sub, chain):
+        return block_eigenvalues(sub_i, chain_i)
+    if i == chain.n:
+        return spectral
+    return spectral.memo(
+        sub, chain, ("level_profile", i), lambda: SpectralProfile(chain_i, spectral.levels[:i])
+    )
+
+
 # ---------------------------------------------------------------------------
 # vector engine
 
@@ -147,12 +199,12 @@ def _pf_right(block, lam, exact: bool):
     """Positive right eigenvector of a primitive block for its dominant value."""
     k = len(block)
     if exact:
-        A = [[Fraction(block[r][c]) - (lam if r == c else 0) for c in range(k)] for r in range(k)]
+        A = [[block[r][c] - (lam if r == c else 0) for c in range(k)] for r in range(k)]
         vec = nullspace_vector(A)
         if all(v <= 0 for v in vec):
             vec = [-v for v in vec]
         assert all(v > 0 for v in vec), "Perron vector must be positive"
-        return vec
+        return [Fraction(v) for v in vec]
     arr = np.array(block, dtype=float)
     vals, vecs = np.linalg.eig(arr)
     idx = int(np.argmin(np.abs(vals - lam)))
@@ -176,13 +228,10 @@ def _solve_shifted(diag, lam, rhs, exact: bool, transpose: bool):
     rows = range(k)
     if exact:
         A = [
-            [
-                (lam if r == c else Fraction(0)) - Fraction(diag[c][r] if transpose else diag[r][c])
-                for c in rows
-            ]
+            [(lam if r == c else 0) - (diag[c][r] if transpose else diag[r][c]) for c in rows]
             for r in rows
         ]
-        return solve_linear(A, [Fraction(v) for v in rhs])
+        return solve_linear(A, rhs)
     D = np.array(diag, dtype=float)
     if transpose:
         D = D.T
@@ -253,6 +302,29 @@ def _residual(
     return float(np.max(np.abs(r)) / scale)
 
 
+def _check_eigenvector(
+    entries: IntMatrix, order, values: dict[str, object], lam, exact: bool, side: str, what: str
+) -> None:
+    """Raise unless ``values`` is a ``side`` eigenvector of ``entries`` for ``lam``.
+
+    Exact data (integer ``lam``, ``Fraction`` values) must satisfy the
+    identity exactly, checked in integers after clearing denominators; float
+    data must meet ``RESIDUAL_TOL``.
+    """
+    if not exact:
+        res = _residual(entries, order, values, lam, side)
+        if res > RESIDUAL_TOL:
+            raise AssertionError(f"{what} residual {res:.3e} exceeds {RESIDUAL_TOL}")
+        return
+    x = [values[w] for w in order]
+    scale = lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (scale // v.denominator) for v in x]
+    lines = entries if side == "right" else zip(*entries)
+    for line, xv in zip(lines, xs):
+        if sum(a * v for a, v in zip(line, xs) if a) != lam * xv:
+            raise AssertionError(f"{what} fails the exact {side} eigen identity for {lam}")
+
+
 @dataclass
 class EigenPair:
     """Right and left dominant eigenvectors over the window alphabet."""
@@ -268,6 +340,11 @@ class EigenPair:
     def pairing(self):
         return sum(self.alpha[w] * self.beta[w] for w in self.aux.words)
 
+    @cached_property
+    def beta_total(self):
+        """Sum of the left vector: the normaliser of finite cylinder values."""
+        return sum(self.beta.values())
+
 
 def pf_vectors(
     sub: Substitution,
@@ -276,6 +353,14 @@ def pf_vectors(
     spectral: SpectralProfile | None = None,
 ) -> EigenPair:
     spectral = spectral or block_eigenvalues(sub, chain)
+    return spectral.memo(
+        sub, chain, ("pf_vectors", m), lambda: _pf_vectors(sub, chain, m, spectral)
+    )
+
+
+def _pf_vectors(
+    sub: Substitution, chain: ComponentChain, m: int, spectral: SpectralProfile
+) -> EigenPair:
     lam = spectral.lam
     if lam.compare(1) <= 0:
         raise LambdaNotDominant("global growth rate is <= 1; no dominant eigenvector data")
@@ -287,7 +372,7 @@ def pf_vectors(
         return matrix.entries[pos[u]][pos[v]]
 
     exact = lam.as_integer() is not None
-    lam_value = Fraction(lam.as_integer()) if exact else float(lam)
+    lam_value = lam.as_integer() if exact else float(lam)
     blocks = aux.blocks_in_order()
     words_blocks = [ws for _, _, ws in blocks]
     anchor_alpha = next(
@@ -300,11 +385,10 @@ def pf_vectors(
     beta = _block_vector(words_blocks, entry, lam_value, anchor_beta, exact, "left")
     alpha = _min_positive_normalize(alpha, exact)
     beta = _min_positive_normalize(beta, exact)
-    lam_float = float(lam)
     for side, values in (("right", alpha), ("left", beta)):
-        res = _residual(matrix.entries, aux.words, values, lam_float, side)
-        if res > RESIDUAL_TOL:
-            raise AssertionError(f"eigenvector residual {res:.3e} exceeds {RESIDUAL_TOL}")
+        _check_eigenvector(
+            matrix.entries, aux.words, values, lam_value, exact, side, "eigenvector"
+        )
     return EigenPair(m=m, aux=aux, lam=lam, alpha=alpha, beta=beta, exact=exact)
 
 
@@ -340,12 +424,20 @@ def limit_data(
     spectral: SpectralProfile | None = None,
 ) -> LimitData:
     spectral = spectral or block_eigenvalues(sub, chain)
+    return spectral.memo(
+        sub, chain, ("limit_data", m, i), lambda: _limit_data(sub, chain, m, i, spectral)
+    )
+
+
+def _limit_data(
+    sub: Substitution, chain: ComponentChain, m: int, i: int, spectral: SpectralProfile
+) -> LimitData:
     chain.check_level(i)
     theta = spectral.theta(i)
     if theta.compare(1) <= 0:
         raise ThetaNotAboveOne(f"level {i} eigenvalue is 1; no scaled limit data")
     sub_i, chain_i = chain.restrict(i)
-    spectral_i = block_eigenvalues(sub_i, chain_i)
+    spectral_i = level_profile(sub, chain, i, spectral)
     if spectral.level_is_finite(i):
         pair = pf_vectors(sub_i, chain_i, m, spectral_i)
         pairing = pair.pairing()
@@ -377,7 +469,7 @@ def limit_data(
     words_blocks = [ws for _, _, ws in blocks]
     restricted = tuple(w for ws in words_blocks for w in ws)
     exact = theta.as_integer() is not None
-    theta_value = Fraction(theta.as_integer()) if exact else float(theta)
+    theta_value = theta.as_integer() if exact else float(theta)
     anchor = next(j for j, (kind, lvl, _) in enumerate(blocks) if kind == "Q" and lvl == i)
     assert anchor == len(blocks) - 1, "the level block is last in the restriction"
     gamma = _block_vector(words_blocks, entry, theta_value, anchor, exact, "right")
@@ -388,11 +480,10 @@ def limit_data(
     pairing = sum(gamma[w] * delta[w] for w in restricted)
     delta = {w: v / pairing for w, v in delta.items()}
     sub_entries = tuple(tuple(entry(u, v) for v in restricted) for u in restricted)
-    theta_float = float(theta)
     for side, values in (("right", gamma), ("left", delta)):
-        res = _residual(sub_entries, restricted, values, theta_float, side)
-        if res > RESIDUAL_TOL:
-            raise AssertionError(f"limit vector residual {res:.3e} exceeds {RESIDUAL_TOL}")
+        _check_eigenvector(
+            sub_entries, restricted, values, theta_value, exact, side, "limit vector"
+        )
     infinite = aux.level_words[ip - 2]
     return LimitData(
         level=i,

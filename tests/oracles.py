@@ -2,12 +2,14 @@
 
 Everything here recomputes from first principles: windows are enumerated
 directly, powers are expanded letter by letter, chains are found by searching
-every ordered partition of the alphabet.
+every ordered partition of the alphabet, and linear systems are solved by
+dense Gauss-Jordan elimination over the rationals.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 
@@ -131,3 +133,50 @@ def random_substitution(rng: random.Random, max_letters: int = 5, max_image: int
         c: "".join(rng.choice(letters) for _ in range(rng.randint(1, max_image)))
         for c in letters
     }
+
+
+def solve_linear(A, b) -> list[Fraction]:
+    """Solve a square nonsingular rational system by Gauss-Jordan elimination."""
+    n = len(A)
+    M = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(A, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular system")
+        M[col], M[pivot] = M[pivot], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [v * inv for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * c for a, c in zip(M[r], M[col])]
+    return [M[r][n] for r in range(n)]
+
+
+def nullspace_vector(A) -> list[Fraction]:
+    """A nonzero kernel vector of a rational matrix with 1-dimensional kernel."""
+    n = len(A)
+    M = [list(map(Fraction, row)) for row in A]
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, n) if M[i][col] != 0), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        inv = 1 / M[r][col]
+        M[r] = [v * inv for v in M[r]]
+        for i in range(n):
+            if i != r and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [a - f * c for a, c in zip(M[i], M[r])]
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise ZeroDivisionError(f"kernel is {len(free)}-dimensional, expected 1")
+    x = [Fraction(0)] * n
+    x[free[0]] = Fraction(1)
+    for row_idx, col in enumerate(pivots):
+        x[col] = -M[row_idx][free[0]]
+    return x

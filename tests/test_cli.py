@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from chainshift import ParseError, parse_input
+from chainshift import cli
 from chainshift.cli import main
 from conftest import CORPUS_RULES
 
@@ -22,6 +25,15 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def _python(*args):
+    """Run a fresh interpreter on this checkout's package."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 # -- parsing -------------------------------------------------------------------
@@ -136,6 +148,54 @@ def test_check_command(tmp_path, capsys):
     assert out["ok"] and all(c["ok"] for c in out["checks"])
 
 
+_BROKEN_ROW_SUMS = """
+import json
+from chainshift import cli
+from chainshift.structure import IncidenceMatrix
+
+IncidenceMatrix.row_sums = lambda self: tuple(sum(row) + 1 for row in self.entries)
+checks = cli.cmd_check(cli.parse_input("a -> ab\\nb -> a\\n"), None)["checks"]
+print(json.dumps({c["name"]: c["ok"] for c in checks}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["debug", "optimized"])
+def test_check_failure_reported_under_optimize(flags):
+    proc = _python(*flags, "-c", _BROKEN_ROW_SUMS)
+    assert proc.returncode == 0, proc.stderr
+    oks = json.loads(proc.stdout)
+    assert oks["incidence_row_sums"] is False
+    assert oks["chain_closure_and_witness"] is True
+
+
+def test_check_cylinder_consistency_is_exact(tmp_path, capsys, monkeypatch):
+    # an error far below the float tolerance must still fail on exact values
+    real = cli.cylinder_measure
+
+    def skewed(*args):
+        cv = real(*args)
+        if cv.exact is not None and len(cv.word) == 2:
+            cv = dataclasses.replace(cv, exact=cv.exact + Fraction(1, 10**15))
+        return cv
+
+    monkeypatch.setattr(cli, "cylinder_measure", skewed)
+    path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
+    code, out = _run(capsys, "check", path)
+    assert code == 0 and not out["ok"]
+    failed = [c["name"] for c in out["checks"] if not c["ok"]]
+    assert failed == ["cylinder_consistency"]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RULES))
+def test_check_stdout_same_under_optimize(name, tmp_path, capsys):
+    path = _write(tmp_path, f"{name}.sub", CORPUS_RULES[name])
+    assert main(["check", path]) == 0
+    expected = capsys.readouterr().out
+    proc = _python("-O", "-m", "chainshift", "check", path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
 def test_analyze_command_deterministic(tmp_path, capsys):
     path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
     code = main(["analyze", path])
@@ -196,15 +256,7 @@ def test_python_dash_m_entry_point(tmp_path, capsys):
     path = _write(tmp_path, "chacon.sub", CORPUS_RULES["chacon"])
     assert main(["classify", path]) == 0
     expected = capsys.readouterr().out
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "chainshift", "classify", path],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    proc = _python("-m", "chainshift", "classify", path)
     assert proc.returncode == 0
     assert proc.stdout == expected
     assert proc.stderr == ""

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from chainshift import exact
 from chainshift.exact import (
     AlgebraicReal,
     charpoly,
     count_roots,
-    nullspace_vector,
     poly_gcd,
-    solve_linear,
     squarefree_part,
     sturm_chain,
 )
@@ -81,13 +83,22 @@ def test_algebraic_real_close_roots_separated():
 
 
 def test_solve_linear_and_nullspace():
-    A = [[Fraction(3), Fraction(-2)], [Fraction(-1), Fraction(2)]]
-    assert solve_linear(A, [Fraction(1), Fraction(1)]) == [Fraction(1), Fraction(1)]
-    vec = nullspace_vector([[Fraction(-2), Fraction(2)], [Fraction(1), Fraction(-1)]])
-    assert vec[0] == vec[1] != 0
-    with pytest.raises(ZeroDivisionError):
-        solve_linear([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
-                     [Fraction(0), Fraction(0)])
+    # the fraction-free kernels and the dense Fraction reference
+    for impl in (exact, oracles):
+        assert impl.solve_linear([[3, -2], [-1, 2]], [Fraction(1), Fraction(1)]) == [1, 1]
+        vec = impl.nullspace_vector([[-2, 2], [1, -1]])
+        assert vec[0] == vec[1] != 0
+        with pytest.raises(ZeroDivisionError):
+            impl.solve_linear([[1, 1], [1, 1]], [Fraction(0), Fraction(0)])
+
+
+def test_fraction_free_kernels_reject_rational_matrices():
+    # floor division on Fraction entries would round silently; refuse instead
+    with pytest.raises(TypeError):
+        exact.solve_linear([[Fraction(1, 2), 0], [0, 1]], [Fraction(1), Fraction(1)])
+    with pytest.raises(TypeError):
+        exact.nullspace_vector([[Fraction(-1, 2), Fraction(1, 2)], [1, -1]])
+    assert exact.nullspace_vector([[True, -1], [2, -2]]) == [1, 1]
 
 
 def test_poly_gcd_shared_factor():
@@ -95,3 +106,62 @@ def test_poly_gcd_shared_factor():
     q = (Fraction(1), Fraction(-2), Fraction(0), Fraction(1))  # (x^2-x-1)(x-1)
     g = poly_gcd(p, q)
     assert g == p
+
+
+# -- fraction-free kernels against the dense Fraction oracle -------------------
+
+entries = st.integers(min_value=-4, max_value=6)
+
+
+@st.composite
+def corank_one_matrices(draw):
+    """Square integer matrices with one column a combination of the others."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    j = draw(st.integers(min_value=0, max_value=n - 1))
+    coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n))
+    for row in rows:
+        row[j] = sum(c * v for k, (c, v) in enumerate(zip(coeffs, row)) if k != j)
+    return rows
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    rhs = draw(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=30), min_size=n, max_size=n
+        )
+    )
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(corank_one_matrices())
+def test_nullspace_vector_matches_oracle(A):
+    try:
+        expected = oracles.nullspace_vector(A)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            exact.nullspace_vector(A)
+        return
+    got = exact.nullspace_vector(A)
+    assert all(isinstance(v, int) for v in got) and any(got)
+    # the same line: every 2x2 minor of (got, expected) vanishes
+    n = len(A)
+    assert all(got[i] * expected[j] == got[j] * expected[i] for i in range(n) for j in range(n))
+    assert all(sum(a * v for a, v in zip(row, got)) == 0 for row in A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_systems())
+def test_solve_linear_matches_oracle(system):
+    A, b = system
+    try:
+        expected = oracles.solve_linear(A, b)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            exact.solve_linear(A, b)
+        return
+    assert exact.solve_linear(A, b) == expected

@@ -1,0 +1,106 @@
+"""The eigen data and level reports are computed once per profile.
+
+``pf_vectors``, ``limit_data``, ``classify_level`` and ``level_profile`` store
+their results on the ``SpectralProfile`` they are given, keyed by window
+length and level. The tests count calls of the un-memoised bodies.
+"""
+
+from collections import Counter
+
+import pytest
+
+from chainshift import block_eigenvalues, classify, component_chain, spectral
+from chainshift.measures import cylinder_measure, level_measure_table
+from chainshift.spectral import level_profile, pf_vectors
+from conftest import make
+
+MAX_M = 3
+
+
+def _fresh_profiles():
+    """Forget every profile, so no memo answers from an earlier test."""
+    spectral._block_eigenvalues_cached.cache_clear()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    _fresh_profiles()
+    counts: Counter = Counter()
+
+    def count(module, name, key):
+        body = getattr(module, name)
+
+        def counted(*args):
+            counts[(name, key(*args))] += 1
+            return body(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(spectral, "_pf_vectors", lambda sub, chain, m, sp: (chain.n, m))
+    count(spectral, "_limit_data", lambda sub, chain, m, i, sp: (i, m))
+    count(classify, "_classify_level", lambda sub, chain, sp, i: i)
+    yield counts
+    _fresh_profiles()
+
+
+def _tables(name):
+    sub = make(name)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    tables = [
+        level_measure_table(sub, chain, profile, i, max_m=MAX_M) for i in range(1, chain.n + 1)
+    ]
+    return sub, chain, tables
+
+
+@pytest.mark.parametrize("name", ["golden_tower", "mid_dominant"])
+def test_one_solve_per_level_and_window(name, calls):
+    _, chain, tables = _tables(name)
+    measured = [t["level"] for t in tables if "cylinders" in t]
+    assert measured
+    # finite levels solve through pf_vectors on the level's own chain (whose
+    # top level is the level), infinite ones through limit_data
+    solves = sorted(key for (body, key) in calls if body != "_classify_level")
+    assert solves == [(i, m) for i in measured for m in range(1, MAX_M + 1)]
+    reports = sorted(key for (body, key) in calls if body == "_classify_level")
+    assert reports == list(range(2, chain.n + 1))
+    assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("name", ["golden_tower", "mid_dominant"])
+def test_memoised_values_equal_fresh_profile(name):
+    _fresh_profiles()
+    sub, chain, tables = _tables(name)
+    for table in tables:
+        for word, shared in table.get("cylinders", {}).items():
+            _fresh_profiles()
+            fresh = block_eigenvalues(sub, chain)
+            assert cylinder_measure(sub, chain, fresh, table["level"], word).as_json() == shared
+
+
+def test_profile_of_another_chain_is_not_reused(calls):
+    sub = make("quartic")
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    assert pf_vectors(sub, chain, 2, profile) is pf_vectors(sub, chain, 2, profile)
+    assert calls[("_pf_vectors", (3, 2))] == 1
+    # the level-2 chain differs from the profile's, so nothing is shared
+    sub_2, chain_2 = chain.restrict(2)
+    first = pf_vectors(sub_2, chain_2, 2, profile)
+    second = pf_vectors(sub_2, chain_2, 2, profile)
+    assert calls[("_pf_vectors", (2, 2))] == 2
+    assert first is not second and first.beta == second.beta
+
+
+def test_level_profile_shares_the_parent_levels():
+    sub = make("quartic")
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    level_2 = level_profile(sub, chain, 2, profile)
+    assert level_2 is level_profile(sub, chain, 2, profile)
+    assert level_2.chain == chain.restrict(2)[1]
+    assert level_2.levels == profile.levels[:2]
+    assert level_profile(sub, chain, chain.n, profile) is profile
+    # a profile of another chain is not consulted
+    sub_2, chain_2 = chain.restrict(2)
+    assert level_profile(sub_2, chain_2, 1, profile) is block_eigenvalues(*chain_2.restrict(1))

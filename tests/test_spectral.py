@@ -13,6 +13,7 @@ from chainshift import (
     limit_data,
     pf_vectors,
 )
+from chainshift.spectral import _check_eigenvector
 from chainshift.structure import mat_pow
 from conftest import make
 
@@ -236,3 +237,18 @@ def test_scaled_powers_converge_to_outer_product():
         for v in words:
             scaled = Fraction(power[idx[u]][idx[v]], 3**30)
             assert abs(float(scaled) - float(ld.gamma[u] * ld.delta[v])) <= 1e-9
+
+
+def test_exact_eigen_identity_rejects_what_the_float_residual_accepts():
+    entries = ((3, 0), (1, 2))  # right eigenvector (1, 1) and left (1, 0) for 3
+    order = ("u", "v")
+    right = {"u": Fraction(1), "v": Fraction(1)}
+    left = {"u": Fraction(1), "v": Fraction(0)}
+    for side, values in (("right", right), ("left", left)):
+        _check_eigenvector(entries, order, values, 3, True, side, "vector")
+    near = {"u": Fraction(1), "v": 1 + Fraction(1, 10**12)}
+    _check_eigenvector(entries, order, near, 3.0, False, "right", "vector")
+    with pytest.raises(AssertionError, match="exact right eigen identity"):
+        _check_eigenvector(entries, order, near, 3, True, "right", "vector")
+    with pytest.raises(AssertionError, match="exact left eigen identity"):
+        _check_eigenvector(entries, order, right, 3, True, "left", "vector")
