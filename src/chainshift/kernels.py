@@ -1,4 +1,8 @@
-"""Byte-level streaming primitives behind ``simulate`` and the uniformity windows.
+"""Byte-level rewriting primitives behind the uniformity windows.
+
+``measures.uniformity_check`` streams the quasi-fixed point with
+``apply_bytes``; ``simulate`` counts exactly without expanding its prefix.
+``expand_prefix`` and ``count_subword`` serve the benchmark probes.
 
 Words over at most 256 letters travel as bytes whose values are letter
 indices. Rewriting decodes them as latin-1, where code point = byte value =

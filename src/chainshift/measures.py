@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .auxiliary import auxiliary_matrix, build_auxiliary
+from .auxiliary import AuxiliarySubstitution, build_auxiliary
 from .classify import LevelReport, _bottom_report, classify_level
 from .errors import (
     BudgetExceeded,
@@ -28,9 +28,9 @@ from .errors import (
     MeasureTypeCounting,
     WordNotInLevelLanguage,
 )
-from .kernels import apply_bytes, count_subword, encode_images, encode_word, expand_prefix
+from .kernels import apply_bytes, encode_images, encode_word
 from .spectral import SpectralProfile, level_profile, limit_data, pf_vectors
-from .structure import ComponentChain, mat_pow
+from .structure import ComponentChain
 from .words import Substitution, language
 
 STREAM_BUDGET = 2 * 10**7
@@ -158,26 +158,77 @@ def cylinder_measure(
 
 
 # ---------------------------------------------------------------------------
-# streaming
+# occurrence counts
 
 
-def _growth_power(sub: Substitution, anchor: str, target: int, *, at_most: bool) -> int:
-    """Smallest k with |sub^k(anchor)| >= target, or largest with <= target."""
-    lengths = {c: 1 for c in sub.alphabet}
-    k = 0
+def _length_tables(
+    sub: Substitution, anchor: str, target: int, *, at_most: bool
+) -> list[dict[str, int]]:
+    """Letter image lengths ``|sub^j(c)|`` for j = 0..k.
+
+    k is the smallest power with ``|sub^k(anchor)| >= target``, or with
+    ``at_most`` the largest with ``|sub^k(anchor)| <= target``.
+    """
+    tables = [{c: 1 for c in sub.alphabet}]
     stall = 0
     while True:
+        lengths = tables[-1]
         size = lengths[anchor]
         if not at_most and size >= target:
-            return k
+            return tables
         nxt = {c: sum(lengths[x] for x in sub.image(c)) for c in sub.alphabet}
         if at_most and nxt[anchor] > target:
-            return k
+            return tables
         stall = stall + 1 if nxt[anchor] == size else 0
         if stall > 2 * len(sub.alphabet) + 4:
             raise BudgetExceeded("anchor expansion does not grow")
-        lengths = nxt
-        k += 1
+        tables.append(nxt)
+
+
+def _block_counts(aux: AuxiliarySubstitution, v: str, k: int) -> list[dict[str, int]]:
+    """Occurrences of ``v`` in each block ``aux^j(x)``, j = 0..k.
+
+    The j-th table is the column ``M^j e_v`` of the window matrix powers,
+    built by one sparse step per power.
+    """
+    cols = [{x: int(x == v) for x in aux.words}]
+    for _ in range(k):
+        prev = cols[-1]
+        cols.append({x: sum(prev[y] for y in aux.image(x)) for x in aux.words})
+    return cols
+
+
+def _prefix_count(
+    aux: AuxiliarySubstitution,
+    u: str,
+    cols: list[dict[str, int]],
+    lengths: list[dict[str, int]],
+    total: int,
+) -> int:
+    """Occurrences of the word counted by ``cols`` among the first ``total``
+    windows of ``aux^k(u)``, with ``k = len(lengths) - 1``.
+
+    The block ``aux^j(x)`` holds ``|sigma^j(x[0])|`` windows, so the prefix
+    splits into whole blocks, each counted by one entry of ``cols``, and one
+    partial block per level, into which the walk descends (Dumont-Thomas).
+    """
+    count = taken = 0
+    children: tuple[str, ...] = (u,)
+    for j in range(len(lengths) - 1, -1, -1):
+        for y in children:
+            size = lengths[j][y[0]]
+            if taken + size > total:
+                break
+            count += cols[j][y]
+            taken += size
+        else:
+            break
+        if taken == total:
+            break
+        children = aux.image(y)
+    if taken != total:
+        raise RuntimeError(f"prefix blocks cover {taken} windows, expected {total}")
+    return count
 
 
 @dataclass
@@ -200,7 +251,6 @@ def empirical_frequency(
     v: str,
     L: int,
     *,
-    stream_budget: int = STREAM_BUDGET,
     power_budget: int = POWER_BUDGET,
     report: LevelReport | None = None,
 ) -> EmpiricalFrequency:
@@ -208,38 +258,38 @@ def empirical_frequency(
 
     Returns the frequency in the length-L prefix of the first power image of
     length >= L, and for infinite-measure levels also the occurrence count in
-    a full power image scaled by the level eigenvalue (computed through exact
-    window-matrix powers; the windowed count differs from the plain count by
-    less than the window length).
+    a full power image scaled by the level eigenvalue (the windowed count
+    differs from the plain count by less than the window length).
+
+    Both counts are exact and never expand the prefix: the m-windows of
+    ``sigma^k(u)`` are ``aux^k(u)`` for the window substitution aux, so they
+    come from O(k) sparse window-matrix steps with k ~ log L.
     """
     desc = measure_type(sub, chain, spectral, i, report)
     if desc.kind not in ("finite_ergodic", "infinite_radon"):
-        raise DomainError(f"level {i} has no expanding anchor to stream")
+        raise DomainError(f"level {i} has no expanding anchor to count along")
     if not v or len(v) > L:
         raise DomainError("need a nonempty word no longer than the prefix")
     m = len(v)
     sub_i, chain_i = chain.restrict(i)
     if v not in language(sub_i, m):
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
-    if L > stream_budget:
-        raise BudgetExceeded(f"prefix length {L} exceeds the streaming budget {stream_budget}")
+    if L > power_budget:
+        raise BudgetExceeded(f"prefix length {L} exceeds the power budget {power_budget}")
     anchor = desc.anchor
-    k = _growth_power(sub_i, anchor, L, at_most=False)
-    letters = sub_i.alphabet.letters
-    images = encode_images(letters, sub_i.images)
-    prefix = expand_prefix(images, letters.index(anchor), k, L)
-    assert len(prefix) == L
-    ratio = count_subword(encode_word(letters, v), prefix) / L
+    aux = build_auxiliary(sub_i, chain_i, m)
+    # Any window starting with the anchor works: the first L - m + 1 windows
+    # of sigma^k(u) lie inside sigma^k(anchor).
+    u = min((w for w in aux.words if w[0] == anchor), key=sub_i.alphabet.word_key)
+    lengths = _length_tables(sub_i, anchor, L, at_most=False)
+    k = k2 = len(lengths) - 1
+    if desc.kind == "infinite_radon":
+        k2 = len(_length_tables(sub_i, anchor, power_budget, at_most=True)) - 1
+    cols = _block_counts(aux, v, max(k, k2))
+    ratio = _prefix_count(aux, u, cols, lengths, L - m + 1) / L
     result = EmpiricalFrequency(level=i, word=v, length=L, power=k, ratio=ratio)
     if desc.kind == "infinite_radon":
-        k2 = _growth_power(sub_i, anchor, power_budget, at_most=True)
-        aux = build_auxiliary(sub_i, chain_i, m)
-        matrix = auxiliary_matrix(aux)
-        u = min(
-            (w for w in aux.words if w[0] == anchor), key=sub_i.alphabet.word_key
-        )
-        power = mat_pow(matrix.entries, k2)
-        count = power[aux.index(u)][aux.index(v)]
+        count = cols[k2][u]
         theta = spectral.theta(i)
         exact_theta = theta.as_integer()
         if exact_theta is not None:
@@ -317,34 +367,41 @@ def uniformity_check(
     head = seed.b + (seed.v[::-1] if mirrored else seed.v)
     letters = system.alphabet.letters
     images = encode_images(letters, system.images)
-    new_ids = np.array(sorted(letters.index(c) for c in new), dtype=np.uint8)
-    needed = max(offsets) + n + 1
-    buf = bytearray(encode_word(letters, head))
-    chunk = encode_word(letters, head[1:])
-    positions: list[int] = []
-    scanned = 0
+    is_new = np.zeros(256, dtype=bool)
+    is_new[[letters.index(c) for c in new]] = True
 
-    def scan(upto: int) -> None:
-        nonlocal scanned
-        arr = np.frombuffer(bytes(buf[scanned:upto]), dtype=np.uint8)
-        hits = np.flatnonzero(np.isin(arr, new_ids)) + scanned
-        positions.extend(int(h) for h in hits)
-        scanned = upto
+    def new_positions(word: bytes, offset: int) -> np.ndarray:
+        return np.flatnonzero(is_new[np.frombuffer(word, dtype=np.uint8)]) + offset
 
-    scan(len(buf))
-    while len(positions) < needed + 1:
+    needed = max(offsets) + n + 2
+    first = encode_word(letters, head)
+    buf = bytearray(first)
+    chunk = first[1:]
+    hits = [new_positions(first, 0)]
+    found = len(hits[0])
+    while found < needed:
         for _ in range(seed.k):
             chunk = apply_bytes(images, chunk)
         if len(buf) + len(chunk) > stream_budget:
             raise BudgetExceeded("quasi-fixed point stream exceeded its budget")
+        hits.append(new_positions(chunk, len(buf)))
+        found += len(hits[-1])
         buf.extend(chunk)
-        scan(len(buf))
-    qbytes = encode_word(letters, query)
+    positions = np.concatenate(hits)
+
+    # match[s]: the query starts at s, overlaps included; the window from
+    # positions[j] to positions[j + n], both inclusive, holds the starts
+    # positions[j] .. positions[j + n] - m + 1.
+    text = np.frombuffer(buf, dtype=np.uint8)
+    q = encode_word(letters, query)
+    span = max(0, int(positions[max(offsets) + n]) + 2 - m)
+    match = np.ones(span, dtype=bool)
+    for t, c in enumerate(q):
+        match &= text[t : t + span] == c
     ratios: dict[int, float] = {}
     for j in sorted(set(offsets)):
-        lo, hi = positions[j], positions[j + n]
-        window = bytes(buf[lo : hi + 1])
-        ratios[j] = count_subword(qbytes, window) / n
+        lo, hi = int(positions[j]), int(positions[j + n])
+        ratios[j] = int(np.count_nonzero(match[lo : max(lo, hi + 2 - m)])) / n
     deviation = max(abs(r - target) for r in ratios.values())
     return UniformityResult(
         level=i, word=v, window_count=n, target=target, ratios=ratios, max_deviation=deviation

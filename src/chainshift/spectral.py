@@ -270,10 +270,12 @@ def _block_vector(
         if not ws:
             continue
         diag = [[entry(u, v) for v in ws] for u in ws]
+        # Window matrices are sparse: multiply the nonzero entries only.
+        # Skipping exact zeros leaves every float sum unchanged.
         if side == "right":
-            rhs = [sum(entry(u, v) * values[v] for v in solved) for u in ws]
+            rhs = [sum(c * values[v] for v in solved if (c := entry(u, v))) for u in ws]
         else:
-            rhs = [sum(values[u] * entry(u, v) for u in solved) for v in ws]
+            rhs = [sum(values[u] * c for u in solved if (c := entry(u, v))) for v in ws]
         x = _solve_shifted(diag, lam, rhs, exact, transpose=(side == "left"))
         values.update(zip(ws, x))
         solved.extend(ws)

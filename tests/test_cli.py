@@ -237,8 +237,15 @@ def test_exit_code_domain_error(tmp_path, capsys):
 
 def test_exit_code_budget(tmp_path, capsys):
     path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
-    code, out = _run(capsys, "simulate", path, "-i", "1", "-v", "a", "-L", str(10**9))
+    code, out = _run(capsys, "simulate", path, "-i", "1", "-v", "a", "-L", str(10**12 + 1))
     assert code == 5
+
+
+def test_simulate_long_prefix_without_expansion(tmp_path, capsys):
+    path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
+    code, out = _run(capsys, "simulate", path, "-i", "1", "-v", "a", "-L", str(10**9))
+    assert code == 0
+    assert out["power"] == 15 and out["ratio"] == 1.0
 
 
 def test_rule_file_with_utf8_bom(tmp_path, capsys):

@@ -249,7 +249,7 @@ def test_empirical_frequency_guards():
     from chainshift import BudgetExceeded
 
     with pytest.raises(BudgetExceeded):
-        empirical_frequency(*setup, 1, "a", 10**9)
+        empirical_frequency(*setup, 1, "a", 10**12 + 1)
     setup2 = _setup("tower_of_quasi")
     with pytest.raises(DomainError):
         empirical_frequency(*setup2, 2, "ac", 100)
