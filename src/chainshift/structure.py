@@ -5,8 +5,10 @@ letters, each level closed under the substitution, such that some uniform
 power reproduces every letter of A_i inside every image of a level-i letter.
 Detection works on the reachability digraph: the strongly connected
 components must be totally ordered by reachability, each diagonal block must
-be primitive, and a uniform witness power is then found by boolean matrix
-powers.
+be primitive, and a uniform witness power is then found by stepping boolean
+powers. Boolean matrices are kept as one int bitset per row: row a of A·P is
+the OR of the rows P[c] over the letters c of σ(a), so a power step costs
+O(n·|σ|) big-int ORs, and a row is tested against a mask in one operation.
 """
 
 from __future__ import annotations
@@ -44,13 +46,15 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
-def _bool_mul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(1 if any(x and y for x, y in zip(row, col)) else 0 for col in bt)
-        for row in a
-    )
+def _row_or_step(succ: list[list[int]], power: list[int]) -> list[int]:
+    """Bitset rows of A·P, for A given by successor lists and P by bitset rows."""
+    out = []
+    for targets in succ:
+        row = 0
+        for c in targets:
+            row |= power[c]
+        out.append(row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -210,17 +214,17 @@ def component_chain(sub: Substitution) -> ComponentChain:
         for v in comp:
             comp_of[v] = ci
     ncomp = len(sccs)
-    # Reachability closure on the condensation.
-    reach = [set() for _ in range(ncomp)]
+    # Reachability closure on the condensation, one bitset of components each.
+    reach = [0] * ncomp
     for ci in range(ncomp):  # Tarjan emits reverse topological order
-        r = {ci}
+        r = 1 << ci
         for v in sccs[ci]:
             for w in edges[v]:
                 r |= reach[comp_of[w]]
         reach[ci] = r
     for a in range(ncomp):
         for b in range(a + 1, ncomp):
-            if a not in reach[b] and b not in reach[a]:
+            if not (reach[b] >> a) & 1 and not (reach[a] >> b) & 1:
                 raise NoPrimitiveChainError(
                     "strongly connected components are incomparable",
                     {
@@ -231,23 +235,21 @@ def component_chain(sub: Substitution) -> ComponentChain:
                         ],
                     },
                 )
-    order = sorted(range(ncomp), key=lambda ci: len(reach[ci]))
+    order = sorted(range(ncomp), key=lambda ci: reach[ci].bit_count())
     # Each diagonal block must be primitive: some boolean power all-positive.
     for ci in order:
         comp = sccs[ci]
-        block = tuple(
-            tuple(1 if idx[b] in edges[idx[a]] else 0 for b in (letters[v] for v in comp))
-            for a in (letters[v] for v in comp)
-        )
-        size = len(block)
-        wielandt = (size - 1) ** 2 + 1
-        power = block
-        ok = all(all(row) for row in power)
+        pos = {v: p for p, v in enumerate(comp)}
+        succ = [[pos[w] for w in edges[v] if w in pos] for v in comp]
+        full = (1 << len(comp)) - 1
+        wielandt = (len(comp) - 1) ** 2 + 1
+        power = _row_or_step(succ, [1 << p for p in range(len(comp))])
+        ok = all(row == full for row in power)
         for _ in range(wielandt - 1):
             if ok:
                 break
-            power = _bool_mul(power, block)
-            ok = all(all(row) for row in power)
+            power = _row_or_step(succ, power)
+            ok = all(row == full for row in power)
         if not ok:
             raise NoPrimitiveChainError(
                 "a diagonal block is not primitive",
@@ -258,32 +260,26 @@ def component_chain(sub: Substitution) -> ComponentChain:
             )
     cumulative: list[tuple[str, ...]] = []
     seen: set[str] = set()
+    need = [0] * n  # bitset of the letters on or below each letter's level
+    mask = 0
     for ci in order:
         seen |= {letters[v] for v in sccs[ci]}
         cumulative.append(tuple(c for c in letters if c in seen))
+        mask |= sum(1 << v for v in sccs[ci])
+        for v in sccs[ci]:
+            need[v] = mask
     levels = tuple(cumulative)
-    level_of = {}
-    for i, lv in enumerate(levels, start=1):
-        for c in lv:
-            level_of.setdefault(c, i)
     # Uniform witness power: all entries on or below the block diagonal of
     # some boolean power are positive; bounded by Wielandt plus graph depth.
     bound = (n - 1) ** 2 + 1 + n
-    boolean = tuple(
-        tuple(1 if j in edges[i] else 0 for j in range(n)) for i in range(n)
-    )
-    power = boolean
+    succ = [list(e) for e in edges]
+    power = _row_or_step(succ, [1 << v for v in range(n)])
     witness = None
     for k in range(1, bound + 1):
-        if all(
-            power[idx[a]][idx[b]]
-            for a in letters
-            for b in letters
-            if level_of[a] >= level_of[b]
-        ):
+        if all(not row_need & ~row for row_need, row in zip(need, power)):
             witness = k
             break
-        power = _bool_mul(power, boolean)
+        power = _row_or_step(succ, power)
     if witness is None:  # unreachable if the checks above passed
         raise NoPrimitiveChainError(
             "no uniform witness power below the bound",

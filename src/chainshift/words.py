@@ -8,7 +8,7 @@ position 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -24,15 +24,18 @@ class Alphabet:
     """
 
     letters: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if not self.letters:
             raise DomainError("alphabet must be nonempty")
-        if len(set(self.letters)) != len(self.letters):
+        index = {c: i for i, c in enumerate(self.letters)}
+        if len(index) != len(self.letters):
             raise DomainError("alphabet has duplicate letters")
         for c in self.letters:
             if len(c) != 1 or not c.isprintable() or c.isspace():
                 raise DomainError(f"letter {c!r} is not a single printable character")
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -41,12 +44,12 @@ class Alphabet:
         return iter(self.letters)
 
     def __contains__(self, letter: object) -> bool:
-        return letter in self.letters
+        return letter in self._index
 
     def index(self, letter: str) -> int:
         try:
-            return self.letters.index(letter)
-        except ValueError:
+            return self._index[letter]
+        except KeyError:
             raise DomainError(f"letter {letter!r} not in alphabet") from None
 
     def word_key(self, word: str) -> tuple[int, ...]:
@@ -57,7 +60,7 @@ class Alphabet:
         if nonempty and not word:
             raise DomainError("word must be nonempty")
         for c in word:
-            if c not in self.letters:
+            if c not in self._index:
                 raise DomainError(f"letter {c!r} not in alphabet")
         return word
 

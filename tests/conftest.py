@@ -1,6 +1,7 @@
 import pytest
 
-from chainshift import Substitution
+import oracles
+from chainshift import NoPrimitiveChainError, Substitution, component_chain
 
 # Named corpus systems used across the suite. Most come from worked examples
 # with published data; a few are constructed edge cases.
@@ -36,6 +37,28 @@ CORPUS_RULES: dict[str, dict[str, str]] = {
 
 def make(name: str) -> Substitution:
     return Substitution.from_rules(CORPUS_RULES[name])
+
+
+def assert_matches_dense_oracle(rules: dict[str, str]) -> str:
+    """Check witness_k, or the rejection payload, against the dense boolean search.
+
+    Returns the verdict: ``"accepted"`` or the diagnostic's kind. Which
+    incomparable pair is reported follows the SCC order, so that payload only
+    has to be one of the incomparable pairs the oracle finds.
+    """
+    expected = oracles.witness_k_dense(rules)
+    try:
+        chain = component_chain(Substitution.from_rules(rules))
+    except NoPrimitiveChainError as err:
+        diag = err.diagnostic
+        if diag["kind"] == "incomparable_components":
+            assert expected["kind"] == diag["kind"]
+            assert sorted(diag["components"]) in expected["pairs"]
+        else:
+            assert diag == expected
+        return diag["kind"]
+    assert chain.witness_k == expected
+    return "accepted"
 
 
 @pytest.fixture(params=sorted(CORPUS_RULES))

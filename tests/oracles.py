@@ -2,15 +2,17 @@
 
 Everything here recomputes from first principles: windows are enumerated
 directly, powers are expanded letter by letter, chains are found by searching
-every ordered partition of the alphabet, and linear systems are solved by
-dense Gauss-Jordan elimination over the rationals.
+every ordered partition of the alphabet or by dense boolean matrix products,
+and linear systems are solved by dense Gauss-Jordan elimination over the
+rationals.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from operator import and_
 
 
 def occurrences(u: str, v: str) -> list[int]:
@@ -123,6 +125,67 @@ def valid_chains(rules: dict[str, str], k_bound: int):
         if ok_for_some_k:
             found.append([tuple(c for c in letters if c in level) for level in cumulative])
     return found
+
+
+def bool_mul(a, b):
+    """Dense boolean matrix product."""
+    bt = list(zip(*b))
+    return [[int(any(map(and_, row, col))) for col in bt] for row in a]
+
+
+def witness_k_dense(rules: dict[str, str]):
+    """Least uniform witness power of the chain, by dense boolean matrix products.
+
+    When the system has no chain, returns the ``NoPrimitiveChainError``
+    diagnostic instead: the lowest imprimitive diagonal block as the library
+    reports it, or, for incomparable components, the kind with every
+    incomparable pair (the library reports the first one it meets).
+    """
+    letters = tuple(rules)
+    n = len(letters)
+    boolean = [[int(b in rules[a]) for b in letters] for a in letters]
+    # Reflexive-transitive closure by repeated squaring.
+    reach = [[int(i == j or boolean[i][j]) for j in range(n)] for i in range(n)]
+    while True:
+        squared = bool_mul(reach, reach)
+        if squared == reach:
+            break
+        reach = squared
+    comps: list[frozenset] = []
+    for a in range(n):
+        comp = frozenset(b for b in range(n) if reach[a][b] and reach[b][a])
+        if comp not in comps:
+            comps.append(comp)
+
+    def names(comp):
+        return sorted(letters[v] for v in comp)
+
+    pairs = sorted(
+        sorted([names(c), names(d)])
+        for c, d in combinations(comps, 2)
+        if not reach[min(c)][min(d)] and not reach[min(d)][min(c)]
+    )
+    if pairs:
+        return {"kind": "incomparable_components", "pairs": pairs}
+    comps.sort(key=lambda comp: sum(reach[min(comp)]))  # bottom level first
+    for comp in comps:
+        members = sorted(comp)
+        block = [[boolean[a][b] for b in members] for a in members]
+        power = block
+        for _ in range((len(members) - 1) ** 2):  # Wielandt: (s-1)^2+1 powers
+            if all(all(row) for row in power):
+                break
+            power = bool_mul(power, block)
+        if not all(all(row) for row in power):
+            return {"kind": "imprimitive_block", "component": names(comp)}
+    level = {v: i for i, comp in enumerate(comps) for v in comp}
+    bound = (n - 1) ** 2 + 1 + n
+    power = boolean
+    for k in range(1, bound + 1):
+        if all(power[a][b] for a in range(n) for b in range(n) if level[a] >= level[b]):
+            return k
+        power = bool_mul(power, boolean)
+    return {"kind": "no_witness", "bound": bound}
 
 
 def random_substitution(rng: random.Random, max_letters: int = 5, max_image: int = 4):

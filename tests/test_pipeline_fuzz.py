@@ -3,10 +3,14 @@
 Every system that admits a chain must classify and measure without internal
 assertion failures, and the measure tables must stay shift-consistent. Deep
 towers are generated separately because uniform random rules rarely produce
-more than three levels.
+more than three levels. A hypothesis strategy adds chain-admitting systems by
+construction, checked against the brute-force chain oracles.
 """
 
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from chainshift import (
@@ -21,6 +25,7 @@ from chainshift import (
     measure_type,
     pf_vectors,
 )
+from conftest import assert_matches_dense_oracle
 
 LETTERS = "abcdefgh"
 
@@ -141,3 +146,74 @@ def test_tower_systems_full_pipeline():
         deep += chain.n >= 4
         _exercise(sub)
     assert valid == 100 and deep >= 5
+
+
+def test_seeded_systems_match_dense_oracle():
+    """Every system the two seeded generators above draw, accepted or not."""
+    rng = random.Random(424242)
+    verdicts: list[str] = []
+    while verdicts.count("accepted") < 150 and len(verdicts) < 5000:
+        verdicts.append(assert_matches_dense_oracle(oracles.random_substitution(rng)))
+    assert verdicts.count("accepted") == 150
+    assert set(verdicts) == {"accepted", "imprimitive_block", "incomparable_components"}
+    rng = random.Random(7777)
+    valid = attempts = 0
+    while valid < 100 and attempts < 4000:
+        attempts += 1
+        rules = _tower(rng)
+        if rules is not None:
+            valid += assert_matches_dense_oracle(rules) == "accepted"
+    assert valid == 100
+
+
+@st.composite
+def chain_systems(draw) -> dict[str, str]:
+    """Rules over at most six letters that admit a chain by construction.
+
+    Either a tower (level i adds x_i -> x_{i-1} x_i^r or x_i^r x_{i-1}), or
+    primitive blocks stacked bottom up: each block is a cycle made aperiodic
+    by a loop or by a chord that closes a cycle one shorter, every image may
+    take extra letters from its block and the blocks below, and some letter of
+    each block reaches the block just below. Declaration order is shuffled.
+    """
+    names = draw(st.permutations("abcdef"))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        x = names[:n]
+        rules = {x[0]: x[0] * draw(st.integers(1, 3))}
+        for i in range(1, n):
+            run = x[i] * draw(st.integers(1, 3))
+            rules[x[i]] = x[i - 1] + run if draw(st.booleans()) else run + x[i - 1]
+    else:
+        blocks = st.lists(st.integers(1, 3), min_size=1, max_size=4)
+        sizes = draw(blocks.filter(lambda s: 2 <= sum(s) <= 6))
+        rules = {}
+        below: list[str] = []
+        last: list[str] = []
+        start = 0
+        for size in sizes:
+            block = names[start : start + size]
+            start += size
+            need = {c: [block[(i + 1) % size]] for i, c in enumerate(block)}
+            if size == 1 or draw(st.booleans()):
+                need[block[0]].append(block[0])
+            else:
+                need[block[-1]].append(block[1])
+            if last:
+                need[draw(st.sampled_from(block))].append(draw(st.sampled_from(last)))
+            pool = sorted(below + block)
+            for c in block:
+                extra = draw(st.lists(st.sampled_from(pool), max_size=2))
+                rules[c] = "".join(draw(st.permutations(need[c] + extra)))
+            below += block
+            last = block
+    return {c: rules[c] for c in draw(st.permutations(sorted(rules)))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_systems())
+def test_chain_systems_match_oracles(rules):
+    n = len(rules)
+    chain = component_chain(Substitution.from_rules(rules))
+    assert oracles.valid_chains(rules, (n - 1) ** 2 + 1 + n) == [list(chain.levels)]
+    assert chain.witness_k == oracles.witness_k_dense(rules)

@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 
@@ -210,3 +211,70 @@ def test_random_substitutions_match_partition_search():
             assert list(chain.levels) == expected[0]
             accepted += 1
     assert accepted and rejected
+
+
+def _required_missing(rules: dict[str, str], chain, k: int) -> list[tuple[str, str]]:
+    """Entries on or below the block diagonal that vanish in the k-th power."""
+    letters = list(rules)
+    power = oracles.mat_pow(oracles.incidence(rules), k)
+    return [
+        (a, b)
+        for i, a in enumerate(letters)
+        for j, b in enumerate(letters)
+        if chain.level_of(a) >= chain.level_of(b) and not power[i][j]
+    ]
+
+
+def _tower_rules(n: int, r: int, before: bool) -> dict[str, str]:
+    """Tower of n levels: x_1 -> x_1^r, and x_i -> x_{i-1} x_i^r (or x_i^r x_{i-1})."""
+    x = string.ascii_letters[:n]
+    rules = {x[0]: x[0] * r}
+    for i in range(1, n):
+        rules[x[i]] = x[i - 1] + x[i] * r if before else x[i] * r + x[i - 1]
+    return rules
+
+
+def test_witness_matches_dense_oracle(corpus_sub):
+    rules = {c: corpus_sub.image(c) for c in corpus_sub.alphabet}
+    assert component_chain(corpus_sub).witness_k == oracles.witness_k_dense(rules)
+
+
+def test_witness_is_minimal(corpus_sub):
+    rules = {c: corpus_sub.image(c) for c in corpus_sub.alphabet}
+    chain = component_chain(corpus_sub)
+    assert _required_missing(rules, chain, chain.witness_k) == []
+    assert _required_missing(rules, chain, chain.witness_k - 1)
+
+
+@pytest.mark.parametrize("r", (2, 3))
+@pytest.mark.parametrize("before", (True, False), ids=("before", "after"))
+def test_tower_witness_matches_dense_oracle(r, before):
+    for n in range(2, 41):
+        rules = _tower_rules(n, r, before)
+        chain = component_chain(Substitution.from_rules(rules))
+        assert chain.levels == tuple(tuple(rules)[:i] for i in range(1, n + 1))
+        assert chain.witness_k == oracles.witness_k_dense(rules) == n - 1
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 13))
+def test_tower_witness_is_minimal(n):
+    rules = _tower_rules(n, 2, n % 2 == 0)
+    chain = component_chain(Substitution.from_rules(rules))
+    assert _required_missing(rules, chain, chain.witness_k) == []
+    assert _required_missing(rules, chain, chain.witness_k - 1)
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_wielandt_extremal_block(n):
+    """An n-cycle plus one chord has exponent (n-1)^2+1; the bare cycle has period n."""
+    x = string.ascii_letters[:n]
+    cycle = {x[i]: x[(i + 1) % n] for i in range(n)}
+    chord = {**cycle, x[-1]: x[0] + x[1]}
+    chain = component_chain(Substitution.from_rules(chord))
+    assert chain.levels == (tuple(x),)
+    assert chain.witness_k == (n - 1) ** 2 + 1 == oracles.witness_k_dense(chord)
+    with pytest.raises(NoPrimitiveChainError) as err:
+        component_chain(Substitution.from_rules(cycle))
+    assert err.value.diagnostic == {"kind": "imprimitive_block", "component": sorted(x)}
+    assert oracles.witness_k_dense(cycle) == err.value.diagnostic
+
