@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .structure import ComponentChain, IncidenceMatrix
-from .words import Substitution, language
+from .words import Substitution, level_languages
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,7 @@ def build_auxiliary(sub: Substitution, chain: ComponentChain, m: int) -> Auxilia
 @lru_cache(maxsize=None)
 def _build_cached(sub: Substitution, chain: ComponentChain, m: int) -> AuxiliarySubstitution:
     n = chain.n
-    level_langs = []
-    for i in range(1, n + 1):
-        sub_i, _ = chain.restrict(i)
-        level_langs.append(language(sub_i, m))
+    level_langs = level_languages(chain.sub, chain.levels, m)
     full = level_langs[-1]
     key = sub.alphabet.word_key
     q_blocks = []

@@ -11,6 +11,22 @@ The bottom fixed letter s (when the first level is a single letter mapped to
 itself) gets special treatment: whether arbitrarily long s-runs exist, and on
 which level they first appear, is decided exactly from the cycle structure of
 the first/last non-s letter maps, never by bounded expansion.
+
+``decomposition_report`` classifies the levels in one sweep up the chain, and
+each level reuses what the levels below already built. Every level is closed
+under the substitution, so its images are read from the full substitution.
+The sweep keeps three kinds of entries in the ``SpectralProfile`` memo (see
+``spectral``), each computed once:
+
+- ``("fresh_two_words",)``: for every level i, the two-letter words new at
+  that level (in L_2(i) but not in L_2(i-1)), from one incremental
+  ``words.level_languages`` sweep. Seed pairs and the ``pair``
+  periodic-point seeds are read from them.
+- ``("letter_cycles",)``: the cycle lengths of the first-letter and the
+  last-letter maps, found in one O(|alphabet|) walk.
+- ``("level_sub", i)``: the level-i restriction, built only where a
+  function needs a substitution of its own (the s-run tests and the
+  periodicity probe), and then at most once per level.
 """
 
 from __future__ import annotations
@@ -21,7 +37,7 @@ from math import lcm
 from .errors import BudgetExceeded, DomainError
 from .structure import ComponentChain, component_chain, is_empty_bottom
 from .spectral import SpectralProfile, block_eigenvalues
-from .words import Substitution, apply, count_occurrences, language
+from .words import Substitution, apply, count_occurrences, language, level_languages
 
 
 # ---------------------------------------------------------------------------
@@ -40,17 +56,73 @@ def _orbit_cycle(step: dict[str, str], x: str) -> tuple[list[str], list[str]]:
     return path[:at], path[at:]
 
 
-def _first_map(sub: Substitution) -> dict[str, str]:
-    return {c: sub.image(c)[0] for c in sub.alphabet}
+def _cycle_lengths(step: dict[str, str]) -> dict[str, int]:
+    """Cycle length of each letter on a cycle of a functional map.
+
+    Letters off every cycle are absent. Each letter is walked once, so this
+    costs O(|alphabet|) however the orbits are nested.
+    """
+    lengths: dict[str, int] = {}
+    done: set[str] = set()
+    for x in step:
+        path: dict[str, int] = {}
+        while x not in done and x not in path:
+            path[x] = len(path)
+            x = step[x]
+        if x in path:  # the walk closed a cycle no earlier walk met
+            cycle = list(path)[path[x] :]
+            for c in cycle:
+                lengths[c] = len(cycle)
+        done.update(path)
+    return lengths
 
 
-def _last_map(sub: Substitution) -> dict[str, str]:
-    return {c: sub.image(c)[-1] for c in sub.alphabet}
+def _letter_cycles(
+    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Cycle lengths under the first-letter and the last-letter map, once per system.
+
+    Every level is closed under the substitution, so a letter's orbit, and
+    whether and on which cycle it ends, is the same in every restriction
+    that contains the letter.
+    """
+
+    def compute():
+        first = {c: img[0] for c, img in zip(sub.alphabet, sub.images)}
+        last = {c: img[-1] for c, img in zip(sub.alphabet, sub.images)}
+        return _cycle_lengths(first), _cycle_lengths(last)
+
+    return spectral.memo(sub, chain, ("letter_cycles",), compute)
 
 
-def _cycle_info(step: dict[str, str], x: str) -> tuple[bool, int]:
-    path, cycle = _orbit_cycle(step, x)
-    return (not path, len(cycle))
+def _fresh_two_words(
+    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile | None, i: int
+) -> frozenset[str]:
+    """The two-letter words of level i that level i-1 lacks: L_2(i) minus L_2(i-1).
+
+    They come from one ``level_languages`` sweep up the chain. While
+    ``spectral`` describes ``(sub, chain)`` the sweep covers every level and
+    its per-level differences, a partition of the top L_2, are stored with
+    the profile, so all levels share it.
+    """
+
+    def fresh(levels) -> list[frozenset[str]]:
+        langs = level_languages(sub, levels, 2)
+        return [b - a for a, b in zip([frozenset()] + langs, langs)]
+
+    if spectral is None or not spectral.describes(sub, chain):
+        return fresh(chain.levels[:i])[i - 1]
+    return spectral.memo(sub, chain, ("fresh_two_words",), lambda: fresh(chain.levels))[i - 1]
+
+
+def _level_sub(
+    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int
+) -> Substitution:
+    """The level-i restriction, built once per level while ``spectral`` describes
+    ``(sub, chain)``."""
+    return spectral.memo(
+        sub, chain, ("level_sub", i), lambda: sub.restrict(chain.alphabet_at(i))
+    )
 
 
 def _s_run_maps(sub: Substitution, s: str):
@@ -168,27 +240,42 @@ class SeedPair:
 
 
 def find_seed_pair(
-    sub: Substitution, chain: ComponentChain, i: int, *, budget: int = 10**7
+    sub: Substitution,
+    chain: ComponentChain,
+    i: int,
+    *,
+    budget: int = 10**7,
+    spectral: SpectralProfile | None = None,
 ) -> SeedPair:
+    """The seed identity of level i, read off the level's two-letter language.
+
+    The level's letters are closed under ``sub``, so its images are read from
+    ``sub`` itself. A reverse seed runs on the mirror system, whose powers
+    are the mirrored powers of ``sub``. ``spectral`` only lends the memoised
+    two-letter languages of the chain.
+    """
     chain.check_level(i)
     if i < 2:
         raise DomainError("seed pairs exist for levels >= 2")
-    sub_i = sub.restrict(chain.alphabet_at(i))
     lower = set(chain.alphabet_at(i - 1))
     new = set(chain.new_letters(i))
     key = sub.alphabet.word_key
-    lang2 = language(sub_i, 2)
-    forward = sorted((w for w in lang2 if w[0] in lower and w[1] in new), key=key)
+    fresh = _fresh_two_words(sub, chain, spectral, i)  # holds every word with a new letter
+    forward = [w for w in fresh if w[0] in lower and w[1] in new]
     if forward:
         mirrored = False
-        system = sub_i
-        a0, b0 = forward[0][0], forward[0][1]
+        first = min(forward, key=key)
+        a0, b0 = first[0], first[1]
     else:
-        backward = sorted((w for w in lang2 if w[0] in new and w[1] in lower), key=key)
-        assert backward, "a crossing pair must exist at every level"
+        backward = [w for w in fresh if w[0] in new and w[1] in lower]
+        if not backward:
+            raise RuntimeError(f"level {i} has no crossing pair in its two-letter language")
         mirrored = True
-        system = sub_i.reversed()
-        a0, b0 = backward[0][1], backward[0][0]
+        first = min(backward, key=key)
+        a0, b0 = first[1], first[0]
+
+    def oriented(word: str) -> str:
+        return word[::-1] if mirrored else word
 
     def first_new(word: str) -> int:
         return next(j for j, c in enumerate(word) if c in new)
@@ -198,29 +285,31 @@ def find_seed_pair(
     j = 0
     while (a_j, b_j) not in seen:
         seen[(a_j, b_j)] = j
-        img_b = system.image(b_j)
+        img_b = oriented(sub.image(b_j))
         pos = first_new(img_b)
         nxt_b = img_b[pos]
-        nxt_a = img_b[pos - 1] if pos >= 1 else system.image(a_j)[-1]
+        nxt_a = img_b[pos - 1] if pos >= 1 else oriented(sub.image(a_j))[-1]
         a_j, b_j = nxt_a, nxt_b
         j += 1
     k = j - seen[(a_j, b_j)]
     a, b = a_j, b_j
 
     # expansion budget: |sigma^k(ab)| grows geometrically with k
-    probe = a + b
+    probe = oriented(a + b)
     for _ in range(k):
-        total = sum(len(system.image(c)) for c in probe)
+        total = sum(len(sub.image(c)) for c in probe)
         if total > budget:
             raise BudgetExceeded(f"seed expansion exceeds {budget} letters")
-        probe = system.step(probe)
-    w = probe
-    img_bk = apply(system, b, k)
+        probe = sub.step(probe)
+    w = oriented(probe)
+    img_bk = oriented(apply(sub, b, k))
     pos = first_new(img_bk)
     p_b = (len(w) - len(img_bk)) + pos
-    assert w[p_b] == b and w[p_b - 1] == a
+    if w[p_b] != b or w[p_b - 1] != a:
+        raise RuntimeError(f"level {i}: sigma^{k}({a}{b}) does not contain {a}{b} at the seed")
     u, v = w[: p_b - 1], w[p_b + 1 :]
-    assert all(c in lower for c in u), "prefix must stay below the level"
+    if not all(c in lower for c in u):
+        raise RuntimeError(f"level {i}: the seed prefix leaves the levels below")
     if mirrored:
         u, v = u[::-1], v[::-1]
     return SeedPair(
@@ -263,27 +352,30 @@ def _grow(sub: Substitution, word: str, q: int, target: int, budget: int) -> str
     return word
 
 
-def _window_radius(sub: Substitution, q: int, cap: int) -> int:
-    longest = max(len(apply(sub, c, min(2 * q, 8))) for c in sub.alphabet)
+def _window_radius(sub: Substitution, letters: tuple[str, ...], q: int, cap: int) -> int:
+    longest = max(len(apply(sub, c, min(2 * q, 8))) for c in letters)
     return min(2 * longest, cap)
 
 
-def _make_windows(sub_i: Substitution, s: str | None, seeds: list[PointSeed], cap: int) -> None:
+def _make_windows(
+    sub: Substitution, letters: tuple[str, ...], s: str | None, seeds: list[PointSeed], cap: int
+) -> None:
+    """Central windows of the seeds of the level with alphabet ``letters``."""
     for seed in seeds:
         if seed.kind == "fixed_letter_power":
             radius = cap // 2
             seed.window, seed.center, seed.radius = s * (2 * radius), radius, radius
             continue
-        radius = _window_radius(sub_i, seed.q, cap)
-        budget = 64 * radius * max(len(img) for img in sub_i.images) + 1024
+        radius = _window_radius(sub, letters, seed.q, cap)
+        budget = 64 * radius * max(len(sub.image(c)) for c in letters) + 1024
         if seed.form in ("pair", "s_right", "s_middle"):
             left_letter = seed.gamma if seed.form == "pair" else seed.delta
-            left = _grow(sub_i, left_letter, seed.q, radius, budget)[-radius:]
+            left = _grow(sub, left_letter, seed.q, radius, budget)[-radius:]
         else:
             left = s * radius
         if seed.form in ("pair", "s_left", "s_middle"):
             right_letter = seed.delta if seed.form == "pair" else seed.gamma
-            right = _grow(sub_i, right_letter, seed.q, radius, budget)[:radius]
+            right = _grow(sub, right_letter, seed.q, radius, budget)[:radius]
         else:
             right = s * radius
         middle = (s or "") * seed.middle_s
@@ -306,53 +398,68 @@ def _same_orbit_window(a: PointSeed, b: PointSeed) -> bool:
     return False
 
 
+def _pair_seeds(
+    sub: Substitution,
+    chain: ComponentChain,
+    spectral: SpectralProfile,
+    i: int,
+    s: str | None,
+) -> list[PointSeed]:
+    """``pair`` seeds of level i, in sorted (gamma, delta) order.
+
+    gamma delta is a two-letter word new at level i, i.e. in L_2(i) but not
+    in L_2(i-1), with both letters below the level and neither the fixed
+    letter s; gamma lies on a cycle of the last-letter map and delta on one
+    of the first-letter map, and q is the lcm of the two cycle lengths.
+    """
+    lower = set(chain.alphabet_at(i - 1))
+    lower.discard(s)
+    f_cycles, g_cycles = _letter_cycles(sub, chain, spectral)
+    return [
+        PointSeed(kind="bilateral_limit", form="pair", gamma=w[0], delta=w[1],
+                  q=lcm(g_cycles[w[0]], f_cycles[w[1]]))
+        for w in sorted(_fresh_two_words(sub, chain, spectral, i))
+        if w[0] in lower and w[1] in lower and w[0] in g_cycles and w[1] in f_cycles
+    ]
+
+
 def _periodic_point_seeds(
     sub: Substitution,
     chain: ComponentChain,
+    spectral: SpectralProfile,
     i: int,
     *,
     middle_cap: int = 12,
     window_cap: int = 4096,
 ) -> list[PointSeed]:
-    """Periodic-point seeds of level i, deduplicated by central windows."""
-    sub_i = sub.restrict(chain.alphabet_at(i))
-    sub_below = sub.restrict(chain.alphabet_at(i - 1))
+    """Periodic-point seeds of level i, deduplicated by central windows.
+
+    Only the forms around a fixed bottom letter s need the restrictions of
+    levels i and i-1; without s the full substitution's images suffice.
+    """
     lower = chain.alphabet_at(i - 1)
     bottom = chain.alphabet_at(1)
     s = bottom[0] if len(bottom) == 1 and sub.image(bottom[0]) == bottom[0] else None
-    first = _first_map(sub_i)
-    last = _last_map(sub_i)
-    lang2_i = language(sub_i, 2)
-    lang2_below = language(sub_below, 2)
-    seeds: list[PointSeed] = []
-    g_cyclic = {
-        c: info[1] for c in lower if c != s and (info := _cycle_info(last, c))[0]
-    }
-    f_cyclic = {
-        c: info[1] for c in lower if c != s and (info := _cycle_info(first, c))[0]
-    }
-    for gamma, pg in sorted(g_cyclic.items()):
-        for delta, pf in sorted(f_cyclic.items()):
-            w = gamma + delta
-            if w in lang2_i and w not in lang2_below:
-                seeds.append(
-                    PointSeed(kind="bilateral_limit", form="pair", gamma=gamma,
-                              delta=delta, q=lcm(pg, pf))
-                )
+    seeds = _pair_seeds(sub, chain, spectral, i, s)
     if s is not None:
+        sub_i = _level_sub(sub, chain, spectral, i)
+        sub_below = _level_sub(sub, chain, spectral, i - 1)
+        f_cycles, g_cycles = _letter_cycles(sub, chain, spectral)
+        f_cyclic = sorted((c, f_cycles[c]) for c in lower if c != s and c in f_cycles)
+        g_cyclic = sorted((c, g_cycles[c]) for c in lower if c != s and c in g_cycles)
         if arbitrarily_long_s_powers(sub_i, s) and not arbitrarily_long_s_powers(sub_below, s):
             seeds.append(PointSeed(kind="fixed_letter_power", gamma=s, delta=s,
                                    shift_periodic=True))
-        for gamma, pf in sorted(f_cyclic.items()):
+        for gamma, pf in f_cyclic:
             if left_run_unbounded(sub_i, s, gamma) and not left_run_unbounded(sub_below, s, gamma):
                 seeds.append(PointSeed(kind="bilateral_limit", form="s_left",
                                        gamma=gamma, q=pf))
-        for delta, pg in sorted(g_cyclic.items()):
+        for delta, pg in g_cyclic:
             if right_run_unbounded(sub_i, s, delta) and not right_run_unbounded(sub_below, s, delta):
                 seeds.append(PointSeed(kind="bilateral_limit", form="s_right",
                                        delta=delta, q=pg))
-        for delta, pg in sorted(g_cyclic.items()):
-            for gamma, pf in sorted(f_cyclic.items()):
+        for delta, pg in g_cyclic:
+            for gamma, pf in f_cyclic:
                 for p in range(1, middle_cap + 1):
                     w = delta + s * p + gamma
                     if w in language(sub_i, p + 2) and w not in language(sub_below, p + 2):
@@ -360,7 +467,7 @@ def _periodic_point_seeds(
                             PointSeed(kind="bilateral_limit", form="s_middle",
                                       gamma=gamma, delta=delta, q=lcm(pg, pf), middle_s=p)
                         )
-    _make_windows(sub_i, s, seeds, window_cap)
+    _make_windows(sub, chain.alphabet_at(i), s, seeds, window_cap)
     kept: list[PointSeed] = []
     for seed in seeds:
         if not any(_same_orbit_window(seed, other) for other in kept):
@@ -370,9 +477,11 @@ def _periodic_point_seeds(
             core = (seed.delta if seed.form == "s_middle" else seed.gamma) + (
                 (s or "") * seed.middle_s
             ) + (seed.gamma if seed.form == "s_middle" else seed.delta)
-            assert count_occurrences(core, seed.window).count == 1, (
-                "central word of an isolated periodic point must be unique in its window"
-            )
+            if count_occurrences(core, seed.window).count != 1:
+                raise RuntimeError(
+                    f"level {i}: central word {core!r} of an isolated periodic point "
+                    "is not unique in its window"
+                )
     return kept
 
 
@@ -425,7 +534,7 @@ def _classify_level(
     chain.check_level(i)
     if i < 2:
         raise DomainError("classify_level applies to levels >= 2; level 1 is the bottom report")
-    seed = find_seed_pair(sub, chain, i)
+    seed = find_seed_pair(sub, chain, i, spectral=spectral)
     new = set(chain.new_letters(i))
     theta_one = spectral.theta_is_one(i)
     report = LevelReport(level=i, case="", seed=seed)
@@ -439,8 +548,7 @@ def _classify_level(
         # is minimal, or almost minimal around s^infinity when s-runs grow.
         s = seed.a
         assert sub.image(s) == s and not theta_one
-        sub_i = sub.restrict(chain.alphabet_at(i))
-        if arbitrarily_long_s_powers(sub_i, s):
+        if arbitrarily_long_s_powers(_level_sub(sub, chain, spectral, i), s):
             report.case = "almost_minimal"
         else:
             report.case = "minimal"
@@ -486,10 +594,10 @@ def _classify_level(
     if report.case in ("single_fixed_point", "no_two_sided_excursion", "level_collapses",
                        "minimal", "almost_minimal", "dense_excursions", "isolated_quasi_fixed"):
         if report.case != "level_collapses":
-            report.point_seeds = _periodic_point_seeds(sub, chain, i)
+            report.point_seeds = _periodic_point_seeds(sub, chain, spectral, i)
     if report.case == "single_fixed_point":
         assert any(p.kind == "fixed_letter_power" for p in report.point_seeds)
-    if i == 3 and _is_single_periodic_orbit(sub, chain, 2):
+    if i == 3 and _is_single_periodic_orbit(_level_sub(sub, chain, spectral, 2)):
         report.notes.append(
             "unresolved: whether this level's closure could itself be a single "
             "shift-periodic orbit of period three"
@@ -497,13 +605,13 @@ def _classify_level(
     return report
 
 
-def _is_single_periodic_orbit(sub: Substitution, chain: ComponentChain, i: int) -> bool:
-    """Whether the level-i closure is one finite shift-periodic orbit.
+def _is_single_periodic_orbit(sub_i: Substitution) -> bool:
+    """Whether the closure of a level, given by its restriction, is one
+    finite shift-periodic orbit.
 
     Bounded word complexity (at most m words of each length m) forces
     eventual periodicity, so a single probe length suffices.
     """
-    sub_i = sub.restrict(chain.alphabet_at(i))
     probe = max(16, 2 * len(sub_i.alphabet))
     lang = language(sub_i, probe)
     return bool(lang) and len(lang) <= probe
@@ -540,8 +648,7 @@ def minimal_sets(
         theta2 = spectral.theta(2)
         unique = theta2.compare(1) > 0 and lam.compare(theta2) == 0
         return MinimalSets(["X_sigma_2"], unique, "ii" if unique else None, False)
-    sub2 = sub.restrict(chain.alphabet_at(2))
-    if arbitrarily_long_s_powers(sub2, s):
+    if arbitrarily_long_s_powers(_level_sub(sub, chain, spectral, 2), s):
         unique = lam.compare(1) == 0
         return MinimalSets(["s_infinity"], unique, "iii" if unique else None, True)
     return MinimalSets(["X_sigma_2", "s_infinity"], False, None, True)

@@ -180,6 +180,27 @@ class AlgebraicReal:
                 hi = mid
         self.lo, self.hi = lo, hi
 
+    @classmethod
+    def integer_root(cls, poly, r: int) -> "AlgebraicReal":
+        """The integer r as the largest real root of ``poly``, without Sturm chains.
+
+        The caller vouches that no real root exceeds r, as for the Perron root
+        of a nonnegative matrix whose rows all sum to r (Perron-Frobenius:
+        every eigenvalue lies within the row-sum range). One integer
+        evaluation checks that r is a root; the value compares exactly like
+        one built by the constructor.
+        """
+        self = cls.__new__(cls)
+        self.poly = tuple(int(c) for c in poly)
+        acc = 0
+        for c in self.poly:
+            acc = acc * r + c
+        if acc:
+            raise ValueError(f"{r} is not a root of {self.poly}")
+        self._sf = self._chain = None  # only irrational values consult them
+        self.rational = self.lo = self.hi = Fraction(r)
+        return self
+
     def refine(self, width: Fraction) -> None:
         if self.rational is not None:
             return

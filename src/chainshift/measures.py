@@ -31,7 +31,7 @@ from .errors import (
 from .kernels import apply_bytes, encode_images, encode_word
 from .spectral import SpectralProfile, level_profile, limit_data, pf_vectors
 from .structure import ComponentChain
-from .words import Substitution, language
+from .words import Substitution
 
 STREAM_BUDGET = 2 * 10**7
 POWER_BUDGET = 10**12
@@ -107,6 +107,18 @@ def _algebraic_note(theta) -> dict | None:
     }
 
 
+def _require_level_word(
+    sub_i: Substitution, chain_i: ComponentChain, i: int, v: str
+) -> None:
+    """Raise unless v is in the level-i language.
+
+    The language is read from the level's window substitution at m = |v|,
+    which every caller goes on to use, so it is built once for both.
+    """
+    if v not in build_auxiliary(sub_i, chain_i, len(v)).level_words[-1]:
+        raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
+
+
 def cylinder_measure(
     sub: Substitution,
     chain: ComponentChain,
@@ -131,8 +143,7 @@ def cylinder_measure(
         raise DomainError("cylinder word must be nonempty")
     m = len(v)
     sub_i, chain_i = chain.restrict(i)
-    if v not in language(sub_i, m):
-        raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
+    _require_level_word(sub_i, chain_i, i, v)
     if desc.kind == "finite_ergodic":
         pair = pf_vectors(sub_i, chain_i, m, level_profile(sub, chain, i, spectral))
         value = pair.beta[v] / pair.beta_total
@@ -272,8 +283,7 @@ def empirical_frequency(
         raise DomainError("need a nonempty word no longer than the prefix")
     m = len(v)
     sub_i, chain_i = chain.restrict(i)
-    if v not in language(sub_i, m):
-        raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
+    _require_level_word(sub_i, chain_i, i, v)
     if L > power_budget:
         raise BudgetExceeded(f"prefix length {L} exceeds the power budget {power_budget}")
     anchor = desc.anchor
@@ -345,8 +355,7 @@ def uniformity_check(
         raise DomainError("the word must contain a new letter of the level")
     m = len(v)
     sub_i, chain_i = chain.restrict(i)
-    if v not in language(sub_i, m):
-        raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
+    _require_level_word(sub_i, chain_i, i, v)
     # Target ratio from the eigenvector data, normalized over the windows
     # that start with a new letter.
     if spectral.theta_is_one(i):
@@ -425,11 +434,11 @@ def level_measure_table(
         out["finite_atoms"] = desc.finite_atoms
         out["infinite_orbits"] = desc.infinite_orbits
     if desc.kind in ("finite_ergodic", "infinite_radon"):
-        sub_i, _ = chain.restrict(i)
+        sub_i, chain_i = chain.restrict(i)
         key = sub.alphabet.word_key
         cylinders: dict[str, dict] = {}
         for m in range(1, max_m + 1):
-            for w in sorted(language(sub_i, m), key=key):
+            for w in sorted(build_auxiliary(sub_i, chain_i, m).level_words[-1], key=key):
                 cylinders[w] = cylinder_measure(sub, chain, spectral, i, w, report).as_json()
         out["cylinders"] = cylinders
     return out

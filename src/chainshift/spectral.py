@@ -8,6 +8,13 @@ dominant root is an integer the blocks are solved by fraction-free integer
 elimination and every vector must satisfy M x = lam x exactly; float vectors
 are residual-checked instead.
 
+A diagonal block whose rows all sum to r has Perron root r
+(Perron-Frobenius), so its theta is the exact integer r, checked by one
+integer evaluation of the characteristic polynomial and built without a Sturm
+chain; the other blocks isolate their largest root by Sturm bisection. A
+profile compares its levels once, when it is built, and keeps the running
+maximum, so ``lambda_upto`` and ``level_is_finite`` are lookups.
+
 The right vector is built downward from the last block attaining the global
 rate: the attaining block contributes its Perron vector, coordinates above it
 are zero, and each block below solves (lam*I - D) x = coupling, which is
@@ -19,9 +26,11 @@ so they are solved once: ``pf_vectors`` (key: window length m),
 ``limit_data`` (key: m and level i), ``level_profile`` (key: i) and
 ``classify.classify_level`` (key: i) store their results in a dict on the
 ``SpectralProfile`` they are given, and only while that profile's chain is the
-``chain`` argument. The memo holds at most one entry per level and window
-length actually asked for, and lives as long as its profile. The profiles
-``block_eigenvalues`` returns are kept by the unbounded
+``chain`` argument. The classification sweep keeps its per-system data there
+too: keys ``("fresh_two_words",)``, ``("letter_cycles",)`` and
+``("level_sub", i)`` (see ``classify``). The memo holds at most one entry per
+level and window length actually asked for, and lives as long as its profile.
+The profiles ``block_eigenvalues`` returns are kept by the unbounded
 ``_block_eigenvalues_cached``, so the memo is not per run: it lasts as long
 as the process.
 """
@@ -62,9 +71,12 @@ class SpectralProfile:
         self.levels = levels
         n = len(levels)
         best = 1
+        upto = [1]  # first level attaining the maximum over levels 1..i
         for i in range(2, n + 1):
             if self.theta(i) > self.theta(best):
                 best = i
+            upto.append(best)
+        self._upto = upto
         self.i_min = min(i for i in range(1, n + 1) if self.theta(i) == self.theta(best))
         self.i_max = max(i for i in range(1, n + 1) if self.theta(i) == self.theta(best))
         self._memo: dict[tuple, object] = {}
@@ -99,11 +111,7 @@ class SpectralProfile:
     def lambda_upto(self, i: int) -> AlgebraicReal:
         """Running maximum over levels 1..i."""
         self.chain.check_level(i)
-        best = 1
-        for j in range(2, i + 1):
-            if self.theta(j) > self.theta(best):
-                best = j
-        return self.theta(best)
+        return self.theta(self._upto[i - 1])
 
     def eta_from(self, i: int) -> AlgebraicReal:
         """Running maximum over levels i..n."""
@@ -119,9 +127,8 @@ class SpectralProfile:
 
     def level_is_finite(self, i: int) -> bool:
         """Whether the level dominates everything below it."""
-        if i == 1:
-            return True
-        return self.theta(i).compare(self.lambda_upto(i - 1)) > 0
+        self.chain.check_level(i)
+        return self._upto[i - 1] == i
 
     def i_prime(self, i: int) -> int:
         """First level of the maximal run below i on which theta_i dominates."""
@@ -154,15 +161,21 @@ def _block_eigenvalues_cached(sub: Substitution, chain: ComponentChain) -> Spect
         block = chain.block(i)
         poly = charpoly(block)
         sums = [sum(row) for row in block]
-        theta = AlgebraicReal(poly, (min(sums), max(sums)))
-        assert (theta.compare(1) == 0) == (block == ((1,),)), "theta=1 iff the block is [1]"
+        bounds = (min(sums), max(sums))
+        if bounds[0] == bounds[1]:
+            # Constant row sums r: the Perron root is r (Perron-Frobenius).
+            theta = AlgebraicReal.integer_root(poly, bounds[0])
+        else:
+            theta = AlgebraicReal(poly, bounds)
+        if (theta.compare(1) == 0) != (block == ((1,),)):
+            raise RuntimeError(f"level {i}: theta = 1 must hold exactly when the block is [1]")
         levels.append(
             LevelSpectrum(
                 level=i,
                 letters=chain.new_letters(i),
                 block=block,
                 char_poly=poly,
-                row_bounds=(min(sums), max(sums)),
+                row_bounds=bounds,
                 theta=theta,
             )
         )

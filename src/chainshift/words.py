@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
 
@@ -65,12 +65,25 @@ class Alphabet:
         return word
 
 
+class _ImageTable(dict):
+    """``{ord(letter): image}`` for ``str.translate``.
+
+    ``str.translate`` leaves a character that misses the table unchanged
+    only when the lookup raises ``LookupError``; this table raises
+    ``DomainError`` instead, so a letter outside the alphabet is rejected.
+    """
+
+    def __missing__(self, code: int):
+        raise DomainError(f"letter {chr(code)!r} not in alphabet")
+
+
 @dataclass(frozen=True)
 class Substitution:
     """A map from each letter to a nonempty word over the same alphabet."""
 
     alphabet: Alphabet
     images: tuple[str, ...]
+    _table: _ImageTable = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if len(self.images) != len(self.alphabet):
@@ -79,6 +92,8 @@ class Substitution:
             if not img:
                 raise DomainError(f"image of {letter!r} is empty")
             self.alphabet.check_word(img)
+        table = _ImageTable(zip(map(ord, self.alphabet), self.images))
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def from_rules(cls, rules: dict[str, str]) -> "Substitution":
@@ -91,9 +106,7 @@ class Substitution:
 
     def step(self, word: str) -> str:
         """One application, extended to words by concatenation."""
-        images = self.images
-        index = self.alphabet.index
-        return "".join(images[index(c)] for c in word)
+        return word.translate(self._table)
 
     def restrict(self, letters: tuple[str, ...]) -> "Substitution":
         """Restriction to a sub-alphabet, which must be closed under the map."""
@@ -171,12 +184,43 @@ def language(sub: Substitution, m: int) -> frozenset[str]:
 
 @lru_cache(maxsize=None)
 def _language_cached(sub: Substitution, m: int) -> frozenset[str]:
-    # Seed with the factors of the first power image that reaches length m.
-    # Shorter iterates can only cycle (lengths never decrease), so a repeat
-    # means this letter never contributes.
     lang: set[str] = set()
-    frontier: set[str] = set()
-    for letter in sub.alphabet:
+    _close(sub, lang, _seed_factors(sub, sub.alphabet, m), m)
+    return frozenset(lang)
+
+
+def level_languages(
+    sub: Substitution, levels: Sequence[tuple[str, ...]], m: int
+) -> list[frozenset[str]]:
+    """L_m of each level, in one sweep up nested letter sets closed under ``sub``.
+
+    ``levels`` are cumulative, A_1 c A_2 c ..., as in a component chain.
+    Entry i-1 equals ``language`` of the restriction of ``sub`` to A_i. The
+    language of level i contains that of level i-1, which is already closed,
+    so level i only closes the seeds of its new letters on top of it: every
+    window is expanded once over the whole sweep. Not cached.
+    """
+    if m < 1:
+        raise DomainError("factor length must be >= 1")
+    lang: set[str] = set()
+    below: set[str] = set()
+    out = []
+    for level in levels:
+        new = [c for c in level if c not in below]
+        _close(sub, lang, _seed_factors(sub, new, m), m)
+        out.append(frozenset(lang))
+        below = set(level)
+    return out
+
+
+def _seed_factors(sub: Substitution, letters: Iterable[str], m: int) -> set[str]:
+    """m-factors of the first power image of each letter that reaches length m.
+
+    Shorter iterates can only cycle (lengths never decrease), so a repeat
+    means the letter never contributes.
+    """
+    out: set[str] = set()
+    for letter in letters:
         w = sub.step(letter)
         seen = set()
         while len(w) < m:
@@ -185,13 +229,19 @@ def _language_cached(sub: Substitution, m: int) -> frozenset[str]:
                 break
             seen.add(w)
             w = sub.step(w)
-        for f in factors(w, m):
-            if f not in lang:
-                lang.add(f)
-                frontier.add(f)
-    # Close under taking m-factors of images. Any m-factor of sub(x) lies in
-    # the image of some m-factor of x because images are nonempty, so this
-    # reaches a fixed point with the full language.
+        out |= factors(w, m)
+    return out
+
+
+def _close(sub: Substitution, lang: set[str], seeds: set[str], m: int) -> None:
+    """Add ``seeds`` to ``lang`` and close it under m-factors of images, in place.
+
+    Any m-factor of sub(x) lies in the image of some m-factor of x because
+    images are nonempty, so from the seeds this reaches the full language.
+    Words already in ``lang`` are taken as closed and are not expanded again.
+    """
+    frontier = seeds - lang
+    lang |= frontier
     while frontier:
         new: set[str] = set()
         for w in frontier:
@@ -202,4 +252,3 @@ def _language_cached(sub: Substitution, m: int) -> frozenset[str]:
                     lang.add(f)
                     new.add(f)
         frontier = new
-    return frozenset(lang)

@@ -39,6 +39,19 @@ def make(name: str) -> Substitution:
     return Substitution.from_rules(CORPUS_RULES[name])
 
 
+def tower(rs, before=True) -> dict[str, str]:
+    """Tower of len(rs) levels over CJK letters: x_1 -> x_1^r_1, and level i adds
+    x_i -> x_{i-1} x_i^r_i (``before``) or x_i^r_i x_{i-1}. ``before`` may be
+    one flag for every level or one per level."""
+    x = [chr(0x4E00 + i) for i in range(len(rs))]
+    flags = before if isinstance(before, (list, tuple)) else [before] * len(rs)
+    rules = {x[0]: x[0] * rs[0]}
+    for i in range(1, len(rs)):
+        run = x[i] * rs[i]
+        rules[x[i]] = x[i - 1] + run if flags[i] else run + x[i - 1]
+    return rules
+
+
 def assert_matches_dense_oracle(rules: dict[str, str]) -> str:
     """Check witness_k, or the rejection payload, against the dense boolean search.
 

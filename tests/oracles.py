@@ -3,8 +3,9 @@
 Everything here recomputes from first principles: windows are enumerated
 directly, powers are expanded letter by letter, chains are found by searching
 every ordered partition of the alphabet or by dense boolean matrix products,
-and linear systems are solved by dense Gauss-Jordan elimination over the
-rationals.
+linear systems are solved by dense Gauss-Jordan elimination over the
+rationals, and per-level data (languages, letter-map cycles, pair seeds) is
+rebuilt from scratch on each level's own rules.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 from operator import and_
 
 
@@ -243,3 +245,74 @@ def nullspace_vector(A) -> list[Fraction]:
     for row_idx, col in enumerate(pivots):
         x[col] = -M[row_idx][free[0]]
     return x
+
+
+def language_closure(rules: dict[str, str], m: int) -> set[str]:
+    """L_m from scratch: seed with the first power image of each letter that
+    reaches length m (none if the short iterates repeat), then close under
+    m-factors of images."""
+    lang: set[str] = set()
+    for a in rules:
+        w, seen = power(rules, a, 1), set()
+        while len(w) < m and w not in seen:
+            seen.add(w)
+            w = power(rules, w, 1)
+        if len(w) >= m:
+            lang |= factors(w, m)
+    frontier = set(lang)
+    while frontier:
+        images = (power(rules, w, 1) for w in frontier)
+        frontier = {f for img in images for f in factors(img, m)} - lang
+        lang |= frontier
+    return lang
+
+
+def restrict(rules: dict[str, str], letters) -> dict[str, str]:
+    return {c: rules[c] for c in letters}
+
+
+def level_languages(rules: dict[str, str], levels, m: int) -> list[set[str]]:
+    """L_m of every level, each rebuilt from scratch on the level's rules."""
+    return [language_closure(restrict(rules, level), m) for level in levels]
+
+
+def orbit_cycle(step: dict[str, str], x: str) -> tuple[list[str], list[str]]:
+    """Split the forward orbit of x under a functional map into path + cycle."""
+    path: list[str] = []
+    while x not in path:
+        path.append(x)
+        x = step[x]
+    at = path.index(x)
+    return path[:at], path[at:]
+
+
+def cycle_info(step: dict[str, str], x: str) -> tuple[bool, int]:
+    """Whether x lies on a cycle of the map, and the length of the cycle its orbit ends in."""
+    path, cycle = orbit_cycle(step, x)
+    return not path, len(cycle)
+
+
+def first_map(rules: dict[str, str]) -> dict[str, str]:
+    return {c: img[0] for c, img in rules.items()}
+
+
+def last_map(rules: dict[str, str]) -> dict[str, str]:
+    return {c: img[-1] for c, img in rules.items()}
+
+
+def pair_seeds(rules: dict[str, str], levels, i: int, s: str | None) -> list[tuple[str, str, int]]:
+    """(gamma, delta, q) of the level-i pair seeds by testing every pair of
+    the |g| x |f| product of cyclic lower letters against both levels' L_2."""
+    rules_i = restrict(rules, levels[i - 1])
+    lang_i = language_closure(rules_i, 2)
+    lang_below = language_closure(restrict(rules, levels[i - 2]), 2)
+    first, last = first_map(rules_i), last_map(rules_i)
+    lower = [c for c in levels[i - 2] if c != s]
+    g_cyclic = {c: info[1] for c in lower if (info := cycle_info(last, c))[0]}
+    f_cyclic = {c: info[1] for c in lower if (info := cycle_info(first, c))[0]}
+    return [
+        (gamma, delta, pg * pf // gcd(pg, pf))
+        for gamma, pg in sorted(g_cyclic.items())
+        for delta, pf in sorted(f_cyclic.items())
+        if gamma + delta in lang_i and gamma + delta not in lang_below
+    ]

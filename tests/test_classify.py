@@ -1,5 +1,12 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+
+import oracles
 from chainshift import (
     DomainError,
     Substitution,
@@ -14,8 +21,14 @@ from chainshift import (
     minimal_sets,
     positively_recurrent,
 )
-from chainshift.classify import left_run_unbounded, right_run_unbounded
-from conftest import make
+from chainshift.classify import (
+    _letter_cycles,
+    _pair_seeds,
+    left_run_unbounded,
+    right_run_unbounded,
+)
+from conftest import make, tower
+from test_pipeline_fuzz import chain_systems
 
 
 def _setup(name: str):
@@ -373,3 +386,113 @@ def test_open_question_note_over_periodic_middle_level():
     sub2, chain2, sp2 = _setup("tower_of_quasi")
     rep2 = decomposition_report(sub2, chain2, sp2)
     assert not any("unresolved" in note for lr in rep2.levels for note in lr.notes)
+
+
+# -- the sweep against the per-level references ------------------------------
+
+
+def _fixed_bottom(sub, chain):
+    bottom = chain.alphabet_at(1)
+    return bottom[0] if len(bottom) == 1 and sub.image(bottom[0]) == bottom[0] else None
+
+
+def _assert_cycles_and_pairs_match(rules, expected_pairs=None):
+    """Letter-map cycles and pair seeds of every level against the oracles.
+
+    ``expected_pairs`` maps a level to its oracle pair seeds when the caller
+    has them already; other levels are rebuilt from scratch here.
+    """
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    sp = block_eigenvalues(sub, chain)
+    f_cycles, g_cycles = _letter_cycles(sub, chain, sp)
+    s = _fixed_bottom(sub, chain)
+    for i in range(1, chain.n + 1):
+        rules_i = oracles.restrict(rules, chain.alphabet_at(i))
+        for cycles, step in ((f_cycles, oracles.first_map(rules_i)),
+                             (g_cycles, oracles.last_map(rules_i))):
+            for c in rules_i:
+                on_cycle, length = oracles.cycle_info(step, c)
+                assert (c in cycles) == on_cycle
+                assert cycles.get(c, length) == length
+        if i >= 2:
+            got = [(p.gamma, p.delta, p.q) for p in _pair_seeds(sub, chain, sp, i, s)]
+            if expected_pairs is None or i not in expected_pairs:
+                assert got == oracles.pair_seeds(rules, chain.levels, i, s)
+            else:
+                assert got == expected_pairs[i]
+
+
+def test_cycles_and_pair_seeds_match_oracles_on_corpus(corpus_sub):
+    _assert_cycles_and_pairs_match({c: corpus_sub.image(c) for c in corpus_sub.alphabet})
+
+
+MIXED = [i % 3 != 1 for i in range(64)]
+
+
+@pytest.mark.parametrize("before", (True, False, MIXED), ids=("before", "after", "mixed"))
+def test_cycles_and_pair_seeds_match_oracles_on_towers(before):
+    # Level i is the same system in every tower of height >= i, so one
+    # from-scratch pair-seed oracle per level serves heights 2..64.
+    rs = [2] + [1 + i % 3 for i in range(1, 64)]
+    full = tower(rs, before)
+    levels = [tuple(full)[:i] for i in range(1, 65)]
+    expected = {i: oracles.pair_seeds(full, levels, i, None) for i in range(2, 65)}
+    assert any(expected.values())  # runs of length one make pair seeds
+    for n in range(2, 65):
+        _assert_cycles_and_pairs_match(tower(rs[:n], before), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_systems())
+def test_cycles_and_pair_seeds_match_oracles_on_chain_systems(rules):
+    _assert_cycles_and_pairs_match(rules)
+
+
+def test_sweep_invariants_survive_optimize():
+    # Each broken invariant must raise RuntimeError explicitly, also under
+    # ``python -O``, which strips assert statements.
+    script = (
+        "from chainshift import *\n"
+        "from chainshift import classify, spectral\n"
+        "from chainshift.exact import AlgebraicReal\n"
+        "def expect(fn, *args):\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "    except RuntimeError as exc:\n"
+        "        print('raised', exc)\n"
+        "sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
+        "chain = component_chain(sub)\n"
+        "real = AlgebraicReal.integer_root\n"
+        "AlgebraicReal.integer_root = classmethod(lambda cls, poly, r: AlgebraicReal((1, -1)))\n"
+        "expect(block_eigenvalues, sub, chain)\n"
+        "AlgebraicReal.integer_root = real\n"
+        "languages = classify.level_languages\n"
+        "classify.level_languages = lambda sub, levels, m: [frozenset()] * len(levels)\n"
+        "expect(find_seed_pair, sub, chain, 2)\n"
+        "classify.level_languages = languages\n"
+        "sub = Substitution.from_rules({'a': 'abca', 'b': 'bacb', 'c': 'cbac', 'd': 'abbcad'})\n"
+        "chain = component_chain(sub)\n"
+        "windows = classify._make_windows\n"
+        "def doubled(sub, letters, s, seeds, cap):\n"
+        "    windows(sub, letters, s, seeds, cap)\n"
+        "    for seed in seeds:\n"
+        "        seed.window += seed.window\n"
+        "classify._make_windows = doubled\n"
+        "expect(classify._periodic_point_seeds, sub, chain, block_eigenvalues(sub, chain), 2)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3, proc.stdout
+        assert "theta = 1 must hold exactly when the block is [1]" in lines[0]
+        assert "no crossing pair" in lines[1]
+        assert "is not unique in its window" in lines[2]

@@ -82,6 +82,16 @@ def test_algebraic_real_close_roots_separated():
     assert a < b
 
 
+def test_integer_root_checks_the_root_and_compares_exactly():
+    with pytest.raises(ValueError):
+        AlgebraicReal.integer_root((1, -3), 2)
+    two = AlgebraicReal.integer_root((1, -1, -2), 2)  # (x - 2)(x + 1)
+    assert two.as_integer() == 2 and float(two) == 2.0
+    assert two == AlgebraicReal((1, -1, -2)) and two == 2 and two > Fraction(3, 2)
+    phi = AlgebraicReal((1, -1, -1))
+    assert phi < two and two > phi and phi != two
+
+
 def test_solve_linear_and_nullspace():
     # the fraction-free kernels and the dense Fraction reference
     for impl in (exact, oracles):

@@ -2,17 +2,26 @@
 
 ``pf_vectors``, ``limit_data``, ``classify_level`` and ``level_profile`` store
 their results on the ``SpectralProfile`` they are given, keyed by window
-length and level. The tests count calls of the un-memoised bodies.
+length and level, and ``decomposition_report`` sweeps the chain's two-letter
+languages once. The tests count calls of the un-memoised bodies.
 """
 
 from collections import Counter
 
 import pytest
 
-from chainshift import block_eigenvalues, classify, component_chain, spectral
+from chainshift import (
+    Substitution,
+    block_eigenvalues,
+    classify,
+    component_chain,
+    decomposition_report,
+    spectral,
+    words,
+)
 from chainshift.measures import cylinder_measure, level_measure_table
 from chainshift.spectral import level_profile, pf_vectors
-from conftest import make
+from conftest import make, tower
 
 MAX_M = 3
 
@@ -104,3 +113,48 @@ def test_level_profile_shares_the_parent_levels():
     # a profile of another chain is not consulted
     sub_2, chain_2 = chain.restrict(2)
     assert level_profile(sub_2, chain_2, 1, profile) is block_eigenvalues(*chain_2.restrict(1))
+
+
+def test_decomposition_report_sweeps_each_level_once(monkeypatch):
+    """One language closure per level and at most one restriction per level.
+
+    Every window of the top two-letter language is expanded once over the
+    whole sweep; each level adds a few steps (its new letter's seed and the
+    seed-pair power) and the level-2 periodicity probe a fixed number once.
+    Rebuilding each level's language from scratch would expand the sum of
+    all levels' languages instead.
+    """
+    _fresh_profiles()
+    words._language_cached.cache_clear()
+    n = 64
+    rules = tower([2 + i % 2 for i in range(n)], [i % 2 == 0 for i in range(n)])
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    top = words.level_languages(sub, chain.levels, 2)[-1]
+    closures: Counter = Counter()
+    restricted: list[tuple[str, ...]] = []
+    steps = Counter()
+    close, restrict, step = words._close, Substitution.restrict, Substitution.step
+
+    def counted_close(sub, lang, seeds, m):
+        closures[m] += 1
+        return close(sub, lang, seeds, m)
+
+    def counted_restrict(self, letters):
+        restricted.append(letters)
+        return restrict(self, letters)
+
+    def counted_step(self, word):
+        steps["step"] += 1
+        return step(self, word)
+
+    monkeypatch.setattr(words, "_close", counted_close)
+    monkeypatch.setattr(Substitution, "restrict", counted_restrict)
+    monkeypatch.setattr(Substitution, "step", counted_step)
+    decomposition_report(sub, chain, profile)
+    assert closures[2] == n
+    assert sum(closures.values()) <= n + 1  # plus the level-2 probe at level 3
+    assert len(restricted) <= n and len(set(restricted)) == len(restricted)
+    assert steps["step"] <= len(top) + 4 * n
+    _fresh_profiles()

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from chainshift import (
+    DomainError,
     LambdaNotDominant,
     Substitution,
     ThetaNotAboveOne,
@@ -13,9 +15,11 @@ from chainshift import (
     limit_data,
     pf_vectors,
 )
+from chainshift.exact import AlgebraicReal
 from chainshift.spectral import _check_eigenvector
 from chainshift.structure import mat_pow
-from conftest import make
+from conftest import CORPUS_RULES, make, tower
+from test_pipeline_fuzz import chain_systems
 
 GOLDEN = (1 + 5**0.5) / 2
 
@@ -86,6 +90,82 @@ def test_running_maxima(corpus_sub):
     for i in range(1, chain.n):
         assert sp.lambda_upto(i).compare(sp.lambda_upto(i + 1)) <= 0
         assert sp.eta_from(i).compare(sp.eta_from(i + 1)) >= 0
+
+
+def _golden_bottom(rs):
+    """A golden-ratio bottom level under a tower: level i adds x_i -> x_{i-1} x_i^r."""
+    rules = {"a": "ab", "b": "a"}
+    below = "b"
+    for i, r in enumerate(rs):
+        x = chr(0x4E00 + i)
+        rules[x] = below + x * r
+        below = x
+    return rules
+
+
+# tied: every level has theta 2; mixed: integer levels above and below each
+# other; golden: an irrational bottom under levels with theta 1, 2 and 3
+SPECTRAL_SYSTEMS = {
+    **CORPUS_RULES,
+    "tied": tower([2] * 24),
+    "mixed": tower([2, 3, 1, 3, 2, 4, 1, 4, 4, 2, 3, 1] * 2, [True, False] * 12),
+    "golden": _golden_bottom([1, 2, 1, 1, 3, 2, 1, 2, 3, 3, 1]),
+}
+
+
+def _scanned_upto(sp, i: int) -> int:
+    """The level of the running maximum by the per-call scan lambda_upto used to run."""
+    best = 1
+    for j in range(2, i + 1):
+        if sp.theta(j) > sp.theta(best):
+            best = j
+    return best
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_SYSTEMS))
+def test_running_maxima_lookups_match_the_scan(name):
+    sub = Substitution.from_rules(SPECTRAL_SYSTEMS[name])
+    chain = component_chain(sub)
+    sp = block_eigenvalues(sub, chain)
+    finite = []
+    for i in range(1, chain.n + 1):
+        assert sp.lambda_upto(i) is sp.theta(_scanned_upto(sp, i))
+        scanned = i == 1 or sp.theta(i).compare(sp.theta(_scanned_upto(sp, i - 1))) > 0
+        assert sp.level_is_finite(i) == scanned
+        finite.append(scanned)
+    if name in ("mixed", "golden"):
+        assert True in finite[1:] and False in finite[1:]
+    if name == "tied":
+        assert finite == [True] + [False] * (chain.n - 1)
+    with pytest.raises(DomainError):
+        sp.level_is_finite(chain.n + 1)
+
+
+def _assert_theta_matches_sturm(sp):
+    """Constant row sums take the integer path, which must build the value the
+    Sturm constructor builds; other levels are the Sturm constructor's, whose
+    intervals the profile's comparisons may have narrowed since."""
+    for ls in sp.levels:
+        sturm = AlgebraicReal(ls.char_poly, ls.row_bounds)
+        assert ls.theta.poly == sturm.poly and ls.theta.compare(sturm) == 0
+        if ls.row_bounds[0] == ls.row_bounds[1]:
+            assert ls.theta.as_integer() == ls.row_bounds[0]
+            assert (ls.theta.rational, ls.theta.lo, ls.theta.hi) == (
+                sturm.rational, sturm.lo, sturm.hi,
+            )
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_SYSTEMS))
+def test_integer_theta_matches_sturm(name):
+    sub = Substitution.from_rules(SPECTRAL_SYSTEMS[name])
+    _assert_theta_matches_sturm(block_eigenvalues(sub, component_chain(sub)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_systems())
+def test_integer_theta_matches_sturm_on_chain_systems(rules):
+    sub = Substitution.from_rules(rules)
+    _assert_theta_matches_sturm(block_eigenvalues(sub, component_chain(sub)))
 
 
 def test_vectors_quartic_window_one():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from chainshift import (
@@ -8,11 +10,14 @@ from chainshift import (
     DomainError,
     Substitution,
     apply,
+    component_chain,
     count_occurrences,
     incidence_matrix,
     language,
+    level_languages,
 )
-from conftest import CORPUS_RULES, make
+from conftest import CORPUS_RULES, make, tower
+from test_pipeline_fuzz import chain_systems
 
 
 def test_alphabet_validation():
@@ -65,6 +70,39 @@ def test_apply_single_step_is_concatenation():
     for _ in range(50):
         w = "".join(rng.choice("ab") for _ in range(rng.randint(1, 8)))
         assert apply(chacon, w, 1) == "".join(chacon.image(c) for c in w)
+
+
+def test_step_rejects_letter_outside_alphabet():
+    sub = make("chacon")
+    for word in ("c", "abz", "ab" * 50 + "\u4e00"):
+        with pytest.raises(DomainError, match="not in alphabet"):
+            sub.step(word)
+    assert sub.step("") == ""
+
+
+def test_step_matches_letter_by_letter_join(corpus_sub):
+    rules = {c: corpus_sub.image(c) for c in corpus_sub.alphabet}
+    rng = random.Random(11)
+    for length in (1, 2, 5, 40):
+        word = "".join(rng.choice(corpus_sub.alphabet.letters) for _ in range(length))
+        for _ in range(4):
+            expected = oracles.power(rules, word, 1)
+            assert corpus_sub.step(word) == expected
+            word = expected[:300]
+
+
+def test_step_on_a_non_latin1_alphabet():
+    letters = [chr(0x4E00 + i) for i in range(200)]
+    rng = random.Random(5)
+    rules = {c: "".join(rng.choice(letters) for _ in range(rng.randint(1, 5))) for c in letters}
+    sub = Substitution.from_rules(rules)
+    word = "".join(letters)
+    for _ in range(3):
+        expected = oracles.power(rules, word, 1)
+        assert sub.step(word) == expected
+        word = expected
+    with pytest.raises(DomainError, match="not in alphabet"):
+        sub.step(word[:7] + "a" + word[7:])
 
 
 def test_apply_square_of_quartic_bottom():
@@ -124,6 +162,46 @@ def test_language_monotone_factors(corpus_sub):
 def test_language_rejects_bad_length():
     with pytest.raises(DomainError):
         language(make("chacon"), 0)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_level_languages_match_per_level_oracle(corpus_sub, m):
+    rules = {c: corpus_sub.image(c) for c in corpus_sub.alphabet}
+    levels = component_chain(corpus_sub).levels
+    got = level_languages(corpus_sub, levels, m)
+    assert got == oracles.level_languages(rules, levels, m)
+    assert got[-1] == language(corpus_sub, m)
+
+
+@pytest.mark.parametrize("before", (True, False), ids=("before", "after"))
+def test_level_languages_on_towers(before):
+    # Level i of a tower is the same system in every tower of height >= i,
+    # so one from-scratch oracle per level serves heights 2..64.
+    rs = [2 + i % 2 for i in range(64)]
+    full = tower(rs, before)
+    letters = tuple(full)
+    levels = [letters[:i] for i in range(1, 65)]
+    expected = {m: oracles.level_languages(full, levels, m) for m in range(1, 5)}
+    for n in range(2, 65):
+        sub = Substitution.from_rules(tower(rs[:n], before))
+        chain = component_chain(sub)
+        assert list(chain.levels) == levels[:n]
+        for m in range(1, 5):
+            assert level_languages(sub, chain.levels, m) == expected[m][:n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_systems(), st.integers(1, 4))
+def test_level_languages_on_chain_systems(rules, m):
+    sub = Substitution.from_rules(rules)
+    levels = component_chain(sub).levels
+    assert level_languages(sub, levels, m) == oracles.level_languages(rules, levels, m)
+
+
+def test_level_languages_reject_bad_length():
+    sub = make("chacon")
+    with pytest.raises(DomainError):
+        level_languages(sub, component_chain(sub).levels, 0)
 
 
 def test_occurrences_match_matrix_powers():
