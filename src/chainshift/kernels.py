@@ -1,8 +1,8 @@
-"""Byte-level rewriting primitives behind the uniformity windows.
+"""Byte-level rewriting primitives for the benchmark probes.
 
-``measures.uniformity_check`` streams the quasi-fixed point with
-``apply_bytes``; ``simulate`` counts exactly without expanding its prefix.
-``expand_prefix`` and ``count_subword`` serve the benchmark probes.
+No library module uses them: every count in ``measures`` is exact and
+expands no prefix. The benchmark probes time ``expand_prefix``,
+``count_subword`` and ``apply_bytes`` as the letter stream they replace.
 
 Words over at most 256 letters travel as bytes whose values are letter
 indices. Rewriting decodes them as latin-1, where code point = byte value =

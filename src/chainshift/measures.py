@@ -11,14 +11,15 @@ cylinder evaluation.
 
 All level computations run inside the restricted substitution of that level;
 values are exact rationals whenever the block eigenvalue is an integer.
+Occurrence counts, along the anchor's expansion and in return windows of a
+quasi-fixed point, are exact and never expand a word: they descend through
+powers of the level substitution and of its window substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .auxiliary import AuxiliarySubstitution, build_auxiliary
 from .classify import LevelReport, _bottom_report, classify_level
@@ -28,12 +29,10 @@ from .errors import (
     MeasureTypeCounting,
     WordNotInLevelLanguage,
 )
-from .kernels import apply_bytes, encode_images, encode_word
 from .spectral import SpectralProfile, level_profile, limit_data, pf_vectors
 from .structure import ComponentChain
 from .words import Substitution
 
-STREAM_BUDGET = 2 * 10**7
 POWER_BUDGET = 10**12
 
 
@@ -146,26 +145,21 @@ def cylinder_measure(
     _require_level_word(sub_i, chain_i, i, v)
     if desc.kind == "finite_ergodic":
         pair = pf_vectors(sub_i, chain_i, m, level_profile(sub, chain, i, spectral))
-        value = pair.beta[v] / pair.beta_total
-        if pair.exact:
-            return CylinderValue(i, v, False, value, float(value), desc.anchor)
-        return CylinderValue(
-            i, v, False, None, float(value), desc.anchor, _algebraic_note(spectral.theta(i))
-        )
-    ld = limit_data(sub, chain, m, i, spectral)
-    if v in ld.infinite_words:
-        return CylinderValue(i, v, True, None, None, desc.anchor)
-    anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]
-    assert anchors, "anchor letter must start some language window"
-    gammas = [ld.gamma[w] for w in anchors]
-    if ld.exact:
-        assert len(set(gammas)) == 1, "right limit vector must only depend on the first letter"
-    value = gammas[0] * ld.delta[v]
-    if ld.exact:
+        value, exact = pair.beta[v] / pair.beta_total, pair.exact
+    else:
+        ld = limit_data(sub, chain, m, i, spectral)
+        if v in ld.infinite_words:
+            return CylinderValue(i, v, True, None, None, desc.anchor)
+        anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]
+        assert anchors, "anchor letter must start some language window"
+        gammas = [ld.gamma[w] for w in anchors]
+        if ld.exact:
+            assert len(set(gammas)) == 1, "right limit vector must only depend on the first letter"
+        value, exact = gammas[0] * ld.delta[v], ld.exact
+    if exact:
         return CylinderValue(i, v, False, value, float(value), desc.anchor)
-    return CylinderValue(
-        i, v, False, None, float(value), desc.anchor, _algebraic_note(spectral.theta(i))
-    )
+    note = _algebraic_note(spectral.theta(i))
+    return CylinderValue(i, v, False, None, float(value), desc.anchor, note)
 
 
 # ---------------------------------------------------------------------------
@@ -331,24 +325,29 @@ def uniformity_check(
     n: int,
     offsets: tuple[int, ...] = (0,),
     *,
-    stream_budget: int = STREAM_BUDGET,
     report: LevelReport | None = None,
 ) -> UniformityResult:
     """Return-word frequency stability along the quasi-fixed point.
 
-    Streams the right half of the level's quasi-fixed point, collects the
-    positions of new-letter visits, and compares window frequencies of ``v``
-    against the eigenvector ratio it should converge to. A falsification
+    Counts ``v`` in the windows of the quasi-fixed point's right half that run
+    from one new-letter visit to the n-th next, and compares the frequencies
+    with the eigenvector ratio they should converge to. A falsification
     harness, not a proof.
+
+    The forward seed gives ``sigma^k(b) = P b v`` with P over lower letters, so
+    the right half ``R = b v sigma^k(v) ...`` satisfies ``sigma^k(R) = P R`` and
+    ``sigma^K(b)`` ends in a prefix of R for every multiple K of k. Visits come
+    from a descent through letter tables of ``sigma^t``, occurrences from the
+    window-substitution descent of ``_prefix_count``; nothing is expanded.
     """
     chain.check_level(i)
     if i < 2:
         raise DomainError("uniformity windows are defined on levels >= 2")
-    if n < 1 or min(offsets, default=0) < 0:
-        raise DomainError("need a positive window size and nonnegative offsets")
+    if n < 1 or not offsets or min(offsets) < 0:
+        raise DomainError("need a positive window size and at least one offset, all nonnegative")
     report = report or classify_level(sub, chain, spectral, i)
     if report.quasi_fixed is None:
-        raise DomainError(f"level {i} has no quasi-fixed point to stream")
+        raise DomainError(f"level {i} has no quasi-fixed point to count along")
     seed = report.quasi_fixed.seed
     new = set(chain.new_letters(i))
     if not any(c in new for c in v):
@@ -361,56 +360,51 @@ def uniformity_check(
     if spectral.theta_is_one(i):
         raise DomainError(f"level {i} has eigenvalue 1; no frequency target exists")
     if spectral.level_is_finite(i):
-        pair = pf_vectors(sub_i, chain_i, m, level_profile(sub, chain, i, spectral))
-        data = pair.beta
+        data = pf_vectors(sub_i, chain_i, m, level_profile(sub, chain, i, spectral)).beta
     else:
-        ld = limit_data(sub, chain, m, i, spectral)
-        data = ld.delta
-    denom = sum(val for w, val in data.items() if w[0] in new)
-    target = float(data[v] / denom)
+        data = limit_data(sub, chain, m, i, spectral).delta
+    target = float(data[v] / sum(val for w, val in data.items() if w[0] in new))
+    if seed.orientation != "forward":  # theta > 1 puts a lower-new word in L_2
+        raise RuntimeError(f"level {i}: theta > 1 but the seed is not forward")
 
-    # Stream the right half of the quasi-fixed point in the seed orientation.
-    mirrored = seed.orientation == "reverse"
-    system = sub_i.reversed() if mirrored else sub_i
-    query = v[::-1] if mirrored else v
-    head = seed.b + (seed.v[::-1] if mirrored else seed.v)
-    letters = system.alphabet.letters
-    images = encode_images(letters, system.images)
-    is_new = np.zeros(256, dtype=bool)
-    is_new[[letters.index(c) for c in new]] = True
-
-    def new_positions(word: bytes, offset: int) -> np.ndarray:
-        return np.flatnonzero(is_new[np.frombuffer(word, dtype=np.uint8)]) + offset
-
-    needed = max(offsets) + n + 2
-    first = encode_word(letters, head)
-    buf = bytearray(first)
-    chunk = first[1:]
-    hits = [new_positions(first, 0)]
-    found = len(hits[0])
-    while found < needed:
+    # Tables of sigma^t, t = 0..K: letter image lengths and new-letter counts.
+    # K grows by k until sigma^K(b) = (lower prefix) R[:covered] holds the visits.
+    b, letters = seed.b, sub_i.alphabet.letters
+    lengths, visits = [dict.fromkeys(letters, 1)], [{c: int(c in new) for c in letters}]
+    covered = 1
+    while visits[-1][b] <= max(offsets) + n:
+        covered += sum(lengths[-1][c] for c in seed.v)
+        if covered > POWER_BUDGET:
+            raise BudgetExceeded(f"return windows exceed the power budget {POWER_BUDGET}")
         for _ in range(seed.k):
-            chunk = apply_bytes(images, chunk)
-        if len(buf) + len(chunk) > stream_budget:
-            raise BudgetExceeded("quasi-fixed point stream exceeded its budget")
-        hits.append(new_positions(chunk, len(buf)))
-        found += len(hits[-1])
-        buf.extend(chunk)
-    positions = np.concatenate(hits)
+            for table in (lengths, visits):
+                table.append({c: sum(table[-1][x] for x in sub_i.image(c)) for c in letters})
+    K, prefix = len(lengths) - 1, lengths[-1][b] - covered
 
-    # match[s]: the query starts at s, overlaps included; the window from
-    # positions[j] to positions[j + n], both inclusive, holds the starts
-    # positions[j] .. positions[j + n] - m + 1.
-    text = np.frombuffer(buf, dtype=np.uint8)
-    q = encode_word(letters, query)
-    span = max(0, int(positions[max(offsets) + n]) + 2 - m)
-    match = np.ones(span, dtype=bool)
-    for t, c in enumerate(q):
-        match &= text[t : t + span] == c
+    def select(j: int) -> int:  # position in R of its j-th new letter; R[0] = b is the 0-th
+        pos, c = -prefix, b
+        for t in range(K - 1, -1, -1):
+            for x in sub_i.image(c):
+                if visits[t][x] > j:
+                    break
+                j -= visits[t][x]
+                pos += lengths[t][x]
+            c = x
+        return pos
+
+    aux = build_auxiliary(sub_i, chain_i, m)
+    # Any window starting with b works: every counted window ends inside sigma^K(b).
+    u = next(w for w in aux.words if w[0] == b)
+    cols = _block_counts(aux, v, K)
+
+    def rank(p: int) -> int:  # occurrences of v starting before position p of R
+        return _prefix_count(aux, u, cols, lengths, prefix + p)
+
+    # The window from visit j to visit j + n, both inclusive, holds the starts lo .. hi - m + 1.
     ratios: dict[int, float] = {}
     for j in sorted(set(offsets)):
-        lo, hi = int(positions[j]), int(positions[j + n])
-        ratios[j] = int(np.count_nonzero(match[lo : max(lo, hi + 2 - m)])) / n
+        lo, hi = select(j), select(j + n)
+        ratios[j] = (rank(max(lo, hi + 2 - m)) - rank(lo)) / n
     deviation = max(abs(r - target) for r in ratios.values())
     return UniformityResult(
         level=i, word=v, window_count=n, target=target, ratios=ratios, max_deviation=deviation

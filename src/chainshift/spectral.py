@@ -69,16 +69,16 @@ class SpectralProfile:
     def __init__(self, chain: ComponentChain, levels: list[LevelSpectrum]):
         self.chain = chain
         self.levels = levels
-        n = len(levels)
-        best = 1
+        best = last = 1  # first and last level attaining the maximum so far
         upto = [1]  # first level attaining the maximum over levels 1..i
-        for i in range(2, n + 1):
-            if self.theta(i) > self.theta(best):
+        for i in range(2, len(levels) + 1):
+            sign = self.theta(i).compare(self.theta(best))
+            if sign > 0:
                 best = i
+            last = i if sign >= 0 else last
             upto.append(best)
         self._upto = upto
-        self.i_min = min(i for i in range(1, n + 1) if self.theta(i) == self.theta(best))
-        self.i_max = max(i for i in range(1, n + 1) if self.theta(i) == self.theta(best))
+        self.i_min, self.i_max = best, last
         self._memo: dict[tuple, object] = {}
 
     def describes(self, sub: Substitution, chain: ComponentChain) -> bool:

@@ -13,7 +13,7 @@ O(n·|σ|) big-int ORs, and a row is tested against a mask in one operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError, NoPrimitiveChainError
@@ -139,6 +139,7 @@ class ComponentChain:
     sub: Substitution
     levels: tuple[tuple[str, ...], ...]  # cumulative A_i, declaration order
     witness_k: int
+    _new: tuple[tuple[str, ...], ...] = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -153,9 +154,11 @@ class ComponentChain:
         return self.levels[self.check_level(i) - 1]
 
     def new_letters(self, i: int) -> tuple[str, ...]:
-        self.check_level(i)
-        below = set(self.levels[i - 2]) if i >= 2 else set()
-        return tuple(c for c in self.levels[i - 1] if c not in below)
+        if not self._new:  # every level's, computed once per chain
+            below = [set()] + [set(level) for level in self.levels[:-1]]
+            new = tuple(tuple(c for c in lv if c not in lo) for lo, lv in zip(below, self.levels))
+            object.__setattr__(self, "_new", new)
+        return self._new[self.check_level(i) - 1]
 
     def level_of(self, letter: str) -> int:
         for i, level in enumerate(self.levels, start=1):

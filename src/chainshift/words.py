@@ -25,6 +25,7 @@ class Alphabet:
 
     letters: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    _ranks: _ImageTable = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if not self.letters:
@@ -36,6 +37,7 @@ class Alphabet:
             if len(c) != 1 or not c.isprintable() or c.isspace():
                 raise DomainError(f"letter {c!r} is not a single printable character")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_ranks", _ImageTable((ord(c), chr(i)) for c, i in index.items()))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -52,9 +54,9 @@ class Alphabet:
         except KeyError:
             raise DomainError(f"letter {letter!r} not in alphabet") from None
 
-    def word_key(self, word: str) -> tuple[int, ...]:
-        """Sort key ordering words lexicographically by declared letter order."""
-        return tuple(self.index(c) for c in word)
+    def word_key(self, word: str) -> str:
+        """Sort key ordering words by declared letter order: chr(index) per letter."""
+        return word.translate(self._ranks)
 
     def check_word(self, word: str, *, nonempty: bool = False) -> str:
         if nonempty and not word:
@@ -66,7 +68,7 @@ class Alphabet:
 
 
 class _ImageTable(dict):
-    """``{ord(letter): image}`` for ``str.translate``.
+    """``{ord(letter): image}`` for ``str.translate``, or ``{ord(letter): chr(index)}``.
 
     ``str.translate`` leaves a character that misses the table unchanged
     only when the lookup raises ``LookupError``; this table raises

@@ -316,3 +316,58 @@ def pair_seeds(rules: dict[str, str], levels, i: int, s: str | None) -> list[tup
         for delta, pf in sorted(f_cyclic.items())
         if gamma + delta in lang_i and gamma + delta not in lang_below
     ]
+
+
+def quasi_fixed_half(rules: dict[str, str], b: str, v: str, k: int, new, visits: int) -> str:
+    """Right half ``R = b v sigma^k(v) sigma^2k(v) ...`` of a forward
+    quasi-fixed point, expanded letter by letter until it holds at least
+    ``visits`` new letters."""
+    half, piece = b + v, v
+    found = sum(c in new for c in half)
+    while found < visits:
+        piece = power(rules, piece, k)
+        half += piece
+        found += sum(c in new for c in piece)
+    return half
+
+
+def quasi_fixed_skeleton(
+    rules: dict[str, str], b: str, v: str, k: int, new, visits: int, m: int
+) -> str:
+    """``quasi_fixed_half`` with every block ``sigma^t(x)`` of a lower letter x
+    longer than 2(m - 1) letters cut to its first and last m - 1 letters
+    around a ``|`` that is no letter.
+
+    A word that holds a new letter lies within m - 1 letters of it, so its
+    occurrences, and their order relative to the new letters, are those of
+    the full half, which can run to billions of letters when new letters are
+    sparse. Blocks come from truncated letter-by-letter expansions.
+    """
+    blocks: dict[tuple[str, int], str] = {}
+
+    def lower_block(x: str, t: int) -> str:
+        if (x, t) not in blocks:
+            head = tail = short = x
+            for _ in range(t):
+                head = power(rules, head, 1)[: m - 1]
+                tail = power(rules, tail, 1)
+                tail = tail[len(tail) - (m - 1) :]
+                short = power(rules, short, 1)[: 2 * m - 1]
+            blocks[x, t] = short if len(short) <= 2 * (m - 1) else head + "|" + tail
+        return blocks[x, t]
+
+    def skeleton(x: str, t: int) -> str:
+        if x not in new:
+            return lower_block(x, t)
+        if t == 0:
+            return x
+        return "".join(skeleton(y, t - 1) for y in rules[x])
+
+    half, t = b + v, 0
+    found = sum(c in new for c in half)
+    while found < visits:
+        t += k
+        piece = "".join(skeleton(c, t) for c in v)
+        half += piece
+        found += sum(c in new for c in piece)
+    return half

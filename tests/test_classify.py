@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 import oracles
 from chainshift import (
     DomainError,
+    NoPrimitiveChainError,
     Substitution,
     apply,
     arbitrarily_long_s_powers,
@@ -496,3 +498,44 @@ def test_sweep_invariants_survive_optimize():
         assert "theta = 1 must hold exactly when the block is [1]" in lines[0]
         assert "no crossing pair" in lines[1]
         assert "is not unique in its window" in lines[2]
+
+
+def _forward_seed_levels(rules: dict[str, str]) -> int:
+    """Check that every level with theta > 1 has a lower-then-new word in its
+    two-letter language and a forward seed; return how many of them carry a
+    quasi-fixed point."""
+    sub = Substitution.from_rules(rules)
+    try:
+        chain = component_chain(sub)
+    except NoPrimitiveChainError:
+        return 0
+    sp = block_eigenvalues(sub, chain)
+    quasi_fixed = 0
+    for i in range(2, chain.n + 1):
+        if sp.theta_is_one(i):
+            continue
+        lower, new = set(chain.alphabet_at(i - 1)), set(chain.new_letters(i))
+        two = oracles.language_closure(oracles.restrict(rules, chain.alphabet_at(i)), 2)
+        assert any(w[0] in lower and w[1] in new for w in two), (rules, i)
+        report = classify_level(sub, chain, sp, i)
+        assert report.seed.orientation == "forward", (rules, i)
+        quasi_fixed += report.quasi_fixed is not None
+    return quasi_fixed
+
+
+def test_levels_above_one_have_forward_seeds_on_corpus_and_mirrors(corpus_sub):
+    rules = dict(zip(corpus_sub.alphabet.letters, corpus_sub.images))
+    _forward_seed_levels(rules)
+    _forward_seed_levels({c: img[::-1] for c, img in rules.items()})
+
+
+def test_levels_above_one_have_forward_seeds_on_seeded_draws():
+    rng = random.Random(424242)
+    quasi_fixed = sum(_forward_seed_levels(oracles.random_substitution(rng)) for _ in range(3000))
+    assert quasi_fixed == 373
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_systems())
+def test_levels_above_one_have_forward_seeds_on_chain_systems(rules):
+    _forward_seed_levels(rules)

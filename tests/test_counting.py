@@ -2,14 +2,18 @@
 
 ``empirical_frequency`` counts a word in a prefix of ``sigma^k(anchor)``
 through window-substitution powers and never expands the prefix;
-``uniformity_check`` counts it in return windows of the streamed
-quasi-fixed point with array comparisons. Both are compared here with plain
-``str`` expansions counted by ``oracles.occurrences``.
+``uniformity_check`` counts it in return windows of the quasi-fixed point
+by the same descent, after locating the windows' new-letter visits by a
+descent through letter-level power tables. Both are compared here with
+plain ``str`` expansions counted by ``oracles.occurrences``; where new
+letters are too sparse to expand, with ``oracles.quasi_fixed_skeleton``,
+an expansion that keeps only the letters near new letters.
 """
 
 import os
 import subprocess
 import sys
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chainshift import (
+    BudgetExceeded,
     block_eigenvalues,
     classify_level,
     component_chain,
@@ -198,3 +203,133 @@ def test_uniformity_window_counts_match_expansion(name, i):
                     overlapping += count != window.count(query)
     if (name, i) == ("quartic", 2):
         assert overlapping, "some query must overlap itself, like bb in bbb"
+
+
+def _forward_seed(name: str, i: int):
+    """(setup, seed, level rules, new letters) of a quasi-fixed level; the
+    seed is forward on every level with theta > 1."""
+    setup = _setup(name)
+    seed = classify_level(*setup, i).quasi_fixed.seed
+    assert seed.orientation == "forward", (name, i)
+    sub_i, _ = setup[1].restrict(i)
+    return setup, seed, dict(zip(sub_i.alphabet.letters, sub_i.images)), set(setup[1].new_letters(i))
+
+
+def _deep_offsets(rules, seed, new) -> tuple[int, ...]:
+    """Visit indices at and just before the starts of the third and fifth
+    pieces sigma^(tk)(v) of the right half."""
+    starts = [sum(c in new for c in seed.b + seed.v)]
+    for t in range(1, 5):
+        starts.append(starts[-1] + sum(c in new for c in oracles.power(rules, seed.v, t * seed.k)))
+    return (0, starts[2] - 1, starts[2], starts[4] - 1, starts[4])
+
+
+def _window_counts(half: str, new, v: str, n: int, offsets) -> dict[int, int]:
+    visits = [p for p, c in enumerate(half) if c in new]
+    return {j: len(oracles.occurrences(v, half[visits[j] : visits[j + n] + 1])) for j in offsets}
+
+
+# Levels whose new letters are too sparse to expand 5000 visits letter by
+# letter: the right half runs to 10^6..10^9 letters.
+SPARSE = {("constant_reenters", 3), ("quartic", 3), ("mid_dominant", 3)}
+DENSE = [level for level in QUASI_FIXED if level not in SPARSE]
+
+
+@pytest.mark.parametrize("name,i", DENSE, ids=[f"{n}-{i}" for n, i in DENSE])
+def test_deep_return_windows_match_expansion(name, i):
+    setup, seed, rules, new = _forward_seed(name, i)
+    offsets = _deep_offsets(rules, seed, new)
+    half = oracles.quasi_fixed_half(rules, seed.b, seed.v, seed.k, new, max(offsets) + 5001)
+    sub_i, _ = setup[1].restrict(i)
+    for m in (1, 2, 3):
+        words = [v for v in sorted(language(sub_i, m)) if any(c in new for c in v)]
+        skeleton = oracles.quasi_fixed_skeleton(
+            rules, seed.b, seed.v, seed.k, new, max(offsets) + 5001, m
+        )
+        for v in words[:: max(1, len(words) // 4)]:
+            counts = _window_counts(half, new, v, 5000, offsets)
+            # the skeleton oracle keeps every occurrence of a word with a new letter
+            assert _window_counts(skeleton, new, v, 5000, offsets) == counts, v
+            result = uniformity_check(*setup, i, v, 5000, offsets)
+            assert result.ratios == {j: counts[j] / 5000 for j in offsets}, v
+
+
+@pytest.mark.parametrize("name,i", QUASI_FIXED, ids=[f"{n}-{i}" for n, i in QUASI_FIXED])
+def test_return_windows_match_skeleton_expansion(name, i):
+    # On mid_dominant level 3 the 5001st visit lies about 10^9 letters into
+    # the right half, beyond any letter stream; the counts are still exact.
+    setup, seed, rules, new = _forward_seed(name, i)
+    offsets = _deep_offsets(rules, seed, new)
+    sub_i, _ = setup[1].restrict(i)
+    for m in (1, 2, 3):
+        skeleton = oracles.quasi_fixed_skeleton(
+            rules, seed.b, seed.v, seed.k, new, max(offsets) + 5001, m
+        )
+        for v in sorted(language(sub_i, m)):
+            if not any(c in new for c in v):
+                continue
+            counts = _window_counts(skeleton, new, v, 5000, offsets)
+            result = uniformity_check(*setup, i, v, 5000, offsets)
+            assert result.ratios == {j: counts[j] / 5000 for j in offsets}, v
+
+
+@pytest.mark.parametrize("name,i", QUASI_FIXED, ids=[f"{n}-{i}" for n, i in QUASI_FIXED])
+def test_short_windows_of_long_words_match_skeleton_expansion(name, i):
+    # Adjacent visits leave a window shorter than the word: it counts nothing.
+    setup, seed, rules, new = _forward_seed(name, i)
+    sub_i, _ = setup[1].restrict(i)
+    offsets = tuple(range(40))
+    for m in (4, 5):
+        skeleton = oracles.quasi_fixed_skeleton(rules, seed.b, seed.v, seed.k, new, 43, m)
+        for v in sorted(language(sub_i, m)):
+            if any(c in new for c in v):
+                for n in (1, 2):
+                    counts = _window_counts(skeleton, new, v, n, offsets)
+                    result = uniformity_check(*setup, i, v, n, offsets)
+                    assert result.ratios == {j: counts[j] / n for j in offsets}, (v, n)
+
+
+def test_window_count_past_the_power_budget_raises_fast():
+    for name, i, v in (("quartic", 2, "bb"), ("mid_dominant", 3, "d")):
+        setup = _setup(name)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="power budget"):
+            uniformity_check(*setup, i, v, 10**13)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_reverse_seed_invariant_survives_optimize():
+    # theta > 1 forces a forward seed; a reverse one reaching the counter must
+    # raise explicitly, also under ``python -O``.
+    script = (
+        "import dataclasses\n"
+        "from chainshift import *\n"
+        "import chainshift.measures as measures\n"
+        "sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
+        "chain = component_chain(sub)\n"
+        "spectral = block_eigenvalues(sub, chain)\n"
+        "def reversed_seed(*args):\n"
+        "    report = classify_level(*args)\n"
+        "    qf = report.quasi_fixed\n"
+        "    seed = dataclasses.replace(qf.seed, orientation='reverse')\n"
+        "    qf = dataclasses.replace(qf, seed=seed)\n"
+        "    return dataclasses.replace(report, quasi_fixed=qf)\n"
+        "measures.classify_level = reversed_seed\n"
+        "try:\n"
+        "    uniformity_check(sub, chain, spectral, 2, 'b', 10)\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised level 2: theta > 1 but the seed is not forward"), (
+            proc.stdout
+        )

@@ -285,6 +285,13 @@ def test_uniformity_requires_new_letter():
         uniformity_check(*setup, 2, "aa", 10)
 
 
+def test_uniformity_rejects_bad_windows():
+    setup = _setup("quartic")
+    for n, offsets in ((0, (0,)), (5, (-1, 0)), (5, ())):
+        with pytest.raises(DomainError, match="window size"):
+            uniformity_check(*setup, 2, "b", n, offsets)
+
+
 def test_uniformity_chacon_shrinks():
     setup = _setup("chacon")
     wide = uniformity_check(*setup, 2, "ba", 3000, offsets=(0, 100, 1000))

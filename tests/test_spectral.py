@@ -133,10 +133,15 @@ def test_running_maxima_lookups_match_the_scan(name):
         scanned = i == 1 or sp.theta(i).compare(sp.theta(_scanned_upto(sp, i - 1))) > 0
         assert sp.level_is_finite(i) == scanned
         finite.append(scanned)
+    # i_min and i_max: the first and last level whose theta equals the maximum
+    top = sp.theta(_scanned_upto(sp, chain.n))
+    tied = [i for i in range(1, chain.n + 1) if sp.theta(i) == top]
+    assert (sp.i_min, sp.i_max) == (tied[0], tied[-1])
     if name in ("mixed", "golden"):
         assert True in finite[1:] and False in finite[1:]
     if name == "tied":
         assert finite == [True] + [False] * (chain.n - 1)
+        assert (sp.i_min, sp.i_max) == (1, chain.n)
     with pytest.raises(DomainError):
         sp.level_is_finite(chain.n + 1)
 

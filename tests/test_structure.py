@@ -13,7 +13,7 @@ from chainshift import (
     is_empty_bottom,
     sub_substitution,
 )
-from conftest import make
+from conftest import make, tower
 
 
 def test_incidence_quartic():
@@ -94,6 +94,30 @@ def test_chain_closure(corpus_sub):
         level = set(chain.alphabet_at(i))
         for c in level:
             assert set(corpus_sub.image(c)) <= level
+
+
+def _assert_new_letters_by_difference(chain):
+    for i in range(1, chain.n + 1):
+        below = set(chain.levels[i - 2]) if i >= 2 else set()
+        assert chain.new_letters(i) == tuple(c for c in chain.levels[i - 1] if c not in below)
+
+
+def test_new_letters_are_the_level_difference(corpus_sub):
+    chain = component_chain(corpus_sub)
+    _assert_new_letters_by_difference(chain)
+    for i in range(1, chain.n + 1):
+        _assert_new_letters_by_difference(chain.restrict(i)[1])
+
+
+def test_tower_new_letters_are_the_level_difference():
+    for n in range(2, 65):
+        rules = tower([2 + i % 3 for i in range(n)], [i % 2 == 0 for i in range(n)])
+        chain = component_chain(Substitution.from_rules(rules))
+        assert chain.n == n
+        _assert_new_letters_by_difference(chain)
+        # The stored letters take no part in equality or hashing.
+        _, top = chain.restrict(n)
+        assert top == chain and hash(top) == hash(chain)
 
 
 def test_blocks_and_couplings_tile_the_matrix(corpus_sub):

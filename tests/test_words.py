@@ -105,6 +105,34 @@ def test_step_on_a_non_latin1_alphabet():
         sub.step(word[:7] + "a" + word[7:])
 
 
+def _tuple_key(alphabet: Alphabet):
+    """The letter-index tuple key that ``word_key`` replaces."""
+    return lambda word: tuple(alphabet.letters.index(c) for c in word)
+
+
+def test_word_key_orders_corpus_languages_like_index_tuples(corpus_sub):
+    alphabet = corpus_sub.alphabet
+    words: list[str] = []
+    for m in (1, 2, 3, 4):
+        lang = sorted(language(corpus_sub, m))
+        assert sorted(lang, key=alphabet.word_key) == sorted(lang, key=_tuple_key(alphabet))
+        words.extend(lang)
+    # Mixed lengths: a proper prefix sorts before its extensions.
+    random.Random(3).shuffle(words)
+    assert sorted(words, key=alphabet.word_key) == sorted(words, key=_tuple_key(alphabet))
+
+
+def test_word_key_on_a_200_letter_alphabet():
+    rng = random.Random(8)
+    letters = [chr(0x4E00 + i) for i in range(200)]
+    rng.shuffle(letters)  # declaration order differs from code point order
+    alphabet = Alphabet(tuple(letters))
+    words = ["".join(rng.choice(letters) for _ in range(rng.randint(0, 6))) for _ in range(2000)]
+    assert sorted(words, key=alphabet.word_key) == sorted(words, key=_tuple_key(alphabet))
+    with pytest.raises(DomainError, match="not in alphabet"):
+        alphabet.word_key(letters[0] + "a")
+
+
 def test_apply_square_of_quartic_bottom():
     quartic = make("quartic")
     assert apply(quartic, "a", 2) == oracles.power(CORPUS_RULES["quartic"], "a", 2) == "a" * 16
