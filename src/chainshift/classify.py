@@ -15,7 +15,7 @@ the first/last non-s letter maps, never by bounded expansion.
 ``decomposition_report`` classifies the levels in one sweep up the chain, and
 each level reuses what the levels below already built. Every level is closed
 under the substitution, so its images are read from the full substitution.
-The sweep keeps three kinds of entries in the ``SpectralProfile`` memo (see
+The sweep keeps two kinds of entries in the ``SpectralProfile`` memo (see
 ``spectral``), each computed once:
 
 - ``("fresh_two_words",)``: for every level i, the two-letter words new at
@@ -24,9 +24,10 @@ The sweep keeps three kinds of entries in the ``SpectralProfile`` memo (see
   periodic-point seeds are read from them.
 - ``("letter_cycles",)``: the cycle lengths of the first-letter and the
   last-letter maps, found in one O(|alphabet|) walk.
-- ``("level_sub", i)``: the level-i restriction, built only where a
-  function needs a substitution of its own (the s-run tests and the
-  periodicity probe), and then at most once per level.
+
+Where a function needs a level substitution of its own (the s-run tests and
+the periodicity probe), it reads ``chain.restrict(i)``, which the chain builds
+at most once per level.
 """
 
 from __future__ import annotations
@@ -113,16 +114,6 @@ def _fresh_two_words(
     if spectral is None or not spectral.describes(sub, chain):
         return fresh(chain.levels[:i])[i - 1]
     return spectral.memo(sub, chain, ("fresh_two_words",), lambda: fresh(chain.levels))[i - 1]
-
-
-def _level_sub(
-    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int
-) -> Substitution:
-    """The level-i restriction, built once per level while ``spectral`` describes
-    ``(sub, chain)``."""
-    return spectral.memo(
-        sub, chain, ("level_sub", i), lambda: sub.restrict(chain.alphabet_at(i))
-    )
 
 
 def _s_run_maps(sub: Substitution, s: str):
@@ -442,8 +433,8 @@ def _periodic_point_seeds(
     s = bottom[0] if len(bottom) == 1 and sub.image(bottom[0]) == bottom[0] else None
     seeds = _pair_seeds(sub, chain, spectral, i, s)
     if s is not None:
-        sub_i = _level_sub(sub, chain, spectral, i)
-        sub_below = _level_sub(sub, chain, spectral, i - 1)
+        sub_i = chain.restrict(i)[0]
+        sub_below = chain.restrict(i - 1)[0]
         f_cycles, g_cycles = _letter_cycles(sub, chain, spectral)
         f_cyclic = sorted((c, f_cycles[c]) for c in lower if c != s and c in f_cycles)
         g_cyclic = sorted((c, g_cycles[c]) for c in lower if c != s and c in g_cycles)
@@ -548,7 +539,7 @@ def _classify_level(
         # is minimal, or almost minimal around s^infinity when s-runs grow.
         s = seed.a
         assert sub.image(s) == s and not theta_one
-        if arbitrarily_long_s_powers(_level_sub(sub, chain, spectral, i), s):
+        if arbitrarily_long_s_powers(chain.restrict(i)[0], s):
             report.case = "almost_minimal"
         else:
             report.case = "minimal"
@@ -597,7 +588,7 @@ def _classify_level(
             report.point_seeds = _periodic_point_seeds(sub, chain, spectral, i)
     if report.case == "single_fixed_point":
         assert any(p.kind == "fixed_letter_power" for p in report.point_seeds)
-    if i == 3 and _is_single_periodic_orbit(_level_sub(sub, chain, spectral, 2)):
+    if i == 3 and _is_single_periodic_orbit(chain.restrict(2)[0]):
         report.notes.append(
             "unresolved: whether this level's closure could itself be a single "
             "shift-periodic orbit of period three"
@@ -648,7 +639,7 @@ def minimal_sets(
         theta2 = spectral.theta(2)
         unique = theta2.compare(1) > 0 and lam.compare(theta2) == 0
         return MinimalSets(["X_sigma_2"], unique, "ii" if unique else None, False)
-    if arbitrarily_long_s_powers(_level_sub(sub, chain, spectral, 2), s):
+    if arbitrarily_long_s_powers(chain.restrict(2)[0], s):
         unique = lam.compare(1) == 0
         return MinimalSets(["s_infinity"], unique, "iii" if unique else None, True)
     return MinimalSets(["X_sigma_2", "s_infinity"], False, None, True)

@@ -6,6 +6,14 @@ Polynomials are tuples of coefficients in descending degree order. The
 characteristic polynomial of an integer matrix is computed division-free, so
 everything stays in exact integer and Fraction arithmetic; floats appear only
 as final approximations.
+
+Polynomials are evaluated on integers only: the sign of p at n/d is the sign
+of d^deg(p) p(n/d), one homogeneous Horner pass over integer coefficients.
+Sturm chains are built in Fraction arithmetic and each member is then scaled
+by a positive constant to coprime integer coefficients, which keeps every
+sign variation. Once a root is isolated, refinement keeps both endpoints as
+integer numerators over 2^k and pays one evaluation of the squarefree part
+per halving.
 """
 
 from __future__ import annotations
@@ -47,10 +55,15 @@ def charpoly(mat) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def poly_eval(p, x: Fraction):
-    acc = Fraction(0)
-    for c in p:
-        acc = acc * x + c
+def _hom_eval(p: tuple[int, ...], num: int, den: int) -> int:
+    """den^deg(p) * p(num/den) for integer coefficients, in integers only.
+
+    With den > 0 its sign is the sign of p(num/den).
+    """
+    acc, scale = p[0], 1
+    for c in p[1:]:
+        scale *= den
+        acc = acc * num + c * scale
     return acc
 
 
@@ -104,30 +117,40 @@ def squarefree_part(p) -> Poly:
     if len(g) == 1:
         return p
     q, r = poly_divmod(p, g)
-    assert r == (Fraction(0),), "gcd must divide the polynomial"
+    if r != (Fraction(0),):
+        raise RuntimeError(f"gcd {g} does not divide {p}")
     return q
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
+def _integer_multiple(p: Poly) -> tuple[int, ...]:
+    """p times a positive rational, with coprime integer coefficients."""
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def sturm_chain(p) -> list[tuple[int, ...]]:
+    """Sturm chain of p, each member scaled to coprime integer coefficients."""
     chain = [_strip(p), _strip(poly_deriv(p))]
     while len(chain[-1]) > 1 or chain[-1][0] != 0:
         _, r = poly_divmod(chain[-2], chain[-1])
         if r == (Fraction(0),):
             break
         chain.append(tuple(-c for c in r))
-    return chain
+    return [_integer_multiple(q) for q in chain]
 
 
-def _variations(chain: list[Poly], x: Fraction) -> int:
+def _variations(chain: list[tuple[int, ...]], x: Fraction) -> int:
     signs = []
     for p in chain:
-        v = poly_eval(p, x)
+        v = _hom_eval(p, x.numerator, x.denominator)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
+def count_roots(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of the squarefree polynomial in (lo, hi]."""
     return _variations(chain, lo) - _variations(chain, hi)
 
@@ -146,21 +169,21 @@ class AlgebraicReal:
 
     def __init__(self, poly, search_range: tuple[int, int] | None = None):
         self.poly = tuple(int(c) for c in poly)
-        sf = squarefree_part(self.poly)
-        self._sf = sf
-        self._chain = sturm_chain(sf)
+        self._chain = sturm_chain(squarefree_part(self.poly))
+        self._sf = self._chain[0]
         if search_range is None:
             bound = 1 + max(abs(c) for c in self.poly)
             search_range = (-bound, bound)
         lo = Fraction(search_range[0] - 1)
         hi = Fraction(search_range[1] + 1)
-        assert count_roots(self._chain, lo, hi) >= 1, "no real root in range"
+        if count_roots(self._chain, lo, hi) < 1:
+            raise RuntimeError(f"no real root of {self.poly} in ({lo}, {hi}]")
         # Exact rational roots of a monic integer polynomial are integers;
         # scan the search range for the largest one.
         self.rational: Fraction | None = None
         best = None
         for r in range(search_range[1] + 1, search_range[0] - 1, -1):
-            if poly_eval(self.poly, Fraction(r)) == 0:
+            if _hom_eval(self.poly, r, 1) == 0:
                 best = r
                 break
         if best is not None and count_roots(self._chain, Fraction(best), hi) == 0:
@@ -192,24 +215,39 @@ class AlgebraicReal:
         """
         self = cls.__new__(cls)
         self.poly = tuple(int(c) for c in poly)
-        acc = 0
-        for c in self.poly:
-            acc = acc * r + c
-        if acc:
+        if _hom_eval(self.poly, r, 1):
             raise ValueError(f"{r} is not a root of {self.poly}")
         self._sf = self._chain = None  # only irrational values consult them
         self.rational = self.lo = self.hi = Fraction(r)
         return self
 
     def refine(self, width: Fraction) -> None:
-        if self.rational is not None:
+        """Halve the isolating interval (lo, hi] until it is at most ``width`` wide.
+
+        (lo, hi] holds exactly one root of the squarefree part sf, simple and
+        irrational, so no dyadic midpoint is a root, and the root lies in
+        (mid, hi] iff sf(mid) and sf(hi) differ in sign: the decision of the
+        Sturm count, in one evaluation. hi only ever moves to a midpoint of
+        its own sign, so sf(hi) is evaluated once. The endpoints are kept as
+        integer numerators a, b over 2^k while halving.
+        """
+        if self.rational is not None or self.hi - self.lo <= width:
             return
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            if count_roots(self._chain, mid, self.hi) >= 1:
-                self.lo = mid
+        den = max(self.lo.denominator, self.hi.denominator)  # both powers of two
+        k = den.bit_length() - 1
+        a = self.lo.numerator * (den // self.lo.denominator)
+        b = self.hi.numerator * (den // self.hi.denominator)
+        sf = self._sf
+        hi_positive = _hom_eval(sf, b, den) > 0
+        wn, wd = width.numerator, width.denominator
+        while (b - a) * wd > wn << k:
+            k += 1
+            mid = a + b  # (a + b) / 2^k; a and b double to stay over 2^k
+            if (_hom_eval(sf, mid, 1 << k) > 0) != hi_positive:
+                a, b = mid, 2 * b
             else:
-                self.hi = mid
+                a, b = 2 * a, mid
+        self.lo, self.hi = Fraction(a, 1 << k), Fraction(b, 1 << k)
 
     def to_fraction(self, width: Fraction = Fraction(1, 2**48)) -> Fraction:
         if self.rational is not None:
@@ -230,7 +268,7 @@ class AlgebraicReal:
             q = Fraction(other)
             if self.rational is not None:
                 return (self.rational > q) - (self.rational < q)
-            if self.lo < q <= self.hi and poly_eval(self._sf, q) == 0:
+            if self.lo < q <= self.hi and _hom_eval(self._sf, q.numerator, q.denominator) == 0:
                 return 0
             while self.lo < q <= self.hi:
                 self.refine((self.hi - self.lo) / 2)

@@ -53,7 +53,26 @@ def measure_type(
     i: int,
     report: LevelReport | None = None,
 ) -> MeasureDescriptor:
+    """The kind of invariant measure level i carries, with its anchor data.
+
+    Without a ``report`` the descriptor is stored on ``spectral`` under
+    ``("measure_type", i)``, like the level report it is read from.
+    """
     chain.check_level(i)
+    if report is None:
+        return spectral.memo(
+            sub, chain, ("measure_type", i), lambda: _measure_type(sub, chain, spectral, i, None)
+        )
+    return _measure_type(sub, chain, spectral, i, report)
+
+
+def _measure_type(
+    sub: Substitution,
+    chain: ComponentChain,
+    spectral: SpectralProfile,
+    i: int,
+    report: LevelReport | None,
+) -> MeasureDescriptor:
     if i == 1:
         report = report or _bottom_report(sub, chain)
         if report.case == "bottom_empty":
@@ -151,10 +170,11 @@ def cylinder_measure(
         if v in ld.infinite_words:
             return CylinderValue(i, v, True, None, None, desc.anchor)
         anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]
-        assert anchors, "anchor letter must start some language window"
+        if not anchors:
+            raise RuntimeError(f"level {i}: anchor letter {desc.anchor!r} starts no language window")
         gammas = [ld.gamma[w] for w in anchors]
-        if ld.exact:
-            assert len(set(gammas)) == 1, "right limit vector must only depend on the first letter"
+        if ld.exact and len(set(gammas)) != 1:
+            raise RuntimeError(f"level {i}: right limit vector depends on more than the first letter")
         value, exact = gammas[0] * ld.delta[v], ld.exact
     if exact:
         return CylinderValue(i, v, False, value, float(value), desc.anchor)

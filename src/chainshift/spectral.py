@@ -27,9 +27,10 @@ so they are solved once: ``pf_vectors`` (key: window length m),
 ``classify.classify_level`` (key: i) store their results in a dict on the
 ``SpectralProfile`` they are given, and only while that profile's chain is the
 ``chain`` argument. The classification sweep keeps its per-system data there
-too: keys ``("fresh_two_words",)``, ``("letter_cycles",)`` and
-``("level_sub", i)`` (see ``classify``). The memo holds at most one entry per
-level and window length actually asked for, and lives as long as its profile.
+too: keys ``("fresh_two_words",)`` and ``("letter_cycles",)`` (see
+``classify``), and ``measures.measure_type`` keeps each level's descriptor
+under ``("measure_type", i)``. The memo holds at most one entry per level
+and window length actually asked for, and lives as long as its profile.
 The profiles ``block_eigenvalues`` returns are kept by the unbounded
 ``_block_eigenvalues_cached``, so the memo is not per run: it lasts as long
 as the process.

@@ -140,6 +140,7 @@ class ComponentChain:
     levels: tuple[tuple[str, ...], ...]  # cumulative A_i, declaration order
     witness_k: int
     _new: tuple[tuple[str, ...], ...] = field(default=(), init=False, repr=False, compare=False)
+    _restricted: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     @property
     def n(self) -> int:
@@ -192,10 +193,12 @@ class ComponentChain:
         )
 
     def restrict(self, i: int) -> tuple[Substitution, "ComponentChain"]:
-        """The level-i sub-substitution together with its own chain."""
-        self.check_level(i)
-        sub_i = self.sub.restrict(self.alphabet_at(i))
-        return sub_i, ComponentChain(sub_i, self.levels[:i], self.witness_k)
+        """The level-i sub-substitution together with its own chain, built once
+        per level and chain."""
+        if i not in self._restricted:
+            sub_i = self.sub.restrict(self.alphabet_at(i))
+            self._restricted[i] = (sub_i, ComponentChain(sub_i, self.levels[:i], self.witness_k))
+        return self._restricted[i]
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,8 @@ Everything here recomputes from first principles: windows are enumerated
 directly, powers are expanded letter by letter, chains are found by searching
 every ordered partition of the alphabet or by dense boolean matrix products,
 linear systems are solved by dense Gauss-Jordan elimination over the
-rationals, and per-level data (languages, letter-map cycles, pair seeds) is
+rationals, real roots are isolated and refined by Sturm counts in Fraction
+arithmetic, and per-level data (languages, letter-map cycles, pair seeds) is
 rebuilt from scratch on each level's own rules.
 """
 
@@ -371,3 +372,124 @@ def quasi_fixed_skeleton(
         half += piece
         found += sum(c in new for c in piece)
     return half
+
+
+# -- Sturm chains over the rationals -------------------------------------------
+# Polynomials are lists of Fraction coefficients in descending degree order.
+
+
+def poly_value(p, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in p:
+        acc = acc * x + c
+    return acc
+
+
+def _trim(p) -> list[Fraction]:
+    p = [Fraction(c) for c in p]
+    while len(p) > 1 and p[0] == 0:
+        p.pop(0)
+    return p
+
+
+def poly_divmod(num, den) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of polynomial long division."""
+    rem, den = _trim(num), _trim(den)
+    quot = []
+    while len(rem) >= len(den):
+        f = rem[0] / den[0]
+        quot.append(f)
+        for j, c in enumerate(den):
+            rem[j] -= f * c
+        rem.pop(0)
+    return _trim(quot or [0]), _trim(rem or [0])
+
+
+def poly_gcd(a, b) -> list[Fraction]:
+    """Monic gcd by the Euclidean algorithm."""
+    a, b = _trim(a), _trim(b)
+    while any(b):
+        a, b = b, poly_divmod(a, b)[1]
+    return [c / a[0] for c in a]
+
+
+def derivative(p) -> list[Fraction]:
+    n = len(p) - 1
+    return _trim([Fraction(c) * (n - i) for i, c in enumerate(p[:-1])] or [0])
+
+
+def sturm_chain(p) -> list[list[Fraction]]:
+    """Sturm chain of the squarefree part of p."""
+    sf = poly_divmod(p, poly_gcd(p, derivative(p)))[0]
+    chain = [sf, derivative(sf)]
+    while len(chain[-1]) > 1:
+        r = poly_divmod(chain[-2], chain[-1])[1]
+        if not any(r):
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def sturm_count(chain, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of the chain's first member in (lo, hi]."""
+
+    def variations(x):
+        signs = [v > 0 for v in (poly_value(p, x) for p in chain) if v != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+def sturm_refine(chain, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisect (lo, hi] down to ``width``, keeping the half whose Sturm count
+    is positive."""
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if sturm_count(chain, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def root_bound(p) -> int:
+    """Every real root of the monic integer polynomial p lies in (-bound, bound)."""
+    return 1 + max(abs(c) for c in p)
+
+
+def irrational_largest_root(p) -> bool:
+    """Whether the monic integer polynomial p is squarefree and its largest
+    real root exists and is irrational (its rational roots are integers)."""
+    bound = root_bound(p)
+    chain = sturm_chain(p)
+    if len(chain[0]) != len(p) or sturm_count(chain, Fraction(-bound), Fraction(bound)) == 0:
+        return False
+    top = next((r for r in range(bound, -bound, -1) if poly_value(p, Fraction(r)) == 0), None)
+    return top is None or sturm_count(chain, Fraction(top), Fraction(bound)) > 0
+
+
+def largest_root_interval(chain, bound: int) -> tuple[Fraction, Fraction]:
+    """An interval (lo, hi] holding the largest real root and no other root."""
+    lo, hi = Fraction(-bound), Fraction(bound)
+    while sturm_count(chain, lo, hi) > 1:
+        lo, hi = sturm_refine(chain, lo, hi, (hi - lo) / 2)
+    return lo, hi
+
+
+def compare_largest_roots(p, q) -> int:
+    """Sign of r_p - r_q for the irrational largest real roots of p and q.
+
+    Equal iff the gcd of the two polynomials has a root in both isolating
+    intervals; otherwise the intervals are halved until they part.
+    """
+    cp, cq = sturm_chain(p), sturm_chain(q)
+    a = largest_root_interval(cp, root_bound(p))
+    b = largest_root_interval(cq, root_bound(q))
+    g = poly_gcd(p, q)
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    if len(g) > 1 and lo < hi and sturm_count(sturm_chain(g), lo, hi) >= 1:
+        return 0
+    while a[0] < b[1] and b[0] < a[1]:
+        a = sturm_refine(cp, *a, (a[1] - a[0]) / 2)
+        b = sturm_refine(cq, *b, (b[1] - b[0]) / 2)
+    return 1 if b[1] <= a[0] else -1

@@ -174,16 +174,10 @@ QUASI_FIXED = _quasi_fixed_levels()
 
 @pytest.mark.parametrize("name,i", QUASI_FIXED, ids=[f"{n}-{i}" for n, i in QUASI_FIXED])
 def test_uniformity_window_counts_match_expansion(name, i):
-    setup = _setup(name)
-    chain = setup[1]
-    seed = classify_level(*setup, i).quasi_fixed.seed
-    sub_i, _ = chain.restrict(i)
-    mirrored = seed.orientation == "reverse"
-    rules = {c: img[::-1] if mirrored else img for c, img in zip(sub_i.alphabet, sub_i.images)}
-    new = set(chain.new_letters(i))
-    # The right half of the quasi-fixed point, as the library streams it.
-    head = seed.b + (seed.v[::-1] if mirrored else seed.v)
-    half, chunk = head, head[1:]
+    setup, seed, rules, new = _forward_seed(name, i)
+    sub_i, _ = setup[1].restrict(i)
+    # The right half of the quasi-fixed point, R = b v sigma^k(v) ...
+    half, chunk = seed.b + seed.v, seed.v
     while sum(c in new for c in half) < 130:
         chunk = oracles.power(rules, chunk, seed.k)
         half += chunk
@@ -193,14 +187,13 @@ def test_uniformity_window_counts_match_expansion(name, i):
         for v in sorted(language(sub_i, m)):
             if not any(c in new for c in v):
                 continue
-            query = v[::-1] if mirrored else v
             for n, offsets in ((1, (0, 5)), (7, (0, 3)), (100, (0, 20))):
                 result = uniformity_check(*setup, i, v, n, offsets)
                 for j in offsets:
                     window = half[visits[j] : visits[j + n] + 1]
-                    count = len(oracles.occurrences(query, window))
+                    count = len(oracles.occurrences(v, window))
                     assert result.ratios[j] == count / n, (v, n, j)
-                    overlapping += count != window.count(query)
+                    overlapping += count != window.count(v)
     if (name, i) == ("quartic", 2):
         assert overlapping, "some query must overlap itself, like bb in bbb"
 

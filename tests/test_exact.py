@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -111,6 +115,59 @@ def test_fraction_free_kernels_reject_rational_matrices():
     assert exact.nullspace_vector([[True, -1], [2, -2]]) == [1, 1]
 
 
+def test_phi_isolating_interval_literals():
+    phi = AlgebraicReal((1, -1, -1), (1, 2))
+    assert (phi.lo, phi.hi) == (0, 3)
+    float(phi)
+    assert (phi.lo, phi.hi) == (
+        Fraction(1821744317201703, 2**50),
+        Fraction(910872158600853, 2**49),
+    )
+
+
+def test_refine_costs_one_sign_per_halving(monkeypatch):
+    # x^3 - 2x - 1 = (x + 1)(x^2 - x - 1): a three-member chain above the
+    # squarefree part, none of which refinement may evaluate.
+    theta = AlgebraicReal((1, 0, -2, -1))
+    width = theta.hi - theta.lo
+    evaluated = []
+    hom_eval = exact._hom_eval
+
+    def counted(p, num, den):
+        evaluated.append(p)
+        return hom_eval(p, num, den)
+
+    monkeypatch.setattr(exact, "_hom_eval", counted)
+    float(theta)
+    halvings = (width / (theta.hi - theta.lo)).numerator.bit_length() - 1
+    assert len(theta._chain) >= 3 and halvings >= 48
+    assert len(evaluated) <= halvings + 1
+    assert all(p is theta._sf for p in evaluated)
+
+
+def test_invariant_raises_under_optimize():
+    # No real root in the search range must raise explicitly, also where
+    # ``python -O`` strips asserts.
+    script = (
+        "from chainshift.exact import AlgebraicReal\n"
+        "try:\n"
+        "    AlgebraicReal((1, 0, 1))\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised no real root"), proc.stdout
+
+
 def test_poly_gcd_shared_factor():
     p = (Fraction(1), Fraction(-1), Fraction(-1))  # x^2 - x - 1
     q = (Fraction(1), Fraction(-2), Fraction(0), Fraction(1))  # (x^2-x-1)(x-1)
@@ -175,3 +232,66 @@ def test_solve_linear_matches_oracle(system):
             exact.solve_linear(A, b)
         return
     assert exact.solve_linear(A, b) == expected
+
+
+# -- integer Sturm chains and dyadic refinement against Fraction Sturm counts --
+
+
+@st.composite
+def irrational_top_polys(draw):
+    """Monic squarefree integer polynomials of degree 2..6 whose largest real
+    root is irrational."""
+    degree = draw(st.integers(min_value=2, max_value=6))
+    coeffs = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=degree, max_size=degree))
+    p = (1, *coeffs)
+    assume(oracles.irrational_largest_root(p))
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(irrational_top_polys())
+def test_refine_matches_sturm_bisection(p):
+    theta = AlgebraicReal(p)
+    chain = oracles.sturm_chain(p)
+    lo, hi = theta.lo, theta.hi
+    # (lo, hi] isolates the largest root
+    assert oracles.sturm_count(chain, lo, hi) == 1
+    assert oracles.sturm_count(chain, hi, Fraction(oracles.root_bound(p))) == 0
+    for width in (Fraction(1, 2**48), Fraction(1, 2**80)):
+        theta.refine(width)
+        assert (theta.lo, theta.hi) == oracles.sturm_refine(chain, lo, hi, width)
+
+
+@st.composite
+def root_pairs(draw):
+    """Two such polynomials; often the second shares the first's largest root."""
+    p = draw(irrational_top_polys())
+    kind = draw(st.sampled_from(["same", "multiple", "other"]))
+    if kind == "same":
+        return p, p
+    if kind == "multiple":  # p * (x - c) with c below every root of p
+        c = -oracles.root_bound(p) - draw(st.integers(min_value=0, max_value=3))
+        return p, tuple(a - c * b for a, b in zip((*p, 0), (0, *p)))
+    return p, draw(irrational_top_polys())
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_pairs())
+def test_compare_matches_sturm_oracle(pair):
+    p, q = pair
+    expected = oracles.compare_largest_roots(p, q)
+    assert AlgebraicReal(p).compare(AlgebraicReal(q)) == expected
+    assert AlgebraicReal(q).compare(AlgebraicReal(p)) == -expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    irrational_top_polys(),
+    st.fractions(min_value=-8, max_value=8, max_denominator=64),
+    st.fractions(min_value=-8, max_value=8, max_denominator=64),
+)
+def test_integer_sturm_chains_count_like_fraction_chains(p, x, y):
+    lo, hi = min(x, y), max(x, y)
+    chain = sturm_chain(squarefree_part(p))
+    assert all(type(c) is int for member in chain for c in member)
+    assert count_roots(chain, lo, hi) == oracles.sturm_count(oracles.sturm_chain(p), lo, hi)

@@ -1,9 +1,11 @@
 """The eigen data and level reports are computed once per profile.
 
-``pf_vectors``, ``limit_data``, ``classify_level`` and ``level_profile`` store
-their results on the ``SpectralProfile`` they are given, keyed by window
-length and level, and ``decomposition_report`` sweeps the chain's two-letter
-languages once. The tests count calls of the un-memoised bodies.
+``pf_vectors``, ``limit_data``, ``classify_level``, ``level_profile`` and
+``measure_type`` store their results on the ``SpectralProfile`` they are
+given, keyed by window length and level, ``ComponentChain.restrict`` keeps
+each level's restriction on the chain, and ``decomposition_report`` sweeps
+the chain's two-letter languages once. The tests count calls of the
+un-memoised bodies.
 """
 
 from collections import Counter
@@ -11,17 +13,19 @@ from collections import Counter
 import pytest
 
 from chainshift import (
+    ComponentChain,
     Substitution,
     block_eigenvalues,
     classify,
     component_chain,
     decomposition_report,
+    measures,
     spectral,
     words,
 )
-from chainshift.measures import cylinder_measure, level_measure_table
+from chainshift.measures import cylinder_measure, level_measure_table, measure_type
 from chainshift.spectral import level_profile, pf_vectors
-from conftest import make, tower
+from conftest import CORPUS_RULES, make, tower
 
 MAX_M = 3
 
@@ -113,6 +117,55 @@ def test_level_profile_shares_the_parent_levels():
     # a profile of another chain is not consulted
     sub_2, chain_2 = chain.restrict(2)
     assert level_profile(sub_2, chain_2, 1, profile) is block_eigenvalues(*chain_2.restrict(1))
+
+
+def test_restrict_is_built_once_per_level():
+    sub = make("quartic")
+    chain = component_chain(sub)
+    fresh = ComponentChain(chain.sub, chain.levels, chain.witness_k)
+    for i in range(1, chain.n + 1):
+        sub_i, chain_i = chain.restrict(i)
+        assert chain.restrict(i) is chain.restrict(i)
+        assert chain_i == fresh.restrict(i)[1] and sub_i == fresh.restrict(i)[0]
+    # the stored restrictions take no part in equality or hashing
+    assert chain == ComponentChain(chain.sub, chain.levels, chain.witness_k)
+    assert hash(chain) == hash(ComponentChain(chain.sub, chain.levels, chain.witness_k))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RULES))
+def test_measure_type_memo_equals_fresh_descriptor(name, monkeypatch):
+    _fresh_profiles()
+    sub = make(name)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    bodies = Counter()
+    body = measures._measure_type
+
+    def counted(sub, chain, spectral, i, report):
+        bodies[i] += 1
+        return body(sub, chain, spectral, i, report)
+
+    monkeypatch.setattr(measures, "_measure_type", counted)
+    for i in range(1, chain.n + 1):
+        desc = measure_type(sub, chain, profile, i)
+        assert measure_type(sub, chain, profile, i) is desc
+        assert desc == body(sub, chain, profile, i, None)
+    assert bodies == Counter(range(1, chain.n + 1))
+    _fresh_profiles()
+
+
+def test_measure_type_on_another_chain_stores_nothing():
+    _fresh_profiles()
+    sub = make("quartic")
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    sub_2, chain_2 = chain.restrict(2)
+    keys = set(profile._memo)
+    desc = measure_type(sub_2, chain_2, profile, 2)
+    assert desc is not measure_type(sub_2, chain_2, profile, 2)
+    assert set(profile._memo) == keys
+    assert desc == measure_type(sub, chain, profile, 2)
+    _fresh_profiles()
 
 
 def test_decomposition_report_sweeps_each_level_once(monkeypatch):
