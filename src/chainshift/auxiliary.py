@@ -14,11 +14,10 @@ the incidence matrix is block lower triangular.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import DomainError
 from .structure import ComponentChain, IncidenceMatrix
-from .words import Substitution, level_languages
+from .words import Substitution
 
 
 @dataclass(frozen=True)
@@ -65,15 +64,17 @@ class AuxiliarySubstitution:
 
 
 def build_auxiliary(sub: Substitution, chain: ComponentChain, m: int) -> AuxiliarySubstitution:
+    """The window substitution at length m, built once per chain and stored on it."""
     if m < 1:
         raise DomainError("window length must be >= 1")
-    return _build_cached(sub, chain, m)
+    if sub != chain.sub:
+        raise DomainError("the substitution is not the one the chain was built from")
+    return chain.memo(("aux", m), lambda: _build(chain, m))
 
 
-@lru_cache(maxsize=None)
-def _build_cached(sub: Substitution, chain: ComponentChain, m: int) -> AuxiliarySubstitution:
-    n = chain.n
-    level_langs = level_languages(chain.sub, chain.levels, m)
+def _build(chain: ComponentChain, m: int) -> AuxiliarySubstitution:
+    sub, n = chain.sub, chain.n
+    level_langs = chain.languages(m)
     full = level_langs[-1]
     key = sub.alphabet.word_key
     q_blocks = []
@@ -90,14 +91,16 @@ def _build_cached(sub: Substitution, chain: ComponentChain, m: int) -> Auxiliary
         words.extend(q_blocks[i])
         if i < n - 1:
             words.extend(g_blocks[i])
-    assert set(words) == set(full) and len(words) == len(full), "blocks must partition the language"
+    if set(words) != full or len(words) != len(full):
+        raise RuntimeError(f"window blocks at m={m} do not partition the language")
 
     images: dict[str, tuple[str, ...]] = {}
     for u in words:
         expanded = sub.step(u)
         width = len(sub.image(u[0]))
         seq = tuple(expanded[j : j + m] for j in range(width))
-        assert all(len(w) == m and w in full for w in seq)
+        if not all(len(w) == m and w in full for w in seq):
+            raise RuntimeError(f"an image window of {u!r} is not a language word at m={m}")
         images[u] = seq
     return AuxiliarySubstitution(
         sub=sub,

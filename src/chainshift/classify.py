@@ -15,19 +15,21 @@ the first/last non-s letter maps, never by bounded expansion.
 ``decomposition_report`` classifies the levels in one sweep up the chain, and
 each level reuses what the levels below already built. Every level is closed
 under the substitution, so its images are read from the full substitution.
-The sweep keeps two kinds of entries in the ``SpectralProfile`` memo (see
-``spectral``), each computed once:
+Each level report is stored on the chain under ``("classify_level", i)``
+(see ``spectral``), and the sweep keeps its per-system data there too, each
+computed once:
 
 - ``("fresh_two_words",)``: for every level i, the two-letter words new at
-  that level (in L_2(i) but not in L_2(i-1)), from one incremental
-  ``words.level_languages`` sweep. Seed pairs and the ``pair``
-  periodic-point seeds are read from them.
+  that level (in L_2(i) but not in L_2(i-1)), from the chain's two-letter
+  level languages (``ComponentChain.languages``). Seed pairs and the
+  ``pair`` periodic-point seeds are read from them.
 - ``("letter_cycles",)``: the cycle lengths of the first-letter and the
   last-letter maps, found in one O(|alphabet|) walk.
 
-Where a function needs a level substitution of its own (the s-run tests and
-the periodicity probe), it reads ``chain.restrict(i)``, which the chain builds
-at most once per level.
+The ``s_middle`` periodic-point seeds test membership in the chain's level
+languages of each run length. Where a function needs a level substitution of
+its own (the s-run tests and the periodicity probe), it reads
+``chain.restrict(i)``, which the chain builds at most once per level.
 """
 
 from __future__ import annotations
@@ -38,7 +40,11 @@ from math import lcm
 from .errors import BudgetExceeded, DomainError
 from .structure import ComponentChain, component_chain, is_empty_bottom
 from .spectral import SpectralProfile, block_eigenvalues
-from .words import Substitution, apply, count_occurrences, language, level_languages
+from .words import Substitution, apply, count_occurrences, language
+
+SEED_BUDGET = 10**7  # letters in one expansion of a seed pair
+MIDDLE_CAP = 12  # longest s-run tried between the letters of an s_middle seed
+WINDOW_CAP = 4096  # longest central window of a periodic-point seed
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +84,8 @@ def _cycle_lengths(step: dict[str, str]) -> dict[str, int]:
     return lengths
 
 
-def _letter_cycles(
-    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Cycle lengths under the first-letter and the last-letter map, once per system.
+def _letter_cycles(chain: ComponentChain) -> tuple[dict[str, int], dict[str, int]]:
+    """Cycle lengths under the first-letter and the last-letter map, once per chain.
 
     Every level is closed under the substitution, so a letter's orbit, and
     whether and on which cycle it ends, is the same in every restriction
@@ -89,31 +93,26 @@ def _letter_cycles(
     """
 
     def compute():
+        sub = chain.sub
         first = {c: img[0] for c, img in zip(sub.alphabet, sub.images)}
         last = {c: img[-1] for c, img in zip(sub.alphabet, sub.images)}
         return _cycle_lengths(first), _cycle_lengths(last)
 
-    return spectral.memo(sub, chain, ("letter_cycles",), compute)
+    return chain.memo(("letter_cycles",), compute)
 
 
-def _fresh_two_words(
-    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile | None, i: int
-) -> frozenset[str]:
+def _fresh_two_words(chain: ComponentChain, i: int) -> frozenset[str]:
     """The two-letter words of level i that level i-1 lacks: L_2(i) minus L_2(i-1).
 
-    They come from one ``level_languages`` sweep up the chain. While
-    ``spectral`` describes ``(sub, chain)`` the sweep covers every level and
-    its per-level differences, a partition of the top L_2, are stored with
-    the profile, so all levels share it.
+    The per-level differences of the chain's two-letter level languages, a
+    partition of the top L_2, are stored on the chain, so all levels share them.
     """
 
-    def fresh(levels) -> list[frozenset[str]]:
-        langs = level_languages(sub, levels, 2)
+    def fresh() -> list[frozenset[str]]:
+        langs = chain.languages(2)
         return [b - a for a, b in zip([frozenset()] + langs, langs)]
 
-    if spectral is None or not spectral.describes(sub, chain):
-        return fresh(chain.levels[:i])[i - 1]
-    return spectral.memo(sub, chain, ("fresh_two_words",), lambda: fresh(chain.levels))[i - 1]
+    return chain.memo(("fresh_two_words",), fresh)[i - 1]
 
 
 def _s_run_maps(sub: Substitution, s: str):
@@ -230,20 +229,13 @@ class SeedPair:
     orientation: str  # "forward" | "reverse"
 
 
-def find_seed_pair(
-    sub: Substitution,
-    chain: ComponentChain,
-    i: int,
-    *,
-    budget: int = 10**7,
-    spectral: SpectralProfile | None = None,
-) -> SeedPair:
+def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair:
     """The seed identity of level i, read off the level's two-letter language.
 
     The level's letters are closed under ``sub``, so its images are read from
     ``sub`` itself. A reverse seed runs on the mirror system, whose powers
-    are the mirrored powers of ``sub``. ``spectral`` only lends the memoised
-    two-letter languages of the chain.
+    are the mirrored powers of ``sub``. Expanding sigma^k(ab) may take at most
+    ``SEED_BUDGET`` letters.
     """
     chain.check_level(i)
     if i < 2:
@@ -251,7 +243,7 @@ def find_seed_pair(
     lower = set(chain.alphabet_at(i - 1))
     new = set(chain.new_letters(i))
     key = sub.alphabet.word_key
-    fresh = _fresh_two_words(sub, chain, spectral, i)  # holds every word with a new letter
+    fresh = _fresh_two_words(chain, i)  # holds every word with a new letter
     forward = [w for w in fresh if w[0] in lower and w[1] in new]
     if forward:
         mirrored = False
@@ -289,8 +281,8 @@ def find_seed_pair(
     probe = oriented(a + b)
     for _ in range(k):
         total = sum(len(sub.image(c)) for c in probe)
-        if total > budget:
-            raise BudgetExceeded(f"seed expansion exceeds {budget} letters")
+        if total > SEED_BUDGET:
+            raise BudgetExceeded(f"seed expansion exceeds {SEED_BUDGET} letters")
         probe = sub.step(probe)
     w = oriented(probe)
     img_bk = oriented(apply(sub, b, k))
@@ -389,13 +381,7 @@ def _same_orbit_window(a: PointSeed, b: PointSeed) -> bool:
     return False
 
 
-def _pair_seeds(
-    sub: Substitution,
-    chain: ComponentChain,
-    spectral: SpectralProfile,
-    i: int,
-    s: str | None,
-) -> list[PointSeed]:
+def _pair_seeds(chain: ComponentChain, i: int, s: str | None) -> list[PointSeed]:
     """``pair`` seeds of level i, in sorted (gamma, delta) order.
 
     gamma delta is a two-letter word new at level i, i.e. in L_2(i) but not
@@ -405,24 +391,16 @@ def _pair_seeds(
     """
     lower = set(chain.alphabet_at(i - 1))
     lower.discard(s)
-    f_cycles, g_cycles = _letter_cycles(sub, chain, spectral)
+    f_cycles, g_cycles = _letter_cycles(chain)
     return [
         PointSeed(kind="bilateral_limit", form="pair", gamma=w[0], delta=w[1],
                   q=lcm(g_cycles[w[0]], f_cycles[w[1]]))
-        for w in sorted(_fresh_two_words(sub, chain, spectral, i))
+        for w in sorted(_fresh_two_words(chain, i))
         if w[0] in lower and w[1] in lower and w[0] in g_cycles and w[1] in f_cycles
     ]
 
 
-def _periodic_point_seeds(
-    sub: Substitution,
-    chain: ComponentChain,
-    spectral: SpectralProfile,
-    i: int,
-    *,
-    middle_cap: int = 12,
-    window_cap: int = 4096,
-) -> list[PointSeed]:
+def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> list[PointSeed]:
     """Periodic-point seeds of level i, deduplicated by central windows.
 
     Only the forms around a fixed bottom letter s need the restrictions of
@@ -431,11 +409,11 @@ def _periodic_point_seeds(
     lower = chain.alphabet_at(i - 1)
     bottom = chain.alphabet_at(1)
     s = bottom[0] if len(bottom) == 1 and sub.image(bottom[0]) == bottom[0] else None
-    seeds = _pair_seeds(sub, chain, spectral, i, s)
+    seeds = _pair_seeds(chain, i, s)
     if s is not None:
         sub_i = chain.restrict(i)[0]
         sub_below = chain.restrict(i - 1)[0]
-        f_cycles, g_cycles = _letter_cycles(sub, chain, spectral)
+        f_cycles, g_cycles = _letter_cycles(chain)
         f_cyclic = sorted((c, f_cycles[c]) for c in lower if c != s and c in f_cycles)
         g_cyclic = sorted((c, g_cycles[c]) for c in lower if c != s and c in g_cycles)
         if arbitrarily_long_s_powers(sub_i, s) and not arbitrarily_long_s_powers(sub_below, s):
@@ -451,14 +429,15 @@ def _periodic_point_seeds(
                                        delta=delta, q=pg))
         for delta, pg in g_cyclic:
             for gamma, pf in f_cyclic:
-                for p in range(1, middle_cap + 1):
+                for p in range(1, MIDDLE_CAP + 1):
                     w = delta + s * p + gamma
-                    if w in language(sub_i, p + 2) and w not in language(sub_below, p + 2):
+                    langs = chain.languages(p + 2)
+                    if w in langs[i - 1] and w not in langs[i - 2]:
                         seeds.append(
                             PointSeed(kind="bilateral_limit", form="s_middle",
                                       gamma=gamma, delta=delta, q=lcm(pg, pf), middle_s=p)
                         )
-    _make_windows(sub, chain.alphabet_at(i), s, seeds, window_cap)
+    _make_windows(sub, chain.alphabet_at(i), s, seeds, WINDOW_CAP)
     kept: list[PointSeed] = []
     for seed in seeds:
         if not any(_same_orbit_window(seed, other) for other in kept):
@@ -525,7 +504,7 @@ def _classify_level(
     chain.check_level(i)
     if i < 2:
         raise DomainError("classify_level applies to levels >= 2; level 1 is the bottom report")
-    seed = find_seed_pair(sub, chain, i, spectral=spectral)
+    seed = find_seed_pair(sub, chain, i)
     new = set(chain.new_letters(i))
     theta_one = spectral.theta_is_one(i)
     report = LevelReport(level=i, case="", seed=seed)
@@ -585,7 +564,7 @@ def _classify_level(
     if report.case in ("single_fixed_point", "no_two_sided_excursion", "level_collapses",
                        "minimal", "almost_minimal", "dense_excursions", "isolated_quasi_fixed"):
         if report.case != "level_collapses":
-            report.point_seeds = _periodic_point_seeds(sub, chain, spectral, i)
+            report.point_seeds = _periodic_point_seeds(sub, chain, i)
     if report.case == "single_fixed_point":
         assert any(p.kind == "fixed_letter_power" for p in report.point_seeds)
     if i == 3 and _is_single_periodic_orbit(chain.restrict(2)[0]):

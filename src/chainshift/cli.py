@@ -166,8 +166,7 @@ def cmd_analyze(spec: InputSpec, args) -> dict:
     report = decomposition_report(sub, chain, spectral)
     matrix = incidence_matrix(sub)
     measures = [
-        level_measure_table(sub, chain, spectral, i, max_m=2, report=report.levels[i - 1])
-        for i in range(1, chain.n + 1)
+        level_measure_table(sub, chain, spectral, i, max_m=2) for i in range(1, chain.n + 1)
     ]
     return {
         "alphabet": list(sub.alphabet.letters),
@@ -377,6 +376,7 @@ def cmd_check(spec: InputSpec, args) -> dict:
             if "cylinders" not in table:
                 continue
             sub_i, _ = chain.restrict(i)
+            two_words = language(sub_i, 2)
             for v in sorted(language(sub_i, 1)):
                 base = cylinder_measure(sub, chain, spectral, i, v)
                 if base.infinite:
@@ -384,7 +384,7 @@ def cmd_check(spec: InputSpec, args) -> dict:
                 exts = [
                     cylinder_measure(sub, chain, spectral, i, v + a)
                     for a in sub_i.alphabet
-                    if v + a in language(sub_i, 2)
+                    if v + a in two_words
                 ]
                 if base.exact is not None and all(e.exact is not None for e in exts):
                     ok = sum(e.exact for e in exts) == base.exact

@@ -176,7 +176,10 @@ class AlgebraicReal:
             search_range = (-bound, bound)
         lo = Fraction(search_range[0] - 1)
         hi = Fraction(search_range[1] + 1)
-        if count_roots(self._chain, lo, hi) < 1:
+        # Sign variations V at the endpoints, carried from step to step: the
+        # roots in (lo, hi] number V(lo) - V(hi), so a halving costs one V(mid).
+        v_lo, v_hi = _variations(self._chain, lo), _variations(self._chain, hi)
+        if v_lo - v_hi < 1:
             raise RuntimeError(f"no real root of {self.poly} in ({lo}, {hi}]")
         # Exact rational roots of a monic integer polynomial are integers;
         # scan the search range for the largest one.
@@ -186,21 +189,21 @@ class AlgebraicReal:
             if _hom_eval(self.poly, r, 1) == 0:
                 best = r
                 break
-        if best is not None and count_roots(self._chain, Fraction(best), hi) == 0:
-            self.rational = Fraction(best)
-            self.lo = Fraction(best)
-            self.hi = Fraction(best)
-            return
+        if best is not None:
+            v_best = _variations(self._chain, Fraction(best))
+            if v_best == v_hi:
+                self.rational = self.lo = self.hi = Fraction(best)
+                return
+            lo, v_lo = Fraction(best), v_best
         # Largest root is irrational: bisect down to an isolating interval.
         # Dyadic midpoints can never hit it, so Sturm counts are safe.
-        if best is not None:
-            lo = Fraction(best)
-        while count_roots(self._chain, lo, hi) > 1:
+        while v_lo - v_hi > 1:
             mid = (lo + hi) / 2
-            if count_roots(self._chain, mid, hi) >= 1:
-                lo = mid
+            v_mid = _variations(self._chain, mid)
+            if v_mid > v_hi:
+                lo, v_lo = mid, v_mid
             else:
-                hi = mid
+                hi, v_hi = mid, v_mid
         self.lo, self.hi = lo, hi
 
     @classmethod

@@ -14,6 +14,9 @@ values are exact rationals whenever the block eigenvalue is an integer.
 Occurrence counts, along the anchor's expansion and in return windows of a
 quasi-fixed point, are exact and never expand a word: they descend through
 powers of the level substitution and of its window substitution.
+
+Level descriptors are stored on the chain, like the level reports and the
+eigen data they are read from (see ``spectral``).
 """
 
 from __future__ import annotations
@@ -55,14 +58,15 @@ def measure_type(
 ) -> MeasureDescriptor:
     """The kind of invariant measure level i carries, with its anchor data.
 
-    Without a ``report`` the descriptor is stored on ``spectral`` under
-    ``("measure_type", i)``, like the level report it is read from.
+    Without a ``report`` the descriptor is read from the chain's stored level
+    report and stored on the chain under ``("measure_type", i)``.
     """
     chain.check_level(i)
     if report is None:
         return spectral.memo(
             sub, chain, ("measure_type", i), lambda: _measure_type(sub, chain, spectral, i, None)
         )
+    spectral.check(sub, chain)
     return _measure_type(sub, chain, spectral, i, report)
 
 
@@ -143,14 +147,13 @@ def cylinder_measure(
     spectral: SpectralProfile,
     i: int,
     v: str,
-    report: LevelReport | None = None,
 ) -> CylinderValue:
     """Measure of the cylinder anchored at the origin spelling ``v``.
 
     Two-sided cylinders reduce to one-sided ones by shift invariance, so only
     the concatenated word matters.
     """
-    desc = measure_type(sub, chain, spectral, i, report)
+    desc = measure_type(sub, chain, spectral, i)
     if desc.kind == "empty":
         raise DomainError(f"level {i} has no points, no measure to evaluate")
     if desc.kind == "counting":
@@ -277,7 +280,6 @@ def empirical_frequency(
     L: int,
     *,
     power_budget: int = POWER_BUDGET,
-    report: LevelReport | None = None,
 ) -> EmpiricalFrequency:
     """Occurrence statistics of ``v`` along the expansion of the anchor letter.
 
@@ -290,7 +292,7 @@ def empirical_frequency(
     ``sigma^k(u)`` are ``aux^k(u)`` for the window substitution aux, so they
     come from O(k) sparse window-matrix steps with k ~ log L.
     """
-    desc = measure_type(sub, chain, spectral, i, report)
+    desc = measure_type(sub, chain, spectral, i)
     if desc.kind not in ("finite_ergodic", "infinite_radon"):
         raise DomainError(f"level {i} has no expanding anchor to count along")
     if not v or len(v) > L:
@@ -344,8 +346,6 @@ def uniformity_check(
     v: str,
     n: int,
     offsets: tuple[int, ...] = (0,),
-    *,
-    report: LevelReport | None = None,
 ) -> UniformityResult:
     """Return-word frequency stability along the quasi-fixed point.
 
@@ -365,7 +365,7 @@ def uniformity_check(
         raise DomainError("uniformity windows are defined on levels >= 2")
     if n < 1 or not offsets or min(offsets) < 0:
         raise DomainError("need a positive window size and at least one offset, all nonnegative")
-    report = report or classify_level(sub, chain, spectral, i)
+    report = classify_level(sub, chain, spectral, i)
     if report.quasi_fixed is None:
         raise DomainError(f"level {i} has no quasi-fixed point to count along")
     seed = report.quasi_fixed.seed
@@ -437,10 +437,9 @@ def level_measure_table(
     spectral: SpectralProfile,
     i: int,
     max_m: int = 2,
-    report: LevelReport | None = None,
 ) -> dict:
     """Descriptor plus cylinder values for all words up to length ``max_m``."""
-    desc = measure_type(sub, chain, spectral, i, report)
+    desc = measure_type(sub, chain, spectral, i)
     out: dict = {"level": i, "kind": desc.kind, "anchor_letter": desc.anchor}
     if desc.kind == "infinite_radon":
         out["i_prime"] = desc.i_prime
@@ -453,6 +452,6 @@ def level_measure_table(
         cylinders: dict[str, dict] = {}
         for m in range(1, max_m + 1):
             for w in sorted(build_auxiliary(sub_i, chain_i, m).level_words[-1], key=key):
-                cylinders[w] = cylinder_measure(sub, chain, spectral, i, w, report).as_json()
+                cylinders[w] = cylinder_measure(sub, chain, spectral, i, w).as_json()
         out["cylinders"] = cylinders
     return out

@@ -22,31 +22,28 @@ nonsingular because every lower diagonal block has spectral radius < lam. The
 left vector is built symmetrically upward from the first attaining block.
 
 Every cylinder value of one level and window length reads the same vectors,
-so they are solved once: ``pf_vectors`` (key: window length m),
-``limit_data`` (key: m and level i), ``level_profile`` (key: i) and
-``classify.classify_level`` (key: i) store their results in a dict on the
-``SpectralProfile`` they are given, and only while that profile's chain is the
-``chain`` argument. The classification sweep keeps its per-system data there
-too: keys ``("fresh_two_words",)`` and ``("letter_cycles",)`` (see
-``classify``), and ``measures.measure_type`` keeps each level's descriptor
-under ``("measure_type", i)``. The memo holds at most one entry per level
-and window length actually asked for, and lives as long as its profile.
-The profiles ``block_eigenvalues`` returns are kept by the unbounded
-``_block_eigenvalues_cached``, so the memo is not per run: it lasts as long
-as the process.
+so they are solved once. Like everything else derived from a chain, they are
+stored on the chain (``ComponentChain.memo``): ``block_eigenvalues`` under
+``("spectral",)``, ``pf_vectors`` under ``("pf_vectors", m)`` and
+``limit_data`` under ``("limit_data", m, i)``; ``classify`` and ``measures``
+add their level reports and descriptors. A profile belongs to one chain:
+``SpectralProfile.memo`` stores on that chain, and a profile passed with
+another chain raises ``DomainError``. ``level_profile`` keeps the level-i
+profile as the ``("spectral",)`` entry of ``chain.restrict(i)``. The stored
+data holds at most one entry per level and window length actually asked
+for, and lives exactly as long as its chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
 from math import lcm
 
 import numpy as np
 
 from .auxiliary import AuxiliarySubstitution, auxiliary_matrix, build_auxiliary
-from .errors import LambdaNotDominant, ThetaNotAboveOne
+from .errors import DomainError, LambdaNotDominant, ThetaNotAboveOne
 from .exact import AlgebraicReal, charpoly, nullspace_vector, solve_linear
 from .structure import ComponentChain, IntMatrix
 from .words import Substitution
@@ -80,22 +77,18 @@ class SpectralProfile:
             upto.append(best)
         self._upto = upto
         self.i_min, self.i_max = best, last
-        self._memo: dict[tuple, object] = {}
 
-    def describes(self, sub: Substitution, chain: ComponentChain) -> bool:
-        return chain == self.chain and sub == chain.sub
+    def check(self, sub: Substitution, chain: ComponentChain) -> None:
+        """Raise ``DomainError`` unless the profile describes ``(sub, chain)``:
+        its eigenvalues, i_min and i_max would be wrong for another chain."""
+        if chain != self.chain or sub != chain.sub:
+            raise DomainError("the spectral profile describes another chain")
 
     def memo(self, sub: Substitution, chain: ComponentChain, key: tuple, compute):
-        """``compute()`` once per ``key`` while this profile describes ``(sub, chain)``.
-
-        A profile asked about another chain computes afresh and stores nothing.
-        The stored result is shared by every later caller: treat it as read-only.
-        """
-        if not self.describes(sub, chain):
-            return compute()
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        """``compute()`` once per ``key``, stored on this profile's chain, which
+        must be ``chain`` (see ``check``)."""
+        self.check(sub, chain)
+        return self.chain.memo(key, compute)
 
     @property
     def n(self) -> int:
@@ -152,11 +145,13 @@ class SpectralProfile:
 
 
 def block_eigenvalues(sub: Substitution, chain: ComponentChain) -> SpectralProfile:
-    return _block_eigenvalues_cached(sub, chain)
+    """The chain's spectral profile, built once and stored on the chain."""
+    if sub != chain.sub:
+        raise DomainError("the substitution is not the one the chain was built from")
+    return chain.memo(("spectral",), lambda: _block_eigenvalues(chain))
 
 
-@lru_cache(maxsize=None)
-def _block_eigenvalues_cached(sub: Substitution, chain: ComponentChain) -> SpectralProfile:
+def _block_eigenvalues(chain: ComponentChain) -> SpectralProfile:
     levels = []
     for i in range(1, chain.n + 1):
         block = chain.block(i)
@@ -188,21 +183,17 @@ def level_profile(
 ) -> SpectralProfile:
     """Profile of the level-i sub-chain ``chain.restrict(i)``.
 
-    When ``spectral`` describes ``(sub, chain)`` the level profile is built
-    from its first i levels and stored with it, so the sub-chain's
-    characteristic polynomials are not solved again and the level's memo
-    lives as long as ``spectral``; the two profiles then share the level
-    eigenvalues, whose refinement only narrows the interval of the same
-    root. The top level is ``spectral`` itself.
+    It is built from the first i levels of ``spectral``, which must describe
+    ``(sub, chain)``, and stored as the sub-chain's own profile, so the
+    sub-chain's characteristic polynomials are not solved again. The two
+    profiles share the level eigenvalues, whose refinement only narrows the
+    interval of the same root. The top level is ``spectral`` itself.
     """
-    sub_i, chain_i = chain.restrict(i)
-    if not spectral.describes(sub, chain):
-        return block_eigenvalues(sub_i, chain_i)
+    spectral.check(sub, chain)
     if i == chain.n:
         return spectral
-    return spectral.memo(
-        sub, chain, ("level_profile", i), lambda: SpectralProfile(chain_i, spectral.levels[:i])
-    )
+    chain_i = chain.restrict(i)[1]
+    return chain_i.memo(("spectral",), lambda: SpectralProfile(chain_i, spectral.levels[:i]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +341,12 @@ class EigenPair:
     lam: AlgebraicReal
     alpha: dict[str, object]
     beta: dict[str, object]
+    beta_total: object  # sum of beta: the normaliser of finite cylinder values
     exact: bool
     normalization: str = "smallest positive entry = 1"
 
     def pairing(self):
         return sum(self.alpha[w] * self.beta[w] for w in self.aux.words)
-
-    @cached_property
-    def beta_total(self):
-        """Sum of the left vector: the normaliser of finite cylinder values."""
-        return sum(self.beta.values())
 
 
 def pf_vectors(
@@ -405,7 +392,9 @@ def _pf_vectors(
         _check_eigenvector(
             matrix.entries, aux.words, values, lam_value, exact, side, "eigenvector"
         )
-    return EigenPair(m=m, aux=aux, lam=lam, alpha=alpha, beta=beta, exact=exact)
+    return EigenPair(
+        m=m, aux=aux, lam=lam, alpha=alpha, beta=beta, beta_total=sum(beta.values()), exact=exact
+    )
 
 
 @dataclass
@@ -476,7 +465,8 @@ def _limit_data(
         return matrix.entries[pos[u]][pos[v]]
 
     ip = spectral.i_prime(i)
-    assert ip >= 2, "divergent mode implies a dominating lower level"
+    if ip < 2:
+        raise RuntimeError(f"level {i}: divergent mode without a dominating lower level")
     blocks = [
         (kind, lvl, ws)
         for kind, lvl, ws in aux.blocks_in_order()
@@ -487,12 +477,13 @@ def _limit_data(
     exact = theta.as_integer() is not None
     theta_value = theta.as_integer() if exact else float(theta)
     anchor = next(j for j, (kind, lvl, _) in enumerate(blocks) if kind == "Q" and lvl == i)
-    assert anchor == len(blocks) - 1, "the level block is last in the restriction"
+    if anchor != len(blocks) - 1:
+        raise RuntimeError(f"level {i}: the level block is not last in the restriction")
     gamma = _block_vector(words_blocks, entry, theta_value, anchor, exact, "right")
     delta = _block_vector(words_blocks, entry, theta_value, anchor, exact, "left")
     gamma = _min_positive_normalize(gamma, exact)
-    if exact:
-        assert all(v > 0 for v in delta.values()), "left limit vector must be positive"
+    if exact and not all(v > 0 for v in delta.values()):
+        raise RuntimeError(f"level {i}: the left limit vector is not positive")
     pairing = sum(gamma[w] * delta[w] for w in restricted)
     delta = {w: v / pairing for w, v in delta.items()}
     sub_entries = tuple(tuple(entry(u, v) for v in restricted) for u in restricted)

@@ -9,15 +9,18 @@ be primitive, and a uniform witness power is then found by stepping boolean
 powers. Boolean matrices are kept as one int bitset per row: row a of A·P is
 the OR of the rows P[c] over the letters c of σ(a), so a power step costs
 O(n·|σ|) big-int ORs, and a row is tested against a mask in one operation.
+
+Everything derived from a chain (level languages, window substitutions, eigen
+data, level reports) is stored on it by ``ComponentChain.memo`` and lives
+exactly as long as the chain; no module keeps a cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import DomainError, NoPrimitiveChainError
-from .words import Substitution, count_occurrences
+from .words import Substitution, count_occurrences, level_languages
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -139,8 +142,14 @@ class ComponentChain:
     sub: Substitution
     levels: tuple[tuple[str, ...], ...]  # cumulative A_i, declaration order
     witness_k: int
-    _new: tuple[tuple[str, ...], ...] = field(default=(), init=False, repr=False, compare=False)
-    _restricted: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+
+    def memo(self, key: tuple, compute):
+        """``compute()`` once per ``key`` for this chain; later calls return the
+        stored result, which every caller shares: treat it as read-only."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def n(self) -> int:
@@ -155,11 +164,11 @@ class ComponentChain:
         return self.levels[self.check_level(i) - 1]
 
     def new_letters(self, i: int) -> tuple[str, ...]:
-        if not self._new:  # every level's, computed once per chain
+        def every_level():
             below = [set()] + [set(level) for level in self.levels[:-1]]
-            new = tuple(tuple(c for c in lv if c not in lo) for lo, lv in zip(below, self.levels))
-            object.__setattr__(self, "_new", new)
-        return self._new[self.check_level(i) - 1]
+            return tuple(tuple(c for c in lv if c not in lo) for lo, lv in zip(below, self.levels))
+
+        return self.memo(("new_letters",), every_level)[self.check_level(i) - 1]
 
     def level_of(self, letter: str) -> int:
         for i, level in enumerate(self.levels, start=1):
@@ -194,14 +203,25 @@ class ComponentChain:
 
     def restrict(self, i: int) -> tuple[Substitution, "ComponentChain"]:
         """The level-i sub-substitution together with its own chain, built once
-        per level and chain."""
-        if i not in self._restricted:
+        per level and chain.
+
+        When the top level spells the whole alphabet in order, its restriction
+        is the chain itself, so the level and the system share one memo.
+        """
+
+        def build():
+            if i == self.n and self.alphabet_at(i) == self.sub.alphabet.letters:
+                return self.sub, self
             sub_i = self.sub.restrict(self.alphabet_at(i))
-            self._restricted[i] = (sub_i, ComponentChain(sub_i, self.levels[:i], self.witness_k))
-        return self._restricted[i]
+            return sub_i, ComponentChain(sub_i, self.levels[:i], self.witness_k)
+
+        return self.memo(("restrict", i), build)
+
+    def languages(self, m: int) -> list[frozenset[str]]:
+        """L_m of every level, from one ``words.level_languages`` sweep per m."""
+        return self.memo(("languages", m), lambda: level_languages(self.sub, self.levels, m))
 
 
-@lru_cache(maxsize=None)
 def component_chain(sub: Substitution) -> ComponentChain:
     """Detect the unique chain of primitive components.
 

@@ -9,7 +9,6 @@ position 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
@@ -181,11 +180,6 @@ def language(sub: Substitution, m: int) -> frozenset[str]:
     """
     if m < 1:
         raise DomainError("factor length must be >= 1")
-    return _language_cached(sub, m)
-
-
-@lru_cache(maxsize=None)
-def _language_cached(sub: Substitution, m: int) -> frozenset[str]:
     lang: set[str] = set()
     _close(sub, lang, _seed_factors(sub, sub.alphabet, m), m)
     return frozenset(lang)
@@ -200,7 +194,8 @@ def level_languages(
     Entry i-1 equals ``language`` of the restriction of ``sub`` to A_i. The
     language of level i contains that of level i-1, which is already closed,
     so level i only closes the seeds of its new letters on top of it: every
-    window is expanded once over the whole sweep. Not cached.
+    window is expanded once over the whole sweep. ``ComponentChain.languages``
+    keeps one sweep per m on the chain.
     """
     if m < 1:
         raise DomainError("factor length must be >= 1")

@@ -452,6 +452,28 @@ def sturm_refine(chain, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fr
     return lo, hi
 
 
+def sturm_isolate(p) -> tuple[Fraction, Fraction]:
+    """Isolating interval (lo, hi] of the largest real root of the monic
+    integer polynomial p, as ``AlgebraicReal`` builds it: start above the
+    largest integer root, if any, and halve with two Sturm counts per step.
+    A rational largest root (an integer) gives (r, r)."""
+    chain = sturm_chain(p)
+    bound = root_bound(p)
+    lo, hi = Fraction(-bound - 1), Fraction(bound + 1)
+    top = next((r for r in range(bound + 1, -bound - 1, -1) if poly_value(p, Fraction(r)) == 0), None)
+    if top is not None:
+        if sturm_count(chain, Fraction(top), hi) == 0:
+            return Fraction(top), Fraction(top)
+        lo = Fraction(top)
+    while sturm_count(chain, lo, hi) > 1:
+        mid = (lo + hi) / 2
+        if sturm_count(chain, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def root_bound(p) -> int:
     """Every real root of the monic integer polynomial p lies in (-bound, bound)."""
     return 1 + max(abs(c) for c in p)

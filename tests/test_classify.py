@@ -406,8 +406,7 @@ def _assert_cycles_and_pairs_match(rules, expected_pairs=None):
     """
     sub = Substitution.from_rules(rules)
     chain = component_chain(sub)
-    sp = block_eigenvalues(sub, chain)
-    f_cycles, g_cycles = _letter_cycles(sub, chain, sp)
+    f_cycles, g_cycles = _letter_cycles(chain)
     s = _fixed_bottom(sub, chain)
     for i in range(1, chain.n + 1):
         rules_i = oracles.restrict(rules, chain.alphabet_at(i))
@@ -418,7 +417,7 @@ def _assert_cycles_and_pairs_match(rules, expected_pairs=None):
                 assert (c in cycles) == on_cycle
                 assert cycles.get(c, length) == length
         if i >= 2:
-            got = [(p.gamma, p.delta, p.q) for p in _pair_seeds(sub, chain, sp, i, s)]
+            got = [(p.gamma, p.delta, p.q) for p in _pair_seeds(chain, i, s)]
             if expected_pairs is None or i not in expected_pairs:
                 assert got == oracles.pair_seeds(rules, chain.levels, i, s)
             else:
@@ -456,7 +455,7 @@ def test_sweep_invariants_survive_optimize():
     # ``python -O``, which strips assert statements.
     script = (
         "from chainshift import *\n"
-        "from chainshift import classify, spectral\n"
+        "from chainshift import classify, spectral, structure\n"
         "from chainshift.exact import AlgebraicReal\n"
         "def expect(fn, *args):\n"
         "    try:\n"
@@ -469,10 +468,10 @@ def test_sweep_invariants_survive_optimize():
         "AlgebraicReal.integer_root = classmethod(lambda cls, poly, r: AlgebraicReal((1, -1)))\n"
         "expect(block_eigenvalues, sub, chain)\n"
         "AlgebraicReal.integer_root = real\n"
-        "languages = classify.level_languages\n"
-        "classify.level_languages = lambda sub, levels, m: [frozenset()] * len(levels)\n"
+        "languages = structure.level_languages\n"
+        "structure.level_languages = lambda sub, levels, m: [frozenset()] * len(levels)\n"
         "expect(find_seed_pair, sub, chain, 2)\n"
-        "classify.level_languages = languages\n"
+        "structure.level_languages = languages\n"
         "sub = Substitution.from_rules({'a': 'abca', 'b': 'bacb', 'c': 'cbac', 'd': 'abbcad'})\n"
         "chain = component_chain(sub)\n"
         "windows = classify._make_windows\n"
@@ -481,7 +480,7 @@ def test_sweep_invariants_survive_optimize():
         "    for seed in seeds:\n"
         "        seed.window += seed.window\n"
         "classify._make_windows = doubled\n"
-        "expect(classify._periodic_point_seeds, sub, chain, block_eigenvalues(sub, chain), 2)\n"
+        "expect(classify._periodic_point_seeds, sub, chain, 2)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     for flags in ([], ["-O"]):

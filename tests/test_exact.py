@@ -145,6 +145,31 @@ def test_refine_costs_one_sign_per_halving(monkeypatch):
     assert all(p is theta._sf for p in evaluated)
 
 
+@pytest.mark.parametrize(
+    "poly, ends, width",
+    [
+        # (x + 1)(x^2 - x - 1): the integer root -1 starts the bisection at (-1, 4]
+        ((1, 0, -2, -1), [-4, 4, -1], 5),
+        # x^3 - 3x + 1: three irrational roots, bisection from (-5, 5]
+        ((1, 0, -3, 1), [-5, 5], 10),
+    ],
+)
+def test_isolation_costs_one_chain_evaluation_per_halving(monkeypatch, poly, ends, width):
+    evaluated = []
+    variations = exact._variations
+
+    def counted(chain, x):
+        evaluated.append(x)
+        return variations(chain, x)
+
+    monkeypatch.setattr(exact, "_variations", counted)
+    theta = AlgebraicReal(poly)
+    halvings = (width / (theta.hi - theta.lo)).numerator.bit_length() - 1
+    assert halvings >= 1
+    # the ends of the search range and the integer root, then one midpoint per halving
+    assert evaluated[: len(ends)] == ends and len(evaluated) == halvings + len(ends)
+
+
 def test_invariant_raises_under_optimize():
     # No real root in the search range must raise explicitly, also where
     # ``python -O`` strips asserts.
@@ -254,7 +279,9 @@ def test_refine_matches_sturm_bisection(p):
     theta = AlgebraicReal(p)
     chain = oracles.sturm_chain(p)
     lo, hi = theta.lo, theta.hi
-    # (lo, hi] isolates the largest root
+    # (lo, hi] isolates the largest root, and is the interval of the
+    # two-count bisection
+    assert (lo, hi) == oracles.sturm_isolate(p)
     assert oracles.sturm_count(chain, lo, hi) == 1
     assert oracles.sturm_count(chain, hi, Fraction(oracles.root_bound(p))) == 0
     for width in (Fraction(1, 2**48), Fraction(1, 2**80)):

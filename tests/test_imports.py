@@ -1,7 +1,8 @@
 """Import guard for the library modules.
 
 ``kernels`` serves only the benchmark probes, so no library module may import
-it, and numpy is confined to the float eigen path in ``spectral``.
+it, numpy is confined to the float eigen path in ``spectral``, and no module
+keeps a cache of its own.
 """
 
 import ast
@@ -56,3 +57,11 @@ def test_only_spectral_imports_numpy(path):
         return
     names = _imported_modules(path)
     assert not any(n == "numpy" or n.startswith("numpy.") for n in names), path.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_level_caches(path):
+    # Derived data lives on the chain it derives from (``ComponentChain.memo``);
+    # a module cache would keep every system a process analyses.
+    names = _imported_modules(path)
+    assert not {"functools.lru_cache", "functools.cache"} & names, path.name

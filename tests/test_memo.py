@@ -1,21 +1,26 @@
-"""The eigen data and level reports are computed once per profile.
+"""The data derived from a chain is computed once per chain and lives with it.
 
-``pf_vectors``, ``limit_data``, ``classify_level``, ``level_profile`` and
-``measure_type`` store their results on the ``SpectralProfile`` they are
-given, keyed by window length and level, ``ComponentChain.restrict`` keeps
-each level's restriction on the chain, and ``decomposition_report`` sweeps
-the chain's two-letter languages once. The tests count calls of the
-un-memoised bodies.
+``block_eigenvalues``, ``pf_vectors``, ``limit_data``, ``classify_level``,
+``level_profile``, ``measure_type`` and ``build_auxiliary`` store their
+results on the chain (``ComponentChain.memo``), keyed by window length and
+level, ``ComponentChain.restrict`` keeps each level's restriction there, and
+``decomposition_report`` sweeps the chain's two-letter languages once. The
+tests count calls of the un-memoised bodies; a fresh chain starts with an
+empty memo.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
 from chainshift import (
     ComponentChain,
+    DomainError,
     Substitution,
     block_eigenvalues,
+    build_auxiliary,
     classify,
     component_chain,
     decomposition_report,
@@ -30,14 +35,8 @@ from conftest import CORPUS_RULES, make, tower
 MAX_M = 3
 
 
-def _fresh_profiles():
-    """Forget every profile, so no memo answers from an earlier test."""
-    spectral._block_eigenvalues_cached.cache_clear()
-
-
 @pytest.fixture
 def calls(monkeypatch):
-    _fresh_profiles()
     counts: Counter = Counter()
 
     def count(module, name, key):
@@ -52,8 +51,7 @@ def calls(monkeypatch):
     count(spectral, "_pf_vectors", lambda sub, chain, m, sp: (chain.n, m))
     count(spectral, "_limit_data", lambda sub, chain, m, i, sp: (i, m))
     count(classify, "_classify_level", lambda sub, chain, sp, i: i)
-    yield counts
-    _fresh_profiles()
+    return counts
 
 
 def _tables(name):
@@ -82,13 +80,13 @@ def test_one_solve_per_level_and_window(name, calls):
 
 @pytest.mark.parametrize("name", ["golden_tower", "mid_dominant"])
 def test_memoised_values_equal_fresh_profile(name):
-    _fresh_profiles()
     sub, chain, tables = _tables(name)
     for table in tables:
         for word, shared in table.get("cylinders", {}).items():
-            _fresh_profiles()
-            fresh = block_eigenvalues(sub, chain)
-            assert cylinder_measure(sub, chain, fresh, table["level"], word).as_json() == shared
+            fresh_chain = component_chain(sub)
+            fresh = block_eigenvalues(sub, fresh_chain)
+            got = cylinder_measure(sub, fresh_chain, fresh, table["level"], word)
+            assert got.as_json() == shared
 
 
 def test_profile_of_another_chain_is_not_reused(calls):
@@ -97,12 +95,35 @@ def test_profile_of_another_chain_is_not_reused(calls):
     profile = block_eigenvalues(sub, chain)
     assert pf_vectors(sub, chain, 2, profile) is pf_vectors(sub, chain, 2, profile)
     assert calls[("_pf_vectors", (3, 2))] == 1
-    # the level-2 chain differs from the profile's, so nothing is shared
+    # the level-2 chain differs from the profile's, whose eigenvalues,
+    # i_min and i_max would be wrong for it
     sub_2, chain_2 = chain.restrict(2)
-    first = pf_vectors(sub_2, chain_2, 2, profile)
-    second = pf_vectors(sub_2, chain_2, 2, profile)
-    assert calls[("_pf_vectors", (2, 2))] == 2
-    assert first is not second and first.beta == second.beta
+    with pytest.raises(DomainError, match="describes another chain"):
+        pf_vectors(sub_2, chain_2, 2, profile)
+    assert calls[("_pf_vectors", (2, 2))] == 0
+
+
+@pytest.mark.parametrize("name, level", [("golden_tower", 1), ("golden_tower", 2), ("mid_dominant", 1)])
+def test_profile_of_a_level_chain_raises(name, level):
+    # the top profile's i_min and i_max name no block of these level chains
+    sub = make(name)
+    chain = component_chain(sub)
+    top = block_eigenvalues(sub, chain)
+    with pytest.raises(DomainError, match="describes another chain"):
+        pf_vectors(*chain.restrict(level), 2, top)
+    with pytest.raises(DomainError, match="describes another chain"):
+        level_profile(*chain.restrict(level), 1, top)
+
+
+def test_chain_data_needs_the_chains_substitution():
+    sub = make("quartic")
+    chain = component_chain(sub)
+    sub_2 = chain.restrict(2)[0]
+    with pytest.raises(DomainError, match="not the one the chain was built from"):
+        block_eigenvalues(sub_2, chain)
+    with pytest.raises(DomainError, match="not the one the chain was built from"):
+        build_auxiliary(sub_2, chain, 2)
+    assert chain._memo == {("restrict", 2): chain.restrict(2)}
 
 
 def test_level_profile_shares_the_parent_levels():
@@ -114,9 +135,12 @@ def test_level_profile_shares_the_parent_levels():
     assert level_2.chain == chain.restrict(2)[1]
     assert level_2.levels == profile.levels[:2]
     assert level_profile(sub, chain, chain.n, profile) is profile
-    # a profile of another chain is not consulted
+    # the level profile is the level chain's own profile
+    assert block_eigenvalues(*chain.restrict(2)) is level_2
+    # a profile of another chain raises
     sub_2, chain_2 = chain.restrict(2)
-    assert level_profile(sub_2, chain_2, 1, profile) is block_eigenvalues(*chain_2.restrict(1))
+    with pytest.raises(DomainError):
+        level_profile(sub_2, chain_2, 1, profile)
 
 
 def test_restrict_is_built_once_per_level():
@@ -127,6 +151,8 @@ def test_restrict_is_built_once_per_level():
         sub_i, chain_i = chain.restrict(i)
         assert chain.restrict(i) is chain.restrict(i)
         assert chain_i == fresh.restrict(i)[1] and sub_i == fresh.restrict(i)[0]
+    # the top restriction is the chain itself, so both share one memo
+    assert chain.restrict(chain.n)[0] is sub and chain.restrict(chain.n)[1] is chain
     # the stored restrictions take no part in equality or hashing
     assert chain == ComponentChain(chain.sub, chain.levels, chain.witness_k)
     assert hash(chain) == hash(ComponentChain(chain.sub, chain.levels, chain.witness_k))
@@ -134,7 +160,6 @@ def test_restrict_is_built_once_per_level():
 
 @pytest.mark.parametrize("name", sorted(CORPUS_RULES))
 def test_measure_type_memo_equals_fresh_descriptor(name, monkeypatch):
-    _fresh_profiles()
     sub = make(name)
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
@@ -151,21 +176,20 @@ def test_measure_type_memo_equals_fresh_descriptor(name, monkeypatch):
         assert measure_type(sub, chain, profile, i) is desc
         assert desc == body(sub, chain, profile, i, None)
     assert bodies == Counter(range(1, chain.n + 1))
-    _fresh_profiles()
 
 
 def test_measure_type_on_another_chain_stores_nothing():
-    _fresh_profiles()
     sub = make("quartic")
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
+    report = classify.classify_level(sub, chain, profile, 2)
     sub_2, chain_2 = chain.restrict(2)
-    keys = set(profile._memo)
-    desc = measure_type(sub_2, chain_2, profile, 2)
-    assert desc is not measure_type(sub_2, chain_2, profile, 2)
-    assert set(profile._memo) == keys
-    assert desc == measure_type(sub, chain, profile, 2)
-    _fresh_profiles()
+    keys, level_keys = set(chain._memo), set(chain_2._memo)
+    for given in (None, report):
+        with pytest.raises(DomainError):
+            measure_type(sub_2, chain_2, profile, 2, given)
+    assert set(chain._memo) == keys and set(chain_2._memo) == level_keys
+    assert measure_type(sub, chain, profile, 2) == measure_type(sub, chain, profile, 2, report)
 
 
 def test_decomposition_report_sweeps_each_level_once(monkeypatch):
@@ -177,8 +201,6 @@ def test_decomposition_report_sweeps_each_level_once(monkeypatch):
     Rebuilding each level's language from scratch would expand the sum of
     all levels' languages instead.
     """
-    _fresh_profiles()
-    words._language_cached.cache_clear()
     n = 64
     rules = tower([2 + i % 2 for i in range(n)], [i % 2 == 0 for i in range(n)])
     sub = Substitution.from_rules(rules)
@@ -210,4 +232,17 @@ def test_decomposition_report_sweeps_each_level_once(monkeypatch):
     assert sum(closures.values()) <= n + 1  # plus the level-2 probe at level 3
     assert len(restricted) <= n and len(set(restricted)) == len(restricted)
     assert steps["step"] <= len(top) + 4 * n
-    _fresh_profiles()
+
+
+def test_chain_data_is_released_with_the_chain():
+    # Nothing derived from a chain outlives it: no module keeps a cache.
+    sub = make("golden_tower")
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    for i in range(1, chain.n + 1):
+        level_measure_table(sub, chain, profile, i, max_m=MAX_M)
+    decomposition_report(sub, chain, profile)
+    refs = [weakref.ref(x) for x in (sub, chain, profile, chain.restrict(2)[1])]
+    del sub, chain, profile
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4

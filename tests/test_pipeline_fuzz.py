@@ -75,9 +75,9 @@ def _exercise(sub: Substitution) -> None:
         sub_i = sub.restrict(chain.alphabet_at(i))
         lang_ext = language(sub_i, 2)
         for v in language(sub_i, 1):
-            base = cylinder_measure(sub, chain, sp, i, v, rep.levels[i - 1])
+            base = cylinder_measure(sub, chain, sp, i, v)
             exts = [
-                cylinder_measure(sub, chain, sp, i, v + a, rep.levels[i - 1])
+                cylinder_measure(sub, chain, sp, i, v + a)
                 for a in sub_i.alphabet
                 if v + a in lang_ext
             ]

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -337,3 +341,57 @@ def test_exact_eigen_identity_rejects_what_the_float_residual_accepts():
         _check_eigenvector(entries, order, near, 3, True, "right", "vector")
     with pytest.raises(AssertionError, match="exact left eigen identity"):
         _check_eigenvector(entries, order, right, 3, True, "left", "vector")
+
+
+def test_window_and_limit_invariants_survive_optimize():
+    # Each broken invariant of the window-substitution build and of the
+    # divergent limit data must raise RuntimeError explicitly, also under
+    # ``python -O``, which strips assert statements.
+    script = (
+        "from chainshift import *\n"
+        "from chainshift import auxiliary, spectral, structure\n"
+        "def expect(fn, *args):\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "    except RuntimeError as exc:\n"
+        "        print('raised', exc)\n"
+        "sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
+        "languages = structure.level_languages\n"
+        "structure.level_languages = lambda sub, levels, m: [frozenset('abcz')] * len(levels)\n"
+        "expect(build_auxiliary, sub, component_chain(sub), 1)\n"
+        "structure.level_languages = lambda sub, levels, m: [frozenset('b')] * len(levels)\n"
+        "expect(build_auxiliary, sub, component_chain(sub), 1)\n"
+        "structure.level_languages = languages\n"
+        "chain = component_chain(sub)\n"
+        "i_prime = spectral.SpectralProfile.i_prime\n"
+        "spectral.SpectralProfile.i_prime = lambda self, i: 1\n"
+        "expect(limit_data, sub, chain, 1, 2)\n"
+        "spectral.SpectralProfile.i_prime = i_prime\n"
+        "blocks = auxiliary.AuxiliarySubstitution.blocks_in_order\n"
+        "auxiliary.AuxiliarySubstitution.blocks_in_order = lambda self: blocks(self) + [('G', 2, ())]\n"
+        "expect(limit_data, sub, chain, 2, 2)\n"
+        "auxiliary.AuxiliarySubstitution.blocks_in_order = blocks\n"
+        "vector = spectral._block_vector\n"
+        "def flipped(*args):\n"
+        "    values = vector(*args)\n"
+        "    return {w: -v for w, v in values.items()} if args[-1] == 'left' else values\n"
+        "spectral._block_vector = flipped\n"
+        "expect(limit_data, sub, chain, 3, 2)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 5, proc.stdout
+        assert "window blocks at m=1 do not partition the language" in lines[0]
+        assert "an image window of 'b' is not a language word at m=1" in lines[1]
+        assert "divergent mode without a dominating lower level" in lines[2]
+        assert "the level block is not last in the restriction" in lines[3]
+        assert "the left limit vector is not positive" in lines[4]
