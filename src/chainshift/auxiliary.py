@@ -69,7 +69,7 @@ def build_auxiliary(sub: Substitution, chain: ComponentChain, m: int) -> Auxilia
         raise DomainError("window length must be >= 1")
     if sub != chain.sub:
         raise DomainError("the substitution is not the one the chain was built from")
-    return chain.memo(("aux", m), lambda: _build(chain, m))
+    return chain.memo(("aux", m), _build, chain, m)
 
 
 def _build(chain: ComponentChain, m: int) -> AuxiliarySubstitution:
@@ -146,5 +146,6 @@ def level_empty_diag(aux: AuxiliarySubstitution, i: int) -> bool:
             img = aux.sub.image(s)
             lower = set(aux.chain.alphabet_at(i - 1)) if i >= 2 else set()
             empty = len(img) >= 2 and img[-1] == s and all(c in lower for c in img[:-1])
-    assert empty == (len(aux.q_blocks[i - 1]) == 0), "structural test must match the block"
+    if empty != (len(aux.q_blocks[i - 1]) == 0):
+        raise RuntimeError(f"level {i}: the structural emptiness test does not match the block")
     return empty

@@ -117,6 +117,8 @@ def _fresh_two_words(chain: ComponentChain, i: int) -> frozenset[str]:
 
 def _s_run_maps(sub: Substitution, s: str):
     """First/last non-s letter maps with leading/trailing s-run lengths."""
+    if sub.image(s) != s:
+        raise DomainError(f"{s!r} is not a fixed letter")
     fprime: dict[str, str] = {}
     gprime: dict[str, str] = {}
     lead: dict[str, int] = {}
@@ -126,7 +128,8 @@ def _s_run_maps(sub: Substitution, s: str):
             continue
         img = sub.image(c)
         nonstop = [x for x in img if x != s]
-        assert nonstop, f"image of {c!r} collapses to the fixed letter"
+        if not nonstop:
+            raise DomainError(f"image of {c!r} collapses to the fixed letter {s!r}")
         fprime[c] = nonstop[0]
         gprime[c] = nonstop[-1]
         lead[c] = len(img) - len(img.lstrip(s))
@@ -140,9 +143,6 @@ def arbitrarily_long_s_powers(sub: Substitution, s: str) -> bool:
     Equivalent to some letter cycle of the first (or last) non-s letter map
     accumulating a positive count of leading (trailing) s's per lap.
     """
-    assert sub.image(s) == s
-    if len(sub.alphabet) == 1:
-        return False  # the only power image is the letter itself
     fprime, gprime, lead, trail = _s_run_maps(sub, s)
     for step, weight in ((fprime, lead), (gprime, trail)):
         for c in step:
@@ -185,7 +185,8 @@ def left_run_unbounded(sub: Substitution, s: str, target: str) -> bool:
     leading s's, or is fed across a gap by a letter whose expansions grow
     unbounded trailing s-runs.
     """
-    assert target != s
+    if target == s:
+        raise DomainError(f"the target must differ from the fixed letter {s!r}")
     fprime, gprime, lead, trail = _s_run_maps(sub, s)
     path, cycle = _orbit_cycle(fprime, target)
     if path:
@@ -517,7 +518,8 @@ def _classify_level(
         # The lower seed letter is the bottom fixed letter; the level closure
         # is minimal, or almost minimal around s^infinity when s-runs grow.
         s = seed.a
-        assert sub.image(s) == s and not theta_one
+        if sub.image(s) != s or theta_one:
+            raise RuntimeError(f"level {i}: a seed with empty u needs a fixed letter and theta > 1")
         if arbitrarily_long_s_powers(chain.restrict(i)[0], s):
             report.case = "almost_minimal"
         else:
@@ -533,7 +535,8 @@ def _classify_level(
         report.anchor = seed.b
         report.x_i_nonempty = True
     elif seed.v == "":
-        assert theta_one
+        if not theta_one:
+            raise RuntimeError(f"level {i}: a seed with empty v needs theta = 1")
         sigma_a = sub.image(seed.a)
         if set(seed.u) == {seed.a} and set(sigma_a) == {seed.a}:
             if sigma_a == seed.a:
@@ -548,25 +551,29 @@ def _classify_level(
         crossing = any(c in new for c in seed.v)
         rec = positively_recurrent(sub, chain, seed)
         if crossing:
-            assert not theta_one
+            if theta_one:
+                raise RuntimeError(f"level {i}: excursions into new letters need theta > 1")
             report.case = "dense_excursions"
             report.quasi_fixed = QuasiFixedSeed(
                 seed=seed, primitive_type=False, positively_recurrent=rec, isolated_orbit=False
             )
         else:
-            assert theta_one and len(new) == 1
+            if not theta_one or len(new) != 1:
+                raise RuntimeError(
+                    f"level {i}: an isolated quasi-fixed seed needs theta = 1 and one new letter"
+                )
             report.case = "isolated_quasi_fixed"
             report.quasi_fixed = QuasiFixedSeed(
                 seed=seed, primitive_type=True, positively_recurrent=rec, isolated_orbit=True
             )
         report.anchor = seed.b
         report.x_i_nonempty = crossing
-    if report.case in ("single_fixed_point", "no_two_sided_excursion", "level_collapses",
-                       "minimal", "almost_minimal", "dense_excursions", "isolated_quasi_fixed"):
-        if report.case != "level_collapses":
-            report.point_seeds = _periodic_point_seeds(sub, chain, i)
-    if report.case == "single_fixed_point":
-        assert any(p.kind == "fixed_letter_power" for p in report.point_seeds)
+    if report.case != "level_collapses":
+        report.point_seeds = _periodic_point_seeds(sub, chain, i)
+    if report.case == "single_fixed_point" and not any(
+        p.kind == "fixed_letter_power" for p in report.point_seeds
+    ):
+        raise RuntimeError(f"level {i}: a single fixed point without a fixed-letter power seed")
     if i == 3 and _is_single_periodic_orbit(chain.restrict(2)[0]):
         report.notes.append(
             "unresolved: whether this level's closure could itself be a single "

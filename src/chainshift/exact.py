@@ -9,9 +9,12 @@ as final approximations.
 
 Polynomials are evaluated on integers only: the sign of p at n/d is the sign
 of d^deg(p) p(n/d), one homogeneous Horner pass over integer coefficients.
-Sturm chains are built in Fraction arithmetic and each member is then scaled
-by a positive constant to coprime integer coefficients, which keeps every
-sign variation. Once a root is isolated, refinement keeps both endpoints as
+Sturm chains, squarefree parts and gcds share one integer pseudo-division,
+the primitive remainder sequence of Collins (JACM 14, 1967): lc(b)^e a mod b,
+negated when lc(b)^e < 0 and divided by its content, is the rational
+remainder times a positive constant. Each Sturm chain member is thus the
+rational one scaled to coprime integer coefficients, with every sign
+variation kept. Once a root is isolated, refinement keeps both endpoints as
 integer numerators over 2^k and pays one evaluation of the squarefree part
 per halving.
 """
@@ -21,9 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
-
-Poly = tuple[Fraction, ...]
-
 
 def charpoly(mat) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - M) of an integer matrix.
@@ -67,78 +67,75 @@ def _hom_eval(p: tuple[int, ...], num: int, den: int) -> int:
     return acc
 
 
-def poly_deriv(p) -> Poly:
+def _primitive(p) -> tuple[int, ...]:
+    """p without leading zeros, divided by the gcd of its coefficients."""
+    i = next((i for i, c in enumerate(p) if c), len(p) - 1)
+    p = tuple(p[i:])
+    g = gcd(*p)
+    return tuple(c // g for c in p) if g > 1 else p
+
+
+def _deriv(p: tuple[int, ...]) -> tuple[int, ...]:
     n = len(p) - 1
-    return tuple(Fraction(c) * (n - i) for i, c in enumerate(p[:-1]))
+    return tuple(c * (n - i) for i, c in enumerate(p[:-1])) or (0,)
 
 
-def _strip(p) -> Poly:
-    i = 0
-    while i < len(p) - 1 and p[i] == 0:
-        i += 1
-    return tuple(Fraction(c) for c in p[i:])
+def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The remainder of a mod b times a positive rational, primitive.
+
+    Pseudo-division: lc(b)^e a = q b + r with e = deg a - deg b + 1 leaves an
+    integer r, which is negated when lc(b)^e < 0.
+    """
+    lc, tail = b[0], b[1:]
+    e = len(a) - len(b) + 1
+    r = list(a)
+    for _ in range(e):
+        f = r[0]
+        r = [lc * x - f * y for x, y in zip(r[1:], tail)] + [lc * x for x in r[len(b) :]]
+    if lc < 0 and e > 0 and e % 2:
+        r = [-x for x in r]
+    return _primitive(r or (0,))
 
 
-def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    rem = list(_strip(num))
-    den = _strip(den)
-    if den == (Fraction(0),):
-        raise ZeroDivisionError("polynomial division by zero")
-    dn, dd = len(rem) - 1, len(den) - 1
-    if dn < dd:
-        return (Fraction(0),), tuple(rem)
-    q = [Fraction(0)] * (dn - dd + 1)
-    for i in range(dn - dd + 1):
-        coef = rem[i] / den[0]
-        q[i] = coef
-        if coef != 0:
-            for j in range(dd + 1):
-                rem[i + j] -= coef * den[j]
-    tail = tuple(rem[dn - dd + 1 :])
-    return _strip(tuple(q)), _strip(tail if tail else (Fraction(0),))
+def poly_gcd(a, b) -> tuple[int, ...]:
+    """Gcd over the rationals, as a primitive integer polynomial with positive
+    leading coefficient."""
+    a, b = _primitive(a), _primitive(b)
+    while b != (0,):
+        a, b = b, _prem(a, b)
+    return a if a[0] >= 0 else tuple(-c for c in a)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals."""
-    a, b = _strip(a), _strip(b)
-    while b != (Fraction(0),):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a[0] != 0:
-        a = tuple(c / a[0] for c in a)
-    return a
-
-
-def squarefree_part(p) -> Poly:
-    p = _strip(p)
+def squarefree_part(p) -> tuple[int, ...]:
+    """p / gcd(p, p'), primitive, with the sign of p's leading coefficient."""
+    p = _primitive(p)
     if len(p) <= 2:
         return p
-    g = poly_gcd(p, poly_deriv(p))
+    g = poly_gcd(p, _deriv(p))
     if len(g) == 1:
         return p
-    q, r = poly_divmod(p, g)
-    if r != (Fraction(0),):
+    # Exact division: g is primitive, so by Gauss's lemma the quotient is
+    # integral and every step leaves a zero leading coefficient.
+    r, q = list(p), []
+    for i in range(len(p) - len(g) + 1):
+        q.append(r[i] // g[0])
+        for j, y in enumerate(g, i):
+            r[j] -= q[-1] * y
+    if any(r):
         raise RuntimeError(f"gcd {g} does not divide {p}")
-    return q
-
-
-def _integer_multiple(p: Poly) -> tuple[int, ...]:
-    """p times a positive rational, with coprime integer coefficients."""
-    den = lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
+    return tuple(q)
 
 
 def sturm_chain(p) -> list[tuple[int, ...]]:
-    """Sturm chain of p, each member scaled to coprime integer coefficients."""
-    chain = [_strip(p), _strip(poly_deriv(p))]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if r == (Fraction(0),):
+    """Sturm chain of p, each member a positive multiple of the rational one
+    with coprime integer coefficients."""
+    chain = [_primitive(p), _primitive(_deriv(p))]
+    while len(chain[-1]) > 1:
+        r = _prem(chain[-2], chain[-1])
+        if r == (0,):
             break
         chain.append(tuple(-c for c in r))
-    return [_integer_multiple(q) for q in chain]
+    return chain
 
 
 def _variations(chain: list[tuple[int, ...]], x: Fraction) -> int:

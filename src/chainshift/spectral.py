@@ -148,7 +148,7 @@ def block_eigenvalues(sub: Substitution, chain: ComponentChain) -> SpectralProfi
     """The chain's spectral profile, built once and stored on the chain."""
     if sub != chain.sub:
         raise DomainError("the substitution is not the one the chain was built from")
-    return chain.memo(("spectral",), lambda: _block_eigenvalues(chain))
+    return chain.memo(("spectral",), _block_eigenvalues, chain)
 
 
 def _block_eigenvalues(chain: ComponentChain) -> SpectralProfile:
@@ -208,7 +208,8 @@ def _pf_right(block, lam, exact: bool):
         vec = nullspace_vector(A)
         if all(v <= 0 for v in vec):
             vec = [-v for v in vec]
-        assert all(v > 0 for v in vec), "Perron vector must be positive"
+        if not all(v > 0 for v in vec):
+            raise RuntimeError("Perron vector must be positive")
         return [Fraction(v) for v in vec]
     arr = np.array(block, dtype=float)
     vals, vecs = np.linalg.eig(arr)
@@ -216,7 +217,8 @@ def _pf_right(block, lam, exact: bool):
     vec = np.real(vecs[:, idx])
     if vec.sum() < 0:
         vec = -vec
-    assert vec.min() > -1e-9 * max(1.0, vec.max()), "Perron vector must be positive"
+    if not vec.min() > -1e-9 * max(1.0, vec.max()):
+        raise RuntimeError("Perron vector must be positive")
     return [max(float(v), 0.0) for v in vec]
 
 

@@ -143,12 +143,18 @@ class ComponentChain:
     levels: tuple[tuple[str, ...], ...]  # cumulative A_i, declaration order
     witness_k: int
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _new_letters: tuple = field(init=False, repr=False, compare=False, hash=False)
 
-    def memo(self, key: tuple, compute):
-        """``compute()`` once per ``key`` for this chain; later calls return the
-        stored result, which every caller shares: treat it as read-only."""
+    def __post_init__(self):
+        below = [set()] + [set(level) for level in self.levels[:-1]]
+        new = tuple(tuple(c for c in lv if c not in lo) for lo, lv in zip(below, self.levels))
+        object.__setattr__(self, "_new_letters", new)
+
+    def memo(self, key: tuple, compute, *args):
+        """``compute(*args)`` once per ``key`` for this chain; later calls return
+        the stored result, which every caller shares: treat it as read-only."""
         if key not in self._memo:
-            self._memo[key] = compute()
+            self._memo[key] = compute(*args)
         return self._memo[key]
 
     @property
@@ -164,11 +170,7 @@ class ComponentChain:
         return self.levels[self.check_level(i) - 1]
 
     def new_letters(self, i: int) -> tuple[str, ...]:
-        def every_level():
-            below = [set()] + [set(level) for level in self.levels[:-1]]
-            return tuple(tuple(c for c in lv if c not in lo) for lo, lv in zip(below, self.levels))
-
-        return self.memo(("new_letters",), every_level)[self.check_level(i) - 1]
+        return self._new_letters[self.check_level(i) - 1]
 
     def level_of(self, letter: str) -> int:
         for i, level in enumerate(self.levels, start=1):
@@ -208,18 +210,18 @@ class ComponentChain:
         When the top level spells the whole alphabet in order, its restriction
         is the chain itself, so the level and the system share one memo.
         """
-
-        def build():
-            if i == self.n and self.alphabet_at(i) == self.sub.alphabet.letters:
-                return self.sub, self
-            sub_i = self.sub.restrict(self.alphabet_at(i))
-            return sub_i, ComponentChain(sub_i, self.levels[:i], self.witness_k)
-
-        return self.memo(("restrict", i), build)
+        return self.memo(("restrict", i), _restriction, self, i)
 
     def languages(self, m: int) -> list[frozenset[str]]:
         """L_m of every level, from one ``words.level_languages`` sweep per m."""
-        return self.memo(("languages", m), lambda: level_languages(self.sub, self.levels, m))
+        return self.memo(("languages", m), level_languages, self.sub, self.levels, m)
+
+
+def _restriction(chain: ComponentChain, i: int) -> tuple[Substitution, ComponentChain]:
+    if i == chain.n and chain.alphabet_at(i) == chain.sub.alphabet.letters:
+        return chain.sub, chain
+    sub_i = chain.sub.restrict(chain.alphabet_at(i))
+    return sub_i, ComponentChain(sub_i, chain.levels[:i], chain.witness_k)
 
 
 def component_chain(sub: Substitution) -> ComponentChain:

@@ -460,8 +460,8 @@ def test_sweep_invariants_survive_optimize():
         "def expect(fn, *args):\n"
         "    try:\n"
         "        fn(*args)\n"
-        "    except RuntimeError as exc:\n"
-        "        print('raised', exc)\n"
+        "    except (RuntimeError, DomainError) as exc:\n"
+        "        print('raised', type(exc).__name__, exc)\n"
         "sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
         "chain = component_chain(sub)\n"
         "real = AlgebraicReal.integer_root\n"
@@ -481,6 +481,24 @@ def test_sweep_invariants_survive_optimize():
         "        seed.window += seed.window\n"
         "classify._make_windows = doubled\n"
         "expect(classify._periodic_point_seeds, sub, chain, 2)\n"
+        "classify._make_windows = windows\n"
+        "theta_is_one = SpectralProfile.theta_is_one\n"
+        "SpectralProfile.theta_is_one = lambda self, i: not theta_is_one(self, i)\n"
+        "for rules in ({'a': 'a', 'b': 'bbab'}, {'a': 'ab', 'b': 'a', 'c': 'abc'},\n"
+        "              {'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'},\n"
+        "              {'a': 'abca', 'b': 'bacb', 'c': 'cbac', 'd': 'abadcac'}):\n"
+        "    sub = Substitution.from_rules(rules)\n"
+        "    chain = component_chain(sub)\n"
+        "    expect(classify_level, sub, chain, block_eigenvalues(sub, chain), 2)\n"
+        "SpectralProfile.theta_is_one = theta_is_one\n"
+        "classify._periodic_point_seeds = lambda sub, chain, i: []\n"
+        "sub = Substitution.from_rules({'a': 'a', 'b': 'ba'})\n"
+        "chain = component_chain(sub)\n"
+        "expect(classify_level, sub, chain, block_eigenvalues(sub, chain), 2)\n"
+        "expect(arbitrarily_long_s_powers, Substitution.from_rules({'a': 'ab', 'b': 'ba'}), 'a')\n"
+        "expect(classify.left_run_unbounded, sub, 'a', 'a')\n"
+        "expect(classify.right_run_unbounded, Substitution.from_rules({'a': 'ab', 'b': 'ba'}), 'a', 'b')\n"
+        "expect(arbitrarily_long_s_powers, Substitution.from_rules({'a': 'a', 'b': 'aa'}), 'a')\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     for flags in ([], ["-O"]):
@@ -493,10 +511,22 @@ def test_sweep_invariants_survive_optimize():
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert len(lines) == 3, proc.stdout
+        assert len(lines) == 12, proc.stdout
         assert "theta = 1 must hold exactly when the block is [1]" in lines[0]
         assert "no crossing pair" in lines[1]
         assert "is not unique in its window" in lines[2]
+        # each case of classify_level with theta = 1 read the wrong way round
+        assert "a seed with empty u needs a fixed letter and theta > 1" in lines[3]
+        assert "a seed with empty v needs theta = 1" in lines[4]
+        assert "excursions into new letters need theta > 1" in lines[5]
+        assert "isolated quasi-fixed seed needs theta = 1 and one new letter" in lines[6]
+        assert "single fixed point without a fixed-letter power seed" in lines[7]
+        # caller arguments of the public s-run tests
+        assert all(line.startswith("raised DomainError") for line in lines[8:])
+        assert "'a' is not a fixed letter" in lines[8]
+        assert "the target must differ from the fixed letter" in lines[9]
+        assert "'a' is not a fixed letter" in lines[10]  # Thue-Morse has no aaa
+        assert "image of 'b' collapses to the fixed letter 'a'" in lines[11]
 
 
 def _forward_seed_levels(rules: dict[str, str]) -> int:

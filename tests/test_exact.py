@@ -3,11 +3,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -194,8 +195,8 @@ def test_invariant_raises_under_optimize():
 
 
 def test_poly_gcd_shared_factor():
-    p = (Fraction(1), Fraction(-1), Fraction(-1))  # x^2 - x - 1
-    q = (Fraction(1), Fraction(-2), Fraction(0), Fraction(1))  # (x^2-x-1)(x-1)
+    p = (1, -1, -1)  # x^2 - x - 1
+    q = (1, -2, 0, 1)  # (x^2-x-1)(x-1)
     g = poly_gcd(p, q)
     assert g == p
 
@@ -322,3 +323,60 @@ def test_integer_sturm_chains_count_like_fraction_chains(p, x, y):
     chain = sturm_chain(squarefree_part(p))
     assert all(type(c) is int for member in chain for c in member)
     assert count_roots(chain, lo, hi) == oracles.sturm_count(oracles.sturm_chain(p), lo, hi)
+
+
+# -- the integer polynomial core against the Fraction oracle -------------------
+
+
+def _primitive_multiple(p) -> tuple:
+    """An oracle polynomial times the positive rational that makes its
+    coefficients coprime integers."""
+    den = lcm(*(Fraction(c).denominator for c in p))
+    ints = [Fraction(c).numerator * (den // Fraction(c).denominator) for c in p]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _times(a, b) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+monic = st.builds(
+    lambda coeffs: (1, *coeffs),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=7),
+)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two monic integer polynomials; half the time p = f^2 g and q = f h, so
+    p has a squared factor and shares it with q."""
+    if draw(st.booleans()):
+        return draw(monic), draw(monic)
+    small = st.integers(min_value=-4, max_value=4)
+    f = (1, *draw(st.lists(small, min_size=1, max_size=2)))
+    g, h = ((1, *draw(st.lists(small, max_size=3))) for _ in range(2))
+    return _times(_times(f, f), g), _times(f, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomial_pairs())
+# x^4 + x + 1: the member -3x - 4 divides 4x^3 + 1 with an odd power of its
+# negative leading coefficient; x^2 + 1 ends on the constant -1
+@example(((1, 0, 0, 1, 1), (1, 0, 1)))
+@example(((1, -2, -1, 2, 1), (1, -2, 0, 1)))  # (x^2 - x - 1)^2 and (x^2 - x - 1)(x - 1)
+def test_integer_core_is_the_fraction_oracle_scaled(pair):
+    p, q = pair
+    sf = squarefree_part(p)
+    chain = sturm_chain(sf)
+    g = poly_gcd(p, q)
+    for value in (sf, g, *chain):
+        assert all(type(c) is int for c in value)
+    expected = oracles.sturm_chain(p)
+    assert sf == _primitive_multiple(expected[0])
+    assert chain == [_primitive_multiple(member) for member in expected]
+    assert g == _primitive_multiple(oracles.poly_gcd(p, q))

@@ -344,11 +344,13 @@ def test_exact_eigen_identity_rejects_what_the_float_residual_accepts():
 
 
 def test_window_and_limit_invariants_survive_optimize():
-    # Each broken invariant of the window-substitution build and of the
-    # divergent limit data must raise RuntimeError explicitly, also under
-    # ``python -O``, which strips assert statements.
+    # Each broken invariant of the window-substitution build, of the
+    # divergent limit data, of the Perron vectors and of the empty-block test
+    # must raise RuntimeError explicitly, also under ``python -O``, which
+    # strips assert statements.
     script = (
         "from chainshift import *\n"
+        "import dataclasses\n"
         "from chainshift import auxiliary, spectral, structure\n"
         "def expect(fn, *args):\n"
         "    try:\n"
@@ -377,6 +379,16 @@ def test_window_and_limit_invariants_survive_optimize():
         "    return {w: -v for w, v in values.items()} if args[-1] == 'left' else values\n"
         "spectral._block_vector = flipped\n"
         "expect(limit_data, sub, chain, 3, 2)\n"
+        "spectral._block_vector = vector\n"
+        "spectral.nullspace_vector = lambda A: ([1, -1] * len(A))[: len(A)]\n"
+        "mid = Substitution.from_rules({'a': 'aa', 'b': 'abbbccc', 'c': 'abccccc', 'd': 'abcdd'})\n"
+        "expect(pf_vectors, mid, component_chain(mid), 2)\n"
+        "np = spectral.np\n"
+        "np.linalg.eig = lambda arr: (np.ones(len(arr)), np.array([[(-1.0) ** r] * len(arr) for r in range(len(arr))]))\n"
+        "fib = Substitution.from_rules({'a': 'ab', 'b': 'a', 'c': 'abc'})\n"
+        "expect(pf_vectors, fib, component_chain(fib), 2)\n"
+        "aux = build_auxiliary(sub, chain, 2)\n"
+        "expect(level_empty_diag, dataclasses.replace(aux, q_blocks=((),) * aux.n), 2)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     for flags in ([], ["-O"]):
@@ -389,9 +401,13 @@ def test_window_and_limit_invariants_survive_optimize():
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert len(lines) == 5, proc.stdout
+        assert len(lines) == 8, proc.stdout
         assert "window blocks at m=1 do not partition the language" in lines[0]
         assert "an image window of 'b' is not a language word at m=1" in lines[1]
         assert "divergent mode without a dominating lower level" in lines[2]
         assert "the level block is not last in the restriction" in lines[3]
         assert "the left limit vector is not positive" in lines[4]
+        # the exact Perron vector (integer theta), then the float one
+        assert "Perron vector must be positive" in lines[5]
+        assert "Perron vector must be positive" in lines[6]
+        assert "the structural emptiness test does not match the block" in lines[7]
