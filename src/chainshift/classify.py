@@ -15,10 +15,17 @@ the first/last non-s letter maps, never by bounded expansion.
 ``decomposition_report`` classifies the levels in one sweep up the chain, and
 each level reuses what the levels below already built. Every level is closed
 under the substitution, so its images are read from the full substitution.
-Each level report is stored on the chain under ``("classify_level", i)``
-(see ``spectral``), and the sweep keeps its per-system data there too, each
-computed once:
+Everything is stored on the chain (see ``spectral``), each computed once:
 
+- ``("seed_pair", i)``: the seed pair of level i, checked against the level's
+  eigenvalue (``level_seed``). A level with theta > 1 needs nothing more:
+  ``measures`` reads its anchor here, for descriptors, cylinder values,
+  empirical frequencies and uniformity windows.
+- ``("point_seeds", i)``: the periodic-point seeds of level i, the census.
+  Only ``classify_level`` reads them.
+- ``("classify_level", i)``: the level report, assembled from the two above
+  plus the case split, read by ``decomposition_report`` and by the measures
+  of levels with theta = 1.
 - ``("fresh_two_words",)``: for every level i, the two-letter words new at
   that level (in L_2(i) but not in L_2(i-1)), from the chain's two-letter
   level languages (``ComponentChain.languages``). Seed pairs and the
@@ -91,14 +98,13 @@ def _letter_cycles(chain: ComponentChain) -> tuple[dict[str, int], dict[str, int
     whether and on which cycle it ends, is the same in every restriction
     that contains the letter.
     """
+    return chain.memo(("letter_cycles",), _first_last_cycles, chain.sub)
 
-    def compute():
-        sub = chain.sub
-        first = {c: img[0] for c, img in zip(sub.alphabet, sub.images)}
-        last = {c: img[-1] for c, img in zip(sub.alphabet, sub.images)}
-        return _cycle_lengths(first), _cycle_lengths(last)
 
-    return chain.memo(("letter_cycles",), compute)
+def _first_last_cycles(sub: Substitution) -> tuple[dict[str, int], dict[str, int]]:
+    first = {c: img[0] for c, img in zip(sub.alphabet, sub.images)}
+    last = {c: img[-1] for c, img in zip(sub.alphabet, sub.images)}
+    return _cycle_lengths(first), _cycle_lengths(last)
 
 
 def _fresh_two_words(chain: ComponentChain, i: int) -> frozenset[str]:
@@ -107,12 +113,12 @@ def _fresh_two_words(chain: ComponentChain, i: int) -> frozenset[str]:
     The per-level differences of the chain's two-letter level languages, a
     partition of the top L_2, are stored on the chain, so all levels share them.
     """
+    return chain.memo(("fresh_two_words",), _level_differences, chain)[i - 1]
 
-    def fresh() -> list[frozenset[str]]:
-        langs = chain.languages(2)
-        return [b - a for a, b in zip([frozenset()] + langs, langs)]
 
-    return chain.memo(("fresh_two_words",), fresh)[i - 1]
+def _level_differences(chain: ComponentChain) -> list[frozenset[str]]:
+    langs = chain.languages(2)
+    return [b - a for a, b in zip([frozenset()] + langs, langs)]
 
 
 def _s_run_maps(sub: Substitution, s: str):
@@ -488,6 +494,41 @@ def _bottom_report(sub: Substitution, chain: ComponentChain) -> LevelReport:
     )
 
 
+def level_seed(
+    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int
+) -> SeedPair:
+    """The seed pair of level i, checked against the level's eigenvalue.
+
+    Stored on the chain under ``("seed_pair", i)``. A level with theta > 1
+    needs nothing else from the classification: its measure's anchor is
+    ``seed.b``, and its kind comes from the spectrum.
+    """
+    return spectral.memo(sub, chain, ("seed_pair", i), _level_seed, sub, chain, spectral, i)
+
+
+def _level_seed(
+    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int
+) -> SeedPair:
+    """``find_seed_pair``, raising unless the seed's shape agrees with theta."""
+    seed = find_seed_pair(sub, chain, i)
+    new = set(chain.new_letters(i))
+    theta_one = spectral.theta_is_one(i)
+    if seed.u == "":
+        if sub.image(seed.a) != seed.a or theta_one:
+            raise RuntimeError(f"level {i}: a seed with empty u needs a fixed letter and theta > 1")
+    elif seed.v == "":
+        if not theta_one:
+            raise RuntimeError(f"level {i}: a seed with empty v needs theta = 1")
+    elif any(c in new for c in seed.v):
+        if theta_one:
+            raise RuntimeError(f"level {i}: excursions into new letters need theta > 1")
+    elif not theta_one or len(new) != 1:
+        raise RuntimeError(
+            f"level {i}: an isolated quasi-fixed seed needs theta = 1 and one new letter"
+        )
+    return seed
+
+
 def classify_level(
     sub: Substitution,
     chain: ComponentChain,
@@ -495,7 +536,7 @@ def classify_level(
     i: int,
 ) -> LevelReport:
     return spectral.memo(
-        sub, chain, ("classify_level", i), lambda: _classify_level(sub, chain, spectral, i)
+        sub, chain, ("classify_level", i), _classify_level, sub, chain, spectral, i
     )
 
 
@@ -505,9 +546,7 @@ def _classify_level(
     chain.check_level(i)
     if i < 2:
         raise DomainError("classify_level applies to levels >= 2; level 1 is the bottom report")
-    seed = find_seed_pair(sub, chain, i)
-    new = set(chain.new_letters(i))
-    theta_one = spectral.theta_is_one(i)
+    seed = level_seed(sub, chain, spectral, i)
     report = LevelReport(level=i, case="", seed=seed)
     if seed.k > 1:
         report.notes.append(f"analysis uses the power {seed.k} of the substitution")
@@ -515,12 +554,10 @@ def _classify_level(
         report.notes.append("seed has reverse orientation; mirrored analysis applies")
 
     if seed.u == "":
-        # The lower seed letter is the bottom fixed letter; the level closure
-        # is minimal, or almost minimal around s^infinity when s-runs grow.
-        s = seed.a
-        if sub.image(s) != s or theta_one:
-            raise RuntimeError(f"level {i}: a seed with empty u needs a fixed letter and theta > 1")
-        if arbitrarily_long_s_powers(chain.restrict(i)[0], s):
+        # The lower seed letter is the bottom fixed letter s; the level
+        # closure is minimal, or almost minimal around s^infinity when s-runs
+        # grow.
+        if arbitrarily_long_s_powers(chain.restrict(i)[0], seed.a):
             report.case = "almost_minimal"
         else:
             report.case = "minimal"
@@ -535,8 +572,6 @@ def _classify_level(
         report.anchor = seed.b
         report.x_i_nonempty = True
     elif seed.v == "":
-        if not theta_one:
-            raise RuntimeError(f"level {i}: a seed with empty v needs theta = 1")
         sigma_a = sub.image(seed.a)
         if set(seed.u) == {seed.a} and set(sigma_a) == {seed.a}:
             if sigma_a == seed.a:
@@ -548,28 +583,19 @@ def _classify_level(
             report.case = "no_two_sided_excursion"
             report.notes.append("new letters never extend to the right; only periodic points remain")
     else:
+        new = chain.new_letters(i)
         crossing = any(c in new for c in seed.v)
-        rec = positively_recurrent(sub, chain, seed)
-        if crossing:
-            if theta_one:
-                raise RuntimeError(f"level {i}: excursions into new letters need theta > 1")
-            report.case = "dense_excursions"
-            report.quasi_fixed = QuasiFixedSeed(
-                seed=seed, primitive_type=False, positively_recurrent=rec, isolated_orbit=False
-            )
-        else:
-            if not theta_one or len(new) != 1:
-                raise RuntimeError(
-                    f"level {i}: an isolated quasi-fixed seed needs theta = 1 and one new letter"
-                )
-            report.case = "isolated_quasi_fixed"
-            report.quasi_fixed = QuasiFixedSeed(
-                seed=seed, primitive_type=True, positively_recurrent=rec, isolated_orbit=True
-            )
+        report.case = "dense_excursions" if crossing else "isolated_quasi_fixed"
+        report.quasi_fixed = QuasiFixedSeed(
+            seed=seed,
+            primitive_type=not crossing,
+            positively_recurrent=positively_recurrent(sub, chain, seed),
+            isolated_orbit=not crossing,
+        )
         report.anchor = seed.b
         report.x_i_nonempty = crossing
     if report.case != "level_collapses":
-        report.point_seeds = _periodic_point_seeds(sub, chain, i)
+        report.point_seeds = chain.memo(("point_seeds", i), _periodic_point_seeds, sub, chain, i)
     if report.case == "single_fixed_point" and not any(
         p.kind == "fixed_letter_power" for p in report.point_seeds
     ):

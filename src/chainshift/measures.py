@@ -15,8 +15,12 @@ Occurrence counts, along the anchor's expansion and in return windows of a
 quasi-fixed point, are exact and never expand a word: they descend through
 powers of the level substitution and of its window substitution.
 
-Level descriptors are stored on the chain, like the level reports and the
-eigen data they are read from (see ``spectral``).
+Level descriptors are stored on the chain under ``("measure_type", i)``,
+like the eigen data they are read from (see ``spectral``). A level with
+theta > 1 reads only the spectrum and its seed pair, ``("seed_pair", i)``,
+and so do the uniformity windows; the periodic-point census of
+``classify_level`` runs only for theta = 1 levels, whose descriptors count
+its point seeds.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .auxiliary import AuxiliarySubstitution, build_auxiliary
-from .classify import LevelReport, _bottom_report, classify_level
+from .classify import LevelReport, _bottom_report, classify_level, level_seed
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -58,15 +62,21 @@ def measure_type(
 ) -> MeasureDescriptor:
     """The kind of invariant measure level i carries, with its anchor data.
 
-    Without a ``report`` the descriptor is read from the chain's stored level
-    report and stored on the chain under ``("measure_type", i)``.
+    Without a ``report`` the descriptor is stored on the chain under
+    ``("measure_type", i)``. A level with theta > 1 reads its kind from the
+    spectrum and its anchor from the seed pair (``classify.level_seed``); a
+    level with theta = 1 reads the full level report. A given ``report``,
+    which must be level i's, supplies the anchor and the point seeds instead,
+    and nothing is stored.
     """
     chain.check_level(i)
     if report is None:
         return spectral.memo(
-            sub, chain, ("measure_type", i), lambda: _measure_type(sub, chain, spectral, i, None)
+            sub, chain, ("measure_type", i), _measure_type, sub, chain, spectral, i, None
         )
     spectral.check(sub, chain)
+    if report.level != i:
+        raise DomainError(f"the report describes level {report.level}, not level {i}")
     return _measure_type(sub, chain, spectral, i, report)
 
 
@@ -82,11 +92,12 @@ def _measure_type(
         if report.case == "bottom_empty":
             return MeasureDescriptor(1, "empty", None, None, 0, 0)
         return MeasureDescriptor(1, "finite_ergodic", report.anchor, None, 0, 0)
-    report = report or classify_level(sub, chain, spectral, i)
     if not spectral.theta_is_one(i):
+        anchor = report.anchor if report is not None else level_seed(sub, chain, spectral, i).b
         kind = "finite_ergodic" if spectral.level_is_finite(i) else "infinite_radon"
         ip = spectral.i_prime(i) if kind == "infinite_radon" else None
-        return MeasureDescriptor(i, kind, report.anchor, ip, 0, 0)
+        return MeasureDescriptor(i, kind, anchor, ip, 0, 0)
+    report = report or classify_level(sub, chain, spectral, i)
     finite_atoms = sum(1 for p in report.point_seeds if p.shift_periodic)
     infinite = sum(1 for p in report.point_seeds if not p.shift_periodic)
     if report.quasi_fixed is not None and report.quasi_fixed.isolated_orbit:
@@ -365,10 +376,11 @@ def uniformity_check(
         raise DomainError("uniformity windows are defined on levels >= 2")
     if n < 1 or not offsets or min(offsets) < 0:
         raise DomainError("need a positive window size and at least one offset, all nonnegative")
-    report = classify_level(sub, chain, spectral, i)
-    if report.quasi_fixed is None:
+    # Every theta > 1 level has a quasi-fixed point; on a theta = 1 level the
+    # census decides, and the eigenvalue check below refuses it either way.
+    seed = level_seed(sub, chain, spectral, i)
+    if spectral.theta_is_one(i) and classify_level(sub, chain, spectral, i).quasi_fixed is None:
         raise DomainError(f"level {i} has no quasi-fixed point to count along")
-    seed = report.quasi_fixed.seed
     new = set(chain.new_letters(i))
     if not any(c in new for c in v):
         raise DomainError("the word must contain a new letter of the level")

@@ -25,10 +25,10 @@ Every cylinder value of one level and window length reads the same vectors,
 so they are solved once. Like everything else derived from a chain, they are
 stored on the chain (``ComponentChain.memo``): ``block_eigenvalues`` under
 ``("spectral",)``, ``pf_vectors`` under ``("pf_vectors", m)`` and
-``limit_data`` under ``("limit_data", m, i)``; ``classify`` and ``measures``
-add their level reports and descriptors. A profile belongs to one chain:
-``SpectralProfile.memo`` stores on that chain, and a profile passed with
-another chain raises ``DomainError``. ``level_profile`` keeps the level-i
+``limit_data`` under ``("limit_data", m, i)``; ``classify`` adds seed pairs,
+point seeds and level reports, ``measures`` its descriptors. A profile
+belongs to one chain: ``SpectralProfile.memo`` stores on that chain, and a
+profile passed with another chain raises ``DomainError``. ``level_profile`` keeps the level-i
 profile as the ``("spectral",)`` entry of ``chain.restrict(i)``. The stored
 data holds at most one entry per level and window length actually asked
 for, and lives exactly as long as its chain.
@@ -81,14 +81,18 @@ class SpectralProfile:
     def check(self, sub: Substitution, chain: ComponentChain) -> None:
         """Raise ``DomainError`` unless the profile describes ``(sub, chain)``:
         its eigenvalues, i_min and i_max would be wrong for another chain."""
-        if chain != self.chain or sub != chain.sub:
+        # Identity first: every memo lookup checks, and the caller almost
+        # always passes the profile's own objects.
+        if not (chain is self.chain or chain == self.chain) or not (
+            sub is chain.sub or sub == chain.sub
+        ):
             raise DomainError("the spectral profile describes another chain")
 
-    def memo(self, sub: Substitution, chain: ComponentChain, key: tuple, compute):
-        """``compute()`` once per ``key``, stored on this profile's chain, which
-        must be ``chain`` (see ``check``)."""
+    def memo(self, sub: Substitution, chain: ComponentChain, key: tuple, compute, *args):
+        """``compute(*args)`` once per ``key``, stored on this profile's chain,
+        which must be ``chain`` (see ``check``)."""
         self.check(sub, chain)
-        return self.chain.memo(key, compute)
+        return self.chain.memo(key, compute, *args)
 
     @property
     def n(self) -> int:
@@ -358,9 +362,7 @@ def pf_vectors(
     spectral: SpectralProfile | None = None,
 ) -> EigenPair:
     spectral = spectral or block_eigenvalues(sub, chain)
-    return spectral.memo(
-        sub, chain, ("pf_vectors", m), lambda: _pf_vectors(sub, chain, m, spectral)
-    )
+    return spectral.memo(sub, chain, ("pf_vectors", m), _pf_vectors, sub, chain, m, spectral)
 
 
 def _pf_vectors(
@@ -432,7 +434,7 @@ def limit_data(
 ) -> LimitData:
     spectral = spectral or block_eigenvalues(sub, chain)
     return spectral.memo(
-        sub, chain, ("limit_data", m, i), lambda: _limit_data(sub, chain, m, i, spectral)
+        sub, chain, ("limit_data", m, i), _limit_data, sub, chain, m, i, spectral
     )
 
 

@@ -135,6 +135,9 @@ def _tarjan_sccs(n: int, edges: list[set[int]]) -> list[list[int]]:
     return sccs
 
 
+_MISSING = object()  # a memo key not yet computed
+
+
 @dataclass(frozen=True)
 class ComponentChain:
     """Nested letter levels with per-level diagonal blocks."""
@@ -153,16 +156,17 @@ class ComponentChain:
     def memo(self, key: tuple, compute, *args):
         """``compute(*args)`` once per ``key`` for this chain; later calls return
         the stored result, which every caller shares: treat it as read-only."""
-        if key not in self._memo:
-            self._memo[key] = compute(*args)
-        return self._memo[key]
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = compute(*args)
+        return value
 
     @property
     def n(self) -> int:
         return len(self.levels)
 
     def check_level(self, i: int) -> int:
-        if not 1 <= i <= self.n:
+        if not 1 <= i <= len(self.levels):
             raise DomainError(f"level {i} out of range 1..{self.n}")
         return i
 

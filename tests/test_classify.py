@@ -495,6 +495,16 @@ def test_sweep_invariants_survive_optimize():
         "sub = Substitution.from_rules({'a': 'a', 'b': 'ba'})\n"
         "chain = component_chain(sub)\n"
         "expect(classify_level, sub, chain, block_eigenvalues(sub, chain), 2)\n"
+        "import dataclasses\n"
+        "find = classify.find_seed_pair\n"
+        "for change in ({'u': ''}, {'v': ''}, {'v': 'a'}):\n"
+        "    def changed(*args):\n"
+        "        return dataclasses.replace(find(*args), **change)\n"
+        "    classify.find_seed_pair = changed\n"
+        "    sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
+        "    chain = component_chain(sub)\n"
+        "    expect(measure_type, sub, chain, block_eigenvalues(sub, chain), 2)\n"
+        "classify.find_seed_pair = find\n"
         "expect(arbitrarily_long_s_powers, Substitution.from_rules({'a': 'ab', 'b': 'ba'}), 'a')\n"
         "expect(classify.left_run_unbounded, sub, 'a', 'a')\n"
         "expect(classify.right_run_unbounded, Substitution.from_rules({'a': 'ab', 'b': 'ba'}), 'a', 'b')\n"
@@ -511,7 +521,7 @@ def test_sweep_invariants_survive_optimize():
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert len(lines) == 12, proc.stdout
+        assert len(lines) == 15, proc.stdout
         assert "theta = 1 must hold exactly when the block is [1]" in lines[0]
         assert "no crossing pair" in lines[1]
         assert "is not unique in its window" in lines[2]
@@ -521,12 +531,18 @@ def test_sweep_invariants_survive_optimize():
         assert "excursions into new letters need theta > 1" in lines[5]
         assert "isolated quasi-fixed seed needs theta = 1 and one new letter" in lines[6]
         assert "single fixed point without a fixed-letter power seed" in lines[7]
+        # the seed invariants of a theta > 1 level on the measure_type path,
+        # which reads the seed pair without the level report: u = aaa, v = bb
+        # on quartic's level 2, made empty or kept below the level
+        assert "a seed with empty u needs a fixed letter and theta > 1" in lines[8]
+        assert "a seed with empty v needs theta = 1" in lines[9]
+        assert "isolated quasi-fixed seed needs theta = 1 and one new letter" in lines[10]
         # caller arguments of the public s-run tests
-        assert all(line.startswith("raised DomainError") for line in lines[8:])
-        assert "'a' is not a fixed letter" in lines[8]
-        assert "the target must differ from the fixed letter" in lines[9]
-        assert "'a' is not a fixed letter" in lines[10]  # Thue-Morse has no aaa
-        assert "image of 'b' collapses to the fixed letter 'a'" in lines[11]
+        assert all(line.startswith("raised DomainError") for line in lines[11:])
+        assert "'a' is not a fixed letter" in lines[11]
+        assert "the target must differ from the fixed letter" in lines[12]
+        assert "'a' is not a fixed letter" in lines[13]  # Thue-Morse has no aaa
+        assert "image of 'b' collapses to the fixed letter 'a'" in lines[14]
 
 
 def _forward_seed_levels(rules: dict[str, str]) -> int:

@@ -302,12 +302,8 @@ def test_reverse_seed_invariant_survives_optimize():
         "chain = component_chain(sub)\n"
         "spectral = block_eigenvalues(sub, chain)\n"
         "def reversed_seed(*args):\n"
-        "    report = classify_level(*args)\n"
-        "    qf = report.quasi_fixed\n"
-        "    seed = dataclasses.replace(qf.seed, orientation='reverse')\n"
-        "    qf = dataclasses.replace(qf, seed=seed)\n"
-        "    return dataclasses.replace(report, quasi_fixed=qf)\n"
-        "measures.classify_level = reversed_seed\n"
+        "    return dataclasses.replace(level_seed(*args), orientation='reverse')\n"
+        "measures.level_seed = reversed_seed\n"
         "try:\n"
         "    uniformity_check(sub, chain, spectral, 2, 'b', 10)\n"
         "except RuntimeError as exc:\n"

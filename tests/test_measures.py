@@ -2,12 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
 
+import oracles
 from chainshift import (
     DomainError,
     MeasureTypeCounting,
+    Substitution,
     WordNotInLevelLanguage,
     block_eigenvalues,
+    classify_level,
     component_chain,
     cylinder_measure,
     empirical_frequency,
@@ -15,7 +20,8 @@ from chainshift import (
     measure_type,
     uniformity_check,
 )
-from conftest import make
+from conftest import CORPUS_RULES, make
+from test_pipeline_fuzz import chain_systems
 
 SQRT5 = math.sqrt(5)
 
@@ -158,6 +164,55 @@ def test_empty_levels_have_no_values():
     setup = _setup("chacon")
     with pytest.raises(DomainError):
         cylinder_measure(*setup, 1, "a")
+
+
+# -- the eigenvalue criterion ---------------------------------------------------
+
+
+def _sympy_thetas(rules: dict[str, str], levels) -> list:
+    """Largest real root of each diagonal block's characteristic polynomial,
+    as an exact sympy number."""
+    x = sympy.symbols("x")
+    letters = list(rules)
+    full = oracles.incidence(rules)
+    thetas, below = [], set()
+    for level in levels:
+        new = [c for c in level if c not in below]
+        idx = [letters.index(c) for c in new]
+        block = sympy.Matrix([[full[r][c] for c in idx] for r in idx])
+        thetas.append(max(sympy.Poly(block.charpoly(x).as_expr(), x).real_roots()))
+        below.update(new)
+    return thetas
+
+
+def _assert_kinds_follow_the_spectrum(rules: dict[str, str]) -> None:
+    """A level with theta > 1 is finite exactly when theta_i > theta_j for
+    every j < i; its anchor is the one the full level report names."""
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    sp = block_eigenvalues(sub, chain)
+    thetas = _sympy_thetas(rules, chain.levels)
+    fresh = component_chain(sub)
+    fresh_sp = block_eigenvalues(sub, fresh)
+    for i in range(2, chain.n + 1):
+        theta = thetas[i - 1]
+        if theta == 1:
+            continue
+        dominant = all(bool(theta > lower) for lower in thetas[: i - 1])
+        desc = measure_type(sub, chain, sp, i)
+        assert desc.kind == ("finite_ergodic" if dominant else "infinite_radon"), (rules, i)
+        assert desc.anchor == classify_level(sub, fresh, fresh_sp, i).anchor, (rules, i)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RULES))
+def test_kinds_follow_the_spectrum_on_corpus(name):
+    _assert_kinds_follow_the_spectrum(CORPUS_RULES[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_systems())
+def test_kinds_follow_the_spectrum_on_chain_systems(rules):
+    _assert_kinds_follow_the_spectrum(rules)
 
 
 # -- structural properties --------------------------------------------------------

@@ -1,12 +1,14 @@
 """The data derived from a chain is computed once per chain and lives with it.
 
-``block_eigenvalues``, ``pf_vectors``, ``limit_data``, ``classify_level``,
-``level_profile``, ``measure_type`` and ``build_auxiliary`` store their
-results on the chain (``ComponentChain.memo``), keyed by window length and
-level, ``ComponentChain.restrict`` keeps each level's restriction there, and
-``decomposition_report`` sweeps the chain's two-letter languages once. The
-tests count calls of the un-memoised bodies; a fresh chain starts with an
-empty memo.
+``block_eigenvalues``, ``pf_vectors``, ``limit_data``, ``level_seed``, the
+periodic-point census, ``classify_level``, ``level_profile``, ``measure_type``
+and ``build_auxiliary`` store their results on the chain
+(``ComponentChain.memo``), keyed by window length and level,
+``ComponentChain.restrict`` keeps each level's restriction there, and
+``decomposition_report`` sweeps the chain's two-letter languages once. A
+measure on a level with theta > 1 reads the seed pair and never the
+periodic-point census. The tests count calls of the un-memoised bodies; a
+fresh chain starts with an empty memo.
 """
 
 import gc
@@ -51,6 +53,7 @@ def calls(monkeypatch):
     count(spectral, "_pf_vectors", lambda sub, chain, m, sp: (chain.n, m))
     count(spectral, "_limit_data", lambda sub, chain, m, i, sp: (i, m))
     count(classify, "_classify_level", lambda sub, chain, sp, i: i)
+    count(classify, "find_seed_pair", lambda sub, chain, i: i)
     return counts
 
 
@@ -64,18 +67,56 @@ def _tables(name):
     return sub, chain, tables
 
 
-@pytest.mark.parametrize("name", ["golden_tower", "mid_dominant"])
+@pytest.mark.parametrize("name", ["golden_tower", "mid_dominant", "fib_tail"])
 def test_one_solve_per_level_and_window(name, calls):
-    _, chain, tables = _tables(name)
+    sub, chain, tables = _tables(name)
     measured = [t["level"] for t in tables if "cylinders" in t]
     assert measured
     # finite levels solve through pf_vectors on the level's own chain (whose
     # top level is the level), infinite ones through limit_data
-    solves = sorted(key for (body, key) in calls if body != "_classify_level")
+    solves = sorted(key for (body, key) in calls if body in ("_pf_vectors", "_limit_data"))
     assert solves == [(i, m) for i in measured for m in range(1, MAX_M + 1)]
+    # one seed pair per level; the full report only where theta = 1
+    seeds = sorted(key for (body, key) in calls if body == "find_seed_pair")
+    assert seeds == list(range(2, chain.n + 1))
+    profile = block_eigenvalues(sub, chain)
     reports = sorted(key for (body, key) in calls if body == "_classify_level")
-    assert reports == list(range(2, chain.n + 1))
+    assert reports == [i for i in range(2, chain.n + 1) if profile.theta_is_one(i)]
     assert set(calls.values()) == {1}
+
+
+def _above_one_levels():
+    out = []
+    for name in sorted(CORPUS_RULES):
+        sub = make(name)
+        chain = component_chain(sub)
+        profile = block_eigenvalues(sub, chain)
+        out += [(name, i) for i in range(2, chain.n + 1) if not profile.theta_is_one(i)]
+    return out
+
+
+ABOVE_ONE = _above_one_levels()
+
+
+@pytest.mark.parametrize("name, i", ABOVE_ONE, ids=[f"{n}-{i}" for n, i in ABOVE_ONE])
+def test_table_above_one_runs_no_census(name, i, monkeypatch):
+    def census(*args):
+        raise AssertionError("the periodic-point census ran")
+
+    for body in ("_periodic_point_seeds", "positively_recurrent", "_is_single_periodic_orbit"):
+        monkeypatch.setattr(classify, body, census)
+    sub = make(name)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    level_measure_table(sub, chain, profile, i, max_m=MAX_M)
+    assert ("seed_pair", i) in chain._memo
+    assert not [key for key in chain._memo if key[0] in ("point_seeds", "classify_level")]
+    monkeypatch.undo()
+    # the stored seed pair serves the full report later
+    report = decomposition_report(sub, chain, profile)
+    fresh = component_chain(sub)
+    expected = decomposition_report(sub, fresh, block_eigenvalues(sub, fresh))
+    assert report == expected  # chain, level reports and minimal sets
 
 
 @pytest.mark.parametrize("name", ["golden_tower", "mid_dominant"])
@@ -176,6 +217,32 @@ def test_measure_type_memo_equals_fresh_descriptor(name, monkeypatch):
         assert measure_type(sub, chain, profile, i) is desc
         assert desc == body(sub, chain, profile, i, None)
     assert bodies == Counter(range(1, chain.n + 1))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RULES))
+def test_measure_type_reads_a_given_report(name, monkeypatch):
+    # a given level report supplies the anchor: nothing is solved again
+    sub = make(name)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    report = decomposition_report(sub, chain, profile)
+    stored = [measure_type(sub, chain, profile, i) for i in range(1, chain.n + 1)]
+    fresh = component_chain(sub)
+    fresh_profile = block_eigenvalues(sub, fresh)
+
+    def solve(*args):
+        raise AssertionError("the level was solved again")
+
+    for body in ("find_seed_pair", "_classify_level", "_periodic_point_seeds"):
+        monkeypatch.setattr(classify, body, solve)
+    for i in range(1, chain.n + 1):
+        given = report.levels[i - 1]
+        assert measure_type(sub, fresh, fresh_profile, i, given) == stored[i - 1]
+    assert not [key for key in fresh._memo if key[0] == "seed_pair"]
+    # a report of another level would lend its anchor
+    if chain.n > 1:
+        with pytest.raises(DomainError, match="describes level"):
+            measure_type(sub, fresh, fresh_profile, chain.n, report.levels[chain.n - 2])
 
 
 def test_measure_type_on_another_chain_stores_nothing():
