@@ -22,7 +22,7 @@ per halving.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import index
 
 def charpoly(mat) -> tuple[int, ...]:
@@ -344,22 +344,17 @@ def _bareiss(M: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
-def solve_linear(A, b) -> list[Fraction]:
-    """Solve a square nonsingular integer system with a rational right-hand side.
+def solve_linear(A, b) -> tuple[list[int], int]:
+    """Solve a square nonsingular integer system A x = b without fractions.
 
-    The right-hand side is scaled to integers by its common denominator, so
-    elimination and back-substitution run on integers only. A non-integer
-    matrix entry raises ``TypeError``.
+    Returns ``(y, det)`` with ``A y = det * b`` and ``det = |det A| > 0``, so
+    x = y / det. Elimination and back-substitution run on integers only; a
+    non-integer entry of A or b raises ``TypeError``.
     """
     n = len(A)
     if n == 0:
-        return []
-    rhs = [Fraction(v) for v in b]
-    scale = lcm(*(v.denominator for v in rhs))
-    M = [
-        [index(a) for a in row] + [v.numerator * (scale // v.denominator)]
-        for row, v in zip(A, rhs)
-    ]
+        return [], 1
+    M = [[index(a) for a in row] + [index(v)] for row, v in zip(A, b)]
     if len(_bareiss(M, n)) < n:
         raise ZeroDivisionError("singular system")
     # By Cramer's rule det * x is integral; the last pivot is +-det.
@@ -369,7 +364,9 @@ def solve_linear(A, b) -> list[Fraction]:
         row = M[k]
         acc = det * row[n] - sum(row[j] * y[j] for j in range(k + 1, n))
         y[k] = acc // row[k]
-    return [Fraction(v, det * scale) for v in y]
+    if det < 0:
+        return [-v for v in y], -det
+    return y, det
 
 
 def nullspace_vector(A) -> list[int]:

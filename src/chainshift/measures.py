@@ -20,7 +20,13 @@ like the eigen data they are read from (see ``spectral``). A level with
 theta > 1 reads only the spectrum and its seed pair, ``("seed_pair", i)``,
 and so do the uniformity windows; the periodic-point census of
 ``classify_level`` runs only for theta = 1 levels, whose descriptors count
-its point seeds.
+its point seeds. The first cylinder value of a level and window length
+finishes the whole table, ``(infinite, exact, float, algebraic note)`` for
+every word of the level language, and stores it under ``("cylinders", i,
+m)``; every later value is one lookup after the level's error checks. A
+finite table reads only the left eigenvector (``spectral.pf_left``), an
+infinite one the limit data, whose right vector depends only on the first
+letter, which the table checks once.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .errors import (
     MeasureTypeCounting,
     WordNotInLevelLanguage,
 )
-from .spectral import SpectralProfile, level_profile, limit_data, pf_vectors
+from .spectral import SpectralProfile, level_profile, limit_data, pf_left
 from .structure import ComponentChain
 from .words import Substitution
 
@@ -176,24 +182,41 @@ def cylinder_measure(
     m = len(v)
     sub_i, chain_i = chain.restrict(i)
     _require_level_word(sub_i, chain_i, i, v)
+    table = chain.memo(("cylinders", i, m), _cylinder_table, sub, chain, spectral, i, m, desc)
+    infinite, exact, value, note = table[v]
+    return CylinderValue(i, v, infinite, exact, value, desc.anchor, note)
+
+
+def _cylinder_table(
+    sub: Substitution,
+    chain: ComponentChain,
+    spectral: SpectralProfile,
+    i: int,
+    m: int,
+    desc: MeasureDescriptor,
+) -> dict[str, tuple]:
+    """``(infinite, exact, float, algebraic note)`` of every level-i word of length m."""
+    note = _algebraic_note(spectral.theta(i))  # None for an integer theta
     if desc.kind == "finite_ergodic":
-        pair = pf_vectors(sub_i, chain_i, m, level_profile(sub, chain, i, spectral))
-        value, exact = pair.beta[v] / pair.beta_total, pair.exact
-    else:
-        ld = limit_data(sub, chain, m, i, spectral)
-        if v in ld.infinite_words:
-            return CylinderValue(i, v, True, None, None, desc.anchor)
-        anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]
-        if not anchors:
-            raise RuntimeError(f"level {i}: anchor letter {desc.anchor!r} starts no language window")
-        gammas = [ld.gamma[w] for w in anchors]
-        if ld.exact and len(set(gammas)) != 1:
-            raise RuntimeError(f"level {i}: right limit vector depends on more than the first letter")
-        value, exact = gammas[0] * ld.delta[v], ld.exact
-    if exact:
-        return CylinderValue(i, v, False, value, float(value), desc.anchor)
-    note = _algebraic_note(spectral.theta(i))
-    return CylinderValue(i, v, False, None, float(value), desc.anchor, note)
+        sub_i, chain_i = chain.restrict(i)
+        left = pf_left(sub_i, chain_i, m, level_profile(sub, chain, i, spectral))
+        total = left.total
+        if left.exact:
+            values = {w: Fraction(x, total) for w, x in left.values.items()}
+            return {w: (False, q, float(q), None) for w, q in values.items()}
+        return {w: (False, None, x / total, note) for w, x in left.values.items()}
+    ld = limit_data(sub, chain, m, i, spectral)
+    anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]
+    if not anchors:
+        raise RuntimeError(f"level {i}: anchor letter {desc.anchor!r} starts no language window")
+    if len({ld.gamma[w] for w in anchors}) != 1:
+        raise RuntimeError(f"level {i}: right limit vector depends on more than the first letter")
+    gamma = ld.gamma[anchors[0]]
+    table = dict.fromkeys(ld.infinite_words, (True, None, None, None))
+    for w in ld.restricted_words:
+        value = gamma * ld.delta[w]
+        table[w] = (False, value if ld.exact else None, float(value), note)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +415,7 @@ def uniformity_check(
     if spectral.theta_is_one(i):
         raise DomainError(f"level {i} has eigenvalue 1; no frequency target exists")
     if spectral.level_is_finite(i):
-        data = pf_vectors(sub_i, chain_i, m, level_profile(sub, chain, i, spectral)).beta
+        data = pf_left(sub_i, chain_i, m, level_profile(sub, chain, i, spectral)).values
     else:
         data = limit_data(sub, chain, m, i, spectral).delta
     target = float(data[v] / sum(val for w, val in data.items() if w[0] in new))

@@ -15,34 +15,43 @@ chain; the other blocks isolate their largest root by Sturm bisection. A
 profile compares its levels once, when it is built, and keeps the running
 maximum, so ``lambda_upto`` and ``level_is_finite`` are lookups.
 
-The right vector is built downward from the last block attaining the global
-rate: the attaining block contributes its Perron vector, coordinates above it
-are zero, and each block below solves (lam*I - D) x = coupling, which is
-nonsingular because every lower diagonal block has spectral radius < lam. The
-left vector is built symmetrically upward from the first attaining block.
+The left vector is built upward from the first block attaining the global
+rate: the attaining block contributes its Perron vector, coordinates after
+it are zero, and each block before it solves x (lam*I - D) = coupling, which
+is nonsingular because every lower diagonal block has spectral radius < lam.
+Exact vectors stay integer numerators at one common scale (fraction-free
+Bareiss solves, each returning ``(y, det)`` with x = y / det); ``Fraction``s
+are made once per word at the end. The right vector of ``pf_vectors`` is
+built symmetrically downward from the last attaining block. The right limit
+vector of an infinite level needs no window solve: its anchor block is the
+last, so it vanishes below it, and on it a window's image row counts the
+letters of sigma(u[0]), so gamma(u) = r(u[0]) for the Perron vector r of the
+level's letter block.
 
 Every cylinder value of one level and window length reads the same vectors,
 so they are solved once. Like everything else derived from a chain, they are
 stored on the chain (``ComponentChain.memo``): ``block_eigenvalues`` under
-``("spectral",)``, ``pf_vectors`` under ``("pf_vectors", m)`` and
-``limit_data`` under ``("limit_data", m, i)``; ``classify`` adds seed pairs,
-point seeds and level reports, ``measures`` its descriptors. A profile
-belongs to one chain: ``SpectralProfile.memo`` stores on that chain, and a
-profile passed with another chain raises ``DomainError``. ``level_profile`` keeps the level-i
-profile as the ``("spectral",)`` entry of ``chain.restrict(i)``. The stored
-data holds at most one entry per level and window length actually asked
-for, and lives exactly as long as its chain.
+``("spectral",)``, the left vector ``pf_left`` under ``("pf_left", m)``,
+``pf_vectors`` (which adds the right vector to it) under ``("pf_right", m)``
+and ``limit_data`` under ``("limit_data", m, i)``; ``classify`` adds seed
+pairs, point seeds and level reports, ``measures`` its descriptors and
+cylinder tables. Only ``pf_vectors`` solves the right vector, so a cylinder
+table never does. A profile belongs to one chain: ``SpectralProfile.memo``
+stores on that chain, and a profile passed with another chain raises
+``DomainError``. ``level_profile`` keeps the level-i profile as the
+``("spectral",)`` entry of ``chain.restrict(i)``. The stored data holds at
+most one entry per level and window length actually asked for, and lives
+exactly as long as its chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
-from .auxiliary import AuxiliarySubstitution, auxiliary_matrix, build_auxiliary
+from .auxiliary import AuxiliarySubstitution, build_auxiliary
 from .errors import DomainError, LambdaNotDominant, ThetaNotAboveOne
 from .exact import AlgebraicReal, charpoly, nullspace_vector, solve_linear
 from .structure import ComponentChain, IntMatrix
@@ -205,7 +214,8 @@ def level_profile(
 
 
 def _pf_right(block, lam, exact: bool):
-    """Positive right eigenvector of a primitive block for its dominant value."""
+    """Positive right eigenvector of a primitive block for its dominant value:
+    a primitive integer vector when exact, floats otherwise."""
     k = len(block)
     if exact:
         A = [[block[r][c] - (lam if r == c else 0) for c in range(k)] for r in range(k)]
@@ -214,7 +224,7 @@ def _pf_right(block, lam, exact: bool):
             vec = [-v for v in vec]
         if not all(v > 0 for v in vec):
             raise RuntimeError("Perron vector must be positive")
-        return [Fraction(v) for v in vec]
+        return vec
     arr = np.array(block, dtype=float)
     vals, vecs = np.linalg.eig(arr)
     idx = int(np.argmin(np.abs(vals - lam)))
@@ -226,78 +236,84 @@ def _pf_right(block, lam, exact: bool):
     return [max(float(v), 0.0) for v in vec]
 
 
-def _pf_left(block, lam, exact: bool):
-    transposed = [[block[r][c] for r in range(len(block))] for c in range(len(block))]
-    return _pf_right(transposed, lam, exact)
+def _window_rows(aux: AuxiliarySubstitution) -> dict[str, dict[str, int]]:
+    """The nonzero entries of the window matrix by row: row u counts the
+    windows of u's image."""
+    rows: dict[str, dict[str, int]] = {}
+    for u in aux.words:
+        row = rows[u] = {}
+        for w in aux.image(u):
+            row[w] = row.get(w, 0) + 1
+    return rows
 
 
-def _solve_shifted(diag, lam, rhs, exact: bool, transpose: bool):
-    """Solve (lam*I - D) x = rhs, or its transpose variant for left vectors."""
-    k = len(diag)
-    if k == 0:
-        return []
-    rows = range(k)
-    if exact:
-        A = [
-            [(lam if r == c else 0) - (diag[c][r] if transpose else diag[r][c]) for c in rows]
-            for r in rows
-        ]
-        return solve_linear(A, rhs)
-    D = np.array(diag, dtype=float)
-    if transpose:
-        D = D.T
-    A = lam * np.eye(k) - D
-    return [float(v) for v in np.linalg.solve(A, np.array(rhs, dtype=float))]
+def _left_vector(words_blocks: list[tuple[str, ...]], rows, lam, anchor: int, exact: bool):
+    """Left eigenvector of a block lower triangular matrix over its blocks.
 
-
-def _block_vector(
-    words_blocks: list[tuple[str, ...]],
-    entry,
-    lam,
-    anchor: int,
-    exact: bool,
-    side: str,
-) -> dict[str, object]:
-    """Structured eigenvector over concatenated blocks.
-
-    ``side='right'`` zeroes blocks before the anchor and back-substitutes
-    after it; ``side='left'`` zeroes blocks after the anchor and
-    back-substitutes before it, using column equations.
+    ``rows[u]`` holds the nonzero entries of row u. Blocks after the anchor
+    are zero, the anchor holds the Perron vector of its diagonal block, and
+    each block before it solves the column equations x (lam*I - D) = (its
+    coupling to the blocks already solved). Exact vectors are integer
+    numerators at one common scale: a solve returns ``(y, det)`` with
+    x = y / det, so the values solved before it are multiplied by det. The
+    right eigenvector is the left one of the transpose with the blocks in
+    reverse order.
     """
     values: dict[str, object] = {}
-    zero = Fraction(0) if exact else 0.0
-    outer = range(anchor + 1, len(words_blocks)) if side == "right" else range(anchor - 1, -1, -1)
-    dead = range(anchor) if side == "right" else range(anchor + 1, len(words_blocks))
-    for j in dead:
-        for w in words_blocks[j]:
-            values[w] = zero
+    zero = 0 if exact else 0.0
+    for ws in words_blocks[anchor + 1 :]:
+        values.update(dict.fromkeys(ws, zero))
+    # Column entries of the rows from the anchor down, in the order they are
+    # solved: a float sum adds its terms in that order.
+    columns: dict[str, list[tuple[str, int]]] = {}
+    for j in range(anchor, -1, -1):
+        for u in words_blocks[j]:
+            for w, c in rows[u].items():
+                columns.setdefault(w, []).append((u, c))
     anchor_words = words_blocks[anchor]
-    diag = [[entry(u, v) for v in anchor_words] for u in anchor_words]
-    pf = _pf_right(diag, lam, exact) if side == "right" else _pf_left(diag, lam, exact)
-    values.update(zip(anchor_words, pf))
-    solved = list(anchor_words)
-    for j in outer:
+    transposed = [[rows[v].get(u, 0) for v in anchor_words] for u in anchor_words]
+    values.update(zip(anchor_words, _pf_right(transposed, lam, exact)))
+    for j in range(anchor - 1, -1, -1):
         ws = words_blocks[j]
         if not ws:
             continue
-        diag = [[entry(u, v) for v in ws] for u in ws]
-        # Window matrices are sparse: multiply the nonzero entries only.
-        # Skipping exact zeros leaves every float sum unchanged.
-        if side == "right":
-            rhs = [sum(c * values[v] for v in solved if (c := entry(u, v))) for u in ws]
+        # Rows of this block and of the zero blocks add nothing to the
+        # coupling; the rows below it have no entry in its columns.
+        own = set(ws)
+        rhs = [sum(values[u] * c for u, c in columns.get(v, ()) if u not in own) for v in ws]
+        transposed = [[rows[v].get(u, 0) for v in ws] for u in ws]
+        if exact:
+            shifted = [[-c for c in row] for row in transposed]
+            for r, row in enumerate(shifted):
+                row[r] += lam
+            y, det = solve_linear(shifted, rhs)
+            if det != 1:
+                for u in values:
+                    values[u] *= det
+            values.update(zip(ws, y))
         else:
-            rhs = [sum(values[u] * c for u in solved if (c := entry(u, v))) for v in ws]
-        x = _solve_shifted(diag, lam, rhs, exact, transpose=(side == "left"))
-        values.update(zip(ws, x))
-        solved.extend(ws)
+            shifted = lam * np.eye(len(ws)) - np.array(transposed, dtype=float)
+            x = np.linalg.solve(shifted, np.array(rhs, dtype=float))
+            values.update(zip(ws, (float(v) for v in x)))
     return values
 
 
+def _right_vector(words_blocks: list[tuple[str, ...]], rows, lam, anchor: int, exact: bool):
+    """Right eigenvector: zero before the anchor, solved after it."""
+    columns: dict[str, dict[str, int]] = {u: {} for u in rows}
+    for u, row in rows.items():
+        for w, c in row.items():
+            columns[w][u] = c
+    last = len(words_blocks) - 1
+    return _left_vector(words_blocks[::-1], columns, lam, last - anchor, exact)
+
+
 def _min_positive_normalize(values: dict[str, object], exact: bool) -> dict[str, object]:
+    """Scale so the smallest positive entry is 1: integer numerators become
+    ``Fraction``s, floats within 1e-9 of the largest entry's scale become 0."""
     if exact:
-        positive = [v for v in values.values() if v > 0]
-        scale = min(positive)
-        return {w: v / scale for w, v in values.items()}
+        scale = min(v for v in values.values() if v > 0)
+        return {w: Fraction(v, scale) for w, v in values.items()}
     mx = max(abs(float(v)) for v in values.values())
     tol = 1e-9 * max(mx, 1.0)
     positive = [float(v) for v in values.values() if float(v) > tol]
@@ -305,37 +321,85 @@ def _min_positive_normalize(values: dict[str, object], exact: bool) -> dict[str,
     return {w: (float(v) / scale if float(v) > tol else 0.0) for w, v in values.items()}
 
 
-def _residual(
-    entries: IntMatrix, order, values: dict[str, object], lam_float: float, side: str
-) -> float:
-    arr = np.array(entries, dtype=float)
-    x = np.array([float(values[w]) for w in order])
-    r = arr @ x - lam_float * x if side == "right" else x @ arr - lam_float * x
-    scale = max(np.max(np.abs(x)), 1e-300)
-    return float(np.max(np.abs(r)) / scale)
-
-
 def _check_eigenvector(
-    entries: IntMatrix, order, values: dict[str, object], lam, exact: bool, side: str, what: str
+    rows, order, values: dict[str, object], lam, exact: bool, side: str, what: str
 ) -> None:
-    """Raise unless ``values`` is a ``side`` eigenvector of ``entries`` for ``lam``.
+    """Raise unless ``values`` is a ``side`` eigenvector for ``lam`` of the
+    matrix with nonzero entries ``rows`` restricted to the words ``order``.
 
-    Exact data (integer ``lam``, ``Fraction`` values) must satisfy the
-    identity exactly, checked in integers after clearing denominators; float
-    data must meet ``RESIDUAL_TOL``.
+    Exact data (integer ``lam``, integer or ``Fraction`` values) must satisfy
+    the identity exactly; the vector engine checks its integer numerators
+    directly. Float data must meet ``RESIDUAL_TOL`` relative to the largest
+    entry.
     """
-    if not exact:
-        res = _residual(entries, order, values, lam, side)
-        if res > RESIDUAL_TOL:
-            raise AssertionError(f"{what} residual {res:.3e} exceeds {RESIDUAL_TOL}")
-        return
-    x = [values[w] for w in order]
-    scale = lcm(*(v.denominator for v in x))
-    xs = [v.numerator * (scale // v.denominator) for v in x]
-    lines = entries if side == "right" else zip(*entries)
-    for line, xv in zip(lines, xs):
-        if sum(a * v for a, v in zip(line, xs) if a) != lam * xv:
+    inside = set(order)
+    if side == "right":
+        image = {u: sum(c * values[w] for w, c in rows[u].items() if w in inside) for u in order}
+    else:
+        image = dict.fromkeys(order, 0)
+        for u in order:
+            if x := values[u]:
+                for w, c in rows[u].items():
+                    if w in inside:
+                        image[w] += x * c
+    if exact:
+        if any(image[w] != lam * values[w] for w in order):
             raise AssertionError(f"{what} fails the exact {side} eigen identity for {lam}")
+        return
+    scale = max(max(abs(values[w]) for w in order), 1e-300)
+    res = max(abs(image[w] - lam * values[w]) for w in order) / scale
+    if res > RESIDUAL_TOL:
+        raise AssertionError(f"{what} residual {res:.3e} exceeds {RESIDUAL_TOL}")
+
+
+def _anchor(blocks, level: int) -> int:
+    """Position of the Q block of ``level`` among ``blocks``."""
+    return next(j for j, (kind, lvl, _) in enumerate(blocks) if kind == "Q" and lvl == level)
+
+
+@dataclass
+class LeftVector:
+    """The left dominant eigenvector over the window alphabet, on its own.
+
+    Exact (integer ``lam``): integer numerators at one common scale, so a
+    finite cylinder value is ``Fraction(values[v], total)``. Float: scaled
+    so the smallest positive entry is 1.
+    """
+
+    aux: AuxiliarySubstitution
+    lam: AlgebraicReal
+    values: dict[str, object]
+    total: object  # sum of the values: the normaliser of finite cylinder values
+    exact: bool
+
+
+def pf_left(
+    sub: Substitution,
+    chain: ComponentChain,
+    m: int,
+    spectral: SpectralProfile | None = None,
+) -> LeftVector:
+    spectral = spectral or block_eigenvalues(sub, chain)
+    return spectral.memo(sub, chain, ("pf_left", m), _pf_left, sub, chain, m, spectral)
+
+
+def _pf_left(
+    sub: Substitution, chain: ComponentChain, m: int, spectral: SpectralProfile
+) -> LeftVector:
+    lam = spectral.lam
+    if lam.compare(1) <= 0:
+        raise LambdaNotDominant("global growth rate is <= 1; no dominant eigenvector data")
+    aux = build_auxiliary(sub, chain, m)
+    rows = _window_rows(aux)
+    exact = lam.as_integer() is not None
+    lam_value = lam.as_integer() if exact else float(lam)
+    blocks = aux.blocks_in_order()
+    words_blocks = [ws for _, _, ws in blocks]
+    beta = _left_vector(words_blocks, rows, lam_value, _anchor(blocks, spectral.i_min), exact)
+    if not exact:
+        beta = _min_positive_normalize(beta, exact)
+    _check_eigenvector(rows, aux.words, beta, lam_value, exact, "left", "eigenvector")
+    return LeftVector(aux=aux, lam=lam, values=beta, total=sum(beta.values()), exact=exact)
 
 
 @dataclass
@@ -361,41 +425,27 @@ def pf_vectors(
     m: int,
     spectral: SpectralProfile | None = None,
 ) -> EigenPair:
+    """Both dominant eigenvectors, the right one solved on top of ``pf_left``."""
     spectral = spectral or block_eigenvalues(sub, chain)
-    return spectral.memo(sub, chain, ("pf_vectors", m), _pf_vectors, sub, chain, m, spectral)
+    return spectral.memo(sub, chain, ("pf_right", m), _pf_vectors, sub, chain, m, spectral)
 
 
 def _pf_vectors(
     sub: Substitution, chain: ComponentChain, m: int, spectral: SpectralProfile
 ) -> EigenPair:
-    lam = spectral.lam
-    if lam.compare(1) <= 0:
-        raise LambdaNotDominant("global growth rate is <= 1; no dominant eigenvector data")
-    aux = build_auxiliary(sub, chain, m)
-    matrix = auxiliary_matrix(aux)
-    pos = {w: i for i, w in enumerate(aux.words)}
-
-    def entry(u: str, v: str) -> int:
-        return matrix.entries[pos[u]][pos[v]]
-
-    exact = lam.as_integer() is not None
+    left = pf_left(sub, chain, m, spectral)
+    aux, lam, exact = left.aux, left.lam, left.exact
+    rows = _window_rows(aux)
     lam_value = lam.as_integer() if exact else float(lam)
     blocks = aux.blocks_in_order()
     words_blocks = [ws for _, _, ws in blocks]
-    anchor_alpha = next(
-        j for j, (kind, lvl, _) in enumerate(blocks) if kind == "Q" and lvl == spectral.i_max
-    )
-    anchor_beta = next(
-        j for j, (kind, lvl, _) in enumerate(blocks) if kind == "Q" and lvl == spectral.i_min
-    )
-    alpha = _block_vector(words_blocks, entry, lam_value, anchor_alpha, exact, "right")
-    beta = _block_vector(words_blocks, entry, lam_value, anchor_beta, exact, "left")
-    alpha = _min_positive_normalize(alpha, exact)
-    beta = _min_positive_normalize(beta, exact)
-    for side, values in (("right", alpha), ("left", beta)):
-        _check_eigenvector(
-            matrix.entries, aux.words, values, lam_value, exact, side, "eigenvector"
-        )
+    alpha = _right_vector(words_blocks, rows, lam_value, _anchor(blocks, spectral.i_max), exact)
+    if not exact:
+        alpha = _min_positive_normalize(alpha, exact)
+    _check_eigenvector(rows, aux.words, alpha, lam_value, exact, "right", "eigenvector")
+    beta = left.values
+    if exact:  # Fractions from the integer numerators, once per word
+        alpha, beta = _min_positive_normalize(alpha, exact), _min_positive_normalize(beta, exact)
     return EigenPair(
         m=m, aux=aux, lam=lam, alpha=alpha, beta=beta, beta_total=sum(beta.values()), exact=exact
     )
@@ -462,12 +512,7 @@ def _limit_data(
             beta=beta,
         )
     aux = build_auxiliary(sub_i, chain_i, m)
-    matrix = auxiliary_matrix(aux)
-    pos = {w: j for j, w in enumerate(aux.words)}
-
-    def entry(u: str, v: str) -> int:
-        return matrix.entries[pos[u]][pos[v]]
-
+    rows = _window_rows(aux)
     ip = spectral.i_prime(i)
     if ip < 2:
         raise RuntimeError(f"level {i}: divergent mode without a dominating lower level")
@@ -480,21 +525,29 @@ def _limit_data(
     restricted = tuple(w for ws in words_blocks for w in ws)
     exact = theta.as_integer() is not None
     theta_value = theta.as_integer() if exact else float(theta)
-    anchor = next(j for j, (kind, lvl, _) in enumerate(blocks) if kind == "Q" and lvl == i)
+    anchor = _anchor(blocks, i)
     if anchor != len(blocks) - 1:
         raise RuntimeError(f"level {i}: the level block is not last in the restriction")
-    gamma = _block_vector(words_blocks, entry, theta_value, anchor, exact, "right")
-    delta = _block_vector(words_blocks, entry, theta_value, anchor, exact, "left")
-    gamma = _min_positive_normalize(gamma, exact)
+    # The anchor block is last, so gamma vanishes below it; on it a window's
+    # image row counts the letters of sigma(u[0]), so gamma(u) = r(u[0]) for
+    # the Perron vector r of the level's letter block.
+    perron = _pf_right(spectral.levels[i - 1].block, theta_value, exact)
+    r = dict(zip(chain.new_letters(i), perron))
+    gamma = dict.fromkeys(restricted, 0 if exact else 0.0)
+    gamma.update((w, r[w[0]]) for w in words_blocks[anchor])
+    if not all(gamma[w] > 0 for w in words_blocks[anchor]):
+        raise RuntimeError(f"level {i}: the lifted right limit vector is not positive")
+    delta = _left_vector(words_blocks, rows, theta_value, anchor, exact)
     if exact and not all(v > 0 for v in delta.values()):
         raise RuntimeError(f"level {i}: the left limit vector is not positive")
+    if not exact:
+        gamma = _min_positive_normalize(gamma, exact)
+    for side, values in (("right", gamma), ("left", delta)):
+        _check_eigenvector(rows, restricted, values, theta_value, exact, side, "limit vector")
+    if exact:
+        gamma = _min_positive_normalize(gamma, exact)
     pairing = sum(gamma[w] * delta[w] for w in restricted)
     delta = {w: v / pairing for w, v in delta.items()}
-    sub_entries = tuple(tuple(entry(u, v) for v in restricted) for u in restricted)
-    for side, values in (("right", gamma), ("left", delta)):
-        _check_eigenvector(
-            sub_entries, restricted, values, theta_value, exact, side, "limit vector"
-        )
     infinite = aux.level_words[ip - 2]
     return LimitData(
         level=i,

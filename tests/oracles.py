@@ -4,7 +4,8 @@ Everything here recomputes from first principles: windows are enumerated
 directly, powers are expanded letter by letter, chains are found by searching
 every ordered partition of the alphabet or by dense boolean matrix products,
 linear systems are solved by dense Gauss-Jordan elimination over the
-rationals, real roots are isolated and refined by Sturm counts in Fraction
+rationals (structured eigenvectors too, or by numpy for an irrational
+eigenvalue), real roots are isolated and refined by Sturm counts in Fraction
 arithmetic, and per-level data (languages, letter-map cycles, pair seeds) is
 rebuilt from scratch on each level's own rules.
 """
@@ -16,6 +17,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 from operator import and_
+
+import numpy as np
 
 
 def occurrences(u: str, v: str) -> list[int]:
@@ -246,6 +249,57 @@ def nullspace_vector(A) -> list[Fraction]:
     for row_idx, col in enumerate(pivots):
         x[col] = -M[row_idx][free[0]]
     return x
+
+
+def perron_vector(block, lam, exact: bool) -> list:
+    """Positive right eigenvector of a primitive block for its dominant value:
+    a rational kernel vector for integer ``lam``, numpy's otherwise."""
+    k = len(block)
+    if exact:
+        shifted = [[block[r][c] - (lam if r == c else 0) for c in range(k)] for r in range(k)]
+        vec = nullspace_vector(shifted)
+    else:
+        vals, vecs = np.linalg.eig(np.array(block, dtype=float))
+        vec = [float(v) for v in np.real(vecs[:, int(np.argmin(np.abs(vals - lam)))])]
+    return [-v for v in vec] if sum(vec) < 0 else vec
+
+
+def block_vector(words_blocks, entry, lam, anchor: int, side: str, exact: bool = True) -> dict:
+    """Eigenvector of a block lower triangular matrix over its blocks.
+
+    ``side="right"`` zeroes the blocks before the anchor, takes the anchor
+    block's Perron vector and solves (lam*I - D) x = (coupling to the blocks
+    already solved) for each block after it; ``side="left"`` mirrors this
+    upward with the column equations. Dense ``Fraction`` elimination for an
+    integer ``lam``, numpy floats otherwise; ``entry(u, v)`` is the matrix
+    entry in row u and column v.
+    """
+    right = side == "right"
+    n = len(words_blocks)
+
+    def at(u, v):  # the entry read by the equation of u
+        return entry(u, v) if right else entry(v, u)
+
+    values: dict = {}
+    for j in range(anchor) if right else range(anchor + 1, n):
+        values.update(dict.fromkeys(words_blocks[j], Fraction(0) if exact else 0.0))
+    words = words_blocks[anchor]
+    block = [[at(u, v) for v in words] for u in words]
+    values.update(zip(words, perron_vector(block, lam, exact)))
+    solved = list(words)
+    for j in range(anchor + 1, n) if right else range(anchor - 1, -1, -1):
+        ws = words_blocks[j]
+        if not ws:
+            continue
+        rhs = [sum(at(u, s) * values[s] for s in solved) for u in ws]
+        A = [[(lam if u == v else 0) - at(u, v) for v in ws] for u in ws]
+        if exact:
+            x = solve_linear(A, rhs)
+        else:
+            x = [float(v) for v in np.linalg.solve(np.array(A, dtype=float), np.array(rhs))]
+        values.update(zip(ws, x))
+        solved.extend(ws)
+    return values
 
 
 def language_closure(rules: dict[str, str], m: int) -> set[str]:

@@ -99,18 +99,23 @@ def test_integer_root_checks_the_root_and_compares_exactly():
 
 def test_solve_linear_and_nullspace():
     # the fraction-free kernels and the dense Fraction reference
+    assert oracles.solve_linear([[3, -2], [-1, 2]], [Fraction(1), Fraction(1)]) == [1, 1]
+    # det = 4, so y = 4 * (1, 1); a negative determinant is turned positive
+    assert exact.solve_linear([[3, -2], [-1, 2]], [1, 1]) == ([4, 4], 4)
+    assert exact.solve_linear([[0, 1], [1, 0]], [2, 3]) == ([3, 2], 1)
     for impl in (exact, oracles):
-        assert impl.solve_linear([[3, -2], [-1, 2]], [Fraction(1), Fraction(1)]) == [1, 1]
         vec = impl.nullspace_vector([[-2, 2], [1, -1]])
         assert vec[0] == vec[1] != 0
         with pytest.raises(ZeroDivisionError):
-            impl.solve_linear([[1, 1], [1, 1]], [Fraction(0), Fraction(0)])
+            impl.solve_linear([[1, 1], [1, 1]], [0, 0])
 
 
 def test_fraction_free_kernels_reject_rational_matrices():
     # floor division on Fraction entries would round silently; refuse instead
     with pytest.raises(TypeError):
-        exact.solve_linear([[Fraction(1, 2), 0], [0, 1]], [Fraction(1), Fraction(1)])
+        exact.solve_linear([[Fraction(1, 2), 0], [0, 1]], [1, 1])
+    with pytest.raises(TypeError):
+        exact.solve_linear([[1, 0], [0, 1]], [Fraction(1, 2), 1])
     with pytest.raises(TypeError):
         exact.nullspace_vector([[Fraction(-1, 2), Fraction(1, 2)], [1, -1]])
     assert exact.nullspace_vector([[True, -1], [2, -2]]) == [1, 1]
@@ -222,11 +227,7 @@ def corank_one_matrices(draw):
 def square_systems(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
-    rhs = draw(
-        st.lists(
-            st.fractions(min_value=-20, max_value=20, max_denominator=30), min_size=n, max_size=n
-        )
-    )
+    rhs = draw(st.lists(st.integers(min_value=-20, max_value=20), min_size=n, max_size=n))
     return rows, rhs
 
 
@@ -257,7 +258,10 @@ def test_solve_linear_matches_oracle(system):
         with pytest.raises(ZeroDivisionError):
             exact.solve_linear(A, b)
         return
-    assert exact.solve_linear(A, b) == expected
+    y, det = exact.solve_linear(A, b)
+    assert det > 0 and all(isinstance(v, int) for v in y)
+    assert [Fraction(v, det) for v in y] == expected
+    assert det == abs(sympy.Matrix(A).det())
 
 
 # -- integer Sturm chains and dyadic refinement against Fraction Sturm counts --

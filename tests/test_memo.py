@@ -1,17 +1,19 @@
 """The data derived from a chain is computed once per chain and lives with it.
 
-``block_eigenvalues``, ``pf_vectors``, ``limit_data``, ``level_seed``, the
-periodic-point census, ``classify_level``, ``level_profile``, ``measure_type``
-and ``build_auxiliary`` store their results on the chain
-(``ComponentChain.memo``), keyed by window length and level,
-``ComponentChain.restrict`` keeps each level's restriction there, and
-``decomposition_report`` sweeps the chain's two-letter languages once. A
-measure on a level with theta > 1 reads the seed pair and never the
-periodic-point census. The tests count calls of the un-memoised bodies; a
+``block_eigenvalues``, ``pf_left``, ``pf_vectors``, ``limit_data``,
+``level_seed``, the periodic-point census, ``classify_level``,
+``level_profile``, ``measure_type``, ``build_auxiliary`` and the cylinder
+tables store their results on the chain (``ComponentChain.memo``), keyed by
+window length and level, ``ComponentChain.restrict`` keeps each level's
+restriction there, and ``decomposition_report`` sweeps the chain's two-letter
+languages once. A measure on a level with theta > 1 reads the seed pair and
+never the periodic-point census, and a cylinder table solves no right vector
+over the window alphabet. The tests count calls of the un-memoised bodies; a
 fresh chain starts with an empty memo.
 """
 
 import gc
+import json
 import weakref
 from collections import Counter
 
@@ -20,10 +22,13 @@ import pytest
 from chainshift import (
     ComponentChain,
     DomainError,
+    MeasureTypeCounting,
     Substitution,
+    WordNotInLevelLanguage,
     block_eigenvalues,
     build_auxiliary,
     classify,
+    cli,
     component_chain,
     decomposition_report,
     measures,
@@ -50,6 +55,7 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
+    count(spectral, "_pf_left", lambda sub, chain, m, sp: (chain.n, m))
     count(spectral, "_pf_vectors", lambda sub, chain, m, sp: (chain.n, m))
     count(spectral, "_limit_data", lambda sub, chain, m, i, sp: (i, m))
     count(classify, "_classify_level", lambda sub, chain, sp, i: i)
@@ -72,10 +78,12 @@ def test_one_solve_per_level_and_window(name, calls):
     sub, chain, tables = _tables(name)
     measured = [t["level"] for t in tables if "cylinders" in t]
     assert measured
-    # finite levels solve through pf_vectors on the level's own chain (whose
-    # top level is the level), infinite ones through limit_data
-    solves = sorted(key for (body, key) in calls if body in ("_pf_vectors", "_limit_data"))
+    # finite levels solve the left vector on the level's own chain (whose top
+    # level is the level), infinite ones through limit_data; no table solves
+    # the right vector of pf_vectors
+    solves = sorted(key for (body, key) in calls if body in ("_pf_left", "_limit_data"))
     assert solves == [(i, m) for i in measured for m in range(1, MAX_M + 1)]
+    assert not [key for (body, key) in calls if body == "_pf_vectors"]
     # one seed pair per level; the full report only where theta = 1
     seeds = sorted(key for (body, key) in calls if body == "find_seed_pair")
     assert seeds == list(range(2, chain.n + 1))
@@ -128,6 +136,160 @@ def test_memoised_values_equal_fresh_profile(name):
             fresh = block_eigenvalues(sub, fresh_chain)
             got = cylinder_measure(sub, fresh_chain, fresh, table["level"], word)
             assert got.as_json() == shared
+
+
+def _levels(kind):
+    """(system, level) pairs of the corpus whose measure is of ``kind``."""
+    out = []
+    for name in sorted(CORPUS_RULES):
+        sub = make(name)
+        chain = component_chain(sub)
+        profile = block_eigenvalues(sub, chain)
+        kinds = [measure_type(sub, chain, profile, i).kind for i in range(1, chain.n + 1)]
+        out += [(name, i) for i, k in enumerate(kinds, 1) if k == kind]
+    return out
+
+
+FINITE, INFINITE = _levels("finite_ergodic"), _levels("infinite_radon")
+
+
+@pytest.fixture
+def perron_calls(monkeypatch):
+    """Blocks handed to the Perron solve outside a left-vector solve; a right
+    vector over the window alphabet raises."""
+    outside: list = []
+    depth = []
+    left, perron = spectral._left_vector, spectral._pf_right
+
+    def counted_left(*args):
+        depth.append(1)
+        try:
+            return left(*args)
+        finally:
+            depth.pop()
+
+    def counted_perron(block, lam, exact):
+        if not depth:
+            outside.append(block)
+        return perron(block, lam, exact)
+
+    def right(*args):
+        raise AssertionError("a right vector was solved over the window alphabet")
+
+    monkeypatch.setattr(spectral, "_left_vector", counted_left)
+    monkeypatch.setattr(spectral, "_pf_right", counted_perron)
+    monkeypatch.setattr(spectral, "_right_vector", right)
+    return outside
+
+
+@pytest.mark.parametrize("name, i", FINITE, ids=[f"{n}-{i}" for n, i in FINITE])
+def test_finite_table_solves_the_left_vector_only(name, i, perron_calls, monkeypatch):
+    sub = make(name)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    table = level_measure_table(sub, chain, profile, i, max_m=MAX_M)
+    assert perron_calls == []
+    chain_i = chain.restrict(i)[1]
+    for m in range(1, MAX_M + 1):
+        assert ("pf_left", m) in chain_i._memo and ("cylinders", i, m) in chain._memo
+        assert ("pf_right", m) not in chain_i._memo and ("pf_right", m) not in chain._memo
+    # a second pass reads the finished values: nothing is solved again
+
+    def solve(*args):
+        raise AssertionError("solved again")
+
+    monkeypatch.setattr(spectral, "nullspace_vector", solve)
+    monkeypatch.setattr(spectral, "solve_linear", solve)
+    assert level_measure_table(sub, chain, profile, i, max_m=MAX_M) == table
+
+
+@pytest.mark.parametrize("name, i", INFINITE, ids=[f"{n}-{i}" for n, i in INFINITE])
+def test_divergent_table_lifts_gamma_from_the_letter_block(name, i, perron_calls, monkeypatch):
+    # the only Perron solve outside the left vector is the level's k x k
+    # letter block, once per window length
+    sub = make(name)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    table = level_measure_table(sub, chain, profile, i, max_m=MAX_M)
+    assert perron_calls == [chain.block(i)] * MAX_M
+    assert not [key for key in chain._memo if key[0] == "pf_right"]
+
+    def solve(*args):
+        raise AssertionError("solved again")
+
+    monkeypatch.setattr(spectral, "nullspace_vector", solve)
+    monkeypatch.setattr(spectral, "solve_linear", solve)
+    assert level_measure_table(sub, chain, profile, i, max_m=MAX_M) == table
+
+
+def test_divergent_table_with_two_new_letters(perron_calls):
+    sub = Substitution.from_rules({"a": "aaaaa", "b": "abcc", "c": "bbc"})
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    level_measure_table(sub, chain, profile, 2, max_m=MAX_M)
+    assert perron_calls == [((1, 2), (2, 1))] * MAX_M
+
+
+def test_spectral_window_fills_both_sides(monkeypatch, capsys, tmp_path):
+    chains = []
+
+    def recorded(sub):
+        chains.append(component_chain(sub))
+        return chains[-1]
+
+    monkeypatch.setattr(cli, "component_chain", recorded)
+    path = tmp_path / "quartic.txt"
+    path.write_text("".join(f"{c} -> {img}\n" for c, img in CORPUS_RULES["quartic"].items()))
+    assert cli.main(["spectral", str(path), "-m", "2"]) == 0
+    window = json.loads(capsys.readouterr().out)["window"]
+    words = build_auxiliary(chains[0].sub, chains[0], 2).words
+    assert list(window["alpha"]) == list(window["beta"]) == list(words)
+    assert ("pf_left", 2) in chains[0]._memo and ("pf_right", 2) in chains[0]._memo
+
+
+# Errors of ``cylinder_measure`` once every table of the system is built,
+# with the types and messages the per-word solve raised: the kind of the
+# level first, then the empty word, then the language.
+ERRORS = [
+    ("tower_of_quasi", 2, "a", MeasureTypeCounting, "level 2 carries counting measures on orbits"),
+    ("tower_of_quasi", 2, "", MeasureTypeCounting, "level 2 carries counting measures on orbits"),
+    ("almost_min_tower", 3, "zz", DomainError, "level 3 has no points, no measure to evaluate"),
+    ("almost_min_tower", 1, "", DomainError, "level 1 has no points, no measure to evaluate"),
+    ("fib_tail", 2, "ab", DomainError, "level 2 has no points, no measure to evaluate"),
+    ("quartic", 4, "a", DomainError, "level 4 out of range 1..3"),
+    ("quartic", 2, "", DomainError, "cylinder word must be nonempty"),
+    ("quartic", 2, "ca", WordNotInLevelLanguage, "'ca' is not in the level-2 language"),
+    ("quartic", 2, "c", WordNotInLevelLanguage, "'c' is not in the level-2 language"),
+    ("golden_tower", 2, "ae", WordNotInLevelLanguage, "'ae' is not in the level-2 language"),
+    ("mid_dominant", 1, "b", WordNotInLevelLanguage, "'b' is not in the level-1 language"),
+]
+
+
+@pytest.mark.parametrize("name, i, word, error, message", ERRORS)
+def test_errors_keep_their_order_once_tables_are_built(name, i, word, error, message):
+    sub = make(name)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    for j in range(1, chain.n + 1):
+        if measure_type(sub, chain, profile, j).kind in ("finite_ergodic", "infinite_radon"):
+            level_measure_table(sub, chain, profile, j, max_m=MAX_M)
+    with pytest.raises(error) as info:
+        cylinder_measure(sub, chain, profile, i, word)
+    assert type(info.value) is error and str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "name, i, word", [("quartic", 2, "aa"), ("quartic", 3, "aaa"), ("golden_tower", 3, "ab")]
+)
+def test_lower_word_on_an_infinite_level_is_infinite(name, i, word):
+    sub = make(name)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    level_measure_table(sub, chain, profile, i, max_m=MAX_M)
+    assert ("cylinders", i, len(word)) in chain._memo
+    value = cylinder_measure(sub, chain, profile, i, word)
+    assert value.infinite and value.exact is value.value is None
+    assert value.as_json()["value"] == "inf"
 
 
 def test_profile_of_another_chain_is_not_reused(calls):

@@ -5,8 +5,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+import oracles
 from chainshift import (
     DomainError,
     LambdaNotDominant,
@@ -20,7 +21,7 @@ from chainshift import (
     pf_vectors,
 )
 from chainshift.exact import AlgebraicReal
-from chainshift.spectral import _check_eigenvector
+from chainshift.spectral import _check_eigenvector, level_profile
 from chainshift.structure import mat_pow
 from conftest import CORPUS_RULES, make, tower
 from test_pipeline_fuzz import chain_systems
@@ -329,29 +330,39 @@ def test_scaled_powers_converge_to_outer_product():
 
 
 def test_exact_eigen_identity_rejects_what_the_float_residual_accepts():
-    entries = ((3, 0), (1, 2))  # right eigenvector (1, 1) and left (1, 0) for 3
+    # rows ((3, 0), (1, 2)) by their nonzero entries: right eigenvector
+    # (1, 1) and left (1, 0) for 3
+    rows = {"u": {"u": 3}, "v": {"u": 1, "v": 2}}
     order = ("u", "v")
     right = {"u": Fraction(1), "v": Fraction(1)}
     left = {"u": Fraction(1), "v": Fraction(0)}
     for side, values in (("right", right), ("left", left)):
-        _check_eigenvector(entries, order, values, 3, True, side, "vector")
+        _check_eigenvector(rows, order, values, 3, True, side, "vector")
+    # integer numerators at any common scale pass as they are
+    _check_eigenvector(rows, order, {"u": 7, "v": 7}, 3, True, "right", "vector")
+    near = {"u": 1.0, "v": 1 + 1e-12}
+    _check_eigenvector(rows, order, near, 3.0, False, "right", "vector")
+    with pytest.raises(AssertionError, match="residual"):
+        _check_eigenvector(rows, order, {"u": 1.0, "v": 1.001}, 3.0, False, "right", "vector")
     near = {"u": Fraction(1), "v": 1 + Fraction(1, 10**12)}
-    _check_eigenvector(entries, order, near, 3.0, False, "right", "vector")
     with pytest.raises(AssertionError, match="exact right eigen identity"):
-        _check_eigenvector(entries, order, near, 3, True, "right", "vector")
+        _check_eigenvector(rows, order, near, 3, True, "right", "vector")
     with pytest.raises(AssertionError, match="exact left eigen identity"):
-        _check_eigenvector(entries, order, right, 3, True, "left", "vector")
+        _check_eigenvector(rows, order, right, 3, True, "left", "vector")
+    # restricted to the words of ``order``: v alone is an eigenvector for 2
+    _check_eigenvector(rows, ("v",), {"v": 5}, 2, True, "right", "vector")
+    _check_eigenvector(rows, ("v",), {"v": 5}, 2, True, "left", "vector")
 
 
 def test_window_and_limit_invariants_survive_optimize():
     # Each broken invariant of the window-substitution build, of the
-    # divergent limit data, of the Perron vectors and of the empty-block test
-    # must raise RuntimeError explicitly, also under ``python -O``, which
-    # strips assert statements.
+    # divergent limit data, of the Perron vectors, of the empty-block test
+    # and of the lifted gamma a cylinder table reads must raise RuntimeError
+    # explicitly, also under ``python -O``, which strips assert statements.
     script = (
         "from chainshift import *\n"
         "import dataclasses\n"
-        "from chainshift import auxiliary, spectral, structure\n"
+        "from chainshift import auxiliary, measures, spectral, structure\n"
         "def expect(fn, *args):\n"
         "    try:\n"
         "        fn(*args)\n"
@@ -373,13 +384,21 @@ def test_window_and_limit_invariants_survive_optimize():
         "auxiliary.AuxiliarySubstitution.blocks_in_order = lambda self: blocks(self) + [('G', 2, ())]\n"
         "expect(limit_data, sub, chain, 2, 2)\n"
         "auxiliary.AuxiliarySubstitution.blocks_in_order = blocks\n"
-        "vector = spectral._block_vector\n"
-        "def flipped(*args):\n"
-        "    values = vector(*args)\n"
-        "    return {w: -v for w, v in values.items()} if args[-1] == 'left' else values\n"
-        "spectral._block_vector = flipped\n"
+        "left = spectral._left_vector\n"
+        "spectral._left_vector = lambda *args: {w: -v for w, v in left(*args).items()}\n"
         "expect(limit_data, sub, chain, 3, 2)\n"
-        "spectral._block_vector = vector\n"
+        "spectral._left_vector = left\n"
+        "perron = spectral._pf_right\n"
+        "spectral._pf_right = lambda *args: [-v for v in perron(*args)]\n"
+        "expect(limit_data, sub, chain, 2, 3)\n"
+        "spectral._pf_right = perron\n"
+        "def skewed(*args):\n"
+        "    ld = limit_data(*args)\n"
+        "    w = ld.restricted_words[-1]\n"
+        "    return dataclasses.replace(ld, gamma={**ld.gamma, w: 2 * ld.gamma[w]})\n"
+        "measures.limit_data = skewed\n"
+        "expect(cylinder_measure, sub, chain, block_eigenvalues(sub, chain), 3, 'cb')\n"
+        "measures.limit_data = limit_data\n"
         "spectral.nullspace_vector = lambda A: ([1, -1] * len(A))[: len(A)]\n"
         "mid = Substitution.from_rules({'a': 'aa', 'b': 'abbbccc', 'c': 'abccccc', 'd': 'abcdd'})\n"
         "expect(pf_vectors, mid, component_chain(mid), 2)\n"
@@ -401,13 +420,112 @@ def test_window_and_limit_invariants_survive_optimize():
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert len(lines) == 8, proc.stdout
+        assert len(lines) == 10, proc.stdout
         assert "window blocks at m=1 do not partition the language" in lines[0]
         assert "an image window of 'b' is not a language word at m=1" in lines[1]
         assert "divergent mode without a dominating lower level" in lines[2]
         assert "the level block is not last in the restriction" in lines[3]
         assert "the left limit vector is not positive" in lines[4]
+        assert "level 3: the lifted right limit vector is not positive" in lines[5]
+        assert "level 3: right limit vector depends on more than the first letter" in lines[6]
         # the exact Perron vector (integer theta), then the float one
-        assert "Perron vector must be positive" in lines[5]
-        assert "Perron vector must be positive" in lines[6]
-        assert "the structural emptiness test does not match the block" in lines[7]
+        assert "Perron vector must be positive" in lines[7]
+        assert "Perron vector must be positive" in lines[8]
+        assert "the structural emptiness test does not match the block" in lines[9]
+
+
+# -- the integer vector engine against the dense Fraction reference ---------
+
+
+def _normalized(values: dict) -> dict:
+    scale = min(v for v in values.values() if v > 0)
+    return {w: v / scale for w, v in values.items()}
+
+
+def _oracle_blocks(aux, blocks):
+    """Entry function and word blocks of the window matrix, for the oracle."""
+    matrix = auxiliary_matrix(aux)
+    pos = {w: j for j, w in enumerate(aux.words)}
+    return (lambda u, v: matrix.entries[pos[u]][pos[v]]), [ws for _, _, ws in blocks]
+
+
+def _anchor_of(blocks, level):
+    return next(j for j, (kind, lvl, _) in enumerate(blocks) if kind == "Q" and lvl == level)
+
+
+def _assert_vectors_match_oracle(rules: dict, ms) -> None:
+    """Exact alpha, beta, gamma and delta equal the Fraction reference after
+    normalisation; a float gamma agrees with it to 1e-12 relative."""
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    sp = block_eigenvalues(sub, chain)
+    for i in range(1, chain.n + 1):
+        if sp.theta_is_one(i):
+            continue
+        sub_i, chain_i = chain.restrict(i)
+        sp_i = level_profile(sub, chain, i, sp)
+        lam, theta = sp_i.lam.as_integer(), sp.theta(i).as_integer()
+        for m in ms:
+            if lam is not None:
+                pair = pf_vectors(sub_i, chain_i, m, sp_i)
+                blocks = pair.aux.blocks_in_order()
+                entry, words = _oracle_blocks(pair.aux, blocks)
+                right, left = _anchor_of(blocks, sp_i.i_max), _anchor_of(blocks, sp_i.i_min)
+                alpha = oracles.block_vector(words, entry, lam, right, "right")
+                beta = oracles.block_vector(words, entry, lam, left, "left")
+                assert pair.exact
+                assert pair.alpha == _normalized(alpha) and pair.beta == _normalized(beta)
+            if sp.level_is_finite(i):
+                continue
+            ld = limit_data(sub, chain, m, i, sp)
+            aux = build_auxiliary(sub_i, chain_i, m)
+            ip = sp.i_prime(i)
+            blocks = [
+                (kind, lvl, ws)
+                for kind, lvl, ws in aux.blocks_in_order()
+                if lvl >= ip - (kind == "G")
+            ]
+            entry, words = _oracle_blocks(aux, blocks)
+            anchor = _anchor_of(blocks, i)
+            assert ld.restricted_words == tuple(w for ws in words for w in ws)
+            if theta is None:
+                approx = float(sp.theta(i))
+                gamma = oracles.block_vector(words, entry, approx, anchor, "right", False)
+                assert not ld.exact
+                scale = min(gamma[w] for w in words[anchor])
+                for w in ld.restricted_words:
+                    want = gamma[w] / scale if w in words[anchor] else 0.0
+                    assert abs(ld.gamma[w] - want) <= 1e-12 * abs(want), (w, ld.gamma[w], want)
+                continue
+            gamma = _normalized(oracles.block_vector(words, entry, theta, anchor, "right"))
+            delta = oracles.block_vector(words, entry, theta, anchor, "left")
+            pairing = sum(gamma[w] * delta[w] for w in ld.restricted_words)
+            assert ld.exact and ld.gamma == gamma
+            assert ld.delta == {w: v / pairing for w, v in delta.items()}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RULES))
+def test_vectors_match_fraction_oracle_on_corpus(name):
+    _assert_vectors_match_oracle(CORPUS_RULES[name], range(1, 7))
+
+
+# divergent levels with two new letters: theta = 3 below 5, and the golden
+# ratio (irrational) below 4
+@example({"a": "aaaaa", "b": "abcc", "c": "bbc"})
+@example({"a": "aaaa", "b": "bca", "c": "b"})
+@settings(max_examples=60, deadline=None)
+@given(chain_systems())
+def test_vectors_match_fraction_oracle(rules):
+    _assert_vectors_match_oracle(rules, range(1, 7))
+
+
+def test_no_corpus_level_is_divergent_with_irrational_theta():
+    # Every divergent corpus level has an integer theta, so lifting gamma from
+    # the letter block leaves every float of the golden CLI outputs unchanged.
+    for name in sorted(CORPUS_RULES):
+        sub = make(name)
+        chain = component_chain(sub)
+        sp = block_eigenvalues(sub, chain)
+        for i in range(2, chain.n + 1):
+            if not sp.theta_is_one(i) and not sp.level_is_finite(i):
+                assert sp.theta(i).as_integer() is not None, (name, i)
