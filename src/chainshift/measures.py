@@ -121,7 +121,9 @@ class CylinderValue:
     exact: Fraction | None
     value: float | None
     anchor: str | None
-    algebraic: dict | None = None  # char poly + isolating interval when irrational
+    # (char poly, isolating interval) when theta is irrational; immutable,
+    # since one note is shared by every value of a cylinder table
+    algebraic: tuple[tuple[int, ...], tuple[str, str]] | None = None
 
     def as_json(self):
         if self.infinite:
@@ -132,18 +134,16 @@ class CylinderValue:
             val = self.value
         out = {"value": val, "float": self.value, "anchor_letter": self.anchor}
         if self.algebraic:
-            out["algebraic"] = self.algebraic
+            poly, interval = self.algebraic
+            out["algebraic"] = {"char_poly": list(poly), "isolating_interval": list(interval)}
         return out
 
 
-def _algebraic_note(theta) -> dict | None:
+def _algebraic_note(theta) -> tuple[tuple[int, ...], tuple[str, str]] | None:
     if theta.as_integer() is not None:
         return None
     theta.refine(Fraction(1, 2**48))
-    return {
-        "char_poly": list(theta.poly),
-        "isolating_interval": [str(theta.lo), str(theta.hi)],
-    }
+    return tuple(theta.poly), (str(theta.lo), str(theta.hi))
 
 
 def _require_level_word(

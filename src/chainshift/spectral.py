@@ -371,15 +371,18 @@ class LeftVector:
     values: dict[str, object]
     total: object  # sum of the values: the normaliser of finite cylinder values
     exact: bool
+    rows: dict[str, dict[str, int]]  # the window matrix, as ``_window_rows``
+    blocks: list  # ``aux.blocks_in_order()``
+
+    @property
+    def lam_value(self):
+        """``lam`` as the solves use it: an int when exact, else a float."""
+        return self.lam.as_integer() if self.exact else float(self.lam)
 
 
 def pf_left(
-    sub: Substitution,
-    chain: ComponentChain,
-    m: int,
-    spectral: SpectralProfile | None = None,
+    sub: Substitution, chain: ComponentChain, m: int, spectral: SpectralProfile
 ) -> LeftVector:
-    spectral = spectral or block_eigenvalues(sub, chain)
     return spectral.memo(sub, chain, ("pf_left", m), _pf_left, sub, chain, m, spectral)
 
 
@@ -399,7 +402,15 @@ def _pf_left(
     if not exact:
         beta = _min_positive_normalize(beta, exact)
     _check_eigenvector(rows, aux.words, beta, lam_value, exact, "left", "eigenvector")
-    return LeftVector(aux=aux, lam=lam, values=beta, total=sum(beta.values()), exact=exact)
+    return LeftVector(
+        aux=aux,
+        lam=lam,
+        values=beta,
+        total=sum(beta.values()),
+        exact=exact,
+        rows=rows,
+        blocks=blocks,
+    )
 
 
 @dataclass
@@ -434,10 +445,8 @@ def _pf_vectors(
     sub: Substitution, chain: ComponentChain, m: int, spectral: SpectralProfile
 ) -> EigenPair:
     left = pf_left(sub, chain, m, spectral)
-    aux, lam, exact = left.aux, left.lam, left.exact
-    rows = _window_rows(aux)
-    lam_value = lam.as_integer() if exact else float(lam)
-    blocks = aux.blocks_in_order()
+    aux, lam, exact, rows, blocks = left.aux, left.lam, left.exact, left.rows, left.blocks
+    lam_value = left.lam_value
     words_blocks = [ws for _, _, ws in blocks]
     alpha = _right_vector(words_blocks, rows, lam_value, _anchor(blocks, spectral.i_max), exact)
     if not exact:

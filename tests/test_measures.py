@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 
@@ -112,6 +113,16 @@ def test_bottom_values_golden_tower():
         cv = cylinder_measure(*setup, 1, w)
         assert cv.exact is None and cv.algebraic is not None
         assert abs(cv.value - target) <= 1e-9
+
+
+def test_cylinder_note_edits_do_not_leak_into_the_table():
+    setup = _setup("golden_tower")
+    first = cylinder_measure(*setup, 1, "a").as_json()
+    expected = copy.deepcopy(first["algebraic"])
+    first["algebraic"]["char_poly"].append(99)
+    first["algebraic"]["isolating_interval"][0] = "0"
+    for w in ("a", "b"):
+        assert cylinder_measure(*setup, 1, w).as_json()["algebraic"] == expected
 
 
 def test_middle_values_golden_tower():
