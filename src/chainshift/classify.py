@@ -247,17 +247,17 @@ def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair
     chain.check_level(i)
     if i < 2:
         raise DomainError("seed pairs exist for levels >= 2")
-    lower = set(chain.alphabet_at(i - 1))
+    level = chain.level_of  # a letter lies below level i iff its level is < i
     new = set(chain.new_letters(i))
     key = sub.alphabet.word_key
     fresh = _fresh_two_words(chain, i)  # holds every word with a new letter
-    forward = [w for w in fresh if w[0] in lower and w[1] in new]
+    forward = [w for w in fresh if level(w[0]) < i and w[1] in new]
     if forward:
         mirrored = False
         first = min(forward, key=key)
         a0, b0 = first[0], first[1]
     else:
-        backward = [w for w in fresh if w[0] in new and w[1] in lower]
+        backward = [w for w in fresh if w[0] in new and level(w[1]) < i]
         if not backward:
             raise RuntimeError(f"level {i} has no crossing pair in its two-letter language")
         mirrored = True
@@ -298,7 +298,7 @@ def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair
     if w[p_b] != b or w[p_b - 1] != a:
         raise RuntimeError(f"level {i}: sigma^{k}({a}{b}) does not contain {a}{b} at the seed")
     u, v = w[: p_b - 1], w[p_b + 1 :]
-    if not all(c in lower for c in u):
+    if not all(level(c) < i for c in u):
         raise RuntimeError(f"level {i}: the seed prefix leaves the levels below")
     if mirrored:
         u, v = u[::-1], v[::-1]
@@ -396,14 +396,14 @@ def _pair_seeds(chain: ComponentChain, i: int, s: str | None) -> list[PointSeed]
     letter s; gamma lies on a cycle of the last-letter map and delta on one
     of the first-letter map, and q is the lcm of the two cycle lengths.
     """
-    lower = set(chain.alphabet_at(i - 1))
-    lower.discard(s)
+    level = chain.level_of  # a letter lies below level i iff its level is < i
     f_cycles, g_cycles = _letter_cycles(chain)
     return [
         PointSeed(kind="bilateral_limit", form="pair", gamma=w[0], delta=w[1],
                   q=lcm(g_cycles[w[0]], f_cycles[w[1]]))
         for w in sorted(_fresh_two_words(chain, i))
-        if w[0] in lower and w[1] in lower and w[0] in g_cycles and w[1] in f_cycles
+        if level(w[0]) < i and level(w[1]) < i and s != w[0] and s != w[1]
+        and w[0] in g_cycles and w[1] in f_cycles
     ]
 
 
@@ -613,10 +613,11 @@ def _is_single_periodic_orbit(sub_i: Substitution) -> bool:
     finite shift-periodic orbit.
 
     Bounded word complexity (at most m words of each length m) forces
-    eventual periodicity, so a single probe length suffices.
+    eventual periodicity, so a single probe length suffices, and the closure
+    of the probe language stops as soon as it has more words than that.
     """
     probe = max(16, 2 * len(sub_i.alphabet))
-    lang = language(sub_i, probe)
+    lang = language(sub_i, probe, cap=probe)
     return bool(lang) and len(lang) <= probe
 
 

@@ -4,8 +4,9 @@ integer linear solves.
 
 Polynomials are tuples of coefficients in descending degree order. The
 characteristic polynomial of an integer matrix is computed division-free, so
-everything stays in exact integer and Fraction arithmetic; floats appear only
-as final approximations.
+everything stays in exact integer arithmetic; ``Fraction``s appear only where
+a caller reads an interval end or a rational value, floats only as final
+approximations.
 
 Polynomials are evaluated on integers only: the sign of p at n/d is the sign
 of d^deg(p) p(n/d), one homogeneous Horner pass over integer coefficients.
@@ -14,9 +15,15 @@ the primitive remainder sequence of Collins (JACM 14, 1967): lc(b)^e a mod b,
 negated when lc(b)^e < 0 and divided by its content, is the rational
 remainder times a positive constant. Each Sturm chain member is thus the
 rational one scaled to coprime integer coefficients, with every sign
-variation kept. Once a root is isolated, refinement keeps both endpoints as
-integer numerators over 2^k and pays one evaluation of the squarefree part
-per halving.
+variation kept.
+
+An ``AlgebraicReal`` holds a rational root (an integer, since the polynomial
+is monic) as an ``int`` and compares it by integer comparison. An irrational
+root is isolated by bisecting integer numerators a, b over 2^k, at the dyadic
+midpoints of (lo, hi], with one Sturm sign-variation count per halving; once
+it is isolated, refinement pays one evaluation of the squarefree part per
+halving. Comparing with an ``int`` or a ``Fraction`` halves in the same
+integers, so no comparison builds a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -138,70 +145,81 @@ def sturm_chain(p) -> list[tuple[int, ...]]:
     return chain
 
 
-def _variations(chain: list[tuple[int, ...]], x: Fraction) -> int:
+def _variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:
+    """Sign variations of the chain at num/den (den > 0), in integers only."""
     signs = []
     for p in chain:
-        v = _hom_eval(p, x.numerator, x.denominator)
+        v = _hom_eval(p, num, den)
         if v != 0:
-            signs.append(1 if v > 0 else -1)
+            signs.append(v > 0)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_roots(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of the squarefree polynomial in (lo, hi]."""
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _variations(chain, lo.numerator, lo.denominator) - _variations(
+        chain, hi.numerator, hi.denominator
+    )
 
 
 class AlgebraicReal:
     """The largest real root of a monic integer polynomial.
 
-    Comparisons are exact: rational values are recognized outright (for a
-    monic integer polynomial they are integers), and two irrational roots are
+    Comparisons are exact. A rational root of a monic integer polynomial is
+    an integer, so it is held as an ``int`` and compared with an ``int``, a
+    ``Fraction`` or another rational root by integer comparison. An
+    irrational root is held by its isolating interval (lo, hi] = (a/2^k,
+    b/2^k] with integer numerators; a rational value inside it is passed by
+    halving while the value lies in (lo, hi], and two irrational roots are
     equal iff a gcd of their squarefree parts has a root in the intersection
-    of the isolating intervals. Interval refinement only ever narrows, so
-    instances behave as immutable values.
+    of their intervals. Interval refinement only ever narrows, so instances
+    behave as immutable values.
     """
 
-    __slots__ = ("poly", "_sf", "_chain", "lo", "hi", "rational")
+    __slots__ = ("poly", "_sf", "_chain", "rational", "_a", "_b", "_k", "_hi_positive")
 
     def __init__(self, poly, search_range: tuple[int, int] | None = None):
         self.poly = tuple(int(c) for c in poly)
         self._chain = sturm_chain(squarefree_part(self.poly))
         self._sf = self._chain[0]
+        self._hi_positive = None
         if search_range is None:
             bound = 1 + max(abs(c) for c in self.poly)
             search_range = (-bound, bound)
-        lo = Fraction(search_range[0] - 1)
-        hi = Fraction(search_range[1] + 1)
+        a, b = search_range[0] - 1, search_range[1] + 1
         # Sign variations V at the endpoints, carried from step to step: the
         # roots in (lo, hi] number V(lo) - V(hi), so a halving costs one V(mid).
-        v_lo, v_hi = _variations(self._chain, lo), _variations(self._chain, hi)
+        v_lo, v_hi = _variations(self._chain, a, 1), _variations(self._chain, b, 1)
         if v_lo - v_hi < 1:
-            raise RuntimeError(f"no real root of {self.poly} in ({lo}, {hi}]")
+            raise RuntimeError(f"no real root of {self.poly} in ({a}, {b}]")
         # Exact rational roots of a monic integer polynomial are integers;
         # scan the search range for the largest one.
-        self.rational: Fraction | None = None
+        self.rational: int | None = None
         best = None
-        for r in range(search_range[1] + 1, search_range[0] - 1, -1):
+        for r in range(b, a, -1):
             if _hom_eval(self.poly, r, 1) == 0:
                 best = r
                 break
         if best is not None:
-            v_best = _variations(self._chain, Fraction(best))
+            v_best = _variations(self._chain, best, 1)
             if v_best == v_hi:
-                self.rational = self.lo = self.hi = Fraction(best)
+                self.rational = self._a = self._b = best
+                self._k = 0
                 return
-            lo, v_lo = Fraction(best), v_best
-        # Largest root is irrational: bisect down to an isolating interval.
-        # Dyadic midpoints can never hit it, so Sturm counts are safe.
+            a, v_lo = best, v_best
+        # Largest root is irrational: bisect (a/2^k, b/2^k] down to an
+        # isolating interval. Dyadic midpoints can never hit it, so Sturm
+        # counts are safe.
+        k = 0
         while v_lo - v_hi > 1:
-            mid = (lo + hi) / 2
-            v_mid = _variations(self._chain, mid)
+            k += 1
+            mid = a + b  # (a + b) / 2^k; a and b double to stay over 2^k
+            v_mid = _variations(self._chain, mid, 1 << k)
             if v_mid > v_hi:
-                lo, v_lo = mid, v_mid
+                a, b, v_lo = mid, 2 * b, v_mid
             else:
-                hi, v_hi = mid, v_mid
-        self.lo, self.hi = lo, hi
+                a, b, v_hi = 2 * a, mid, v_mid
+        self._a, self._b, self._k = a, b, k
 
     @classmethod
     def integer_root(cls, poly, r: int) -> "AlgebraicReal":
@@ -217,80 +235,102 @@ class AlgebraicReal:
         self.poly = tuple(int(c) for c in poly)
         if _hom_eval(self.poly, r, 1):
             raise ValueError(f"{r} is not a root of {self.poly}")
-        self._sf = self._chain = None  # only irrational values consult them
-        self.rational = self.lo = self.hi = Fraction(r)
+        self._sf = self._chain = self._hi_positive = None  # only irrational values consult them
+        self.rational = self._a = self._b = r
+        self._k = 0
         return self
 
-    def refine(self, width: Fraction) -> None:
-        """Halve the isolating interval (lo, hi] until it is at most ``width`` wide.
+    @property
+    def lo(self) -> int | Fraction:
+        """Lower end of the isolating interval; the value itself if rational."""
+        return self.rational if self.rational is not None else Fraction(self._a, 1 << self._k)
+
+    @property
+    def hi(self) -> int | Fraction:
+        """Upper end of the isolating interval; the value itself if rational."""
+        return self.rational if self.rational is not None else Fraction(self._b, 1 << self._k)
+
+    def _halve(self) -> None:
+        """Keep the half of the isolating interval (lo, hi] that holds the root.
 
         (lo, hi] holds exactly one root of the squarefree part sf, simple and
         irrational, so no dyadic midpoint is a root, and the root lies in
         (mid, hi] iff sf(mid) and sf(hi) differ in sign: the decision of the
         Sturm count, in one evaluation. hi only ever moves to a midpoint of
-        its own sign, so sf(hi) is evaluated once. The endpoints are kept as
-        integer numerators a, b over 2^k while halving.
+        its own sign, so sf(hi) is evaluated once per value.
         """
-        if self.rational is not None or self.hi - self.lo <= width:
+        if self._hi_positive is None:
+            self._hi_positive = _hom_eval(self._sf, self._b, 1 << self._k) > 0
+        self._k += 1
+        mid = self._a + self._b
+        if (_hom_eval(self._sf, mid, 1 << self._k) > 0) != self._hi_positive:
+            self._a, self._b = mid, 2 * self._b
+        else:
+            self._a, self._b = 2 * self._a, mid
+
+    def refine(self, width: Fraction) -> None:
+        """Halve the isolating interval (lo, hi] until it is at most ``width`` wide."""
+        if self.rational is not None:
             return
-        den = max(self.lo.denominator, self.hi.denominator)  # both powers of two
-        k = den.bit_length() - 1
-        a = self.lo.numerator * (den // self.lo.denominator)
-        b = self.hi.numerator * (den // self.hi.denominator)
-        sf = self._sf
-        hi_positive = _hom_eval(sf, b, den) > 0
         wn, wd = width.numerator, width.denominator
-        while (b - a) * wd > wn << k:
-            k += 1
-            mid = a + b  # (a + b) / 2^k; a and b double to stay over 2^k
-            if (_hom_eval(sf, mid, 1 << k) > 0) != hi_positive:
-                a, b = mid, 2 * b
-            else:
-                a, b = 2 * a, mid
-        self.lo, self.hi = Fraction(a, 1 << k), Fraction(b, 1 << k)
+        while (self._b - self._a) * wd > wn << self._k:
+            self._halve()
 
     def to_fraction(self, width: Fraction = Fraction(1, 2**48)) -> Fraction:
         if self.rational is not None:
-            return self.rational
+            return Fraction(self.rational)
         self.refine(width)
-        return (self.lo + self.hi) / 2
+        return Fraction(self._a + self._b, 1 << (self._k + 1))
 
     def __float__(self) -> float:
+        if self.rational is not None:
+            return float(self.rational)
         return float(self.to_fraction())
 
     def as_integer(self) -> int | None:
-        if self.rational is not None and self.rational.denominator == 1:
-            return int(self.rational)
-        return None
+        return self.rational
 
     def compare(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if self.rational is not None:
-                return (self.rational > q) - (self.rational < q)
-            if self.lo < q <= self.hi and _hom_eval(self._sf, q.numerator, q.denominator) == 0:
-                return 0
-            while self.lo < q <= self.hi:
-                self.refine((self.hi - self.lo) / 2)
-            return 1 if q <= self.lo else -1
-        if not isinstance(other, AlgebraicReal):
+        if isinstance(other, AlgebraicReal):
+            if other.rational is None:
+                if self.rational is None:
+                    return self._compare_irrational(other)
+                return -other.compare(self.rational)
+            other = other.rational
+        if isinstance(other, int):
+            num, den = other, 1
+        elif isinstance(other, Fraction):
+            num, den = other.numerator, other.denominator
+        else:
             return NotImplemented
-        if self.rational is not None and other.rational is not None:
-            return (self.rational > other.rational) - (self.rational < other.rational)
         if self.rational is not None:
-            return -other.compare(self.rational)
-        if other.rational is not None:
-            return self.compare(other.rational)
+            diff = self.rational * den - num
+            return (diff > 0) - (diff < 0)
+        # num/den in (a/2^k, b/2^k] iff a den < num 2^k <= b den
+        if self._a * den < num << self._k <= self._b * den and _hom_eval(self._sf, num, den) == 0:
+            return 0
+        while self._a * den < num << self._k <= self._b * den:
+            self._halve()
+        return 1 if num << self._k <= self._a * den else -1
+
+    def _compare_irrational(self, other: "AlgebraicReal") -> int:
         g = poly_gcd(self._sf, other._sf)
         if len(g) > 1:
-            lo = max(self.lo, other.lo)
-            hi = min(self.hi, other.hi)
-            if lo < hi and count_roots(sturm_chain(g), lo, hi) >= 1:
-                return 0
-        while self.lo < other.hi and other.lo < self.hi:
-            self.refine((self.hi - self.lo) / 2)
-            other.refine((other.hi - other.lo) / 2)
-        return 1 if other.hi <= self.lo else -1
+            # the intersection of the two intervals, over the finer 2^k
+            k = max(self._k, other._k)
+            s, t = k - self._k, k - other._k
+            lo = max(self._a << s, other._a << t)
+            hi = min(self._b << s, other._b << t)
+            if lo < hi:
+                chain = sturm_chain(g)
+                if _variations(chain, lo, 1 << k) - _variations(chain, hi, 1 << k) >= 1:
+                    return 0
+        # x / 2^j < y / 2^l iff x 2^l < y 2^j: halve both while they overlap
+        while (self._a << other._k < other._b << self._k
+               and other._a << self._k < self._b << other._k):
+            self._halve()
+            other._halve()
+        return 1 if other._b << self._k <= self._a << other._k else -1
 
     def __eq__(self, other) -> bool:
         r = self.compare(other)

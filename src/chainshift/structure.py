@@ -10,6 +10,11 @@ powers. Boolean matrices are kept as one int bitset per row: row a of A·P is
 the OR of the rows P[c] over the letters c of σ(a), so a power step costs
 O(n·|σ|) big-int ORs, and a row is tested against a mask in one operation.
 
+A chain keeps one letter -> level index, built with it: ``new_letters`` and
+``level_of`` read it, and "a letter lies below level i" is the test
+``level_of(c) < i``. Letter counts (incidence matrix, diagonal and coupling
+blocks) use ``str.count`` on the images.
+
 Everything derived from a chain (level languages, window substitutions, eigen
 data, level reports) is stored on it by ``ComponentChain.memo`` and lives
 exactly as long as the chain; no module keeps a cache.
@@ -18,9 +23,10 @@ exactly as long as the chain; no module keeps a cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import DomainError, NoPrimitiveChainError
-from .words import Substitution, count_occurrences, level_languages
+from .words import Substitution, level_languages
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -78,13 +84,14 @@ class IncidenceMatrix:
         return mat_pow(self.entries, k)
 
 
+def _letter_counts(sub: Substitution, rows, cols) -> IntMatrix:
+    """Occurrences of each ``cols`` letter in the image of each ``rows`` letter."""
+    return tuple(tuple(img.count(b) for b in cols) for img in map(sub.image, rows))
+
+
 def incidence_matrix(sub: Substitution) -> IncidenceMatrix:
     letters = sub.alphabet.letters
-    entries = tuple(
-        tuple(count_occurrences(b, sub.image(a)).count for b in letters)
-        for a in letters
-    )
-    return IncidenceMatrix(letters, entries)
+    return IncidenceMatrix(letters, _letter_counts(sub, letters, letters))
 
 
 def _tarjan_sccs(n: int, edges: list[set[int]]) -> list[list[int]]:
@@ -146,12 +153,21 @@ class ComponentChain:
     levels: tuple[tuple[str, ...], ...]  # cumulative A_i, declaration order
     witness_k: int
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _level_of: dict = field(init=False, repr=False, compare=False, hash=False)
     _new_letters: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        below = [set()] + [set(level) for level in self.levels[:-1]]
-        new = tuple(tuple(c for c in lv if c not in lo) for lo, lv in zip(below, self.levels))
-        object.__setattr__(self, "_new_letters", new)
+        # One letter -> level index. The new letters of each level are read
+        # off it in the top level's order, which every level follows (each is
+        # in declaration order), so only the index build touches every level.
+        level_of: dict[str, int] = {}
+        for i, letters in enumerate(self.levels, start=1):
+            level_of.update(dict.fromkeys(set(letters).difference(level_of), i))
+        new: list[list[str]] = [[] for _ in self.levels]
+        for c in self.levels[-1] if self.levels else ():
+            new[level_of[c] - 1].append(c)
+        object.__setattr__(self, "_level_of", level_of)
+        object.__setattr__(self, "_new_letters", tuple(map(tuple, new)))
 
     def memo(self, key: tuple, compute, *args):
         """``compute(*args)`` once per ``key`` for this chain; later calls return
@@ -177,18 +193,16 @@ class ComponentChain:
         return self._new_letters[self.check_level(i) - 1]
 
     def level_of(self, letter: str) -> int:
-        for i, level in enumerate(self.levels, start=1):
-            if letter in level:
-                return i
-        raise DomainError(f"letter {letter!r} not in alphabet")
+        """The level that adds ``letter``: it lies below level i iff this is < i."""
+        try:
+            return self._level_of[letter]
+        except KeyError:
+            raise DomainError(f"letter {letter!r} not in alphabet") from None
 
     def block(self, i: int) -> IntMatrix:
         """Diagonal block Q_i: occurrence counts among the level's new letters."""
         letters = self.new_letters(i)
-        return tuple(
-            tuple(count_occurrences(b, self.sub.image(a)).count for b in letters)
-            for a in letters
-        )
+        return _letter_counts(self.sub, letters, letters)
 
     def coupling(self, i: int, j: int) -> IntMatrix:
         """Off-diagonal block R_{i,j}: counts of level-j letters in level-i images.
@@ -200,12 +214,7 @@ class ComponentChain:
         self.check_level(j)
         if not j < i:
             raise DomainError("coupling blocks sit strictly below the diagonal")
-        rows = self.new_letters(i)
-        cols = self.new_letters(j)
-        return tuple(
-            tuple(count_occurrences(b, self.sub.image(a)).count for b in cols)
-            for a in rows
-        )
+        return _letter_counts(self.sub, self.new_letters(i), self.new_letters(j))
 
     def restrict(self, i: int) -> tuple[Substitution, "ComponentChain"]:
         """The level-i sub-substitution together with its own chain, built once
@@ -254,20 +263,27 @@ def component_chain(sub: Substitution) -> ComponentChain:
             for w in edges[v]:
                 r |= reach[comp_of[w]]
         reach[ci] = r
-    for a in range(ncomp):
-        for b in range(a + 1, ncomp):
-            if not (reach[b] >> a) & 1 and not (reach[a] >> b) & 1:
-                raise NoPrimitiveChainError(
-                    "strongly connected components are incomparable",
-                    {
-                        "kind": "incomparable_components",
-                        "components": [
-                            sorted(letters[v] for v in sccs[a]),
-                            sorted(letters[v] for v in sccs[b]),
-                        ],
-                    },
-                )
+    # Reachability is a total order iff, sorted by reach size, every
+    # component reaches the one before it; only a failure needs the pairwise
+    # scan, which names the first incomparable pair.
     order = sorted(range(ncomp), key=lambda ci: reach[ci].bit_count())
+    if not all((reach[b] >> a) & 1 for a, b in zip(order, order[1:])):
+        a, b = next(
+            (a, b)
+            for a in range(ncomp)
+            for b in range(a + 1, ncomp)
+            if not (reach[b] >> a) & 1 and not (reach[a] >> b) & 1
+        )
+        raise NoPrimitiveChainError(
+            "strongly connected components are incomparable",
+            {
+                "kind": "incomparable_components",
+                "components": [
+                    sorted(letters[v] for v in sccs[a]),
+                    sorted(letters[v] for v in sccs[b]),
+                ],
+            },
+        )
     # Each diagonal block must be primitive: some boolean power all-positive.
     for ci in order:
         comp = sccs[ci]
@@ -291,15 +307,16 @@ def component_chain(sub: Substitution) -> ComponentChain:
                 },
             )
     cumulative: list[tuple[str, ...]] = []
-    seen: set[str] = set()
+    seen = [False] * n  # the letters on or below the current level
     need = [0] * n  # bitset of the letters on or below each letter's level
     mask = 0
     for ci in order:
-        seen |= {letters[v] for v in sccs[ci]}
-        cumulative.append(tuple(c for c in letters if c in seen))
-        mask |= sum(1 << v for v in sccs[ci])
+        for v in sccs[ci]:
+            seen[v] = True
+            mask |= 1 << v
         for v in sccs[ci]:
             need[v] = mask
+        cumulative.append(tuple(compress(letters, seen)))
     levels = tuple(cumulative)
     # Uniform witness power: all entries on or below the block diagonal of
     # some boolean power are positive; bounded by Wielandt plus graph depth.

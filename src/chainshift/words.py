@@ -171,17 +171,21 @@ def factors(word: str, m: int) -> set[str]:
     return {word[j : j + m] for j in range(len(word) - m + 1)}
 
 
-def language(sub: Substitution, m: int) -> frozenset[str]:
+def language(sub: Substitution, m: int, cap: int | None = None) -> frozenset[str]:
     """The set of length-m factors of any power image ``sub^n(a)``, n >= 1.
 
     Letters whose iterated images never reach length m contribute nothing,
     which matches reading the power range as n >= 1: a letter that is never
     reproduced by an image does not appear in the language.
+
+    With ``cap``, the closure stops once it holds more than ``cap`` words: the
+    result is L_m when |L_m| <= cap, and otherwise more than ``cap`` of its
+    words.
     """
     if m < 1:
         raise DomainError("factor length must be >= 1")
     lang: set[str] = set()
-    _close(sub, lang, _seed_factors(sub, sub.alphabet, m), m)
+    _close(sub, lang, _seed_factors(sub, sub.alphabet, m), m, cap)
     return frozenset(lang)
 
 
@@ -230,18 +234,23 @@ def _seed_factors(sub: Substitution, letters: Iterable[str], m: int) -> set[str]
     return out
 
 
-def _close(sub: Substitution, lang: set[str], seeds: set[str], m: int) -> None:
+def _close(
+    sub: Substitution, lang: set[str], seeds: set[str], m: int, cap: int | None = None
+) -> None:
     """Add ``seeds`` to ``lang`` and close it under m-factors of images, in place.
 
     Any m-factor of sub(x) lies in the image of some m-factor of x because
     images are nonempty, so from the seeds this reaches the full language.
     Words already in ``lang`` are taken as closed and are not expanded again.
+    With ``cap``, stop as soon as ``lang`` holds more than ``cap`` words.
     """
     frontier = seeds - lang
     lang |= frontier
     while frontier:
         new: set[str] = set()
         for w in frontier:
+            if cap is not None and len(lang) > cap:
+                return
             img = sub.step(w)
             for j in range(len(img) - m + 1):
                 f = img[j : j + m]

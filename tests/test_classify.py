@@ -1,3 +1,4 @@
+import fractions
 import os
 import random
 import subprocess
@@ -5,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 from chainshift import (
@@ -24,6 +25,7 @@ from chainshift import (
     positively_recurrent,
 )
 from chainshift.classify import (
+    _is_single_periodic_orbit,
     _letter_cycles,
     _pair_seeds,
     left_run_unbounded,
@@ -584,3 +586,42 @@ def test_levels_above_one_have_forward_seeds_on_seeded_draws():
 @given(chain_systems())
 def test_levels_above_one_have_forward_seeds_on_chain_systems(rules):
     _forward_seed_levels(rules)
+
+
+def test_integer_towers_build_no_fractions(monkeypatch):
+    # Integer eigenvalues are held and compared as ints: the spectral profile
+    # and the classification of a deep tower construct no Fraction at all.
+    rules = tower([2 + i % 3 for i in range(40)], [i % 2 == 0 for i in range(40)])
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    made = []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+    spectral = block_eigenvalues(sub, chain)
+    report = decomposition_report(sub, chain, spectral)
+    monkeypatch.undo()
+    assert len(report.levels) == chain.n == 40
+    assert made == []
+
+
+PERIODIC_LEVEL_2 = {"a": "a", "b": "ab", "c": "bcc"}  # L_16 of {a, b}: a^16 and a^15 b
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_systems())
+@example(PERIODIC_LEVEL_2)
+def test_capped_periodic_orbit_probe_matches_the_full_language(rules):
+    chain = component_chain(Substitution.from_rules(rules))
+    if chain.n < 2:
+        return
+    sub_2 = chain.restrict(2)[0]
+    probe = max(16, 2 * len(sub_2.alphabet))
+    expected = 0 < len(language(sub_2, probe)) <= probe
+    assert _is_single_periodic_orbit(sub_2) is expected
+    if rules == PERIODIC_LEVEL_2:
+        assert expected

@@ -164,9 +164,9 @@ def test_isolation_costs_one_chain_evaluation_per_halving(monkeypatch, poly, end
     evaluated = []
     variations = exact._variations
 
-    def counted(chain, x):
-        evaluated.append(x)
-        return variations(chain, x)
+    def counted(chain, num, den):  # the hook takes the point as integers num / den
+        evaluated.append(Fraction(num, den))
+        return variations(chain, num, den)
 
     monkeypatch.setattr(exact, "_variations", counted)
     theta = AlgebraicReal(poly)
@@ -314,6 +314,57 @@ def test_compare_matches_sturm_oracle(pair):
     expected = oracles.compare_largest_roots(p, q)
     assert AlgebraicReal(p).compare(AlgebraicReal(q)) == expected
     assert AlgebraicReal(q).compare(AlgebraicReal(p)) == -expected
+
+
+def _oracle_sign(p, q) -> int:
+    """Sign of r - q for the irrational largest real root r of p and a rational q."""
+    top = Fraction(max(q, oracles.root_bound(p)))
+    return 1 if oracles.sturm_count(oracles.sturm_chain(p), Fraction(q), top) >= 1 else -1
+
+
+@settings(max_examples=150, deadline=None)
+@given(irrational_top_polys(), st.integers(min_value=-8, max_value=8), st.data())
+def test_compare_with_rationals_halves_like_the_fraction_oracle(p, r, data):
+    theta = AlgebraicReal(p)
+    lo, hi = theta.lo, theta.hi
+    chain = oracles.sturm_chain(p)
+    where = data.draw(st.sampled_from(["int", "below", "lo", "inside", "near", "hi", "above"]))
+    t = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=97))
+    if where == "int":  # below, inside, at the ends of or above (lo, hi]
+        q = data.draw(st.integers(min_value=int(lo) - 2, max_value=int(hi) + 2))
+    elif where == "near":  # close to the root, so that many halvings are needed
+        j = data.draw(st.integers(min_value=1, max_value=40))
+        a, b = oracles.sturm_refine(chain, lo, hi, (hi - lo) / 2**j)
+        q = a + (b - a) * t
+    else:
+        q = {
+            "below": lo - Fraction(1, 64) - t,
+            "lo": lo,
+            "inside": lo + (hi - lo) * t,
+            "hi": hi,
+            "above": hi + Fraction(1, 64) + t,
+        }[where]
+    expected = _oracle_sign(p, q)
+    a, b = lo, hi
+    while a < q <= b:
+        a, b = oracles.sturm_refine(chain, a, b, (b - a) / 2)
+    assert theta.compare(q) == expected
+    assert (theta.lo, theta.hi) == (a, b)
+    assert (theta > q) == (expected > 0) and (theta < q) == (expected < 0) and theta != q
+
+    # A rational root is held as an int, from integer_root and from the
+    # constructor: (x - r)(x^2 + 1) has r as its only real root.
+    poly = (1, -r, 1, -r)
+    for rational in (AlgebraicReal.integer_root(poly, r), AlgebraicReal(poly)):
+        assert type(rational.rational) is int and rational.rational == r
+        assert type(rational.lo) is int and type(rational.hi) is int
+        assert rational.as_integer() == r and float(rational) == float(r)
+        assert [rational.compare(v) for v in (r - 1, r, r + 1)] == [1, 0, -1]
+        third = Fraction(1, 3)
+        assert [rational.compare(v) for v in (r - third, Fraction(r), r + third)] == [1, 0, -1]
+        sign = _oracle_sign(p, r)
+        assert rational.compare(theta) == -sign and theta.compare(rational) == sign
+        assert rational.compare(AlgebraicReal(poly)) == 0
 
 
 @settings(max_examples=150, deadline=None)

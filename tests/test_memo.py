@@ -441,9 +441,9 @@ def test_decomposition_report_sweeps_each_level_once(monkeypatch):
     steps = Counter()
     close, restrict, step = words._close, Substitution.restrict, Substitution.step
 
-    def counted_close(sub, lang, seeds, m):
+    def counted_close(sub, lang, seeds, m, cap=None):
         closures[m] += 1
-        return close(sub, lang, seeds, m)
+        return close(sub, lang, seeds, m, cap)
 
     def counted_restrict(self, letters):
         restricted.append(letters)

@@ -109,6 +109,21 @@ def test_new_letters_are_the_level_difference(corpus_sub):
         _assert_new_letters_by_difference(chain.restrict(i)[1])
 
 
+def test_level_of_is_the_first_level_holding_the_letter(corpus_sub):
+    chain = component_chain(corpus_sub)
+    for i in range(1, chain.n + 1):
+        sub_chain = chain.restrict(i)[1]
+        for c in chain.alphabet_at(i):
+            first = next(j for j, level in enumerate(chain.levels, start=1) if c in level)
+            assert chain.level_of(c) == sub_chain.level_of(c) == first
+            assert c in chain.new_letters(first)
+    with pytest.raises(DomainError):
+        chain.level_of("?")
+    if chain.n > 1:  # a sub-chain knows only its own letters
+        with pytest.raises(DomainError):
+            chain.restrict(1)[1].level_of(chain.new_letters(chain.n)[0])
+
+
 def test_tower_new_letters_are_the_level_difference():
     for n in range(2, 65):
         rules = tower([2 + i % 3 for i in range(n)], [i % 2 == 0 for i in range(n)])
