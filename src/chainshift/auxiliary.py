@@ -8,12 +8,16 @@ window boundaries stay unambiguous. Coordinates are grouped into blocks
 
 where Q(i) holds the level-i words whose first letter is new at level i and
 G(i) holds words of level i+1 that start with an old letter. In this order
-the incidence matrix is block lower triangular.
+the incidence matrix is block lower triangular. The blocks are split in one
+pass over the chain's word -> level index (``ComponentChain.word_levels``): a
+word entering at level e whose first letter enters at level f lies in Q(e)
+when f = e and in G(e-1) when f < e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .errors import DomainError
 from .structure import ComponentChain, IncidenceMatrix
@@ -28,7 +32,7 @@ class AuxiliarySubstitution:
     words: tuple[str, ...]
     q_blocks: tuple[tuple[str, ...], ...]  # Q(1..n)
     g_blocks: tuple[tuple[str, ...], ...]  # G(1..n-1)
-    level_words: tuple[frozenset[str], ...]  # L_m of each level substitution
+    word_level: dict[str, int] = field(hash=False, compare=False)  # chain.word_levels(m)
     images: dict[str, tuple[str, ...]] = field(hash=False, compare=False)
 
     @property
@@ -43,15 +47,6 @@ class AuxiliarySubstitution:
 
     def image(self, word: str) -> tuple[str, ...]:
         return self.images[word]
-
-    def b_words(self, i: int) -> tuple[str, ...]:
-        """Words of level i+1 starting with a level <= i letter, 0 <= i < n."""
-        if not 0 <= i < self.n:
-            raise DomainError(f"index {i} out of range 0..{self.n - 1}")
-        if i == 0:
-            return ()
-        lower = set(self.chain.alphabet_at(i))
-        return tuple(w for w in self.words if w in self.level_words[i] and w[0] in lower)
 
     def blocks_in_order(self) -> list[tuple[str, int, tuple[str, ...]]]:
         """Coordinate blocks as (kind, level, words) in matrix order."""
@@ -74,24 +69,24 @@ def build_auxiliary(sub: Substitution, chain: ComponentChain, m: int) -> Auxilia
 
 def _build(chain: ComponentChain, m: int) -> AuxiliarySubstitution:
     sub, n = chain.sub, chain.n
-    level_langs = chain.languages(m)
-    full = level_langs[-1]
+    word_level = chain.word_levels(m)
+    # The letter index is read as a dict, not through ``level_of``: a word no
+    # block can hold (a broken index) is left out and fails the partition
+    # check below as a RuntimeError.
+    first_level = chain._level_of
+    q_blocks: list[list[str]] = [[] for _ in range(n)]
+    g_blocks: list[list[str]] = [[] for _ in range(n)]  # G(n): only a broken index
+    for w, e in word_level.items():
+        f = first_level.get(w[0], e + 1)
+        if f == e:
+            q_blocks[e - 1].append(w)
+        elif f < e:
+            g_blocks[e - 2].append(w)
     key = sub.alphabet.word_key
-    q_blocks = []
-    g_blocks = []
-    for i in range(1, n + 1):
-        new = set(chain.new_letters(i))
-        q_blocks.append(tuple(sorted((w for w in level_langs[i - 1] if w[0] in new), key=key)))
-        if i < n:
-            lower = set(chain.alphabet_at(i))
-            fresh = level_langs[i] - level_langs[i - 1]
-            g_blocks.append(tuple(sorted((w for w in fresh if w[0] in lower), key=key)))
-    words: list[str] = []
-    for i in range(n):
-        words.extend(q_blocks[i])
-        if i < n - 1:
-            words.extend(g_blocks[i])
-    if set(words) != full or len(words) != len(full):
+    q = tuple(tuple(sorted(block, key=key)) for block in q_blocks)
+    g = tuple(tuple(sorted(block, key=key)) for block in g_blocks[:-1])
+    words = [w for pair in zip_longest(q, g, fillvalue=()) for block in pair for w in block]
+    if len(words) != len(word_level):
         raise RuntimeError(f"window blocks at m={m} do not partition the language")
 
     images: dict[str, tuple[str, ...]] = {}
@@ -99,7 +94,7 @@ def _build(chain: ComponentChain, m: int) -> AuxiliarySubstitution:
         expanded = sub.step(u)
         width = len(sub.image(u[0]))
         seq = tuple(expanded[j : j + m] for j in range(width))
-        if not all(len(w) == m and w in full for w in seq):
+        if not all(len(w) == m and w in word_level for w in seq):
             raise RuntimeError(f"an image window of {u!r} is not a language word at m={m}")
         images[u] = seq
     return AuxiliarySubstitution(
@@ -107,9 +102,9 @@ def _build(chain: ComponentChain, m: int) -> AuxiliarySubstitution:
         chain=chain,
         m=m,
         words=tuple(words),
-        q_blocks=tuple(q_blocks),
-        g_blocks=tuple(g_blocks),
-        level_words=tuple(level_langs),
+        q_blocks=q,
+        g_blocks=g,
+        word_level=word_level,
         images=images,
     )
 

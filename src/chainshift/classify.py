@@ -27,16 +27,17 @@ Everything is stored on the chain (see ``spectral``), each computed once:
   plus the case split, read by ``decomposition_report`` and by the measures
   of levels with theta = 1.
 - ``("fresh_two_words",)``: for every level i, the two-letter words new at
-  that level (in L_2(i) but not in L_2(i-1)), from the chain's two-letter
-  level languages (``ComponentChain.languages``). Seed pairs and the
-  ``pair`` periodic-point seeds are read from them.
+  that level (in L_2(i) but not in L_2(i-1)): the chain's two-letter word
+  -> level index (``ComponentChain.word_levels``) grouped by level. Seed
+  pairs and the ``pair`` periodic-point seeds are read from them.
 - ``("letter_cycles",)``: the cycle lengths of the first-letter and the
   last-letter maps, found in one O(|alphabet|) walk.
 
-The ``s_middle`` periodic-point seeds test membership in the chain's level
-languages of each run length. Where a function needs a level substitution of
-its own (the s-run tests and the periodicity probe), it reads
-``chain.restrict(i)``, which the chain builds at most once per level.
+An ``s_middle`` periodic-point seed of level i is a word that enters at
+level i, read off the chain's word -> level index of its length. Where a
+function needs a level substitution of its own (the s-run tests and the
+periodicity probe), it reads ``chain.restrict(i)``, which the chain builds at
+most once per level.
 """
 
 from __future__ import annotations
@@ -110,15 +111,17 @@ def _first_last_cycles(sub: Substitution) -> tuple[dict[str, int], dict[str, int
 def _fresh_two_words(chain: ComponentChain, i: int) -> frozenset[str]:
     """The two-letter words of level i that level i-1 lacks: L_2(i) minus L_2(i-1).
 
-    The per-level differences of the chain's two-letter level languages, a
-    partition of the top L_2, are stored on the chain, so all levels share them.
+    The chain's two-letter words grouped by the level they enter, a partition
+    of the top L_2, are stored on the chain, so all levels share them.
     """
     return chain.memo(("fresh_two_words",), _level_differences, chain)[i - 1]
 
 
 def _level_differences(chain: ComponentChain) -> list[frozenset[str]]:
-    langs = chain.languages(2)
-    return [b - a for a, b in zip([frozenset()] + langs, langs)]
+    fresh: list[list[str]] = [[] for _ in chain.levels]
+    for w, e in chain.word_levels(2).items():
+        fresh[e - 1].append(w)
+    return [frozenset(words) for words in fresh]
 
 
 def _s_run_maps(sub: Substitution, s: str):
@@ -437,9 +440,7 @@ def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> l
         for delta, pg in g_cyclic:
             for gamma, pf in f_cyclic:
                 for p in range(1, MIDDLE_CAP + 1):
-                    w = delta + s * p + gamma
-                    langs = chain.languages(p + 2)
-                    if w in langs[i - 1] and w not in langs[i - 2]:
+                    if chain.word_levels(p + 2).get(delta + s * p + gamma) == i:
                         seeds.append(
                             PointSeed(kind="bilateral_limit", form="s_middle",
                                       gamma=gamma, delta=delta, q=lcm(pg, pf), middle_s=p)

@@ -28,6 +28,8 @@ from .spectral import SpectralProfile, block_eigenvalues, pf_vectors
 from .structure import component_chain, incidence_matrix
 from .words import Substitution, apply, language
 
+LANGUAGE_BUDGET = 10**7  # letters in the words one ``language`` command lists
+
 EXIT_CODES = {
     ParseError: 2,
     NoPrimitiveChainError: 3,
@@ -181,7 +183,11 @@ def cmd_analyze(spec: InputSpec, args) -> dict:
 
 def cmd_language(spec: InputSpec, args) -> dict:
     sub = spec.substitution
-    words = sorted(language(sub, args.m), key=sub.alphabet.word_key)
+    cap = LANGUAGE_BUDGET // max(args.m, 1)  # m < 1 is refused by ``language``
+    lang = language(sub, args.m, cap=cap)
+    if len(lang) > cap:
+        raise BudgetExceeded(f"language at m={args.m} exceeds {LANGUAGE_BUDGET} letters")
+    words = sorted(lang, key=sub.alphabet.word_key)
     return {"m": args.m, "count": len(words), "words": words}
 
 
@@ -376,8 +382,8 @@ def cmd_check(spec: InputSpec, args) -> dict:
             if "cylinders" not in table:
                 continue
             sub_i, _ = chain.restrict(i)
-            two_words = language(sub_i, 2)
-            for v in sorted(language(sub_i, 1)):
+            two_words = {w for w, e in chain.word_levels(2).items() if e <= i}
+            for v in sorted(w for w, e in chain.word_levels(1).items() if e <= i):
                 base = cylinder_measure(sub, chain, spectral, i, v)
                 if base.infinite:
                     continue

@@ -154,7 +154,7 @@ def _require_level_word(
     The language is read from the level's window substitution at m = |v|,
     which every caller goes on to use, so it is built once for both.
     """
-    if v not in build_auxiliary(sub_i, chain_i, len(v)).level_words[-1]:
+    if v not in build_auxiliary(sub_i, chain_i, len(v)).images:
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
 
 
@@ -486,7 +486,7 @@ def level_measure_table(
         key = sub.alphabet.word_key
         cylinders: dict[str, dict] = {}
         for m in range(1, max_m + 1):
-            for w in sorted(build_auxiliary(sub_i, chain_i, m).level_words[-1], key=key):
+            for w in sorted(build_auxiliary(sub_i, chain_i, m).words, key=key):
                 cylinders[w] = cylinder_measure(sub, chain, spectral, i, w).as_json()
         out["cylinders"] = cylinders
     return out

@@ -206,7 +206,7 @@ def level_profile(
     if i == chain.n:
         return spectral
     chain_i = chain.restrict(i)[1]
-    return chain_i.memo(("spectral",), lambda: SpectralProfile(chain_i, spectral.levels[:i]))
+    return chain_i.memo(("spectral",), SpectralProfile, chain_i, spectral.levels[:i])
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +557,7 @@ def _limit_data(
         gamma = _min_positive_normalize(gamma, exact)
     pairing = sum(gamma[w] * delta[w] for w in restricted)
     delta = {w: v / pairing for w, v in delta.items()}
-    infinite = aux.level_words[ip - 2]
+    infinite = [w for w, e in aux.word_level.items() if e < ip]
     return LimitData(
         level=i,
         m=m,

@@ -12,10 +12,13 @@ O(n·|σ|) big-int ORs, and a row is tested against a mask in one operation.
 
 A chain keeps one letter -> level index, built with it: ``new_letters`` and
 ``level_of`` read it, and "a letter lies below level i" is the test
-``level_of(c) < i``. Letter counts (incidence matrix, diagonal and coupling
-blocks) use ``str.count`` on the images.
+``level_of(c) < i``. Words are indexed the same way, one word -> level index
+per window length (``word_levels``): a word lies in the level-i language iff
+its level is <= i, so no per-level copy of a language is kept. Letter counts
+(incidence matrix, diagonal and coupling blocks) use ``str.count`` on the
+images.
 
-Everything derived from a chain (level languages, window substitutions, eigen
+Everything derived from a chain (word levels, window substitutions, eigen
 data, level reports) is stored on it by ``ComponentChain.memo`` and lives
 exactly as long as the chain; no module keeps a cache.
 """
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .errors import DomainError, NoPrimitiveChainError
-from .words import Substitution, level_languages
+from .words import Substitution, word_levels
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -225,9 +228,10 @@ class ComponentChain:
         """
         return self.memo(("restrict", i), _restriction, self, i)
 
-    def languages(self, m: int) -> list[frozenset[str]]:
-        """L_m of every level, from one ``words.level_languages`` sweep per m."""
-        return self.memo(("languages", m), level_languages, self.sub, self.levels, m)
+    def word_levels(self, m: int) -> dict[str, int]:
+        """The level each length-m word enters, from one ``words.word_levels``
+        sweep per m: L_m(i) is the set of words with level <= i."""
+        return self.memo(("word_levels", m), word_levels, self.sub, self._new_letters, m)
 
 
 def _restriction(chain: ComponentChain, i: int) -> tuple[Substitution, ComponentChain]:
@@ -335,12 +339,6 @@ def component_chain(sub: Substitution) -> ComponentChain:
             {"kind": "no_witness", "bound": bound},
         )
     return ComponentChain(sub, levels, witness)
-
-
-def sub_substitution(sub: Substitution, chain: ComponentChain, i: int) -> Substitution:
-    """Restriction of the substitution to the level-i alphabet."""
-    chain.check_level(i)
-    return sub.restrict(chain.alphabet_at(i))
 
 
 def is_empty_bottom(sub: Substitution, chain: ComponentChain) -> bool:

@@ -4,6 +4,10 @@ language enumeration.
 Words are plain ``str`` values over single-character letters; the empty word
 is ``""``. Occurrence positions follow the 1-based convention, so ``w[0]`` is
 position 1.
+
+The languages of nested levels are nested, L_m(1) c L_m(2) c ..., so one
+number per word describes all of them: the level the word enters
+(``word_levels``). Both it and ``language`` close the same seed factors.
 """
 
 from __future__ import annotations
@@ -189,29 +193,25 @@ def language(sub: Substitution, m: int, cap: int | None = None) -> frozenset[str
     return frozenset(lang)
 
 
-def level_languages(
-    sub: Substitution, levels: Sequence[tuple[str, ...]], m: int
-) -> list[frozenset[str]]:
-    """L_m of each level, in one sweep up nested letter sets closed under ``sub``.
+def word_levels(
+    sub: Substitution, new_letters: Sequence[Iterable[str]], m: int
+) -> dict[str, int]:
+    """The least i with w in L_m(i), for every word w of the top language.
 
-    ``levels`` are cumulative, A_1 c A_2 c ..., as in a component chain.
-    Entry i-1 equals ``language`` of the restriction of ``sub`` to A_i. The
-    language of level i contains that of level i-1, which is already closed,
-    so level i only closes the seeds of its new letters on top of it: every
-    window is expanded once over the whole sweep. ``ComponentChain.languages``
-    keeps one sweep per m on the chain.
+    ``new_letters`` lists the letters each level adds, as in a component
+    chain, and L_m(i) is the language of ``sub`` restricted to levels 1..i,
+    each closed under ``sub``. L_m(i-1) is already closed, so level i closes
+    only the seeds of its new letters on top of it and tags what that adds:
+    every window is expanded once over the whole sweep.
+    ``ComponentChain.word_levels`` keeps one sweep per m on the chain.
     """
     if m < 1:
         raise DomainError("factor length must be >= 1")
     lang: set[str] = set()
-    below: set[str] = set()
-    out = []
-    for level in levels:
-        new = [c for c in level if c not in below]
-        _close(sub, lang, _seed_factors(sub, new, m), m)
-        out.append(frozenset(lang))
-        below = set(level)
-    return out
+    levels: dict[str, int] = {}
+    for i, new in enumerate(new_letters, start=1):
+        levels.update(dict.fromkeys(_close(sub, lang, _seed_factors(sub, new, m), m), i))
+    return levels
 
 
 def _seed_factors(sub: Substitution, letters: Iterable[str], m: int) -> set[str]:
@@ -236,25 +236,24 @@ def _seed_factors(sub: Substitution, letters: Iterable[str], m: int) -> set[str]
 
 def _close(
     sub: Substitution, lang: set[str], seeds: set[str], m: int, cap: int | None = None
-) -> None:
+) -> list[str]:
     """Add ``seeds`` to ``lang`` and close it under m-factors of images, in place.
 
     Any m-factor of sub(x) lies in the image of some m-factor of x because
     images are nonempty, so from the seeds this reaches the full language.
     Words already in ``lang`` are taken as closed and are not expanded again.
-    With ``cap``, stop as soon as ``lang`` holds more than ``cap`` words.
+    Returns the words added, in the order they were added. With ``cap``, stop
+    as soon as ``lang`` holds more than ``cap`` words.
     """
-    frontier = seeds - lang
-    lang |= frontier
-    while frontier:
-        new: set[str] = set()
-        for w in frontier:
-            if cap is not None and len(lang) > cap:
-                return
-            img = sub.step(w)
-            for j in range(len(img) - m + 1):
-                f = img[j : j + m]
-                if f not in lang:
-                    lang.add(f)
-                    new.add(f)
-        frontier = new
+    added = [w for w in seeds if w not in lang]
+    lang.update(added)
+    for w in added:  # the list grows while it is walked: a breadth-first queue
+        if cap is not None and len(lang) > cap:
+            break
+        img = sub.step(w)
+        for j in range(len(img) - m + 1):
+            f = img[j : j + m]
+            if f not in lang:
+                lang.add(f)
+                added.append(f)
+    return added

@@ -331,6 +331,12 @@ def level_languages(rules: dict[str, str], levels, m: int) -> list[set[str]]:
     return [language_closure(restrict(rules, level), m) for level in levels]
 
 
+def word_levels(rules: dict[str, str], levels, m: int) -> dict[str, int]:
+    """Each word of the top L_m with the least i such that it lies in L_m(i)."""
+    langs = level_languages(rules, levels, m)
+    return {w: next(i for i, lang in enumerate(langs, 1) if w in lang) for w in langs[-1]}
+
+
 def orbit_cycle(step: dict[str, str], x: str) -> tuple[list[str], list[str]]:
     """Split the forward orbit of x under a functional map into path + cycle."""
     path: list[str] = []

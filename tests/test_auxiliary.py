@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from chainshift import (
+    Substitution,
     apply,
     auxiliary_matrix,
     build_auxiliary,
@@ -10,6 +14,7 @@ from chainshift import (
     level_empty_diag,
 )
 from conftest import make
+from test_pipeline_fuzz import chain_systems
 
 QUARTIC_M2 = (
     (4, 0, 0, 0, 0, 0, 0),
@@ -63,13 +68,30 @@ def test_mid_dominant_window_images():
 
 def test_block_coordinate_sets():
     _, _, aux = _aux("quartic", 2)
-    assert aux.b_words(1) == ("aa", "ab")
-    assert aux.b_words(2) == ("aa", "ab", "ba", "bb", "bc")
     assert aux.q_blocks == (("aa",), ("ba", "bb"), ("ca", "cb"))
     assert aux.g_blocks == (("ab",), ("bc",))
-    _, _, aux2 = _aux("mid_dominant", 2)
-    assert aux2.b_words(1) == ("aa", "ab")
-    assert aux2.b_words(2) == ("aa", "ab", "bb", "bc", "ca", "cc", "cd")
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_systems(), st.integers(1, 6))
+def test_window_blocks_match_oracle_on_chain_systems(rules, m):
+    # Q(i): level-i words headed by a letter new at level i; G(i): words new
+    # at level i+1 headed by a letter of level <= i; each in letter order.
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    aux = build_auxiliary(sub, chain, m)
+    langs = oracles.level_languages(rules, chain.levels, m)
+    key = sub.alphabet.word_key
+    q = [
+        tuple(sorted((w for w in langs[i - 1] if w[0] in chain.new_letters(i)), key=key))
+        for i in range(1, chain.n + 1)
+    ]
+    g = [
+        tuple(sorted((w for w in langs[i] - langs[i - 1] if w[0] in chain.alphabet_at(i)),
+                     key=key))
+        for i in range(1, chain.n)
+    ]
+    assert aux.q_blocks == tuple(q) and aux.g_blocks == tuple(g)
 
 
 def test_window_one_matches_plain_substitution(corpus_sub):

@@ -470,10 +470,10 @@ def test_sweep_invariants_survive_optimize():
         "AlgebraicReal.integer_root = classmethod(lambda cls, poly, r: AlgebraicReal((1, -1)))\n"
         "expect(block_eigenvalues, sub, chain)\n"
         "AlgebraicReal.integer_root = real\n"
-        "languages = structure.level_languages\n"
-        "structure.level_languages = lambda sub, levels, m: [frozenset()] * len(levels)\n"
+        "word_levels = structure.word_levels\n"
+        "structure.word_levels = lambda sub, new_letters, m: {}\n"
         "expect(find_seed_pair, sub, chain, 2)\n"
-        "structure.level_languages = languages\n"
+        "structure.word_levels = word_levels\n"
         "sub = Substitution.from_rules({'a': 'abca', 'b': 'bacb', 'c': 'cbac', 'd': 'abbcad'})\n"
         "chain = component_chain(sub)\n"
         "windows = classify._make_windows\n"

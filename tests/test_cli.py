@@ -27,12 +27,12 @@ def _run(capsys, *argv):
     return code, json.loads(out)
 
 
-def _python(*args):
+def _python(*args, timeout=60):
     """Run a fresh interpreter on this checkout's package."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -121,6 +121,20 @@ def test_language_command(tmp_path, capsys):
     code, out = _run(capsys, "language", path, "-m", "2")
     assert code == 0
     assert out["words"] == ["aa", "ab", "ba", "bb", "bc", "ca", "cb"]
+
+
+def test_language_command_budget(tmp_path, capsys):
+    # Under the budget the output is the full language; past it (|L_m| > 10^7 / m)
+    # the closure stops early and the command exits 5 with a JSON payload.
+    path = _write(tmp_path, "golden_tower.sub", CORPUS_RULES["golden_tower"])
+    code, out = _run(capsys, "language", path, "-m", "2")
+    assert code == 0
+    assert out == {"m": 2, "count": 14, "words": [
+        "aa", "ab", "ac", "ad", "ba", "ca", "cd", "ce", "da", "dc", "dd", "de", "ea", "ec",
+    ]}
+    proc = _python("-m", "chainshift", "language", path, "-m", "3000", timeout=10)
+    assert proc.returncode == 5
+    assert json.loads(proc.stdout)["error"]["kind"] == "BudgetExceeded"
 
 
 def test_matrix_command_plain_and_window(tmp_path, capsys):

@@ -435,7 +435,7 @@ def test_decomposition_report_sweeps_each_level_once(monkeypatch):
     sub = Substitution.from_rules(rules)
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
-    top = words.level_languages(sub, chain.levels, 2)[-1]
+    top = component_chain(sub).word_levels(2)  # on another chain: this one's memo stays cold
     closures: Counter = Counter()
     restricted: list[tuple[str, ...]] = []
     steps = Counter()

@@ -233,7 +233,11 @@ def test_vector_sign_supports(corpus_sub):
         pair = pf_vectors(corpus_sub, chain, m, sp)
         aux = pair.aux
         low_heads = set(chain.alphabet_at(sp.i_max - 1)) if sp.i_max >= 2 else set()
-        dead = set(aux.b_words(sp.i_max - 1))
+        # words of the dominating level i_max headed by a letter below it
+        dead = {
+            w for w, e in aux.word_level.items()
+            if e <= sp.i_max and chain.level_of(w[0]) < sp.i_max
+        }
         for w in aux.words:
             if w[0] in low_heads:
                 assert float(pair.alpha[w]) == 0
@@ -243,7 +247,7 @@ def test_vector_sign_supports(corpus_sub):
         # low-headed window already lives in the dominating level language
         if all(w in dead for w in aux.words if w[0] in low_heads):
             assert dead == {w for w in aux.words if float(pair.alpha[w]) == 0}
-        alive = set(w for w in aux.words if w in aux.level_words[sp.i_min - 1])
+        alive = {w for w, e in aux.word_level.items() if e <= sp.i_min}
         for w in aux.words:
             if w in alive:
                 assert float(pair.beta[w]) > 0
@@ -369,12 +373,12 @@ def test_window_and_limit_invariants_survive_optimize():
         "    except RuntimeError as exc:\n"
         "        print('raised', exc)\n"
         "sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
-        "languages = structure.level_languages\n"
-        "structure.level_languages = lambda sub, levels, m: [frozenset('abcz')] * len(levels)\n"
+        "word_levels = structure.word_levels\n"
+        "structure.word_levels = lambda sub, new_letters, m: dict.fromkeys('abcz', 1)\n"
         "expect(build_auxiliary, sub, component_chain(sub), 1)\n"
-        "structure.level_languages = lambda sub, levels, m: [frozenset('b')] * len(levels)\n"
+        "structure.word_levels = lambda sub, new_letters, m: {'b': 2}\n"
         "expect(build_auxiliary, sub, component_chain(sub), 1)\n"
-        "structure.level_languages = languages\n"
+        "structure.word_levels = word_levels\n"
         "chain = component_chain(sub)\n"
         "i_prime = spectral.SpectralProfile.i_prime\n"
         "spectral.SpectralProfile.i_prime = lambda self, i: 1\n"

@@ -11,7 +11,6 @@ from chainshift import (
     component_chain,
     incidence_matrix,
     is_empty_bottom,
-    sub_substitution,
 )
 from conftest import make, tower
 
@@ -191,20 +190,20 @@ def test_incomparable_components_rejected():
 def test_sub_substitution_mid_dominant():
     sub = make("mid_dominant")
     chain = component_chain(sub)
-    sub2 = sub_substitution(sub, chain, 2)
+    sub2 = chain.restrict(2)[0]
     assert sub2.alphabet.letters == ("a", "b", "c")
     assert sub2.images == ("aa", "abbbccc", "abccccc")
 
 
 def test_sub_substitution_top_is_identity(corpus_sub):
     chain = component_chain(corpus_sub)
-    assert sub_substitution(corpus_sub, chain, chain.n) == corpus_sub
+    assert chain.restrict(chain.n)[0] == corpus_sub
 
 
 def test_sub_substitution_bottom_of_golden_tower():
     sub = make("golden_tower")
     chain = component_chain(sub)
-    bottom = sub_substitution(sub, chain, 1)
+    bottom = chain.restrict(1)[0]
     assert bottom.alphabet.letters == ("a", "b") and bottom.images == ("ab", "a")
 
 
@@ -212,7 +211,7 @@ def test_sub_substitution_bad_level():
     sub = make("chacon")
     chain = component_chain(sub)
     with pytest.raises(DomainError):
-        sub_substitution(sub, chain, 3)
+        chain.restrict(3)
 
 
 def test_sub_language_contained(corpus_sub):
@@ -220,7 +219,7 @@ def test_sub_language_contained(corpus_sub):
 
     chain = component_chain(corpus_sub)
     for i in range(1, chain.n + 1):
-        sub_i = sub_substitution(corpus_sub, chain, i)
+        sub_i = chain.restrict(i)[0]
         assert language(sub_i, 2) <= language(corpus_sub, 2)
 
 

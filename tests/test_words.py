@@ -14,7 +14,7 @@ from chainshift import (
     count_occurrences,
     incidence_matrix,
     language,
-    level_languages,
+    word_levels,
 )
 from conftest import CORPUS_RULES, make, tower
 from test_pipeline_fuzz import chain_systems
@@ -192,44 +192,57 @@ def test_language_rejects_bad_length():
         language(make("chacon"), 0)
 
 
+def _new_letters(chain) -> list[tuple[str, ...]]:
+    return [chain.new_letters(i) for i in range(1, chain.n + 1)]
+
+
 @pytest.mark.parametrize("m", range(1, 5))
 def test_level_languages_match_per_level_oracle(corpus_sub, m):
+    # L_m(i) is the set of words whose level is <= i
     rules = {c: corpus_sub.image(c) for c in corpus_sub.alphabet}
-    levels = component_chain(corpus_sub).levels
-    got = level_languages(corpus_sub, levels, m)
-    assert got == oracles.level_languages(rules, levels, m)
-    assert got[-1] == language(corpus_sub, m)
+    chain = component_chain(corpus_sub)
+    got = word_levels(corpus_sub, _new_letters(chain), m)
+    expected = oracles.level_languages(rules, chain.levels, m)
+    assert [{w for w, e in got.items() if e <= i} for i in range(1, chain.n + 1)] == expected
+    assert set(got) == language(corpus_sub, m)
+    assert chain.word_levels(m) == got
 
 
 @pytest.mark.parametrize("before", (True, False), ids=("before", "after"))
 def test_level_languages_on_towers(before):
     # Level i of a tower is the same system in every tower of height >= i,
-    # so one from-scratch oracle per level serves heights 2..64.
+    # so one from-scratch oracle per level serves heights 2..64: the words of
+    # a height-n tower are those the height-64 oracle puts on levels <= n.
     rs = [2 + i % 2 for i in range(64)]
     full = tower(rs, before)
     letters = tuple(full)
     levels = [letters[:i] for i in range(1, 65)]
-    expected = {m: oracles.level_languages(full, levels, m) for m in range(1, 5)}
+    expected = {m: oracles.word_levels(full, levels, m) for m in range(1, 5)}
     for n in range(2, 65):
         sub = Substitution.from_rules(tower(rs[:n], before))
         chain = component_chain(sub)
         assert list(chain.levels) == levels[:n]
         for m in range(1, 5):
-            assert level_languages(sub, chain.levels, m) == expected[m][:n]
+            want = {w: e for w, e in expected[m].items() if e <= n}
+            assert word_levels(sub, _new_letters(chain), m) == want
 
 
 @settings(max_examples=60, deadline=None)
-@given(chain_systems(), st.integers(1, 4))
+@given(chain_systems(), st.integers(1, 6))
 def test_level_languages_on_chain_systems(rules, m):
+    # The keys are the top language and each word maps to the least level
+    # whose language holds it.
     sub = Substitution.from_rules(rules)
-    levels = component_chain(sub).levels
-    assert level_languages(sub, levels, m) == oracles.level_languages(rules, levels, m)
+    chain = component_chain(sub)
+    assert chain.word_levels(m) == oracles.word_levels(rules, chain.levels, m)
 
 
 def test_level_languages_reject_bad_length():
     sub = make("chacon")
     with pytest.raises(DomainError):
-        level_languages(sub, component_chain(sub).levels, 0)
+        word_levels(sub, _new_letters(component_chain(sub)), 0)
+    with pytest.raises(DomainError):
+        component_chain(sub).word_levels(0)
 
 
 def test_occurrences_match_matrix_powers():
