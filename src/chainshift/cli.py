@@ -26,9 +26,7 @@ from .errors import (
 from .measures import cylinder_measure, empirical_frequency, level_measure_table
 from .spectral import SpectralProfile, block_eigenvalues, pf_vectors
 from .structure import component_chain, incidence_matrix
-from .words import Substitution, apply, language
-
-LANGUAGE_BUDGET = 10**7  # letters in the words one ``language`` command lists
+from .words import LANGUAGE_BUDGET, Substitution, apply, language
 
 EXIT_CODES = {
     ParseError: 2,

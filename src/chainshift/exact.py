@@ -155,13 +155,6 @@ def _variations(chain: list[tuple[int, ...]], num: int, den: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of the squarefree polynomial in (lo, hi]."""
-    return _variations(chain, lo.numerator, lo.denominator) - _variations(
-        chain, hi.numerator, hi.denominator
-    )
-
-
 class AlgebraicReal:
     """The largest real root of a monic integer polynomial.
 

@@ -23,16 +23,24 @@ and so do the uniformity windows; the periodic-point census of
 its point seeds. The first cylinder value of a level and window length
 finishes the whole table, ``(infinite, exact, float, algebraic note)`` for
 every word of the level language, and stores it under ``("cylinders", i,
-m)``; every later value is one lookup after the level's error checks. A
-finite table reads only the left eigenvector (``spectral.pf_left``), an
-infinite one the limit data, whose right vector depends only on the first
-letter, which the table checks once.
+m)``; every later value is one lookup after the level's error checks.
+
+At m <= 2, and at every m on a level with an irrational theta, the table is
+a window solve: a finite table reads only the left eigenvector
+(``spectral.pf_left``), an infinite one the limit data, whose right vector
+depends only on the first letter, which the table checks once. On a level
+with an integer theta every longer table comes from the m = 2 table by
+desubstitution (``_Ancestors``, stored under ``("ancestors", i)``): its words
+are exactly L_m(i), so the value and the membership of a word build no
+window substitution at m = |v|, and each new length is checked for exact
+Kolmogorov consistency against the one below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .auxiliary import AuxiliarySubstitution, build_auxiliary
 from .classify import LevelReport, _bottom_report, classify_level, level_seed
@@ -44,7 +52,7 @@ from .errors import (
 )
 from .spectral import SpectralProfile, level_profile, limit_data, pf_left
 from .structure import ComponentChain
-from .words import Substitution
+from .words import LANGUAGE_BUDGET, Substitution
 
 POWER_BUDGET = 10**12
 
@@ -152,7 +160,10 @@ def _require_level_word(
     """Raise unless v is in the level-i language.
 
     The language is read from the level's window substitution at m = |v|,
-    which every caller goes on to use, so it is built once for both.
+    which every caller goes on to use, so it is built once for both: the
+    counts of ``empirical_frequency`` and ``uniformity_check``, and the
+    window-solved cylinder tables (m <= 2 or an irrational theta). The
+    ancestor tables answer membership themselves.
     """
     if v not in build_auxiliary(sub_i, chain_i, len(v)).images:
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
@@ -180,11 +191,43 @@ def cylinder_measure(
     if not v:
         raise DomainError("cylinder word must be nonempty")
     m = len(v)
-    sub_i, chain_i = chain.restrict(i)
-    _require_level_word(sub_i, chain_i, i, v)
-    table = chain.memo(("cylinders", i, m), _cylinder_table, sub, chain, spectral, i, m, desc)
+    key = ("cylinders", i, m)
+    if m < 3 or spectral.theta(i).as_integer() is None:
+        _require_level_word(*chain.restrict(i), i, v)
+        table = chain.memo(key, _cylinder_table, sub, chain, spectral, i, m, desc)
+    elif set(v).issubset(chain.alphabet_at(i)):  # else no length need be generated
+        table = chain.memo(key, _ancestor_table, sub, chain, spectral, i, m, desc)
+    else:
+        table = {}
+    if v not in table:  # an ancestor table holds exactly L_m(i)
+        raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
     infinite, exact, value, note = table[v]
     return CylinderValue(i, v, infinite, exact, value, desc.anchor, note)
+
+
+def _ancestor_table(
+    sub: Substitution,
+    chain: ComponentChain,
+    spectral: SpectralProfile,
+    i: int,
+    m: int,
+    desc: MeasureDescriptor,
+) -> dict[str, tuple]:
+    """The table of an integer-theta level at m >= 3, by desubstitution from
+    its m = 2 table (``_Ancestors``), whose state is kept under
+    ``("ancestors", i)``."""
+    return chain.memo(("ancestors", i), _ancestors, sub, chain, spectral, i, desc).table(m)
+
+
+def _ancestors(
+    sub: Substitution,
+    chain: ComponentChain,
+    spectral: SpectralProfile,
+    i: int,
+    desc: MeasureDescriptor,
+) -> _Ancestors:
+    base = chain.memo(("cylinders", i, 2), _cylinder_table, sub, chain, spectral, i, 2, desc)
+    return _Ancestors(chain.restrict(i)[0], spectral.theta(i).as_integer(), base)
 
 
 def _cylinder_table(
@@ -220,27 +263,258 @@ def _cylinder_table(
 
 
 # ---------------------------------------------------------------------------
+# cylinder tables by desubstitution (integer theta, m >= 3)
+
+
+class _Ancestors:
+    """Cylinder values of one integer-theta level, length by length.
+
+    Let q = theta^p for the least p with ``|sigma^p(c)| >= 2`` for every
+    letter c that is not fixed (c -> c); no other letter stays one letter
+    long in a valid chain. An ancestor of an m-word v is a level word u with
+    a position t < ``|sigma^p(u[0])|`` such that ``sigma^p(u)[t:t+m] = v``
+    and ``sigma^p(u[:-1])`` is too short to cover v. The window eigen
+    equation, reduced to ancestors by Kolmogorov consistency, gives
+    mu(v) = (sum of mu(u) over the ancestors) / q, and an infinite ancestor
+    makes v infinite (factors of sigma^p(L(i'-1)) lie in L(i'-1)).
+
+    Ancestors are shorter than v except the same-length ones,
+    ``x w y -> last(sigma^p(x)) w first(sigma^p(y))`` for w of fixed letters.
+    That map is a function, so each length's same-length equations are
+    solved along its trees and cycles. Every m-word has a chain of ancestors
+    ending in a shorter word, so the words generated from the shorter
+    lengths, closed under that map, are exactly L_m(i).
+
+    Values are integer numerators at one scale per length, ``nums[l][w] /
+    scales[l]`` (None for an infinite word); each scale divides the next.
+    The base is the level's m = 2 table; the letters are its right sums.
+    A word u is a shorter ancestor for the lengths ``|sigma^p(u[1:-1])| + 2``
+    to ``|sigma^p(u)|``: it waits under the first of them and is carried,
+    with its image, through the rest.
+    """
+
+    def __init__(self, sub_i: Substitution, theta: int, base: dict[str, tuple]):
+        letters = sub_i.alphabet.letters
+        fixed = "".join(c for c in letters if sub_i.image(c) == c)
+        images = dict(zip(letters, letters))
+        for p in range(1, len(letters) + 1):
+            images = {c: sub_i.step(w) for c, w in images.items()}
+            if all(len(w) >= 2 for c, w in images.items() if c not in fixed):
+                break
+        else:
+            raise RuntimeError("a letter that is not fixed never grows")
+        self.q = theta**p
+        self.fixed = fixed
+        self.power = {ord(c): w for c, w in images.items()}  # sigma^p for str.translate
+        self.size = {c: len(w) for c, w in images.items()}
+        self.first = {c: w[0] for c, w in images.items()}
+        self.last = {c: w[-1] for c, w in images.items()}
+        # pending[n]: the ancestors of the n-words, each with its image once made
+        self.pending: dict[int, list[tuple[str, str | None]]] = {}
+        self.full: dict[str, int] = {}  # |sigma^p(w)| for the words of the last length
+        self.held = 0  # letters in the words of every length so far
+
+        scale = lcm(*(e[1].denominator for e in base.values() if not e[0]))
+        pairs: dict[str, int | None] = {}
+        for w, (infinite, value, _, _) in base.items():
+            pairs[w] = None if infinite else value.numerator * (scale // value.denominator)
+        singles: dict[str, int | None] = {}
+        for w, x in pairs.items():
+            old = singles.get(w[0], 0)
+            singles[w[0]] = None if x is None or old is None else old + x
+        self.nums: list[dict] = [{}]  # indexed by length
+        self.scales = [1]
+        self._add(1, singles, scale, [])
+        self._add(2, pairs, scale, [])
+
+    def extend(self, m: int) -> None:
+        """Finish every length up to m."""
+        for n in range(len(self.nums), m + 1):
+            self._add(n, *self._generate(n))
+
+    def table(self, m: int) -> dict[str, tuple]:
+        self.extend(m)
+        scale = self.scales[m]
+        out = {}
+        for w, x in self.nums[m].items():
+            if x is None:
+                out[w] = (True, None, None, None)
+            else:
+                value = Fraction(x, scale)
+                out[w] = (False, value, float(value), None)
+        return out
+
+    def _generate(self, m: int) -> tuple[dict[str, int | None], int, list]:
+        """The words of length m with their numerators and scale, and the
+        ancestors that serve m + 1 as well."""
+        prev = self.scales[-1]
+        mult = [prev // s for s in self.scales]
+        nums, power, size = self.nums, self.power, self.size
+        acc: dict[str, int] = {}
+        infinite: set[str] = set()
+        carry = []
+        for u, img in self.pending.get(m, ()):
+            if img is None:
+                img = u.translate(power)
+            if len(img) > m:
+                carry.append((u, img))
+            lo = max(0, len(img) - size[u[-1]] - m + 1)
+            hi = min(size[u[0]], len(img) - m + 1)
+            x = nums[len(u)][u]
+            if x is None:
+                infinite.update(img[t : t + m] for t in range(lo, hi))
+                continue
+            x *= mult[len(u)]
+            for t in range(lo, hi):
+                v = img[t : t + m]
+                acc[v] = acc.get(v, 0) + x
+        step = self._same_length(acc, infinite) if self.fixed else {}
+        for w in infinite:
+            acc.pop(w, None)
+        scale = self.q * prev
+        if step:
+            y, factor = _solve_same_length(acc, step, self.q)
+            acc = {w: x * (factor // self.q) for w, x in acc.items()}
+            acc.update(y)
+            g = gcd(factor, *acc.values())  # keeps prev | scale
+            acc = {w: x // g for w, x in acc.items()}
+            scale = prev * (factor // g)
+        out: dict[str, int | None] = dict.fromkeys(infinite)
+        out.update(acc)
+        return out, scale, carry
+
+    def _same_length(self, acc: dict[str, int], infinite: set[str]) -> dict[str, str]:
+        """Close the generated words under the same-length map and return
+        the map between finite words; words it adds have no shorter
+        ancestor, and infinity follows the map."""
+        fixed, first, last = self.fixed, self.first, self.last
+        step: dict[str, str] = {}
+        queue = [w for w in (*acc, *infinite) if not w[1:-1].strip(fixed)]
+        for w in queue:  # grows while it is walked
+            f = step[w] = last[w[0]] + w[1:-1] + first[w[-1]]
+            if f not in acc and f not in infinite:
+                acc[f] = 0
+                queue.append(f)
+        spread = [w for w in step if w in infinite]
+        for w in spread:
+            f = step[w]
+            if f not in infinite:
+                infinite.add(f)
+                spread.append(f)
+        return {w: f for w, f in step.items() if w not in infinite and f not in infinite}
+
+    def _add(self, m: int, nums: dict[str, int | None], scale: int, carry: list) -> None:
+        """Check length m against m - 1, then store it and file each word
+        under the first longer length it is an ancestor for."""
+        held = self.held + m * len(nums)
+        if held > LANGUAGE_BUDGET:
+            raise BudgetExceeded(f"cylinder tables up to m={m} exceed {LANGUAGE_BUDGET} letters")
+        if m > 1:
+            _check_kolmogorov(self.nums[m - 1], nums, scale // self.scales[m - 1], m)
+        self.nums.append(nums)
+        self.scales.append(scale)
+        self.held = held
+        pending, size, full = self.pending, self.size, self.full
+        pending.pop(m, None)
+        pending.setdefault(m + 1, []).extend(carry)
+        lengths = {}
+        for u in nums:
+            a, b = size[u[0]], size[u[-1]]
+            n = lengths[u] = full[u[:-1]] + b if m > 1 else a
+            # u serves the lengths |sigma^p(u[1:-1])| + 2 .. |sigma^p(u)|
+            first = n - a - b + 2
+            if first <= m:
+                first = max(m + 1, 3)
+            if first <= n:
+                pending.setdefault(first, []).append((u, None))
+        self.full = lengths
+
+
+def _solve_same_length(acc: dict[str, int], step: dict[str, str], q: int) -> tuple[dict, int]:
+    """Solve q mu(v) = acc(v) + (sum of mu(u) over step(u) = v) on the words
+    the same-length map touches, in integers: returns y and a factor F with
+    mu = y / F, in the unit of ``acc``.
+
+    The map is a function: tree words are solved from the leaves, and a
+    cycle c_0 -> ... -> c_(k-1) -> c_0 from
+    (q^k - 1) y(c_0) = sum_j q^(k-1-j) s(c_(-j)), s holding F acc and the
+    trees' inflow. Each mu has a denominator dividing q^n (q^k - 1) over the
+    n words touched, so F = q^n lcm(q^k - 1) makes every division exact.
+    """
+    nodes = set(step) | set(step.values())
+    indegree = dict.fromkeys(nodes, 0)
+    for f in step.values():
+        indegree[f] += 1
+    order = [w for w in nodes if not indegree[w]]
+    for w in order:  # grows while it is walked
+        f = step.get(w)
+        if f is not None:
+            indegree[f] -= 1
+            if not indegree[f]:
+                order.append(f)
+    cycles, seen = [], set(order)
+    for w in nodes:
+        if w not in seen:
+            cycle = [w]
+            while step[cycle[-1]] != w:
+                cycle.append(step[cycle[-1]])
+            cycles.append(cycle)
+            seen.update(cycle)
+    factor = q ** len(nodes) * lcm(*(q ** len(c) - 1 for c in cycles))
+    s = {w: acc[w] * factor for w in nodes}
+    y: dict[str, int] = {}
+    for w in order:
+        y[w] = s[w] // q
+        f = step.get(w)
+        if f is not None:
+            s[f] += y[w]
+    for cycle in cycles:
+        k = len(cycle)
+        x = sum(q ** (k - 1 - j) * s[cycle[-j]] for j in range(k)) // (q**k - 1)
+        y[cycle[0]] = x
+        for c in cycle[1:]:
+            x = y[c] = (s[c] + x) // q
+    return y, factor
+
+
+def _check_kolmogorov(
+    shorter: dict[str, int | None], longer: dict[str, int | None], ratio: int, m: int
+) -> None:
+    """Raise unless both one-letter extension sums of every finite
+    (m-1)-word equal its value, and every m-word extends (m-1)-words on both
+    sides that are infinite when it is. ``ratio`` is the quotient of the two
+    scales."""
+    right, left = dict.fromkeys(shorter, 0), dict.fromkeys(shorter, 0)
+    try:
+        for w, x in longer.items():
+            if x is None:
+                if shorter[w[:-1]] is not None or shorter[w[1:]] is not None:
+                    raise RuntimeError(f"m={m}: infinite {w!r} extends a finite word")
+                continue
+            right[w[:-1]] += x
+            left[w[1:]] += x
+    except KeyError:
+        raise RuntimeError(f"m={m}: {w!r} extends no word of length {m - 1}") from None
+    for w, x in shorter.items():
+        if x is not None and not right[w] == left[w] == x * ratio:
+            raise RuntimeError(f"m={m}: extensions of {w!r} do not sum to its value")
+
+
+# ---------------------------------------------------------------------------
 # occurrence counts
 
 
-def _length_tables(
-    sub: Substitution, anchor: str, target: int, *, at_most: bool
-) -> list[dict[str, int]]:
-    """Letter image lengths ``|sub^j(c)|`` for j = 0..k.
-
-    k is the smallest power with ``|sub^k(anchor)| >= target``, or with
-    ``at_most`` the largest with ``|sub^k(anchor)| <= target``.
-    """
+def _length_tables(sub: Substitution, anchor: str, target: int) -> list[dict[str, int]]:
+    """Letter image lengths ``|sub^j(c)|`` for j = 0..k, k the smallest
+    power with ``|sub^k(anchor)| >= target``."""
     tables = [{c: 1 for c in sub.alphabet}]
     stall = 0
     while True:
         lengths = tables[-1]
         size = lengths[anchor]
-        if not at_most and size >= target:
+        if size >= target:
             return tables
         nxt = {c: sum(lengths[x] for x in sub.image(c)) for c in sub.alphabet}
-        if at_most and nxt[anchor] > target:
-            return tables
         stall = stall + 1 if nxt[anchor] == size else 0
         if stall > 2 * len(sub.alphabet) + 4:
             raise BudgetExceeded("anchor expansion does not grow")
@@ -341,14 +615,16 @@ def empirical_frequency(
     # Any window starting with the anchor works: the first L - m + 1 windows
     # of sigma^k(u) lie inside sigma^k(anchor).
     u = min((w for w in aux.words if w[0] == anchor), key=sub_i.alphabet.word_key)
-    lengths = _length_tables(sub_i, anchor, L, at_most=False)
-    k = k2 = len(lengths) - 1
-    if desc.kind == "infinite_radon":
-        k2 = len(_length_tables(sub_i, anchor, power_budget, at_most=True)) - 1
+    # One table serves both powers: k reaches L, and the scaled count's k2
+    # is the last power within the budget, one below the first past it.
+    infinite = desc.kind == "infinite_radon"
+    lengths = _length_tables(sub_i, anchor, power_budget + 1 if infinite else L)
+    k = next(j for j, table in enumerate(lengths) if table[anchor] >= L)
+    k2 = len(lengths) - 2 if infinite else k
     cols = _block_counts(aux, v, max(k, k2))
-    ratio = _prefix_count(aux, u, cols, lengths, L - m + 1) / L
+    ratio = _prefix_count(aux, u, cols, lengths[: k + 1], L - m + 1) / L
     result = EmpiricalFrequency(level=i, word=v, length=L, power=k, ratio=ratio)
-    if desc.kind == "infinite_radon":
+    if infinite:
         count = cols[k2][u]
         theta = spectral.theta(i)
         exact_theta = theta.as_integer()

@@ -28,9 +28,11 @@ last, so it vanishes below it, and on it a window's image row counts the
 letters of sigma(u[0]), so gamma(u) = r(u[0]) for the Perron vector r of the
 level's letter block.
 
-Every cylinder value of one level and window length reads the same vectors,
-so they are solved once. Like everything else derived from a chain, they are
-stored on the chain (``ComponentChain.memo``): ``block_eigenvalues`` under
+Every window-solved cylinder value of one level and window length (m <= 2,
+or any m on an irrational level; ``measures`` builds the longer tables of an
+integer level from its m = 2 table) reads the same vectors, so they are
+solved once. Like everything else derived from a chain, they are stored on
+the chain (``ComponentChain.memo``): ``block_eigenvalues`` under
 ``("spectral",)``, the left vector ``pf_left`` under ``("pf_left", m)``,
 ``pf_vectors`` (which adds the right vector to it) under ``("pf_right", m)``
 and ``limit_data`` under ``("limit_data", m, i)``; ``classify`` adds seed

@@ -9,6 +9,7 @@ be primitive, and a uniform witness power is then found by stepping boolean
 powers. Boolean matrices are kept as one int bitset per row: row a of A·P is
 the OR of the rows P[c] over the letters c of σ(a), so a power step costs
 O(n·|σ|) big-int ORs, and a row is tested against a mask in one operation.
+The witness search steps only the rows that are not yet full.
 
 A chain keeps one letter -> level index, built with it: ``new_letters`` and
 ``level_of`` read it, and "a letter lies below level i" is the test
@@ -324,15 +325,25 @@ def component_chain(sub: Substitution) -> ComponentChain:
     levels = tuple(cumulative)
     # Uniform witness power: all entries on or below the block diagonal of
     # some boolean power are positive; bounded by Wielandt plus graph depth.
+    # Only the unfinished rows are stepped and tested: a row that holds every
+    # letter on or below its level holds exactly those letters (nothing else
+    # is reachable), and it keeps them at every later power, since each such
+    # letter has a predecessor in its own primitive component, which lies on
+    # or below the level too. A finished row is therefore the same in every
+    # later power, and the unfinished rows can read it from the stored list.
     bound = (n - 1) ** 2 + 1 + n
     succ = [list(e) for e in edges]
-    power = _row_or_step(succ, [1 << v for v in range(n)])
+    power = [1 << v for v in range(n)]  # A^0
+    todo = list(range(n))
     witness = None
     for k in range(1, bound + 1):
-        if all(not row_need & ~row for row_need, row in zip(need, power)):
+        stepped = _row_or_step([succ[a] for a in todo], power)
+        for a, row in zip(todo, stepped):
+            power[a] = row
+        todo = [a for a in todo if need[a] & ~power[a]]
+        if not todo:
             witness = k
             break
-        power = _row_or_step(succ, power)
     if witness is None:  # unreachable if the checks above passed
         raise NoPrimitiveChainError(
             "no uniform witness power below the bound",

@@ -17,6 +17,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
 
+LANGUAGE_BUDGET = 10**7  # letters held by one `language` listing, or by one level's ancestor tables
+
 
 @dataclass(frozen=True)
 class Alphabet:

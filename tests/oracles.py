@@ -500,6 +500,13 @@ def sturm_count(chain, lo: Fraction, hi: Fraction) -> int:
     return variations(lo) - variations(hi)
 
 
+def count_roots(chain, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots in (lo, hi] of the squarefree first member of an
+    integer Sturm chain (``exact.sturm_chain``), counted in ``Fraction``
+    arithmetic."""
+    return sturm_count(chain, lo, hi)
+
+
 def sturm_refine(chain, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Bisect (lo, hi] down to ``width``, keeping the half whose Sturm count
     is positive."""

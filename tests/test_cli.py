@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from chainshift import ParseError, parse_input
 from chainshift import cli
 from chainshift.cli import main
@@ -135,6 +136,19 @@ def test_language_command_budget(tmp_path, capsys):
     proc = _python("-m", "chainshift", "language", path, "-m", "3000", timeout=10)
     assert proc.returncode == 5
     assert json.loads(proc.stdout)["error"]["kind"] == "BudgetExceeded"
+
+
+def test_measure_long_word_by_ancestors(tmp_path):
+    # 128 letters on an integer-theta level: the value comes from the
+    # ancestor recursion, not from a window solve over L_128 (which takes
+    # seconds); 1/512 is the value that solve gives
+    rules = {c: CORPUS_RULES["golden_tower"][c] for c in "abcd"}
+    word = oracles.power(rules, "c", 6)[:128]
+    path = _write(tmp_path, "golden_tower.sub", CORPUS_RULES["golden_tower"])
+    proc = _python("-m", "chainshift", "measure", path, "-i", "2", "-v", word, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["word"], out["value"], out["float"]) == (word, "1/512", 1 / 512)
 
 
 def test_matrix_command_plain_and_window(tmp_path, capsys):

@@ -137,7 +137,7 @@ def test_prefix_counter_invariant_survives_optimize():
         "from chainshift.measures import _block_counts, _length_tables, _prefix_count\n"
         "sub = Substitution.from_rules({'a': 'ab', 'b': 'a'})\n"
         "aux = build_auxiliary(sub, component_chain(sub), 2)\n"
-        "lengths = _length_tables(sub, 'a', 50, at_most=False)\n"
+        "lengths = _length_tables(sub, 'a', 50)\n"
         "cols = _block_counts(aux, 'ab', len(lengths) - 1)\n"
         "try:\n"
         "    _prefix_count(aux, 'ab', cols, lengths, lengths[-1]['a'] + 1)\n"

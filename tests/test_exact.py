@@ -16,7 +16,6 @@ from chainshift import exact
 from chainshift.exact import (
     AlgebraicReal,
     charpoly,
-    count_roots,
     poly_gcd,
     squarefree_part,
     sturm_chain,
@@ -43,9 +42,9 @@ def test_sturm_counts_roots():
     # (x-1)(x-2)(x-4) has one root in (1.5, 3] and none in (5, 9]
     poly = squarefree_part((1, -7, 14, -8))
     chain = sturm_chain(poly)
-    assert count_roots(chain, Fraction(3, 2), Fraction(3)) == 1
-    assert count_roots(chain, Fraction(5), Fraction(9)) == 0
-    assert count_roots(chain, Fraction(0), Fraction(9)) == 3
+    assert oracles.count_roots(chain, Fraction(3, 2), Fraction(3)) == 1
+    assert oracles.count_roots(chain, Fraction(5), Fraction(9)) == 0
+    assert oracles.count_roots(chain, Fraction(0), Fraction(9)) == 3
 
 
 def test_algebraic_real_integer_detection():
@@ -377,7 +376,7 @@ def test_integer_sturm_chains_count_like_fraction_chains(p, x, y):
     lo, hi = min(x, y), max(x, y)
     chain = sturm_chain(squarefree_part(p))
     assert all(type(c) is int for member in chain for c in member)
-    assert count_roots(chain, lo, hi) == oracles.sturm_count(oracles.sturm_chain(p), lo, hi)
+    assert oracles.count_roots(chain, lo, hi) == oracles.sturm_count(oracles.sturm_chain(p), lo, hi)
 
 
 # -- the integer polynomial core against the Fraction oracle -------------------

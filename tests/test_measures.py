@@ -1,13 +1,18 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 from chainshift import (
+    BudgetExceeded,
     DomainError,
     MeasureTypeCounting,
     Substitution,
@@ -21,6 +26,7 @@ from chainshift import (
     measure_type,
     uniformity_check,
 )
+from chainshift import cli, measures, words
 from conftest import CORPUS_RULES, make
 from test_pipeline_fuzz import chain_systems
 
@@ -288,6 +294,80 @@ def test_window_independence_for_infinite_levels(corpus_sub):
             exts = [v + a for a in sub_i.alphabet if v + a in lang_ext]
             total = sum(cylinder_measure(corpus_sub, chain, sp, i, w).value for w in exts)
             assert abs(total - base.value) <= 1e-9
+
+
+# -- cylinder tables by desubstitution --------------------------------------------
+
+
+def _exact_levels(sub, chain, sp):
+    return [i for i, _ in _measured_levels(sub, chain, sp) if sp.theta(i).as_integer() is not None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_systems())
+@example(CORPUS_RULES["chacon"])  # a -> a: same-length ancestors
+@example(CORPUS_RULES["constant_reenters"])
+@example({"c": "c", "a": "acbb", "b": "a"})  # a fixed letter and p = 2
+@example({"a": "a", "b": "bbac", "c": "ccab"})  # same-length ancestors on a 2-cycle
+def test_ancestor_tables_match_window_solves_on_chain_systems(rules):
+    """Above m = 2 an integer-theta level's table comes from the ancestor
+    recursion; it equals the window solve's table, infinite flags included,
+    and holds exactly the level's words."""
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    sp = block_eigenvalues(sub, chain)
+    for i in _exact_levels(sub, chain, sp):
+        desc = measure_type(sub, chain, sp, i)
+        for m in range(3, 11):
+            table = measures._ancestor_table(sub, chain, sp, i, m, desc)
+            assert table == measures._cylinder_table(sub, chain, sp, i, m, desc), (rules, i, m)
+            assert set(table) == {w for w, e in chain.word_levels(m).items() if e <= i}
+
+
+def test_ancestor_tables_stop_at_the_letter_budget(monkeypatch):
+    # ``language`` and the ancestor tables share one budget
+    assert cli.LANGUAGE_BUDGET is words.LANGUAGE_BUDGET is measures.LANGUAGE_BUDGET
+    setup = _setup("golden_tower")
+    rules = {c: CORPUS_RULES["golden_tower"][c] for c in "abcd"}
+    word = oracles.power(rules, "c", 5)[:40]
+    expected = cylinder_measure(*_setup("golden_tower"), 2, word[:5]).exact
+    monkeypatch.setattr(measures, "LANGUAGE_BUDGET", 5000)
+    with pytest.raises(BudgetExceeded, match="exceed 5000 letters"):
+        cylinder_measure(*setup, 2, word)
+    # the lengths finished before the refusal still answer
+    assert cylinder_measure(*setup, 2, word[:5]).exact == expected
+
+
+_CORRUPT_ANCESTORS = """
+from chainshift import Substitution, block_eigenvalues, component_chain, cylinder_measure
+sub = Substitution.from_rules({"a": "aaaa", "b": "abbb", "c": "cbc"})
+chain = component_chain(sub)
+profile = block_eigenvalues(sub, chain)
+cylinder_measure(sub, chain, profile, 2, "abb")
+state = chain._memo[("ancestors", 2)]
+word = next(w for w, x in state.nums[3].items() if x)
+state.nums[3][word] += 1
+try:
+    cylinder_measure(sub, chain, profile, 2, "abbb")
+except RuntimeError as exc:
+    print("raised", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["debug", "optimized"])
+def test_corrupted_ancestor_table_fails_kolmogorov_under_optimize(flags):
+    # each new length is checked against the one below it by an explicit
+    # raise, which ``python -O`` keeps
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _CORRUPT_ANCESTORS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised m=4: extensions of"), proc.stdout
 
 
 # -- streaming -------------------------------------------------------------------

@@ -8,8 +8,10 @@ window length and level, ``ComponentChain.restrict`` keeps each level's
 restriction there, and ``decomposition_report`` sweeps the chain's two-letter
 languages once. A measure on a level with theta > 1 reads the seed pair and
 never the periodic-point census, and a cylinder table solves no right vector
-over the window alphabet. The tests count calls of the un-memoised bodies; a
-fresh chain starts with an empty memo.
+over the window alphabet. An integer-theta level solves windows only at
+m <= 2: its longer tables come from the ancestor state ``("ancestors", i)``,
+while an irrational level solves once per window length. The tests count
+calls of the un-memoised bodies; a fresh chain starts with an empty memo.
 """
 
 import gc
@@ -63,6 +65,13 @@ def calls(monkeypatch):
     return counts
 
 
+def _solved(profile, i):
+    """The window lengths up to MAX_M at which level i's tables solve: m <= 2
+    for an integer theta, every length for an irrational one."""
+    exact = profile.theta(i).as_integer() is not None
+    return [m for m in range(1, MAX_M + 1) if m <= 2 or not exact]
+
+
 def _tables(name):
     sub = make(name)
     chain = component_chain(sub)
@@ -78,16 +87,19 @@ def test_one_solve_per_level_and_window(name, calls):
     sub, chain, tables = _tables(name)
     measured = [t["level"] for t in tables if "cylinders" in t]
     assert measured
+    profile = block_eigenvalues(sub, chain)
     # finite levels solve the left vector on the level's own chain (whose top
     # level is the level), infinite ones through limit_data; no table solves
-    # the right vector of pf_vectors
+    # the right vector of pf_vectors, and an integer-theta level's tables
+    # above m = 2 solve nothing
     solves = sorted(key for (body, key) in calls if body in ("_pf_left", "_limit_data"))
-    assert solves == [(i, m) for i in measured for m in range(1, MAX_M + 1)]
+    assert solves == [(i, m) for i in measured for m in _solved(profile, i)]
     assert not [key for (body, key) in calls if body == "_pf_vectors"]
+    exact = [i for i in measured if profile.theta(i).as_integer() is not None]
+    assert [key[1] for key in chain._memo if key[0] == "ancestors"] == exact
     # one seed pair per level; the full report only where theta = 1
     seeds = sorted(key for (body, key) in calls if body == "find_seed_pair")
     assert seeds == list(range(2, chain.n + 1))
-    profile = block_eigenvalues(sub, chain)
     reports = sorted(key for (body, key) in calls if body == "_classify_level")
     assert reports == [i for i in range(2, chain.n + 1) if profile.theta_is_one(i)]
     assert set(calls.values()) == {1}
@@ -190,9 +202,12 @@ def test_finite_table_solves_the_left_vector_only(name, i, perron_calls, monkeyp
     table = level_measure_table(sub, chain, profile, i, max_m=MAX_M)
     assert perron_calls == []
     chain_i = chain.restrict(i)[1]
+    solved = _solved(profile, i)
     for m in range(1, MAX_M + 1):
-        assert ("pf_left", m) in chain_i._memo and ("cylinders", i, m) in chain._memo
+        assert (("pf_left", m) in chain_i._memo) == (m in solved)
+        assert ("cylinders", i, m) in chain._memo
         assert ("pf_right", m) not in chain_i._memo and ("pf_right", m) not in chain._memo
+    assert (("ancestors", i) in chain._memo) == (len(solved) < MAX_M)
     # a second pass reads the finished values: nothing is solved again
 
     def solve(*args):
@@ -206,12 +221,14 @@ def test_finite_table_solves_the_left_vector_only(name, i, perron_calls, monkeyp
 @pytest.mark.parametrize("name, i", INFINITE, ids=[f"{n}-{i}" for n, i in INFINITE])
 def test_divergent_table_lifts_gamma_from_the_letter_block(name, i, perron_calls, monkeypatch):
     # the only Perron solve outside the left vector is the level's k x k
-    # letter block, once per window length
+    # letter block, once per window length that is solved
     sub = make(name)
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
     table = level_measure_table(sub, chain, profile, i, max_m=MAX_M)
-    assert perron_calls == [chain.block(i)] * MAX_M
+    solved = _solved(profile, i)
+    assert perron_calls == [chain.block(i)] * len(solved)
+    assert sorted(key[1] for key in chain._memo if key[0] == "limit_data") == solved
     assert not [key for key in chain._memo if key[0] == "pf_right"]
 
     def solve(*args):
@@ -227,7 +244,39 @@ def test_divergent_table_with_two_new_letters(perron_calls):
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
     level_measure_table(sub, chain, profile, 2, max_m=MAX_M)
-    assert perron_calls == [((1, 2), (2, 1))] * MAX_M
+    # theta = 3: the letter block is solved at m = 1 and 2 only
+    assert perron_calls == [((1, 2), (2, 1))] * 2
+    assert ("ancestors", 2) in chain._memo
+
+
+def _exact(name, i):
+    sub = make(name)
+    return block_eigenvalues(sub, component_chain(sub)).theta(i).as_integer() is not None
+
+
+EXACT = [(n, i) for n, i in FINITE + INFINITE if _exact(n, i)]
+
+
+@pytest.mark.parametrize("name, i", EXACT, ids=[f"{n}-{i}" for n, i in EXACT])
+def test_long_window_reads_no_window_substitution(name, i):
+    # an integer-theta level answers m >= 3, membership included, from its
+    # ancestor state: no window substitution, language sweep or solve at m
+    sub = make(name)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    sub_i, chain_i = chain.restrict(i)
+    language = words.language(sub_i, 6)
+    word = min(language)
+    value = cylinder_measure(sub, chain, profile, i, word)
+    outside = [word[:5] + c for c in sub_i.alphabet if word[:5] + c not in language]
+    for w in outside + [word[:5] + "?"]:
+        with pytest.raises(WordNotInLevelLanguage):
+            cylinder_measure(sub, chain, profile, i, w)
+    for c in (chain, chain_i):
+        assert not [k for k in c._memo if k[0] in ("aux", "word_levels", "pf_left") and k[1] > 2]
+    assert not [k for k in chain._memo if k[0] == "limit_data" and k[1] > 2]
+    fresh = component_chain(sub)
+    assert value == cylinder_measure(sub, fresh, block_eigenvalues(sub, fresh), i, word)
 
 
 def test_spectral_window_fills_both_sides(monkeypatch, capsys, tmp_path):
