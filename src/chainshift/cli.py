@@ -3,7 +3,7 @@
 Input grammar: one rule per line, ``X -> IMAGE``; ``#`` starts a comment,
 blank lines are ignored, and the alphabet order is the rule declaration
 order. Exit codes: 0 ok, 2 parse error, 3 no primitive component chain,
-4 domain error, 5 budget exceeded.
+4 domain error, 5 budget exceeded, 6 internal invariant violated.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     BudgetExceeded,
     ChainshiftError,
     DomainError,
+    InternalInvariantError,
     NoPrimitiveChainError,
     ParseError,
 )
@@ -33,6 +34,7 @@ EXIT_CODES = {
     NoPrimitiveChainError: 3,
     DomainError: 4,
     BudgetExceeded: 5,
+    InternalInvariantError: 6,
 }
 
 
@@ -375,7 +377,7 @@ def cmd_check(spec: InputSpec, args) -> dict:
         for i in range(1, chain.n + 1):
             try:
                 table = level_measure_table(sub, chain, spectral, i, max_m=1)
-            except ChainshiftError:
+            except (DomainError, BudgetExceeded):  # a failed invariant fails the check
                 continue
             if "cylinders" not in table:
                 continue

@@ -50,3 +50,7 @@ class ThetaNotAboveOne(DomainError):
 
 class BudgetExceeded(ChainshiftError):
     """A streaming or expansion budget was exhausted (exit code 5)."""
+
+
+class InternalInvariantError(ChainshiftError):
+    """A computed result failed its own check (exit code 6)."""

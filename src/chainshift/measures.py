@@ -20,27 +20,30 @@ like the eigen data they are read from (see ``spectral``). A level with
 theta > 1 reads only the spectrum and its seed pair, ``("seed_pair", i)``,
 and so do the uniformity windows; the periodic-point census of
 ``classify_level`` runs only for theta = 1 levels, whose descriptors count
-its point seeds. The first cylinder value of a level and window length
-finishes the whole table, ``(infinite, exact, float, algebraic note)`` for
-every word of the level language, and stores it under ``("cylinders", i,
-m)``; every later value is one lookup after the level's error checks.
+its point seeds.
 
-At m <= 2, and at every m on a level with an irrational theta, the table is
-a window solve: a finite table reads only the left eigenvector
+``_table`` alone writes the cylinder table ``("cylinders", i, m)``,
+``(infinite, exact, float, algebraic note)`` for exactly the words of
+L_m(i), and every reader takes it from there: after the level's error checks
+a value is one lookup and membership one key test, so a word outside the
+language still builds its length's table; ``level_measure_table`` lists the
+keys; the uniformity target is a ratio of the values. The counts test
+membership on the window substitution they count with. At m <= 2, and at
+every m on a level with an irrational theta, the table is a window solve
+(``_cylinder_table``): a finite table reads only the left eigenvector
 (``spectral.pf_left``), an infinite one the limit data, whose right vector
-depends only on the first letter, which the table checks once. On a level
-with an integer theta every longer table comes from the m = 2 table by
-desubstitution (``_Ancestors``, stored under ``("ancestors", i)``): its words
-are exactly L_m(i), so the value and the membership of a word build no
-window substitution at m = |v|, and each new length is checked for exact
-Kolmogorov consistency against the one below.
+depends only on the first letter, which the table checks once. On an
+integer-theta level every longer table comes from the m = 2 table by
+desubstitution (``_ancestor_table``, its ``_Ancestors`` state kept under
+``("ancestors", i)``), which builds no window substitution at m and checks
+each new length for exact Kolmogorov consistency against the one below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import fsum, gcd, lcm
 
 from .auxiliary import AuxiliarySubstitution, build_auxiliary
 from .classify import LevelReport, _bottom_report, classify_level, level_seed
@@ -154,21 +157,6 @@ def _algebraic_note(theta) -> tuple[tuple[int, ...], tuple[str, str]] | None:
     return tuple(theta.poly), (str(theta.lo), str(theta.hi))
 
 
-def _require_level_word(
-    sub_i: Substitution, chain_i: ComponentChain, i: int, v: str
-) -> None:
-    """Raise unless v is in the level-i language.
-
-    The language is read from the level's window substitution at m = |v|,
-    which every caller goes on to use, so it is built once for both: the
-    counts of ``empirical_frequency`` and ``uniformity_check``, and the
-    window-solved cylinder tables (m <= 2 or an irrational theta). The
-    ancestor tables answer membership themselves.
-    """
-    if v not in build_auxiliary(sub_i, chain_i, len(v)).images:
-        raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
-
-
 def cylinder_measure(
     sub: Substitution,
     chain: ComponentChain,
@@ -190,19 +178,29 @@ def cylinder_measure(
         )
     if not v:
         raise DomainError("cylinder word must be nonempty")
-    m = len(v)
-    key = ("cylinders", i, m)
-    if m < 3 or spectral.theta(i).as_integer() is None:
-        _require_level_word(*chain.restrict(i), i, v)
-        table = chain.memo(key, _cylinder_table, sub, chain, spectral, i, m, desc)
-    elif set(v).issubset(chain.alphabet_at(i)):  # else no length need be generated
-        table = chain.memo(key, _ancestor_table, sub, chain, spectral, i, m, desc)
-    else:
-        table = {}
-    if v not in table:  # an ancestor table holds exactly L_m(i)
+    table = {}  # a letter outside the level's alphabet builds no table
+    if set(v).issubset(chain.alphabet_at(i)):
+        table = _table(sub, chain, spectral, i, len(v), desc)
+    if v not in table:
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
     infinite, exact, value, note = table[v]
     return CylinderValue(i, v, infinite, exact, value, desc.anchor, note)
+
+
+def _table(
+    sub: Substitution,
+    chain: ComponentChain,
+    spectral: SpectralProfile,
+    i: int,
+    m: int,
+    desc: MeasureDescriptor,
+) -> dict[str, tuple]:
+    """``(infinite, exact, float, algebraic note)`` of every word of L_m(i),
+    stored under ``("cylinders", i, m)``: a window solve at m <= 2 or for an
+    irrational theta, desubstitution otherwise."""
+    by_ancestors = m > 2 and spectral.theta(i).as_integer() is not None
+    build = _ancestor_table if by_ancestors else _cylinder_table
+    return chain.memo(("cylinders", i, m), build, sub, chain, spectral, i, m, desc)
 
 
 def _ancestor_table(
@@ -213,21 +211,11 @@ def _ancestor_table(
     m: int,
     desc: MeasureDescriptor,
 ) -> dict[str, tuple]:
-    """The table of an integer-theta level at m >= 3, by desubstitution from
-    its m = 2 table (``_Ancestors``), whose state is kept under
-    ``("ancestors", i)``."""
-    return chain.memo(("ancestors", i), _ancestors, sub, chain, spectral, i, desc).table(m)
-
-
-def _ancestors(
-    sub: Substitution,
-    chain: ComponentChain,
-    spectral: SpectralProfile,
-    i: int,
-    desc: MeasureDescriptor,
-) -> _Ancestors:
-    base = chain.memo(("cylinders", i, 2), _cylinder_table, sub, chain, spectral, i, 2, desc)
-    return _Ancestors(chain.restrict(i)[0], spectral.theta(i).as_integer(), base)
+    """An integer-theta level's table at m >= 3, by desubstitution from its
+    m = 2 table; the ``_Ancestors`` state is kept under ``("ancestors", i)``."""
+    base = _table(sub, chain, spectral, i, 2, desc)
+    theta = spectral.theta(i).as_integer()
+    return chain.memo(("ancestors", i), _Ancestors, chain.restrict(i)[0], theta, base).table(m)
 
 
 def _cylinder_table(
@@ -607,11 +595,12 @@ def empirical_frequency(
         raise DomainError("need a nonempty word no longer than the prefix")
     m = len(v)
     sub_i, chain_i = chain.restrict(i)
-    _require_level_word(sub_i, chain_i, i, v)
+    aux = build_auxiliary(sub_i, chain_i, m)
+    if v not in aux.images:
+        raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
     if L > power_budget:
         raise BudgetExceeded(f"prefix length {L} exceeds the power budget {power_budget}")
     anchor = desc.anchor
-    aux = build_auxiliary(sub_i, chain_i, m)
     # Any window starting with the anchor works: the first L - m + 1 windows
     # of sigma^k(u) lie inside sigma^k(anchor).
     u = min((w for w in aux.words if w[0] == anchor), key=sub_i.alphabet.word_key)
@@ -661,8 +650,9 @@ def uniformity_check(
 
     Counts ``v`` in the windows of the quasi-fixed point's right half that run
     from one new-letter visit to the n-th next, and compares the frequencies
-    with the eigenvector ratio they should converge to. A falsification
-    harness, not a proof.
+    with the ratio of cylinder values they should converge to: mu(v) over the
+    total of mu(w) for the |v|-words w that start with a new letter. A
+    falsification harness, not a proof.
 
     The forward seed gives ``sigma^k(b) = P b v`` with P over lower letters, so
     the right half ``R = b v sigma^k(v) ...`` satisfies ``sigma^k(R) = P R`` and
@@ -685,16 +675,19 @@ def uniformity_check(
         raise DomainError("the word must contain a new letter of the level")
     m = len(v)
     sub_i, chain_i = chain.restrict(i)
-    _require_level_word(sub_i, chain_i, i, v)
-    # Target ratio from the eigenvector data, normalized over the windows
-    # that start with a new letter.
+    aux = build_auxiliary(sub_i, chain_i, m)
+    if v not in aux.images:
+        raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
     if spectral.theta_is_one(i):
         raise DomainError(f"level {i} has eigenvalue 1; no frequency target exists")
-    if spectral.level_is_finite(i):
-        data = pf_left(sub_i, chain_i, m, level_profile(sub, chain, i, spectral)).values
+    # mu(v) over the mass of the m-words that start with a new letter, none
+    # of them infinite: exact where the table is, else correctly rounded
+    values = _table(sub, chain, spectral, i, m, measure_type(sub, chain, spectral, i))
+    _, exact, value, _ = values[v]
+    if exact is not None:
+        target = float(exact / sum(e[1] for w, e in values.items() if w[0] in new))
     else:
-        data = limit_data(sub, chain, m, i, spectral).delta
-    target = float(data[v] / sum(val for w, val in data.items() if w[0] in new))
+        target = value / fsum(e[2] for w, e in values.items() if w[0] in new)
     if seed.orientation != "forward":  # theta > 1 puts a lower-new word in L_2
         raise RuntimeError(f"level {i}: theta > 1 but the seed is not forward")
 
@@ -723,7 +716,6 @@ def uniformity_check(
             c = x
         return pos
 
-    aux = build_auxiliary(sub_i, chain_i, m)
     # Any window starting with b works: every counted window ends inside sigma^K(b).
     u = next(w for w in aux.words if w[0] == b)
     cols = _block_counts(aux, v, K)
@@ -758,11 +750,10 @@ def level_measure_table(
         out["finite_atoms"] = desc.finite_atoms
         out["infinite_orbits"] = desc.infinite_orbits
     if desc.kind in ("finite_ergodic", "infinite_radon"):
-        sub_i, chain_i = chain.restrict(i)
         key = sub.alphabet.word_key
-        cylinders: dict[str, dict] = {}
-        for m in range(1, max_m + 1):
-            for w in sorted(build_auxiliary(sub_i, chain_i, m).words, key=key):
-                cylinders[w] = cylinder_measure(sub, chain, spectral, i, w).as_json()
-        out["cylinders"] = cylinders
+        out["cylinders"] = {
+            w: cylinder_measure(sub, chain, spectral, i, w).as_json()
+            for m in range(1, max_m + 1)
+            for w in sorted(_table(sub, chain, spectral, i, m, desc), key=key)
+        }
     return out

@@ -54,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from .auxiliary import AuxiliarySubstitution, build_auxiliary
-from .errors import DomainError, LambdaNotDominant, ThetaNotAboveOne
+from .errors import DomainError, InternalInvariantError, LambdaNotDominant, ThetaNotAboveOne
 from .exact import AlgebraicReal, charpoly, nullspace_vector, solve_linear
 from .structure import ComponentChain, IntMatrix
 from .words import Substitution
@@ -346,12 +346,12 @@ def _check_eigenvector(
                         image[w] += x * c
     if exact:
         if any(image[w] != lam * values[w] for w in order):
-            raise AssertionError(f"{what} fails the exact {side} eigen identity for {lam}")
+            raise InternalInvariantError(f"{what} fails the exact {side} eigen identity for {lam}")
         return
     scale = max(max(abs(values[w]) for w in order), 1e-300)
     res = max(abs(image[w] - lam * values[w]) for w in order) / scale
     if res > RESIDUAL_TOL:
-        raise AssertionError(f"{what} residual {res:.3e} exceeds {RESIDUAL_TOL}")
+        raise InternalInvariantError(f"{what} residual {res:.3e} exceeds {RESIDUAL_TOL}")
 
 
 def _anchor(blocks, level: int) -> int:

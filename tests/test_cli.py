@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from chainshift import ParseError, parse_input
+from chainshift import InternalInvariantError, ParseError, parse_input
 from chainshift import cli
 from chainshift.cli import main
 from conftest import CORPUS_RULES
@@ -214,6 +214,21 @@ def test_check_cylinder_consistency_is_exact(tmp_path, capsys, monkeypatch):
     assert failed == ["cylinder_consistency"]
 
 
+def test_check_reports_a_failed_table_invariant(tmp_path, capsys, monkeypatch):
+    # a level whose table fails its own check fails the consistency check,
+    # unlike a level that has no cylinder values, which it skips
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("eigenvector residual 1e-08 exceeds 1e-09")
+
+    monkeypatch.setattr(cli, "level_measure_table", broken)
+    path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
+    code, out = _run(capsys, "check", path)
+    assert code == 0 and not out["ok"]
+    failed = [c for c in out["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == ["cylinder_consistency"]
+    assert failed[0]["detail"].startswith("InternalInvariantError: eigenvector residual")
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS_RULES))
 def test_check_stdout_same_under_optimize(name, tmp_path, capsys):
     path = _write(tmp_path, f"{name}.sub", CORPUS_RULES[name])
@@ -267,6 +282,18 @@ def test_exit_code_budget(tmp_path, capsys):
     path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
     code, out = _run(capsys, "simulate", path, "-i", "1", "-v", "a", "-L", str(10**12 + 1))
     assert code == 5
+
+
+def test_exit_code_internal_invariant(tmp_path):
+    # the float left eigenvector of this 24-letter window misses the residual
+    # tolerance: a typed error and its JSON payload, not a traceback
+    path = _write(tmp_path, "almost_min_tower.sub", CORPUS_RULES["almost_min_tower"])
+    proc = _python("-m", "chainshift", "measure", path, "-i", "2", "-v", "a" * 24)
+    assert proc.returncode == 6
+    error = json.loads(proc.stdout)["error"]
+    assert (error["code"], error["kind"]) == (6, "InternalInvariantError")
+    assert error["message"].startswith("eigenvector residual")
+    assert "Traceback" not in proc.stderr
 
 
 def test_simulate_long_prefix_without_expansion(tmp_path, capsys):

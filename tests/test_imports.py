@@ -1,8 +1,9 @@
 """Import guard for the library modules.
 
 ``kernels`` serves only the benchmark probes, so no library module may import
-it, numpy is confined to the float eigen path in ``spectral``, and no module
-keeps a cache of its own.
+it, numpy is confined to the float eigen path in ``spectral``, no module
+keeps a cache of its own, and in ``measures`` only the window-solved cylinder
+table reads the eigen data that every other reader takes from that table.
 """
 
 import ast
@@ -65,3 +66,18 @@ def test_no_module_level_caches(path):
     # a module cache would keep every system a process analyses.
     names = _imported_modules(path)
     assert not {"functools.lru_cache", "functools.cache"} & names, path.name
+
+
+def test_only_the_window_table_reads_eigen_data():
+    # every reader in ``measures`` (values, listing, uniformity target) goes
+    # through the one cylinder table per (level, m)
+    tree = ast.parse((PACKAGE / "measures.py").read_text(encoding="utf-8"))
+    readers = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for inner in ast.walk(node):
+            name = inner.id if isinstance(inner, ast.Name) else getattr(inner, "attr", None)
+            if name in ("pf_left", "limit_data"):
+                readers.add(getattr(node, "name", type(node).__name__))
+    assert readers == {"_cylinder_table"}

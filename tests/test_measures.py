@@ -444,3 +444,35 @@ def test_uniformity_chacon_shrinks():
     narrow = uniformity_check(*setup, 2, "ba", 300, offsets=(0, 100, 1000))
     assert wide.max_deviation <= narrow.max_deviation + 1e-3
     assert wide.max_deviation <= 0.1
+
+
+def _uniformity_levels():
+    out = []
+    for name in sorted(CORPUS_RULES):
+        sub, chain, sp = _setup(name)
+        out += [(name, i) for i in range(2, chain.n + 1) if not sp.theta_is_one(i)]
+    return out
+
+
+UNIFORMITY_LEVELS = _uniformity_levels()
+
+
+@pytest.mark.parametrize(
+    "name, i", UNIFORMITY_LEVELS, ids=[f"{n}-{i}" for n, i in UNIFORMITY_LEVELS]
+)
+def test_uniformity_target_is_a_ratio_of_cylinder_values(name, i):
+    # mu(v) over the total mu of the |v|-words that start with a new letter,
+    # bit for bit: exact where the values are, else correctly rounded sums
+    setup = _setup(name)
+    sub, chain, _ = setup
+    new = set(chain.new_letters(i))
+    for m in (1, 2, 3):
+        level_words = sorted(w for w, e in chain.word_levels(m).items() if e <= i)
+        values = {w: cylinder_measure(*setup, i, w) for w in level_words}
+        starts = [cv for w, cv in values.items() if w[0] in new]
+        for v in (w for w in level_words if new & set(w)):
+            target = uniformity_check(*setup, i, v, 1).target
+            if values[v].exact is not None:
+                assert target == float(values[v].exact / sum(cv.exact for cv in starts)), v
+            else:
+                assert target == values[v].value / math.fsum(cv.value for cv in starts), v

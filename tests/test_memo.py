@@ -10,8 +10,9 @@ languages once. A measure on a level with theta > 1 reads the seed pair and
 never the periodic-point census, and a cylinder table solves no right vector
 over the window alphabet. An integer-theta level solves windows only at
 m <= 2: its longer tables come from the ancestor state ``("ancestors", i)``,
-while an irrational level solves once per window length. The tests count
-calls of the un-memoised bodies; a fresh chain starts with an empty memo.
+while an irrational level solves once per window length. The level listing
+and the uniformity target read those tables too. The tests count calls of
+the un-memoised bodies; a fresh chain starts with an empty memo.
 """
 
 import gc
@@ -277,6 +278,36 @@ def test_long_window_reads_no_window_substitution(name, i):
     assert not [k for k in chain._memo if k[0] == "limit_data" and k[1] > 2]
     fresh = component_chain(sub)
     assert value == cylinder_measure(sub, fresh, block_eigenvalues(sub, fresh), i, word)
+
+
+@pytest.mark.parametrize("name, i", EXACT, ids=[f"{n}-{i}" for n, i in EXACT])
+def test_level_listing_reads_the_table_keys(name, i):
+    # the listing of an integer-theta level at m = 3 is its ancestor table's
+    # keys: no language sweep or window substitution at m = 3
+    sub = make(name)
+    chain = component_chain(sub)
+    level_measure_table(sub, chain, block_eigenvalues(sub, chain), i, max_m=3)
+    for c in (chain, chain.restrict(i)[1]):
+        assert not [k for k in c._memo if k in (("aux", 3), ("word_levels", 3))]
+
+
+UNIFORM = [(n, i) for n, i in EXACT if i >= 2]
+
+
+@pytest.mark.parametrize("name, i", UNIFORM, ids=[f"{n}-{i}" for n, i in UNIFORM])
+def test_uniformity_target_reads_the_table(name, i):
+    # the target of a 3-letter word on an integer-theta level is a ratio of
+    # ancestor-table values: no left vector or limit data solved at m = 3
+    sub = make(name)
+    chain = component_chain(sub)
+    new = set(chain.new_letters(i))
+    level_words = [w for w, e in chain.word_levels(3).items() if e <= i and new & set(w)]
+    assert level_words
+    for word in sorted(level_words):
+        chain = component_chain(sub)  # each word on an empty memo
+        measures.uniformity_check(sub, chain, block_eigenvalues(sub, chain), i, word, 2)
+        assert ("pf_left", 3) not in chain.restrict(i)[1]._memo, word
+        assert ("limit_data", 3, i) not in chain._memo, word
 
 
 def test_spectral_window_fills_both_sides(monkeypatch, capsys, tmp_path):

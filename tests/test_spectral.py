@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 import oracles
 from chainshift import (
     DomainError,
+    InternalInvariantError,
     LambdaNotDominant,
     Substitution,
     ThetaNotAboveOne,
@@ -346,12 +347,12 @@ def test_exact_eigen_identity_rejects_what_the_float_residual_accepts():
     _check_eigenvector(rows, order, {"u": 7, "v": 7}, 3, True, "right", "vector")
     near = {"u": 1.0, "v": 1 + 1e-12}
     _check_eigenvector(rows, order, near, 3.0, False, "right", "vector")
-    with pytest.raises(AssertionError, match="residual"):
+    with pytest.raises(InternalInvariantError, match="residual"):
         _check_eigenvector(rows, order, {"u": 1.0, "v": 1.001}, 3.0, False, "right", "vector")
     near = {"u": Fraction(1), "v": 1 + Fraction(1, 10**12)}
-    with pytest.raises(AssertionError, match="exact right eigen identity"):
+    with pytest.raises(InternalInvariantError, match="exact right eigen identity"):
         _check_eigenvector(rows, order, near, 3, True, "right", "vector")
-    with pytest.raises(AssertionError, match="exact left eigen identity"):
+    with pytest.raises(InternalInvariantError, match="exact left eigen identity"):
         _check_eigenvector(rows, order, right, 3, True, "left", "vector")
     # restricted to the words of ``order``: v alone is an eigenvector for 2
     _check_eigenvector(rows, ("v",), {"v": 5}, 2, True, "right", "vector")
