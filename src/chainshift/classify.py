@@ -32,6 +32,9 @@ Everything is stored on the chain (see ``spectral``), each computed once:
   pairs and the ``pair`` periodic-point seeds are read from them.
 - ``("letter_cycles",)``: the cycle lengths of the first-letter and the
   last-letter maps, found in one O(|alphabet|) walk.
+- ``("oriented_images", mirrored)``: every image, written backwards for the
+  mirror system, as a dict and as a ``str.translate`` table. The seed
+  search reads them with the chain's letter -> level index.
 
 An ``s_middle`` periodic-point seed of level i is a word that enters at
 level i, read off the chain's word -> level index of its length. Where a
@@ -242,66 +245,58 @@ class SeedPair:
 def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair:
     """The seed identity of level i, read off the level's two-letter language.
 
-    The level's letters are closed under ``sub``, so its images are read from
-    ``sub`` itself. A reverse seed runs on the mirror system, whose powers
-    are the mirrored powers of ``sub``. Expanding sigma^k(ab) may take at most
-    ``SEED_BUDGET`` letters.
+    The level's letters are closed under the substitution, so its images are
+    read from the chain's own, stored on the chain for each orientation: a
+    reverse seed runs on the mirror system, whose powers are the mirrored
+    powers of ``sub``. Expanding sigma^k(ab) may take at most ``SEED_BUDGET``
+    letters.
     """
     chain.check_level(i)
     if i < 2:
         raise DomainError("seed pairs exist for levels >= 2")
-    level = chain.level_of  # a letter lies below level i iff its level is < i
-    new = set(chain.new_letters(i))
+    level = chain._level_of  # a letter lies below level i iff its level is < i
     key = sub.alphabet.word_key
     fresh = _fresh_two_words(chain, i)  # holds every word with a new letter
-    forward = [w for w in fresh if level(w[0]) < i and w[1] in new]
+    forward = [w for w in fresh if level[w[0]] < i and level[w[1]] == i]
     if forward:
         mirrored = False
         first = min(forward, key=key)
         a0, b0 = first[0], first[1]
     else:
-        backward = [w for w in fresh if w[0] in new and level(w[1]) < i]
+        backward = [w for w in fresh if level[w[0]] == i and level[w[1]] < i]
         if not backward:
             raise RuntimeError(f"level {i} has no crossing pair in its two-letter language")
         mirrored = True
         first = min(backward, key=key)
         a0, b0 = first[1], first[0]
-
-    def oriented(word: str) -> str:
-        return word[::-1] if mirrored else word
-
-    def first_new(word: str) -> int:
-        return next(j for j, c in enumerate(word) if c in new)
+    images, table = chain.memo(("oriented_images", mirrored), _image_tables, chain.sub, mirrored)
 
     seen: dict[tuple[str, str], int] = {}
     a_j, b_j = a0, b0
     j = 0
     while (a_j, b_j) not in seen:
         seen[(a_j, b_j)] = j
-        img_b = oriented(sub.image(b_j))
-        pos = first_new(img_b)
+        img_b = images[b_j]
+        pos = _first_new(img_b, level, i)
         nxt_b = img_b[pos]
-        nxt_a = img_b[pos - 1] if pos >= 1 else oriented(sub.image(a_j))[-1]
+        nxt_a = img_b[pos - 1] if pos >= 1 else images[a_j][-1]
         a_j, b_j = nxt_a, nxt_b
         j += 1
     k = j - seen[(a_j, b_j)]
     a, b = a_j, b_j
 
     # expansion budget: |sigma^k(ab)| grows geometrically with k
-    probe = oriented(a + b)
+    wa, wb = a, b
     for _ in range(k):
-        total = sum(len(sub.image(c)) for c in probe)
-        if total > SEED_BUDGET:
+        if sum(map(len, map(images.__getitem__, wa + wb))) > SEED_BUDGET:
             raise BudgetExceeded(f"seed expansion exceeds {SEED_BUDGET} letters")
-        probe = sub.step(probe)
-    w = oriented(probe)
-    img_bk = oriented(apply(sub, b, k))
-    pos = first_new(img_bk)
-    p_b = (len(w) - len(img_bk)) + pos
+        wa, wb = wa.translate(table), wb.translate(table)
+    w = wa + wb
+    p_b = len(wa) + _first_new(wb, level, i)
     if w[p_b] != b or w[p_b - 1] != a:
         raise RuntimeError(f"level {i}: sigma^{k}({a}{b}) does not contain {a}{b} at the seed")
     u, v = w[: p_b - 1], w[p_b + 1 :]
-    if not all(level(c) < i for c in u):
+    if max(map(level.__getitem__, u), default=0) >= i:
         raise RuntimeError(f"level {i}: the seed prefix leaves the levels below")
     if mirrored:
         u, v = u[::-1], v[::-1]
@@ -309,6 +304,23 @@ def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair
         level=i, a=a, b=b, k=k, u=u, v=v,
         orientation="reverse" if mirrored else "forward",
     )
+
+
+def _first_new(word: str, level: dict[str, int], i: int) -> int:
+    """The position of the first letter of ``word`` that level i adds."""
+    for p, c in enumerate(word):
+        if level[c] == i:
+            return p
+    raise RuntimeError(f"level {i}: an image of a new letter holds no new letter")
+
+
+def _image_tables(sub: Substitution, mirrored: bool) -> tuple[dict[str, str], dict[int, str]]:
+    """Each letter's image, written backwards when ``mirrored``, as a dict and
+    as a ``str.translate`` table."""
+    images = dict(zip(sub.alphabet.letters, sub.images))
+    if mirrored:
+        images = {c: img[::-1] for c, img in images.items()}
+    return images, {ord(c): img for c, img in images.items()}
 
 
 def positively_recurrent(sub: Substitution, chain: ComponentChain, seed: SeedPair) -> bool:

@@ -9,7 +9,9 @@ be primitive, and a uniform witness power is then found by stepping boolean
 powers. Boolean matrices are kept as one int bitset per row: row a of A·P is
 the OR of the rows P[c] over the letters c of σ(a), so a power step costs
 O(n·|σ|) big-int ORs, and a row is tested against a mask in one operation.
-The witness search steps only the rows that are not yet full.
+A one-letter component, every level of a tower, takes no power step: its
+1×1 block is primitive exactly when the letter occurs in its own image. The
+witness search steps only the rows that are not yet full, inline.
 
 A chain keeps one letter -> level index, built with it: ``new_letters`` and
 ``level_of`` read it, and "a letter lies below level i" is the test
@@ -290,19 +292,23 @@ def component_chain(sub: Substitution) -> ComponentChain:
             },
         )
     # Each diagonal block must be primitive: some boolean power all-positive.
+    # A one-letter block is primitive iff its letter occurs in its own image.
     for ci in order:
         comp = sccs[ci]
-        pos = {v: p for p, v in enumerate(comp)}
-        succ = [[pos[w] for w in edges[v] if w in pos] for v in comp]
-        full = (1 << len(comp)) - 1
-        wielandt = (len(comp) - 1) ** 2 + 1
-        power = _row_or_step(succ, [1 << p for p in range(len(comp))])
-        ok = all(row == full for row in power)
-        for _ in range(wielandt - 1):
-            if ok:
-                break
-            power = _row_or_step(succ, power)
+        if len(comp) == 1:
+            ok = comp[0] in edges[comp[0]]
+        else:
+            pos = {v: p for p, v in enumerate(comp)}
+            succ = [[pos[w] for w in edges[v] if w in pos] for v in comp]
+            full = (1 << len(comp)) - 1
+            wielandt = (len(comp) - 1) ** 2 + 1
+            power = _row_or_step(succ, [1 << p for p in range(len(comp))])
             ok = all(row == full for row in power)
+            for _ in range(wielandt - 1):
+                if ok:
+                    break
+                power = _row_or_step(succ, power)
+                ok = all(row == full for row in power)
         if not ok:
             raise NoPrimitiveChainError(
                 "a diagonal block is not primitive",
@@ -332,15 +338,19 @@ def component_chain(sub: Substitution) -> ComponentChain:
     # or below the level too. A finished row is therefore the same in every
     # later power, and the unfinished rows can read it from the stored list.
     bound = (n - 1) ** 2 + 1 + n
-    succ = [list(e) for e in edges]
     power = [1 << v for v in range(n)]  # A^0
     todo = list(range(n))
     witness = None
     for k in range(1, bound + 1):
-        stepped = _row_or_step([succ[a] for a in todo], power)
+        stepped = []
+        for a in todo:  # every row from the previous power, then stored
+            row = 0
+            for c in edges[a]:
+                row |= power[c]
+            stepped.append(row)
         for a, row in zip(todo, stepped):
             power[a] = row
-        todo = [a for a in todo if need[a] & ~power[a]]
+        todo = [a for a, row in zip(todo, stepped) if need[a] & ~row]
         if not todo:
             witness = k
             break

@@ -7,7 +7,29 @@ position 1.
 
 The languages of nested levels are nested, L_m(1) c L_m(2) c ..., so one
 number per word describes all of them: the level the word enters
-(``word_levels``). Both it and ``language`` close the same seed factors.
+(``word_levels``). Both it and ``language`` run one aligned closure
+(Queffélec, LNM 1294, Ch. 5), at every m:
+
+- Closure rule. A word x = x_0 .. x_{m-1} of L_m adds only the m-windows of
+  σ(x) that start in σ(x_0) and cross its end, read from the last m-1
+  letters of σ(x_0) and the first m-1 letters of the images after it, and,
+  mirrored, those that end in σ(x_{m-1}) and cross its start. σ(x) is never
+  built. At m = 2 both kinds are the one straddle last(σ(x_0)) first(σ(x_1));
+  at m = 1 there is none.
+- Why it is complete. Let z be a word whose m-windows all lie in the
+  closure, and w an m-window of σ(z). Either w lies inside one image σ(z_p),
+  or it starts in σ(z_p) and crosses that image's end. If p <= |z|-m, w is a
+  first-boundary window of z_p .. z_{p+m-1}. Otherwise w ends in some
+  σ(z_q) with q >= p+1 >= |z|-m+2, and when q >= m-1 it is a last-boundary
+  window of z_{q-m+1} .. z_q. So the rule misses only windows inside one
+  image and, when |z| < 2m-3, windows that start in σ(z_p) with p > |z|-m
+  and end in σ(z_q) with q < m-1; those lie in σ(z_lo .. z_{hi-1}),
+  lo = max(0, |z|-m+1), hi = min(|z|, m-1).
+- Seeds. For each letter c: every m-window of σ(c), and for each iterate
+  y = σ^j(c), j >= 1, the m-windows of σ(y_lo .. y_{hi-1}), up to the first
+  iterate of length >= 2m-3 (from there on the rule misses nothing) or the
+  first repeat. By induction on j every window of every σ^j(c) is reached,
+  and each word added is such a window, so the closure is exactly L_m.
 """
 
 from __future__ import annotations
@@ -172,11 +194,6 @@ def apply(sub: Substitution, word: str, k: int, *, allow_identity: bool = False)
     return word
 
 
-def factors(word: str, m: int) -> set[str]:
-    """All length-m factors of ``word``."""
-    return {word[j : j + m] for j in range(len(word) - m + 1)}
-
-
 def language(sub: Substitution, m: int, cap: int | None = None) -> frozenset[str]:
     """The set of length-m factors of any power image ``sub^n(a)``, n >= 1.
 
@@ -191,7 +208,7 @@ def language(sub: Substitution, m: int, cap: int | None = None) -> frozenset[str
     if m < 1:
         raise DomainError("factor length must be >= 1")
     lang: set[str] = set()
-    _close(sub, lang, _seed_factors(sub, sub.alphabet, m), m, cap)
+    _AlignedClosure(sub, m).close(lang, sub.alphabet, cap)
     return frozenset(lang)
 
 
@@ -209,53 +226,93 @@ def word_levels(
     """
     if m < 1:
         raise DomainError("factor length must be >= 1")
+    closure = _AlignedClosure(sub, m)
     lang: set[str] = set()
     levels: dict[str, int] = {}
     for i, new in enumerate(new_letters, start=1):
-        levels.update(dict.fromkeys(_close(sub, lang, _seed_factors(sub, new, m), m), i))
+        levels.update(dict.fromkeys(closure.close(lang, new), i))
     return levels
 
 
-def _seed_factors(sub: Substitution, letters: Iterable[str], m: int) -> set[str]:
-    """m-factors of the first power image of each letter that reaches length m.
+class _AlignedClosure:
+    """The aligned closure at window length m (see the module docstring).
 
-    Shorter iterates can only cycle (lengths never decrease), so a repeat
-    means the letter never contributes.
+    Built once per sweep: every image, and its first and its last m-1
+    letters.
     """
-    out: set[str] = set()
-    for letter in letters:
-        w = sub.step(letter)
-        seen = set()
-        while len(w) < m:
-            if w in seen:
-                w = ""
+
+    def __init__(self, sub: Substitution, m: int):
+        self.step, self.m = sub.step, m
+        m1 = max(m - 1, 1)  # the tables go unread at m = 1
+        self.images = dict(zip(sub.alphabet.letters, sub.images))
+        self.heads = {c: img[:m1] for c, img in self.images.items()}
+        self.tails = {c: img[-m1:] for c, img in self.images.items()}
+
+    def close(
+        self, lang: set[str], letters: Iterable[str], cap: int | None = None
+    ) -> list[str]:
+        """Add the seeds of ``letters`` to ``lang`` and close it, in place.
+
+        Words already in ``lang`` are taken as closed and are not expanded
+        again. Returns the words added, in the order they were added. With
+        ``cap``, stop as soon as ``lang`` holds more than ``cap`` words.
+        """
+        step, m = self.step, self.m
+        m1 = m - 1
+        added: list[str] = []
+        add, push = lang.add, added.append
+        for c in letters:
+            # seeds: all of σ(c), then from each iterate y shorter than 2m-3
+            # the windows of σ(y_lo .. y_{hi-1}), as the module docstring says
+            text = y = self.images[c]
+            seen = set()
+            while True:
+                for j in range(len(text) - m1):
+                    f = text[j : j + m]
+                    if f not in lang:
+                        add(f)
+                        push(f)
+                if len(y) >= 2 * m - 3 or y in seen or (cap is not None and len(lang) > cap):
+                    break
+                seen.add(y)
+                image = step(y)
+                text = image if len(y) <= m1 else step(y[len(y) - m1 : m1])
+                y = image
+        if not m1:
+            return added
+        heads, tails = self.heads, self.tails
+        for x in added:  # the list grows while it is walked: a breadth-first queue
+            if cap is not None and len(lang) > cap:
                 break
-            seen.add(w)
-            w = sub.step(w)
-        out |= factors(w, m)
-    return out
-
-
-def _close(
-    sub: Substitution, lang: set[str], seeds: set[str], m: int, cap: int | None = None
-) -> list[str]:
-    """Add ``seeds`` to ``lang`` and close it under m-factors of images, in place.
-
-    Any m-factor of sub(x) lies in the image of some m-factor of x because
-    images are nonempty, so from the seeds this reaches the full language.
-    Words already in ``lang`` are taken as closed and are not expanded again.
-    Returns the words added, in the order they were added. With ``cap``, stop
-    as soon as ``lang`` holds more than ``cap`` words.
-    """
-    added = [w for w in seeds if w not in lang]
-    lang.update(added)
-    for w in added:  # the list grows while it is walked: a breadth-first queue
-        if cap is not None and len(lang) > cap:
-            break
-        img = sub.step(w)
-        for j in range(len(img) - m + 1):
-            f = img[j : j + m]
-            if f not in lang:
-                lang.add(f)
-                added.append(f)
-    return added
+            # windows that start in σ(x_0) and cross its end: the m-1 letters
+            # after it come image by image, or, past four images, at once
+            right, k = heads[x[1]], 2
+            while len(right) < m1:
+                if k > 4:
+                    right = "".join(map(heads.__getitem__, x[1:]))
+                    break
+                right += heads[x[k]]
+                k += 1
+            text = tails[x[0]] + right
+            for j in range(len(text) - len(right)):
+                f = text[j : j + m]
+                if f not in lang:
+                    add(f)
+                    push(f)
+            if m1 == 1:  # at m = 2 the other kind is this same straddle
+                continue
+            # windows that end in σ(x_{m-1}) and cross its start, mirrored
+            left, k = tails[x[-2]], -3
+            while len(left) < m1:
+                if k < -5:
+                    left = "".join(map(tails.__getitem__, x[:-1]))
+                    break
+                left = tails[x[k]] + left
+                k -= 1
+            text = left + heads[x[-1]]
+            for j in range(len(left) - m1, len(text) - m1):
+                f = text[j : j + m]
+                if f not in lang:
+                    add(f)
+                    push(f)
+        return added

@@ -1,4 +1,6 @@
+import dataclasses
 import fractions
+import json
 import os
 import random
 import subprocess
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 
 import oracles
 from chainshift import (
+    BudgetExceeded,
     DomainError,
     NoPrimitiveChainError,
     Substitution,
@@ -24,6 +27,7 @@ from chainshift import (
     minimal_sets,
     positively_recurrent,
 )
+from chainshift import classify
 from chainshift.classify import (
     _is_single_periodic_orbit,
     _letter_cycles,
@@ -31,7 +35,7 @@ from chainshift.classify import (
     left_run_unbounded,
     right_run_unbounded,
 )
-from conftest import make, tower
+from conftest import CORPUS_RULES, make, tower
 from test_pipeline_fuzz import chain_systems
 
 
@@ -90,6 +94,42 @@ def test_seed_identity_on_whole_corpus(corpus_sub):
         else:
             assert apply(corpus_sub, seed.b + seed.a, seed.k) == seed.v + seed.b + seed.a + seed.u
         assert set(seed.u) <= lower
+
+
+def _pinned_systems() -> dict[str, dict[str, str]]:
+    """The corpus and 25 towers, named as in ``seed_pairs.json``."""
+    systems = dict(CORPUS_RULES)
+    for n in (2, 3, 5, 8):
+        for r in (1, 2, 3):
+            for before in (True, False):
+                systems[f"tower_{n}_r{r}_{'before' if before else 'after'}"] = tower([r] * n, before)
+    rs = [2 + i % 2 for i in range(64)]
+    systems["tower_64_mixed"] = tower(rs, [i % 3 != 1 for i in range(64)])
+    return systems
+
+
+def test_seed_pairs_are_pinned():
+    # Every level's seed pair, field by field as recorded in seed_pairs.json:
+    # a faster seed search must find the very same identities.
+    path = Path(__file__).resolve().parent / "seed_pairs.json"
+    pinned = json.loads(path.read_text(encoding="utf-8"))
+    systems = _pinned_systems()
+    assert set(pinned) == set(systems)
+    for name, rules in systems.items():
+        sub = Substitution.from_rules(rules)
+        chain = component_chain(sub)
+        got = [list(dataclasses.astuple(find_seed_pair(sub, chain, i))) for i in range(2, chain.n + 1)]
+        assert got == pinned[name], name
+
+
+def test_seed_expansion_budget_is_exact(monkeypatch):
+    # sigma(ab) on quartic is aaaaabbb: eight letters may be expanded, seven may not
+    sub, chain, _ = _setup("quartic")
+    monkeypatch.setattr(classify, "SEED_BUDGET", 8)
+    assert find_seed_pair(sub, chain, 2).u == "aaaa"
+    monkeypatch.setattr(classify, "SEED_BUDGET", 7)
+    with pytest.raises(BudgetExceeded, match="seed expansion exceeds 7 letters"):
+        find_seed_pair(sub, chain, 2)
 
 
 def test_seed_rejects_bottom_level():

@@ -138,6 +138,37 @@ def test_language_command_budget(tmp_path, capsys):
     assert json.loads(proc.stdout)["error"]["kind"] == "BudgetExceeded"
 
 
+def test_language_command_long_windows(tmp_path, capsys):
+    # The closure reads only boundary text, so a refusal is cheap: at
+    # m = 800 the 12,500-word cap is passed in about a second, and at
+    # m = 200 the full listing equals the brute-force closure.
+    path = _write(tmp_path, "golden_tower.sub", CORPUS_RULES["golden_tower"])
+    proc = _python("-m", "chainshift", "language", path, "-m", "800", timeout=5)
+    assert proc.returncode == 5
+    error = json.loads(proc.stdout)["error"]
+    assert (error["code"], error["kind"]) == (5, "BudgetExceeded")
+    code, out = _run(capsys, "language", path, "-m", "200")
+    assert code == 0
+    assert set(out["words"]) == oracles.language_closure(CORPUS_RULES["golden_tower"], 200)
+    assert out["count"] == len(out["words"])
+
+
+def test_main_registers_one_exit_hook(tmp_path, capsys, monkeypatch):
+    # gc.freeze at exit spares the interpreter its final collections; two
+    # calls in one process register it once
+    registered = []
+
+    def unregister(hook):
+        registered[:] = [h for h in registered if h is not hook]
+
+    monkeypatch.setattr(cli.atexit, "register", registered.append)
+    monkeypatch.setattr(cli.atexit, "unregister", unregister)
+    path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
+    assert _run(capsys, "language", path, "-m", "2")[0] == 0
+    assert _run(capsys, "classify", path)[0] == 0
+    assert registered == [cli.gc.freeze]
+
+
 def test_measure_long_word_by_ancestors(tmp_path):
     # 128 letters on an integer-theta level: the value comes from the
     # ancestor recursion, not from a window solve over L_128 (which takes

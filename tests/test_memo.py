@@ -502,28 +502,28 @@ def test_measure_type_on_another_chain_stores_nothing():
 
 
 def test_decomposition_report_sweeps_each_level_once(monkeypatch):
-    """One language closure per level and at most one restriction per level.
+    """One closure call per level at m = 2 and at most one restriction per level.
 
     Every window of the top two-letter language is expanded once over the
-    whole sweep; each level adds a few steps (its new letter's seed and the
-    seed-pair power) and the level-2 periodicity probe a fixed number once.
-    Rebuilding each level's language from scratch would expand the sum of
-    all levels' languages instead.
+    whole sweep, from the stored image ends, without ``Substitution.step``;
+    the seed pairs expand through stored tables. What steps is the level-2
+    periodicity probe, a fixed number of times once, however tall the tower.
+    Rebuilding each level's language from scratch would close the sum of all
+    levels' languages instead.
     """
     n = 64
     rules = tower([2 + i % 2 for i in range(n)], [i % 2 == 0 for i in range(n)])
     sub = Substitution.from_rules(rules)
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
-    top = component_chain(sub).word_levels(2)  # on another chain: this one's memo stays cold
     closures: Counter = Counter()
     restricted: list[tuple[str, ...]] = []
     steps = Counter()
-    close, restrict, step = words._close, Substitution.restrict, Substitution.step
+    close, restrict, step = words._AlignedClosure.close, Substitution.restrict, Substitution.step
 
-    def counted_close(sub, lang, seeds, m, cap=None):
-        closures[m] += 1
-        return close(sub, lang, seeds, m, cap)
+    def counted_close(self, lang, letters, cap=None):
+        closures[self.m] += 1
+        return close(self, lang, letters, cap)
 
     def counted_restrict(self, letters):
         restricted.append(letters)
@@ -533,14 +533,14 @@ def test_decomposition_report_sweeps_each_level_once(monkeypatch):
         steps["step"] += 1
         return step(self, word)
 
-    monkeypatch.setattr(words, "_close", counted_close)
+    monkeypatch.setattr(words._AlignedClosure, "close", counted_close)
     monkeypatch.setattr(Substitution, "restrict", counted_restrict)
     monkeypatch.setattr(Substitution, "step", counted_step)
     decomposition_report(sub, chain, profile)
     assert closures[2] == n
     assert sum(closures.values()) <= n + 1  # plus the level-2 probe at level 3
     assert len(restricted) <= n and len(set(restricted)) == len(restricted)
-    assert steps["step"] <= len(top) + 4 * n
+    assert steps["step"] <= 16
 
 
 def test_chain_data_is_released_with_the_chain():

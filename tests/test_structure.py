@@ -12,7 +12,7 @@ from chainshift import (
     incidence_matrix,
     is_empty_bottom,
 )
-from conftest import make, tower
+from conftest import assert_matches_dense_oracle, make, tower
 
 
 def test_incidence_quartic():
@@ -175,6 +175,32 @@ def test_dead_letter_rejected():
     with pytest.raises(NoPrimitiveChainError) as err:
         component_chain(Substitution.from_rules({"a": "ab", "b": "a", "c": "aa"}))
     assert err.value.diagnostic["component"] == ["c"]
+
+
+def _tower_missing_its_letter(n: int, k: int) -> dict[str, str]:
+    """A tower whose level k adds a letter mapped onto the level below alone."""
+    rules = tower([2] * n)
+    x = list(rules)
+    rules[x[k - 1]] = x[k - 2]
+    return rules
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        {"a": "b", "b": "bb"},  # the top letter
+        {"a": "a", "b": "a", "c": "bcc"},  # a middle letter
+        {"a": "a", "b": "a", "c": "b"},  # two such letters: the lower one is named
+        {"a": "ab", "b": "a", "c": "abab", "d": "cd"},
+        _tower_missing_its_letter(40, 17),
+        _tower_missing_its_letter(40, 40),
+    ],
+    ids=("top", "middle", "two", "over_fibonacci", "tower_17", "tower_40"),
+)
+def test_one_letter_component_without_its_letter(rules):
+    # a one-letter block is primitive iff its letter occurs in its own image;
+    # the rejection names the same block as the dense search
+    assert assert_matches_dense_oracle(rules) == "imprimitive_block"
 
 
 def test_incomparable_components_rejected():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -192,6 +192,37 @@ def test_language_rejects_bad_length():
         language(make("chacon"), 0)
 
 
+@st.composite
+def substitution_rules(draw) -> dict[str, str]:
+    """Any rules over two to five letters with images of one to four letters:
+    letters whose iterates stay short or cycle, and letters no image reaches,
+    are drawn too."""
+    letters = "abcde"[: draw(st.integers(2, 5))]
+    image = st.text(alphabet=letters, min_size=1, max_size=4)
+    return {c: draw(image) for c in letters}
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitution_rules(), st.integers(1, 30))
+@example({"a": "bcde", "b": "bb", "c": "cc", "d": "dd", "e": "ee"}, 4)  # ccdd: a middle seed
+@example({"a": "ab", "b": "b"}, 12)  # iterates grow by one letter a step
+@example({"a": "b", "b": "a"}, 3)  # iterates cycle below length m
+def test_language_is_the_brute_force_closure(rules, m):
+    # the aligned closure, which reads boundary text only, against the
+    # closure under every window of every image
+    assert language(Substitution.from_rules(rules), m) == oracles.language_closure(rules, m)
+
+
+def test_language_refused_past_its_cap():
+    # golden_tower has 3,931 words at m = 200: under that cap the listing is
+    # whole, and a smaller cap stops the closure with more words than it
+    sub = make("golden_tower")
+    whole = language(sub, 200)
+    assert language(sub, 200, cap=len(whole)) == whole
+    partial = language(sub, 200, cap=1000)
+    assert 1000 < len(partial) < len(whole) and partial < whole
+
+
 def _new_letters(chain) -> list[tuple[str, ...]]:
     return [chain.new_letters(i) for i in range(1, chain.n + 1)]
 
@@ -228,7 +259,7 @@ def test_level_languages_on_towers(before):
 
 
 @settings(max_examples=60, deadline=None)
-@given(chain_systems(), st.integers(1, 6))
+@given(chain_systems(), st.integers(1, 30))
 def test_level_languages_on_chain_systems(rules, m):
     # The keys are the top language and each word maps to the least level
     # whose language holds it.
