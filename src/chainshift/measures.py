@@ -28,15 +28,20 @@ L_m(i), and every reader takes it from there: after the level's error checks
 a value is one lookup and membership one key test, so a word outside the
 language still builds its length's table; ``level_measure_table`` lists the
 keys; the uniformity target is a ratio of the values. The counts test
-membership on the window substitution they count with. At m <= 2, and at
-every m on a level with an irrational theta, the table is a window solve
-(``_cylinder_table``): a finite table reads only the left eigenvector
-(``spectral.pf_left``), an infinite one the limit data, whose right vector
-depends only on the first letter, which the table checks once. On an
-integer-theta level every longer table comes from the m = 2 table by
-desubstitution (``_ancestor_table``, its ``_Ancestors`` state kept under
-``("ancestors", i)``), which builds no window substitution at m and checks
-each new length for exact Kolmogorov consistency against the one below.
+membership on the window substitution they count with.
+
+On a level whose theta is an integer every table starts at the letter level
+(``_ancestor_table``): one solve on the k x k letter blocks of levels <= i
+(``_letter_base``) gives the letter values, and every longer length, m = 2
+included, comes from the lengths below it by desubstitution (its
+``_Ancestors`` state kept under ``("ancestors", i)``), checked for exact
+Kolmogorov consistency against the length below. This path builds no window
+substitution, window eigen data or restricted chain. Only a level with an
+irrational theta window-solves, once per m (``_cylinder_table``): a finite
+table reads only the left eigenvector (``spectral.pf_left``), an infinite
+one the limit data, whose right vector depends only on the first letter,
+which the table checks once. A failed internal check raises
+``InternalInvariantError``.
 """
 
 from __future__ import annotations
@@ -50,10 +55,19 @@ from .classify import LevelReport, _bottom_report, classify_level, level_seed
 from .errors import (
     BudgetExceeded,
     DomainError,
+    InternalInvariantError,
     MeasureTypeCounting,
     WordNotInLevelLanguage,
 )
-from .spectral import SpectralProfile, level_profile, limit_data, pf_left
+from .spectral import (
+    SpectralProfile,
+    _check_eigenvector,
+    _left_vector,
+    _pf_right,
+    level_profile,
+    limit_data,
+    pf_left,
+)
 from .structure import ComponentChain
 from .words import LANGUAGE_BUDGET, Substitution
 
@@ -150,13 +164,6 @@ class CylinderValue:
         return out
 
 
-def _algebraic_note(theta) -> tuple[tuple[int, ...], tuple[str, str]] | None:
-    if theta.as_integer() is not None:
-        return None
-    theta.refine(Fraction(1, 2**48))
-    return tuple(theta.poly), (str(theta.lo), str(theta.hi))
-
-
 def cylinder_measure(
     sub: Substitution,
     chain: ComponentChain,
@@ -196,9 +203,9 @@ def _table(
     desc: MeasureDescriptor,
 ) -> dict[str, tuple]:
     """``(infinite, exact, float, algebraic note)`` of every word of L_m(i),
-    stored under ``("cylinders", i, m)``: a window solve at m <= 2 or for an
-    irrational theta, desubstitution otherwise."""
-    by_ancestors = m > 2 and spectral.theta(i).as_integer() is not None
+    stored under ``("cylinders", i, m)``: desubstitution from the letters for
+    an integer theta, a window solve for an irrational one."""
+    by_ancestors = spectral.theta(i).as_integer() is not None
     build = _ancestor_table if by_ancestors else _cylinder_table
     return chain.memo(("cylinders", i, m), build, sub, chain, spectral, i, m, desc)
 
@@ -211,11 +218,9 @@ def _ancestor_table(
     m: int,
     desc: MeasureDescriptor,
 ) -> dict[str, tuple]:
-    """An integer-theta level's table at m >= 3, by desubstitution from its
-    m = 2 table; the ``_Ancestors`` state is kept under ``("ancestors", i)``."""
-    base = _table(sub, chain, spectral, i, 2, desc)
-    theta = spectral.theta(i).as_integer()
-    return chain.memo(("ancestors", i), _Ancestors, chain.restrict(i)[0], theta, base).table(m)
+    """An integer-theta level's table at any m, by desubstitution from its
+    letter values; the ``_Ancestors`` state is kept under ``("ancestors", i)``."""
+    return chain.memo(("ancestors", i), _Ancestors, sub, chain, spectral, i, desc).table(m)
 
 
 def _cylinder_table(
@@ -226,32 +231,86 @@ def _cylinder_table(
     m: int,
     desc: MeasureDescriptor,
 ) -> dict[str, tuple]:
-    """``(infinite, exact, float, algebraic note)`` of every level-i word of length m."""
-    note = _algebraic_note(spectral.theta(i))  # None for an integer theta
+    """An irrational level's table at m: float values from a window solve,
+    each with theta's char poly and isolating interval."""
+    theta = spectral.theta(i)
+    theta.refine(Fraction(1, 2**48))
+    note = tuple(theta.poly), (str(theta.lo), str(theta.hi))
     if desc.kind == "finite_ergodic":
         sub_i, chain_i = chain.restrict(i)
         left = pf_left(sub_i, chain_i, m, level_profile(sub, chain, i, spectral))
         total = left.total
-        if left.exact:
-            values = {w: Fraction(x, total) for w, x in left.values.items()}
-            return {w: (False, q, float(q), None) for w, q in values.items()}
         return {w: (False, None, x / total, note) for w, x in left.values.items()}
     ld = limit_data(sub, chain, m, i, spectral)
     anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]
     if not anchors:
-        raise RuntimeError(f"level {i}: anchor letter {desc.anchor!r} starts no language window")
+        raise InternalInvariantError(
+            f"level {i}: anchor letter {desc.anchor!r} starts no language window"
+        )
     if len({ld.gamma[w] for w in anchors}) != 1:
-        raise RuntimeError(f"level {i}: right limit vector depends on more than the first letter")
+        raise InternalInvariantError(
+            f"level {i}: right limit vector depends on more than the first letter"
+        )
     gamma = ld.gamma[anchors[0]]
     table = dict.fromkeys(ld.infinite_words, (True, None, None, None))
     for w in ld.restricted_words:
-        value = gamma * ld.delta[w]
-        table[w] = (False, value if ld.exact else None, float(value), note)
+        table[w] = (False, None, float(gamma * ld.delta[w]), note)
     return table
 
 
+def _letter_base(
+    sub: Substitution,
+    chain: ComponentChain,
+    spectral: SpectralProfile,
+    i: int,
+    desc: MeasureDescriptor,
+) -> tuple[dict[str, int | None], int]:
+    """The values of the letters of an integer-theta level i: integer
+    numerators at one scale (None for an infinite letter), from the k x k
+    letter blocks of levels <= i.
+
+    The letter rows are the incidence counts of each image; every level is
+    closed under sigma, so the chain's own images serve. A finite level
+    dominates everything below it, so the first level attaining the running
+    maximum of theta is i itself: the values are the left Perron vector of
+    levels 1..i anchored at level i, with total 1. An infinite level is
+    normalized through its anchor letter as in ``limit_data``: delta is the
+    left vector of levels i'..i anchored at level i, gamma is the Perron
+    vector r of level i's letter block on its new letters and 0 on the
+    others, and mu(c) = r(anchor) delta(c) / <gamma, delta>; the letters
+    below i' are infinite. Each vector must satisfy its exact eigen identity.
+    """
+    theta = spectral.theta(i).as_integer()
+    first = 1 if desc.kind == "finite_ergodic" else desc.i_prime
+    blocks = [chain.new_letters(j) for j in range(first, i + 1)]
+    letters = tuple(c for block in blocks for c in block)
+    images = map(sub.image, letters)
+    rows = {c: {x: img.count(x) for x in set(img)} for c, img in zip(letters, images)}
+    delta = _left_vector(blocks, rows, theta, len(blocks) - 1, True)
+    _check_eigenvector(rows, letters, delta, theta, True, "left", f"level {i} letter vector")
+    if not all(x > 0 for x in delta.values()):
+        raise InternalInvariantError(f"level {i}: the left letter vector is not positive")
+    if first == 1:
+        weight, scale = 1, sum(delta.values())
+    else:
+        r = dict(zip(blocks[-1], _pf_right(spectral.levels[i - 1].block, theta, True)))
+        gamma = {c: r.get(c, 0) for c in letters}
+        _check_eigenvector(rows, letters, gamma, theta, True, "right", f"level {i} letter vector")
+        if desc.anchor not in r:
+            raise InternalInvariantError(
+                f"level {i}: anchor letter {desc.anchor!r} is not a new letter of the level"
+            )
+        weight, scale = r[desc.anchor], sum(r[c] * delta[c] for c in r)
+    g = gcd(scale, weight * gcd(*delta.values()))
+    nums: dict[str, int | None] = {}
+    for j in range(1, first):
+        nums.update(dict.fromkeys(chain.new_letters(j)))
+    nums.update((c, weight * x // g) for c, x in delta.items())
+    return nums, scale // g
+
+
 # ---------------------------------------------------------------------------
-# cylinder tables by desubstitution (integer theta, m >= 3)
+# cylinder tables by desubstitution (integer theta)
 
 
 class _Ancestors:
@@ -267,31 +326,41 @@ class _Ancestors:
     makes v infinite (factors of sigma^p(L(i'-1)) lie in L(i'-1)).
 
     Ancestors are shorter than v except the same-length ones,
-    ``x w y -> last(sigma^p(x)) w first(sigma^p(y))`` for w of fixed letters.
-    That map is a function, so each length's same-length equations are
-    solved along its trees and cycles. Every m-word has a chain of ancestors
-    ending in a shorter word, so the words generated from the shorter
-    lengths, closed under that map, are exactly L_m(i).
+    ``x w y -> last(sigma^p(x)) w first(sigma^p(y))`` for w of fixed letters;
+    at m = 2 w is empty, so every 2-word is a node of that straddle map. The
+    map is a function, so each length's same-length equations are solved
+    along its trees and cycles. Every m-word has a chain of ancestors ending
+    in a shorter word, so the words generated from the shorter lengths,
+    closed under that map, are exactly L_m(i).
 
     Values are integer numerators at one scale per length, ``nums[l][w] /
     scales[l]`` (None for an infinite word); each scale divides the next.
-    The base is the level's m = 2 table; the letters are its right sums.
-    A word u is a shorter ancestor for the lengths ``|sigma^p(u[1:-1])| + 2``
-    to ``|sigma^p(u)|``: it waits under the first of them and is carried,
-    with its image, through the rest.
+    The base is the level's letter values (``_letter_base``), and every
+    longer length, m = 2 included, comes from the lengths below it and is
+    checked against the one below it. A word u is a shorter ancestor for the
+    lengths ``|sigma^p(u[1:-1])| + 2`` to ``|sigma^p(u)|`` (a letter: 2 to
+    ``|sigma^p(u)|``): it waits under the first of them and is carried, with
+    its image, through the rest.
     """
 
-    def __init__(self, sub_i: Substitution, theta: int, base: dict[str, tuple]):
-        letters = sub_i.alphabet.letters
-        fixed = "".join(c for c in letters if sub_i.image(c) == c)
-        images = dict(zip(letters, letters))
-        for p in range(1, len(letters) + 1):
-            images = {c: sub_i.step(w) for c, w in images.items()}
+    def __init__(
+        self,
+        sub: Substitution,
+        chain: ComponentChain,
+        spectral: SpectralProfile,
+        i: int,
+        desc: MeasureDescriptor,
+    ):
+        base, scale = _letter_base(sub, chain, spectral, i, desc)
+        fixed = "".join(c for c in base if sub.image(c) == c)
+        images = {c: c for c in base}
+        for p in range(1, len(base) + 1):
+            images = {c: sub.step(w) for c, w in images.items()}
             if all(len(w) >= 2 for c, w in images.items() if c not in fixed):
                 break
         else:
-            raise RuntimeError("a letter that is not fixed never grows")
-        self.q = theta**p
+            raise InternalInvariantError("a letter that is not fixed never grows")
+        self.q = spectral.theta(i).as_integer() ** p
         self.fixed = fixed
         self.power = {ord(c): w for c, w in images.items()}  # sigma^p for str.translate
         self.size = {c: len(w) for c, w in images.items()}
@@ -301,19 +370,9 @@ class _Ancestors:
         self.pending: dict[int, list[tuple[str, str | None]]] = {}
         self.full: dict[str, int] = {}  # |sigma^p(w)| for the words of the last length
         self.held = 0  # letters in the words of every length so far
-
-        scale = lcm(*(e[1].denominator for e in base.values() if not e[0]))
-        pairs: dict[str, int | None] = {}
-        for w, (infinite, value, _, _) in base.items():
-            pairs[w] = None if infinite else value.numerator * (scale // value.denominator)
-        singles: dict[str, int | None] = {}
-        for w, x in pairs.items():
-            old = singles.get(w[0], 0)
-            singles[w[0]] = None if x is None or old is None else old + x
         self.nums: list[dict] = [{}]  # indexed by length
         self.scales = [1]
-        self._add(1, singles, scale, [])
-        self._add(2, pairs, scale, [])
+        self._add(1, base, scale, [])
 
     def extend(self, m: int) -> None:
         """Finish every length up to m."""
@@ -356,7 +415,7 @@ class _Ancestors:
             for t in range(lo, hi):
                 v = img[t : t + m]
                 acc[v] = acc.get(v, 0) + x
-        step = self._same_length(acc, infinite) if self.fixed else {}
+        step = self._same_length(acc, infinite) if self.fixed or m == 2 else {}
         for w in infinite:
             acc.pop(w, None)
         scale = self.q * prev
@@ -412,7 +471,7 @@ class _Ancestors:
             # u serves the lengths |sigma^p(u[1:-1])| + 2 .. |sigma^p(u)|
             first = n - a - b + 2
             if first <= m:
-                first = max(m + 1, 3)
+                first = m + 1
             if first <= n:
                 pending.setdefault(first, []).append((u, None))
         self.full = lengths
@@ -477,15 +536,15 @@ def _check_kolmogorov(
         for w, x in longer.items():
             if x is None:
                 if shorter[w[:-1]] is not None or shorter[w[1:]] is not None:
-                    raise RuntimeError(f"m={m}: infinite {w!r} extends a finite word")
+                    raise InternalInvariantError(f"m={m}: infinite {w!r} extends a finite word")
                 continue
             right[w[:-1]] += x
             left[w[1:]] += x
     except KeyError:
-        raise RuntimeError(f"m={m}: {w!r} extends no word of length {m - 1}") from None
+        raise InternalInvariantError(f"m={m}: {w!r} extends no word of length {m - 1}") from None
     for w, x in shorter.items():
         if x is not None and not right[w] == left[w] == x * ratio:
-            raise RuntimeError(f"m={m}: extensions of {w!r} do not sum to its value")
+            raise InternalInvariantError(f"m={m}: extensions of {w!r} do not sum to its value")
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +610,7 @@ def _prefix_count(
             break
         children = aux.image(y)
     if taken != total:
-        raise RuntimeError(f"prefix blocks cover {taken} windows, expected {total}")
+        raise InternalInvariantError(f"prefix blocks cover {taken} windows, expected {total}")
     return count
 
 
@@ -689,7 +748,7 @@ def uniformity_check(
     else:
         target = value / fsum(e[2] for w, e in values.items() if w[0] in new)
     if seed.orientation != "forward":  # theta > 1 puts a lower-new word in L_2
-        raise RuntimeError(f"level {i}: theta > 1 but the seed is not forward")
+        raise InternalInvariantError(f"level {i}: theta > 1 but the seed is not forward")
 
     # Tables of sigma^t, t = 0..K: letter image lengths and new-letter counts.
     # K grows by k until sigma^K(b) = (lower prefix) R[:covered] holds the visits.

@@ -28,11 +28,14 @@ last, so it vanishes below it, and on it a window's image row counts the
 letters of sigma(u[0]), so gamma(u) = r(u[0]) for the Perron vector r of the
 level's letter block.
 
-Every window-solved cylinder value of one level and window length (m <= 2,
-or any m on an irrational level; ``measures`` builds the longer tables of an
-integer level from its m = 2 table) reads the same vectors, so they are
-solved once. Like everything else derived from a chain, they are stored on
-the chain (``ComponentChain.memo``): ``block_eigenvalues`` under
+Only an irrational level's cylinder tables are window-solved, and every
+value of one level and window length reads the same vectors, so they are
+solved once. ``measures`` starts an integer level's tables at the letter
+level instead, from ``_left_vector`` and ``_pf_right`` on the k x k letter
+blocks, and reads none of the window data below; ``pf_left``, ``pf_vectors``
+and ``limit_data`` serve ``spectral -m``, ``check`` and library callers at
+every level. Like everything else derived from a chain, the window vectors
+are stored on the chain (``ComponentChain.memo``): ``block_eigenvalues`` under
 ``("spectral",)``, the left vector ``pf_left`` under ``("pf_left", m)``,
 ``pf_vectors`` (which adds the right vector to it) under ``("pf_right", m)``
 and ``limit_data`` under ``("limit_data", m, i)``; ``classify`` adds seed

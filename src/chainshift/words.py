@@ -247,6 +247,7 @@ class _AlignedClosure:
         self.images = dict(zip(sub.alphabet.letters, sub.images))
         self.heads = {c: img[:m1] for c, img in self.images.items()}
         self.tails = {c: img[-m1:] for c, img in self.images.items()}
+        self.longest = max(map(len, self.heads.values()))  # tails are as long
 
     def close(
         self, lang: set[str], letters: Iterable[str], cap: int | None = None
@@ -280,16 +281,17 @@ class _AlignedClosure:
                 y = image
         if not m1:
             return added
-        heads, tails = self.heads, self.tails
+        heads, tails, longest = self.heads, self.tails, self.longest
         for x in added:  # the list grows while it is walked: a breadth-first queue
             if cap is not None and len(lang) > cap:
                 break
             # windows that start in σ(x_0) and cross its end: the m-1 letters
-            # after it come image by image, or, past four images, at once
+            # after it come image by image, or, past four images, from about
+            # as many images as cover them (``_cover``)
             right, k = heads[x[1]], 2
             while len(right) < m1:
                 if k > 4:
-                    right = "".join(map(heads.__getitem__, x[1:]))
+                    right = _cover(heads, longest, x[1:], m1)
                     break
                 right += heads[x[k]]
                 k += 1
@@ -305,7 +307,7 @@ class _AlignedClosure:
             left, k = tails[x[-2]], -3
             while len(left) < m1:
                 if k < -5:
-                    left = "".join(map(tails.__getitem__, x[:-1]))
+                    left = _cover(tails, longest, x[:-1], m1, back=True)
                     break
                 left = tails[x[k]] + left
                 k -= 1
@@ -316,3 +318,23 @@ class _AlignedClosure:
                     add(f)
                     push(f)
         return added
+
+
+def _cover(ends: dict[str, str], longest: int, letters: str, m1: int, back: bool = False) -> str:
+    """The joined ``ends`` of about the fewest first (``back``: last)
+    letters of ``letters`` that cover ``m1`` letters, or of all of them.
+
+    No end is longer than ``longest``, so the first round takes the fewest
+    letters that could cover; each later round adds the shortfall at the
+    rate seen so far, plus an eighth.
+    """
+    n, text, size = 0, "", len(letters)
+    while len(text) < m1 and n < size:
+        short = m1 - len(text)
+        k = min(size, n + (short * n // len(text) + n // 8 if n else short // longest) + 1)
+        if back:
+            text = "".join(map(ends.__getitem__, letters[size - k : size - n])) + text
+        else:
+            text += "".join(map(ends.__getitem__, letters[n:k]))
+        n = k
+    return text

@@ -582,3 +582,40 @@ def compare_largest_roots(p, q) -> int:
         a = sturm_refine(cp, *a, (a[1] - a[0]) / 2)
         b = sturm_refine(cq, *b, (b[1] - b[0]) / 2)
     return 1 if b[1] <= a[0] else -1
+
+
+def window_table(sub, chain, spectral, i: int, m: int) -> dict[str, tuple]:
+    """Level i's cylinder table at window length m by a window solve:
+    ``(infinite, exact, float, None)`` per word of L_m(i).
+
+    The reference for the letter-level tables of integer-theta levels; unlike
+    the rest of this module it runs the library's own window eigen solves
+    (``pf_left`` over the window alphabet of the level's chain, or the
+    divergent ``limit_data``), which the library keeps for ``spectral -m``
+    and ``check``. A finite value is the left eigenvector over its total; an
+    infinite level's value is the lifted right limit vector at the anchor
+    letter times the left one.
+    """
+    from chainshift.measures import measure_type
+    from chainshift.spectral import level_profile, limit_data, pf_left
+
+    desc = measure_type(sub, chain, spectral, i)
+    if desc.kind == "finite_ergodic":
+        sub_i, chain_i = chain.restrict(i)
+        left = pf_left(sub_i, chain_i, m, level_profile(sub, chain, i, spectral))
+        assert left.exact
+        table = {}
+        for w, x in left.values.items():
+            q = Fraction(x, left.total)
+            table[w] = (False, q, float(q), None)
+        return table
+    ld = limit_data(sub, chain, m, i, spectral)
+    assert ld.exact
+    anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]
+    assert anchors and len({ld.gamma[w] for w in anchors}) == 1
+    gamma = ld.gamma[anchors[0]]
+    table = dict.fromkeys(ld.infinite_words, (True, None, None, None))
+    for w in ld.restricted_words:
+        value = gamma * ld.delta[w]
+        table[w] = (False, value, float(value), None)
+    return table

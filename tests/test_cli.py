@@ -327,6 +327,30 @@ def test_exit_code_internal_invariant(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+_KOLMOGOROV_FAILURE = """
+import sys
+from chainshift import cli, measures
+check = measures._check_kolmogorov
+def corrupted(shorter, longer, ratio, m):
+    w = next(w for w, x in longer.items() if x)
+    return check(shorter, {**longer, w: longer[w] + 1}, ratio, m)
+measures._check_kolmogorov = corrupted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_exit_code_failed_kolmogorov_check(tmp_path):
+    # an integer-theta table that fails its exact Kolmogorov check against
+    # the letters: exit 6 with the typed payload, not a traceback
+    path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
+    proc = _python("-c", _KOLMOGOROV_FAILURE, "measure", path, "-i", "2", "-v", "ab")
+    assert proc.returncode == 6, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert (error["code"], error["kind"]) == (6, "InternalInvariantError")
+    assert error["message"].startswith("m=2: extensions of"), error
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_long_prefix_without_expansion(tmp_path, capsys):
     path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
     code, out = _run(capsys, "simulate", path, "-i", "1", "-v", "a", "-L", str(10**9))

@@ -130,7 +130,7 @@ def test_prefix_counts_match_expansion_at_any_length(query):
 
 def test_prefix_counter_invariant_survives_optimize():
     # A prefix longer than the top block leaves windows no block covers; the
-    # counter must report that by an explicit raise, not an assert that
+    # counter must report that by an explicit typed raise, not an assert that
     # ``python -O`` strips.
     script = (
         "from chainshift import *\n"
@@ -141,7 +141,7 @@ def test_prefix_counter_invariant_survives_optimize():
         "cols = _block_counts(aux, 'ab', len(lengths) - 1)\n"
         "try:\n"
         "    _prefix_count(aux, 'ab', cols, lengths, lengths[-1]['a'] + 1)\n"
-        "except RuntimeError as exc:\n"
+        "except InternalInvariantError as exc:\n"
         "    print('raised', exc)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
@@ -293,7 +293,7 @@ def test_window_count_past_the_power_budget_raises_fast():
 
 def test_reverse_seed_invariant_survives_optimize():
     # theta > 1 forces a forward seed; a reverse one reaching the counter must
-    # raise explicitly, also under ``python -O``.
+    # raise the typed invariant error explicitly, also under ``python -O``.
     script = (
         "import dataclasses\n"
         "from chainshift import *\n"
@@ -306,7 +306,7 @@ def test_reverse_seed_invariant_survives_optimize():
         "measures.level_seed = reversed_seed\n"
         "try:\n"
         "    uniformity_check(sub, chain, spectral, 2, 'b', 10)\n"
-        "except RuntimeError as exc:\n"
+        "except InternalInvariantError as exc:\n"
         "    print('raised', exc)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"

@@ -3,7 +3,9 @@
 ``kernels`` serves only the benchmark probes, so no library module may import
 it, numpy is confined to the float eigen path in ``spectral``, no module
 keeps a cache of its own, and in ``measures`` only the window-solved cylinder
-table reads the eigen data that every other reader takes from that table.
+table reads the eigen data that every other reader takes from that table,
+while the integer-theta tables, which start from the letter level, name no
+window solve, window substitution or restriction at all.
 """
 
 import ast
@@ -81,3 +83,56 @@ def test_only_the_window_table_reads_eigen_data():
             if name in ("pf_left", "limit_data"):
                 readers.add(getattr(node, "name", type(node).__name__))
     assert readers == {"_cylinder_table"}
+
+
+# what a window solve needs; the integer-theta tables use none of it
+WINDOW_SOLVE = {"build_auxiliary", "pf_left", "limit_data", "restrict", "level_profile"}
+
+
+def _integer_path(source: str) -> tuple[set[str], set[str]]:
+    """The module-level definitions reachable by name from ``_ancestor_table``
+    in ``source``, and the ``WINDOW_SOLVE`` names they use."""
+    defs = {
+        node.name: node
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+    def names(node):
+        for inner in ast.walk(node):
+            name = inner.id if isinstance(inner, ast.Name) else getattr(inner, "attr", None)
+            if name:
+                yield name
+
+    path, queue = set(), ["_ancestor_table"]
+    for name in queue:  # grows while it is walked
+        if name not in path:
+            path.add(name)
+            queue.extend(n for n in names(defs[name]) if n in defs)
+    return path, {n for name in path for n in names(defs[name])} & WINDOW_SOLVE
+
+
+def test_integer_tables_name_no_window_solve():
+    # an integer-theta table starts from the letter values (``_letter_base``)
+    # and desubstitutes (``_Ancestors``): no window substitution, window
+    # eigen data, level profile or restricted chain on its path
+    path, used = _integer_path((PACKAGE / "measures.py").read_text(encoding="utf-8"))
+    assert {"_ancestor_table", "_letter_base", "_Ancestors"} <= path
+    assert used == set(), used
+
+
+def test_integer_path_guard_follows_calls():
+    # a table that restricts the chain, or reads a window-solved table, fails
+    probe = (
+        "def _ancestor_table(sub, chain, i):\n"
+        "    return _Ancestors(chain.restrict(i)[0], _table(chain, 2))\n"
+        "class _Ancestors:\n"
+        "    pass\n"
+        "def _table(chain, m):\n"
+        "    return _cylinder_table(chain, m)\n"
+        "def _cylinder_table(chain, m):\n"
+        "    return pf_left(chain, m)\n"
+    )
+    path, used = _integer_path(probe)
+    assert path == {"_ancestor_table", "_Ancestors", "_table", "_cylinder_table"}
+    assert used == {"restrict", "pf_left"}

@@ -14,6 +14,7 @@ import oracles
 from chainshift import (
     BudgetExceeded,
     DomainError,
+    InternalInvariantError,
     MeasureTypeCounting,
     Substitution,
     WordNotInLevelLanguage,
@@ -305,22 +306,25 @@ def _exact_levels(sub, chain, sp):
 
 @settings(max_examples=100, deadline=None)
 @given(chain_systems())
-@example(CORPUS_RULES["chacon"])  # a -> a: same-length ancestors
+@example(CORPUS_RULES["chacon"])  # a -> a: the m = 2 straddle map has self-loops
+@example({"a": "aaaaa", "b": "abcc", "c": "bbc"})  # infinite Radon, two new letters
+@example({"a": "aaaa", "b": "ac", "c": "abbbbbbc"})  # infinite, Perron vector (1, 3)
 @example(CORPUS_RULES["constant_reenters"])
 @example({"c": "c", "a": "acbb", "b": "a"})  # a fixed letter and p = 2
 @example({"a": "a", "b": "bbac", "c": "ccab"})  # same-length ancestors on a 2-cycle
 def test_ancestor_tables_match_window_solves_on_chain_systems(rules):
-    """Above m = 2 an integer-theta level's table comes from the ancestor
-    recursion; it equals the window solve's table, infinite flags included,
-    and holds exactly the level's words."""
+    """An integer-theta level's table at every m, letters and pairs
+    included, comes from its letter values by desubstitution. It equals the
+    window solve's table (``oracles.window_table``) exactly, every value and
+    every infinite flag, and holds exactly the level's words."""
     sub = Substitution.from_rules(rules)
     chain = component_chain(sub)
     sp = block_eigenvalues(sub, chain)
     for i in _exact_levels(sub, chain, sp):
         desc = measure_type(sub, chain, sp, i)
-        for m in range(3, 11):
+        for m in range(1, 11):
             table = measures._ancestor_table(sub, chain, sp, i, m, desc)
-            assert table == measures._cylinder_table(sub, chain, sp, i, m, desc), (rules, i, m)
+            assert table == oracles.window_table(sub, chain, sp, i, m), (rules, i, m)
             assert set(table) == {w for w, e in chain.word_levels(m).items() if e <= i}
 
 
@@ -339,7 +343,8 @@ def test_ancestor_tables_stop_at_the_letter_budget(monkeypatch):
 
 
 _CORRUPT_ANCESTORS = """
-from chainshift import Substitution, block_eigenvalues, component_chain, cylinder_measure
+from chainshift import InternalInvariantError, Substitution, block_eigenvalues
+from chainshift import component_chain, cylinder_measure
 sub = Substitution.from_rules({"a": "aaaa", "b": "abbb", "c": "cbc"})
 chain = component_chain(sub)
 profile = block_eigenvalues(sub, chain)
@@ -349,7 +354,7 @@ word = next(w for w, x in state.nums[3].items() if x)
 state.nums[3][word] += 1
 try:
     cylinder_measure(sub, chain, profile, 2, "abbb")
-except RuntimeError as exc:
+except InternalInvariantError as exc:
     print("raised", exc)
 """
 
@@ -357,7 +362,7 @@ except RuntimeError as exc:
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["debug", "optimized"])
 def test_corrupted_ancestor_table_fails_kolmogorov_under_optimize(flags):
     # each new length is checked against the one below it by an explicit
-    # raise, which ``python -O`` keeps
+    # typed raise, which ``python -O`` keeps
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, *flags, "-c", _CORRUPT_ANCESTORS],
@@ -368,6 +373,51 @@ def test_corrupted_ancestor_table_fails_kolmogorov_under_optimize(flags):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised m=4: extensions of"), proc.stdout
+
+
+_BROKEN_LETTER_BASE = """
+from chainshift import InternalInvariantError, Substitution, block_eigenvalues
+from chainshift import component_chain, cylinder_measure, measures
+left = measures._left_vector
+def negated(*args):
+    return {c: -x for c, x in left(*args).items()}
+def skewed(*args):
+    values = left(*args)
+    c = min(values)
+    return {**values, c: values[c] + 1}
+finite = {"a": "a", "b": "bbab"}  # chacon, level 2 on two letters
+infinite = {"a": "aaaaa", "b": "abcc", "c": "bbc"}  # level 2 on its two new letters
+for broken in (negated, skewed):
+    measures._left_vector = broken
+    for rules in (finite, infinite):
+        sub = Substitution.from_rules(rules)
+        chain = component_chain(sub)
+        try:
+            cylinder_measure(sub, chain, block_eigenvalues(sub, chain), 2, "b")
+        except InternalInvariantError as exc:
+            print("raised", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["debug", "optimized"])
+def test_broken_letter_base_raises_under_optimize(flags):
+    # the letter values every integer-theta table starts from are checked by
+    # the exact eigen identity and for positivity, by explicit typed raises
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _BROKEN_LETTER_BASE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised level 2: the left letter vector is not positive",
+        "raised level 2: the left letter vector is not positive",
+        "raised level 2 letter vector fails the exact left eigen identity for 3",
+        "raised level 2 letter vector fails the exact left eigen identity for 3",
+    ], proc.stdout
 
 
 # -- streaming -------------------------------------------------------------------

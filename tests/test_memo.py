@@ -8,9 +8,12 @@ window length and level, ``ComponentChain.restrict`` keeps each level's
 restriction there, and ``decomposition_report`` sweeps the chain's two-letter
 languages once. A measure on a level with theta > 1 reads the seed pair and
 never the periodic-point census, and a cylinder table solves no right vector
-over the window alphabet. An integer-theta level solves windows only at
-m <= 2: its longer tables come from the ancestor state ``("ancestors", i)``,
-while an irrational level solves once per window length. The level listing
+over the window alphabet. An integer-theta level makes one letter-level
+solve (``measures._letter_base``, on the k x k letter blocks) and starts its
+tables there: every length, m = 1 and 2 included, comes from the ancestor
+state ``("ancestors", i)``, with no window substitution, restriction,
+``("pf_left", m)`` or ``("limit_data", m, i)`` for any table. Only an
+irrational level window-solves, once per window length. The level listing
 and the uniformity target read those tables too. The tests count calls of
 the un-memoised bodies; a fresh chain starts with an empty memo.
 """
@@ -61,16 +64,21 @@ def calls(monkeypatch):
     count(spectral, "_pf_left", lambda sub, chain, m, sp: (chain.n, m))
     count(spectral, "_pf_vectors", lambda sub, chain, m, sp: (chain.n, m))
     count(spectral, "_limit_data", lambda sub, chain, m, i, sp: (i, m))
+    count(measures, "_letter_base", lambda sub, chain, sp, i, desc: i)
     count(classify, "_classify_level", lambda sub, chain, sp, i: i)
     count(classify, "find_seed_pair", lambda sub, chain, i: i)
     return counts
 
 
 def _solved(profile, i):
-    """The window lengths up to MAX_M at which level i's tables solve: m <= 2
-    for an integer theta, every length for an irrational one."""
+    """The window lengths up to MAX_M at which level i's tables window-solve:
+    none for an integer theta, every length for an irrational one."""
     exact = profile.theta(i).as_integer() is not None
-    return [m for m in range(1, MAX_M + 1) if m <= 2 or not exact]
+    return [] if exact else list(range(1, MAX_M + 1))
+
+
+# memo keys a window solve makes: an integer level's tables make none of them
+WINDOW_KEYS = ("restrict", "word_levels", "aux", "pf_left", "pf_right", "limit_data")
 
 
 def _tables(name):
@@ -89,14 +97,15 @@ def test_one_solve_per_level_and_window(name, calls):
     measured = [t["level"] for t in tables if "cylinders" in t]
     assert measured
     profile = block_eigenvalues(sub, chain)
-    # finite levels solve the left vector on the level's own chain (whose top
-    # level is the level), infinite ones through limit_data; no table solves
-    # the right vector of pf_vectors, and an integer-theta level's tables
-    # above m = 2 solve nothing
+    # irrational finite levels solve the left vector on the level's own chain
+    # (whose top level is the level), irrational infinite ones through
+    # limit_data; no table solves the right vector of pf_vectors, and an
+    # integer-theta level makes one letter-level solve and no window solve
     solves = sorted(key for (body, key) in calls if body in ("_pf_left", "_limit_data"))
     assert solves == [(i, m) for i in measured for m in _solved(profile, i)]
     assert not [key for (body, key) in calls if body == "_pf_vectors"]
     exact = [i for i in measured if profile.theta(i).as_integer() is not None]
+    assert sorted(key for (body, key) in calls if body == "_letter_base") == exact
     assert [key[1] for key in chain._memo if key[0] == "ancestors"] == exact
     # one seed pair per level; the full report only where theta = 1
     seeds = sorted(key for (body, key) in calls if body == "find_seed_pair")
@@ -173,6 +182,8 @@ def perron_calls(monkeypatch):
     outside: list = []
     depth = []
     left, perron = spectral._left_vector, spectral._pf_right
+    # ``measures`` holds its own references for the letter-level solve
+    assert (measures._left_vector, measures._pf_right) == (left, perron)
 
     def counted_left(*args):
         depth.append(1)
@@ -189,10 +200,19 @@ def perron_calls(monkeypatch):
     def right(*args):
         raise AssertionError("a right vector was solved over the window alphabet")
 
-    monkeypatch.setattr(spectral, "_left_vector", counted_left)
-    monkeypatch.setattr(spectral, "_pf_right", counted_perron)
+    for module in (spectral, measures):
+        monkeypatch.setattr(module, "_left_vector", counted_left)
+        monkeypatch.setattr(module, "_pf_right", counted_perron)
     monkeypatch.setattr(spectral, "_right_vector", right)
     return outside
+
+
+def _table_keys(sub, chain, profile, i):
+    """Level i's listing up to MAX_M and the memo keys its tables added."""
+    measure_type(sub, chain, profile, i)  # the descriptor reads the seed pair
+    before = set(chain._memo)
+    table = level_measure_table(sub, chain, profile, i, max_m=MAX_M)
+    return table, [key for key in chain._memo if key not in before]
 
 
 @pytest.mark.parametrize("name, i", FINITE, ids=[f"{n}-{i}" for n, i in FINITE])
@@ -200,15 +220,18 @@ def test_finite_table_solves_the_left_vector_only(name, i, perron_calls, monkeyp
     sub = make(name)
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
-    table = level_measure_table(sub, chain, profile, i, max_m=MAX_M)
+    table, added = _table_keys(sub, chain, profile, i)
     assert perron_calls == []
-    chain_i = chain.restrict(i)[1]
     solved = _solved(profile, i)
+    if solved:  # irrational: the left vector over the window alphabet
+        chain_i = chain.restrict(i)[1]
+        for m in solved:
+            assert ("pf_left", m) in chain_i._memo and ("pf_right", m) not in chain_i._memo
+    else:  # integer: the letter-level solve only
+        assert not [key for key in added if key[0] in WINDOW_KEYS], added
     for m in range(1, MAX_M + 1):
-        assert (("pf_left", m) in chain_i._memo) == (m in solved)
-        assert ("cylinders", i, m) in chain._memo
-        assert ("pf_right", m) not in chain_i._memo and ("pf_right", m) not in chain._memo
-    assert (("ancestors", i) in chain._memo) == (len(solved) < MAX_M)
+        assert ("cylinders", i, m) in chain._memo and ("pf_right", m) not in chain._memo
+    assert (("ancestors", i) in chain._memo) == (not solved)
     # a second pass reads the finished values: nothing is solved again
 
     def solve(*args):
@@ -222,15 +245,18 @@ def test_finite_table_solves_the_left_vector_only(name, i, perron_calls, monkeyp
 @pytest.mark.parametrize("name, i", INFINITE, ids=[f"{n}-{i}" for n, i in INFINITE])
 def test_divergent_table_lifts_gamma_from_the_letter_block(name, i, perron_calls, monkeypatch):
     # the only Perron solve outside the left vector is the level's k x k
-    # letter block, once per window length that is solved
+    # letter block: once per window length on an irrational level, once in
+    # all for the letter values of an integer one
     sub = make(name)
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
-    table = level_measure_table(sub, chain, profile, i, max_m=MAX_M)
+    table, added = _table_keys(sub, chain, profile, i)
     solved = _solved(profile, i)
-    assert perron_calls == [chain.block(i)] * len(solved)
+    assert perron_calls == [chain.block(i)] * (len(solved) or 1)
     assert sorted(key[1] for key in chain._memo if key[0] == "limit_data") == solved
     assert not [key for key in chain._memo if key[0] == "pf_right"]
+    if not solved:
+        assert not [key for key in added if key[0] in WINDOW_KEYS], added
 
     def solve(*args):
         raise AssertionError("solved again")
@@ -244,10 +270,11 @@ def test_divergent_table_with_two_new_letters(perron_calls):
     sub = Substitution.from_rules({"a": "aaaaa", "b": "abcc", "c": "bbc"})
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
-    level_measure_table(sub, chain, profile, 2, max_m=MAX_M)
-    # theta = 3: the letter block is solved at m = 1 and 2 only
-    assert perron_calls == [((1, 2), (2, 1))] * 2
+    _, added = _table_keys(sub, chain, profile, 2)
+    # theta = 3: the letter block is solved once, for the letter values
+    assert perron_calls == [((1, 2), (2, 1))]
     assert ("ancestors", 2) in chain._memo
+    assert not [key for key in added if key[0] in WINDOW_KEYS], added
 
 
 def _exact(name, i):

@@ -362,8 +362,10 @@ def test_exact_eigen_identity_rejects_what_the_float_residual_accepts():
 def test_window_and_limit_invariants_survive_optimize():
     # Each broken invariant of the window-substitution build, of the
     # divergent limit data, of the Perron vectors, of the empty-block test
-    # and of the lifted gamma a cylinder table reads must raise RuntimeError
-    # explicitly, also under ``python -O``, which strips assert statements.
+    # and of the lifted gamma an irrational level's cylinder table reads must
+    # raise explicitly, also under ``python -O``, which strips assert
+    # statements: a RuntimeError in ``auxiliary`` and ``spectral``, the typed
+    # InternalInvariantError in ``measures``.
     script = (
         "from chainshift import *\n"
         "import dataclasses\n"
@@ -371,8 +373,8 @@ def test_window_and_limit_invariants_survive_optimize():
         "def expect(fn, *args):\n"
         "    try:\n"
         "        fn(*args)\n"
-        "    except RuntimeError as exc:\n"
-        "        print('raised', exc)\n"
+        "    except (RuntimeError, InternalInvariantError) as exc:\n"
+        "        print('raised', type(exc).__name__, exc)\n"
         "sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
         "word_levels = structure.word_levels\n"
         "structure.word_levels = lambda sub, new_letters, m: dict.fromkeys('abcz', 1)\n"
@@ -399,10 +401,12 @@ def test_window_and_limit_invariants_survive_optimize():
         "spectral._pf_right = perron\n"
         "def skewed(*args):\n"
         "    ld = limit_data(*args)\n"
-        "    w = ld.restricted_words[-1]\n"
+        "    w = [w for w in ld.restricted_words if w[0] == 'b'][-1]\n"
         "    return dataclasses.replace(ld, gamma={**ld.gamma, w: 2 * ld.gamma[w]})\n"
         "measures.limit_data = skewed\n"
-        "expect(cylinder_measure, sub, chain, block_eigenvalues(sub, chain), 3, 'cb')\n"
+        "golden = Substitution.from_rules({'a': 'aaa', 'b': 'abc', 'c': 'b'})\n"
+        "golden_chain = component_chain(golden)\n"
+        "expect(cylinder_measure, golden, golden_chain, block_eigenvalues(golden, golden_chain), 2, 'bc')\n"
         "measures.limit_data = limit_data\n"
         "spectral.nullspace_vector = lambda A: ([1, -1] * len(A))[: len(A)]\n"
         "mid = Substitution.from_rules({'a': 'aa', 'b': 'abbbccc', 'c': 'abccccc', 'd': 'abcdd'})\n"
@@ -432,7 +436,8 @@ def test_window_and_limit_invariants_survive_optimize():
         assert "the level block is not last in the restriction" in lines[3]
         assert "the left limit vector is not positive" in lines[4]
         assert "level 3: the lifted right limit vector is not positive" in lines[5]
-        assert "level 3: right limit vector depends on more than the first letter" in lines[6]
+        assert "InternalInvariantError level 2: right limit vector depends on more than the" in lines[6]
+        assert all(" RuntimeError " in line for k, line in enumerate(lines) if k != 6)
         # the exact Perron vector (integer theta), then the float one
         assert "Perron vector must be positive" in lines[7]
         assert "Perron vector must be positive" in lines[8]
