@@ -12,8 +12,8 @@ cylinder evaluation.
 All level computations run inside the restricted substitution of that level;
 values are exact rationals whenever the block eigenvalue is an integer.
 Occurrence counts, along the anchor's expansion and in return windows of a
-quasi-fixed point, are exact and never expand a word: they descend through
-powers of the level substitution and of its window substitution.
+quasi-fixed point, are exact and never expand a word: they join the letter
+blocks sigma^j(x) of the level, held as lengths, counts and ends (``_Blocks``).
 
 Level descriptors are stored on the chain under ``("measure_type", i)``,
 like the eigen data they are read from (see ``spectral``). A level with
@@ -28,7 +28,8 @@ L_m(i), and every reader takes it from there: after the level's error checks
 a value is one lookup and membership one key test, so a word outside the
 language still builds its length's table; ``level_measure_table`` lists the
 keys; the uniformity target is a ratio of the values. The counts test
-membership on the window substitution they count with.
+membership on the word-level index of the level's own chain, as a window
+solve does.
 
 On a level whose theta is an integer every table starts at the letter level
 (``_ancestor_table``): one solve on the k x k letter blocks of levels <= i
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, gcd, lcm
 
-from .auxiliary import AuxiliarySubstitution, build_auxiliary
 from .classify import LevelReport, _bottom_report, classify_level, level_seed
 from .errors import (
     BudgetExceeded,
@@ -69,7 +69,7 @@ from .spectral import (
     pf_left,
 )
 from .structure import ComponentChain
-from .words import LANGUAGE_BUDGET, Substitution
+from .words import LANGUAGE_BUDGET, Substitution, count_occurrences
 
 POWER_BUDGET = 10**12
 
@@ -551,67 +551,74 @@ def _check_kolmogorov(
 # occurrence counts
 
 
-def _length_tables(sub: Substitution, anchor: str, target: int) -> list[dict[str, int]]:
-    """Letter image lengths ``|sub^j(c)|`` for j = 0..k, k the smallest
-    power with ``|sub^k(anchor)| >= target``."""
-    tables = [{c: 1 for c in sub.alphabet}]
-    stall = 0
-    while True:
-        lengths = tables[-1]
-        size = lengths[anchor]
-        if size >= target:
-            return tables
-        nxt = {c: sum(lengths[x] for x in sub.image(c)) for c in sub.alphabet}
-        stall = stall + 1 if nxt[anchor] == size else 0
-        if stall > 2 * len(sub.alphabet) + 4:
-            raise BudgetExceeded("anchor expansion does not grow")
-        tables.append(nxt)
+class _Blocks:
+    """Occurrences of one word v in the blocks ``sigma^j(x)`` of a level's
+    letters, power by power (Dumont-Thomas); nothing is expanded.
 
-
-def _block_counts(aux: AuxiliarySubstitution, v: str, k: int) -> list[dict[str, int]]:
-    """Occurrences of ``v`` in each block ``aux^j(x)``, j = 0..k.
-
-    The j-th table is the column ``M^j e_v`` of the window matrix powers,
-    built by one sparse step per power.
+    Power j holds, for every letter x, ``(|sigma^j(x)|, occurrences of v in
+    it, its first m-1 letters, its last m-1 letters)``, each end the whole
+    block when it is shorter. A power-(j+1) block joins the power-j blocks of
+    sigma(x); an occurrence that crosses a seam lies in ``tail + head``,
+    which holds no other, so each distinct seam string is counted once. A
+    prefix of ``sigma^k(x)`` joins whole blocks and goes down into one
+    partial block per power.
     """
-    cols = [{x: int(x == v) for x in aux.words}]
-    for _ in range(k):
-        prev = cols[-1]
-        cols.append({x: sum(prev[y] for y in aux.image(x)) for x in aux.words})
-    return cols
 
+    def __init__(self, sub: Substitution, v: str):
+        self.v, self.m1 = v, len(v) - 1
+        self.images = dict(zip(sub.alphabet.letters, sub.images))
+        self.seams: dict[str, int] = {}
+        self.powers = [{c: (1, int(c == v), c[: self.m1], c[: self.m1]) for c in self.images}]
 
-def _prefix_count(
-    aux: AuxiliarySubstitution,
-    u: str,
-    cols: list[dict[str, int]],
-    lengths: list[dict[str, int]],
-    total: int,
-) -> int:
-    """Occurrences of the word counted by ``cols`` among the first ``total``
-    windows of ``aux^k(u)``, with ``k = len(lengths) - 1``.
+    def at(self, j: int) -> dict[str, tuple]:
+        """The blocks of power j, built up to it."""
+        while len(self.powers) <= j:
+            prev = self.powers[-1]
+            self.powers.append({c: self._join(map(prev.get, w)) for c, w in self.images.items()})
+        return self.powers[j]
 
-    The block ``aux^j(x)`` holds ``|sigma^j(x[0])|`` windows, so the prefix
-    splits into whole blocks, each counted by one entry of ``cols``, and one
-    partial block per level, into which the walk descends (Dumont-Thomas).
-    """
-    count = taken = 0
-    children: tuple[str, ...] = (u,)
-    for j in range(len(lengths) - 1, -1, -1):
-        for y in children:
-            size = lengths[j][y[0]]
-            if taken + size > total:
-                break
-            count += cols[j][y]
-            taken += size
-        else:
-            break
-        if taken == total:
-            break
-        children = aux.image(y)
-    if taken != total:
-        raise InternalInvariantError(f"prefix blocks cover {taken} windows, expected {total}")
-    return count
+    def reach(self, anchor: str, target: int) -> int:
+        """The least k with ``|sigma^k(anchor)| >= target``."""
+        k = stall = 0
+        while (size := self.at(k)[anchor][0]) < target:
+            k += 1
+            stall = stall + 1 if self.at(k)[anchor][0] == size else 0
+            if stall > 2 * len(self.images) + 4:
+                raise BudgetExceeded("anchor expansion does not grow")
+        return k
+
+    def count(self, w: str, k: int) -> int:
+        """Occurrences of v in ``sigma^k(w)``."""
+        return self._join(map(self.at(k).get, w))[1]
+
+    def prefix(self, x: str, k: int, n: int) -> int:
+        """Occurrences of v inside the first n letters of ``sigma^k(x)``."""
+        size = self.at(k)[x][0]
+        if n > size:
+            raise InternalInvariantError(f"prefix blocks cover {size} letters, expected {n}")
+        pieces, taken = [], 0
+        while taken < n:  # the rest of the prefix starts the power-k blocks of the word x
+            level = self.at(k)
+            for y in x:
+                if taken + level[y][0] > n:
+                    break
+                pieces.append(level[y])
+                taken += level[y][0]
+            k, x = k - 1, self.images[y]
+        return self._join(pieces)[1]
+
+    def _join(self, blocks) -> tuple:
+        m1, seams = self.m1, self.seams
+        size, count, head, tail = 0, 0, "", ""
+        for b in blocks:
+            seam = tail + b[2]
+            if seam not in seams:
+                seams[seam] = count_occurrences(self.v, seam).count
+            count += b[1] + seams[seam]
+            head = head if size >= m1 else (head + b[2])[:m1]
+            tail = b[3] if b[0] >= m1 else (tail + b[3])[-m1:]  # m1 > 0 here
+            size += b[0]
+        return size, count, head, tail
 
 
 @dataclass
@@ -643,9 +650,11 @@ def empirical_frequency(
     a full power image scaled by the level eigenvalue (the windowed count
     differs from the plain count by less than the window length).
 
-    Both counts are exact and never expand the prefix: the m-windows of
-    ``sigma^k(u)`` are ``aux^k(u)`` for the window substitution aux, so they
-    come from O(k) sparse window-matrix steps with k ~ log L.
+    Both counts are exact and never expand the prefix: they join the letter
+    blocks ``sigma^j(x)`` of the level (``_Blocks``), k ~ log L powers. The
+    scaled count is the window count of ``aux^k(u)``, u the least m-word that
+    starts with the anchor: the occurrences in ``sigma^k(u)`` less those in
+    ``sigma^k(u[1:])``.
     """
     desc = measure_type(sub, chain, spectral, i)
     if desc.kind not in ("finite_ergodic", "infinite_radon"):
@@ -654,35 +663,28 @@ def empirical_frequency(
         raise DomainError("need a nonempty word no longer than the prefix")
     m = len(v)
     sub_i, chain_i = chain.restrict(i)
-    aux = build_auxiliary(sub_i, chain_i, m)
-    if v not in aux.images:
+    words = chain_i.word_levels(m)
+    if v not in words:
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
     if L > power_budget:
         raise BudgetExceeded(f"prefix length {L} exceeds the power budget {power_budget}")
     anchor = desc.anchor
-    # Any window starting with the anchor works: the first L - m + 1 windows
-    # of sigma^k(u) lie inside sigma^k(anchor).
-    u = min((w for w in aux.words if w[0] == anchor), key=sub_i.alphabet.word_key)
-    # One table serves both powers: k reaches L, and the scaled count's k2
-    # is the last power within the budget, one below the first past it.
-    infinite = desc.kind == "infinite_radon"
-    lengths = _length_tables(sub_i, anchor, power_budget + 1 if infinite else L)
-    k = next(j for j, table in enumerate(lengths) if table[anchor] >= L)
-    k2 = len(lengths) - 2 if infinite else k
-    cols = _block_counts(aux, v, max(k, k2))
-    ratio = _prefix_count(aux, u, cols, lengths[: k + 1], L - m + 1) / L
+    blocks = _Blocks(sub_i, v)
+    k = blocks.reach(anchor, L)
+    ratio = blocks.prefix(anchor, k, L) / L
     result = EmpiricalFrequency(level=i, word=v, length=L, power=k, ratio=ratio)
-    if infinite:
-        count = cols[k2][u]
+    if desc.kind == "infinite_radon":
+        # k2 is the last power within the budget, one below the first past it
+        k2 = blocks.reach(anchor, power_budget + 1) - 1
+        u = min((w for w in words if w[0] == anchor), key=sub_i.alphabet.word_key)
+        count = blocks.count(u, k2) - blocks.count(u[1:], k2)
         theta = spectral.theta(i)
         exact_theta = theta.as_integer()
         if exact_theta is not None:
             scaled = float(Fraction(count, exact_theta**k2))
         else:
             scaled = count / float(theta) ** k2
-        result.scaled_power = k2
-        result.scaled_count = count
-        result.scaled_value = scaled
+        result.scaled_power, result.scaled_count, result.scaled_value = k2, count, scaled
     return result
 
 
@@ -716,8 +718,9 @@ def uniformity_check(
     The forward seed gives ``sigma^k(b) = P b v`` with P over lower letters, so
     the right half ``R = b v sigma^k(v) ...`` satisfies ``sigma^k(R) = P R`` and
     ``sigma^K(b)`` ends in a prefix of R for every multiple K of k. Visits come
-    from a descent through letter tables of ``sigma^t``, occurrences from the
-    window-substitution descent of ``_prefix_count``; nothing is expanded.
+    from a descent through new-letter counts of ``sigma^t``, occurrences from
+    the prefix counts of the letter blocks ``sigma^t(x)`` (``_Blocks``), which
+    also give the lengths; nothing is expanded.
     """
     chain.check_level(i)
     if i < 2:
@@ -734,8 +737,7 @@ def uniformity_check(
         raise DomainError("the word must contain a new letter of the level")
     m = len(v)
     sub_i, chain_i = chain.restrict(i)
-    aux = build_auxiliary(sub_i, chain_i, m)
-    if v not in aux.images:
+    if v not in chain_i.word_levels(m):
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
     if spectral.theta_is_one(i):
         raise DomainError(f"level {i} has eigenvalue 1; no frequency target exists")
@@ -750,43 +752,38 @@ def uniformity_check(
     if seed.orientation != "forward":  # theta > 1 puts a lower-new word in L_2
         raise InternalInvariantError(f"level {i}: theta > 1 but the seed is not forward")
 
-    # Tables of sigma^t, t = 0..K: letter image lengths and new-letter counts.
-    # K grows by k until sigma^K(b) = (lower prefix) R[:covered] holds the visits.
+    # New-letter counts of sigma^t, t = 0..K, beside the blocks' lengths. K
+    # grows by k until sigma^K(b) = (lower prefix) R[:covered] holds the visits.
     b, letters = seed.b, sub_i.alphabet.letters
-    lengths, visits = [dict.fromkeys(letters, 1)], [{c: int(c in new) for c in letters}]
+    blocks, visits = _Blocks(sub_i, v), [{c: int(c in new) for c in letters}]
     covered = 1
     while visits[-1][b] <= max(offsets) + n:
-        covered += sum(lengths[-1][c] for c in seed.v)
+        lengths = blocks.at(len(visits) - 1)
+        covered += sum(lengths[c][0] for c in seed.v)
         if covered > POWER_BUDGET:
             raise BudgetExceeded(f"return windows exceed the power budget {POWER_BUDGET}")
         for _ in range(seed.k):
-            for table in (lengths, visits):
-                table.append({c: sum(table[-1][x] for x in sub_i.image(c)) for c in letters})
-    K, prefix = len(lengths) - 1, lengths[-1][b] - covered
+            visits.append({c: sum(visits[-1][x] for x in sub_i.image(c)) for c in letters})
+    K = len(visits) - 1
 
-    def select(j: int) -> int:  # position in R of its j-th new letter; R[0] = b is the 0-th
-        pos, c = -prefix, b
+    def select(j: int) -> int:  # position in sigma^K(b) of R's j-th new letter, R[0] = b the 0-th
+        pos, c = 0, b
         for t in range(K - 1, -1, -1):
+            lengths = blocks.at(t)
             for x in sub_i.image(c):
                 if visits[t][x] > j:
                     break
                 j -= visits[t][x]
-                pos += lengths[t][x]
+                pos += lengths[x][0]
             c = x
         return pos
 
-    # Any window starting with b works: every counted window ends inside sigma^K(b).
-    u = next(w for w in aux.words if w[0] == b)
-    cols = _block_counts(aux, v, K)
-
-    def rank(p: int) -> int:  # occurrences of v starting before position p of R
-        return _prefix_count(aux, u, cols, lengths, prefix + p)
-
-    # The window from visit j to visit j + n, both inclusive, holds the starts lo .. hi - m + 1.
+    # The window from visit j to visit j + n, both inclusive, holds the
+    # occurrences inside sigma^K(b)[:hi + 1] and not inside its [:lo + m - 1].
     ratios: dict[int, float] = {}
     for j in sorted(set(offsets)):
         lo, hi = select(j), select(j + n)
-        ratios[j] = (rank(max(lo, hi + 2 - m)) - rank(lo)) / n
+        ratios[j] = (blocks.prefix(b, K, hi + 1) - blocks.prefix(b, K, min(lo + m - 1, hi + 1))) / n
     deviation = max(abs(r - target) for r in ratios.values())
     return UniformityResult(
         level=i, word=v, window_count=n, target=target, ratios=ratios, max_deviation=deviation

@@ -1,10 +1,12 @@
 """Exact occurrence counts against brute-force expansions.
 
 ``empirical_frequency`` counts a word in a prefix of ``sigma^k(anchor)``
-through window-substitution powers and never expands the prefix;
-``uniformity_check`` counts it in return windows of the quasi-fixed point
-by the same descent, after locating the windows' new-letter visits by a
-descent through letter-level power tables. Both are compared here with
+by joining letter blocks ``sigma^j(x)``, each held as its length, its
+occurrences and its two ends, and never expands the prefix; its scaled count
+is checked against the window-matrix power entry it stands for.
+``uniformity_check`` counts the word in return windows of the quasi-fixed
+point by the same block descent, after locating the windows' new-letter
+visits by a descent through letter-level power tables. Both are compared here with
 plain ``str`` expansions counted by ``oracles.occurrences``; where new
 letters are too sparse to expand, with ``oracles.quasi_fixed_skeleton``,
 an expansion that keeps only the letters near new letters.
@@ -107,19 +109,30 @@ def test_prefix_counts_match_expansion(name, i):
         ]
         power = oracles.mat_pow(window_matrix, k)
         tail = oracles.power(rules, u, k)[full - m + 1 : full + m - 1]
+        infinite = measure_type(*setup, i).kind == "infinite_radon"
         for col, v in enumerate(words):
             count = _expected(images, v, full)[1]
             entry = power[words.index(u)][col]
             assert entry == count + len(oracles.occurrences(v, tail)), (name, i, v)
+            if infinite:
+                # a budget of |sigma^k(anchor)| makes k the scaled power
+                freq = empirical_frequency(*setup, i, v, full, power_budget=full)
+                assert (freq.scaled_power, freq.scaled_count) == (k, entry), (name, i, v)
 
 
 @st.composite
 def _prefix_queries(draw):
     name, i = draw(st.sampled_from(MEASURABLE))
-    m = draw(st.integers(1, 4))
-    _, sub_i, _, _, _ = _level(name, i)
-    v = draw(st.sampled_from(sorted(language(sub_i, m))))
+    # up to m = 40 a seam spans several short blocks: fibonacci's b -> a and
+    # the fixed letters of chacon and almost_min_tower
+    m = draw(st.integers(1, 40))
+    v = draw(st.sampled_from(_words(name, i, m)))
     return name, i, v, draw(st.integers(m, 30_000))
+
+
+@lru_cache(maxsize=None)
+def _words(name: str, i: int, m: int) -> list[str]:
+    return sorted(language(_level(name, i)[1], m))
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,18 +142,16 @@ def test_prefix_counts_match_expansion_at_any_length(query):
 
 
 def test_prefix_counter_invariant_survives_optimize():
-    # A prefix longer than the top block leaves windows no block covers; the
-    # counter must report that by an explicit typed raise, not an assert that
-    # ``python -O`` strips.
+    # A prefix longer than the top block leaves letters no block covers; the
+    # block table must report that by an explicit typed raise, not an assert
+    # that ``python -O`` strips.
     script = (
         "from chainshift import *\n"
-        "from chainshift.measures import _block_counts, _length_tables, _prefix_count\n"
-        "sub = Substitution.from_rules({'a': 'ab', 'b': 'a'})\n"
-        "aux = build_auxiliary(sub, component_chain(sub), 2)\n"
-        "lengths = _length_tables(sub, 'a', 50)\n"
-        "cols = _block_counts(aux, 'ab', len(lengths) - 1)\n"
+        "from chainshift.measures import _Blocks\n"
+        "blocks = _Blocks(Substitution.from_rules({'a': 'ab', 'b': 'a'}), 'ab')\n"
+        "k = blocks.reach('a', 50)\n"
         "try:\n"
-        "    _prefix_count(aux, 'ab', cols, lengths, lengths[-1]['a'] + 1)\n"
+        "    blocks.prefix('a', k, blocks.at(k)['a'][0] + 1)\n"
         "except InternalInvariantError as exc:\n"
         "    print('raised', exc)\n"
     )

@@ -5,7 +5,8 @@ it, numpy is confined to the float eigen path in ``spectral``, no module
 keeps a cache of its own, and in ``measures`` only the window-solved cylinder
 table reads the eigen data that every other reader takes from that table,
 while the integer-theta tables, which start from the letter level, name no
-window solve, window substitution or restriction at all.
+window solve, window substitution or restriction at all; ``measures`` does not
+import ``auxiliary``.
 """
 
 import ast
@@ -68,6 +69,14 @@ def test_no_module_level_caches(path):
     # a module cache would keep every system a process analyses.
     names = _imported_modules(path)
     assert not {"functools.lru_cache", "functools.cache"} & names, path.name
+
+
+def test_measures_builds_no_window_substitution():
+    # occurrence counts join letter blocks and test membership on the chain's
+    # word-level index; the window substitution serves the window solves,
+    # ``matrix`` and ``check``
+    names = _imported_modules(PACKAGE / "measures.py")
+    assert not any(n == "chainshift.auxiliary" or n.startswith("chainshift.auxiliary.") for n in names)
 
 
 def test_only_the_window_table_reads_eigen_data():
