@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-from .errors import DomainError
+from .errors import DomainError, InternalInvariantError
 from .structure import ComponentChain, IncidenceMatrix
 from .words import Substitution
 
@@ -72,7 +72,7 @@ def _build(chain: ComponentChain, m: int) -> AuxiliarySubstitution:
     word_level = chain.word_levels(m)
     # The letter index is read as a dict, not through ``level_of``: a word no
     # block can hold (a broken index) is left out and fails the partition
-    # check below as a RuntimeError.
+    # check below as an InternalInvariantError.
     first_level = chain._level_of
     q_blocks: list[list[str]] = [[] for _ in range(n)]
     g_blocks: list[list[str]] = [[] for _ in range(n)]  # G(n): only a broken index
@@ -87,7 +87,7 @@ def _build(chain: ComponentChain, m: int) -> AuxiliarySubstitution:
     g = tuple(tuple(sorted(block, key=key)) for block in g_blocks[:-1])
     words = [w for pair in zip_longest(q, g, fillvalue=()) for block in pair for w in block]
     if len(words) != len(word_level):
-        raise RuntimeError(f"window blocks at m={m} do not partition the language")
+        raise InternalInvariantError(f"window blocks at m={m} do not partition the language")
 
     images: dict[str, tuple[str, ...]] = {}
     for u in words:
@@ -95,7 +95,7 @@ def _build(chain: ComponentChain, m: int) -> AuxiliarySubstitution:
         width = len(sub.image(u[0]))
         seq = tuple(expanded[j : j + m] for j in range(width))
         if not all(len(w) == m and w in word_level for w in seq):
-            raise RuntimeError(f"an image window of {u!r} is not a language word at m={m}")
+            raise InternalInvariantError(f"an image window of {u!r} is not a language word at m={m}")
         images[u] = seq
     return AuxiliarySubstitution(
         sub=sub,
@@ -142,5 +142,5 @@ def level_empty_diag(aux: AuxiliarySubstitution, i: int) -> bool:
             lower = set(aux.chain.alphabet_at(i - 1)) if i >= 2 else set()
             empty = len(img) >= 2 and img[-1] == s and all(c in lower for c in img[:-1])
     if empty != (len(aux.q_blocks[i - 1]) == 0):
-        raise RuntimeError(f"level {i}: the structural emptiness test does not match the block")
+        raise InternalInvariantError(f"level {i}: the structural emptiness test does not match the block")
     return empty

@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, InternalInvariantError
 from .structure import ComponentChain, component_chain, is_empty_bottom
 from .spectral import SpectralProfile, block_eigenvalues
 from .words import Substitution, apply, count_occurrences, language
@@ -265,7 +265,7 @@ def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair
     else:
         backward = [w for w in fresh if level[w[0]] == i and level[w[1]] < i]
         if not backward:
-            raise RuntimeError(f"level {i} has no crossing pair in its two-letter language")
+            raise InternalInvariantError(f"level {i} has no crossing pair in its two-letter language")
         mirrored = True
         first = min(backward, key=key)
         a0, b0 = first[1], first[0]
@@ -294,10 +294,10 @@ def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair
     w = wa + wb
     p_b = len(wa) + _first_new(wb, level, i)
     if w[p_b] != b or w[p_b - 1] != a:
-        raise RuntimeError(f"level {i}: sigma^{k}({a}{b}) does not contain {a}{b} at the seed")
+        raise InternalInvariantError(f"level {i}: sigma^{k}({a}{b}) does not contain {a}{b} at the seed")
     u, v = w[: p_b - 1], w[p_b + 1 :]
     if max(map(level.__getitem__, u), default=0) >= i:
-        raise RuntimeError(f"level {i}: the seed prefix leaves the levels below")
+        raise InternalInvariantError(f"level {i}: the seed prefix leaves the levels below")
     if mirrored:
         u, v = u[::-1], v[::-1]
     return SeedPair(
@@ -311,7 +311,7 @@ def _first_new(word: str, level: dict[str, int], i: int) -> int:
     for p, c in enumerate(word):
         if level[c] == i:
             return p
-    raise RuntimeError(f"level {i}: an image of a new letter holds no new letter")
+    raise InternalInvariantError(f"level {i}: an image of a new letter holds no new letter")
 
 
 def _image_tables(sub: Substitution, mirrored: bool) -> tuple[dict[str, str], dict[int, str]]:
@@ -468,7 +468,7 @@ def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> l
                 (s or "") * seed.middle_s
             ) + (seed.gamma if seed.form == "s_middle" else seed.delta)
             if count_occurrences(core, seed.window).count != 1:
-                raise RuntimeError(
+                raise InternalInvariantError(
                     f"level {i}: central word {core!r} of an isolated periodic point "
                     "is not unique in its window"
                 )
@@ -528,15 +528,15 @@ def _level_seed(
     theta_one = spectral.theta_is_one(i)
     if seed.u == "":
         if sub.image(seed.a) != seed.a or theta_one:
-            raise RuntimeError(f"level {i}: a seed with empty u needs a fixed letter and theta > 1")
+            raise InternalInvariantError(f"level {i}: a seed with empty u needs a fixed letter and theta > 1")
     elif seed.v == "":
         if not theta_one:
-            raise RuntimeError(f"level {i}: a seed with empty v needs theta = 1")
+            raise InternalInvariantError(f"level {i}: a seed with empty v needs theta = 1")
     elif any(c in new for c in seed.v):
         if theta_one:
-            raise RuntimeError(f"level {i}: excursions into new letters need theta > 1")
+            raise InternalInvariantError(f"level {i}: excursions into new letters need theta > 1")
     elif not theta_one or len(new) != 1:
-        raise RuntimeError(
+        raise InternalInvariantError(
             f"level {i}: an isolated quasi-fixed seed needs theta = 1 and one new letter"
         )
     return seed
@@ -612,7 +612,7 @@ def _classify_level(
     if report.case == "single_fixed_point" and not any(
         p.kind == "fixed_letter_power" for p in report.point_seeds
     ):
-        raise RuntimeError(f"level {i}: a single fixed point without a fixed-letter power seed")
+        raise InternalInvariantError(f"level {i}: a single fixed point without a fixed-letter power seed")
     if i == 3 and _is_single_periodic_orbit(chain.restrict(2)[0]):
         report.notes.append(
             "unresolved: whether this level's closure could itself be a single "

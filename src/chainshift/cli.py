@@ -3,7 +3,9 @@
 Input grammar: one rule per line, ``X -> IMAGE``; ``#`` starts a comment,
 blank lines are ignored, and the alphabet order is the rule declaration
 order. Exit codes: 0 ok, 2 parse error, 3 no primitive component chain,
-4 domain error, 5 budget exceeded, 6 internal invariant violated.
+4 domain error, 5 budget exceeded, 6 internal invariant violated (every
+library check raises ``InternalInvariantError``). An error prints a JSON
+``{"error": {code, kind, message}}`` on stdout and one line on stderr.
 """
 
 from __future__ import annotations

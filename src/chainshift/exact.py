@@ -32,6 +32,9 @@ from fractions import Fraction
 from math import gcd
 from operator import index
 
+from .errors import InternalInvariantError
+
+
 def charpoly(mat) -> tuple[int, ...]:
     """Monic characteristic polynomial det(xI - M) of an integer matrix.
 
@@ -129,7 +132,7 @@ def squarefree_part(p) -> tuple[int, ...]:
         for j, y in enumerate(g, i):
             r[j] -= q[-1] * y
     if any(r):
-        raise RuntimeError(f"gcd {g} does not divide {p}")
+        raise InternalInvariantError(f"gcd {g} does not divide {p}")
     return tuple(q)
 
 
@@ -184,7 +187,7 @@ class AlgebraicReal:
         # roots in (lo, hi] number V(lo) - V(hi), so a halving costs one V(mid).
         v_lo, v_hi = _variations(self._chain, a, 1), _variations(self._chain, b, 1)
         if v_lo - v_hi < 1:
-            raise RuntimeError(f"no real root of {self.poly} in ({a}, {b}]")
+            raise InternalInvariantError(f"no real root of {self.poly} in ({a}, {b}]")
         # Exact rational roots of a monic integer polynomial are integers;
         # scan the search range for the largest one.
         self.rational: int | None = None

@@ -9,40 +9,36 @@ word already present below the cutoff level is flagged infinite. Levels with
 block eigenvalue 1 only carry counting measures on orbits and expose no
 cylinder evaluation.
 
-All level computations run inside the restricted substitution of that level;
-values are exact rationals whenever the block eigenvalue is an integer.
+Everything this module keeps of a level is one record, ``_Level``, stored on
+the chain under ``("level", i)`` (see ``spectral``): the descriptor, the
+level's letters, the cylinder tables ``tables[m]`` and, for an integer
+theta, the ``_Ancestors`` state they come from. The descriptor of a level
+with theta > 1 reads only the spectrum and the seed pair,
+``("seed_pair", i)``; the periodic-point census runs only for theta = 1
+levels, whose descriptors count its point seeds. A table maps exactly the words of L_m(i)
+to ``(infinite, exact, float, algebraic note)``. ``_Level.table`` alone
+builds it and every reader takes it from there: a word of a built table is
+one lookup, made before any check, a word outside the language still builds
+its length's table, ``level_measure_table`` lists the keys and the
+uniformity target is a ratio of the values.
+
+On a level whose theta is an integer every table is exact and starts at the
+letter level: one solve on the k x k letter blocks of levels <= i
+(``_letter_base``) gives the letter values, and every longer length, m = 2
+included, comes from the lengths below it by desubstitution
+(``_Ancestors``), checked for exact Kolmogorov consistency against the
+length below. This path builds no window substitution, window eigen data or
+restricted chain. Only a level with an irrational theta window-solves, once
+per m (``_cylinder_table``): a finite table reads only the left eigenvector
+(``spectral.pf_left``), an infinite one the limit data, whose right vector
+depends only on the first letter, which the table checks once. A failed
+internal check raises ``InternalInvariantError``.
+
 Occurrence counts, along the anchor's expansion and in return windows of a
 quasi-fixed point, are exact and never expand a word: they join the letter
-blocks sigma^j(x) of the level, held as lengths, counts and ends (``_Blocks``).
-
-Level descriptors are stored on the chain under ``("measure_type", i)``,
-like the eigen data they are read from (see ``spectral``). A level with
-theta > 1 reads only the spectrum and its seed pair, ``("seed_pair", i)``,
-and so do the uniformity windows; the periodic-point census of
-``classify_level`` runs only for theta = 1 levels, whose descriptors count
-its point seeds.
-
-``_table`` alone writes the cylinder table ``("cylinders", i, m)``,
-``(infinite, exact, float, algebraic note)`` for exactly the words of
-L_m(i), and every reader takes it from there: after the level's error checks
-a value is one lookup and membership one key test, so a word outside the
-language still builds its length's table; ``level_measure_table`` lists the
-keys; the uniformity target is a ratio of the values. The counts test
-membership on the word-level index of the level's own chain, as a window
-solve does.
-
-On a level whose theta is an integer every table starts at the letter level
-(``_ancestor_table``): one solve on the k x k letter blocks of levels <= i
-(``_letter_base``) gives the letter values, and every longer length, m = 2
-included, comes from the lengths below it by desubstitution (its
-``_Ancestors`` state kept under ``("ancestors", i)``), checked for exact
-Kolmogorov consistency against the length below. This path builds no window
-substitution, window eigen data or restricted chain. Only a level with an
-irrational theta window-solves, once per m (``_cylinder_table``): a finite
-table reads only the left eigenvector (``spectral.pf_left``), an infinite
-one the limit data, whose right vector depends only on the first letter,
-which the table checks once. A failed internal check raises
-``InternalInvariantError``.
+blocks sigma^j(x) of the level, held as lengths, counts and ends
+(``_Blocks``), and test membership on the word-level index of the level's
+own chain.
 """
 
 from __future__ import annotations
@@ -93,18 +89,16 @@ def measure_type(
 ) -> MeasureDescriptor:
     """The kind of invariant measure level i carries, with its anchor data.
 
-    Without a ``report`` the descriptor is stored on the chain under
-    ``("measure_type", i)``. A level with theta > 1 reads its kind from the
+    Without a ``report`` the descriptor is the one in level i's record,
+    ``("level", i)``. A level with theta > 1 reads its kind from the
     spectrum and its anchor from the seed pair (``classify.level_seed``); a
     level with theta = 1 reads the full level report. A given ``report``,
     which must be level i's, supplies the anchor and the point seeds instead,
     and nothing is stored.
     """
-    chain.check_level(i)
     if report is None:
-        return spectral.memo(
-            sub, chain, ("measure_type", i), _measure_type, sub, chain, spectral, i, None
-        )
+        return _level(sub, chain, spectral, i).desc
+    chain.check_level(i)
     spectral.check(sub, chain)
     if report.level != i:
         raise DomainError(f"the report describes level {report.level}, not level {i}")
@@ -174,53 +168,60 @@ def cylinder_measure(
     """Measure of the cylinder anchored at the origin spelling ``v``.
 
     Two-sided cylinders reduce to one-sided ones by shift invariance, so only
-    the concatenated word matters.
+    the concatenated word matters. A word of a built table is one lookup;
+    any other runs the checks: the level's kind, the empty word, a letter
+    outside the level (which builds no table), then the language.
     """
-    desc = measure_type(sub, chain, spectral, i)
-    if desc.kind == "empty":
-        raise DomainError(f"level {i} has no points, no measure to evaluate")
-    if desc.kind == "counting":
-        raise MeasureTypeCounting(
-            f"level {i} carries counting measures on orbits; cylinder values are not exposed"
-        )
-    if not v:
-        raise DomainError("cylinder word must be nonempty")
-    table = {}  # a letter outside the level's alphabet builds no table
-    if set(v).issubset(chain.alphabet_at(i)):
-        table = _table(sub, chain, spectral, i, len(v), desc)
-    if v not in table:
-        raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
-    infinite, exact, value, note = table[v]
-    return CylinderValue(i, v, infinite, exact, value, desc.anchor, note)
+    level = _level(sub, chain, spectral, i)
+    entry = level.tables.get(len(v), {}).get(v)
+    if entry is None:
+        kind = level.desc.kind
+        if kind == "empty":
+            raise DomainError(f"level {i} has no points, no measure to evaluate")
+        if kind == "counting":
+            raise MeasureTypeCounting(
+                f"level {i} carries counting measures on orbits; cylinder values are not exposed"
+            )
+        if not v:
+            raise DomainError("cylinder word must be nonempty")
+        if level.letters.issuperset(v):
+            entry = level.table(sub, chain, spectral, len(v)).get(v)
+        if entry is None:
+            raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
+    infinite, exact, value, note = entry
+    return CylinderValue(i, v, infinite, exact, value, level.desc.anchor, note)
 
 
-def _table(
-    sub: Substitution,
-    chain: ComponentChain,
-    spectral: SpectralProfile,
-    i: int,
-    m: int,
-    desc: MeasureDescriptor,
-) -> dict[str, tuple]:
-    """``(infinite, exact, float, algebraic note)`` of every word of L_m(i),
-    stored under ``("cylinders", i, m)``: desubstitution from the letters for
-    an integer theta, a window solve for an irrational one."""
-    by_ancestors = spectral.theta(i).as_integer() is not None
-    build = _ancestor_table if by_ancestors else _cylinder_table
-    return chain.memo(("cylinders", i, m), build, sub, chain, spectral, i, m, desc)
+def _level(sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int) -> _Level:
+    """Level i's record, stored on the chain under ``("level", i)``."""
+    chain.check_level(i)
+    return spectral.memo(sub, chain, ("level", i), _Level, sub, chain, spectral, i)
 
 
-def _ancestor_table(
-    sub: Substitution,
-    chain: ComponentChain,
-    spectral: SpectralProfile,
-    i: int,
-    m: int,
-    desc: MeasureDescriptor,
-) -> dict[str, tuple]:
-    """An integer-theta level's table at any m, by desubstitution from its
-    letter values; the ``_Ancestors`` state is kept under ``("ancestors", i)``."""
-    return chain.memo(("ancestors", i), _Ancestors, sub, chain, spectral, i, desc).table(m)
+class _Level:
+    """One level's measure data: its descriptor, its letters, the cylinder
+    table of each window length asked for, and for an integer theta the
+    ``_Ancestors`` state, built on first use. It holds no chain."""
+
+    def __init__(self, sub, chain, spectral, i):
+        self.desc = _measure_type(sub, chain, spectral, i, None)
+        self.letters = frozenset(chain.alphabet_at(i))
+        self.tables: dict[int, dict[str, tuple]] = {}
+        self.ancestors: _Ancestors | None = None
+
+    def table(self, sub, chain, spectral, m: int) -> dict[str, tuple]:
+        """``(infinite, exact, float, algebraic note)`` of every word of L_m(i):
+        desubstitution from the letters for an integer theta, a window solve
+        for an irrational one."""
+        if m not in self.tables:
+            desc = self.desc
+            if spectral.theta(desc.level).as_integer() is None:
+                self.tables[m] = _cylinder_table(sub, chain, spectral, desc.level, m, desc)
+            else:
+                if self.ancestors is None:
+                    self.ancestors = _Ancestors(sub, chain, spectral, desc.level, desc)
+                self.tables[m] = self.ancestors.table(m)
+        return self.tables[m]
 
 
 def _cylinder_table(
@@ -374,13 +375,10 @@ class _Ancestors:
         self.scales = [1]
         self._add(1, base, scale, [])
 
-    def extend(self, m: int) -> None:
-        """Finish every length up to m."""
+    def table(self, m: int) -> dict[str, tuple]:
+        """The values of length m, every length up to m finished first."""
         for n in range(len(self.nums), m + 1):
             self._add(n, *self._generate(n))
-
-    def table(self, m: int) -> dict[str, tuple]:
-        self.extend(m)
         scale = self.scales[m]
         out = {}
         for w, x in self.nums[m].items():
@@ -656,7 +654,7 @@ def empirical_frequency(
     starts with the anchor: the occurrences in ``sigma^k(u)`` less those in
     ``sigma^k(u[1:])``.
     """
-    desc = measure_type(sub, chain, spectral, i)
+    desc = _level(sub, chain, spectral, i).desc
     if desc.kind not in ("finite_ergodic", "infinite_radon"):
         raise DomainError(f"level {i} has no expanding anchor to count along")
     if not v or len(v) > L:
@@ -743,7 +741,7 @@ def uniformity_check(
         raise DomainError(f"level {i} has eigenvalue 1; no frequency target exists")
     # mu(v) over the mass of the m-words that start with a new letter, none
     # of them infinite: exact where the table is, else correctly rounded
-    values = _table(sub, chain, spectral, i, m, measure_type(sub, chain, spectral, i))
+    values = _level(sub, chain, spectral, i).table(sub, chain, spectral, m)
     _, exact, value, _ = values[v]
     if exact is not None:
         target = float(exact / sum(e[1] for w, e in values.items() if w[0] in new))
@@ -798,7 +796,8 @@ def level_measure_table(
     max_m: int = 2,
 ) -> dict:
     """Descriptor plus cylinder values for all words up to length ``max_m``."""
-    desc = measure_type(sub, chain, spectral, i)
+    level = _level(sub, chain, spectral, i)
+    desc = level.desc
     out: dict = {"level": i, "kind": desc.kind, "anchor_letter": desc.anchor}
     if desc.kind == "infinite_radon":
         out["i_prime"] = desc.i_prime
@@ -806,10 +805,10 @@ def level_measure_table(
         out["finite_atoms"] = desc.finite_atoms
         out["infinite_orbits"] = desc.infinite_orbits
     if desc.kind in ("finite_ergodic", "infinite_radon"):
-        key = sub.alphabet.word_key
-        out["cylinders"] = {
-            w: cylinder_measure(sub, chain, spectral, i, w).as_json()
-            for m in range(1, max_m + 1)
-            for w in sorted(_table(sub, chain, spectral, i, m, desc), key=key)
-        }
+        out["cylinders"] = cylinders = {}
+        for m in range(1, max_m + 1):
+            table = level.table(sub, chain, spectral, m)
+            for w in sorted(table, key=sub.alphabet.word_key):
+                inf, exact, value, note = table[w]
+                cylinders[w] = CylinderValue(i, w, inf, exact, value, desc.anchor, note).as_json()
     return out

@@ -39,14 +39,14 @@ are stored on the chain (``ComponentChain.memo``): ``block_eigenvalues`` under
 ``("spectral",)``, the left vector ``pf_left`` under ``("pf_left", m)``,
 ``pf_vectors`` (which adds the right vector to it) under ``("pf_right", m)``
 and ``limit_data`` under ``("limit_data", m, i)``; ``classify`` adds seed
-pairs, point seeds and level reports, ``measures`` its descriptors and
-cylinder tables. Only ``pf_vectors`` solves the right vector, so a cylinder
-table never does. A profile belongs to one chain: ``SpectralProfile.memo``
-stores on that chain, and a profile passed with another chain raises
-``DomainError``. ``level_profile`` keeps the level-i profile as the
-``("spectral",)`` entry of ``chain.restrict(i)``. The stored data holds at
-most one entry per level and window length actually asked for, and lives
-exactly as long as its chain.
+pairs, point seeds and level reports, ``measures`` one record per level,
+``("level", i)``, with its descriptor and cylinder tables. Only
+``pf_vectors`` solves the right vector, so a cylinder table never does. A
+profile belongs to one chain: ``SpectralProfile.memo`` stores on that chain,
+and a profile passed with another chain raises ``DomainError``.
+``level_profile`` keeps the level-i profile as the ``("spectral",)`` entry
+of ``chain.restrict(i)``. The stored data holds at most one entry per level
+and window length actually asked for, and lives exactly as long as its chain.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def _block_eigenvalues(chain: ComponentChain) -> SpectralProfile:
         else:
             theta = AlgebraicReal(poly, bounds)
         if (theta.compare(1) == 0) != (block == ((1,),)):
-            raise RuntimeError(f"level {i}: theta = 1 must hold exactly when the block is [1]")
+            raise InternalInvariantError(f"level {i}: theta = 1 must hold exactly when the block is [1]")
         levels.append(
             LevelSpectrum(
                 level=i,
@@ -228,7 +228,7 @@ def _pf_right(block, lam, exact: bool):
         if all(v <= 0 for v in vec):
             vec = [-v for v in vec]
         if not all(v > 0 for v in vec):
-            raise RuntimeError("Perron vector must be positive")
+            raise InternalInvariantError("Perron vector must be positive")
         return vec
     arr = np.array(block, dtype=float)
     vals, vecs = np.linalg.eig(arr)
@@ -237,7 +237,7 @@ def _pf_right(block, lam, exact: bool):
     if vec.sum() < 0:
         vec = -vec
     if not vec.min() > -1e-9 * max(1.0, vec.max()):
-        raise RuntimeError("Perron vector must be positive")
+        raise InternalInvariantError("Perron vector must be positive")
     return [max(float(v), 0.0) for v in vec]
 
 
@@ -529,7 +529,7 @@ def _limit_data(
     rows = _window_rows(aux)
     ip = spectral.i_prime(i)
     if ip < 2:
-        raise RuntimeError(f"level {i}: divergent mode without a dominating lower level")
+        raise InternalInvariantError(f"level {i}: divergent mode without a dominating lower level")
     blocks = [
         (kind, lvl, ws)
         for kind, lvl, ws in aux.blocks_in_order()
@@ -541,7 +541,7 @@ def _limit_data(
     theta_value = theta.as_integer() if exact else float(theta)
     anchor = _anchor(blocks, i)
     if anchor != len(blocks) - 1:
-        raise RuntimeError(f"level {i}: the level block is not last in the restriction")
+        raise InternalInvariantError(f"level {i}: the level block is not last in the restriction")
     # The anchor block is last, so gamma vanishes below it; on it a window's
     # image row counts the letters of sigma(u[0]), so gamma(u) = r(u[0]) for
     # the Perron vector r of the level's letter block.
@@ -550,10 +550,10 @@ def _limit_data(
     gamma = dict.fromkeys(restricted, 0 if exact else 0.0)
     gamma.update((w, r[w[0]]) for w in words_blocks[anchor])
     if not all(gamma[w] > 0 for w in words_blocks[anchor]):
-        raise RuntimeError(f"level {i}: the lifted right limit vector is not positive")
+        raise InternalInvariantError(f"level {i}: the lifted right limit vector is not positive")
     delta = _left_vector(words_blocks, rows, theta_value, anchor, exact)
     if exact and not all(v > 0 for v in delta.values()):
-        raise RuntimeError(f"level {i}: the left limit vector is not positive")
+        raise InternalInvariantError(f"level {i}: the left limit vector is not positive")
     if not exact:
         gamma = _min_positive_normalize(gamma, exact)
     for side, values in (("right", gamma), ("left", delta)):

@@ -177,16 +177,11 @@ def count_occurrences(u: str, v: str) -> Occurrences:
     return Occurrences(len(positions), tuple(positions))
 
 
-def apply(sub: Substitution, word: str, k: int, *, allow_identity: bool = False) -> str:
-    """The k-th power of ``sub`` applied to ``word``.
-
-    ``k = 0`` is the identity and is rejected unless ``allow_identity`` is set.
-    """
+def apply(sub: Substitution, word: str, k: int) -> str:
+    """The k-th power of ``sub`` applied to ``word``, k >= 1."""
     if not word:
         raise DomainError("word must be nonempty")
     sub.alphabet.check_word(word)
-    if k == 0 and allow_identity:
-        return word
     if k < 1:
         raise DomainError("power must be >= 1")
     for _ in range(k):

@@ -493,8 +493,8 @@ def test_cycles_and_pair_seeds_match_oracles_on_chain_systems(rules):
 
 
 def test_sweep_invariants_survive_optimize():
-    # Each broken invariant must raise RuntimeError explicitly, also under
-    # ``python -O``, which strips assert statements.
+    # Each broken invariant must raise InternalInvariantError explicitly, also
+    # under ``python -O``, which strips assert statements.
     script = (
         "from chainshift import *\n"
         "from chainshift import classify, spectral, structure\n"
@@ -502,7 +502,7 @@ def test_sweep_invariants_survive_optimize():
         "def expect(fn, *args):\n"
         "    try:\n"
         "        fn(*args)\n"
-        "    except (RuntimeError, DomainError) as exc:\n"
+        "    except (InternalInvariantError, DomainError) as exc:\n"
         "        print('raised', type(exc).__name__, exc)\n"
         "sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
         "chain = component_chain(sub)\n"

@@ -328,27 +328,37 @@ def test_exit_code_internal_invariant(tmp_path):
 
 
 _KOLMOGOROV_FAILURE = """
-import sys
-from chainshift import cli, measures
-check = measures._check_kolmogorov
+import dataclasses, sys
+from chainshift import classify, cli, measures
+check, find = measures._check_kolmogorov, classify.find_seed_pair
 def corrupted(shorter, longer, ratio, m):
     w = next(w for w, x in longer.items() if x)
     return check(shorter, {**longer, w: longer[w] + 1}, ratio, m)
-measures._check_kolmogorov = corrupted
+def emptied(*args):
+    return dataclasses.replace(find(*args), u="")
+if sys.argv[1] == "measure":
+    measures._check_kolmogorov = corrupted
+else:
+    classify.find_seed_pair = emptied
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 def test_exit_code_failed_kolmogorov_check(tmp_path):
     # an integer-theta table that fails its exact Kolmogorov check against
-    # the letters: exit 6 with the typed payload, not a traceback
+    # the letters, and a seed pair that breaks its shape invariant on
+    # ``classify``: exit 6 with the typed payload, not a traceback
     path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
-    proc = _python("-c", _KOLMOGOROV_FAILURE, "measure", path, "-i", "2", "-v", "ab")
-    assert proc.returncode == 6, proc.stderr
-    error = json.loads(proc.stdout)["error"]
-    assert (error["code"], error["kind"]) == (6, "InternalInvariantError")
-    assert error["message"].startswith("m=2: extensions of"), error
-    assert "Traceback" not in proc.stderr
+    for args, message in [
+        (["measure", path, "-i", "2", "-v", "ab"], "m=2: extensions of"),
+        (["classify", path], "level 2: a seed with empty u needs a fixed letter"),
+    ]:
+        proc = _python("-c", _KOLMOGOROV_FAILURE, *args)
+        assert proc.returncode == 6, proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        assert (error["code"], error["kind"]) == (6, "InternalInvariantError")
+        assert error["message"].startswith(message), error
+        assert "Traceback" not in proc.stderr
 
 
 def test_simulate_long_prefix_without_expansion(tmp_path, capsys):

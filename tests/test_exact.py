@@ -179,10 +179,11 @@ def test_invariant_raises_under_optimize():
     # No real root in the search range must raise explicitly, also where
     # ``python -O`` strips asserts.
     script = (
+        "from chainshift.errors import InternalInvariantError\n"
         "from chainshift.exact import AlgebraicReal\n"
         "try:\n"
         "    AlgebraicReal((1, 0, 1))\n"
-        "except RuntimeError as exc:\n"
+        "except InternalInvariantError as exc:\n"
         "    print('raised', exc)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"

@@ -99,8 +99,8 @@ WINDOW_SOLVE = {"build_auxiliary", "pf_left", "limit_data", "restrict", "level_p
 
 
 def _integer_path(source: str) -> tuple[set[str], set[str]]:
-    """The module-level definitions reachable by name from ``_ancestor_table``
-    in ``source``, and the ``WINDOW_SOLVE`` names they use."""
+    """The module-level definitions reachable by name from ``_Ancestors`` in
+    ``source``, and the ``WINDOW_SOLVE`` names they use."""
     defs = {
         node.name: node
         for node in ast.parse(source).body
@@ -113,7 +113,7 @@ def _integer_path(source: str) -> tuple[set[str], set[str]]:
             if name:
                 yield name
 
-    path, queue = set(), ["_ancestor_table"]
+    path, queue = set(), ["_Ancestors"]
     for name in queue:  # grows while it is walked
         if name not in path:
             path.add(name)
@@ -126,22 +126,36 @@ def test_integer_tables_name_no_window_solve():
     # and desubstitutes (``_Ancestors``): no window substitution, window
     # eigen data, level profile or restricted chain on its path
     path, used = _integer_path((PACKAGE / "measures.py").read_text(encoding="utf-8"))
-    assert {"_ancestor_table", "_letter_base", "_Ancestors"} <= path
+    assert {"_Ancestors", "_letter_base", "_check_kolmogorov"} <= path
     assert used == set(), used
 
 
 def test_integer_path_guard_follows_calls():
-    # a table that restricts the chain, or reads a window-solved table, fails
+    # ancestors that restrict the chain, or read a window-solved table, fail
     probe = (
-        "def _ancestor_table(sub, chain, i):\n"
-        "    return _Ancestors(chain.restrict(i)[0], _table(chain, 2))\n"
         "class _Ancestors:\n"
-        "    pass\n"
+        "    def __init__(self, sub, chain, i):\n"
+        "        self.base = _letter_base(chain.restrict(i)[0], _table(chain, 2))\n"
+        "def _letter_base(sub, table):\n"
+        "    return table\n"
         "def _table(chain, m):\n"
         "    return _cylinder_table(chain, m)\n"
         "def _cylinder_table(chain, m):\n"
         "    return pf_left(chain, m)\n"
     )
     path, used = _integer_path(probe)
-    assert path == {"_ancestor_table", "_Ancestors", "_table", "_cylinder_table"}
+    assert path == {"_Ancestors", "_letter_base", "_table", "_cylinder_table"}
     assert used == {"restrict", "pf_left"}
+
+
+def test_measures_stores_only_level_records():
+    # everything ``measures`` keeps of a level sits in one ``("level", i)``
+    # record: every memo call in the module uses a key tuple led by "level"
+    tree = ast.parse((PACKAGE / "measures.py").read_text(encoding="utf-8"))
+    heads = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and getattr(func, "attr", getattr(func, "id", None)) == "memo":
+            keys = [arg for arg in node.args if isinstance(arg, ast.Tuple)]
+            heads.append(ast.unparse(keys[0].elts[0]) if keys and keys[0].elts else None)
+    assert heads and set(heads) == {"'level'"}, heads

@@ -321,11 +321,12 @@ def test_ancestor_tables_match_window_solves_on_chain_systems(rules):
     chain = component_chain(sub)
     sp = block_eigenvalues(sub, chain)
     for i in _exact_levels(sub, chain, sp):
-        desc = measure_type(sub, chain, sp, i)
+        level = measures._level(sub, chain, sp, i)
         for m in range(1, 11):
-            table = measures._ancestor_table(sub, chain, sp, i, m, desc)
+            table = level.table(sub, chain, sp, m)
             assert table == oracles.window_table(sub, chain, sp, i, m), (rules, i, m)
             assert set(table) == {w for w, e in chain.word_levels(m).items() if e <= i}
+        assert level.ancestors is not None
 
 
 def test_ancestor_tables_stop_at_the_letter_budget(monkeypatch):
@@ -349,7 +350,7 @@ sub = Substitution.from_rules({"a": "aaaa", "b": "abbb", "c": "cbc"})
 chain = component_chain(sub)
 profile = block_eigenvalues(sub, chain)
 cylinder_measure(sub, chain, profile, 2, "abb")
-state = chain._memo[("ancestors", 2)]
+state = chain._memo[("level", 2)].ancestors
 word = next(w for w, x in state.nums[3].items() if x)
 state.nums[3][word] += 1
 try:

@@ -2,20 +2,23 @@
 
 ``block_eigenvalues``, ``pf_left``, ``pf_vectors``, ``limit_data``,
 ``level_seed``, the periodic-point census, ``classify_level``,
-``level_profile``, ``measure_type``, ``build_auxiliary`` and the cylinder
-tables store their results on the chain (``ComponentChain.memo``), keyed by
-window length and level, ``ComponentChain.restrict`` keeps each level's
-restriction there, and ``decomposition_report`` sweeps the chain's two-letter
-languages once. A measure on a level with theta > 1 reads the seed pair and
-never the periodic-point census, and a cylinder table solves no right vector
-over the window alphabet. An integer-theta level makes one letter-level
-solve (``measures._letter_base``, on the k x k letter blocks) and starts its
-tables there: every length, m = 1 and 2 included, comes from the ancestor
-state ``("ancestors", i)``, with no window substitution, restriction,
+``level_profile`` and ``build_auxiliary`` store their results on the chain
+(``ComponentChain.memo``), keyed by window length and level,
+``ComponentChain.restrict`` keeps each level's restriction there, and
+``decomposition_report`` sweeps the chain's two-letter languages once.
+``measures`` keeps one record per level, ``("level", i)``: the descriptor,
+the cylinder tables ``tables[m]`` and the integer-theta ``ancestors`` state.
+A measure on a level with theta > 1 reads the seed pair and never the
+periodic-point census, and a cylinder table solves no right vector over the
+window alphabet. An integer-theta level makes one letter-level solve
+(``measures._letter_base``, on the k x k letter blocks) and starts its
+tables there: every length, m = 1 and 2 included, comes from the record's
+ancestor state, with no window substitution, restriction,
 ``("pf_left", m)`` or ``("limit_data", m, i)`` for any table. Only an
 irrational level window-solves, once per window length. The level listing
-and the uniformity target read those tables too. The tests count calls of
-the un-memoised bodies; a fresh chain starts with an empty memo.
+and the uniformity target read those tables too, and a word of a built
+table is one lookup. The tests count calls of the un-memoised bodies; a
+fresh chain starts with an empty memo.
 """
 
 import gc
@@ -106,7 +109,7 @@ def test_one_solve_per_level_and_window(name, calls):
     assert not [key for (body, key) in calls if body == "_pf_vectors"]
     exact = [i for i in measured if profile.theta(i).as_integer() is not None]
     assert sorted(key for (body, key) in calls if body == "_letter_base") == exact
-    assert [key[1] for key in chain._memo if key[0] == "ancestors"] == exact
+    assert [i for i in measured if chain._memo[("level", i)].ancestors is not None] == exact
     # one seed pair per level; the full report only where theta = 1
     seeds = sorted(key for (body, key) in calls if body == "find_seed_pair")
     assert seeds == list(range(2, chain.n + 1))
@@ -229,9 +232,10 @@ def test_finite_table_solves_the_left_vector_only(name, i, perron_calls, monkeyp
             assert ("pf_left", m) in chain_i._memo and ("pf_right", m) not in chain_i._memo
     else:  # integer: the letter-level solve only
         assert not [key for key in added if key[0] in WINDOW_KEYS], added
+    level = chain._memo[("level", i)]
     for m in range(1, MAX_M + 1):
-        assert ("cylinders", i, m) in chain._memo and ("pf_right", m) not in chain._memo
-    assert (("ancestors", i) in chain._memo) == (not solved)
+        assert m in level.tables and ("pf_right", m) not in chain._memo
+    assert (level.ancestors is not None) == (not solved)
     # a second pass reads the finished values: nothing is solved again
 
     def solve(*args):
@@ -273,7 +277,7 @@ def test_divergent_table_with_two_new_letters(perron_calls):
     _, added = _table_keys(sub, chain, profile, 2)
     # theta = 3: the letter block is solved once, for the letter values
     assert perron_calls == [((1, 2), (2, 1))]
-    assert ("ancestors", 2) in chain._memo
+    assert chain._memo[("level", 2)].ancestors is not None
     assert not [key for key in added if key[0] in WINDOW_KEYS], added
 
 
@@ -354,9 +358,9 @@ def test_spectral_window_fills_both_sides(monkeypatch, capsys, tmp_path):
     assert ("pf_left", 2) in chains[0]._memo and ("pf_right", 2) in chains[0]._memo
 
 
-# Errors of ``cylinder_measure`` once every table of the system is built,
-# with the types and messages the per-word solve raised: the kind of the
-# level first, then the empty word, then the language.
+# Errors of ``cylinder_measure`` on a fresh chain and once every table of the
+# system is built, with the types and messages the per-word solve raised: the
+# kind of the level first, then the empty word, then the language.
 ERRORS = [
     ("tower_of_quasi", 2, "a", MeasureTypeCounting, "level 2 carries counting measures on orbits"),
     ("tower_of_quasi", 2, "", MeasureTypeCounting, "level 2 carries counting measures on orbits"),
@@ -372,17 +376,21 @@ ERRORS = [
 ]
 
 
+@pytest.mark.parametrize("built", [False, True], ids=["fresh", "built"])
 @pytest.mark.parametrize("name, i, word, error, message", ERRORS)
-def test_errors_keep_their_order_once_tables_are_built(name, i, word, error, message):
+def test_errors_keep_their_order_once_tables_are_built(name, i, word, error, message, built):
     sub = make(name)
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
-    for j in range(1, chain.n + 1):
+    for j in range(1, chain.n + 1 if built else 1):
         if measure_type(sub, chain, profile, j).kind in ("finite_ergodic", "infinite_radon"):
             level_measure_table(sub, chain, profile, j, max_m=MAX_M)
     with pytest.raises(error) as info:
         cylinder_measure(sub, chain, profile, i, word)
     assert type(info.value) is error and str(info.value).startswith(message)
+    # every word here has a letter outside the level or fails before the
+    # language, so on a fresh chain no table is built
+    assert built or not [k for k, r in chain._memo.items() if k[0] == "level" and r.tables]
 
 
 @pytest.mark.parametrize(
@@ -393,10 +401,35 @@ def test_lower_word_on_an_infinite_level_is_infinite(name, i, word):
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
     level_measure_table(sub, chain, profile, i, max_m=MAX_M)
-    assert ("cylinders", i, len(word)) in chain._memo
+    assert len(word) in chain._memo[("level", i)].tables
     value = cylinder_measure(sub, chain, profile, i, word)
     assert value.infinite and value.exact is value.value is None
     assert value.as_json()["value"] == "inf"
+
+
+KNOWN = [("golden_tower", 1, "ab"), ("golden_tower", 2, "aab"), ("quartic", 2, "aa"), ("quartic", 3, "abb")]
+
+
+@pytest.mark.parametrize("name, i, word", KNOWN)
+def test_known_word_is_one_lookup(name, i, word, monkeypatch):
+    # once a word's table is built, its value is read from the level record:
+    # no descriptor, table or ancestor state is made again, nothing is
+    # stored, and neither the alphabet test nor the theta test runs
+    sub = make(name)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    first = cylinder_measure(sub, chain, profile, i, word)
+    keys = list(chain._memo)
+
+    def built(*args):
+        raise AssertionError("built or tested again")
+
+    for body in ("_measure_type", "_cylinder_table", "_Ancestors"):
+        monkeypatch.setattr(measures, body, built)
+    monkeypatch.setattr(ComponentChain, "alphabet_at", built)
+    monkeypatch.setattr(spectral.SpectralProfile, "theta", built)
+    assert cylinder_measure(sub, chain, profile, i, word) == first
+    assert list(chain._memo) == keys
 
 
 def test_profile_of_another_chain_is_not_reused(calls):

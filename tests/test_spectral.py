@@ -364,8 +364,7 @@ def test_window_and_limit_invariants_survive_optimize():
     # divergent limit data, of the Perron vectors, of the empty-block test
     # and of the lifted gamma an irrational level's cylinder table reads must
     # raise explicitly, also under ``python -O``, which strips assert
-    # statements: a RuntimeError in ``auxiliary`` and ``spectral``, the typed
-    # InternalInvariantError in ``measures``.
+    # statements, as the typed InternalInvariantError.
     script = (
         "from chainshift import *\n"
         "import dataclasses\n"
@@ -373,7 +372,7 @@ def test_window_and_limit_invariants_survive_optimize():
         "def expect(fn, *args):\n"
         "    try:\n"
         "        fn(*args)\n"
-        "    except (RuntimeError, InternalInvariantError) as exc:\n"
+        "    except InternalInvariantError as exc:\n"
         "        print('raised', type(exc).__name__, exc)\n"
         "sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
         "word_levels = structure.word_levels\n"
@@ -437,7 +436,7 @@ def test_window_and_limit_invariants_survive_optimize():
         assert "the left limit vector is not positive" in lines[4]
         assert "level 3: the lifted right limit vector is not positive" in lines[5]
         assert "InternalInvariantError level 2: right limit vector depends on more than the" in lines[6]
-        assert all(" RuntimeError " in line for k, line in enumerate(lines) if k != 6)
+        assert all(" InternalInvariantError " in line for line in lines)
         # the exact Perron vector (integer theta), then the float one
         assert "Perron vector must be positive" in lines[7]
         assert "Perron vector must be positive" in lines[8]

@@ -142,7 +142,6 @@ def test_apply_power_zero_needs_flag():
     chacon = make("chacon")
     with pytest.raises(DomainError):
         apply(chacon, "b", 0)
-    assert apply(chacon, "b", 0, allow_identity=True) == "b"
     with pytest.raises(DomainError):
         apply(chacon, "", 1)
 
