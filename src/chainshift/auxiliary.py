@@ -20,14 +20,14 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .errors import DomainError, InternalInvariantError
-from .structure import ComponentChain, IncidenceMatrix
+from .structure import ComponentChain, IncidenceMatrix, check_level
 from .words import Substitution
 
 
 @dataclass(frozen=True)
 class AuxiliarySubstitution:
     sub: Substitution
-    chain: ComponentChain
+    levels: tuple[tuple[str, ...], ...]  # the chain's levels: a chain would hold itself
     m: int
     words: tuple[str, ...]
     q_blocks: tuple[tuple[str, ...], ...]  # Q(1..n)
@@ -37,7 +37,7 @@ class AuxiliarySubstitution:
 
     @property
     def n(self) -> int:
-        return self.chain.n
+        return len(self.levels)
 
     def index(self, word: str) -> int:
         try:
@@ -99,7 +99,7 @@ def _build(chain: ComponentChain, m: int) -> AuxiliarySubstitution:
         images[u] = seq
     return AuxiliarySubstitution(
         sub=sub,
-        chain=chain,
+        levels=chain.levels,
         m=m,
         words=tuple(words),
         q_blocks=q,
@@ -129,18 +129,15 @@ def level_empty_diag(aux: AuxiliarySubstitution, i: int) -> bool:
     and the image of s is a lower-level word followed by s, so no m-window in
     the system starts with s.
     """
-    aux.chain.check_level(i)
-    if aux.m == 1:
+    check_level(i, aux.n)
+    lower = set(aux.levels[i - 2]) if i >= 2 else set()
+    new = [c for c in aux.levels[i - 1] if c not in lower]
+    if aux.m == 1 or len(new) != 1:
         empty = False
     else:
-        new = aux.chain.new_letters(i)
-        if len(new) != 1:
-            empty = False
-        else:
-            s = new[0]
-            img = aux.sub.image(s)
-            lower = set(aux.chain.alphabet_at(i - 1)) if i >= 2 else set()
-            empty = len(img) >= 2 and img[-1] == s and all(c in lower for c in img[:-1])
+        s = new[0]
+        img = aux.sub.image(s)
+        empty = len(img) >= 2 and img[-1] == s and all(c in lower for c in img[:-1])
     if empty != (len(aux.q_blocks[i - 1]) == 0):
         raise InternalInvariantError(f"level {i}: the structural emptiness test does not match the block")
     return empty

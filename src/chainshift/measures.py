@@ -22,17 +22,20 @@ one lookup, made before any check, a word outside the language still builds
 its length's table, ``level_measure_table`` lists the keys and the
 uniformity target is a ratio of the values.
 
-On a level whose theta is an integer every table is exact and starts at the
-letter level: one solve on the k x k letter blocks of levels <= i
-(``_letter_base``) gives the letter values, and every longer length, m = 2
-included, comes from the lengths below it by desubstitution
+Every table reads one level solve (``spectral._level_vectors``): the left
+vector over the level's blocks, and on an infinite level the right vector
+lifted from the level's letter block, which depends only on the first
+letter. On a level whose theta is an integer every table is exact and
+starts at the letter level: the solve on the k x k letter blocks of levels
+<= i (``_letter_base``) gives the letter values, and every longer length,
+m = 2 included, comes from the lengths below it by desubstitution
 (``_Ancestors``), checked for exact Kolmogorov consistency against the
 length below. This path builds no window substitution, window eigen data or
-restricted chain. Only a level with an irrational theta window-solves, once
-per m (``_cylinder_table``): a finite table reads only the left eigenvector
-(``spectral.pf_left``), an infinite one the limit data, whose right vector
-depends only on the first letter, which the table checks once. A failed
-internal check raises ``InternalInvariantError``.
+restricted chain. Only a level with an irrational theta solves over the
+windows, once per m, and reads the vectors alone
+(``spectral.window_vectors``): a finite value is the left vector scaled to
+total 1, an infinite one the right vector at the anchor letter times the
+left one. A failed internal check raises ``InternalInvariantError``.
 
 Occurrence counts, along the anchor's expansion and in return windows of a
 quasi-fixed point, are exact and never expand a word: they join the letter
@@ -55,15 +58,7 @@ from .errors import (
     MeasureTypeCounting,
     WordNotInLevelLanguage,
 )
-from .spectral import (
-    SpectralProfile,
-    _check_eigenvector,
-    _left_vector,
-    _pf_right,
-    level_profile,
-    limit_data,
-    pf_left,
-)
+from .spectral import SpectralProfile, _level_vectors, window_vectors
 from .structure import ComponentChain
 from .words import LANGUAGE_BUDGET, Substitution, count_occurrences
 
@@ -211,52 +206,31 @@ class _Level:
 
     def table(self, sub, chain, spectral, m: int) -> dict[str, tuple]:
         """``(infinite, exact, float, algebraic note)`` of every word of L_m(i):
-        desubstitution from the letters for an integer theta, a window solve
-        for an irrational one."""
-        if m not in self.tables:
-            desc = self.desc
-            if spectral.theta(desc.level).as_integer() is None:
-                self.tables[m] = _cylinder_table(sub, chain, spectral, desc.level, m, desc)
-            else:
-                if self.ancestors is None:
-                    self.ancestors = _Ancestors(sub, chain, spectral, desc.level, desc)
-                self.tables[m] = self.ancestors.table(m)
-        return self.tables[m]
-
-
-def _cylinder_table(
-    sub: Substitution,
-    chain: ComponentChain,
-    spectral: SpectralProfile,
-    i: int,
-    m: int,
-    desc: MeasureDescriptor,
-) -> dict[str, tuple]:
-    """An irrational level's table at m: float values from a window solve,
-    each with theta's char poly and isolating interval."""
-    theta = spectral.theta(i)
-    theta.refine(Fraction(1, 2**48))
-    note = tuple(theta.poly), (str(theta.lo), str(theta.hi))
-    if desc.kind == "finite_ergodic":
-        sub_i, chain_i = chain.restrict(i)
-        left = pf_left(sub_i, chain_i, m, level_profile(sub, chain, i, spectral))
-        total = left.total
-        return {w: (False, None, x / total, note) for w, x in left.values.items()}
-    ld = limit_data(sub, chain, m, i, spectral)
-    anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]
-    if not anchors:
-        raise InternalInvariantError(
-            f"level {i}: anchor letter {desc.anchor!r} starts no language window"
-        )
-    if len({ld.gamma[w] for w in anchors}) != 1:
-        raise InternalInvariantError(
-            f"level {i}: right limit vector depends on more than the first letter"
-        )
-    gamma = ld.gamma[anchors[0]]
-    table = dict.fromkeys(ld.infinite_words, (True, None, None, None))
-    for w in ld.restricted_words:
-        table[w] = (False, None, float(gamma * ld.delta[w]), note)
-    return table
+        desubstitution from the letters for an integer theta, the window
+        vectors (``spectral.window_vectors``) for an irrational one, each
+        value with theta's char poly and isolating interval."""
+        if m in self.tables:
+            return self.tables[m]
+        i, anchor = self.desc.level, self.desc.anchor
+        theta = spectral.theta(i)
+        if theta.as_integer() is not None:
+            if self.ancestors is None:
+                self.ancestors = _Ancestors(sub, chain, spectral, i, self.desc)
+            table = self.ancestors.table(m)
+        else:
+            theta.refine(Fraction(1, 2**48))
+            note = tuple(theta.poly), (str(theta.lo), str(theta.hi))
+            delta, gamma, infinite = window_vectors(sub, chain, m, i, spectral)
+            # an infinite level's values are gamma at the anchor letter times delta
+            weight = 1 if gamma is None else next((gamma[w] for w in delta if w[0] == anchor), None)
+            if weight is None:
+                raise InternalInvariantError(
+                    f"level {i}: anchor letter {anchor!r} starts no language window"
+                )
+            table = dict.fromkeys(infinite, (True, None, None, None))
+            table.update((w, (False, None, float(weight * x), note)) for w, x in delta.items())
+        self.tables[m] = table
+        return table
 
 
 def _letter_base(
@@ -271,13 +245,14 @@ def _letter_base(
     letter blocks of levels <= i.
 
     The letter rows are the incidence counts of each image; every level is
-    closed under sigma, so the chain's own images serve. A finite level
-    dominates everything below it, so the first level attaining the running
-    maximum of theta is i itself: the values are the left Perron vector of
-    levels 1..i anchored at level i, with total 1. An infinite level is
-    normalized through its anchor letter as in ``limit_data``: delta is the
-    left vector of levels i'..i anchored at level i, gamma is the Perron
-    vector r of level i's letter block on its new letters and 0 on the
+    closed under sigma, so the chain's own images serve. This is the level
+    solve of the irrational window tables (``spectral._level_vectors``) on
+    letters. A finite level dominates everything below it, so the first
+    level attaining the running maximum of theta is i itself: the values are
+    the left vector of levels 1..i, level i's block last, with total 1. An
+    infinite level is normalized through its anchor letter as in
+    ``limit_data``: the solve on levels i'..i gives delta and gamma, the
+    Perron vector r of level i's letter block on its new letters and 0 on the
     others, and mu(c) = r(anchor) delta(c) / <gamma, delta>; the letters
     below i' are infinite. Each vector must satisfy its exact eigen identity.
     """
@@ -287,21 +262,18 @@ def _letter_base(
     letters = tuple(c for block in blocks for c in block)
     images = map(sub.image, letters)
     rows = {c: {x: img.count(x) for x in set(img)} for c, img in zip(letters, images)}
-    delta = _left_vector(blocks, rows, theta, len(blocks) - 1, True)
-    _check_eigenvector(rows, letters, delta, theta, True, "left", f"level {i} letter vector")
+    level = None if first == 1 else spectral.levels[i - 1]
+    delta, gamma = _level_vectors(blocks, rows, theta, f"level {i} letter vector", level)
     if not all(x > 0 for x in delta.values()):
         raise InternalInvariantError(f"level {i}: the left letter vector is not positive")
     if first == 1:
         weight, scale = 1, sum(delta.values())
     else:
-        r = dict(zip(blocks[-1], _pf_right(spectral.levels[i - 1].block, theta, True)))
-        gamma = {c: r.get(c, 0) for c in letters}
-        _check_eigenvector(rows, letters, gamma, theta, True, "right", f"level {i} letter vector")
-        if desc.anchor not in r:
+        if desc.anchor not in blocks[-1]:
             raise InternalInvariantError(
                 f"level {i}: anchor letter {desc.anchor!r} is not a new letter of the level"
             )
-        weight, scale = r[desc.anchor], sum(r[c] * delta[c] for c in r)
+        weight, scale = gamma[desc.anchor], sum(gamma[c] * delta[c] for c in letters)
     g = gcd(scale, weight * gcd(*delta.values()))
     nums: dict[str, int | None] = {}
     for j in range(1, first):

@@ -19,34 +19,34 @@ The left vector is built upward from the first block attaining the global
 rate: the attaining block contributes its Perron vector, coordinates after
 it are zero, and each block before it solves x (lam*I - D) = coupling, which
 is nonsingular because every lower diagonal block has spectral radius < lam.
-Exact vectors stay integer numerators at one common scale (fraction-free
-Bareiss solves, each returning ``(y, det)`` with x = y / det); ``Fraction``s
-are made once per word at the end. The right vector of ``pf_vectors`` is
-built symmetrically downward from the last attaining block. The right limit
-vector of an infinite level needs no window solve: its anchor block is the
-last, so it vanishes below it, and on it a window's image row counts the
-letters of sigma(u[0]), so gamma(u) = r(u[0]) for the Perron vector r of the
-level's letter block.
+An integer lam makes a solve or a check exact: vectors stay integer
+numerators at one common scale (fraction-free Bareiss solves, each returning
+``(y, det)`` with x = y / det), made ``Fraction``s once per word at the end.
+The right vector of ``pf_vectors`` is built symmetrically downward from the
+last attaining block.
 
-Only an irrational level's cylinder tables are window-solved, and every
-value of one level and window length reads the same vectors, so they are
-solved once. ``measures`` starts an integer level's tables at the letter
-level instead, from ``_left_vector`` and ``_pf_right`` on the k x k letter
-blocks, and reads none of the window data below; ``pf_left``, ``pf_vectors``
-and ``limit_data`` serve ``spectral -m``, ``check`` and library callers at
-every level. Like everything else derived from a chain, the window vectors
-are stored on the chain (``ComponentChain.memo``): ``block_eigenvalues`` under
-``("spectral",)``, the left vector ``pf_left`` under ``("pf_left", m)``,
-``pf_vectors`` (which adds the right vector to it) under ``("pf_right", m)``
-and ``limit_data`` under ``("limit_data", m, i)``; ``classify`` adds seed
-pairs, point seeds and level reports, ``measures`` one record per level,
-``("level", i)``, with its descriptor and cylinder tables. Only
-``pf_vectors`` solves the right vector, so a cylinder table never does. A
-profile belongs to one chain: ``SpectralProfile.memo`` stores on that chain,
-and a profile passed with another chain raises ``DomainError``.
-``level_profile`` keeps the level-i profile as the ``("spectral",)`` entry
-of ``chain.restrict(i)``. The stored data holds at most one entry per level
-and window length actually asked for, and lives exactly as long as its chain.
+A level's invariant measure is one left vector over its blocks, its own
+block last (``_level_vectors``). On an infinite level the right limit vector
+needs no further solve: it vanishes below that block, and on it a row counts
+the letters of sigma(u[0]), so gamma(u) = r(u[0]) for the Perron vector r of
+the level's letter block. This solve serves every cylinder table: on the
+k x k letter blocks for an integer theta (``measures``), on the windows of
+the level's chain ``chain.restrict(i)`` for an irrational one
+(``window_vectors``), and in the divergent ``limit_data``. ``pf_vectors`` and
+``limit_data`` serve ``spectral -m``, ``check`` and library callers; the
+convergent ``limit_data`` is the level chain's eigen pair at theta_i.
+
+Like everything else derived from a chain, these are stored on the chain
+(``ComponentChain.memo``): ``block_eigenvalues`` under ``("spectral",)``,
+``pf_vectors`` under ``("pf_right", m)`` and ``limit_data`` under
+``("limit_data", m, i)``; ``classify`` adds seed pairs, point seeds and level
+reports, ``measures`` one record per level, ``("level", i)``, with its
+descriptor and cylinder tables. Only ``pf_vectors`` solves the right vector
+over the windows. ``SpectralProfile.memo`` stores on the chain it is given,
+which must be the profile's or an equal one (else ``DomainError``); the
+profile keeps what makes chains equal, not the chain, so nothing stored
+refers back to its chain. The stored data holds at most one entry per level
+and window length asked for, and lives exactly as long as its chain.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import numpy as np
 from .auxiliary import AuxiliarySubstitution, build_auxiliary
 from .errors import DomainError, InternalInvariantError, LambdaNotDominant, ThetaNotAboveOne
 from .exact import AlgebraicReal, charpoly, nullspace_vector, solve_linear
-from .structure import ComponentChain, IntMatrix
+from .structure import ComponentChain, IntMatrix, check_level
 from .words import Substitution
 
 RESIDUAL_TOL = 1e-9
@@ -79,7 +79,9 @@ class SpectralProfile:
     """Exactly comparable per-level eigenvalue data."""
 
     def __init__(self, chain: ComponentChain, levels: list[LevelSpectrum]):
-        self.chain = chain
+        # what makes chains equal (see ``check``), not the chain, whose memo
+        # holds the profile
+        self._chain_key = (chain.sub, chain.levels, chain.witness_k)
         self.levels = levels
         best = last = 1  # first and last level attaining the maximum so far
         upto = [1]  # first level attaining the maximum over levels 1..i
@@ -95,25 +97,26 @@ class SpectralProfile:
     def check(self, sub: Substitution, chain: ComponentChain) -> None:
         """Raise ``DomainError`` unless the profile describes ``(sub, chain)``:
         its eigenvalues, i_min and i_max would be wrong for another chain."""
-        # Identity first: every memo lookup checks, and the caller almost
-        # always passes the profile's own objects.
-        if not (chain is self.chain or chain == self.chain) or not (
+        # Equal tuples compare their items by identity first: every memo
+        # lookup checks, and the caller almost always passes the profile's
+        # own objects.
+        if (chain.sub, chain.levels, chain.witness_k) != self._chain_key or not (
             sub is chain.sub or sub == chain.sub
         ):
             raise DomainError("the spectral profile describes another chain")
 
     def memo(self, sub: Substitution, chain: ComponentChain, key: tuple, compute, *args):
-        """``compute(*args)`` once per ``key``, stored on this profile's chain,
-        which must be ``chain`` (see ``check``)."""
+        """``compute(*args)`` once per ``key``, stored on ``chain``, which must
+        be this profile's chain or equal to it (see ``check``)."""
         self.check(sub, chain)
-        return self.chain.memo(key, compute, *args)
+        return chain.memo(key, compute, *args)
 
     @property
     def n(self) -> int:
         return len(self.levels)
 
     def theta(self, i: int) -> AlgebraicReal:
-        self.chain.check_level(i)
+        check_level(i, len(self.levels))
         return self.levels[i - 1].theta
 
     @property
@@ -122,12 +125,12 @@ class SpectralProfile:
 
     def lambda_upto(self, i: int) -> AlgebraicReal:
         """Running maximum over levels 1..i."""
-        self.chain.check_level(i)
+        check_level(i, len(self.levels))
         return self.theta(self._upto[i - 1])
 
     def eta_from(self, i: int) -> AlgebraicReal:
         """Running maximum over levels i..n."""
-        self.chain.check_level(i)
+        check_level(i, len(self.levels))
         best = i
         for j in range(i + 1, self.n + 1):
             if self.theta(j) > self.theta(best):
@@ -139,12 +142,12 @@ class SpectralProfile:
 
     def level_is_finite(self, i: int) -> bool:
         """Whether the level dominates everything below it."""
-        self.chain.check_level(i)
+        check_level(i, len(self.levels))
         return self._upto[i - 1] == i
 
     def i_prime(self, i: int) -> int:
         """First level of the maximal run below i on which theta_i dominates."""
-        self.chain.check_level(i)
+        check_level(i, len(self.levels))
         j = i
         while j >= 2 and self.theta(j - 1) < self.theta(i):
             j -= 1
@@ -196,33 +199,15 @@ def _block_eigenvalues(chain: ComponentChain) -> SpectralProfile:
     return SpectralProfile(chain, levels)
 
 
-def level_profile(
-    sub: Substitution, chain: ComponentChain, i: int, spectral: SpectralProfile
-) -> SpectralProfile:
-    """Profile of the level-i sub-chain ``chain.restrict(i)``.
-
-    It is built from the first i levels of ``spectral``, which must describe
-    ``(sub, chain)``, and stored as the sub-chain's own profile, so the
-    sub-chain's characteristic polynomials are not solved again. The two
-    profiles share the level eigenvalues, whose refinement only narrows the
-    interval of the same root. The top level is ``spectral`` itself.
-    """
-    spectral.check(sub, chain)
-    if i == chain.n:
-        return spectral
-    chain_i = chain.restrict(i)[1]
-    return chain_i.memo(("spectral",), SpectralProfile, chain_i, spectral.levels[:i])
-
-
 # ---------------------------------------------------------------------------
 # vector engine
 
 
-def _pf_right(block, lam, exact: bool):
+def _pf_right(block, lam):
     """Positive right eigenvector of a primitive block for its dominant value:
-    a primitive integer vector when exact, floats otherwise."""
+    a primitive integer vector for an integer ``lam``, floats otherwise."""
     k = len(block)
-    if exact:
+    if isinstance(lam, int):
         A = [[block[r][c] - (lam if r == c else 0) for c in range(k)] for r in range(k)]
         vec = nullspace_vector(A)
         if all(v <= 0 for v in vec):
@@ -252,18 +237,19 @@ def _window_rows(aux: AuxiliarySubstitution) -> dict[str, dict[str, int]]:
     return rows
 
 
-def _left_vector(words_blocks: list[tuple[str, ...]], rows, lam, anchor: int, exact: bool):
+def _left_vector(words_blocks: list[tuple[str, ...]], rows, lam, anchor: int):
     """Left eigenvector of a block lower triangular matrix over its blocks.
 
     ``rows[u]`` holds the nonzero entries of row u. Blocks after the anchor
     are zero, the anchor holds the Perron vector of its diagonal block, and
     each block before it solves the column equations x (lam*I - D) = (its
-    coupling to the blocks already solved). Exact vectors are integer
-    numerators at one common scale: a solve returns ``(y, det)`` with
-    x = y / det, so the values solved before it are multiplied by det. The
-    right eigenvector is the left one of the transpose with the blocks in
+    coupling to the blocks already solved). An integer ``lam`` gives exact
+    integer numerators at one common scale: a solve returns ``(y, det)``
+    with x = y / det, so the values solved before it are multiplied by det.
+    The right eigenvector is the left one of the transpose with the blocks in
     reverse order.
     """
+    exact = isinstance(lam, int)
     values: dict[str, object] = {}
     zero = 0 if exact else 0.0
     for ws in words_blocks[anchor + 1 :]:
@@ -277,7 +263,7 @@ def _left_vector(words_blocks: list[tuple[str, ...]], rows, lam, anchor: int, ex
                 columns.setdefault(w, []).append((u, c))
     anchor_words = words_blocks[anchor]
     transposed = [[rows[v].get(u, 0) for v in anchor_words] for u in anchor_words]
-    values.update(zip(anchor_words, _pf_right(transposed, lam, exact)))
+    values.update(zip(anchor_words, _pf_right(transposed, lam)))
     for j in range(anchor - 1, -1, -1):
         ws = words_blocks[j]
         if not ws:
@@ -303,14 +289,14 @@ def _left_vector(words_blocks: list[tuple[str, ...]], rows, lam, anchor: int, ex
     return values
 
 
-def _right_vector(words_blocks: list[tuple[str, ...]], rows, lam, anchor: int, exact: bool):
+def _right_vector(words_blocks: list[tuple[str, ...]], rows, lam, anchor: int):
     """Right eigenvector: zero before the anchor, solved after it."""
     columns: dict[str, dict[str, int]] = {u: {} for u in rows}
     for u, row in rows.items():
         for w, c in row.items():
             columns[w][u] = c
     last = len(words_blocks) - 1
-    return _left_vector(words_blocks[::-1], columns, lam, last - anchor, exact)
+    return _left_vector(words_blocks[::-1], columns, lam, last - anchor)
 
 
 def _min_positive_normalize(values: dict[str, object], exact: bool) -> dict[str, object]:
@@ -326,9 +312,7 @@ def _min_positive_normalize(values: dict[str, object], exact: bool) -> dict[str,
     return {w: (float(v) / scale if float(v) > tol else 0.0) for w, v in values.items()}
 
 
-def _check_eigenvector(
-    rows, order, values: dict[str, object], lam, exact: bool, side: str, what: str
-) -> None:
+def _check_eigenvector(rows, order, values: dict[str, object], lam, side: str, what: str) -> None:
     """Raise unless ``values`` is a ``side`` eigenvector for ``lam`` of the
     matrix with nonzero entries ``rows`` restricted to the words ``order``.
 
@@ -347,7 +331,7 @@ def _check_eigenvector(
                 for w, c in rows[u].items():
                     if w in inside:
                         image[w] += x * c
-    if exact:
+    if isinstance(lam, int):
         if any(image[w] != lam * values[w] for w in order):
             raise InternalInvariantError(f"{what} fails the exact {side} eigen identity for {lam}")
         return
@@ -362,60 +346,39 @@ def _anchor(blocks, level: int) -> int:
     return next(j for j, (kind, lvl, _) in enumerate(blocks) if kind == "Q" and lvl == level)
 
 
-@dataclass
-class LeftVector:
-    """The left dominant eigenvector over the window alphabet, on its own.
+def _level_vectors(blocks, rows, theta, what: str, level: LevelSpectrum | None = None):
+    """The left vector delta of one level for its eigenvalue ``theta`` over
+    ``blocks``, the level's own block last: letters or windows, ``rows``
+    counting each one's image. Exact for an integer ``theta``.
 
-    Exact (integer ``lam``): integer numerators at one common scale, so a
-    finite cylinder value is ``Fraction(values[v], total)``. Float: scaled
-    so the smallest positive entry is 1.
+    With ``level``, the ``LevelSpectrum`` of an infinite level, also the
+    right limit vector gamma. It vanishes below the level's block, and on it
+    a row counts the letters of sigma(u[0]), so gamma(u) = r(u[0]) for the
+    Perron vector r of the level's letter block; gamma is None for a finite
+    level. Each vector passes its eigen identity (``what`` names it) at the
+    scale it is returned: exact ones as integer numerators, float ones with
+    smallest positive entry 1, except an infinite level's delta, which its
+    pairing with gamma scales.
     """
-
-    aux: AuxiliarySubstitution
-    lam: AlgebraicReal
-    values: dict[str, object]
-    total: object  # sum of the values: the normaliser of finite cylinder values
-    exact: bool
-    rows: dict[str, dict[str, int]]  # the window matrix, as ``_window_rows``
-    blocks: list  # ``aux.blocks_in_order()``
-
-    @property
-    def lam_value(self):
-        """``lam`` as the solves use it: an int when exact, else a float."""
-        return self.lam.as_integer() if self.exact else float(self.lam)
-
-
-def pf_left(
-    sub: Substitution, chain: ComponentChain, m: int, spectral: SpectralProfile
-) -> LeftVector:
-    return spectral.memo(sub, chain, ("pf_left", m), _pf_left, sub, chain, m, spectral)
-
-
-def _pf_left(
-    sub: Substitution, chain: ComponentChain, m: int, spectral: SpectralProfile
-) -> LeftVector:
-    lam = spectral.lam
-    if lam.compare(1) <= 0:
-        raise LambdaNotDominant("global growth rate is <= 1; no dominant eigenvector data")
-    aux = build_auxiliary(sub, chain, m)
-    rows = _window_rows(aux)
-    exact = lam.as_integer() is not None
-    lam_value = lam.as_integer() if exact else float(lam)
-    blocks = aux.blocks_in_order()
-    words_blocks = [ws for _, _, ws in blocks]
-    beta = _left_vector(words_blocks, rows, lam_value, _anchor(blocks, spectral.i_min), exact)
+    exact = isinstance(theta, int)
+    order = [w for ws in blocks for w in ws]
+    delta = _left_vector(blocks, rows, theta, len(blocks) - 1)
+    if not exact and level is None:
+        delta = _min_positive_normalize(delta, exact)
+    _check_eigenvector(rows, order, delta, theta, "left", what)
+    if level is None:
+        return delta, None
+    r = dict(zip(level.letters, _pf_right(level.block, theta)))
+    gamma = dict.fromkeys(order, 0 if exact else 0.0)
+    gamma.update((u, r[u[0]]) for u in blocks[-1])
+    if not all(gamma[u] > 0 for u in blocks[-1]):
+        raise InternalInvariantError(
+            f"level {level.level}: the lifted right limit vector is not positive"
+        )
     if not exact:
-        beta = _min_positive_normalize(beta, exact)
-    _check_eigenvector(rows, aux.words, beta, lam_value, exact, "left", "eigenvector")
-    return LeftVector(
-        aux=aux,
-        lam=lam,
-        values=beta,
-        total=sum(beta.values()),
-        exact=exact,
-        rows=rows,
-        blocks=blocks,
-    )
+        gamma = _min_positive_normalize(gamma, exact)
+    _check_eigenvector(rows, order, gamma, theta, "right", what)
+    return delta, gamma
 
 
 @dataclass
@@ -441,28 +404,59 @@ def pf_vectors(
     m: int,
     spectral: SpectralProfile | None = None,
 ) -> EigenPair:
-    """Both dominant eigenvectors, the right one solved on top of ``pf_left``."""
+    """Both dominant eigenvectors over the window alphabet: the left one
+    anchored at ``i_min``, the right one at ``i_max``."""
     spectral = spectral or block_eigenvalues(sub, chain)
-    return spectral.memo(sub, chain, ("pf_right", m), _pf_vectors, sub, chain, m, spectral)
+    args = sub, chain, m, spectral.lam, spectral.i_min, spectral.i_max
+    return spectral.memo(sub, chain, ("pf_right", m), _pf_vectors, *args)
 
 
 def _pf_vectors(
-    sub: Substitution, chain: ComponentChain, m: int, spectral: SpectralProfile
+    sub: Substitution, chain: ComponentChain, m: int, lam: AlgebraicReal, i_min: int, i_max: int
 ) -> EigenPair:
-    left = pf_left(sub, chain, m, spectral)
-    aux, lam, exact, rows, blocks = left.aux, left.lam, left.exact, left.rows, left.blocks
-    lam_value = left.lam_value
+    if lam.compare(1) <= 0:
+        raise LambdaNotDominant("global growth rate is <= 1; no dominant eigenvector data")
+    aux = build_auxiliary(sub, chain, m)
+    rows = _window_rows(aux)
+    exact = lam.as_integer() is not None
+    lam_value = lam.as_integer() if exact else float(lam)
+    blocks = aux.blocks_in_order()
     words_blocks = [ws for _, _, ws in blocks]
-    alpha = _right_vector(words_blocks, rows, lam_value, _anchor(blocks, spectral.i_max), exact)
+    beta = _left_vector(words_blocks, rows, lam_value, _anchor(blocks, i_min))
+    if not exact:
+        beta = _min_positive_normalize(beta, exact)
+    _check_eigenvector(rows, aux.words, beta, lam_value, "left", "eigenvector")
+    alpha = _right_vector(words_blocks, rows, lam_value, _anchor(blocks, i_max))
     if not exact:
         alpha = _min_positive_normalize(alpha, exact)
-    _check_eigenvector(rows, aux.words, alpha, lam_value, exact, "right", "eigenvector")
-    beta = left.values
+    _check_eigenvector(rows, aux.words, alpha, lam_value, "right", "eigenvector")
     if exact:  # Fractions from the integer numerators, once per word
         alpha, beta = _min_positive_normalize(alpha, exact), _min_positive_normalize(beta, exact)
     return EigenPair(
         m=m, aux=aux, lam=lam, alpha=alpha, beta=beta, beta_total=sum(beta.values()), exact=exact
     )
+
+
+def window_vectors(
+    sub: Substitution, chain: ComponentChain, m: int, i: int, spectral: SpectralProfile
+) -> tuple[dict[str, float], dict[str, float] | None, frozenset[str]]:
+    """An irrational level's vectors over the windows of length m of its own
+    chain, ``chain.restrict(i)``: ``(delta, gamma, infinite words)``.
+
+    On a finite level delta is the left vector scaled to total 1, and gamma
+    is None. On an infinite level they are the divergent ``limit_data``'s:
+    gamma depends only on the first letter, and the words below i' are
+    infinite.
+    """
+    if not spectral.level_is_finite(i):
+        ld = limit_data(sub, chain, m, i, spectral)
+        return ld.delta, ld.gamma, ld.infinite_words
+    spectral.check(sub, chain)
+    aux = build_auxiliary(*chain.restrict(i), m)
+    blocks = [ws for _, _, ws in aux.blocks_in_order()]
+    delta, _ = _level_vectors(blocks, _window_rows(aux), float(spectral.theta(i)), "eigenvector")
+    total = sum(delta.values())
+    return {w: x / total for w, x in delta.items()}, None, frozenset()
 
 
 @dataclass
@@ -510,9 +504,9 @@ def _limit_data(
     if theta.compare(1) <= 0:
         raise ThetaNotAboveOne(f"level {i} eigenvalue is 1; no scaled limit data")
     sub_i, chain_i = chain.restrict(i)
-    spectral_i = level_profile(sub, chain, i, spectral)
     if spectral.level_is_finite(i):
-        pair = pf_vectors(sub_i, chain_i, m, spectral_i)
+        # level i tops its chain and dominates every level below: both anchor at i
+        pair = chain_i.memo(("pf_right", m), _pf_vectors, sub_i, chain_i, m, theta, i, i)
         pairing = pair.pairing()
         beta = {w: v / pairing for w, v in pair.beta.items()}
         return LimitData(
@@ -526,7 +520,6 @@ def _limit_data(
             beta=beta,
         )
     aux = build_auxiliary(sub_i, chain_i, m)
-    rows = _window_rows(aux)
     ip = spectral.i_prime(i)
     if ip < 2:
         raise InternalInvariantError(f"level {i}: divergent mode without a dominating lower level")
@@ -535,29 +528,16 @@ def _limit_data(
         for kind, lvl, ws in aux.blocks_in_order()
         if (kind == "G" and lvl >= ip - 1) or (kind == "Q" and lvl >= ip)
     ]
+    if _anchor(blocks, i) != len(blocks) - 1:
+        raise InternalInvariantError(f"level {i}: the level block is not last in the restriction")
     words_blocks = [ws for _, _, ws in blocks]
     restricted = tuple(w for ws in words_blocks for w in ws)
     exact = theta.as_integer() is not None
     theta_value = theta.as_integer() if exact else float(theta)
-    anchor = _anchor(blocks, i)
-    if anchor != len(blocks) - 1:
-        raise InternalInvariantError(f"level {i}: the level block is not last in the restriction")
-    # The anchor block is last, so gamma vanishes below it; on it a window's
-    # image row counts the letters of sigma(u[0]), so gamma(u) = r(u[0]) for
-    # the Perron vector r of the level's letter block.
-    perron = _pf_right(spectral.levels[i - 1].block, theta_value, exact)
-    r = dict(zip(chain.new_letters(i), perron))
-    gamma = dict.fromkeys(restricted, 0 if exact else 0.0)
-    gamma.update((w, r[w[0]]) for w in words_blocks[anchor])
-    if not all(gamma[w] > 0 for w in words_blocks[anchor]):
-        raise InternalInvariantError(f"level {i}: the lifted right limit vector is not positive")
-    delta = _left_vector(words_blocks, rows, theta_value, anchor, exact)
+    rows, level = _window_rows(aux), spectral.levels[i - 1]
+    delta, gamma = _level_vectors(words_blocks, rows, theta_value, "limit vector", level)
     if exact and not all(v > 0 for v in delta.values()):
         raise InternalInvariantError(f"level {i}: the left limit vector is not positive")
-    if not exact:
-        gamma = _min_positive_normalize(gamma, exact)
-    for side, values in (("right", gamma), ("left", delta)):
-        _check_eigenvector(rows, restricted, values, theta_value, exact, side, "limit vector")
     if exact:
         gamma = _min_positive_normalize(gamma, exact)
     pairing = sum(gamma[w] * delta[w] for w in restricted)

@@ -23,7 +23,8 @@ images.
 
 Everything derived from a chain (word levels, window substitutions, eigen
 data, level reports) is stored on it by ``ComponentChain.memo`` and lives
-exactly as long as the chain; no module keeps a cache.
+exactly as long as the chain; no module keeps a cache. Nothing stored refers
+back to the chain, so reference counting frees it all with the chain.
 """
 
 from __future__ import annotations
@@ -151,6 +152,13 @@ def _tarjan_sccs(n: int, edges: list[set[int]]) -> list[list[int]]:
 _MISSING = object()  # a memo key not yet computed
 
 
+def check_level(i: int, n: int) -> int:
+    """``i``, if it names one of n levels; ``DomainError`` otherwise."""
+    if not 1 <= i <= n:
+        raise DomainError(f"level {i} out of range 1..{n}")
+    return i
+
+
 @dataclass(frozen=True)
 class ComponentChain:
     """Nested letter levels with per-level diagonal blocks."""
@@ -188,9 +196,7 @@ class ComponentChain:
         return len(self.levels)
 
     def check_level(self, i: int) -> int:
-        if not 1 <= i <= len(self.levels):
-            raise DomainError(f"level {i} out of range 1..{self.n}")
-        return i
+        return check_level(i, len(self.levels))
 
     def alphabet_at(self, i: int) -> tuple[str, ...]:
         return self.levels[self.check_level(i) - 1]
@@ -227,8 +233,11 @@ class ComponentChain:
         per level and chain.
 
         When the top level spells the whole alphabet in order, its restriction
-        is the chain itself, so the level and the system share one memo.
+        is the chain itself, so the level and the system share one memo; it
+        is not stored, since the chain would then hold itself.
         """
+        if i == self.n and self.alphabet_at(i) == self.sub.alphabet.letters:
+            return self.sub, self
         return self.memo(("restrict", i), _restriction, self, i)
 
     def word_levels(self, m: int) -> dict[str, int]:
@@ -238,8 +247,6 @@ class ComponentChain:
 
 
 def _restriction(chain: ComponentChain, i: int) -> tuple[Substitution, ComponentChain]:
-    if i == chain.n and chain.alphabet_at(i) == chain.sub.alphabet.letters:
-        return chain.sub, chain
     sub_i = chain.sub.restrict(chain.alphabet_at(i))
     return sub_i, ComponentChain(sub_i, chain.levels[:i], chain.witness_k)
 

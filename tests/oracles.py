@@ -586,29 +586,46 @@ def compare_largest_roots(p, q) -> int:
 
 def window_table(sub, chain, spectral, i: int, m: int) -> dict[str, tuple]:
     """Level i's cylinder table at window length m by a window solve:
-    ``(infinite, exact, float, None)`` per word of L_m(i).
+    ``(infinite, exact, float, algebraic note)`` per word of L_m(i).
 
-    The reference for the letter-level tables of integer-theta levels; unlike
-    the rest of this module it runs the library's own window eigen solves
-    (``pf_left`` over the window alphabet of the level's chain, or the
-    divergent ``limit_data``), which the library keeps for ``spectral -m``
-    and ``check``. A finite value is the left eigenvector over its total; an
-    infinite level's value is the lifted right limit vector at the anchor
-    letter times the left one.
+    The reference for every level's table, integer or irrational; unlike the
+    rest of this module it runs the library's own window eigen solves, which
+    the library keeps for ``spectral -m`` and ``check``. A finite value is
+    the left vector of ``pf_vectors`` on the level's chain, with that chain's
+    own profile, over its total; an infinite level's value is the divergent
+    ``limit_data``'s gamma at the anchor letter times delta. An irrational
+    level's values are floats, each noted with theta's char poly and its
+    isolating interval.
     """
     from chainshift.measures import measure_type
-    from chainshift.spectral import level_profile, limit_data, pf_left
+    from chainshift.spectral import block_eigenvalues, limit_data, pf_vectors
 
     desc = measure_type(sub, chain, spectral, i)
+    theta = spectral.theta(i)
+    note = None
+    if theta.as_integer() is None:
+        theta.refine(Fraction(1, 2**48))
+        note = tuple(theta.poly), (str(theta.lo), str(theta.hi))
+
+    def entry(value):
+        if note is None:
+            return (False, value, float(value), None)
+        return (False, None, float(value), note)
+
     if desc.kind == "finite_ergodic":
         sub_i, chain_i = chain.restrict(i)
-        left = pf_left(sub_i, chain_i, m, level_profile(sub, chain, i, spectral))
-        assert left.exact
-        table = {}
-        for w, x in left.values.items():
-            q = Fraction(x, left.total)
-            table[w] = (False, q, float(q), None)
-        return table
+        pair = pf_vectors(sub_i, chain_i, m, block_eigenvalues(sub_i, chain_i))
+        assert pair.exact == (note is None)
+        return {w: entry(x / pair.beta_total) for w, x in pair.beta.items()}
+    ld = limit_data(sub, chain, m, i, spectral)
+    assert ld.exact == (note is None)
+    anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]
+    assert anchors and len({ld.gamma[w] for w in anchors}) == 1
+    gamma = ld.gamma[anchors[0]]
+    table = dict.fromkeys(ld.infinite_words, (True, None, None, None))
+    for w in ld.restricted_words:
+        table[w] = entry(gamma * ld.delta[w])
+    return table
     ld = limit_data(sub, chain, m, i, spectral)
     assert ld.exact
     anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]

@@ -2,11 +2,13 @@
 
 ``kernels`` serves only the benchmark probes, so no library module may import
 it, numpy is confined to the float eigen path in ``spectral``, no module
-keeps a cache of its own, and in ``measures`` only the window-solved cylinder
-table reads the eigen data that every other reader takes from that table,
-while the integer-theta tables, which start from the letter level, name no
-window solve, window substitution or restriction at all; ``measures`` does not
-import ``auxiliary``.
+keeps a cache of its own, and in ``measures`` only the irrational cylinder
+table reads window eigen data (``spectral.window_vectors``), which every other
+reader takes from that table, while the integer-theta tables, which start from
+the letter level, name no window solve, window substitution or restriction at
+all; ``measures`` does not import ``auxiliary``, and ``spectral`` keeps one
+left-vector solve per level (no ``pf_left``, ``LeftVector`` or
+``level_profile``).
 """
 
 import ast
@@ -81,21 +83,37 @@ def test_measures_builds_no_window_substitution():
 
 def test_only_the_window_table_reads_eigen_data():
     # every reader in ``measures`` (values, listing, uniformity target) goes
-    # through the one cylinder table per (level, m)
+    # through the one cylinder table per (level, m), and an irrational table
+    # reads the window vectors alone, never the eigen data behind them
     tree = ast.parse((PACKAGE / "measures.py").read_text(encoding="utf-8"))
-    readers = set()
+    readers: dict[str, set[str]] = {}
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        for inner in ast.walk(node):
-            name = inner.id if isinstance(inner, ast.Name) else getattr(inner, "attr", None)
-            if name in ("pf_left", "limit_data"):
-                readers.add(getattr(node, "name", type(node).__name__))
-    assert readers == {"_cylinder_table"}
+        where = getattr(node, "name", type(node).__name__)
+        for part in node.body if isinstance(node, ast.ClassDef) else [node]:
+            inside = f"{where}.{part.name}" if part is not node and hasattr(part, "name") else where
+            for inner in ast.walk(part):
+                name = inner.id if isinstance(inner, ast.Name) else getattr(inner, "attr", None)
+                readers.setdefault(name, set()).add(inside)
+    for name in ("pf_left", "pf_vectors", "limit_data", "level_profile"):
+        assert name not in readers, readers.get(name)
+    assert readers["window_vectors"] == {"_Level.table"}
+
+
+def test_spectral_keeps_one_left_vector_solve():
+    # the letter base, the irrational window tables and the divergent limit
+    # data share ``_level_vectors``; the separate left-vector path is gone
+    tree = ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if hasattr(node, "name")}
+    assert "_level_vectors" in defined
+    assert not {"pf_left", "_pf_left", "LeftVector", "level_profile"} & defined
 
 
 # what a window solve needs; the integer-theta tables use none of it
-WINDOW_SOLVE = {"build_auxiliary", "pf_left", "limit_data", "restrict", "level_profile"}
+WINDOW_SOLVE = {
+    "build_auxiliary", "pf_left", "limit_data", "restrict", "level_profile", "window_vectors"
+}
 
 
 def _integer_path(source: str) -> tuple[set[str], set[str]]:

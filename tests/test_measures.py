@@ -329,6 +329,53 @@ def test_ancestor_tables_match_window_solves_on_chain_systems(rules):
         assert level.ancestors is not None
 
 
+# infinite levels with an irrational theta: a bottom a -> a^r under a
+# Fibonacci-like block whose golden root lies below r
+FIBONACCI_OVER_POWERS = [
+    {"a": "a" * r, "b": b, "c": c}
+    for r in (2, 3, 4)
+    for b, c in (("abc", "b"), ("bca", "b"), ("bac", "ab"), ("cab", "ba"))
+]
+
+
+def _irrational_cases():
+    cases = []
+    for name in sorted(CORPUS_RULES):
+        sub, chain, sp = _setup(name)
+        levels = [i for i, _ in _measured_levels(sub, chain, sp)]
+        cases += [(CORPUS_RULES[name], i, 10) for i in levels if sp.theta(i).as_integer() is None]
+    for rules in FIBONACCI_OVER_POWERS:
+        sub, chain, sp = _setup_rules(rules)
+        assert not sp.level_is_finite(2) and sp.theta(2).as_integer() is None, rules
+        cases.append((rules, 2, 6))
+    return cases
+
+
+def _setup_rules(rules):
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    return sub, chain, block_eigenvalues(sub, chain)
+
+
+IRRATIONAL = _irrational_cases()
+
+
+@pytest.mark.parametrize("rules, i, max_m", IRRATIONAL, ids=[f"{r}-{i}" for r, i, _ in IRRATIONAL])
+def test_irrational_tables_equal_the_window_oracle_bit_for_bit(rules, i, max_m):
+    """An irrational level's table, float values and algebraic notes, is
+    the window solve's (``oracles.window_table``, on a fresh chain) bit for
+    bit: the finite values from ``pf_vectors`` on the level's chain with its
+    own profile, the infinite ones from ``limit_data``."""
+    sub, chain, sp = _setup_rules(rules)
+    level = measures._level(sub, chain, sp, i)
+    for m in range(1, max_m + 1):
+        table = level.table(sub, chain, sp, m)
+        assert table == oracles.window_table(*_setup_rules(rules), i, m), (rules, i, m)
+        assert set(table) == {w for w, e in chain.word_levels(m).items() if e <= i}
+        assert all(e[1] is None and (e[0] or isinstance(e[2], float)) for e in table.values())
+    assert level.ancestors is None
+
+
 def test_ancestor_tables_stop_at_the_letter_budget(monkeypatch):
     # ``language`` and the ancestor tables share one budget
     assert cli.LANGUAGE_BUDGET is words.LANGUAGE_BUDGET is measures.LANGUAGE_BUDGET
@@ -378,8 +425,8 @@ def test_corrupted_ancestor_table_fails_kolmogorov_under_optimize(flags):
 
 _BROKEN_LETTER_BASE = """
 from chainshift import InternalInvariantError, Substitution, block_eigenvalues
-from chainshift import component_chain, cylinder_measure, measures
-left = measures._left_vector
+from chainshift import component_chain, cylinder_measure, spectral
+left = spectral._left_vector
 def negated(*args):
     return {c: -x for c, x in left(*args).items()}
 def skewed(*args):
@@ -389,7 +436,7 @@ def skewed(*args):
 finite = {"a": "a", "b": "bbab"}  # chacon, level 2 on two letters
 infinite = {"a": "aaaaa", "b": "abcc", "c": "bbc"}  # level 2 on its two new letters
 for broken in (negated, skewed):
-    measures._left_vector = broken
+    spectral._left_vector = broken
     for rules in (finite, infinite):
         sub = Substitution.from_rules(rules)
         chain = component_chain(sub)

@@ -1,11 +1,12 @@
 """The data derived from a chain is computed once per chain and lives with it.
 
-``block_eigenvalues``, ``pf_left``, ``pf_vectors``, ``limit_data``,
-``level_seed``, the periodic-point census, ``classify_level``,
-``level_profile`` and ``build_auxiliary`` store their results on the chain
-(``ComponentChain.memo``), keyed by window length and level,
-``ComponentChain.restrict`` keeps each level's restriction there, and
-``decomposition_report`` sweeps the chain's two-letter languages once.
+``block_eigenvalues``, ``pf_vectors``, ``limit_data``, ``level_seed``, the
+periodic-point census, ``classify_level`` and ``build_auxiliary`` store
+their results on the chain (``ComponentChain.memo``), keyed by window length
+and level, ``ComponentChain.restrict`` keeps each lower level's restriction
+there, and ``decomposition_report`` sweeps the chain's two-letter languages
+once. Nothing stored refers back to the chain, so reference counting alone
+frees it.
 ``measures`` keeps one record per level, ``("level", i)``: the descriptor,
 the cylinder tables ``tables[m]`` and the integer-theta ``ancestors`` state.
 A measure on a level with theta > 1 reads the seed pair and never the
@@ -13,9 +14,10 @@ periodic-point census, and a cylinder table solves no right vector over the
 window alphabet. An integer-theta level makes one letter-level solve
 (``measures._letter_base``, on the k x k letter blocks) and starts its
 tables there: every length, m = 1 and 2 included, comes from the record's
-ancestor state, with no window substitution, restriction,
-``("pf_left", m)`` or ``("limit_data", m, i)`` for any table. Only an
-irrational level window-solves, once per window length. The level listing
+ancestor state, with no window substitution, restriction or
+``("limit_data", m, i)`` for any table. Only an irrational level
+window-solves (``spectral.window_vectors``), once per window length: the
+left vector on the level's chain, or the limit data. The level listing
 and the uniformity target read those tables too, and a word of a built
 table is one lookup. The tests count calls of the un-memoised bodies; a
 fresh chain starts with an empty memo.
@@ -45,7 +47,7 @@ from chainshift import (
     words,
 )
 from chainshift.measures import cylinder_measure, level_measure_table, measure_type
-from chainshift.spectral import level_profile, pf_vectors
+from chainshift.spectral import limit_data, pf_vectors
 from conftest import CORPUS_RULES, make, tower
 
 MAX_M = 3
@@ -64,8 +66,8 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(spectral, "_pf_left", lambda sub, chain, m, sp: (chain.n, m))
-    count(spectral, "_pf_vectors", lambda sub, chain, m, sp: (chain.n, m))
+    count(measures, "window_vectors", lambda sub, chain, m, i, sp: (i, m))
+    count(spectral, "_pf_vectors", lambda sub, chain, m, *anchors: (chain.n, m))
     count(spectral, "_limit_data", lambda sub, chain, m, i, sp: (i, m))
     count(measures, "_letter_base", lambda sub, chain, sp, i, desc: i)
     count(classify, "_classify_level", lambda sub, chain, sp, i: i)
@@ -81,7 +83,7 @@ def _solved(profile, i):
 
 
 # memo keys a window solve makes: an integer level's tables make none of them
-WINDOW_KEYS = ("restrict", "word_levels", "aux", "pf_left", "pf_right", "limit_data")
+WINDOW_KEYS = ("restrict", "word_levels", "aux", "pf_right", "limit_data")
 
 
 def _tables(name):
@@ -100,12 +102,15 @@ def test_one_solve_per_level_and_window(name, calls):
     measured = [t["level"] for t in tables if "cylinders" in t]
     assert measured
     profile = block_eigenvalues(sub, chain)
-    # irrational finite levels solve the left vector on the level's own chain
-    # (whose top level is the level), irrational infinite ones through
-    # limit_data; no table solves the right vector of pf_vectors, and an
-    # integer-theta level makes one letter-level solve and no window solve
-    solves = sorted(key for (body, key) in calls if body in ("_pf_left", "_limit_data"))
+    # irrational levels read the window vectors once per length: finite ones
+    # solve the left vector on the level's own chain (whose top level is the
+    # level), infinite ones through limit_data; no table solves the right
+    # vector of pf_vectors, and an integer-theta level makes one
+    # letter-level solve and no window solve
+    solves = sorted(key for (body, key) in calls if body == "window_vectors")
     assert solves == [(i, m) for i in measured for m in _solved(profile, i)]
+    infinite = [key for key in solves if not profile.level_is_finite(key[0])]
+    assert sorted(key for (body, key) in calls if body == "_limit_data") == infinite
     assert not [key for (body, key) in calls if body == "_pf_vectors"]
     exact = [i for i in measured if profile.theta(i).as_integer() is not None]
     assert sorted(key for (body, key) in calls if body == "_letter_base") == exact
@@ -185,8 +190,8 @@ def perron_calls(monkeypatch):
     outside: list = []
     depth = []
     left, perron = spectral._left_vector, spectral._pf_right
-    # ``measures`` holds its own references for the letter-level solve
-    assert (measures._left_vector, measures._pf_right) == (left, perron)
+    # the letter-level solve in ``measures`` runs the same level solve
+    assert measures._level_vectors is spectral._level_vectors
 
     def counted_left(*args):
         depth.append(1)
@@ -195,17 +200,16 @@ def perron_calls(monkeypatch):
         finally:
             depth.pop()
 
-    def counted_perron(block, lam, exact):
+    def counted_perron(block, lam):
         if not depth:
             outside.append(block)
-        return perron(block, lam, exact)
+        return perron(block, lam)
 
     def right(*args):
         raise AssertionError("a right vector was solved over the window alphabet")
 
-    for module in (spectral, measures):
-        monkeypatch.setattr(module, "_left_vector", counted_left)
-        monkeypatch.setattr(module, "_pf_right", counted_perron)
+    monkeypatch.setattr(spectral, "_left_vector", counted_left)
+    monkeypatch.setattr(spectral, "_pf_right", counted_perron)
     monkeypatch.setattr(spectral, "_right_vector", right)
     return outside
 
@@ -226,10 +230,10 @@ def test_finite_table_solves_the_left_vector_only(name, i, perron_calls, monkeyp
     table, added = _table_keys(sub, chain, profile, i)
     assert perron_calls == []
     solved = _solved(profile, i)
-    if solved:  # irrational: the left vector over the window alphabet
+    if solved:  # irrational: the left vector over the level chain's windows
         chain_i = chain.restrict(i)[1]
         for m in solved:
-            assert ("pf_left", m) in chain_i._memo and ("pf_right", m) not in chain_i._memo
+            assert ("aux", m) in chain_i._memo and ("pf_right", m) not in chain_i._memo
     else:  # integer: the letter-level solve only
         assert not [key for key in added if key[0] in WINDOW_KEYS], added
     level = chain._memo[("level", i)]
@@ -305,7 +309,7 @@ def test_long_window_reads_no_window_substitution(name, i):
         with pytest.raises(WordNotInLevelLanguage):
             cylinder_measure(sub, chain, profile, i, w)
     for c in (chain, chain_i):
-        assert not [k for k in c._memo if k[0] in ("aux", "word_levels", "pf_left") and k[1] > 2]
+        assert not [k for k in c._memo if k[0] in ("aux", "word_levels", "pf_right") and k[1] > 2]
     assert not [k for k in chain._memo if k[0] == "limit_data" and k[1] > 2]
     fresh = component_chain(sub)
     assert value == cylinder_measure(sub, fresh, block_eigenvalues(sub, fresh), i, word)
@@ -328,7 +332,7 @@ UNIFORM = [(n, i) for n, i in EXACT if i >= 2]
 @pytest.mark.parametrize("name, i", UNIFORM, ids=[f"{n}-{i}" for n, i in UNIFORM])
 def test_uniformity_target_reads_the_table(name, i):
     # the target of a 3-letter word on an integer-theta level is a ratio of
-    # ancestor-table values: no left vector or limit data solved at m = 3
+    # ancestor-table values: no window substitution or limit data at m = 3
     sub = make(name)
     chain = component_chain(sub)
     new = set(chain.new_letters(i))
@@ -337,7 +341,7 @@ def test_uniformity_target_reads_the_table(name, i):
     for word in sorted(level_words):
         chain = component_chain(sub)  # each word on an empty memo
         measures.uniformity_check(sub, chain, block_eigenvalues(sub, chain), i, word, 2)
-        assert ("pf_left", 3) not in chain.restrict(i)[1]._memo, word
+        assert ("aux", 3) not in chain.restrict(i)[1]._memo, word
         assert ("limit_data", 3, i) not in chain._memo, word
 
 
@@ -355,7 +359,7 @@ def test_spectral_window_fills_both_sides(monkeypatch, capsys, tmp_path):
     window = json.loads(capsys.readouterr().out)["window"]
     words = build_auxiliary(chains[0].sub, chains[0], 2).words
     assert list(window["alpha"]) == list(window["beta"]) == list(words)
-    assert ("pf_left", 2) in chains[0]._memo and ("pf_right", 2) in chains[0]._memo
+    assert ("pf_right", 2) in chains[0]._memo
 
 
 # Errors of ``cylinder_measure`` on a fresh chain and once every table of the
@@ -424,7 +428,7 @@ def test_known_word_is_one_lookup(name, i, word, monkeypatch):
     def built(*args):
         raise AssertionError("built or tested again")
 
-    for body in ("_measure_type", "_cylinder_table", "_Ancestors"):
+    for body in ("_measure_type", "window_vectors", "_Ancestors"):
         monkeypatch.setattr(measures, body, built)
     monkeypatch.setattr(ComponentChain, "alphabet_at", built)
     monkeypatch.setattr(spectral.SpectralProfile, "theta", built)
@@ -455,7 +459,7 @@ def test_profile_of_a_level_chain_raises(name, level):
     with pytest.raises(DomainError, match="describes another chain"):
         pf_vectors(*chain.restrict(level), 2, top)
     with pytest.raises(DomainError, match="describes another chain"):
-        level_profile(*chain.restrict(level), 1, top)
+        limit_data(*chain.restrict(level), 1, 1, top)
 
 
 def test_chain_data_needs_the_chains_substitution():
@@ -469,33 +473,19 @@ def test_chain_data_needs_the_chains_substitution():
     assert chain._memo == {("restrict", 2): chain.restrict(2)}
 
 
-def test_level_profile_shares_the_parent_levels():
-    sub = make("quartic")
-    chain = component_chain(sub)
-    profile = block_eigenvalues(sub, chain)
-    level_2 = level_profile(sub, chain, 2, profile)
-    assert level_2 is level_profile(sub, chain, 2, profile)
-    assert level_2.chain == chain.restrict(2)[1]
-    assert level_2.levels == profile.levels[:2]
-    assert level_profile(sub, chain, chain.n, profile) is profile
-    # the level profile is the level chain's own profile
-    assert block_eigenvalues(*chain.restrict(2)) is level_2
-    # a profile of another chain raises
-    sub_2, chain_2 = chain.restrict(2)
-    with pytest.raises(DomainError):
-        level_profile(sub_2, chain_2, 1, profile)
-
-
 def test_restrict_is_built_once_per_level():
     sub = make("quartic")
     chain = component_chain(sub)
     fresh = ComponentChain(chain.sub, chain.levels, chain.witness_k)
     for i in range(1, chain.n + 1):
         sub_i, chain_i = chain.restrict(i)
-        assert chain.restrict(i) is chain.restrict(i)
+        assert all(x is y for x, y in zip(chain.restrict(i), (sub_i, chain_i)))
         assert chain_i == fresh.restrict(i)[1] and sub_i == fresh.restrict(i)[0]
-    # the top restriction is the chain itself, so both share one memo
+    # the top restriction is the chain itself, so both share one memo; it is
+    # not stored, or the chain would hold itself
     assert chain.restrict(chain.n)[0] is sub and chain.restrict(chain.n)[1] is chain
+    stored = [key for key in chain._memo if key[0] == "restrict"]
+    assert stored == [("restrict", i) for i in range(1, chain.n)]
     # the stored restrictions take no part in equality or hashing
     assert chain == ComponentChain(chain.sub, chain.levels, chain.witness_k)
     assert hash(chain) == hash(ComponentChain(chain.sub, chain.levels, chain.witness_k))
@@ -615,3 +605,43 @@ def test_chain_data_is_released_with_the_chain():
     del sub, chain, profile
     gc.collect()
     assert [ref() for ref in refs] == [None] * 4
+
+
+def _on_profile(fn, *args):
+    """``fn(sub, chain, profile, *args)`` with the chain's own profile."""
+    return lambda sub, chain: fn(sub, chain, block_eigenvalues(sub, chain), *args)
+
+
+GOLDEN = CORPUS_RULES["golden_tower"]
+FREED = {
+    "block_eigenvalues": (GOLDEN, block_eigenvalues),
+    "cylinder_measure-1": (GOLDEN, _on_profile(cylinder_measure, 1, "ab")),
+    "cylinder_measure-2": (GOLDEN, _on_profile(cylinder_measure, 2, "ca")),
+    "cylinder_measure-infinite": (
+        {"a": "aaa", "b": "abc", "c": "b"},
+        _on_profile(cylinder_measure, 2, "bc"),
+    ),
+    "build_auxiliary": (GOLDEN, lambda sub, chain: build_auxiliary(sub, chain, 2)),
+    "decomposition_report": (GOLDEN, _on_profile(decomposition_report)),
+    "empirical_frequency": (GOLDEN, _on_profile(measures.empirical_frequency, 2, "c", 100)),
+    "restrict": (GOLDEN, lambda sub, chain: chain.restrict(chain.n)),
+}
+
+
+@pytest.mark.parametrize("rules, call", FREED.values(), ids=FREED)
+def test_chain_is_freed_by_reference_counting(rules, call):
+    # nothing a chain stores refers back to it (no profile, window
+    # substitution or top restriction holds the chain), so it is freed as
+    # soon as it is dropped, without the cyclic collector
+    sub = Substitution.from_rules(rules)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        chain = component_chain(sub)
+        call(sub, chain)
+        ref = weakref.ref(chain)
+        del chain
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

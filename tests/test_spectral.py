@@ -22,7 +22,7 @@ from chainshift import (
     pf_vectors,
 )
 from chainshift.exact import AlgebraicReal
-from chainshift.spectral import _check_eigenvector, level_profile
+from chainshift.spectral import _check_eigenvector
 from chainshift.structure import mat_pow
 from conftest import CORPUS_RULES, make, tower
 from test_pipeline_fuzz import chain_systems
@@ -342,21 +342,21 @@ def test_exact_eigen_identity_rejects_what_the_float_residual_accepts():
     right = {"u": Fraction(1), "v": Fraction(1)}
     left = {"u": Fraction(1), "v": Fraction(0)}
     for side, values in (("right", right), ("left", left)):
-        _check_eigenvector(rows, order, values, 3, True, side, "vector")
+        _check_eigenvector(rows, order, values, 3, side, "vector")
     # integer numerators at any common scale pass as they are
-    _check_eigenvector(rows, order, {"u": 7, "v": 7}, 3, True, "right", "vector")
+    _check_eigenvector(rows, order, {"u": 7, "v": 7}, 3, "right", "vector")
     near = {"u": 1.0, "v": 1 + 1e-12}
-    _check_eigenvector(rows, order, near, 3.0, False, "right", "vector")
+    _check_eigenvector(rows, order, near, 3.0, "right", "vector")
     with pytest.raises(InternalInvariantError, match="residual"):
-        _check_eigenvector(rows, order, {"u": 1.0, "v": 1.001}, 3.0, False, "right", "vector")
+        _check_eigenvector(rows, order, {"u": 1.0, "v": 1.001}, 3.0, "right", "vector")
     near = {"u": Fraction(1), "v": 1 + Fraction(1, 10**12)}
     with pytest.raises(InternalInvariantError, match="exact right eigen identity"):
-        _check_eigenvector(rows, order, near, 3, True, "right", "vector")
+        _check_eigenvector(rows, order, near, 3, "right", "vector")
     with pytest.raises(InternalInvariantError, match="exact left eigen identity"):
-        _check_eigenvector(rows, order, right, 3, True, "left", "vector")
+        _check_eigenvector(rows, order, right, 3, "left", "vector")
     # restricted to the words of ``order``: v alone is an eigenvector for 2
-    _check_eigenvector(rows, ("v",), {"v": 5}, 2, True, "right", "vector")
-    _check_eigenvector(rows, ("v",), {"v": 5}, 2, True, "left", "vector")
+    _check_eigenvector(rows, ("v",), {"v": 5}, 2, "right", "vector")
+    _check_eigenvector(rows, ("v",), {"v": 5}, 2, "left", "vector")
 
 
 def test_window_and_limit_invariants_survive_optimize():
@@ -368,7 +368,7 @@ def test_window_and_limit_invariants_survive_optimize():
     script = (
         "from chainshift import *\n"
         "import dataclasses\n"
-        "from chainshift import auxiliary, measures, spectral, structure\n"
+        "from chainshift import auxiliary, spectral, structure\n"
         "def expect(fn, *args):\n"
         "    try:\n"
         "        fn(*args)\n"
@@ -397,16 +397,10 @@ def test_window_and_limit_invariants_survive_optimize():
         "perron = spectral._pf_right\n"
         "spectral._pf_right = lambda *args: [-v for v in perron(*args)]\n"
         "expect(limit_data, sub, chain, 2, 3)\n"
-        "spectral._pf_right = perron\n"
-        "def skewed(*args):\n"
-        "    ld = limit_data(*args)\n"
-        "    w = [w for w in ld.restricted_words if w[0] == 'b'][-1]\n"
-        "    return dataclasses.replace(ld, gamma={**ld.gamma, w: 2 * ld.gamma[w]})\n"
-        "measures.limit_data = skewed\n"
         "golden = Substitution.from_rules({'a': 'aaa', 'b': 'abc', 'c': 'b'})\n"
         "golden_chain = component_chain(golden)\n"
         "expect(cylinder_measure, golden, golden_chain, block_eigenvalues(golden, golden_chain), 2, 'bc')\n"
-        "measures.limit_data = limit_data\n"
+        "spectral._pf_right = perron\n"
         "spectral.nullspace_vector = lambda A: ([1, -1] * len(A))[: len(A)]\n"
         "mid = Substitution.from_rules({'a': 'aa', 'b': 'abbbccc', 'c': 'abccccc', 'd': 'abcdd'})\n"
         "expect(pf_vectors, mid, component_chain(mid), 2)\n"
@@ -435,7 +429,7 @@ def test_window_and_limit_invariants_survive_optimize():
         assert "the level block is not last in the restriction" in lines[3]
         assert "the left limit vector is not positive" in lines[4]
         assert "level 3: the lifted right limit vector is not positive" in lines[5]
-        assert "InternalInvariantError level 2: right limit vector depends on more than the" in lines[6]
+        assert "InternalInvariantError level 2: the lifted right limit vector is not positive" in lines[6]
         assert all(" InternalInvariantError " in line for line in lines)
         # the exact Perron vector (integer theta), then the float one
         assert "Perron vector must be positive" in lines[7]
@@ -472,7 +466,7 @@ def _assert_vectors_match_oracle(rules: dict, ms) -> None:
         if sp.theta_is_one(i):
             continue
         sub_i, chain_i = chain.restrict(i)
-        sp_i = level_profile(sub, chain, i, sp)
+        sp_i = block_eigenvalues(sub_i, chain_i)
         lam, theta = sp_i.lam.as_integer(), sp.theta(i).as_integer()
         for m in ms:
             if lam is not None:
