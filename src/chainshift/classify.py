@@ -26,21 +26,26 @@ Everything is stored on the chain (see ``spectral``), each computed once:
 - ``("classify_level", i)``: the level report, assembled from the two above
   plus the case split, read by ``decomposition_report`` and by the measures
   of levels with theta = 1.
-- ``("fresh_two_words",)``: for every level i, the two-letter words new at
-  that level (in L_2(i) but not in L_2(i-1)): the chain's two-letter word
-  -> level index (``ComponentChain.word_levels``) grouped by level. Seed
-  pairs and the ``pair`` periodic-point seeds are read from them.
+- ``("two_words",)``: for every level i, among the two-letter words new at
+  that level (in L_2(i) but not in L_2(i-1)), the least forward crossing word
+  (a letter below the level, then a new one), the least backward one (the
+  mirror), in the alphabet's word order, and the sorted pair-seed words (both
+  letters below the level), from one pass over the chain's two-letter word
+  -> level index (``ComponentChain.word_levels``).
 - ``("letter_cycles",)``: the cycle lengths of the first-letter and the
   last-letter maps, found in one O(|alphabet|) walk.
 - ``("oriented_images", mirrored)``: every image, written backwards for the
-  mirror system, as a dict and as a ``str.translate`` table. The seed
-  search reads them with the chain's letter -> level index.
+  mirror system, as a dict and as a ``str.translate`` table, with the position
+  of its first letter on the letter's own level.
+- ``("fixed_bottom",)``: the fixed bottom letter s, or None.
 
-An ``s_middle`` periodic-point seed of level i is a word that enters at
-level i, read off the chain's word -> level index of its length. Where a
-function needs a level substitution of its own (the s-run tests and the
-periodicity probe), it reads ``chain.restrict(i)``, which the chain builds at
-most once per level.
+No level builds a set of its letters: a letter's level is read from the
+chain's letter -> level index (``chain._level_of``). An ``s_middle``
+periodic-point seed of level i is a word that enters at level i, read off
+the chain's word -> level index of its length. Where a function needs a
+level substitution of its own (the s-run tests and the periodicity probe),
+it reads ``chain.restrict(i)``, which the chain builds at most once per
+level.
 """
 
 from __future__ import annotations
@@ -111,20 +116,38 @@ def _first_last_cycles(sub: Substitution) -> tuple[dict[str, int], dict[str, int
     return _cycle_lengths(first), _cycle_lengths(last)
 
 
-def _fresh_two_words(chain: ComponentChain, i: int) -> frozenset[str]:
-    """The two-letter words of level i that level i-1 lacks: L_2(i) minus L_2(i-1).
-
-    The chain's two-letter words grouped by the level they enter, a partition
-    of the top L_2, are stored on the chain, so all levels share them.
+def _two_words(chain: ComponentChain, i: int) -> tuple[str | None, str | None, list[str]]:
+    """Level i's least forward and least backward crossing word (None if there
+    is none) and its sorted pair-seed words, among the two-letter words new at
+    level i; one pass builds the table of every level (see the module docstring).
     """
-    return chain.memo(("fresh_two_words",), _level_differences, chain)[i - 1]
+    return chain.memo(("two_words",), _level_differences, chain)[i - 1]
 
 
-def _level_differences(chain: ComponentChain) -> list[frozenset[str]]:
-    fresh: list[list[str]] = [[] for _ in chain.levels]
-    for w, e in chain.word_levels(2).items():
-        fresh[e - 1].append(w)
-    return [frozenset(words) for words in fresh]
+def _level_differences(chain: ComponentChain) -> list[tuple[str | None, str | None, list[str]]]:
+    level = chain._level_of
+    key = chain.sub.alphabet.word_key
+    forward: list[str | None] = [None] * chain.n
+    backward: list[str | None] = [None] * chain.n
+    pairs: list[list[str]] = [[] for _ in chain.levels]
+    for w, e in chain.word_levels(2).items():  # w is new at level e: no letter lies above it
+        if level[w[0]] < e:
+            if level[w[1]] < e:
+                pairs[e - 1].append(w)
+            elif forward[e - 1] is None or key(w) < key(forward[e - 1]):
+                forward[e - 1] = w
+        elif level[w[1]] < e and (backward[e - 1] is None or key(w) < key(backward[e - 1])):
+            backward[e - 1] = w
+    for words in pairs:
+        words.sort()
+    return list(zip(forward, backward, pairs))
+
+
+def _fixed_bottom(chain: ComponentChain) -> str | None:
+    """The fixed bottom letter s, when level 1 is one letter mapped to itself;
+    None otherwise. Read once per chain."""
+    bottom = chain.levels[0]
+    return chain.memo(("fixed_bottom",), lambda: bottom[0] if is_empty_bottom(chain.sub, chain) else None)
 
 
 def _s_run_maps(sub: Substitution, s: str):
@@ -245,31 +268,27 @@ class SeedPair:
 def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair:
     """The seed identity of level i, read off the level's two-letter language.
 
-    The level's letters are closed under the substitution, so its images are
-    read from the chain's own, stored on the chain for each orientation: a
-    reverse seed runs on the mirror system, whose powers are the mirrored
-    powers of ``sub``. Expanding sigma^k(ab) may take at most ``SEED_BUDGET``
-    letters.
+    The search starts from the level's least forward crossing word, else its
+    least backward one, both stored per chain (``_two_words``). The level's
+    letters are closed under the substitution, so its images are read from
+    the chain's own, stored on the chain for each orientation with each
+    image's first own-level letter: a reverse seed runs on the mirror system,
+    whose powers are the mirrored powers of ``sub``. Expanding sigma^k(ab)
+    may take at most ``SEED_BUDGET`` letters.
     """
     chain.check_level(i)
     if i < 2:
         raise DomainError("seed pairs exist for levels >= 2")
-    level = chain._level_of  # a letter lies below level i iff its level is < i
-    key = sub.alphabet.word_key
-    fresh = _fresh_two_words(chain, i)  # holds every word with a new letter
-    forward = [w for w in fresh if level[w[0]] < i and level[w[1]] == i]
-    if forward:
-        mirrored = False
-        first = min(forward, key=key)
-        a0, b0 = first[0], first[1]
+    forward, backward, _ = _two_words(chain, i)
+    mirrored = forward is None
+    if not mirrored:
+        a0, b0 = forward
+    elif backward is None:
+        raise InternalInvariantError(f"level {i} has no crossing pair in its two-letter language")
     else:
-        backward = [w for w in fresh if level[w[0]] == i and level[w[1]] < i]
-        if not backward:
-            raise InternalInvariantError(f"level {i} has no crossing pair in its two-letter language")
-        mirrored = True
-        first = min(backward, key=key)
-        a0, b0 = first[1], first[0]
-    images, table = chain.memo(("oriented_images", mirrored), _image_tables, chain.sub, mirrored)
+        b0, a0 = backward
+    images, table, first_new = chain.memo(("oriented_images", mirrored), _image_tables, chain, mirrored)
+    level = chain._level_of  # a letter lies below level i iff its level is < i
 
     seen: dict[tuple[str, str], int] = {}
     a_j, b_j = a0, b0
@@ -277,7 +296,7 @@ def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair
     while (a_j, b_j) not in seen:
         seen[(a_j, b_j)] = j
         img_b = images[b_j]
-        pos = _first_new(img_b, level, i)
+        pos = first_new[b_j]
         nxt_b = img_b[pos]
         nxt_a = img_b[pos - 1] if pos >= 1 else images[a_j][-1]
         a_j, b_j = nxt_a, nxt_b
@@ -300,10 +319,7 @@ def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair
         raise InternalInvariantError(f"level {i}: the seed prefix leaves the levels below")
     if mirrored:
         u, v = u[::-1], v[::-1]
-    return SeedPair(
-        level=i, a=a, b=b, k=k, u=u, v=v,
-        orientation="reverse" if mirrored else "forward",
-    )
+    return SeedPair(i, a, b, k, u, v, "reverse" if mirrored else "forward")
 
 
 def _first_new(word: str, level: dict[str, int], i: int) -> int:
@@ -314,21 +330,25 @@ def _first_new(word: str, level: dict[str, int], i: int) -> int:
     raise InternalInvariantError(f"level {i}: an image of a new letter holds no new letter")
 
 
-def _image_tables(sub: Substitution, mirrored: bool) -> tuple[dict[str, str], dict[int, str]]:
+def _image_tables(
+    chain: ComponentChain, mirrored: bool
+) -> tuple[dict[str, str], dict[int, str], dict[str, int]]:
     """Each letter's image, written backwards when ``mirrored``, as a dict and
-    as a ``str.translate`` table."""
-    images = dict(zip(sub.alphabet.letters, sub.images))
+    as a ``str.translate`` table, and the position of the first letter of
+    each image that lies on the letter's own level."""
+    level = chain._level_of
+    images = dict(zip(chain.sub.alphabet.letters, chain.sub.images))
     if mirrored:
         images = {c: img[::-1] for c, img in images.items()}
-    return images, {ord(c): img for c, img in images.items()}
+    first_new = {c: _first_new(img, level, level[c]) for c, img in images.items()}
+    return images, {ord(c): img for c, img in images.items()}, first_new
 
 
 def positively_recurrent(sub: Substitution, chain: ComponentChain, seed: SeedPair) -> bool:
     """Whether the quasi-fixed point revisits its central window forward in time."""
     if not seed.v:
         raise DomainError("recurrence is defined for seeds with nonempty v")
-    new = set(chain.new_letters(seed.level))
-    return any(c in new for c in seed.v)
+    return chain.check_level(seed.level) in map(chain._level_of.get, seed.v)
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +429,16 @@ def _pair_seeds(chain: ComponentChain, i: int, s: str | None) -> list[PointSeed]
     gamma delta is a two-letter word new at level i, i.e. in L_2(i) but not
     in L_2(i-1), with both letters below the level and neither the fixed
     letter s; gamma lies on a cycle of the last-letter map and delta on one
-    of the first-letter map, and q is the lcm of the two cycle lengths.
+    of the first-letter map, and q is the lcm of the two cycle lengths. The
+    words with both letters below the level come sorted from the chain's
+    per-level table (``_two_words``); only s and the cycles are tested here.
     """
-    level = chain.level_of  # a letter lies below level i iff its level is < i
     f_cycles, g_cycles = _letter_cycles(chain)
     return [
         PointSeed(kind="bilateral_limit", form="pair", gamma=w[0], delta=w[1],
                   q=lcm(g_cycles[w[0]], f_cycles[w[1]]))
-        for w in sorted(_fresh_two_words(chain, i))
-        if level(w[0]) < i and level(w[1]) < i and s != w[0] and s != w[1]
-        and w[0] in g_cycles and w[1] in f_cycles
+        for w in _two_words(chain, i)[2]
+        if s != w[0] and s != w[1] and w[0] in g_cycles and w[1] in f_cycles
     ]
 
 
@@ -426,13 +446,15 @@ def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> l
     """Periodic-point seeds of level i, deduplicated by central windows.
 
     Only the forms around a fixed bottom letter s need the restrictions of
-    levels i and i-1; without s the full substitution's images suffice.
+    levels i and i-1; without s the full substitution's images suffice, and a
+    level with no ``pair`` seed has none at all.
     """
-    lower = chain.alphabet_at(i - 1)
-    bottom = chain.alphabet_at(1)
-    s = bottom[0] if len(bottom) == 1 and sub.image(bottom[0]) == bottom[0] else None
+    s = _fixed_bottom(chain)
     seeds = _pair_seeds(chain, i, s)
+    if s is None and not seeds:
+        return seeds
     if s is not None:
+        lower = chain.alphabet_at(i - 1)
         sub_i = chain.restrict(i)[0]
         sub_below = chain.restrict(i - 1)[0]
         f_cycles, g_cycles = _letter_cycles(chain)
@@ -524,7 +546,6 @@ def _level_seed(
 ) -> SeedPair:
     """``find_seed_pair``, raising unless the seed's shape agrees with theta."""
     seed = find_seed_pair(sub, chain, i)
-    new = set(chain.new_letters(i))
     theta_one = spectral.theta_is_one(i)
     if seed.u == "":
         if sub.image(seed.a) != seed.a or theta_one:
@@ -532,10 +553,10 @@ def _level_seed(
     elif seed.v == "":
         if not theta_one:
             raise InternalInvariantError(f"level {i}: a seed with empty v needs theta = 1")
-    elif any(c in new for c in seed.v):
+    elif i in map(chain._level_of.__getitem__, seed.v):  # v holds a new letter
         if theta_one:
             raise InternalInvariantError(f"level {i}: excursions into new letters need theta > 1")
-    elif not theta_one or len(new) != 1:
+    elif not theta_one or len(chain.new_letters(i)) != 1:
         raise InternalInvariantError(
             f"level {i}: an isolated quasi-fixed seed needs theta = 1 and one new letter"
         )
@@ -596,13 +617,14 @@ def _classify_level(
             report.case = "no_two_sided_excursion"
             report.notes.append("new letters never extend to the right; only periodic points remain")
     else:
-        new = chain.new_letters(i)
-        crossing = any(c in new for c in seed.v)
+        # v holds a new letter: the excursions cross, and this is the test of
+        # ``positively_recurrent`` too
+        crossing = i in map(chain._level_of.__getitem__, seed.v)
         report.case = "dense_excursions" if crossing else "isolated_quasi_fixed"
         report.quasi_fixed = QuasiFixedSeed(
             seed=seed,
             primitive_type=not crossing,
-            positively_recurrent=positively_recurrent(sub, chain, seed),
+            positively_recurrent=crossing,
             isolated_orbit=not crossing,
         )
         report.anchor = seed.b

@@ -175,7 +175,7 @@ class AlgebraicReal:
     __slots__ = ("poly", "_sf", "_chain", "rational", "_a", "_b", "_k", "_hi_positive")
 
     def __init__(self, poly, search_range: tuple[int, int] | None = None):
-        self.poly = tuple(int(c) for c in poly)
+        self.poly = tuple(map(int, poly))
         self._chain = sturm_chain(squarefree_part(self.poly))
         self._sf = self._chain[0]
         self._hi_positive = None
@@ -228,7 +228,7 @@ class AlgebraicReal:
         one built by the constructor.
         """
         self = cls.__new__(cls)
-        self.poly = tuple(int(c) for c in poly)
+        self.poly = tuple(map(int, poly))
         if _hom_eval(self.poly, r, 1):
             raise ValueError(f"{r} is not a root of {self.poly}")
         self._sf = self._chain = self._hi_positive = None  # only irrational values consult them

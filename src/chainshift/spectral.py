@@ -59,7 +59,7 @@ import numpy as np
 from .auxiliary import AuxiliarySubstitution, build_auxiliary
 from .errors import DomainError, InternalInvariantError, LambdaNotDominant, ThetaNotAboveOne
 from .exact import AlgebraicReal, charpoly, nullspace_vector, solve_linear
-from .structure import ComponentChain, IntMatrix, check_level
+from .structure import ComponentChain, IntMatrix, check_level, letter_counts
 from .words import Substitution
 
 RESIDUAL_TOL = 1e-9
@@ -86,7 +86,7 @@ class SpectralProfile:
         best = last = 1  # first and last level attaining the maximum so far
         upto = [1]  # first level attaining the maximum over levels 1..i
         for i in range(2, len(levels) + 1):
-            sign = self.theta(i).compare(self.theta(best))
+            sign = levels[i - 1].theta.compare(levels[best - 1].theta)
             if sign > 0:
                 best = i
             last = i if sign >= 0 else last
@@ -173,9 +173,10 @@ def block_eigenvalues(sub: Substitution, chain: ComponentChain) -> SpectralProfi
 
 
 def _block_eigenvalues(chain: ComponentChain) -> SpectralProfile:
+    image = dict(zip(chain.sub.alphabet.letters, chain.sub.images))
     levels = []
-    for i in range(1, chain.n + 1):
-        block = chain.block(i)
+    for i, letters in enumerate(chain._new_letters, start=1):
+        block = letter_counts(map(image.__getitem__, letters), letters)  # Q_i, as ``chain.block(i)``
         poly = charpoly(block)
         sums = [sum(row) for row in block]
         bounds = (min(sums), max(sums))
@@ -189,7 +190,7 @@ def _block_eigenvalues(chain: ComponentChain) -> SpectralProfile:
         levels.append(
             LevelSpectrum(
                 level=i,
-                letters=chain.new_letters(i),
+                letters=letters,
                 block=block,
                 char_poly=poly,
                 row_bounds=bounds,

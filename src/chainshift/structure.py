@@ -91,14 +91,14 @@ class IncidenceMatrix:
         return mat_pow(self.entries, k)
 
 
-def _letter_counts(sub: Substitution, rows, cols) -> IntMatrix:
-    """Occurrences of each ``cols`` letter in the image of each ``rows`` letter."""
-    return tuple(tuple(img.count(b) for b in cols) for img in map(sub.image, rows))
+def letter_counts(images, cols) -> IntMatrix:
+    """Occurrences of each ``cols`` letter in each of ``images``, one row per image."""
+    return tuple([tuple([img.count(b) for b in cols]) for img in images])
 
 
 def incidence_matrix(sub: Substitution) -> IncidenceMatrix:
     letters = sub.alphabet.letters
-    return IncidenceMatrix(letters, _letter_counts(sub, letters, letters))
+    return IncidenceMatrix(letters, letter_counts(sub.images, letters))
 
 
 def _tarjan_sccs(n: int, edges: list[set[int]]) -> list[list[int]]:
@@ -214,7 +214,7 @@ class ComponentChain:
     def block(self, i: int) -> IntMatrix:
         """Diagonal block Q_i: occurrence counts among the level's new letters."""
         letters = self.new_letters(i)
-        return _letter_counts(self.sub, letters, letters)
+        return letter_counts(map(self.sub.image, letters), letters)
 
     def coupling(self, i: int, j: int) -> IntMatrix:
         """Off-diagonal block R_{i,j}: counts of level-j letters in level-i images.
@@ -226,7 +226,7 @@ class ComponentChain:
         self.check_level(j)
         if not j < i:
             raise DomainError("coupling blocks sit strictly below the diagonal")
-        return _letter_counts(self.sub, self.new_letters(i), self.new_letters(j))
+        return letter_counts(map(self.sub.image, self.new_letters(i)), self.new_letters(j))
 
     def restrict(self, i: int) -> tuple[Substitution, "ComponentChain"]:
         """The level-i sub-substitution together with its own chain, built once

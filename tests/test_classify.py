@@ -27,7 +27,7 @@ from chainshift import (
     minimal_sets,
     positively_recurrent,
 )
-from chainshift import classify
+from chainshift import classify, cli
 from chainshift.classify import (
     _is_single_periodic_orbit,
     _letter_cycles,
@@ -120,6 +120,45 @@ def test_seed_pairs_are_pinned():
         chain = component_chain(sub)
         got = [list(dataclasses.astuple(find_seed_pair(sub, chain, i))) for i in range(2, chain.n + 1)]
         assert got == pinned[name], name
+
+
+PINNED_REPORTS = Path(__file__).resolve().parent / "pinned_reports.jsonl"
+
+
+def _pinned_report_line(name: str, rules: dict[str, str]) -> str:
+    """One line of ``pinned_reports.jsonl``: the ``classify`` JSON of a fresh
+    chain, its ``witness_k`` and each level's theta (float, characteristic
+    polynomial and integer value).
+
+    The file holds this line for every ``_pinned_systems()`` entry, in that
+    order, each followed by a newline; it was written by this function.
+    """
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    report = decomposition_report(sub, chain, profile)
+    thetas = [[float(ls.theta), list(ls.char_poly), ls.theta.as_integer()] for ls in profile.levels]
+    entry = {
+        "classification": cli._classification_json(report),
+        "witness_k": chain.witness_k,
+        "thetas": thetas,
+    }
+    return json.dumps([name, entry], ensure_ascii=False, sort_keys=True)
+
+
+def test_pinned_reports_name_every_pinned_system():
+    lines = PINNED_REPORTS.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)[0] for line in lines] == list(_pinned_systems())
+
+
+@pytest.mark.parametrize("name", list(_pinned_systems()))
+def test_full_reports_are_pinned(name):
+    # The whole report byte for byte: cases, seeds, quasi-fixed flags, every
+    # point seed (the s-forms of the r = 1 towers included), notes, minimal
+    # sets, witness_k and theta.
+    lines = PINNED_REPORTS.read_text(encoding="utf-8").splitlines()
+    recorded = {json.loads(line)[0]: line for line in lines}
+    assert _pinned_report_line(name, _pinned_systems()[name]) == recorded[name]
 
 
 def test_seed_expansion_budget_is_exact(monkeypatch):

@@ -551,6 +551,26 @@ def test_measure_type_on_another_chain_stores_nothing():
     assert measure_type(sub, chain, profile, 2) == measure_type(sub, chain, profile, 2, report)
 
 
+def test_decomposition_report_leaves_three_keys_per_level():
+    # tower_64_mixed of seed_pairs.json: every other fact the sweep reads is
+    # built once per chain, so a key that a later change adds per level fails
+    n = 64
+    sub = Substitution.from_rules(tower([2 + i % 2 for i in range(n)], [i % 3 != 1 for i in range(n)]))
+    chain = component_chain(sub)
+    decomposition_report(sub, chain, block_eigenvalues(sub, chain))
+    per_chain = {
+        ("spectral",),
+        ("word_levels", 2),  # the L_2 index
+        ("two_words",),  # its crossing and pair-seed words, by level
+        ("oriented_images", False),
+        ("letter_cycles",),
+        ("fixed_bottom",),
+        ("restrict", 2),  # the periodicity probe at level 3
+    }
+    per_level = {(name, i) for i in range(2, n + 1) for name in ("seed_pair", "point_seeds", "classify_level")}
+    assert set(chain._memo) == per_chain | per_level
+
+
 def test_decomposition_report_sweeps_each_level_once(monkeypatch):
     """One closure call per level at m = 2 and at most one restriction per level.
 
