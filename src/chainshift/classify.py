@@ -10,7 +10,12 @@ membership, and deduplicated by comparing central windows.
 The bottom fixed letter s (when the first level is a single letter mapped to
 itself) gets special treatment: whether arbitrarily long s-runs exist, and on
 which level they first appear, is decided exactly from the cycle structure of
-the first/last non-s letter maps, never by bounded expansion.
+the first/last non-s letter maps, never by bounded expansion. Each such fact
+is one number, the level at which it starts to hold, as words have theirs
+(``ComponentChain.word_levels``): a letter's non-s maps and their cycles are
+the same on every level that holds it, and only the pairs of letters with
+nothing but s's between them depend on the level, each tagged with the level
+it enters.
 
 ``decomposition_report`` classifies the levels in one sweep up the chain, and
 each level reuses what the levels below already built. Every level is closed
@@ -33,7 +38,12 @@ Everything is stored on the chain (see ``spectral``), each computed once:
   letters below the level), from one pass over the chain's two-letter word
   -> level index (``ComponentChain.word_levels``).
 - ``("letter_cycles",)``: the cycle lengths of the first-letter and the
-  last-letter maps, found in one O(|alphabet|) walk.
+  last-letter maps, found in one O(|alphabet|) walk (``_eventual_cycles``).
+- ``("s_runs",)``: with a fixed bottom letter s only, the level from which
+  every power of s is a word, and for each other letter c, the levels from
+  which s^p c and c s^p are words for every p (``_s_run_levels``). The
+  census tests ``== i`` (new at level i), the level case and the minimal
+  sets ``<= i``.
 - ``("oriented_images", mirrored)``: every image, written backwards for the
   mirror system, as a dict and as a ``str.translate`` table, with the position
   of its first letter on the letter's own level.
@@ -42,10 +52,8 @@ Everything is stored on the chain (see ``spectral``), each computed once:
 No level builds a set of its letters: a letter's level is read from the
 chain's letter -> level index (``chain._level_of``). An ``s_middle``
 periodic-point seed of level i is a word that enters at level i, read off
-the chain's word -> level index of its length. Where a function needs a
-level substitution of its own (the s-run tests and the periodicity probe),
-it reads ``chain.restrict(i)``, which the chain builds at most once per
-level.
+the chain's word -> level index of its length. Only the periodicity probe
+at level 3 needs a level substitution of its own, ``chain.restrict(2)``.
 """
 
 from __future__ import annotations
@@ -67,45 +75,35 @@ WINDOW_CAP = 4096  # longest central window of a periodic-point seed
 # letter-map cycle machinery
 
 
-def _orbit_cycle(step: dict[str, str], x: str) -> tuple[list[str], list[str]]:
-    """Split the forward orbit of x under a functional map into path + cycle."""
-    seen: dict[str, int] = {}
-    path: list[str] = []
-    while x not in seen:
-        seen[x] = len(path)
-        path.append(x)
-        x = step[x]
-    at = seen[x]
-    return path[:at], path[at:]
+def _eventual_cycles(step: dict[str, str]) -> dict[str, frozenset[str]]:
+    """The cycle each letter's forward orbit ends in, under a functional map.
 
-
-def _cycle_lengths(step: dict[str, str]) -> dict[str, int]:
-    """Cycle length of each letter on a cycle of a functional map.
-
-    Letters off every cycle are absent. Each letter is walked once, so this
-    costs O(|alphabet|) however the orbits are nested.
+    The letters whose orbits end in one cycle share its set, and a letter
+    lies on its cycle iff it is in the set. Each letter is walked once, so
+    this costs O(|alphabet|) however the orbits are nested.
     """
-    lengths: dict[str, int] = {}
-    done: set[str] = set()
+    cycle_of: dict[str, frozenset[str] | None] = {}
     for x in step:
-        path: dict[str, int] = {}
-        while x not in done and x not in path:
-            path[x] = len(path)
+        path: list[str] = []
+        while x not in cycle_of:
+            cycle_of[x] = None  # on the current walk
+            path.append(x)
             x = step[x]
-        if x in path:  # the walk closed a cycle no earlier walk met
-            cycle = list(path)[path[x] :]
-            for c in cycle:
-                lengths[c] = len(cycle)
-        done.update(path)
-    return lengths
+        cycle = cycle_of[x]
+        if cycle is None:  # the walk closed a cycle no earlier walk met
+            cycle = frozenset(path[path.index(x) :])
+        for c in path:
+            cycle_of[c] = cycle
+    return cycle_of
 
 
 def _letter_cycles(chain: ComponentChain) -> tuple[dict[str, int], dict[str, int]]:
-    """Cycle lengths under the first-letter and the last-letter map, once per chain.
+    """Cycle lengths under the first-letter and the last-letter map, once per
+    chain, for the letters on a cycle.
 
     Every level is closed under the substitution, so a letter's orbit, and
-    whether and on which cycle it ends, is the same in every restriction
-    that contains the letter.
+    whether and on which cycle it ends, is the same on every level that
+    holds the letter.
     """
     return chain.memo(("letter_cycles",), _first_last_cycles, chain.sub)
 
@@ -113,7 +111,10 @@ def _letter_cycles(chain: ComponentChain) -> tuple[dict[str, int], dict[str, int
 def _first_last_cycles(sub: Substitution) -> tuple[dict[str, int], dict[str, int]]:
     first = {c: img[0] for c, img in zip(sub.alphabet, sub.images)}
     last = {c: img[-1] for c, img in zip(sub.alphabet, sub.images)}
-    return _cycle_lengths(first), _cycle_lengths(last)
+    return tuple(
+        {c: len(cycle) for c, cycle in _eventual_cycles(step).items() if c in cycle}
+        for step in (first, last)
+    )
 
 
 def _two_words(chain: ComponentChain, i: int) -> tuple[str | None, str | None, list[str]]:
@@ -150,26 +151,77 @@ def _fixed_bottom(chain: ComponentChain) -> str | None:
     return chain.memo(("fixed_bottom",), lambda: bottom[0] if is_empty_bottom(chain.sub, chain) else None)
 
 
-def _s_run_maps(sub: Substitution, s: str):
-    """First/last non-s letter maps with leading/trailing s-run lengths."""
+def _s_run_levels(
+    sub: Substitution, s: str, new_letters: tuple[tuple[str, ...], ...]
+) -> tuple[int, dict[str, int], dict[str, int]]:
+    """The level at which each s-run fact starts to hold, for the fixed letter
+    s and the levels that add ``new_letters``; n + 1 where it never does.
+
+    Returns the level from which every power of s is a language word, and
+    for each letter c other than s, ``left[c]`` and ``right[c]``: the level
+    from which s^p c, and c s^p, is one for every p. The first (last)
+    non-s letter map sends c to the first (last) letter of its image other
+    than s, and weighs it by the s's before (after) that letter. Every power
+    of s is a word iff some cycle of either map has positive weight. s^p c
+    is one for every p iff c lies on a cycle of the first map that has
+    positive weight, or that the first map carries z to, where y z is a pair
+    of non-s letters with only s's between them somewhere in the language
+    and y's cycle under the last map has positive weight; c s^p mirrors it.
+
+    Every level is closed under the substitution, so a letter's maps and
+    their cycles are the same on every level that holds it, and the letters
+    of a cycle share one level. Only the pairs depend on the level: they are
+    seeded by the adjacencies inside images and closed under the step
+    (y, z) -> (last of y, first of z), one path per seed; taking the seeds
+    level by level tags each pair with the level it enters.
+    """
     if sub.image(s) != s:
         raise DomainError(f"{s!r} is not a fixed letter")
-    fprime: dict[str, str] = {}
-    gprime: dict[str, str] = {}
-    lead: dict[str, int] = {}
-    trail: dict[str, int] = {}
-    for c in sub.alphabet:
-        if c == s:
-            continue
-        img = sub.image(c)
-        nonstop = [x for x in img if x != s]
-        if not nonstop:
-            raise DomainError(f"image of {c!r} collapses to the fixed letter {s!r}")
-        fprime[c] = nonstop[0]
-        gprime[c] = nonstop[-1]
-        lead[c] = len(img) - len(img.lstrip(s))
-        trail[c] = len(img) - len(img.rstrip(s))
-    return fprime, gprime, lead, trail
+    never = len(new_letters) + 1
+    level: dict[str, int] = {}
+    first, last = {}, {}  # the first and the last non-s letter of each image
+    lead, trail = {}, {}  # the s's before the first and after the last
+    seeds: list[tuple[int, str, str]] = []
+    for i, letters in enumerate(new_letters, start=1):
+        for c in letters:
+            if c == s:
+                continue
+            img = sub.image(c)
+            nonstop = img.replace(s, "")
+            if not nonstop:
+                raise DomainError(f"image of {c!r} collapses to the fixed letter {s!r}")
+            level[c] = i
+            first[c], last[c] = nonstop[0], nonstop[-1]
+            lead[c] = len(img) - len(img.lstrip(s))
+            trail[c] = len(img) - len(img.rstrip(s))
+            seeds.extend((i, y, z) for y, z in zip(nonstop, nonstop[1:]))
+    f_cycles, g_cycles = _eventual_cycles(first), _eventual_cycles(last)
+    # each cycle of positive weight, at its letters' level
+    f_heavy = {cyc: level[min(cyc)] for cyc in set(f_cycles.values()) if any(map(lead.get, cyc))}
+    g_heavy = {cyc: level[min(cyc)] for cyc in set(g_cycles.values()) if any(map(trail.get, cyc))}
+    s_level = min([*f_heavy.values(), *g_heavy.values()], default=never)
+    pairs: dict[tuple[str, str], int] = {}
+    for e, y, z in seeds:  # level by level: a pair keeps the first level that reaches it
+        while (y, z) not in pairs:
+            pairs[(y, z)] = e
+            y, z = last[y], first[z]
+    f_level, g_level = dict(f_heavy), dict(g_heavy)  # then the cycles fed across a gap
+    for (y, z), e in pairs.items():
+        fz, gy = f_cycles[z], g_cycles[y]
+        if gy in g_heavy and e < f_level.get(fz, never):
+            f_level[fz] = e
+        if fz in f_heavy and e < g_level.get(gy, never):
+            g_level[gy] = e
+    left = {c: f_level.get(cyc, never) if c in cyc else never for c, cyc in f_cycles.items()}
+    right = {c: g_level.get(cyc, never) if c in cyc else never for c, cyc in g_cycles.items()}
+    return s_level, left, right
+
+
+def _s_runs(chain: ComponentChain) -> tuple[int, dict[str, int], dict[str, int]]:
+    """``_s_run_levels`` of the chain's fixed bottom letter, once per chain."""
+    return chain.memo(
+        ("s_runs",), lambda: _s_run_levels(chain.sub, _fixed_bottom(chain), chain._new_letters)
+    )
 
 
 def arbitrarily_long_s_powers(sub: Substitution, s: str) -> bool:
@@ -178,39 +230,7 @@ def arbitrarily_long_s_powers(sub: Substitution, s: str) -> bool:
     Equivalent to some letter cycle of the first (or last) non-s letter map
     accumulating a positive count of leading (trailing) s's per lap.
     """
-    fprime, gprime, lead, trail = _s_run_maps(sub, s)
-    for step, weight in ((fprime, lead), (gprime, trail)):
-        for c in step:
-            path, cycle = _orbit_cycle(step, c)
-            if not path and sum(weight[x] for x in cycle) > 0:
-                return True
-    return False
-
-
-def _adjacent_pairs_mod_s(sub: Substitution, s: str) -> set[tuple[str, str]]:
-    """Pairs of non-s letters separated only by s-runs somewhere in the language.
-
-    Seeded by within-image adjacencies and closed under the deterministic
-    step (last non-s of the left image, first non-s of the right image).
-    """
-    fprime, gprime, _, _ = _s_run_maps(sub, s)
-    pairs: set[tuple[str, str]] = set()
-    frontier: list[tuple[str, str]] = []
-    for c in sub.alphabet:
-        if c == s:
-            continue
-        nonstop = [x for x in sub.image(c) if x != s]
-        for y, z in zip(nonstop, nonstop[1:]):
-            if (y, z) not in pairs:
-                pairs.add((y, z))
-                frontier.append((y, z))
-    while frontier:
-        y, z = frontier.pop()
-        nxt = (gprime[y], fprime[z])
-        if nxt not in pairs:
-            pairs.add(nxt)
-            frontier.append(nxt)
-    return pairs
+    return _s_run_levels(sub, s, (sub.alphabet.letters,))[0] == 1
 
 
 def left_run_unbounded(sub: Substitution, s: str, target: str) -> bool:
@@ -222,29 +242,14 @@ def left_run_unbounded(sub: Substitution, s: str, target: str) -> bool:
     """
     if target == s:
         raise DomainError(f"the target must differ from the fixed letter {s!r}")
-    fprime, gprime, lead, trail = _s_run_maps(sub, s)
-    path, cycle = _orbit_cycle(fprime, target)
-    if path:
-        return False
-    if sum(lead[x] for x in cycle) > 0:
-        return True
-
-    def trail_unbounded(y: str) -> bool:
-        _, gcycle = _orbit_cycle(gprime, y)
-        return sum(trail[x] for x in gcycle) > 0
-
-    for y, z in _adjacent_pairs_mod_s(sub, s):
-        if not trail_unbounded(y):
-            continue
-        _, zcycle = _orbit_cycle(fprime, z)
-        if target in zcycle:
-            return True
-    return False
+    return _s_run_levels(sub, s, (sub.alphabet.letters,))[1][target] == 1
 
 
 def right_run_unbounded(sub: Substitution, s: str, target: str) -> bool:
     """Mirror of :func:`left_run_unbounded`: s-runs after the target."""
-    return left_run_unbounded(sub.reversed(), s, target)
+    if target == s:
+        raise DomainError(f"the target must differ from the fixed letter {s!r}")
+    return _s_run_levels(sub, s, (sub.alphabet.letters,))[2][target] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +450,8 @@ def _pair_seeds(chain: ComponentChain, i: int, s: str | None) -> list[PointSeed]
 def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> list[PointSeed]:
     """Periodic-point seeds of level i, deduplicated by central windows.
 
-    Only the forms around a fixed bottom letter s need the restrictions of
-    levels i and i-1; without s the full substitution's images suffice, and a
+    The forms around a fixed bottom letter s are new at level i where the
+    chain's s-run facts (``_s_runs``) start to hold at level i; without s, a
     level with no ``pair`` seed has none at all.
     """
     s = _fixed_bottom(chain)
@@ -455,20 +460,19 @@ def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> l
         return seeds
     if s is not None:
         lower = chain.alphabet_at(i - 1)
-        sub_i = chain.restrict(i)[0]
-        sub_below = chain.restrict(i - 1)[0]
+        s_level, left, right = _s_runs(chain)
         f_cycles, g_cycles = _letter_cycles(chain)
         f_cyclic = sorted((c, f_cycles[c]) for c in lower if c != s and c in f_cycles)
         g_cyclic = sorted((c, g_cycles[c]) for c in lower if c != s and c in g_cycles)
-        if arbitrarily_long_s_powers(sub_i, s) and not arbitrarily_long_s_powers(sub_below, s):
+        if s_level == i:
             seeds.append(PointSeed(kind="fixed_letter_power", gamma=s, delta=s,
                                    shift_periodic=True))
         for gamma, pf in f_cyclic:
-            if left_run_unbounded(sub_i, s, gamma) and not left_run_unbounded(sub_below, s, gamma):
+            if left[gamma] == i:
                 seeds.append(PointSeed(kind="bilateral_limit", form="s_left",
                                        gamma=gamma, q=pf))
         for delta, pg in g_cyclic:
-            if right_run_unbounded(sub_i, s, delta) and not right_run_unbounded(sub_below, s, delta):
+            if right[delta] == i:
                 seeds.append(PointSeed(kind="bilateral_limit", form="s_right",
                                        delta=delta, q=pg))
         for delta, pg in g_cyclic:
@@ -580,7 +584,8 @@ def _classify_level(
     chain.check_level(i)
     if i < 2:
         raise DomainError("classify_level applies to levels >= 2; level 1 is the bottom report")
-    seed = level_seed(sub, chain, spectral, i)
+    # the caller checked the profile (``classify_level``)
+    seed = chain.memo(("seed_pair", i), _level_seed, sub, chain, spectral, i)
     report = LevelReport(level=i, case="", seed=seed)
     if seed.k > 1:
         report.notes.append(f"analysis uses the power {seed.k} of the substitution")
@@ -591,7 +596,7 @@ def _classify_level(
         # The lower seed letter is the bottom fixed letter s; the level
         # closure is minimal, or almost minimal around s^infinity when s-runs
         # grow.
-        if arbitrarily_long_s_powers(chain.restrict(i)[0], seed.a):
+        if _s_runs(chain)[0] <= i:
             report.case = "almost_minimal"
         else:
             report.case = "minimal"
@@ -681,13 +686,12 @@ def minimal_sets(
     if theta1.compare(1) > 0:
         unique = lam.compare(theta1) == 0
         return MinimalSets(["X_sigma_1"], unique, "i" if unique else None, None)
-    s = chain.alphabet_at(1)[0]
-    s_in = arbitrarily_long_s_powers(sub, s)
-    if not s_in:
+    s_level = _s_runs(chain)[0]  # theta_1 = 1: the bottom letter is fixed
+    if s_level > chain.n:
         theta2 = spectral.theta(2)
         unique = theta2.compare(1) > 0 and lam.compare(theta2) == 0
         return MinimalSets(["X_sigma_2"], unique, "ii" if unique else None, False)
-    if arbitrarily_long_s_powers(chain.restrict(2)[0], s):
+    if s_level <= 2:
         unique = lam.compare(1) == 0
         return MinimalSets(["s_infinity"], unique, "iii" if unique else None, True)
     return MinimalSets(["X_sigma_2", "s_infinity"], False, None, True)

@@ -610,8 +610,6 @@ def empirical_frequency(
     i: int,
     v: str,
     L: int,
-    *,
-    power_budget: int = POWER_BUDGET,
 ) -> EmpiricalFrequency:
     """Occurrence statistics of ``v`` along the expansion of the anchor letter.
 
@@ -636,8 +634,8 @@ def empirical_frequency(
     words = chain_i.word_levels(m)
     if v not in words:
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
-    if L > power_budget:
-        raise BudgetExceeded(f"prefix length {L} exceeds the power budget {power_budget}")
+    if L > POWER_BUDGET:
+        raise BudgetExceeded(f"prefix length {L} exceeds the power budget {POWER_BUDGET}")
     anchor = desc.anchor
     blocks = _Blocks(sub_i, v)
     k = blocks.reach(anchor, L)
@@ -645,7 +643,7 @@ def empirical_frequency(
     result = EmpiricalFrequency(level=i, word=v, length=L, power=k, ratio=ratio)
     if desc.kind == "infinite_radon":
         # k2 is the last power within the budget, one below the first past it
-        k2 = blocks.reach(anchor, power_budget + 1) - 1
+        k2 = blocks.reach(anchor, POWER_BUDGET + 1) - 1
         u = min((w for w in words if w[0] == anchor), key=sub_i.alphabet.word_key)
         count = blocks.count(u, k2) - blocks.count(u[1:], k2)
         theta = spectral.theta(i)

@@ -128,15 +128,6 @@ class SpectralProfile:
         check_level(i, len(self.levels))
         return self.theta(self._upto[i - 1])
 
-    def eta_from(self, i: int) -> AlgebraicReal:
-        """Running maximum over levels i..n."""
-        check_level(i, len(self.levels))
-        best = i
-        for j in range(i + 1, self.n + 1):
-            if self.theta(j) > self.theta(best):
-                best = j
-        return self.theta(best)
-
     def theta_is_one(self, i: int) -> bool:
         return self.theta(i).compare(1) == 0
 

@@ -4,14 +4,18 @@ A valid system decomposes the alphabet into nested levels A_1 c A_2 c ... of
 letters, each level closed under the substitution, such that some uniform
 power reproduces every letter of A_i inside every image of a level-i letter.
 Detection works on the reachability digraph: the strongly connected
-components must be totally ordered by reachability, each diagonal block must
-be primitive, and a uniform witness power is then found by stepping boolean
-powers. Boolean matrices are kept as one int bitset per row: row a of A·P is
-the OR of the rows P[c] over the letters c of σ(a), so a power step costs
-O(n·|σ|) big-int ORs, and a row is tested against a mask in one operation.
-A one-letter component, every level of a tower, takes no power step: its
-1×1 block is primitive exactly when the letter occurs in its own image. The
-witness search steps only the rows that are not yet full, inline.
+components must be totally ordered by reachability, and one search over
+boolean powers then finds the uniform witness power and decides primitivity
+with it. A component's diagonal block of A^k is the k-th power of its own
+block, so a primitive block is full from k = (|B|-1)^2 + 1 on (Wielandt) and
+an imprimitive one never is; every letter reaches each component below it in
+at most n - 1 steps, so the search stops at k = n + max_B ((|B|-1)^2 + 1).
+If no witness turns up by then, the lowest component whose diagonal block
+is not full is named as imprimitive. Boolean matrices are kept as one int
+bitset per row: row a of A·P is the OR of the rows P[c] over the letters c
+of σ(a), so a power step costs O(n·|σ|) big-int ORs, and a row is tested
+against a mask in one operation. The search steps only the rows that are
+not yet full, inline.
 
 A chain keeps one letter -> level index, built with it: ``new_letters`` and
 ``level_of`` read it, and "a letter lies below level i" is the test
@@ -60,17 +64,6 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
         base = mat_mul(base, base) if k > 1 else base
         k >>= 1
     return result
-
-
-def _row_or_step(succ: list[list[int]], power: list[int]) -> list[int]:
-    """Bitset rows of A·P, for A given by successor lists and P by bitset rows."""
-    out = []
-    for targets in succ:
-        row = 0
-        for c in targets:
-            row |= power[c]
-        out.append(row)
-    return out
 
 
 @dataclass(frozen=True)
@@ -298,32 +291,6 @@ def component_chain(sub: Substitution) -> ComponentChain:
                 ],
             },
         )
-    # Each diagonal block must be primitive: some boolean power all-positive.
-    # A one-letter block is primitive iff its letter occurs in its own image.
-    for ci in order:
-        comp = sccs[ci]
-        if len(comp) == 1:
-            ok = comp[0] in edges[comp[0]]
-        else:
-            pos = {v: p for p, v in enumerate(comp)}
-            succ = [[pos[w] for w in edges[v] if w in pos] for v in comp]
-            full = (1 << len(comp)) - 1
-            wielandt = (len(comp) - 1) ** 2 + 1
-            power = _row_or_step(succ, [1 << p for p in range(len(comp))])
-            ok = all(row == full for row in power)
-            for _ in range(wielandt - 1):
-                if ok:
-                    break
-                power = _row_or_step(succ, power)
-                ok = all(row == full for row in power)
-        if not ok:
-            raise NoPrimitiveChainError(
-                "a diagonal block is not primitive",
-                {
-                    "kind": "imprimitive_block",
-                    "component": sorted(letters[v] for v in comp),
-                },
-            )
     cumulative: list[tuple[str, ...]] = []
     seen = [False] * n  # the letters on or below the current level
     need = [0] * n  # bitset of the letters on or below each letter's level
@@ -336,18 +303,17 @@ def component_chain(sub: Substitution) -> ComponentChain:
             need[v] = mask
         cumulative.append(tuple(compress(letters, seen)))
     levels = tuple(cumulative)
-    # Uniform witness power: all entries on or below the block diagonal of
-    # some boolean power are positive; bounded by Wielandt plus graph depth.
-    # Only the unfinished rows are stepped and tested: a row that holds every
-    # letter on or below its level holds exactly those letters (nothing else
-    # is reachable), and it keeps them at every later power, since each such
-    # letter has a predecessor in its own primitive component, which lies on
-    # or below the level too. A finished row is therefore the same in every
-    # later power, and the unfinished rows can read it from the stored list.
-    bound = (n - 1) ** 2 + 1 + n
+    # Uniform witness power: the least k at which every row of A^k holds
+    # every letter on or below its level. It also decides primitivity (see
+    # the module docstring): past the bound, the lowest component whose
+    # diagonal block of the last power is not full is imprimitive. Only the
+    # unfinished rows are stepped and tested: a finished row holds every
+    # letter reachable from its letter, each of which has a predecessor
+    # among them, so the row is the same at every later power, and the
+    # unfinished rows can read it from the stored list.
+    bound = n + max((len(comp) - 1) ** 2 + 1 for comp in sccs)
     power = [1 << v for v in range(n)]  # A^0
     todo = list(range(n))
-    witness = None
     for k in range(1, bound + 1):
         stepped = []
         for a in todo:  # every row from the previous power, then stored
@@ -359,14 +325,13 @@ def component_chain(sub: Substitution) -> ComponentChain:
             power[a] = row
         todo = [a for a, row in zip(todo, stepped) if need[a] & ~row]
         if not todo:
-            witness = k
-            break
-    if witness is None:  # unreachable if the checks above passed
-        raise NoPrimitiveChainError(
-            "no uniform witness power below the bound",
-            {"kind": "no_witness", "bound": bound},
-        )
-    return ComponentChain(sub, levels, witness)
+            return ComponentChain(sub, levels, k)
+    blocks = ((comp, sum(1 << v for v in comp)) for comp in map(sccs.__getitem__, order))
+    comp = next(comp for comp, block in blocks if any(block & ~power[v] for v in comp))
+    raise NoPrimitiveChainError(
+        "a diagonal block is not primitive",
+        {"kind": "imprimitive_block", "component": sorted(letters[v] for v in comp)},
+    )
 
 
 def is_empty_bottom(sub: Substitution, chain: ComponentChain) -> bool:

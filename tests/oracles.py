@@ -6,8 +6,8 @@ every ordered partition of the alphabet or by dense boolean matrix products,
 linear systems are solved by dense Gauss-Jordan elimination over the
 rationals (structured eigenvectors too, or by numpy for an irrational
 eigenvalue), real roots are isolated and refined by Sturm counts in Fraction
-arithmetic, and per-level data (languages, letter-map cycles, pair seeds) is
-rebuilt from scratch on each level's own rules.
+arithmetic, and per-level data (languages, letter-map cycles, pair seeds,
+s-run facts) is rebuilt from scratch on each level's own rules.
 """
 
 from __future__ import annotations
@@ -351,6 +351,76 @@ def cycle_info(step: dict[str, str], x: str) -> tuple[bool, int]:
     """Whether x lies on a cycle of the map, and the length of the cycle its orbit ends in."""
     path, cycle = orbit_cycle(step, x)
     return not path, len(cycle)
+
+
+def s_run_maps(rules: dict[str, str], s: str):
+    """First/last non-s letter maps with leading/trailing s-run lengths."""
+    first: dict[str, str] = {}
+    last: dict[str, str] = {}
+    lead: dict[str, int] = {}
+    trail: dict[str, int] = {}
+    for c, img in rules.items():
+        if c == s:
+            continue
+        nonstop = [x for x in img if x != s]
+        first[c], last[c] = nonstop[0], nonstop[-1]
+        lead[c] = len(img) - len(img.lstrip(s))
+        trail[c] = len(img) - len(img.rstrip(s))
+    return first, last, lead, trail
+
+
+def arbitrarily_long_s_powers(rules: dict[str, str], s: str) -> bool:
+    """Whether some cycle of the first (last) non-s letter map accumulates
+    leading (trailing) s's per lap, walking the orbit of every letter."""
+    first, last, lead, trail = s_run_maps(rules, s)
+    for step, weight in ((first, lead), (last, trail)):
+        for c in step:
+            path, cycle = orbit_cycle(step, c)
+            if not path and sum(weight[x] for x in cycle) > 0:
+                return True
+    return False
+
+
+def adjacent_pairs_mod_s(rules: dict[str, str], s: str) -> set[tuple[str, str]]:
+    """Pairs of non-s letters separated only by s-runs somewhere in the
+    language: within-image adjacencies closed under the step (last non-s of
+    the left image, first non-s of the right image)."""
+    first, last, _, _ = s_run_maps(rules, s)
+    pairs: set[tuple[str, str]] = set()
+    for c, img in rules.items():
+        if c != s:
+            nonstop = [x for x in img if x != s]
+            pairs.update(zip(nonstop, nonstop[1:]))
+    frontier = list(pairs)
+    while frontier:
+        y, z = frontier.pop()
+        nxt = (last[y], first[z])
+        if nxt not in pairs:
+            pairs.add(nxt)
+            frontier.append(nxt)
+    return pairs
+
+
+def left_run_unbounded(rules: dict[str, str], s: str, target: str) -> bool:
+    """Whether s^p target is a word for every p: the target sits on a cycle
+    of the first non-s map that accumulates leading s's, or that is fed
+    across a gap y z by a letter y whose last-map cycle accumulates trailing
+    ones. Every level is tested on its own rules."""
+    first, last, lead, trail = s_run_maps(rules, s)
+    path, cycle = orbit_cycle(first, target)
+    if path:
+        return False
+    if sum(lead[x] for x in cycle) > 0:
+        return True
+    return any(
+        sum(trail[x] for x in orbit_cycle(last, y)[1]) > 0 and target in orbit_cycle(first, z)[1]
+        for y, z in adjacent_pairs_mod_s(rules, s)
+    )
+
+
+def right_run_unbounded(rules: dict[str, str], s: str, target: str) -> bool:
+    """Whether target s^p is a word for every p: the mirror system's left run."""
+    return left_run_unbounded({c: img[::-1] for c, img in rules.items()}, s, target)
 
 
 def first_map(rules: dict[str, str]) -> dict[str, str]:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from chainshift import (
@@ -218,6 +219,57 @@ def test_left_run_detects_junction_growth():
     sub3 = sub.restrict(chain.alphabet_at(3))
     assert left_run_unbounded(sub4, "a", "d")
     assert not left_run_unbounded(sub3, "a", "d")
+
+
+@st.composite
+def fixed_bottom_chains(draw) -> dict[str, str]:
+    """Rules whose chain has the fixed bottom letter s = "a".
+
+    Primitive blocks of one to three letters are stacked on a -> a, as in
+    ``chain_systems``: each block is a cycle made aperiodic by a loop or by a
+    chord one shorter, and links to the block just below. Each image takes
+    up to three extra letters from its block and below, s weighted twice, so
+    s-runs before, after and between letters are common.
+    """
+    names = draw(st.permutations("bcdefg"))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 6))
+    rules = {"a": "a"}
+    below, last, start = ["a"], ["a"], 0
+    for size in sizes:
+        block = list(names[start : start + size])
+        start += size
+        need = {c: [block[(i + 1) % size]] for i, c in enumerate(block)}
+        if size == 1 or draw(st.booleans()):
+            need[block[0]].append(block[0])
+        else:
+            need[block[-1]].append(block[1])
+        need[draw(st.sampled_from(block))].append(draw(st.sampled_from(last)))
+        pool = sorted(["a"] + below + block)
+        for c in block:
+            extra = draw(st.lists(st.sampled_from(pool), max_size=3))
+            rules[c] = "".join(draw(st.permutations(need[c] + extra)))
+        below += block
+        last = block
+    return {c: rules[c] for c in draw(st.permutations(sorted(rules)))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_bottom_chains())
+@example({"a": "a", "b": "cba", "c": "cbc", "d": "dc", "e": "bde"})  # almost_min_tower
+def test_s_run_levels_match_the_restriction_oracle(rules):
+    # one level per fact and letter, read as "holds on level i" iff <= i,
+    # against the per-level tests run on each level's own rules
+    chain = component_chain(Substitution.from_rules(rules))
+    assert chain.levels[0] == ("a",)
+    s_level, left, right = classify._s_runs(chain)
+    assert set(left) == set(right) == set(rules) - {"a"}
+    for i in range(1, chain.n + 1):
+        rules_i = oracles.restrict(rules, chain.alphabet_at(i))
+        assert (s_level <= i) == oracles.arbitrarily_long_s_powers(rules_i, "a"), i
+        for c in left:
+            on_level = c in rules_i
+            assert (left[c] <= i) == (on_level and oracles.left_run_unbounded(rules_i, "a", c)), (i, c)
+            assert (right[c] <= i) == (on_level and oracles.right_run_unbounded(rules_i, "a", c)), (i, c)
 
 
 # -- level classification ----------------------------------------------------

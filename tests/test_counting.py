@@ -32,6 +32,7 @@ from chainshift import (
     empirical_frequency,
     language,
     measure_type,
+    measures,
     uniformity_check,
 )
 from conftest import CORPUS_RULES, make
@@ -86,7 +87,7 @@ def _check(name: str, i: int, v: str, L: int) -> None:
 
 
 @pytest.mark.parametrize("name,i", MEASURABLE, ids=[f"{n}-{i}" for n, i in MEASURABLE])
-def test_prefix_counts_match_expansion(name, i):
+def test_prefix_counts_match_expansion(name, i, monkeypatch):
     setup, sub_i, rules, anchor, images = _level(name, i)
     # Power boundaries around the first image of at least 1000 letters.
     k = next(j for j, img in enumerate(images) if len(img) >= 1000)
@@ -116,7 +117,9 @@ def test_prefix_counts_match_expansion(name, i):
             assert entry == count + len(oracles.occurrences(v, tail)), (name, i, v)
             if infinite:
                 # a budget of |sigma^k(anchor)| makes k the scaled power
-                freq = empirical_frequency(*setup, i, v, full, power_budget=full)
+                with monkeypatch.context() as patch:
+                    patch.setattr(measures, "POWER_BUDGET", full)
+                    freq = empirical_frequency(*setup, i, v, full)
                 assert (freq.scaled_power, freq.scaled_count) == (k, entry), (name, i, v)
 
 

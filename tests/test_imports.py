@@ -8,7 +8,9 @@ reader takes from that table, while the integer-theta tables, which start from
 the letter level, name no window solve, window substitution or restriction at
 all; ``measures`` does not import ``auxiliary``, and ``spectral`` keeps one
 left-vector solve per level (no ``pf_left``, ``LeftVector`` or
-``level_profile``).
+``level_profile``). ``classify`` restricts the chain only for the level-2
+periodicity probe: its s-run facts come from one record per chain. In
+``structure`` the witness search alone decides primitivity.
 """
 
 import ast
@@ -177,3 +179,32 @@ def test_measures_stores_only_level_records():
             keys = [arg for arg in node.args if isinstance(arg, ast.Tuple)]
             heads.append(ast.unparse(keys[0].elts[0]) if keys and keys[0].elts else None)
     assert heads and set(heads) == {"'level'"}, heads
+
+
+def _calls(path: Path, name: str) -> list[str]:
+    """The source of every call in ``path`` of a function or method ``name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == name
+    ]
+
+
+def test_classify_restricts_only_for_the_periodicity_probe():
+    # the s-run facts of every level come from one ("s_runs",) record
+    path = PACKAGE / "classify.py"
+    assert _calls(path, "restrict") == ["chain.restrict(2)"]
+    assert _calls(path, "_is_single_periodic_orbit") == ["_is_single_periodic_orbit(chain.restrict(2)[0])"]
+
+
+def test_structure_decides_primitivity_in_the_witness_search():
+    # no separate power stepping per component, and no witness-less outcome
+    source = (PACKAGE / "structure.py").read_text(encoding="utf-8")
+    names = {
+        getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+        for node in ast.walk(ast.parse(source))
+    }
+    assert "_row_or_step" not in names
+    assert "no_witness" not in source

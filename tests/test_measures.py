@@ -477,12 +477,14 @@ def test_empirical_frequency_fibonacci_bottom():
     assert abs(freq.ratio - (SQRT5 - 1) / 2) <= 5e-3
 
 
-def test_empirical_frequency_scaled_count():
+def test_empirical_frequency_scaled_count(monkeypatch):
     setup = _setup("quartic")
-    freq = empirical_frequency(*setup, 2, "ab", 10_000, power_budget=2 * 10**12)
+    monkeypatch.setattr(measures, "POWER_BUDGET", 2 * 10**12)
+    freq = empirical_frequency(*setup, 2, "ab", 10_000)
     assert freq.scaled_power == 20
     assert abs(freq.scaled_value - 1 / 3) <= 1e-3
-    freq_b = empirical_frequency(*setup, 2, "b", 10_000, power_budget=10**9)
+    monkeypatch.setattr(measures, "POWER_BUDGET", 10**9)
+    freq_b = empirical_frequency(*setup, 2, "b", 10_000)
     assert abs(freq_b.scaled_value - 1.0) <= 1e-3
 
 

@@ -564,11 +564,41 @@ def test_decomposition_report_leaves_three_keys_per_level():
         ("two_words",),  # its crossing and pair-seed words, by level
         ("oriented_images", False),
         ("letter_cycles",),
-        ("fixed_bottom",),
+        ("fixed_bottom",),  # None here: no ("s_runs",) record is made
         ("restrict", 2),  # the periodicity probe at level 3
     }
     per_level = {(name, i) for i in range(2, n + 1) for name in ("seed_pair", "point_seeds", "classify_level")}
     assert set(chain._memo) == per_chain | per_level
+
+
+@pytest.mark.parametrize("name", ["almost_min_tower", "constant_reenters", "chacon", "left_tail"])
+def test_fixed_bottom_stores_one_s_run_record(name):
+    # the s-run facts of every level come from one per-chain record; no
+    # level restricts the chain for them
+    sub = make(name)
+    chain = component_chain(sub)
+    decomposition_report(sub, chain, block_eigenvalues(sub, chain))
+    assert ("s_runs",) in chain._memo
+    assert {key for key in chain._memo if key[0] == "restrict"} <= {("restrict", 2)}
+
+
+def test_decomposition_report_checks_the_profile_once_per_level(monkeypatch):
+    # classify_level checks the profile; the seed pair it reads does not
+    # check it again (tower_64_mixed of seed_pairs.json, fresh chain)
+    n = 64
+    sub = Substitution.from_rules(tower([2 + i % 2 for i in range(n)], [i % 3 != 1 for i in range(n)]))
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    checks = Counter()
+    check = spectral.SpectralProfile.check
+
+    def counted(self, *args):
+        checks["check"] += 1
+        return check(self, *args)
+
+    monkeypatch.setattr(spectral.SpectralProfile, "check", counted)
+    decomposition_report(sub, chain, profile)
+    assert checks["check"] == n - 1
 
 
 def test_decomposition_report_sweeps_each_level_once(monkeypatch):

@@ -95,7 +95,6 @@ def test_running_maxima(corpus_sub):
     sp = block_eigenvalues(corpus_sub, chain)
     for i in range(1, chain.n):
         assert sp.lambda_upto(i).compare(sp.lambda_upto(i + 1)) <= 0
-        assert sp.eta_from(i).compare(sp.eta_from(i + 1)) >= 0
 
 
 def _golden_bottom(rs):

@@ -203,6 +203,31 @@ def test_one_letter_component_without_its_letter(rules):
     assert assert_matches_dense_oracle(rules) == "imprimitive_block"
 
 
+def _tower_over_period_two() -> dict[str, str]:
+    """41 one-letter levels over a -> b, b -> a."""
+    rules = tower([2] * 41)
+    x = list(rules)
+    return {"a": "b", "b": "a", **rules, x[0]: "a" + x[0] * 2}
+
+
+@pytest.mark.parametrize(
+    "rules, lowest",
+    [
+        (_tower_over_period_two(), ["a", "b"]),
+        # a 3-cycle, a primitive letter, a 2-cycle on top, declared top first
+        ({"d": "ef", "e": "d", "f": "fa", "a": "b", "b": "c", "c": "a"}, ["a", "b", "c"]),
+    ],
+    ids=("tower_over_period_two", "two_cycles"),
+)
+def test_lowest_imprimitive_block_is_named(rules, lowest):
+    # no witness turns up by the bound, and the lowest block that is not
+    # full in the last power is named, as the dense search names it
+    assert assert_matches_dense_oracle(rules) == "imprimitive_block"
+    with pytest.raises(NoPrimitiveChainError) as err:
+        component_chain(Substitution.from_rules(rules))
+    assert err.value.diagnostic == {"kind": "imprimitive_block", "component": lowest}
+
+
 def test_incomparable_components_rejected():
     # two primitive bottoms coupled only from above
     rules = {"a": "ab", "b": "a", "c": "cd", "d": "c", "e": "ace"}
