@@ -8,14 +8,11 @@ whose images fix their first or last letter, filtered by two-letter language
 membership, and deduplicated by comparing central windows.
 
 The bottom fixed letter s (when the first level is a single letter mapped to
-itself) gets special treatment: whether arbitrarily long s-runs exist, and on
-which level they first appear, is decided exactly from the cycle structure of
-the first/last non-s letter maps, never by bounded expansion. Each such fact
-is one number, the level at which it starts to hold, as words have theirs
-(``ComponentChain.word_levels``): a letter's non-s maps and their cycles are
-the same on every level that holds it, and only the pairs of letters with
-nothing but s's between them depend on the level, each tagged with the level
-it enters.
+itself) gets special treatment: whether arbitrarily long s-runs exist, and
+which words delta s^p gamma are central words of periodic points, is decided
+exactly from the first/last non-s letter maps and one closure of the words
+y s^g z under a gap-weighted step, never by bounded expansion or a cap on p.
+Each such fact is one number, the level at which it starts to hold.
 
 ``decomposition_report`` classifies the levels in one sweep up the chain, and
 each level reuses what the levels below already built. Every level is closed
@@ -40,20 +37,19 @@ Everything is stored on the chain (see ``spectral``), each computed once:
 - ``("letter_cycles",)``: the cycle lengths of the first-letter and the
   last-letter maps, found in one O(|alphabet|) walk (``_eventual_cycles``).
 - ``("s_runs",)``: with a fixed bottom letter s only, the level from which
-  every power of s is a word, and for each other letter c, the levels from
-  which s^p c and c s^p are words for every p (``_s_run_levels``). The
-  census tests ``== i`` (new at level i), the level case and the minimal
-  sets ``<= i``.
+  every power of s is a word, for each other letter c the levels from which
+  s^p c and c s^p are words for every p, and the ``s_middle`` words of each
+  level (``_s_run_levels``). The census tests ``== i`` (new at level i), the
+  level case and the minimal sets ``<= i``.
 - ``("oriented_images", mirrored)``: every image, written backwards for the
   mirror system, as a dict and as a ``str.translate`` table, with the position
   of its first letter on the letter's own level.
 - ``("fixed_bottom",)``: the fixed bottom letter s, or None.
 
 No level builds a set of its letters: a letter's level is read from the
-chain's letter -> level index (``chain._level_of``). An ``s_middle``
-periodic-point seed of level i is a word that enters at level i, read off
-the chain's word -> level index of its length. Only the periodicity probe
-at level 3 needs a level substitution of its own, ``chain.restrict(2)``.
+chain's letter -> level index (``chain._level_of``), and no word longer than
+two is looked up. Only the periodicity probe at level 3 needs a level
+substitution of its own, ``chain.restrict(2)``.
 """
 
 from __future__ import annotations
@@ -67,7 +63,6 @@ from .spectral import SpectralProfile, block_eigenvalues
 from .words import Substitution, apply, count_occurrences, language
 
 SEED_BUDGET = 10**7  # letters in one expansion of a seed pair
-MIDDLE_CAP = 12  # longest s-run tried between the letters of an s_middle seed
 WINDOW_CAP = 4096  # longest central window of a periodic-point seed
 
 
@@ -151,29 +146,41 @@ def _fixed_bottom(chain: ComponentChain) -> str | None:
     return chain.memo(("fixed_bottom",), lambda: bottom[0] if is_empty_bottom(chain.sub, chain) else None)
 
 
-def _s_run_levels(
-    sub: Substitution, s: str, new_letters: tuple[tuple[str, ...], ...]
-) -> tuple[int, dict[str, int], dict[str, int]]:
+_SRuns = tuple[int, dict[str, int], dict[str, int], dict[int, list[tuple[str, str, int]]]]
+
+
+def _s_run_levels(sub: Substitution, s: str, new_letters: tuple[tuple[str, ...], ...]) -> _SRuns:
     """The level at which each s-run fact starts to hold, for the fixed letter
     s and the levels that add ``new_letters``; n + 1 where it never does.
 
-    Returns the level from which every power of s is a language word, and
-    for each letter c other than s, ``left[c]`` and ``right[c]``: the level
-    from which s^p c, and c s^p, is one for every p. The first (last)
-    non-s letter map sends c to the first (last) letter of its image other
-    than s, and weighs it by the s's before (after) that letter. Every power
-    of s is a word iff some cycle of either map has positive weight. s^p c
-    is one for every p iff c lies on a cycle of the first map that has
-    positive weight, or that the first map carries z to, where y z is a pair
-    of non-s letters with only s's between them somewhere in the language
-    and y's cycle under the last map has positive weight; c s^p mirrors it.
+    Returns the level from which every power of s is a language word; per
+    letter c other than s, ``left[c]`` and ``right[c]``, the level from which
+    s^p c, and c s^p, is one for every p; and per level i, ``middle[i]``.
+    The first (last) non-s letter map sends c to the first (last) letter of
+    its image other than s, weighed by the s's before (after) it. Every
+    power of s is a word iff some cycle of either map has positive weight.
+    s^p c is one for every p iff c lies on a cycle of the first map that has
+    positive weight, or that the first map carries z to, for a word y s^g z
+    with y's cycle under the last map of positive weight; c s^p mirrors it.
 
-    Every level is closed under the substitution, so a letter's maps and
-    their cycles are the same on every level that holds it, and the letters
-    of a cycle share one level. Only the pairs depend on the level: they are
-    seeded by the adjacencies inside images and closed under the step
-    (y, z) -> (last of y, first of z), one path per seed; taking the seeds
-    level by level tags each pair with the level it enters.
+    A letter's maps and cycles are the same on every level that holds it,
+    and a cycle's letters share one level. Only the words y s^g z between
+    non-s letters depend on the level. As triples (y, z, g) they are seeded
+    by the adjacencies inside images and closed under the step (y, z, g) ->
+    (last y, first z, trail y + g + lead z): s is fixed, so each lies in one
+    image or is the step of a triple one desubstitution down. Walking the
+    seeds level by level, one path each, tags a triple with the first level
+    that reaches it. The weight is never negative, so a path whose pair
+    (y, z) comes back has met a triple it holds or closed a cycle of positive
+    weight, beyond which every gap grows; it stops there, within |pairs| + 1
+    steps. A pair's level is the least of its triples'.
+
+    ``middle[i]``, sorted (delta, gamma, p): the triples new at level i with
+    p >= 1 and both letters below i, delta on a cycle of the raw last-letter
+    map and gamma on one of the raw first-letter map. Such a letter has trail
+    (lead) 0 all around its cycle, so these are exactly the triples on a
+    zero-weight cycle of the step, the central words of the sigma^q-periodic
+    points (q the lcm of the cycle lengths), at every gap.
     """
     if sub.image(s) != s:
         raise DomainError(f"{s!r} is not a fixed letter")
@@ -181,47 +188,49 @@ def _s_run_levels(
     level: dict[str, int] = {}
     first, last = {}, {}  # the first and the last non-s letter of each image
     lead, trail = {}, {}  # the s's before the first and after the last
-    seeds: list[tuple[int, str, str]] = []
+    seeds: list[tuple[int, str, str, int]] = []
     for i, letters in enumerate(new_letters, start=1):
         for c in letters:
             if c == s:
                 continue
             img = sub.image(c)
-            nonstop = img.replace(s, "")
-            if not nonstop:
+            spots = [k for k, x in enumerate(img) if x != s]
+            if not spots:
                 raise DomainError(f"image of {c!r} collapses to the fixed letter {s!r}")
             level[c] = i
-            first[c], last[c] = nonstop[0], nonstop[-1]
-            lead[c] = len(img) - len(img.lstrip(s))
-            trail[c] = len(img) - len(img.rstrip(s))
-            seeds.extend((i, y, z) for y, z in zip(nonstop, nonstop[1:]))
+            first[c], last[c] = img[spots[0]], img[spots[-1]]
+            lead[c], trail[c] = spots[0], len(img) - 1 - spots[-1]
+            seeds.extend((i, img[j], img[k], k - j - 1) for j, k in zip(spots, spots[1:]))
     f_cycles, g_cycles = _eventual_cycles(first), _eventual_cycles(last)
     # each cycle of positive weight, at its letters' level
     f_heavy = {cyc: level[min(cyc)] for cyc in set(f_cycles.values()) if any(map(lead.get, cyc))}
     g_heavy = {cyc: level[min(cyc)] for cyc in set(g_cycles.values()) if any(map(trail.get, cyc))}
     s_level = min([*f_heavy.values(), *g_heavy.values()], default=never)
-    pairs: dict[tuple[str, str], int] = {}
-    for e, y, z in seeds:  # level by level: a pair keeps the first level that reaches it
-        while (y, z) not in pairs:
-            pairs[(y, z)] = e
-            y, z = last[y], first[z]
+    triples: dict[tuple[str, str, int], int] = {}
+    for e, y, z, g in seeds:  # level by level: a triple keeps the first level that reaches it
+        path: set[tuple[str, str]] = set()  # the pairs this path has met
+        while (y, z, g) not in triples and (y, z) not in path:
+            triples[(y, z, g)] = e
+            path.add((y, z))
+            y, z, g = last[y], first[z], trail[y] + g + lead[z]
     f_level, g_level = dict(f_heavy), dict(g_heavy)  # then the cycles fed across a gap
-    for (y, z), e in pairs.items():
+    middle: dict[int, list[tuple[str, str, int]]] = {}
+    for (y, z, g), e in sorted(triples.items()):
         fz, gy = f_cycles[z], g_cycles[y]
         if gy in g_heavy and e < f_level.get(fz, never):
             f_level[fz] = e
         if fz in f_heavy and e < g_level.get(gy, never):
             g_level[gy] = e
+        if g and y in gy and z in fz and not (gy in g_heavy or fz in f_heavy) and level[y] < e > level[z]:
+            middle.setdefault(e, []).append((y, z, g))
     left = {c: f_level.get(cyc, never) if c in cyc else never for c, cyc in f_cycles.items()}
     right = {c: g_level.get(cyc, never) if c in cyc else never for c, cyc in g_cycles.items()}
-    return s_level, left, right
+    return s_level, left, right, middle
 
 
-def _s_runs(chain: ComponentChain) -> tuple[int, dict[str, int], dict[str, int]]:
+def _s_runs(chain: ComponentChain) -> _SRuns:
     """``_s_run_levels`` of the chain's fixed bottom letter, once per chain."""
-    return chain.memo(
-        ("s_runs",), lambda: _s_run_levels(chain.sub, _fixed_bottom(chain), chain._new_letters)
-    )
+    return chain.memo(("s_runs",), _s_run_levels, chain.sub, _fixed_bottom(chain), chain._new_letters)
 
 
 def arbitrarily_long_s_powers(sub: Substitution, s: str) -> bool:
@@ -460,29 +469,21 @@ def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> l
         return seeds
     if s is not None:
         lower = chain.alphabet_at(i - 1)
-        s_level, left, right = _s_runs(chain)
+        s_level, left, right, middle = _s_runs(chain)
         f_cycles, g_cycles = _letter_cycles(chain)
         f_cyclic = sorted((c, f_cycles[c]) for c in lower if c != s and c in f_cycles)
         g_cyclic = sorted((c, g_cycles[c]) for c in lower if c != s and c in g_cycles)
         if s_level == i:
-            seeds.append(PointSeed(kind="fixed_letter_power", gamma=s, delta=s,
-                                   shift_periodic=True))
+            seeds.append(PointSeed(kind="fixed_letter_power", gamma=s, delta=s, shift_periodic=True))
         for gamma, pf in f_cyclic:
             if left[gamma] == i:
-                seeds.append(PointSeed(kind="bilateral_limit", form="s_left",
-                                       gamma=gamma, q=pf))
+                seeds.append(PointSeed(kind="bilateral_limit", form="s_left", gamma=gamma, q=pf))
         for delta, pg in g_cyclic:
             if right[delta] == i:
-                seeds.append(PointSeed(kind="bilateral_limit", form="s_right",
-                                       delta=delta, q=pg))
-        for delta, pg in g_cyclic:
-            for gamma, pf in f_cyclic:
-                for p in range(1, MIDDLE_CAP + 1):
-                    if chain.word_levels(p + 2).get(delta + s * p + gamma) == i:
-                        seeds.append(
-                            PointSeed(kind="bilateral_limit", form="s_middle",
-                                      gamma=gamma, delta=delta, q=lcm(pg, pf), middle_s=p)
-                        )
+                seeds.append(PointSeed(kind="bilateral_limit", form="s_right", delta=delta, q=pg))
+        for delta, gamma, p in middle.get(i, ()):
+            seeds.append(PointSeed(kind="bilateral_limit", form="s_middle", gamma=gamma,
+                                   delta=delta, q=lcm(g_cycles[delta], f_cycles[gamma]), middle_s=p))
     _make_windows(sub, chain.alphabet_at(i), s, seeds, WINDOW_CAP)
     kept: list[PointSeed] = []
     for seed in seeds:
@@ -490,9 +491,8 @@ def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> l
             kept.append(seed)
     for seed in kept:
         if seed.kind == "bilateral_limit" and seed.form in ("pair", "s_middle"):
-            core = (seed.delta if seed.form == "s_middle" else seed.gamma) + (
-                (s or "") * seed.middle_s
-            ) + (seed.gamma if seed.form == "s_middle" else seed.delta)
+            head, tail = (seed.delta, seed.gamma) if seed.form == "s_middle" else (seed.gamma, seed.delta)
+            core = head + (s or "") * seed.middle_s + tail
             if count_occurrences(core, seed.window).count != 1:
                 raise InternalInvariantError(
                     f"level {i}: central word {core!r} of an isolated periodic point "
@@ -557,7 +557,7 @@ def _level_seed(
     elif seed.v == "":
         if not theta_one:
             raise InternalInvariantError(f"level {i}: a seed with empty v needs theta = 1")
-    elif i in map(chain._level_of.__getitem__, seed.v):  # v holds a new letter
+    elif positively_recurrent(sub, chain, seed):  # v holds a new letter
         if theta_one:
             raise InternalInvariantError(f"level {i}: excursions into new letters need theta > 1")
     elif not theta_one or len(chain.new_letters(i)) != 1:
@@ -622,9 +622,8 @@ def _classify_level(
             report.case = "no_two_sided_excursion"
             report.notes.append("new letters never extend to the right; only periodic points remain")
     else:
-        # v holds a new letter: the excursions cross, and this is the test of
-        # ``positively_recurrent`` too
-        crossing = i in map(chain._level_of.__getitem__, seed.v)
+        # the excursions cross when v holds a new letter
+        crossing = positively_recurrent(sub, chain, seed)
         report.case = "dense_excursions" if crossing else "isolated_quasi_fixed"
         report.quasi_fixed = QuasiFixedSeed(
             seed=seed,

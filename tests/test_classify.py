@@ -261,7 +261,7 @@ def test_s_run_levels_match_the_restriction_oracle(rules):
     # against the per-level tests run on each level's own rules
     chain = component_chain(Substitution.from_rules(rules))
     assert chain.levels[0] == ("a",)
-    s_level, left, right = classify._s_runs(chain)
+    s_level, left, right, _ = classify._s_runs(chain)
     assert set(left) == set(right) == set(rules) - {"a"}
     for i in range(1, chain.n + 1):
         rules_i = oracles.restrict(rules, chain.alphabet_at(i))
@@ -437,17 +437,56 @@ def test_classify_level_rejects_bottom():
         classify_level(sub, chain, sp, 1)
 
 
-def test_middle_run_seed_form():
+@pytest.mark.parametrize("gap", [2, 12, 13, 20])
+def test_middle_run_seed_form(gap):
     """A gap of fixed letters between two self-renewing letters yields the
-    middle-run bilateral form alongside the plain pair form."""
-    sub = Substitution.from_rules({"a": "a", "b": "bab", "c": "cbaab"})
+    middle-run bilateral form alongside the plain pair form, at every gap."""
+    sub = Substitution.from_rules({"a": "a", "b": "bab", "c": "cb" + "a" * gap + "b"})
     chain = component_chain(sub)
     sp = block_eigenvalues(sub, chain)
     rep = decomposition_report(sub, chain, sp)
     level3 = rep.levels[2]
     forms = sorted((p.form, p.gamma, p.delta, p.middle_s) for p in level3.point_seeds)
-    assert forms == [("pair", "b", "b", 0), ("s_middle", "b", "b", 2)]
+    assert forms == [("pair", "b", "b", 0), ("s_middle", "b", "b", gap)]
     assert all(not p.shift_periodic for p in level3.point_seeds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixed_bottom_chains())
+@example(CORPUS_RULES["chacon"])
+@example(CORPUS_RULES["almost_min_tower"])
+@example(CORPUS_RULES["constant_reenters"])
+@example(CORPUS_RULES["left_tail"])
+@example({"a": "a", "b": "bab", "c": "cb" + "a" * 13 + "b"})
+def test_s_middle_census_matches_the_word_oracle(rules):
+    # (a) the s_middle triples of each level, up to gap P, are the words
+    # delta s^p gamma that enter at that level, with delta and gamma below it
+    # and on cycles of the last- and the first-letter map, found by expanding
+    # images; (b) each seed is fixed by the gap step to the power power_step
+    s = "a"
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    rep = decomposition_report(sub, chain, block_eigenvalues(sub, chain))
+    level = {c: i for i in range(chain.n, 0, -1) for c in chain.alphabet_at(i)}
+    on_last = {c for c in rules if c != s and oracles.cycle_info(oracles.last_map(rules), c)[0]}
+    on_first = {c for c in rules if c != s and oracles.cycle_info(oracles.first_map(rules), c)[0]}
+    big_p = 3 * max(map(len, rules.values()))
+    want = {
+        (e, w[0], w[-1], p)
+        for p in range(1, big_p + 1)
+        for w, e in oracles.word_levels(rules, chain.levels, p + 2).items()
+        if w[1:-1] == s * p and w[0] in on_last and w[-1] in on_first and level[w[0]] < e > level[w[-1]]
+    }
+    listed = {(e, *t) for e, triples in classify._s_runs(chain)[3].items() for t in triples}
+    assert {t for t in listed if t[3] <= big_p} == want
+    census = [(lr.level, seed) for lr in rep.levels for seed in lr.point_seeds if seed.form == "s_middle"]
+    assert {(i, seed.delta, seed.gamma, seed.middle_s) for i, seed in census} <= listed
+    first, last, lead, trail = oracles.s_run_maps(rules, s)
+    for _, seed in census:
+        y, g, z = seed.delta, seed.middle_s, seed.gamma
+        for _ in range(seed.q):
+            y, g, z = last[y], trail[y] + g + lead[z], first[z]
+        assert (y, g, z) == (seed.delta, seed.middle_s, seed.gamma)
 
 
 def test_power_two_seed_pipeline():

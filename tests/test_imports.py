@@ -9,8 +9,9 @@ the letter level, name no window solve, window substitution or restriction at
 all; ``measures`` does not import ``auxiliary``, and ``spectral`` keeps one
 left-vector solve per level (no ``pf_left``, ``LeftVector`` or
 ``level_profile``). ``classify`` restricts the chain only for the level-2
-periodicity probe: its s-run facts come from one record per chain. In
-``structure`` the witness search alone decides primitivity.
+periodicity probe and reads the word -> level index only at length 2: its
+s-run facts come from one record per chain. In ``structure`` the witness
+search alone decides primitivity.
 """
 
 import ast
@@ -197,6 +198,14 @@ def test_classify_restricts_only_for_the_periodicity_probe():
     path = PACKAGE / "classify.py"
     assert _calls(path, "restrict") == ["chain.restrict(2)"]
     assert _calls(path, "_is_single_periodic_orbit") == ["_is_single_periodic_orbit(chain.restrict(2)[0])"]
+
+
+def test_classify_reads_only_the_two_letter_index():
+    # every s-run fact, the s_middle words included, comes from the one
+    # ("s_runs",) closure: no longer words are looked up, and no gap is capped
+    path = PACKAGE / "classify.py"
+    assert _calls(path, "word_levels") == ["chain.word_levels(2)"]
+    assert "MIDDLE_CAP" not in path.read_text(encoding="utf-8")
 
 
 def test_structure_decides_primitivity_in_the_witness_search():

@@ -141,7 +141,9 @@ def test_table_above_one_runs_no_census(name, i, monkeypatch):
     def census(*args):
         raise AssertionError("the periodic-point census ran")
 
-    for body in ("_periodic_point_seeds", "positively_recurrent", "_is_single_periodic_orbit"):
+    # ``positively_recurrent`` is the seed check's crossing test too, so it
+    # runs for every seed pair and is not patched here
+    for body in ("_periodic_point_seeds", "_is_single_periodic_orbit"):
         monkeypatch.setattr(classify, body, census)
     sub = make(name)
     chain = component_chain(sub)
@@ -574,12 +576,13 @@ def test_decomposition_report_leaves_three_keys_per_level():
 @pytest.mark.parametrize("name", ["almost_min_tower", "constant_reenters", "chacon", "left_tail"])
 def test_fixed_bottom_stores_one_s_run_record(name):
     # the s-run facts of every level come from one per-chain record; no
-    # level restricts the chain for them
+    # level restricts the chain or indexes words longer than two for them
     sub = make(name)
     chain = component_chain(sub)
     decomposition_report(sub, chain, block_eigenvalues(sub, chain))
     assert ("s_runs",) in chain._memo
     assert {key for key in chain._memo if key[0] == "restrict"} <= {("restrict", 2)}
+    assert not [key for key in chain._memo if key[0] == "word_levels" and key[1] > 2]
 
 
 def test_decomposition_report_checks_the_profile_once_per_level(monkeypatch):
