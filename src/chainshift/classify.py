@@ -14,17 +14,21 @@ exactly from the first/last non-s letter maps and one closure of the words
 y s^g z under a gap-weighted step, never by bounded expansion or a cap on p.
 Each such fact is one number, the level at which it starts to hold.
 
-``decomposition_report`` classifies the levels in one sweep up the chain, and
-each level reuses what the levels below already built. Every level is closed
-under the substitution, so its images are read from the full substitution.
-Everything is stored on the chain (see ``spectral``), each computed once:
+``decomposition_report`` checks the spectral profile and reads the fixed
+bottom letter and the two-letter word table once, then makes each level with
+``_level_report``, which ``classify_level`` also runs after its own profile
+check. A level reads the letter -> level index, its row of the word table
+and, in ``find_seed_pair``, the oriented images; the letter cycles and the
+s-run record only with a fixed bottom letter or a pair-seed word. The seed
+check's crossing test also decides the case. Everything is stored on the
+chain (see ``spectral``), each computed once:
 
 - ``("seed_pair", i)``: the seed pair of level i, checked against the level's
   eigenvalue (``level_seed``). A level with theta > 1 needs nothing more:
   ``measures`` reads its anchor here, for descriptors, cylinder values,
   empirical frequencies and uniformity windows.
-- ``("point_seeds", i)``: the periodic-point seeds of level i, the census.
-  Only ``classify_level`` reads them.
+- ``("point_seeds", i)``: the periodic-point seeds of level i, the census
+  (none is sought without s or a pair-seed word). Read by the level report.
 - ``("classify_level", i)``: the level report, assembled from the two above
   plus the case split, read by ``decomposition_report`` and by the measures
   of levels with theta = 1.
@@ -58,7 +62,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import BudgetExceeded, DomainError, InternalInvariantError
-from .structure import ComponentChain, component_chain, is_empty_bottom
+from .structure import ComponentChain, check_level, component_chain, is_empty_bottom
 from .spectral import SpectralProfile, block_eigenvalues
 from .words import Substitution, apply, count_occurrences, language
 
@@ -112,12 +116,11 @@ def _first_last_cycles(sub: Substitution) -> tuple[dict[str, int], dict[str, int
     )
 
 
-def _two_words(chain: ComponentChain, i: int) -> tuple[str | None, str | None, list[str]]:
-    """Level i's least forward and least backward crossing word (None if there
-    is none) and its sorted pair-seed words, among the two-letter words new at
-    level i; one pass builds the table of every level (see the module docstring).
-    """
-    return chain.memo(("two_words",), _level_differences, chain)[i - 1]
+def _two_words(chain: ComponentChain) -> list[tuple[str | None, str | None, list[str]]]:
+    """Per level, its least forward and least backward crossing word (None if
+    there is none) and its sorted pair-seed words, among the two-letter words
+    new at the level, from one pass (see the module docstring)."""
+    return chain.memo(("two_words",), _level_differences, chain)
 
 
 def _level_differences(chain: ComponentChain) -> list[tuple[str | None, str | None, list[str]]]:
@@ -290,10 +293,10 @@ def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair
     whose powers are the mirrored powers of ``sub``. Expanding sigma^k(ab)
     may take at most ``SEED_BUDGET`` letters.
     """
-    chain.check_level(i)
+    check_level(i, len(chain.levels))
     if i < 2:
         raise DomainError("seed pairs exist for levels >= 2")
-    forward, backward, _ = _two_words(chain, i)
+    forward, backward, _ = chain.memo(("two_words",), _level_differences, chain)[i - 1]
     mirrored = forward is None
     if not mirrored:
         a0, b0 = forward
@@ -392,20 +395,24 @@ def _grow(sub: Substitution, word: str, q: int, target: int, budget: int) -> str
 
 
 def _window_radius(sub: Substitution, letters: tuple[str, ...], q: int, cap: int) -> int:
-    longest = max(len(apply(sub, c, min(2 * q, 8))) for c in letters)
-    return min(2 * longest, cap)
+    """Twice the longest |sigma^j(c)|, j = min(2q, 8), capped; no word is written out."""
+    length = dict.fromkeys(letters, 1)
+    for _ in range(min(2 * q, 8)):
+        length = {c: sum(map(length.__getitem__, sub.image(c))) for c in letters}
+    return min(2 * max(length.values()), cap)
 
 
 def _make_windows(
     sub: Substitution, letters: tuple[str, ...], s: str | None, seeds: list[PointSeed], cap: int
 ) -> None:
     """Central windows of the seeds of the level with alphabet ``letters``."""
+    radii = {q: _window_radius(sub, letters, q, cap) for q in {seed.q for seed in seeds}}
     for seed in seeds:
         if seed.kind == "fixed_letter_power":
             radius = cap // 2
             seed.window, seed.center, seed.radius = s * (2 * radius), radius, radius
             continue
-        radius = _window_radius(sub, letters, seed.q, cap)
+        radius = radii[seed.q]
         budget = 64 * radius * max(len(sub.image(c)) for c in letters) + 1024
         if seed.form in ("pair", "s_right", "s_middle"):
             left_letter = seed.gamma if seed.form == "pair" else seed.delta
@@ -451,7 +458,7 @@ def _pair_seeds(chain: ComponentChain, i: int, s: str | None) -> list[PointSeed]
     return [
         PointSeed(kind="bilateral_limit", form="pair", gamma=w[0], delta=w[1],
                   q=lcm(g_cycles[w[0]], f_cycles[w[1]]))
-        for w in _two_words(chain, i)[2]
+        for w in _two_words(chain)[i - 1][2]
         if s != w[0] and s != w[1] and w[0] in g_cycles and w[1] in f_cycles
     ]
 
@@ -465,8 +472,6 @@ def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> l
     """
     s = _fixed_bottom(chain)
     seeds = _pair_seeds(chain, i, s)
-    if s is None and not seeds:
-        return seeds
     if s is not None:
         lower = chain.alphabet_at(i - 1)
         s_level, left, right, middle = _s_runs(chain)
@@ -545,37 +550,37 @@ def level_seed(
     return spectral.memo(sub, chain, ("seed_pair", i), _level_seed, sub, chain, spectral, i)
 
 
-def _level_seed(
-    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int
-) -> SeedPair:
+def _level_seed(sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int) -> SeedPair:
     """``find_seed_pair``, raising unless the seed's shape agrees with theta."""
     seed = find_seed_pair(sub, chain, i)
-    theta_one = spectral.theta_is_one(i)
+    _check_seed(sub, chain, seed, spectral.theta_is_one(i))
+    return seed
+
+
+def _check_seed(sub: Substitution, chain: ComponentChain, seed: SeedPair, theta_one: bool) -> bool:
+    """Raise unless the seed's shape agrees with theta; return whether u and v
+    are nonempty and v holds a new letter (the excursions cross)."""
+    i = seed.level
     if seed.u == "":
         if sub.image(seed.a) != seed.a or theta_one:
             raise InternalInvariantError(f"level {i}: a seed with empty u needs a fixed letter and theta > 1")
     elif seed.v == "":
         if not theta_one:
             raise InternalInvariantError(f"level {i}: a seed with empty v needs theta = 1")
-    elif positively_recurrent(sub, chain, seed):  # v holds a new letter
+    elif i in map(chain._level_of.get, seed.v):
         if theta_one:
             raise InternalInvariantError(f"level {i}: excursions into new letters need theta > 1")
-    elif not theta_one or len(chain.new_letters(i)) != 1:
+        return True
+    elif not theta_one or len(chain._new_letters[i - 1]) != 1:
         raise InternalInvariantError(
-            f"level {i}: an isolated quasi-fixed seed needs theta = 1 and one new letter"
-        )
-    return seed
+            f"level {i}: an isolated quasi-fixed seed needs theta = 1 and one new letter")
+    return False
 
 
 def classify_level(
-    sub: Substitution,
-    chain: ComponentChain,
-    spectral: SpectralProfile,
-    i: int,
+    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int
 ) -> LevelReport:
-    return spectral.memo(
-        sub, chain, ("classify_level", i), _classify_level, sub, chain, spectral, i
-    )
+    return spectral.memo(sub, chain, ("classify_level", i), _classify_level, sub, chain, spectral, i)
 
 
 def _classify_level(
@@ -584,8 +589,18 @@ def _classify_level(
     chain.check_level(i)
     if i < 2:
         raise DomainError("classify_level applies to levels >= 2; level 1 is the bottom report")
-    # the caller checked the profile (``classify_level``)
-    seed = chain.memo(("seed_pair", i), _level_seed, sub, chain, spectral, i)
+    return _level_report(sub, chain, spectral, i, _fixed_bottom(chain), _two_words(chain)[i - 1][2])
+
+
+def _level_report(
+    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int,
+    s: str | None, pair_words: list[str],
+) -> LevelReport:
+    """Level 2 <= i <= n on a checked profile, from the fixed bottom letter s and
+    the level's pair-seed words; a seed pair found here is stored once checked."""
+    seed = chain._memo.get(("seed_pair", i)) or find_seed_pair(sub, chain, i)
+    crossing = _check_seed(sub, chain, seed, spectral.theta_is_one(i))
+    chain._memo[("seed_pair", i)] = seed
     report = LevelReport(level=i, case="", seed=seed)
     if seed.k > 1:
         report.notes.append(f"analysis uses the power {seed.k} of the substitution")
@@ -593,23 +608,13 @@ def _classify_level(
         report.notes.append("seed has reverse orientation; mirrored analysis applies")
 
     if seed.u == "":
-        # The lower seed letter is the bottom fixed letter s; the level
-        # closure is minimal, or almost minimal around s^infinity when s-runs
-        # grow.
-        if _s_runs(chain)[0] <= i:
-            report.case = "almost_minimal"
-        else:
-            report.case = "minimal"
+        # The lower seed letter is the bottom fixed letter s; the level closure
+        # is minimal, or almost minimal around s^infinity when s-runs grow.
+        report.case = "almost_minimal" if _s_runs(chain)[0] <= i else "minimal"
         if i > 2:
             report.notes.append("single-fixed-letter seed above level 2; treated like level 2")
-        report.quasi_fixed = QuasiFixedSeed(
-            seed=seed,
-            primitive_type=False,
-            positively_recurrent=positively_recurrent(sub, chain, seed),
-            isolated_orbit=False,
-        )
-        report.anchor = seed.b
-        report.x_i_nonempty = True
+        report.quasi_fixed = QuasiFixedSeed(seed, False, positively_recurrent(sub, chain, seed), False)
+        report.anchor, report.x_i_nonempty = seed.b, True
     elif seed.v == "":
         sigma_a = sub.image(seed.a)
         if set(seed.u) == {seed.a} and set(sigma_a) == {seed.a}:
@@ -622,28 +627,19 @@ def _classify_level(
             report.case = "no_two_sided_excursion"
             report.notes.append("new letters never extend to the right; only periodic points remain")
     else:
-        # the excursions cross when v holds a new letter
-        crossing = positively_recurrent(sub, chain, seed)
         report.case = "dense_excursions" if crossing else "isolated_quasi_fixed"
-        report.quasi_fixed = QuasiFixedSeed(
-            seed=seed,
-            primitive_type=not crossing,
-            positively_recurrent=crossing,
-            isolated_orbit=not crossing,
-        )
-        report.anchor = seed.b
-        report.x_i_nonempty = crossing
-    if report.case != "level_collapses":
-        report.point_seeds = chain.memo(("point_seeds", i), _periodic_point_seeds, sub, chain, i)
+        report.quasi_fixed = QuasiFixedSeed(seed, not crossing, crossing, not crossing)
+        report.anchor, report.x_i_nonempty = seed.b, crossing
+    if report.case != "level_collapses":  # no census without s or a pair word
+        census = (_periodic_point_seeds, sub, chain, i) if s is not None or pair_words else (list,)
+        report.point_seeds = chain.memo(("point_seeds", i), *census)
     if report.case == "single_fixed_point" and not any(
         p.kind == "fixed_letter_power" for p in report.point_seeds
     ):
         raise InternalInvariantError(f"level {i}: a single fixed point without a fixed-letter power seed")
     if i == 3 and _is_single_periodic_orbit(chain.restrict(2)[0]):
-        report.notes.append(
-            "unresolved: whether this level's closure could itself be a single "
-            "shift-periodic orbit of period three"
-        )
+        report.notes.append("unresolved: whether this level's closure could itself be a single "
+                            "shift-periodic orbit of period three")
     return report
 
 
@@ -711,6 +707,9 @@ def decomposition_report(
     chain = chain or component_chain(sub)
     spectral = spectral or block_eigenvalues(sub, chain)
     levels = [_bottom_report(sub, chain)]
-    for i in range(2, chain.n + 1):
-        levels.append(classify_level(sub, chain, spectral, i))
+    if chain.n > 1:  # one profile check and one read of the per-chain tables for every level
+        spectral.check(sub, chain)
+        s = _fixed_bottom(chain)
+        for i, (_, _, pairs) in enumerate(_two_words(chain)[1:], start=2):
+            levels.append(chain.memo(("classify_level", i), _level_report, sub, chain, spectral, i, s, pairs))
     return DecompositionReport(chain, levels, minimal_sets(sub, chain, spectral))

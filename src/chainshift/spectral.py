@@ -129,7 +129,7 @@ class SpectralProfile:
         return self.theta(self._upto[i - 1])
 
     def theta_is_one(self, i: int) -> bool:
-        return self.theta(i).compare(1) == 0
+        return self.levels[check_level(i, len(self.levels)) - 1].theta.rational == 1
 
     def level_is_finite(self, i: int) -> bool:
         """Whether the level dominates everything below it."""

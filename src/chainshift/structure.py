@@ -15,7 +15,7 @@ is not full is named as imprimitive. Boolean matrices are kept as one int
 bitset per row: row a of A·P is the OR of the rows P[c] over the letters c
 of σ(a), so a power step costs O(n·|σ|) big-int ORs, and a row is tested
 against a mask in one operation. The search steps only the rows that are
-not yet full, inline.
+not yet full, in place, from a snapshot of the previous power.
 
 A chain keeps one letter -> level index, built with it: ``new_letters`` and
 ``level_of`` read it, and "a letter lies below level i" is the test
@@ -315,17 +315,17 @@ def component_chain(sub: Substitution) -> ComponentChain:
     power = [1 << v for v in range(n)]  # A^0
     todo = list(range(n))
     for k in range(1, bound + 1):
-        stepped = []
-        for a in todo:  # every row from the previous power, then stored
+        previous, unfinished = power.copy(), []
+        for a in todo:
             row = 0
             for c in edges[a]:
-                row |= power[c]
-            stepped.append(row)
-        for a, row in zip(todo, stepped):
+                row |= previous[c]
             power[a] = row
-        todo = [a for a, row in zip(todo, stepped) if need[a] & ~row]
-        if not todo:
+            if row | need[a] != row:
+                unfinished.append(a)
+        if not unfinished:
             return ComponentChain(sub, levels, k)
+        todo = unfinished
     blocks = ((comp, sum(1 << v for v in comp)) for comp in map(sccs.__getitem__, order))
     comp = next(comp for comp, block in blocks if any(block & ~power[v] for v in comp))
     raise NoPrimitiveChainError(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from chainshift import (
     BudgetExceeded,
+    ChainshiftError,
     DomainError,
     NoPrimitiveChainError,
     Substitution,
@@ -25,6 +26,7 @@ from chainshift import (
     decomposition_report,
     find_seed_pair,
     language,
+    level_seed,
     minimal_sets,
     positively_recurrent,
 )
@@ -172,6 +174,23 @@ def test_seed_expansion_budget_is_exact(monkeypatch):
         find_seed_pair(sub, chain, 2)
 
 
+def test_window_radius_reads_image_lengths(corpus_sub, monkeypatch):
+    # twice the longest |sigma^j(c)|, j = min(2q, 8), over the level's letters,
+    # from the length recurrence: equal to the expanded words, written by none
+    chain = component_chain(corpus_sub)
+    cases = [(i, q) for i in range(1, chain.n + 1) for q in (1, 2, 3)]
+    expected = [
+        2 * max(len(apply(corpus_sub, c, min(2 * q, 8))) for c in chain.alphabet_at(i)) for i, q in cases
+    ]
+
+    def expanded(*args):
+        raise AssertionError("a window radius expanded a word")
+
+    monkeypatch.setattr(classify, "apply", expanded)
+    assert [classify._window_radius(corpus_sub, chain.alphabet_at(i), q, 10**9) for i, q in cases] == expected
+    assert classify._window_radius(corpus_sub, chain.alphabet_at(chain.n), 3, 40) == min(expected[-1], 40)
+
+
 def test_seed_rejects_bottom_level():
     sub, chain, _ = _setup("chacon")
     with pytest.raises(DomainError):
@@ -251,6 +270,67 @@ def fixed_bottom_chains(draw) -> dict[str, str]:
         below += block
         last = block
     return {c: rules[c] for c in draw(st.permutations(sorted(rules)))}
+
+
+@st.composite
+def mixed_towers(draw) -> dict[str, str]:
+    """``conftest.tower`` of 2 to 40 levels, with r in 1..3 and ``before``
+    drawn per level."""
+    n = draw(st.integers(2, 40))
+    rs = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return tower(rs, draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the library error it raises."""
+    try:
+        return fn(*args)
+    except ChainshiftError as exc:
+        return type(exc), str(exc)
+
+
+def _fresh(sub: Substitution):
+    chain = component_chain(sub)
+    return sub, chain, block_eigenvalues(sub, chain)
+
+
+def _entry_points_agree(sub: Substitution):
+    """The report of a fresh chain, and ``classify_level`` of each level on a
+    fresh chain of its own, checked against each other and against
+    ``level_seed``; failures are compared by type and message."""
+    whole = _outcome(decomposition_report, *_fresh(sub))
+    n = component_chain(sub).n
+    levels = [_outcome(classify_level, *_fresh(sub), i) for i in range(2, n + 1)]
+    seeds = [_outcome(level_seed, *_fresh(sub), i) for i in range(2, n + 1)]
+    failed = [level for level in levels if isinstance(level, tuple)]
+    assert whole == failed[0] if failed else whole.levels[1:] == levels
+    for level, seed in zip(levels, seeds):
+        assert level == seed if isinstance(seed, tuple) else isinstance(level, tuple) or level.seed == seed
+    return whole, levels
+
+
+def _with_pinned_examples(test):
+    for rules in _pinned_systems().values():
+        test = example(rules, 6)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(mixed_towers(), fixed_bottom_chains()), st.integers(1, 24))
+@_with_pinned_examples
+def test_report_and_level_entry_points_agree(rules, budget):
+    # The report makes every level in one pass over tables read once per
+    # chain; classify_level and level_seed make one level each. They agree
+    # level by level, and under a small seed budget they raise the same
+    # BudgetExceeded, while the levels within it keep their full reports.
+    sub = Substitution.from_rules(rules)
+    whole, _ = _entry_points_agree(sub)
+    assert isinstance(whole, classify.DecompositionReport)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "SEED_BUDGET", budget)
+        _, levels = _entry_points_agree(sub)
+    for level, full in zip(levels, whole.levels[1:]):
+        assert level[0] is BudgetExceeded if isinstance(level, tuple) else level == full
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -392,3 +393,20 @@ def test_python_dash_m_entry_point(tmp_path, capsys):
 def test_exit_code_missing_file(capsys):
     code, out = _run(capsys, "analyze", "/nonexistent/x.sub")
     assert code == 2
+
+
+# Level 2 has five pair seeds at power q = 5, so each central window's radius
+# reads |sigma^8(c)| for every letter c: about 5.8 million letters per letter
+# if the images were written out. The radius comes from image lengths alone.
+WIDE_WINDOWS = {"a": "ddaeaee", "b": "abcdebd", "c": "eeaceda", "d": "cddaaac", "e": "bbaeaeb", "x": "xeecx"}
+WIDE_WINDOWS_SHA256 = "f189d6eca93df3b8b4028f1e1d0ae2c3584737a5774684fdb9171346e2f1d58a"
+
+
+def test_classify_sizes_windows_without_expanding_them(tmp_path):
+    path = _write(tmp_path, "wide_windows.sub", WIDE_WINDOWS)
+    proc = _python("-m", "chainshift", "classify", path, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    seeds = json.loads(proc.stdout)["levels"][1]["point_seeds"]
+    assert [(p["form"], p["power_step"], p["window_radius"]) for p in seeds] == [("pair", 5, 4096)] * 5
+    # the report these windows deduplicate, byte for byte as first recorded
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == WIDE_WINDOWS_SHA256

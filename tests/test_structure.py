@@ -353,6 +353,19 @@ def test_tower_witness_is_minimal(n):
     assert _required_missing(rules, chain, chain.witness_k - 1)
 
 
+def test_witness_is_exact_where_the_successor_bound_overshoots():
+    # Row t of A^k is full from k = 3 on, but its successor x only from k = 4.
+    # Bounding a row's finish time by 1 + its successors' would give 5 for
+    # t, above the true witness power 4: the search must step the rows.
+    rules = {"x": "y", "y": "z", "z": "xz", "t": "tx"}
+    chain = component_chain(Substitution.from_rules(rules))
+    unfinished = {k: {a for a, _ in _required_missing(rules, chain, k)} for k in range(1, 7)}
+    finish = {a: min(k for k in unfinished if a not in unfinished[k]) for a in rules}
+    assert finish == {"x": 4, "y": 3, "z": 2, "t": 3}
+    assert 1 + finish["x"] == 5
+    assert chain.witness_k == 4 == oracles.witness_k_dense(rules)
+
+
 @pytest.mark.parametrize("n", range(8, 13))
 def test_wielandt_extremal_block(n):
     """An n-cycle plus one chord has exponent (n-1)^2+1; the bare cycle has period n."""
