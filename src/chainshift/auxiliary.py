@@ -27,7 +27,7 @@ from .words import Substitution
 @dataclass(frozen=True)
 class AuxiliarySubstitution:
     sub: Substitution
-    levels: tuple[tuple[str, ...], ...]  # the chain's levels: a chain would hold itself
+    components: tuple[tuple[str, ...], ...]  # the chain's own: a chain would hold itself
     m: int
     words: tuple[str, ...]
     q_blocks: tuple[tuple[str, ...], ...]  # Q(1..n)
@@ -37,7 +37,7 @@ class AuxiliarySubstitution:
 
     @property
     def n(self) -> int:
-        return len(self.levels)
+        return len(self.components)
 
     def index(self, word: str) -> int:
         try:
@@ -99,7 +99,7 @@ def _build(chain: ComponentChain, m: int) -> AuxiliarySubstitution:
         images[u] = seq
     return AuxiliarySubstitution(
         sub=sub,
-        levels=chain.levels,
+        components=chain.components,
         m=m,
         words=tuple(words),
         q_blocks=q,
@@ -126,18 +126,14 @@ def level_empty_diag(aux: AuxiliarySubstitution, i: int) -> bool:
     """Whether the level-i diagonal coordinate set is empty.
 
     This happens exactly when m > 1, the level introduces a single letter s,
-    and the image of s is a lower-level word followed by s, so no m-window in
-    the system starts with s.
+    and the image of s is a lower-level word followed by s (the level is
+    closed, so s occurs once in it, at the end): no m-window in the system
+    starts with s.
     """
     check_level(i, aux.n)
-    lower = set(aux.levels[i - 2]) if i >= 2 else set()
-    new = [c for c in aux.levels[i - 1] if c not in lower]
-    if aux.m == 1 or len(new) != 1:
-        empty = False
-    else:
-        s = new[0]
-        img = aux.sub.image(s)
-        empty = len(img) >= 2 and img[-1] == s and all(c in lower for c in img[:-1])
+    new = aux.components[i - 1]
+    img = aux.sub.image(new[0])  # the image of s, when the level adds one letter s
+    empty = aux.m > 1 and len(new) == 1 and len(img) >= 2 and img.find(new[0]) == len(img) - 1
     if empty != (len(aux.q_blocks[i - 1]) == 0):
         raise InternalInvariantError(f"level {i}: the structural emptiness test does not match the block")
     return empty

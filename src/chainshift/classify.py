@@ -128,7 +128,7 @@ def _level_differences(chain: ComponentChain) -> list[tuple[str | None, str | No
     key = chain.sub.alphabet.word_key
     forward: list[str | None] = [None] * chain.n
     backward: list[str | None] = [None] * chain.n
-    pairs: list[list[str]] = [[] for _ in chain.levels]
+    pairs: list[list[str]] = [[] for _ in chain.components]
     for w, e in chain.word_levels(2).items():  # w is new at level e: no letter lies above it
         if level[w[0]] < e:
             if level[w[1]] < e:
@@ -145,7 +145,7 @@ def _level_differences(chain: ComponentChain) -> list[tuple[str | None, str | No
 def _fixed_bottom(chain: ComponentChain) -> str | None:
     """The fixed bottom letter s, when level 1 is one letter mapped to itself;
     None otherwise. Read once per chain."""
-    bottom = chain.levels[0]
+    bottom = chain.components[0]
     return chain.memo(("fixed_bottom",), lambda: bottom[0] if is_empty_bottom(chain.sub, chain) else None)
 
 
@@ -233,7 +233,7 @@ def _s_run_levels(sub: Substitution, s: str, new_letters: tuple[tuple[str, ...],
 
 def _s_runs(chain: ComponentChain) -> _SRuns:
     """``_s_run_levels`` of the chain's fixed bottom letter, once per chain."""
-    return chain.memo(("s_runs",), _s_run_levels, chain.sub, _fixed_bottom(chain), chain._new_letters)
+    return chain.memo(("s_runs",), _s_run_levels, chain.sub, _fixed_bottom(chain), chain.components)
 
 
 def arbitrarily_long_s_powers(sub: Substitution, s: str) -> bool:
@@ -293,7 +293,7 @@ def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair
     whose powers are the mirrored powers of ``sub``. Expanding sigma^k(ab)
     may take at most ``SEED_BUDGET`` letters.
     """
-    check_level(i, len(chain.levels))
+    check_level(i, len(chain.components))
     if i < 2:
         raise DomainError("seed pairs exist for levels >= 2")
     forward, backward, _ = chain.memo(("two_words",), _level_differences, chain)[i - 1]
@@ -534,7 +534,7 @@ def _bottom_report(sub: Substitution, chain: ComponentChain) -> LevelReport:
     if is_empty_bottom(sub, chain):
         return LevelReport(level=1, case="bottom_empty")
     return LevelReport(
-        level=1, case="bottom_minimal", anchor=chain.alphabet_at(1)[0], x_i_nonempty=True
+        level=1, case="bottom_minimal", anchor=chain.new_letters(1)[0], x_i_nonempty=True
     )
 
 
@@ -571,7 +571,7 @@ def _check_seed(sub: Substitution, chain: ComponentChain, seed: SeedPair, theta_
         if theta_one:
             raise InternalInvariantError(f"level {i}: excursions into new letters need theta > 1")
         return True
-    elif not theta_one or len(chain._new_letters[i - 1]) != 1:
+    elif not theta_one or len(chain.components[i - 1]) != 1:
         raise InternalInvariantError(
             f"level {i}: an isolated quasi-fixed seed needs theta = 1 and one new letter")
     return False

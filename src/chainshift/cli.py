@@ -458,7 +458,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.file, encoding="utf-8-sig") as fh:
-            spec = parse_input(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"rule file is not valid UTF-8: {exc}") from None
+        spec = parse_input(text)
         result = args.fn(spec, args)
     except OSError as exc:
         print(json.dumps({"error": {"code": 2, "kind": "io", "message": str(exc)}}))

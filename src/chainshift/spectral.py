@@ -81,7 +81,7 @@ class SpectralProfile:
     def __init__(self, chain: ComponentChain, levels: list[LevelSpectrum]):
         # what makes chains equal (see ``check``), not the chain, whose memo
         # holds the profile
-        self._chain_key = (chain.sub, chain.levels, chain.witness_k)
+        self._chain_key = (chain.sub, chain.components, chain.witness_k)
         self.levels = levels
         best = last = 1  # first and last level attaining the maximum so far
         upto = [1]  # first level attaining the maximum over levels 1..i
@@ -100,7 +100,7 @@ class SpectralProfile:
         # Equal tuples compare their items by identity first: every memo
         # lookup checks, and the caller almost always passes the profile's
         # own objects.
-        if (chain.sub, chain.levels, chain.witness_k) != self._chain_key or not (
+        if (chain.sub, chain.components, chain.witness_k) != self._chain_key or not (
             sub is chain.sub or sub == chain.sub
         ):
             raise DomainError("the spectral profile describes another chain")
@@ -166,7 +166,7 @@ def block_eigenvalues(sub: Substitution, chain: ComponentChain) -> SpectralProfi
 def _block_eigenvalues(chain: ComponentChain) -> SpectralProfile:
     image = dict(zip(chain.sub.alphabet.letters, chain.sub.images))
     levels = []
-    for i, letters in enumerate(chain._new_letters, start=1):
+    for i, letters in enumerate(chain.components, start=1):
         block = letter_counts(map(image.__getitem__, letters), letters)  # Q_i, as ``chain.block(i)``
         poly = charpoly(block)
         sums = [sum(row) for row in block]
@@ -375,7 +375,8 @@ def _level_vectors(blocks, rows, theta, what: str, level: LevelSpectrum | None =
 
 @dataclass
 class EigenPair:
-    """Right and left dominant eigenvectors over the window alphabet."""
+    """Right and left dominant eigenvectors over the window alphabet, each
+    scaled so that its smallest positive entry is 1."""
 
     m: int
     aux: AuxiliarySubstitution
@@ -384,7 +385,6 @@ class EigenPair:
     beta: dict[str, object]
     beta_total: object  # sum of beta: the normaliser of finite cylinder values
     exact: bool
-    normalization: str = "smallest positive entry = 1"
 
     def pairing(self):
         return sum(self.alpha[w] * self.beta[w] for w in self.aux.words)

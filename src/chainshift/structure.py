@@ -17,13 +17,14 @@ of σ(a), so a power step costs O(n·|σ|) big-int ORs, and a row is tested
 against a mask in one operation. The search steps only the rows that are
 not yet full, in place, from a snapshot of the previous power.
 
-A chain keeps one letter -> level index, built with it: ``new_letters`` and
-``level_of`` read it, and "a letter lies below level i" is the test
-``level_of(c) < i``. Words are indexed the same way, one word -> level index
-per window length (``word_levels``): a word lies in the level-i language iff
-its level is <= i, so no per-level copy of a language is kept. Letter counts
-(incidence matrix, diagonal and coupling blocks) use ``str.count`` on the
-images.
+A chain is its components, the letters each level adds in declaration
+order, and one letter -> level index built from them: ``level_of`` reads it,
+"a letter lies below level i" is the test ``level_of(c) < i``, and the
+alphabets A_i (``alphabet_at``, ``levels``) are derived on each read. Words
+are indexed the same way, one word -> level index per window length
+(``word_levels``): a word lies in the level-i language iff its level is <= i.
+Letter counts (incidence matrix, diagonal and coupling blocks) use
+``str.count`` on the images.
 
 Everything derived from a chain (word levels, window substitutions, eigen
 data, level reports) is stored on it by ``ComponentChain.memo`` and lives
@@ -34,7 +35,6 @@ back to the chain, so reference counting frees it all with the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
 from .errors import DomainError, NoPrimitiveChainError
 from .words import Substitution, word_levels
@@ -154,27 +154,18 @@ def check_level(i: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class ComponentChain:
-    """Nested letter levels with per-level diagonal blocks."""
+    """Nested letter levels with per-level diagonal blocks, kept as the
+    letters each level adds (its component), in declaration order."""
 
     sub: Substitution
-    levels: tuple[tuple[str, ...], ...]  # cumulative A_i, declaration order
+    components: tuple[tuple[str, ...], ...]
     witness_k: int
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
     _level_of: dict = field(init=False, repr=False, compare=False, hash=False)
-    _new_letters: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        # One letter -> level index. The new letters of each level are read
-        # off it in the top level's order, which every level follows (each is
-        # in declaration order), so only the index build touches every level.
-        level_of: dict[str, int] = {}
-        for i, letters in enumerate(self.levels, start=1):
-            level_of.update(dict.fromkeys(set(letters).difference(level_of), i))
-        new: list[list[str]] = [[] for _ in self.levels]
-        for c in self.levels[-1] if self.levels else ():
-            new[level_of[c] - 1].append(c)
+        level_of = {c: i for i, letters in enumerate(self.components, start=1) for c in letters}
         object.__setattr__(self, "_level_of", level_of)
-        object.__setattr__(self, "_new_letters", tuple(map(tuple, new)))
 
     def memo(self, key: tuple, compute, *args):
         """``compute(*args)`` once per ``key`` for this chain; later calls return
@@ -186,16 +177,23 @@ class ComponentChain:
 
     @property
     def n(self) -> int:
-        return len(self.levels)
+        return len(self.components)
+
+    @property
+    def levels(self) -> tuple[tuple[str, ...], ...]:
+        """The cumulative alphabets A_1 c ... c A_n, built on each read."""
+        return tuple(map(self.alphabet_at, range(1, len(self.components) + 1)))
 
     def check_level(self, i: int) -> int:
-        return check_level(i, len(self.levels))
+        return check_level(i, len(self.components))
 
     def alphabet_at(self, i: int) -> tuple[str, ...]:
-        return self.levels[self.check_level(i) - 1]
+        """A_i, the letters of levels 1..i in declaration order, built on each read."""
+        level, i = self._level_of, self.check_level(i)
+        return tuple([c for c in self.sub.alphabet.letters if level[c] <= i])
 
     def new_letters(self, i: int) -> tuple[str, ...]:
-        return self._new_letters[self.check_level(i) - 1]
+        return self.components[self.check_level(i) - 1]
 
     def level_of(self, letter: str) -> int:
         """The level that adds ``letter``: it lies below level i iff this is < i."""
@@ -225,23 +223,23 @@ class ComponentChain:
         """The level-i sub-substitution together with its own chain, built once
         per level and chain.
 
-        When the top level spells the whole alphabet in order, its restriction
-        is the chain itself, so the level and the system share one memo; it
-        is not stored, since the chain would then hold itself.
+        The top level's restriction is the chain itself, so the level and the
+        system share one memo; it is not stored, since the chain would then
+        hold itself.
         """
-        if i == self.n and self.alphabet_at(i) == self.sub.alphabet.letters:
+        if self.check_level(i) == len(self.components):
             return self.sub, self
         return self.memo(("restrict", i), _restriction, self, i)
 
     def word_levels(self, m: int) -> dict[str, int]:
         """The level each length-m word enters, from one ``words.word_levels``
         sweep per m: L_m(i) is the set of words with level <= i."""
-        return self.memo(("word_levels", m), word_levels, self.sub, self._new_letters, m)
+        return self.memo(("word_levels", m), word_levels, self.sub, self.components, m)
 
 
 def _restriction(chain: ComponentChain, i: int) -> tuple[Substitution, ComponentChain]:
     sub_i = chain.sub.restrict(chain.alphabet_at(i))
-    return sub_i, ComponentChain(sub_i, chain.levels[:i], chain.witness_k)
+    return sub_i, ComponentChain(sub_i, chain.components[:i], chain.witness_k)
 
 
 def component_chain(sub: Substitution) -> ComponentChain:
@@ -291,18 +289,16 @@ def component_chain(sub: Substitution) -> ComponentChain:
                 ],
             },
         )
-    cumulative: list[tuple[str, ...]] = []
-    seen = [False] * n  # the letters on or below the current level
+    components = []  # the letters each level adds, in declaration order
     need = [0] * n  # bitset of the letters on or below each letter's level
     mask = 0
     for ci in order:
-        for v in sccs[ci]:
-            seen[v] = True
+        comp = sorted(sccs[ci])
+        for v in comp:
             mask |= 1 << v
-        for v in sccs[ci]:
+        for v in comp:
             need[v] = mask
-        cumulative.append(tuple(compress(letters, seen)))
-    levels = tuple(cumulative)
+        components.append(tuple([letters[v] for v in comp]))
     # Uniform witness power: the least k at which every row of A^k holds
     # every letter on or below its level. It also decides primitivity (see
     # the module docstring): past the bound, the lowest component whose
@@ -324,7 +320,7 @@ def component_chain(sub: Substitution) -> ComponentChain:
             if row | need[a] != row:
                 unfinished.append(a)
         if not unfinished:
-            return ComponentChain(sub, levels, k)
+            return ComponentChain(sub, tuple(components), k)
         todo = unfinished
     blocks = ((comp, sum(1 << v for v in comp)) for comp in map(sccs.__getitem__, order))
     comp = next(comp for comp, block in blocks if any(block & ~power[v] for v in comp))
@@ -336,5 +332,5 @@ def component_chain(sub: Substitution) -> ComponentChain:
 
 def is_empty_bottom(sub: Substitution, chain: ComponentChain) -> bool:
     """True iff the bottom subshift is empty: A_1 = {s} with s mapped to itself."""
-    bottom = chain.alphabet_at(1)
+    bottom = chain.components[0]
     return len(bottom) == 1 and sub.image(bottom[0]) == bottom[0]

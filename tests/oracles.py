@@ -133,6 +133,24 @@ def valid_chains(rules: dict[str, str], k_bound: int):
     return found
 
 
+def components(rules: dict[str, str]) -> list[tuple[str, ...]]:
+    """The strongly connected components of the letter digraph, each in
+    declaration order, ordered by how many letters they reach (bottom first)."""
+    reach = {}
+    for a in rules:
+        seen, todo = {a}, [a]
+        while todo:
+            for c in rules[todo.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    todo.append(c)
+        reach[a] = seen
+    groups: dict[frozenset, list[str]] = {}
+    for a in rules:
+        groups.setdefault(frozenset(b for b in reach[a] if a in reach[b]), []).append(a)
+    return sorted(map(tuple, groups.values()), key=lambda comp: len(reach[comp[0]]))
+
+
 def bool_mul(a, b):
     """Dense boolean matrix product."""
     bt = list(zip(*b))

@@ -380,6 +380,19 @@ def test_rule_file_with_utf8_bom(tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_rule_file_that_is_not_utf8(tmp_path, capsys, command):
+    # a byte that starts no UTF-8 sequence is a parse error with the JSON
+    # payload, not a decoding traceback
+    path = tmp_path / "latin1.sub"
+    path.write_bytes(b"a -> ab\nb -> \xff\n")
+    code, out = _run(capsys, command, str(path))
+    assert code == 2
+    error = out["error"]
+    assert (error["code"], error["kind"]) == (2, "ParseError")
+    assert "not valid UTF-8" in error["message"]
+
+
 def test_python_dash_m_entry_point(tmp_path, capsys):
     path = _write(tmp_path, "chacon.sub", CORPUS_RULES["chacon"])
     assert main(["classify", path]) == 0

@@ -11,7 +11,9 @@ left-vector solve per level (no ``pf_left``, ``LeftVector`` or
 ``level_profile``). ``classify`` restricts the chain only for the level-2
 periodicity probe and reads the word -> level index only at length 2: its
 s-run facts come from one record per chain. In ``structure`` the witness
-search alone decides primitivity.
+search alone decides primitivity, and a chain keeps its components, the
+letters each level adds: the cumulative alphabets are derived, and only
+``cli._chain_json`` reads them.
 """
 
 import ast
@@ -217,3 +219,50 @@ def test_structure_decides_primitivity_in_the_witness_search():
     }
     assert "_row_or_step" not in names
     assert "no_witness" not in source
+
+
+def test_chain_stores_its_components_only():
+    # the letters each level adds, as detection finds them, and one letter ->
+    # level index; no cumulative alphabet is stored or rebuilt
+    tree = ast.parse((PACKAGE / "structure.py").read_text(encoding="utf-8"))
+    chain = next(node for node in tree.body if getattr(node, "name", None) == "ComponentChain")
+    fields = [node.target.id for node in chain.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["sub", "components", "witness_k", "_memo", "_level_of"]
+    assert "itertools.compress" not in _imported_modules(PACKAGE / "structure.py")
+
+
+def _chain_level_reads(source: str) -> list[tuple[str, str]]:
+    """Each read of ``.levels`` on a chain in ``source``, as (the innermost
+    enclosing definition, the expression)."""
+    reads: list[tuple[str, str]] = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "levels" and "chain" in ast.unparse(child.value):
+                reads.append((where, ast.unparse(child)))
+            visit(child, getattr(child, "name", where))
+
+    visit(ast.parse(source), "<module>")
+    return reads
+
+
+def test_chain_level_guard_sees_every_chain():
+    probe = (
+        "def f(chain, chain_i, report, spectral):\n"
+        "    return chain.levels, chain_i.levels[0], report.chain.levels, report.levels, spectral.levels\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return [x for x in self.chain.levels]\n"
+    )
+    assert _chain_level_reads(probe) == [
+        ("f", "chain.levels"), ("f", "chain_i.levels"), ("f", "report.chain.levels"), ("g", "self.chain.levels")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_chain_json_reads_cumulative_levels(path):
+    # every reader works on the components; the JSON lists the alphabets
+    if path.name == "structure.py":
+        return
+    reads = _chain_level_reads(path.read_text(encoding="utf-8"))
+    assert reads == ([("_chain_json", "chain.levels")] if path.name == "cli.py" else []), reads

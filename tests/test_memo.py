@@ -479,7 +479,7 @@ def test_chain_data_needs_the_chains_substitution():
 def test_restrict_is_built_once_per_level():
     sub = make("quartic")
     chain = component_chain(sub)
-    fresh = ComponentChain(chain.sub, chain.levels, chain.witness_k)
+    fresh = ComponentChain(chain.sub, chain.components, chain.witness_k)
     for i in range(1, chain.n + 1):
         sub_i, chain_i = chain.restrict(i)
         assert all(x is y for x, y in zip(chain.restrict(i), (sub_i, chain_i)))
@@ -490,8 +490,8 @@ def test_restrict_is_built_once_per_level():
     stored = [key for key in chain._memo if key[0] == "restrict"]
     assert stored == [("restrict", i) for i in range(1, chain.n)]
     # the stored restrictions take no part in equality or hashing
-    assert chain == ComponentChain(chain.sub, chain.levels, chain.witness_k)
-    assert hash(chain) == hash(ComponentChain(chain.sub, chain.levels, chain.witness_k))
+    assert chain == ComponentChain(chain.sub, chain.components, chain.witness_k)
+    assert hash(chain) == hash(ComponentChain(chain.sub, chain.components, chain.witness_k))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_RULES))

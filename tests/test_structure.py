@@ -2,9 +2,12 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from chainshift import (
+    ComponentChain,
     DomainError,
     NoPrimitiveChainError,
     Substitution,
@@ -12,7 +15,8 @@ from chainshift import (
     incidence_matrix,
     is_empty_bottom,
 )
-from conftest import assert_matches_dense_oracle, make, tower
+from conftest import CORPUS_RULES, assert_matches_dense_oracle, make, tower
+from test_classify import fixed_bottom_chains, mixed_towers
 
 
 def test_incidence_quartic():
@@ -132,6 +136,37 @@ def test_tower_new_letters_are_the_level_difference():
         # The stored letters take no part in equality or hashing.
         _, top = chain.restrict(n)
         assert top == chain and hash(top) == hash(chain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    mixed_towers(), fixed_bottom_chains(), st.sampled_from(sorted(CORPUS_RULES)).map(CORPUS_RULES.get)
+))
+def test_chain_is_its_components(rules):
+    # the chain keeps the components detection finds; every cumulative
+    # alphabet, and every level's own chain, is derived from them
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    assert chain.components == tuple(oracles.components(rules))
+    assert chain.n == len(chain.components)
+    below: set[str] = set()
+    for i, letters in enumerate(chain.components, start=1):
+        below.update(letters)
+        union = tuple(c for c in rules if c in below)
+        assert chain.levels[i - 1] == chain.alphabet_at(i) == union
+        assert chain.new_letters(i) == letters
+    for i in range(1, chain.n):
+        sub_i, chain_i = chain.restrict(i)
+        fresh = component_chain(sub.restrict(chain.alphabet_at(i)))
+        # a level's chain keeps the system's witness power, a witness for the
+        # level too, and not always its least one
+        assert chain_i.sub == sub_i == fresh.sub
+        assert chain_i.components == fresh.components
+        assert chain_i == ComponentChain(fresh.sub, fresh.components, chain.witness_k)
+        assert chain_i.witness_k >= fresh.witness_k
+    again = component_chain(Substitution.from_rules(rules))
+    rebuilt = ComponentChain(sub, chain.components, chain.witness_k)
+    assert chain == again == rebuilt and hash(chain) == hash(again) == hash(rebuilt)
 
 
 def test_blocks_and_couplings_tile_the_matrix(corpus_sub):
