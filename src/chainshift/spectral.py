@@ -26,15 +26,16 @@ The right vector of ``pf_vectors`` is built symmetrically downward from the
 last attaining block.
 
 A level's invariant measure is one left vector over its blocks, its own
-block last (``_level_vectors``). On an infinite level the right limit vector
-needs no further solve: it vanishes below that block, and on it a row counts
-the letters of sigma(u[0]), so gamma(u) = r(u[0]) for the Perron vector r of
-the level's letter block. This solve serves every cylinder table: on the
-k x k letter blocks for an integer theta (``measures``), on the windows of
-the level's chain ``chain.restrict(i)`` for an irrational one
-(``window_vectors``), and in the divergent ``limit_data``. ``pf_vectors`` and
-``limit_data`` serve ``spectral -m``, ``check`` and library callers; the
-convergent ``limit_data`` is the level chain's eigen pair at theta_i.
+block last (``_level_vectors``). Its right vector needs no further solve: it
+vanishes below that block, and on it a row counts the letters of
+sigma(u[0]), so gamma(u) = r(u[0]) for the Perron vector r of the level's
+letter block. This solve serves every cylinder table: on the k x k letter
+blocks for an integer theta (``measures``), on the windows of the level's
+chain ``chain.restrict(i)`` for an irrational one (``window_vectors``). It
+also gives ``limit_data`` in both modes, on that chain's blocks from Q(1),
+or from G(i'-1) on an infinite level, up to Q(i) (``_level_windows``).
+``pf_vectors`` and ``limit_data`` serve ``spectral -m``, ``check`` and
+library callers.
 
 Like everything else derived from a chain, these are stored on the chain
 (``ComponentChain.memo``): ``block_eigenvalues`` under ``("spectral",)``,
@@ -343,13 +344,13 @@ def _level_vectors(blocks, rows, theta, what: str, level: LevelSpectrum | None =
     ``blocks``, the level's own block last: letters or windows, ``rows``
     counting each one's image. Exact for an integer ``theta``.
 
-    With ``level``, the ``LevelSpectrum`` of an infinite level, also the
-    right limit vector gamma. It vanishes below the level's block, and on it
-    a row counts the letters of sigma(u[0]), so gamma(u) = r(u[0]) for the
-    Perron vector r of the level's letter block; gamma is None for a finite
-    level. Each vector passes its eigen identity (``what`` names it) at the
+    With ``level``, the level's ``LevelSpectrum``, also the right vector
+    gamma of its limit data. It vanishes below the level's block, and on it a
+    row counts the letters of sigma(u[0]), so gamma(u) = r(u[0]) for the
+    Perron vector r of the level's letter block; without ``level`` gamma is
+    None. Each vector passes its eigen identity (``what`` names it) at the
     scale it is returned: exact ones as integer numerators, float ones with
-    smallest positive entry 1, except an infinite level's delta, which its
+    smallest positive entry 1, except a delta returned with gamma, which its
     pairing with gamma scales.
     """
     exact = isinstance(theta, int)
@@ -386,9 +387,6 @@ class EigenPair:
     beta_total: object  # sum of beta: the normaliser of finite cylinder values
     exact: bool
 
-    def pairing(self):
-        return sum(self.alpha[w] * self.beta[w] for w in self.aux.words)
-
 
 def pf_vectors(
     sub: Substitution,
@@ -399,13 +397,11 @@ def pf_vectors(
     """Both dominant eigenvectors over the window alphabet: the left one
     anchored at ``i_min``, the right one at ``i_max``."""
     spectral = spectral or block_eigenvalues(sub, chain)
-    args = sub, chain, m, spectral.lam, spectral.i_min, spectral.i_max
-    return spectral.memo(sub, chain, ("pf_right", m), _pf_vectors, *args)
+    return spectral.memo(sub, chain, ("pf_right", m), _pf_vectors, sub, chain, m, spectral)
 
 
-def _pf_vectors(
-    sub: Substitution, chain: ComponentChain, m: int, lam: AlgebraicReal, i_min: int, i_max: int
-) -> EigenPair:
+def _pf_vectors(sub: Substitution, chain: ComponentChain, m: int, spectral: SpectralProfile) -> EigenPair:
+    lam = spectral.lam
     if lam.compare(1) <= 0:
         raise LambdaNotDominant("global growth rate is <= 1; no dominant eigenvector data")
     aux = build_auxiliary(sub, chain, m)
@@ -414,11 +410,11 @@ def _pf_vectors(
     lam_value = lam.as_integer() if exact else float(lam)
     blocks = aux.blocks_in_order()
     words_blocks = [ws for _, _, ws in blocks]
-    beta = _left_vector(words_blocks, rows, lam_value, _anchor(blocks, i_min))
+    beta = _left_vector(words_blocks, rows, lam_value, _anchor(blocks, spectral.i_min))
     if not exact:
         beta = _min_positive_normalize(beta, exact)
     _check_eigenvector(rows, aux.words, beta, lam_value, "left", "eigenvector")
-    alpha = _right_vector(words_blocks, rows, lam_value, _anchor(blocks, i_max))
+    alpha = _right_vector(words_blocks, rows, lam_value, _anchor(blocks, spectral.i_max))
     if not exact:
         alpha = _min_positive_normalize(alpha, exact)
     _check_eigenvector(rows, aux.words, alpha, lam_value, "right", "eigenvector")
@@ -427,6 +423,24 @@ def _pf_vectors(
     return EigenPair(
         m=m, aux=aux, lam=lam, alpha=alpha, beta=beta, beta_total=sum(beta.values()), exact=exact
     )
+
+
+def _level_windows(
+    chain: ComponentChain, m: int, i: int, spectral: SpectralProfile
+) -> tuple[AuxiliarySubstitution, list[tuple[str, ...]]]:
+    """Level i's window substitution on its own chain, ``chain.restrict(i)``,
+    and the blocks its vectors live on, the level's block last: Q(1) .. Q(i)
+    on a finite level, G(i'-1) .. Q(i) on an infinite one."""
+    aux = build_auxiliary(*chain.restrict(i), m)
+    start = 1
+    if not spectral.level_is_finite(i):
+        start = spectral.i_prime(i)
+        if start < 2:
+            raise InternalInvariantError(f"level {i}: divergent mode without a dominating lower level")
+    blocks = [(kind, lvl, ws) for kind, lvl, ws in aux.blocks_in_order() if lvl >= start - (kind == "G")]
+    if _anchor(blocks, i) != len(blocks) - 1:
+        raise InternalInvariantError(f"level {i}: the level block is not last in the restriction")
+    return aux, [ws for _, _, ws in blocks]
 
 
 def window_vectors(
@@ -444,8 +458,7 @@ def window_vectors(
         ld = limit_data(sub, chain, m, i, spectral)
         return ld.delta, ld.gamma, ld.infinite_words
     spectral.check(sub, chain)
-    aux = build_auxiliary(*chain.restrict(i), m)
-    blocks = [ws for _, _, ws in aux.blocks_in_order()]
+    aux, blocks = _level_windows(chain, m, i, spectral)
     delta, _ = _level_vectors(blocks, _window_rows(aux), float(spectral.theta(i)), "eigenvector")
     total = sum(delta.values())
     return {w: x / total for w, x in delta.items()}, None, frozenset()
@@ -453,12 +466,17 @@ def window_vectors(
 
 @dataclass
 class LimitData:
-    """Normalized growth data of matrix powers scaled by a level's eigenvalue.
+    """Normalized growth data of matrix powers scaled by a level's eigenvalue,
+    over the windows of the level's chain.
 
     Convergent mode (the level dominates everything below): the scaled powers
     converge entrywise to an outer product alpha * beta with pairing 1.
     Divergent mode: entries over the language below ``i_prime`` blow up; on
-    the remaining coordinates the limit is gamma * delta with pairing 1.
+    the remaining coordinates the limit is gamma * delta with pairing 1. Both
+    modes come from one solve (``_level_vectors``): alpha or gamma is the
+    right vector lifted from the level's letter block by each window's first
+    letter, with smallest positive entry 1, and beta or delta the left vector
+    over its pairing with it.
     """
 
     level: int
@@ -495,55 +513,23 @@ def _limit_data(
     theta = spectral.theta(i)
     if theta.compare(1) <= 0:
         raise ThetaNotAboveOne(f"level {i} eigenvalue is 1; no scaled limit data")
-    sub_i, chain_i = chain.restrict(i)
-    if spectral.level_is_finite(i):
-        # level i tops its chain and dominates every level below: both anchor at i
-        pair = chain_i.memo(("pf_right", m), _pf_vectors, sub_i, chain_i, m, theta, i, i)
-        pairing = pair.pairing()
-        beta = {w: v / pairing for w, v in pair.beta.items()}
-        return LimitData(
-            level=i,
-            m=m,
-            mode="convergent",
-            exact=pair.exact,
-            i_prime=None,
-            theta=theta,
-            alpha=pair.alpha,
-            beta=beta,
-        )
-    aux = build_auxiliary(sub_i, chain_i, m)
-    ip = spectral.i_prime(i)
-    if ip < 2:
-        raise InternalInvariantError(f"level {i}: divergent mode without a dominating lower level")
-    blocks = [
-        (kind, lvl, ws)
-        for kind, lvl, ws in aux.blocks_in_order()
-        if (kind == "G" and lvl >= ip - 1) or (kind == "Q" and lvl >= ip)
-    ]
-    if _anchor(blocks, i) != len(blocks) - 1:
-        raise InternalInvariantError(f"level {i}: the level block is not last in the restriction")
-    words_blocks = [ws for _, _, ws in blocks]
-    restricted = tuple(w for ws in words_blocks for w in ws)
+    aux, words_blocks = _level_windows(chain, m, i, spectral)
     exact = theta.as_integer() is not None
     theta_value = theta.as_integer() if exact else float(theta)
-    rows, level = _window_rows(aux), spectral.levels[i - 1]
-    delta, gamma = _level_vectors(words_blocks, rows, theta_value, "limit vector", level)
+    level = spectral.levels[i - 1]
+    delta, gamma = _level_vectors(words_blocks, _window_rows(aux), theta_value, "limit vector", level)
     if exact and not all(v > 0 for v in delta.values()):
         raise InternalInvariantError(f"level {i}: the left limit vector is not positive")
     if exact:
         gamma = _min_positive_normalize(gamma, exact)
+    restricted = tuple(w for ws in words_blocks for w in ws)
     pairing = sum(gamma[w] * delta[w] for w in restricted)
     delta = {w: v / pairing for w, v in delta.items()}
-    infinite = [w for w, e in aux.word_level.items() if e < ip]
+    if spectral.level_is_finite(i):
+        return LimitData(i, m, "convergent", exact, None, theta, alpha=gamma, beta=delta)
+    ip = spectral.i_prime(i)
+    infinite = frozenset(w for w, e in aux.word_level.items() if e < ip)
     return LimitData(
-        level=i,
-        m=m,
-        mode="divergent",
-        exact=exact,
-        i_prime=ip,
-        theta=theta,
-        gamma=gamma,
-        delta=delta,
-        infinite_words=frozenset(infinite),
-        restricted_words=restricted,
+        i, m, "divergent", exact, ip, theta, gamma=gamma, delta=delta,
+        infinite_words=infinite, restricted_words=restricted,
     )

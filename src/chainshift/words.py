@@ -37,9 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DomainError
+from .errors import BudgetExceeded, DomainError
 
-LANGUAGE_BUDGET = 10**7  # letters held by one `language` listing, or by one level's ancestor tables
+# letters held by one `language` listing, one word -> level index
+# (`word_levels`) or one level's ancestor tables
+LANGUAGE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -218,14 +220,20 @@ def word_levels(
     only the seeds of its new letters on top of it and tags what that adds:
     every window is expanded once over the whole sweep.
     ``ComponentChain.word_levels`` keeps one sweep per m on the chain.
+
+    Like a ``language`` listing, the index holds at most ``LANGUAGE_BUDGET``
+    letters; past that it raises ``BudgetExceeded``.
     """
     if m < 1:
         raise DomainError("factor length must be >= 1")
     closure = _AlignedClosure(sub, m)
     lang: set[str] = set()
     levels: dict[str, int] = {}
+    cap = LANGUAGE_BUDGET // m
     for i, new in enumerate(new_letters, start=1):
-        levels.update(dict.fromkeys(closure.close(lang, new), i))
+        levels.update(dict.fromkeys(closure.close(lang, new, cap), i))
+        if len(lang) > cap:
+            raise BudgetExceeded(f"the word index at m={m} exceeds {LANGUAGE_BUDGET} letters")
     return levels
 
 

@@ -672,6 +672,23 @@ def compare_largest_roots(p, q) -> int:
     return 1 if b[1] <= a[0] else -1
 
 
+def convergent_limit(sub, chain, i: int, m: int) -> tuple[dict, dict]:
+    """A finite level's convergent limit data ``(alpha, beta)`` at window
+    length m from the window eigen pair: ``pf_vectors`` on the level's chain
+    ``chain.restrict(i)``, with that chain's own profile, whose top level is
+    the level, and beta divided by its pairing with alpha.
+
+    Like ``window_table`` it runs the library's own window solves, but the
+    right vector is solved over the windows, not lifted from the letters.
+    """
+    from chainshift.spectral import block_eigenvalues, pf_vectors
+
+    sub_i, chain_i = chain.restrict(i)
+    pair = pf_vectors(sub_i, chain_i, m, block_eigenvalues(sub_i, chain_i))
+    pairing = sum(pair.alpha[w] * pair.beta[w] for w in pair.aux.words)
+    return pair.alpha, {w: v / pairing for w, v in pair.beta.items()}
+
+
 def window_table(sub, chain, spectral, i: int, m: int) -> dict[str, tuple]:
     """Level i's cylinder table at window length m by a window solve:
     ``(infinite, exact, float, algebraic note)`` per word of L_m(i).

@@ -183,6 +183,23 @@ def test_measure_long_word_by_ancestors(tmp_path):
     assert (out["word"], out["value"], out["float"]) == (word, "1/512", 1 / 512)
 
 
+def test_simulate_long_word_stops_at_the_index_budget(tmp_path):
+    # the word -> level index of a 4,000-letter word would hold 4,001 words
+    # of 4,000 letters; its closure stops once it passes 10^7 / 4,000 =
+    # 2,500 words, and a 2,000-letter word (2,001 words) still answers
+    rules = CORPUS_RULES["fibonacci"]
+    text = oracles.power(rules, "a", 20)
+    path = _write(tmp_path, "fibonacci.sub", rules)
+    proc = _python("-m", "chainshift", "simulate", path, "-i", "1", "-v", text[:4000], "-L", "10000", timeout=5)
+    assert proc.returncode == 5, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert (error["code"], error["kind"]) == (5, "BudgetExceeded")
+    assert "word index at m=4000" in error["message"]
+    proc = _python("-m", "chainshift", "simulate", path, "-i", "1", "-v", text[:2000], "-L", "10000", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["word"] == text[:2000]
+
+
 def test_matrix_command_plain_and_window(tmp_path, capsys):
     path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
     code, out = _run(capsys, "matrix", path)

@@ -106,6 +106,44 @@ def test_only_the_window_table_reads_eigen_data():
     assert readers["window_vectors"] == {"_Level.table"}
 
 
+def _referrers(source: str, name: str) -> set[str]:
+    """The module-level definitions of ``source`` that name ``name``, called
+    or passed on."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if hasattr(node, "name")
+        and any(getattr(inner, "id", getattr(inner, "attr", None)) == name for inner in ast.walk(node))
+        and node.name != name
+    }
+
+
+def test_limit_data_reads_the_one_lifted_level_solve():
+    # both modes lift the right vector from the letter block
+    # (``_level_vectors``); the window right vector is solved for
+    # ``pf_vectors`` alone, which reads its anchors from the profile
+    source = (PACKAGE / "spectral.py").read_text(encoding="utf-8")
+    assert "_limit_data" not in _referrers(source, "pf_vectors") | _referrers(source, "_pf_vectors")
+    assert "_limit_data" in _referrers(source, "_level_vectors")
+    assert _referrers(source, "_right_vector") == {"_pf_vectors"}
+    assert _referrers(source, "_pf_vectors") == {"pf_vectors"}
+    tree = ast.parse(source)
+    pair = next(node for node in tree.body if getattr(node, "name", None) == "EigenPair")
+    assert "pairing" not in {getattr(node, "name", None) for node in pair.body}
+
+
+def test_referrer_guard_sees_passed_functions():
+    probe = (
+        "def _limit_data(chain):\n"
+        "    return chain.memo(('pf_right', 2), _pf_vectors)\n"
+        "def pf_vectors(spectral):\n"
+        "    return spectral._pf_vectors()\n"
+        "def _pf_vectors():\n"
+        "    return _pf_vectors\n"
+    )
+    assert _referrers(probe, "_pf_vectors") == {"_limit_data", "pf_vectors"}
+
+
 def test_spectral_keeps_one_left_vector_solve():
     # the letter base, the irrational window tables and the divergent limit
     # data share ``_level_vectors``; the separate left-vector path is gone

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import os
 import subprocess
@@ -24,6 +25,7 @@ from chainshift import (
     cylinder_measure,
     empirical_frequency,
     language,
+    level_measure_table,
     measure_type,
     uniformity_check,
 )
@@ -374,6 +376,21 @@ def test_irrational_tables_equal_the_window_oracle_bit_for_bit(rules, i, max_m):
         assert set(table) == {w for w, e in chain.word_levels(m).items() if e <= i}
         assert all(e[1] is None and (e[0] or isinstance(e[2], float)) for e in table.values())
     assert level.ancestors is None
+
+
+# level 2 is infinite with theta the golden ratio, below the top level
+@example({"a": "aaa", "b": "abc", "c": "b", "d": "dbd"})
+@settings(max_examples=40, deadline=None)
+@given(chain_systems())
+def test_lower_levels_read_their_own_chains(rules):
+    """Every table of a level below the top, window vectors and limit data
+    included, is read on the level's chain: its listing is the top level's
+    of the system restricted to the level's letters."""
+    sub, chain, sp = _setup_rules(rules)
+    for i in range(1, chain.n):
+        own = _setup_rules(oracles.restrict(rules, chain.alphabet_at(i)))
+        got = json.dumps(level_measure_table(sub, chain, sp, i, max_m=4))
+        assert got == json.dumps(level_measure_table(*own, i, max_m=4)), (rules, i)
 
 
 def test_ancestor_tables_stop_at_the_letter_budget(monkeypatch):

@@ -521,6 +521,36 @@ def test_vectors_match_fraction_oracle(rules):
     _assert_vectors_match_oracle(rules, range(1, 7))
 
 
+# finite levels: an integer bottom (quartic), and a golden-ratio bottom under
+# a finite integer level, with an infinite level above (golden_tower) or not
+@example(CORPUS_RULES["quartic"])
+@example(CORPUS_RULES["golden_tower"])
+@example(CORPUS_RULES["fib_expanding_tail"])
+@settings(max_examples=60, deadline=None)
+@given(chain_systems())
+def test_convergent_limit_data_equals_the_window_eigen_pair(rules):
+    # The convergent limit data lift the right vector from the level's letter
+    # block, as the divergent ones do; the reference solves it over the
+    # windows (``oracles.convergent_limit``). Integer theta: equal Fractions;
+    # irrational: within 1e-12 relative, zeros exactly.
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    sp = block_eigenvalues(sub, chain)
+    for i in range(1, chain.n + 1):
+        if sp.theta_is_one(i) or not sp.level_is_finite(i):
+            continue
+        for m in range(1, 5):
+            ld = limit_data(sub, chain, m, i, sp)
+            assert ld.mode == "convergent" and ld.i_prime is None and not ld.restricted_words
+            for got, want in zip((ld.alpha, ld.beta), oracles.convergent_limit(sub, chain, i, m)):
+                assert got.keys() == want.keys()
+                if ld.exact:
+                    assert got == want, (rules, i, m)
+                    continue
+                for w, x in want.items():
+                    assert abs(got[w] - x) <= 1e-12 * abs(x), (rules, i, m, w, got[w], x)
+
+
 def test_no_corpus_level_is_divergent_with_irrational_theta():
     # Every divergent corpus level has an integer theta, so lifting gamma from
     # the letter block leaves every float of the golden CLI outputs unchanged.

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from chainshift import (
     Alphabet,
+    BudgetExceeded,
     DomainError,
     Substitution,
     apply,
@@ -16,6 +17,7 @@ from chainshift import (
     language,
     word_levels,
 )
+from chainshift import words
 from conftest import CORPUS_RULES, make, tower
 from test_pipeline_fuzz import chain_systems
 
@@ -265,6 +267,22 @@ def test_level_languages_on_chain_systems(rules, m):
     sub = Substitution.from_rules(rules)
     chain = component_chain(sub)
     assert chain.word_levels(m) == oracles.word_levels(rules, chain.levels, m)
+
+
+def test_level_languages_stop_at_the_letter_budget(monkeypatch):
+    # the index holds at most LANGUAGE_BUDGET letters, as a ``language``
+    # listing does: golden_tower has 33 words at m = 4, 132 letters
+    sub = make("golden_tower")
+    new = _new_letters(component_chain(sub))
+    whole = word_levels(sub, new, 4)
+    assert len(whole) == 33 and max(whole.values()) == 3
+    monkeypatch.setattr(words, "LANGUAGE_BUDGET", 132)
+    assert word_levels(sub, new, 4) == whole
+    monkeypatch.setattr(words, "LANGUAGE_BUDGET", 131)
+    with pytest.raises(BudgetExceeded, match="word index at m=4 exceeds 131 letters"):
+        word_levels(sub, new, 4)
+    with pytest.raises(BudgetExceeded):
+        component_chain(sub).word_levels(4)
 
 
 def test_level_languages_reject_bad_length():
