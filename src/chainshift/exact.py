@@ -1,6 +1,6 @@
 """Exact algebra: integer characteristic polynomials, Sturm-sequence root
-isolation, algebraic reals with decidable ordering, and fraction-free
-integer linear solves.
+isolation, algebraic reals with decidable ordering, and one fraction-free
+integer solve.
 
 Polynomials are tuples of coefficients in descending degree order. The
 characteristic polynomial of an integer matrix is computed division-free, so
@@ -272,16 +272,11 @@ class AlgebraicReal:
         while (self._b - self._a) * wd > wn << self._k:
             self._halve()
 
-    def to_fraction(self, width: Fraction = Fraction(1, 2**48)) -> Fraction:
-        if self.rational is not None:
-            return Fraction(self.rational)
-        self.refine(width)
-        return Fraction(self._a + self._b, 1 << (self._k + 1))
-
     def __float__(self) -> float:
         if self.rational is not None:
             return float(self.rational)
-        return float(self.to_fraction())
+        self.refine(Fraction(1, 2**48))
+        return float(Fraction(self._a + self._b, 1 << (self._k + 1)))
 
     def as_integer(self) -> int | None:
         return self.rational
@@ -351,50 +346,36 @@ class AlgebraicReal:
         return f"AlgebraicReal({float(self):.12g}, poly={self.poly})"
 
 
-def _bareiss(M: list[list[int]], cols: int) -> list[int]:
-    """Fraction-free (Bareiss) forward elimination of an integer matrix, in place.
-
-    Brings the first ``cols`` columns to row echelon form; further columns (a
-    right-hand side) are carried along. After each pivot every entry below it
-    is an integer minor of the row-permuted input, so each division by the
-    previous pivot is exact (Bareiss, Math. Comp. 22, 1968). Returns the pivot
-    column of each nonzero row, in row order.
-    """
-    n = len(M)
-    pivots: list[int] = []
-    prev = 1
-    for col in range(cols):
-        r = len(pivots)
-        p = next((i for i in range(r, n) if M[i][col]), None)
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        top = M[r][col:]
-        piv = top[0]
-        for i in range(r + 1, n):
-            row = M[i]
-            f = row[col]
-            row[col:] = [(piv * a - f * b) // prev for a, b in zip(row[col:], top)]
-        pivots.append(col)
-        prev = piv
-    return pivots
-
-
 def solve_linear(A, b) -> tuple[list[int], int]:
     """Solve a square nonsingular integer system A x = b without fractions.
 
     Returns ``(y, det)`` with ``A y = det * b`` and ``det = |det A| > 0``, so
-    x = y / det. Elimination and back-substitution run on integers only; a
-    non-integer entry of A or b raises ``TypeError``.
+    x = y / det. Fraction-free (Bareiss) elimination brings ``[A | b]`` to
+    upper triangular form: after each pivot every entry below it is an
+    integer minor of the row-permuted input, so each division by the previous
+    pivot is exact (Bareiss, Math. Comp. 22, 1968). A column without a
+    nonzero pivot means A is singular (``ZeroDivisionError``). Elimination and
+    back-substitution run on integers only; a non-integer entry of A or b
+    raises ``TypeError``.
     """
     n = len(A)
     if n == 0:
         return [], 1
     M = [[index(a) for a in row] + [index(v)] for row, v in zip(A, b)]
-    if len(_bareiss(M, n)) < n:
-        raise ZeroDivisionError("singular system")
+    prev = 1
+    for col in range(n):
+        p = next((i for i in range(col, n) if M[i][col]), None)
+        if p is None:
+            raise ZeroDivisionError("singular system")
+        M[col], M[p] = M[p], M[col]
+        top = M[col][col:]
+        piv = top[0]
+        for row in M[col + 1 :]:
+            f = row[col]
+            row[col:] = [(piv * u - f * v) // prev for u, v in zip(row[col:], top)]
+        prev = piv
     # By Cramer's rule det * x is integral; the last pivot is +-det.
-    det = M[n - 1][n - 1]
+    det = prev
     y = [0] * n
     for k in range(n - 1, -1, -1):
         row = M[k]
@@ -403,25 +384,3 @@ def solve_linear(A, b) -> tuple[list[int], int]:
     if det < 0:
         return [-v for v in y], -det
     return y, det
-
-
-def nullspace_vector(A) -> list[int]:
-    """A primitive integer kernel vector of a square integer matrix whose
-    kernel is 1-dimensional (unique up to sign). A non-integer entry raises
-    ``TypeError``."""
-    n = len(A)
-    M = [[index(a) for a in row] for row in A]
-    pivots = _bareiss(M, n)
-    free = sorted(set(range(n)) - set(pivots))
-    if len(free) != 1:
-        raise ZeroDivisionError(f"kernel is {len(free)}-dimensional, expected 1")
-    # Setting the free coordinate to the last pivot (+-the pivot minor)
-    # makes every pivot coordinate integral, by Cramer's rule.
-    x = [0] * n
-    x[free[0]] = M[len(pivots) - 1][pivots[-1]] if pivots else 1
-    for k in range(len(pivots) - 1, -1, -1):
-        row, col = M[k], pivots[k]
-        acc = -sum(row[j] * x[j] for j in range(col + 1, n))
-        x[col] = acc // row[col]
-    g = gcd(*x)
-    return [v // g for v in x]

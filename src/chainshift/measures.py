@@ -646,12 +646,10 @@ def empirical_frequency(
         k2 = blocks.reach(anchor, POWER_BUDGET + 1) - 1
         u = min((w for w in words if w[0] == anchor), key=sub_i.alphabet.word_key)
         count = blocks.count(u, k2) - blocks.count(u[1:], k2)
+        # int / int rounds the exact quotient once: an integer theta needs no Fraction
         theta = spectral.theta(i)
-        exact_theta = theta.as_integer()
-        if exact_theta is not None:
-            scaled = float(Fraction(count, exact_theta**k2))
-        else:
-            scaled = count / float(theta) ** k2
+        base = theta.as_integer() or float(theta)
+        scaled = count / base**k2
         result.scaled_power, result.scaled_count, result.scaled_value = k2, count, scaled
     return result
 

@@ -44,8 +44,8 @@ Like everything else derived from a chain, these are stored on the chain
 reports, ``measures`` one record per level, ``("level", i)``, with its
 descriptor and cylinder tables. Only ``pf_vectors`` solves the right vector
 over the windows. ``SpectralProfile.memo`` stores on the chain it is given,
-which must be the profile's or an equal one (else ``DomainError``); the
-profile keeps what makes chains equal, not the chain, so nothing stored
+which must have the profile's substitution and components (else
+``DomainError``); the profile keeps these, not the chain, so nothing stored
 refers back to its chain. The stored data holds at most one entry per level
 and window length asked for, and lives exactly as long as its chain.
 """
@@ -54,12 +54,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from .auxiliary import AuxiliarySubstitution, build_auxiliary
 from .errors import DomainError, InternalInvariantError, LambdaNotDominant, ThetaNotAboveOne
-from .exact import AlgebraicReal, charpoly, nullspace_vector, solve_linear
+from .exact import AlgebraicReal, charpoly, solve_linear
 from .structure import ComponentChain, IntMatrix, check_level, letter_counts
 from .words import Substitution
 
@@ -80,9 +81,9 @@ class SpectralProfile:
     """Exactly comparable per-level eigenvalue data."""
 
     def __init__(self, chain: ComponentChain, levels: list[LevelSpectrum]):
-        # what makes chains equal (see ``check``), not the chain, whose memo
-        # holds the profile
-        self._chain_key = (chain.sub, chain.components, chain.witness_k)
+        # what the eigenvalues depend on (see ``check``), not the chain, whose
+        # memo holds the profile
+        self._chain_key = (chain.sub, chain.components)
         self.levels = levels
         best = last = 1  # first and last level attaining the maximum so far
         upto = [1]  # first level attaining the maximum over levels 1..i
@@ -97,18 +98,20 @@ class SpectralProfile:
 
     def check(self, sub: Substitution, chain: ComponentChain) -> None:
         """Raise ``DomainError`` unless the profile describes ``(sub, chain)``:
-        its eigenvalues, i_min and i_max would be wrong for another chain."""
+        its eigenvalues, i_min and i_max would be wrong for a chain with
+        another substitution or other components. The witness power plays no
+        part: a level chain (``restrict``) keeps the system's."""
         # Equal tuples compare their items by identity first: every memo
         # lookup checks, and the caller almost always passes the profile's
         # own objects.
-        if (chain.sub, chain.components, chain.witness_k) != self._chain_key or not (
+        if (chain.sub, chain.components) != self._chain_key or not (
             sub is chain.sub or sub == chain.sub
         ):
             raise DomainError("the spectral profile describes another chain")
 
     def memo(self, sub: Substitution, chain: ComponentChain, key: tuple, compute, *args):
         """``compute(*args)`` once per ``key``, stored on ``chain``, which must
-        be this profile's chain or equal to it (see ``check``)."""
+        have this profile's substitution and components (see ``check``)."""
         self.check(sub, chain)
         return chain.memo(key, compute, *args)
 
@@ -197,14 +200,24 @@ def _block_eigenvalues(chain: ComponentChain) -> SpectralProfile:
 
 
 def _pf_right(block, lam):
-    """Positive right eigenvector of a primitive block for its dominant value:
-    a primitive integer vector for an integer ``lam``, floats otherwise."""
+    """Positive right eigenvector of an irreducible block for its dominant
+    value: a primitive integer vector for an integer ``lam``, floats otherwise.
+
+    For an integer ``lam`` the first coordinate is fixed and the others solve
+    (lam I - B') y = B[1:, 0], B' the block without its first row and
+    column. The block is irreducible, so its proper principal submatrix B'
+    has spectral radius below lam (Perron-Frobenius): lam I - B' is a
+    nonsingular M-matrix, det > 0, and the vector is (det, *y) over its gcd.
+    """
     k = len(block)
     if isinstance(lam, int):
-        A = [[block[r][c] - (lam if r == c else 0) for c in range(k)] for r in range(k)]
-        vec = nullspace_vector(A)
-        if all(v <= 0 for v in vec):
-            vec = [-v for v in vec]
+        minor = [[(lam if r == c else 0) - block[r][c] for c in range(1, k)] for r in range(1, k)]
+        try:
+            y, det = solve_linear(minor, [block[r][0] for r in range(1, k)])
+        except ZeroDivisionError:
+            raise InternalInvariantError(f"the Perron minor of a {k}x{k} block is singular") from None
+        g = gcd(det, *y)
+        vec = [det // g, *(v // g for v in y)]
         if not all(v > 0 for v in vec):
             raise InternalInvariantError("Perron vector must be positive")
         return vec

@@ -13,7 +13,9 @@ periodicity probe and reads the word -> level index only at length 2: its
 s-run facts come from one record per chain. In ``structure`` the witness
 search alone decides primitivity, and a chain keeps its components, the
 letters each level adds: the cumulative alphabets are derived, and only
-``cli._chain_json`` reads them.
+``cli._chain_json`` reads them. ``exact`` keeps one elimination,
+``solve_linear``, which ``spectral`` imports with ``AlgebraicReal`` and
+``charpoly`` alone.
 """
 
 import ast
@@ -151,6 +153,26 @@ def test_spectral_keeps_one_left_vector_solve():
     defined = {node.name for node in tree.body if hasattr(node, "name")}
     assert "_level_vectors" in defined
     assert not {"pf_left", "_pf_left", "LeftVector", "level_profile"} & defined
+
+
+def test_exact_keeps_one_elimination():
+    # the Perron vector solves its nonsingular minor (``spectral._pf_right``),
+    # so no rank-tolerant kernel routine is left beside ``solve_linear``
+    tree = ast.parse((PACKAGE / "exact.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if hasattr(node, "name")}
+    assert "solve_linear" in defined
+    assert not {"nullspace_vector", "_bareiss"} & defined
+    real = next(node for node in tree.body if getattr(node, "name", None) == "AlgebraicReal")
+    assert "to_fraction" not in {getattr(node, "name", None) for node in real.body}
+    spectral = ast.parse((PACKAGE / "spectral.py").read_text(encoding="utf-8"))
+    from_exact = {
+        alias.name
+        for node in ast.walk(spectral)
+        if isinstance(node, ast.ImportFrom) and node.module == "exact"
+        for alias in node.names
+    }
+    assert from_exact == {"AlgebraicReal", "charpoly", "solve_linear"}
+    assert not [p.name for p in MODULES if "nullspace_vector" in p.read_text(encoding="utf-8")]
 
 
 # what a window solve needs; the integer-theta tables use none of it

@@ -248,7 +248,6 @@ def test_finite_table_solves_the_left_vector_only(name, i, perron_calls, monkeyp
     def solve(*args):
         raise AssertionError("solved again")
 
-    monkeypatch.setattr(spectral, "nullspace_vector", solve)
     monkeypatch.setattr(spectral, "solve_linear", solve)
     assert level_measure_table(sub, chain, profile, i, max_m=MAX_M) == table
 
@@ -272,7 +271,6 @@ def test_divergent_table_lifts_gamma_from_the_letter_block(name, i, perron_calls
     def solve(*args):
         raise AssertionError("solved again")
 
-    monkeypatch.setattr(spectral, "nullspace_vector", solve)
     monkeypatch.setattr(spectral, "solve_linear", solve)
     assert level_measure_table(sub, chain, profile, i, max_m=MAX_M) == table
 
@@ -463,6 +461,19 @@ def test_profile_of_a_level_chain_raises(name, level):
         pf_vectors(*chain.restrict(level), 2, top)
     with pytest.raises(DomainError, match="describes another chain"):
         limit_data(*chain.restrict(level), 1, 1, top)
+
+
+def test_profile_of_a_level_chain_serves_the_restricted_chain():
+    # a restricted chain keeps the system's witness power, which no
+    # eigenvalue depends on: the level chain's own profile describes it
+    sub = make("golden_tower")
+    sub_2, chain_2 = component_chain(sub).restrict(2)
+    own = component_chain(sub_2)
+    assert (chain_2.witness_k, own.witness_k) == (3, 2)
+    got = pf_vectors(sub_2, chain_2, 2, block_eigenvalues(sub_2, own))
+    fresh = ComponentChain(sub_2, chain_2.components, chain_2.witness_k)
+    expected = pf_vectors(sub_2, fresh, 2, block_eigenvalues(sub_2, fresh))
+    assert (got.alpha, got.beta) == (expected.alpha, expected.beta)
 
 
 def test_chain_data_needs_the_chains_substitution():

@@ -2,10 +2,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from chainshift import (
@@ -22,7 +24,7 @@ from chainshift import (
     pf_vectors,
 )
 from chainshift.exact import AlgebraicReal
-from chainshift.spectral import _check_eigenvector
+from chainshift.spectral import _check_eigenvector, _pf_right
 from chainshift.structure import mat_pow
 from conftest import CORPUS_RULES, make, tower
 from test_pipeline_fuzz import chain_systems
@@ -358,6 +360,41 @@ def test_exact_eigen_identity_rejects_what_the_float_residual_accepts():
     _check_eigenvector(rows, ("v",), {"v": 5}, 2, "left", "vector")
 
 
+@st.composite
+def constant_row_sum_blocks(draw):
+    """Irreducible nonnegative integer k x k blocks whose rows all sum to r,
+    or their transposes: r is the Perron root of both."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    cycle = draw(st.permutations(range(k)))
+    rows = [draw(st.lists(st.integers(min_value=0, max_value=3), min_size=k, max_size=k)) for _ in range(k)]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        rows[a][b] += 1  # a cycle through every index makes the block irreducible
+    r = max(map(sum, rows)) + draw(st.integers(min_value=0, max_value=2))
+    for c, row in enumerate(rows):
+        row[c] += r - sum(row)
+    if draw(st.booleans()):
+        rows = [list(col) for col in zip(*rows)]
+    return rows, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(constant_row_sum_blocks())
+def test_perron_vector_from_the_minor_solve(case):
+    block, r = case
+    vec = _pf_right(block, r)
+    assert all(isinstance(v, int) and v > 0 for v in vec) and gcd(*vec) == 1
+    assert [sum(c * v for c, v in zip(row, vec)) for row in block] == [r * v for v in vec]
+    expected = oracles.perron_vector(block, r, True)
+    k = len(block)
+    assert all(vec[i] * expected[j] == vec[j] * expected[i] for i in range(k) for j in range(k))
+
+
+def test_perron_vector_of_a_singular_minor_is_refused():
+    # a reducible block: fixing the first coordinate leaves 1 I - [1] singular
+    with pytest.raises(InternalInvariantError, match="Perron minor"):
+        _pf_right([[1, 0], [0, 1]], 1)
+
+
 def test_window_and_limit_invariants_survive_optimize():
     # Each broken invariant of the window-substitution build, of the
     # divergent limit data, of the Perron vectors, of the empty-block test
@@ -400,7 +437,7 @@ def test_window_and_limit_invariants_survive_optimize():
         "golden_chain = component_chain(golden)\n"
         "expect(cylinder_measure, golden, golden_chain, block_eigenvalues(golden, golden_chain), 2, 'bc')\n"
         "spectral._pf_right = perron\n"
-        "spectral.nullspace_vector = lambda A: ([1, -1] * len(A))[: len(A)]\n"
+        "spectral.solve_linear = lambda A, b: ([-1] * len(A), 1)\n"
         "mid = Substitution.from_rules({'a': 'aa', 'b': 'abbbccc', 'c': 'abccccc', 'd': 'abcdd'})\n"
         "expect(pf_vectors, mid, component_chain(mid), 2)\n"
         "np = spectral.np\n"
