@@ -268,10 +268,16 @@ def right_run_unbounded(sub: Substitution, s: str, target: str) -> bool:
 # seed pairs
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SeedPair:
     """Word identity anchoring a level: sigma^k(ab) = u a b v (forward) or
-    sigma^k(ba) = v b a u (reverse), with a below the level and b new."""
+    sigma^k(ba) = v b a u (reverse), with a below the level and b new.
+
+    Slotted, not frozen: a frozen record sets each field through
+    ``object.__setattr__``, and one seed is built per level. A stored seed
+    is shared by every reader of the chain memo, so it is read-only by that
+    contract, as a ``LevelReport`` is.
+    """
 
     level: int
     a: str

@@ -180,18 +180,11 @@ def _block_eigenvalues(chain: ComponentChain) -> SpectralProfile:
             theta = AlgebraicReal.integer_root(poly, bounds[0])
         else:
             theta = AlgebraicReal(poly, bounds)
+        # compare, not ``theta.rational == 1``: on an irrational theta the
+        # comparison narrows the isolating interval, and the printed float reads it
         if (theta.compare(1) == 0) != (block == ((1,),)):
             raise InternalInvariantError(f"level {i}: theta = 1 must hold exactly when the block is [1]")
-        levels.append(
-            LevelSpectrum(
-                level=i,
-                letters=letters,
-                block=block,
-                char_poly=poly,
-                row_bounds=bounds,
-                theta=theta,
-            )
-        )
+        levels.append(LevelSpectrum(i, letters, block, poly, bounds, theta))
     return SpectralProfile(chain, levels)
 
 

@@ -11,11 +11,18 @@ block, so a primitive block is full from k = (|B|-1)^2 + 1 on (Wielandt) and
 an imprimitive one never is; every letter reaches each component below it in
 at most n - 1 steps, so the search stops at k = n + max_B ((|B|-1)^2 + 1).
 If no witness turns up by then, the lowest component whose diagonal block
-is not full is named as imprimitive. Boolean matrices are kept as one int
-bitset per row: row a of A·P is the OR of the rows P[c] over the letters c
-of σ(a), so a power step costs O(n·|σ|) big-int ORs, and a row is tested
-against a mask in one operation. The search steps only the rows that are
-not yet full, in place, from a snapshot of the previous power.
+is not full is named as imprimitive. Each letter's successors (the distinct
+letters of its image) are built once, as a tuple of letter indices in
+increasing order, and Tarjan's search, the reachability closure and the
+witness rows all read them; the order fixes which components Tarjan emits
+first, and so the pair an incomparability diagnostic names. Boolean matrices
+are kept as one int bitset per row: row a of A·P is the OR of the rows P[c]
+over the successors c of a, so a power step costs O(n·|σ|) big-int ORs. The
+search steps only the rows that are not yet full, in place, from a snapshot
+of the previous power. Once the order is total every level is closed, so row
+a of a power never holds a letter above a's level, and a row is finished
+exactly when it equals the mask of the letters on or below that level: one
+int comparison.
 
 A chain is its components, the letters each level adds in declaration
 order, and one letter -> level index built from them: ``level_of`` reads it,
@@ -94,8 +101,13 @@ def incidence_matrix(sub: Substitution) -> IncidenceMatrix:
     return IncidenceMatrix(letters, letter_counts(sub.images, letters))
 
 
-def _tarjan_sccs(n: int, edges: list[set[int]]) -> list[list[int]]:
-    """Strongly connected components, iteratively, in reverse topological order."""
+def _tarjan_sccs(n: int, succ: list[tuple[int, ...]]) -> list[list[int]]:
+    """Strongly connected components, iteratively, in reverse topological order.
+
+    ``succ[v]`` lists the successors of v in increasing order; the order
+    fixes which component is emitted first, and so the components named in
+    an incomparability diagnostic.
+    """
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -105,7 +117,7 @@ def _tarjan_sccs(n: int, edges: list[set[int]]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, iter(sorted(edges[root])))]
+        work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -119,7 +131,7 @@ def _tarjan_sccs(n: int, edges: list[set[int]]) -> list[list[int]]:
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(sorted(edges[w]))))
+                    work.append((w, iter(succ[w])))
                     advanced = True
                     break
                 if on_stack[w]:
@@ -226,6 +238,10 @@ class ComponentChain:
         The top level's restriction is the chain itself, so the level and the
         system share one memo; it is not stored, since the chain would then
         hold itself.
+
+        A level chain keeps the system's ``witness_k``. That power is a
+        witness for the level too, but not always its least one (golden_tower
+        levels 1 and 2: 3 against 2), so a reader must not take it as least.
         """
         if self.check_level(i) == len(self.components):
             return self.sub, self
@@ -252,9 +268,9 @@ def component_chain(sub: Substitution) -> ComponentChain:
     letters = sub.alphabet.letters
     n = len(letters)
     idx = {c: i for i, c in enumerate(letters)}
-    edges = [set(idx[c] for c in sub.image(a)) for a in letters]
+    succ = [tuple(sorted(set(map(idx.__getitem__, img)))) for img in sub.images]
 
-    sccs = _tarjan_sccs(n, edges)
+    sccs = _tarjan_sccs(n, succ)
     comp_of = [0] * n
     for ci, comp in enumerate(sccs):
         for v in comp:
@@ -265,7 +281,7 @@ def component_chain(sub: Substitution) -> ComponentChain:
     for ci in range(ncomp):  # Tarjan emits reverse topological order
         r = 1 << ci
         for v in sccs[ci]:
-            for w in edges[v]:
+            for w in succ[v]:
                 r |= reach[comp_of[w]]
         reach[ci] = r
     # Reachability is a total order iff, sorted by reach size, every
@@ -306,7 +322,8 @@ def component_chain(sub: Substitution) -> ComponentChain:
     # unfinished rows are stepped and tested: a finished row holds every
     # letter reachable from its letter, each of which has a predecessor
     # among them, so the row is the same at every later power, and the
-    # unfinished rows can read it from the stored list.
+    # unfinished rows can read it from the stored list. A row never holds a
+    # letter above its level, so it is finished when it equals its mask.
     bound = n + max((len(comp) - 1) ** 2 + 1 for comp in sccs)
     power = [1 << v for v in range(n)]  # A^0
     todo = list(range(n))
@@ -314,10 +331,10 @@ def component_chain(sub: Substitution) -> ComponentChain:
         previous, unfinished = power.copy(), []
         for a in todo:
             row = 0
-            for c in edges[a]:
+            for c in succ[a]:
                 row |= previous[c]
             power[a] = row
-            if row | need[a] != row:
+            if row != need[a]:
                 unfinished.append(a)
         if not unfinished:
             return ComponentChain(sub, tuple(components), k)

@@ -14,8 +14,9 @@ number per word describes all of them: the level the word enters
   σ(x) that start in σ(x_0) and cross its end, read from the last m-1
   letters of σ(x_0) and the first m-1 letters of the images after it, and,
   mirrored, those that end in σ(x_{m-1}) and cross its start. σ(x) is never
-  built. At m = 2 both kinds are the one straddle last(σ(x_0)) first(σ(x_1));
-  at m = 1 there is none.
+  built. At m = 2 both kinds are the one straddle last(σ(x_0)) first(σ(x_1)),
+  so m = 2 walks the queue in a loop of its own that adds that one word per
+  word, in the same order and under the same cap; at m = 1 there is none.
 - Why it is complete. Let z be a word whose m-windows all lie in the
   closure, and w an m-window of σ(z). Either w lies inside one image σ(z_p),
   or it starts in σ(z_p) and crosses that image's end. If p <= |z|-m, w is a
@@ -285,7 +286,16 @@ class _AlignedClosure:
         if not m1:
             return added
         heads, tails, longest = self.heads, self.tails, self.longest
-        for x in added:  # the list grows while it is walked: a breadth-first queue
+        if m1 == 1:  # at m = 2 both boundary kinds are the one straddle
+            for x in added:  # the list grows while it is walked: a breadth-first queue
+                if cap is not None and len(lang) > cap:
+                    break
+                f = tails[x[0]] + heads[x[1]]
+                if f not in lang:
+                    add(f)
+                    push(f)
+            return added
+        for x in added:  # as above, for m >= 3
             if cap is not None and len(lang) > cap:
                 break
             # windows that start in σ(x_0) and cross its end: the m-1 letters
@@ -304,8 +314,6 @@ class _AlignedClosure:
                 if f not in lang:
                     add(f)
                     push(f)
-            if m1 == 1:  # at m = 2 the other kind is this same straddle
-                continue
             # windows that end in σ(x_{m-1}) and cross its start, mirrored
             left, k = tails[x[-2]], -3
             while len(left) < m1:

@@ -376,3 +376,27 @@ def test_criterion_8d_empirical_frequencies():
                 assert dev <= 1e-3, (level, w, dev)
         offenders = {key: f"{dev:.2e}" for key, dev in deviations.items() if dev > 1e-3}
         assert not offenders, f"level-2 windows fluctuate beyond 1e-3: {offenders}"
+
+
+def test_criterion_8d_deviation_decays_at_the_predicted_rate():
+    """Why 8d is red, as a prediction: on golden_tower level 2 (theta = 2 over
+    a Fibonacci bottom with dominant root phi) the letter frequencies in a
+    length-L prefix deviate from the measure like L^(log2(phi) - 1).
+
+    For each letter of the level, the least-squares slope of log10|ratio - mu|
+    against log10 L over L = 10^(k/2), k = 8..22, lies within 0.05 of that
+    exponent. The counts are exact, so the slope does not depend on rounding.
+    """
+    sub, chain, sp = _setup("golden_tower")
+    exponent = math.log2((1 + SQRT5) / 2) - 1
+    xs = [k / 2 for k in range(8, 23)]
+    mx = sum(xs) / len(xs)
+    for v in chain.alphabet_at(2):
+        mu = cylinder_measure(sub, chain, sp, 2, v).value
+        ys = [
+            math.log10(abs(empirical_frequency(sub, chain, sp, 2, v, round(10**x)).ratio - mu))
+            for x in xs
+        ]
+        my = sum(ys) / len(ys)
+        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+        assert abs(slope - exponent) <= 0.05, (v, slope, exponent)

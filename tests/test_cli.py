@@ -301,6 +301,21 @@ def test_analyze_command_deterministic(tmp_path, capsys):
     assert data["measures"][1]["cylinders"]["ab"]["value"] == "1/3"
 
 
+def test_irrational_theta_floats_keep_their_bytes(tmp_path, capsys):
+    # An irrational theta prints the midpoint of its isolating interval, first
+    # refined to width 2^-48, so the float depends on the comparisons that
+    # narrowed the interval before, the check against 1 in the block
+    # eigenvalues among them. Level 2 here is the root 2.2695308420811426 of
+    # x^3 - x^2 - 2x - 2; today's bytes differ from that by an ulp or two,
+    # and differ between the two commands. This pins them until floats are
+    # read from the exact value.
+    path = _write(tmp_path, "six.sub", {"c": "bc", "a": "aaaa", "d": "fe", "e": "fa", "f": "ddf", "b": "aacf"})
+    _, analyzed = _run(capsys, "analyze", path)
+    _, spectral = _run(capsys, "spectral", path)
+    assert [lv["theta"] for lv in analyzed["spectral"]["levels"]] == [4.0, 2.269530842081143, 1.6180339887498936]
+    assert [lv["theta"] for lv in spectral["levels"]] == [4.0, 2.269530842081144, 1.6180339887498936]
+
+
 # -- exit codes -------------------------------------------------------------------
 
 

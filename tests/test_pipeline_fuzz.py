@@ -24,6 +24,7 @@ from chainshift import (
     language,
     measure_type,
     pf_vectors,
+    word_levels,
 )
 from conftest import assert_matches_dense_oracle
 
@@ -217,3 +218,13 @@ def test_chain_systems_match_oracles(rules):
     chain = component_chain(Substitution.from_rules(rules))
     assert oracles.valid_chains(rules, (n - 1) ** 2 + 1 + n) == [list(chain.levels)]
     assert chain.witness_k == oracles.witness_k_dense(rules)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_systems())
+def test_word_levels_match_oracle_on_chain_systems(rules):
+    # m = 2 runs the straddle loop of the aligned closure, m = 3 the general one
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    for m in (2, 3):
+        assert word_levels(sub, chain.components, m) == oracles.word_levels(rules, chain.levels, m)

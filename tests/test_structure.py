@@ -273,6 +273,32 @@ def test_incomparable_components_rejected():
     assert sorted(map(tuple, diag["components"])) == [("a", "b"), ("c", "d")]
 
 
+@pytest.mark.parametrize(
+    "rules, components",
+    [
+        (
+            {"a": "f", "b": "and", "c": "aj", "d": "g", "e": "b", "f": "mih", "g": "lh",
+             "h": "h", "i": "gki", "j": "bbm", "k": "k", "l": "d", "m": "e", "n": "k"},
+            [["h"], ["k"]],
+        ),
+        (
+            {"a": "hie", "b": "bgb", "c": "b", "d": "j", "e": "e", "f": "kd", "g": "c",
+             "h": "lmj", "i": "blc", "j": "f", "k": "fmm", "l": "b", "m": "cgl"},
+            [["e"], ["b", "c", "g"]],
+        ),
+    ],
+    ids=("fourteen_letters", "thirteen_letters"),
+)
+def test_incomparable_pair_follows_sorted_successors(rules, components):
+    # Tarjan visits each letter's successors in increasing index order, and
+    # that order names the pair; on these systems a walk in set order (which
+    # differs from sorted order above 8 letters) names the pair the other
+    # way round
+    with pytest.raises(NoPrimitiveChainError) as err:
+        component_chain(Substitution.from_rules(rules))
+    assert err.value.diagnostic == {"kind": "incomparable_components", "components": components}
+
+
 def test_sub_substitution_mid_dominant():
     sub = make("mid_dominant")
     chain = component_chain(sub)
