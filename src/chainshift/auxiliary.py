@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from .errors import DomainError, InternalInvariantError
-from .structure import ComponentChain, IncidenceMatrix, check_level
+from .structure import ComponentChain, IncidenceMatrix
 from .words import Substitution
 
 
@@ -121,19 +121,3 @@ def auxiliary_matrix(aux: AuxiliarySubstitution) -> IncidenceMatrix:
         rows.append(tuple(row))
     return IncidenceMatrix(aux.words, tuple(rows))
 
-
-def level_empty_diag(aux: AuxiliarySubstitution, i: int) -> bool:
-    """Whether the level-i diagonal coordinate set is empty.
-
-    This happens exactly when m > 1, the level introduces a single letter s,
-    and the image of s is a lower-level word followed by s (the level is
-    closed, so s occurs once in it, at the end): no m-window in the system
-    starts with s.
-    """
-    check_level(i, aux.n)
-    new = aux.components[i - 1]
-    img = aux.sub.image(new[0])  # the image of s, when the level adds one letter s
-    empty = aux.m > 1 and len(new) == 1 and len(img) >= 2 and img.find(new[0]) == len(img) - 1
-    if empty != (len(aux.q_blocks[i - 1]) == 0):
-        raise InternalInvariantError(f"level {i}: the structural emptiness test does not match the block")
-    return empty

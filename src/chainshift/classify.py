@@ -236,34 +236,6 @@ def _s_runs(chain: ComponentChain) -> _SRuns:
     return chain.memo(("s_runs",), _s_run_levels, chain.sub, _fixed_bottom(chain), chain.components)
 
 
-def arbitrarily_long_s_powers(sub: Substitution, s: str) -> bool:
-    """Whether every power of the fixed letter s is a language word.
-
-    Equivalent to some letter cycle of the first (or last) non-s letter map
-    accumulating a positive count of leading (trailing) s's per lap.
-    """
-    return _s_run_levels(sub, s, (sub.alphabet.letters,))[0] == 1
-
-
-def left_run_unbounded(sub: Substitution, s: str, target: str) -> bool:
-    """Whether s^p followed by ``target`` is a language word for every p.
-
-    True when the target sits on a first-non-s cycle that either accumulates
-    leading s's, or is fed across a gap by a letter whose expansions grow
-    unbounded trailing s-runs.
-    """
-    if target == s:
-        raise DomainError(f"the target must differ from the fixed letter {s!r}")
-    return _s_run_levels(sub, s, (sub.alphabet.letters,))[1][target] == 1
-
-
-def right_run_unbounded(sub: Substitution, s: str, target: str) -> bool:
-    """Mirror of :func:`left_run_unbounded`: s-runs after the target."""
-    if target == s:
-        raise DomainError(f"the target must differ from the fixed letter {s!r}")
-    return _s_run_levels(sub, s, (sub.alphabet.letters,))[2][target] == 1
-
-
 # ---------------------------------------------------------------------------
 # seed pairs
 
@@ -667,7 +639,6 @@ class MinimalSets:
     census: list[str]  # subset of {"X_sigma_1", "X_sigma_2", "s_infinity"}
     uniquely_ergodic: bool
     clause: str | None  # "i" | "ii" | "iii" when uniquely ergodic
-    s_infinity_in_shift: bool | None
 
 
 def minimal_sets(
@@ -683,19 +654,19 @@ def minimal_sets(
     lam = spectral.lam
     theta1 = spectral.theta(1)
     if chain.n == 1:
-        return MinimalSets(["X_sigma_1"], True, "i", None)
+        return MinimalSets(["X_sigma_1"], True, "i")
     if theta1.compare(1) > 0:
         unique = lam.compare(theta1) == 0
-        return MinimalSets(["X_sigma_1"], unique, "i" if unique else None, None)
+        return MinimalSets(["X_sigma_1"], unique, "i" if unique else None)
     s_level = _s_runs(chain)[0]  # theta_1 = 1: the bottom letter is fixed
     if s_level > chain.n:
         theta2 = spectral.theta(2)
         unique = theta2.compare(1) > 0 and lam.compare(theta2) == 0
-        return MinimalSets(["X_sigma_2"], unique, "ii" if unique else None, False)
+        return MinimalSets(["X_sigma_2"], unique, "ii" if unique else None)
     if s_level <= 2:
         unique = lam.compare(1) == 0
-        return MinimalSets(["s_infinity"], unique, "iii" if unique else None, True)
-    return MinimalSets(["X_sigma_2", "s_infinity"], False, None, True)
+        return MinimalSets(["s_infinity"], unique, "iii" if unique else None)
+    return MinimalSets(["X_sigma_2", "s_infinity"], False, None)
 
 
 @dataclass

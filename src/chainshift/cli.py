@@ -15,6 +15,7 @@ import atexit
 import gc
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +45,6 @@ EXIT_CODES = {
 
 @dataclass
 class InputSpec:
-    source: str
     substitution: Substitution
 
 
@@ -72,7 +72,7 @@ def parse_input(text: str) -> InputSpec:
         for c in image:
             if c not in rules:
                 raise ParseError(f"image of {letter!r} uses undeclared letter {c!r}")
-    return InputSpec(text, Substitution.from_rules(rules))
+    return InputSpec(Substitution.from_rules(rules))
 
 
 def _value_str(x):
@@ -311,13 +311,10 @@ def cmd_check(spec: InputSpec, args) -> dict:
                 _require(set(sub.image(c)) <= level, f"level {i} not closed at {c!r}")
         matrix = incidence_matrix(sub)
         power = matrix.power(chain.witness_k)
-        for a in sub.alphabet:
-            for b in sub.alphabet:
+        for r, a in enumerate(matrix.letters):
+            for c, b in enumerate(matrix.letters):
                 if chain.level_of(a) >= chain.level_of(b):
-                    _require(
-                        power[matrix.letters.index(a)][matrix.letters.index(b)] > 0,
-                        f"witness power misses {a!r} -> {b!r}",
-                    )
+                    _require(power[r][c] > 0, f"witness power misses {a!r} -> {b!r}")
 
     checks.append(_check("chain_closure_and_witness", chain_closure))
 
@@ -341,18 +338,12 @@ def cmd_check(spec: InputSpec, args) -> dict:
 
     def aux_powers():
         aux = build_auxiliary(sub, chain, 2)
-        matrix = auxiliary_matrix(aux)
-        power = matrix.power(3)
-        for u in aux.words:
+        power = auxiliary_matrix(aux).power(3)
+        for u, row in zip(aux.words, power):
             expanded = apply(sub, u, 3)
-            width = len(apply(sub, u[0], 3))
-            for v in aux.words:
-                windows = sum(
-                    1 for j in range(width) if expanded[j : j + 2] == v
-                )
-                _require(
-                    windows == power[aux.index(u)][aux.index(v)], f"windows {u!r} -> {v!r}"
-                )
+            windows = Counter(expanded[j : j + 2] for j in range(len(apply(sub, u[0], 3))))
+            for v, count in zip(aux.words, row):
+                _require(windows[v] == count, f"windows {u!r} -> {v!r}")
 
     checks.append(_check("window_matrix_power_semantics", aux_powers))
 

@@ -693,11 +693,9 @@ def uniformity_check(
         raise DomainError("uniformity windows are defined on levels >= 2")
     if n < 1 or not offsets or min(offsets) < 0:
         raise DomainError("need a positive window size and at least one offset, all nonnegative")
-    # Every theta > 1 level has a quasi-fixed point; on a theta = 1 level the
-    # census decides, and the eigenvalue check below refuses it either way.
+    if spectral.theta_is_one(i):
+        raise DomainError(f"level {i} has eigenvalue 1; no frequency target exists")
     seed = level_seed(sub, chain, spectral, i)
-    if spectral.theta_is_one(i) and classify_level(sub, chain, spectral, i).quasi_fixed is None:
-        raise DomainError(f"level {i} has no quasi-fixed point to count along")
     new = set(chain.new_letters(i))
     if not any(c in new for c in v):
         raise DomainError("the word must contain a new letter of the level")
@@ -705,8 +703,6 @@ def uniformity_check(
     sub_i, chain_i = chain.restrict(i)
     if v not in chain_i.word_levels(m):
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
-    if spectral.theta_is_one(i):
-        raise DomainError(f"level {i} has eigenvalue 1; no frequency target exists")
     # mu(v) over the mass of the m-words that start with a new letter, none
     # of them infinite: exact where the table is, else correctly rounded
     values = _level(sub, chain, spectral, i).table(sub, chain, spectral, m)

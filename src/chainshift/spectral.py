@@ -13,7 +13,7 @@ A diagonal block whose rows all sum to r has Perron root r
 integer evaluation of the characteristic polynomial and built without a Sturm
 chain; the other blocks isolate their largest root by Sturm bisection. A
 profile compares its levels once, when it is built, and keeps the running
-maximum, so ``lambda_upto`` and ``level_is_finite`` are lookups.
+maximum, so ``level_is_finite`` is a lookup.
 
 The left vector is built upward from the first block attaining the global
 rate: the attaining block contributes its Perron vector, coordinates after
@@ -127,11 +127,6 @@ class SpectralProfile:
     def lam(self) -> AlgebraicReal:
         return self.theta(self.i_min)
 
-    def lambda_upto(self, i: int) -> AlgebraicReal:
-        """Running maximum over levels 1..i."""
-        check_level(i, len(self.levels))
-        return self.theta(self._upto[i - 1])
-
     def theta_is_one(self, i: int) -> bool:
         return self.levels[check_level(i, len(self.levels)) - 1].theta.rational == 1
 
@@ -171,7 +166,7 @@ def _block_eigenvalues(chain: ComponentChain) -> SpectralProfile:
     image = dict(zip(chain.sub.alphabet.letters, chain.sub.images))
     levels = []
     for i, letters in enumerate(chain.components, start=1):
-        block = letter_counts(map(image.__getitem__, letters), letters)  # Q_i, as ``chain.block(i)``
+        block = letter_counts(map(image.__getitem__, letters), letters)  # Q_i
         poly = charpoly(block)
         sums = [sum(row) for row in block]
         bounds = (min(sums), max(sums))

@@ -30,8 +30,8 @@ order, and one letter -> level index built from them: ``level_of`` reads it,
 alphabets A_i (``alphabet_at``, ``levels``) are derived on each read. Words
 are indexed the same way, one word -> level index per window length
 (``word_levels``): a word lies in the level-i language iff its level is <= i.
-Letter counts (incidence matrix, diagonal and coupling blocks) use
-``str.count`` on the images.
+Letter counts (the incidence matrix, and the diagonal blocks the spectral
+profile reads) use ``str.count`` on the images (``letter_counts``).
 
 Everything derived from a chain (word levels, window substitutions, eigen
 data, level reports) is stored on it by ``ComponentChain.memo`` and lives
@@ -213,23 +213,6 @@ class ComponentChain:
             return self._level_of[letter]
         except KeyError:
             raise DomainError(f"letter {letter!r} not in alphabet") from None
-
-    def block(self, i: int) -> IntMatrix:
-        """Diagonal block Q_i: occurrence counts among the level's new letters."""
-        letters = self.new_letters(i)
-        return letter_counts(map(self.sub.image, letters), letters)
-
-    def coupling(self, i: int, j: int) -> IntMatrix:
-        """Off-diagonal block R_{i,j}: counts of level-j letters in level-i images.
-
-        Requires j < i; together with the diagonal blocks these views tile the
-        lower triangle of the incidence matrix.
-        """
-        self.check_level(i)
-        self.check_level(j)
-        if not j < i:
-            raise DomainError("coupling blocks sit strictly below the diagonal")
-        return letter_counts(map(self.sub.image, self.new_letters(i)), self.new_letters(j))
 
     def restrict(self, i: int) -> tuple[Substitution, "ComponentChain"]:
         """The level-i sub-substitution together with its own chain, built once

@@ -88,9 +88,7 @@ class Alphabet:
         """Sort key ordering words by declared letter order: chr(index) per letter."""
         return word.translate(self._ranks)
 
-    def check_word(self, word: str, *, nonempty: bool = False) -> str:
-        if nonempty and not word:
-            raise DomainError("word must be nonempty")
+    def check_word(self, word: str) -> str:
         for c in word:
             if c not in self._index:
                 raise DomainError(f"letter {c!r} not in alphabet")

@@ -355,6 +355,20 @@ def word_levels(rules: dict[str, str], levels, m: int) -> dict[str, int]:
     return {w: next(i for i, lang in enumerate(langs, 1) if w in lang) for w in langs[-1]}
 
 
+def q_block_empty(rules: dict[str, str], new_letters, i: int, m: int) -> bool:
+    """Whether no length-m word of the level-i language starts with a letter
+    the level adds, by the structural rule: m > 1, level i adds one letter s,
+    and sigma(s) is a word over the lower levels followed by s. Then s occurs
+    only last in its own images, and no other letter of level i reaches it.
+    The word may be empty: a fixed bottom letter s -> s.
+    """
+    new = new_letters[i - 1]
+    if m == 1 or len(new) != 1:
+        return False
+    img, below = rules[new[0]], {c for level in new_letters[: i - 1] for c in level}
+    return img[-1] == new[0] and set(img[:-1]) <= below
+
+
 def orbit_cycle(step: dict[str, str], x: str) -> tuple[list[str], list[str]]:
     """Split the forward orbit of x under a functional map into path + cycle."""
     path: list[str] = []
@@ -730,14 +744,4 @@ def window_table(sub, chain, spectral, i: int, m: int) -> dict[str, tuple]:
     table = dict.fromkeys(ld.infinite_words, (True, None, None, None))
     for w in ld.restricted_words:
         table[w] = entry(gamma * ld.delta[w])
-    return table
-    ld = limit_data(sub, chain, m, i, spectral)
-    assert ld.exact
-    anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]
-    assert anchors and len({ld.gamma[w] for w in anchors}) == 1
-    gamma = ld.gamma[anchors[0]]
-    table = dict.fromkeys(ld.infinite_words, (True, None, None, None))
-    for w in ld.restricted_words:
-        value = gamma * ld.delta[w]
-        table[w] = (False, value, float(value), None)
     return table

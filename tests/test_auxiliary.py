@@ -11,7 +11,6 @@ from chainshift import (
     component_chain,
     incidence_matrix,
     language,
-    level_empty_diag,
 )
 from conftest import make
 from test_pipeline_fuzz import chain_systems
@@ -166,15 +165,24 @@ def test_transient_block_row_sums_stay_below_window(corpus_sub):
                     assert sum(row) <= m - 1
 
 
-def test_level_empty_diag_examples():
-    sub, chain, aux = _aux("tower_of_quasi", 2)
-    # image of c is acb: does not end with c, so windows starting with c exist
-    assert not level_empty_diag(aux, 2)
-    sub2, chain2, aux2 = _aux("fib_tail", 2)
-    # image of c is abc: lower word followed by c, so no window starts with c
-    assert level_empty_diag(aux2, 2)
-    _, _, aux1 = _aux("fib_tail", 1)
-    assert not level_empty_diag(aux1, 2)
+def _assert_empty_q_blocks_follow_the_rule(rules: dict[str, str]) -> None:
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    for m in range(1, 5):
+        aux = build_auxiliary(sub, chain, m)
+        for i in range(1, chain.n + 1):
+            assert (not aux.q_blocks[i - 1]) == oracles.q_block_empty(rules, chain.components, i, m), (i, m)
+
+
+def test_empty_q_blocks_follow_the_rule_on_corpus(corpus_sub):
+    # fib_tail's c -> abc empties Q(2) from m = 2 on; tower_of_quasi's c -> acb does not
+    _assert_empty_q_blocks_follow_the_rule(dict(zip(corpus_sub.alphabet.letters, corpus_sub.images)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_systems())
+def test_empty_q_blocks_follow_the_rule_on_chain_systems(rules):
+    _assert_empty_q_blocks_follow_the_rule(rules)
 
 
 def test_blocks_partition_language(corpus_sub):

@@ -19,7 +19,6 @@ from chainshift import (
     NoPrimitiveChainError,
     Substitution,
     apply,
-    arbitrarily_long_s_powers,
     block_eigenvalues,
     classify_level,
     component_chain,
@@ -31,13 +30,7 @@ from chainshift import (
     positively_recurrent,
 )
 from chainshift import classify, cli
-from chainshift.classify import (
-    _is_single_periodic_orbit,
-    _letter_cycles,
-    _pair_seeds,
-    left_run_unbounded,
-    right_run_unbounded,
-)
+from chainshift.classify import _is_single_periodic_orbit, _letter_cycles, _pair_seeds, _s_run_levels
 from conftest import CORPUS_RULES, make, tower
 from test_pipeline_fuzz import chain_systems
 
@@ -200,12 +193,18 @@ def test_seed_rejects_bottom_level():
 # -- s-run machinery ---------------------------------------------------------
 
 
+def _flat_runs(sub: Substitution, s: str):
+    """``_s_run_levels`` with the whole alphabet as one level: each fact holds
+    exactly where its entry is 1."""
+    return _s_run_levels(sub, s, (sub.alphabet.letters,))
+
+
 def test_arbitrarily_long_powers():
-    assert not arbitrarily_long_s_powers(make("chacon"), "a")
-    assert arbitrarily_long_s_powers(make("almost_min_tower"), "a")
-    assert arbitrarily_long_s_powers(make("constant_reenters"), "a")
+    assert _flat_runs(make("chacon"), "a")[0] != 1
+    assert _flat_runs(make("almost_min_tower"), "a")[0] == 1
+    assert _flat_runs(make("constant_reenters"), "a")[0] == 1
     sub2 = make("constant_reenters").restrict(("a", "b"))
-    assert not arbitrarily_long_s_powers(sub2, "a")
+    assert _flat_runs(sub2, "a")[0] != 1
 
 
 def test_run_unboundedness_matches_bounded_language_scan(corpus_sub):
@@ -217,16 +216,17 @@ def test_run_unboundedness_matches_bounded_language_scan(corpus_sub):
     s = bottom[0]
     for i in range(2, chain.n + 1):
         sub_i = corpus_sub.restrict(chain.alphabet_at(i))
+        _, left, right, _ = _flat_runs(sub_i, s)
         for c in chain.alphabet_at(i):
             if c == s:
                 continue
             for p in (4, 7):
                 in_lang = (s * p + c) in language(sub_i, p + 1)
-                if left_run_unbounded(sub_i, s, c):
+                if left[c] == 1:
                     assert in_lang, (i, c, p)
             for p in (4, 7):
                 in_lang = (c + s * p) in language(sub_i, p + 1)
-                if right_run_unbounded(sub_i, s, c):
+                if right[c] == 1:
                     assert in_lang, (i, c, p)
 
 
@@ -236,8 +236,8 @@ def test_left_run_detects_junction_growth():
     chain = component_chain(sub)
     sub4 = sub.restrict(chain.alphabet_at(4))
     sub3 = sub.restrict(chain.alphabet_at(3))
-    assert left_run_unbounded(sub4, "a", "d")
-    assert not left_run_unbounded(sub3, "a", "d")
+    assert _flat_runs(sub4, "a")[1]["d"] == 1
+    assert _flat_runs(sub3, "a")[1]["d"] != 1
 
 
 @st.composite
@@ -506,7 +506,7 @@ def test_verdict_matches_probability_class_count(corpus_sub):
             classes += 1
     if sp.theta_is_one(1):
         s = chain.alphabet_at(1)[0]
-        if arbitrarily_long_s_powers(corpus_sub, s):
+        if _flat_runs(corpus_sub, s)[0] == 1:
             classes += 1
     assert result.uniquely_ergodic == (classes == 1)
 
@@ -618,8 +618,8 @@ def test_junction_growth_tower():
     # nothing new appears for it at level 5
     sub4 = sub.restrict(chain.alphabet_at(4))
     sub3 = sub.restrict(chain.alphabet_at(3))
-    assert left_run_unbounded(sub4, "a", "g")
-    assert not left_run_unbounded(sub3, "a", "g")
+    assert _flat_runs(sub4, "a")[1]["g"] == 1
+    assert _flat_runs(sub3, "a")[1]["g"] != 1
     assert rep.minimal.census == ["s_infinity"] and rep.minimal.clause == "iii"
 
 
@@ -757,10 +757,10 @@ def test_sweep_invariants_survive_optimize():
         "    chain = component_chain(sub)\n"
         "    expect(measure_type, sub, chain, block_eigenvalues(sub, chain), 2)\n"
         "classify.find_seed_pair = find\n"
-        "expect(arbitrarily_long_s_powers, Substitution.from_rules({'a': 'ab', 'b': 'ba'}), 'a')\n"
-        "expect(classify.left_run_unbounded, sub, 'a', 'a')\n"
-        "expect(classify.right_run_unbounded, Substitution.from_rules({'a': 'ab', 'b': 'ba'}), 'a', 'b')\n"
-        "expect(arbitrarily_long_s_powers, Substitution.from_rules({'a': 'a', 'b': 'aa'}), 'a')\n"
+        "thue_morse = Substitution.from_rules({'a': 'ab', 'b': 'ba'})\n"
+        "expect(classify._s_run_levels, thue_morse, 'a', (('a', 'b'),))\n"
+        "expect(classify._s_run_levels, thue_morse, 'b', (('a', 'b'),))\n"
+        "expect(classify._s_run_levels, Substitution.from_rules({'a': 'a', 'b': 'aa'}), 'a', (('a', 'b'),))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     for flags in ([], ["-O"]):
@@ -773,7 +773,7 @@ def test_sweep_invariants_survive_optimize():
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert len(lines) == 15, proc.stdout
+        assert len(lines) == 14, proc.stdout
         assert "theta = 1 must hold exactly when the block is [1]" in lines[0]
         assert "no crossing pair" in lines[1]
         assert "is not unique in its window" in lines[2]
@@ -789,12 +789,11 @@ def test_sweep_invariants_survive_optimize():
         assert "a seed with empty u needs a fixed letter and theta > 1" in lines[8]
         assert "a seed with empty v needs theta = 1" in lines[9]
         assert "isolated quasi-fixed seed needs theta = 1 and one new letter" in lines[10]
-        # caller arguments of the public s-run tests
+        # s-run facts of a letter that is not fixed, or of a collapsing image
         assert all(line.startswith("raised DomainError") for line in lines[11:])
-        assert "'a' is not a fixed letter" in lines[11]
-        assert "the target must differ from the fixed letter" in lines[12]
-        assert "'a' is not a fixed letter" in lines[13]  # Thue-Morse has no aaa
-        assert "image of 'b' collapses to the fixed letter 'a'" in lines[14]
+        assert "'a' is not a fixed letter" in lines[11]  # Thue-Morse has no aaa
+        assert "'b' is not a fixed letter" in lines[12]
+        assert "image of 'b' collapses to the fixed letter 'a'" in lines[13]
 
 
 def _forward_seed_levels(rules: dict[str, str]) -> int:

@@ -15,7 +15,8 @@ search alone decides primitivity, and a chain keeps its components, the
 letters each level adds: the cumulative alphabets are derived, and only
 ``cli._chain_json`` reads them. ``exact`` keeps one elimination,
 ``solve_linear``, which ``spectral`` imports with ``AlgebraicReal`` and
-``charpoly`` alone.
+``charpoly`` alone. Every library function and method is named by other
+library code or by the benchmark harness: no helper is kept for tests alone.
 """
 
 import ast
@@ -326,3 +327,103 @@ def test_only_the_chain_json_reads_cumulative_levels(path):
         return
     reads = _chain_level_reads(path.read_text(encoding="utf-8"))
     assert reads == ([("_chain_json", "chain.levels")] if path.name == "cli.py" else []), reads
+
+
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def _unnamed_definitions(library: list[str], outside: list[str]) -> list[str]:
+    """The module-level functions and class methods (dunders aside) of the
+    ``library`` sources that nothing else names.
+
+    A definition counts as used when its name is read or written (a variable,
+    or an attribute) in another library definition, in module-level library
+    code, or anywhere in the ``outside`` sources; import statements and
+    ``__all__`` do not count. Names are matched alone, without their owner,
+    so a definition whose name another one shares is always counted as used.
+    """
+
+    def names(node) -> set[str]:
+        found = set()
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name):
+                found.add(inner.id)
+            elif isinstance(inner, ast.Attribute):
+                found.add(inner.attr)
+        return found
+
+    def units(tree):  # (definition name or None, qualified name, node)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or "__all__" in {
+                getattr(t, "id", None) for t in getattr(node, "targets", [])
+            }:
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node.name, node.name, node
+            elif isinstance(node, ast.ClassDef):
+                for part in node.body:
+                    if isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield part.name, f"{node.name}.{part.name}", part
+                    else:
+                        yield None, node.name, part
+                for part in node.decorator_list + node.bases:
+                    yield None, node.name, part
+            else:
+                yield None, "<module>", node
+
+    readers: dict[str, set[int]] = {}  # name -> the library units that name it
+    defined = []
+    trees = [ast.parse(source) for source in library]
+    for unit, (name, qual, node) in enumerate(u for tree in trees for u in units(tree)):
+        for used in names(node):
+            readers.setdefault(used, set()).add(unit)
+        if name and not (name.startswith("__") and name.endswith("__")):
+            defined.append((name, qual, unit))
+    seen_outside = set()
+    for source in outside:
+        for _, _, node in units(ast.parse(source)):
+            seen_outside |= names(node)
+    return [
+        qual for name, qual, own in defined
+        if name not in seen_outside and not readers.get(name, set()) - {own}
+    ]
+
+
+def test_dead_helper_guard_sees_every_form():
+    probe = (
+        "from .other import unused\n"
+        "__all__ = ['unused', 'recursive']\n"
+        "def used():\n"
+        "    return helper\n"
+        "def unused():\n"
+        "    return used()\n"
+        "def recursive(k):\n"
+        "    return recursive(k - 1)\n"
+        "def helper():\n"
+        "    pass\n"
+        "def by_bench():\n"
+        "    pass\n"
+        "class C:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def m(self):\n"
+        "        return self.k\n"
+        "    def k(self):\n"
+        "        return self.k\n"
+        "    def lone(self):\n"
+        "        pass\n"
+        "TABLE = {'m': C.m}\n"
+    )
+    bench = "import chainshift\nfrom chainshift import lone\nchainshift.by_bench()\n"
+    assert _unnamed_definitions([probe], [bench]) == ["unused", "recursive", "C.lone"]
+
+
+def test_no_dead_helpers():
+    # Every library function and method is used by the library itself or by
+    # the benchmark harness; tests read the data, or an oracle, instead of a
+    # helper kept for them alone. The guard matches names only: a dead method
+    # whose name another definition, field or variable shares (``block``
+    # beside ``LevelSpectrum.block``, say) slips by.
+    library = [path.read_text(encoding="utf-8") for path in MODULES]
+    outside = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+    assert _unnamed_definitions(library, outside) == []

@@ -548,6 +548,23 @@ def test_uniformity_requires_new_letter():
         uniformity_check(*setup, 2, "aa", 10)
 
 
+def test_uniformity_refuses_theta_one_without_the_census():
+    # a theta = 1 level has no frequency target, whether or not it holds a
+    # quasi-fixed point: the refusal runs neither the census nor the seed search
+    refused = 0
+    for name in sorted(CORPUS_RULES):
+        sub, chain, spectral = _setup(name)
+        for i in range(2, chain.n + 1):
+            if not spectral.theta_is_one(i):
+                continue
+            with pytest.raises(DomainError, match=f"level {i} has eigenvalue 1; no frequency target"):
+                uniformity_check(sub, chain, spectral, i, chain.new_letters(i)[0], 10)
+            assert ("point_seeds", i) not in chain._memo, (name, i)
+            assert ("seed_pair", i) not in chain._memo, (name, i)
+            refused += 1
+    assert refused == 8
+
+
 def test_uniformity_rejects_bad_windows():
     setup = _setup("quartic")
     for n, offsets in ((0, (0,)), (5, (-1, 0)), (5, ())):

@@ -89,14 +89,22 @@ def test_theta_one_iff_unit_block(corpus_sub):
     chain = component_chain(corpus_sub)
     sp = block_eigenvalues(corpus_sub, chain)
     for i in range(1, chain.n + 1):
-        assert sp.theta_is_one(i) == (chain.block(i) == ((1,),))
+        assert sp.theta_is_one(i) == (sp.levels[i - 1].block == ((1,),))
 
 
 def test_running_maxima(corpus_sub):
+    # the finite levels are the strict records of theta: their thetas rise,
+    # and every other level is at most the last record below it
     chain = component_chain(corpus_sub)
     sp = block_eigenvalues(corpus_sub, chain)
-    for i in range(1, chain.n):
-        assert sp.lambda_upto(i).compare(sp.lambda_upto(i + 1)) <= 0
+    assert sp.level_is_finite(1)
+    record = 1
+    for i in range(2, chain.n + 1):
+        if sp.level_is_finite(i):
+            assert sp.theta(record).compare(sp.theta(i)) < 0, i
+            record = i
+        else:
+            assert sp.theta(i).compare(sp.theta(record)) <= 0, i
 
 
 def _golden_bottom(rs):
@@ -121,7 +129,7 @@ SPECTRAL_SYSTEMS = {
 
 
 def _scanned_upto(sp, i: int) -> int:
-    """The level of the running maximum by the per-call scan lambda_upto used to run."""
+    """The first level attaining the maximum theta over levels 1..i, by a scan."""
     best = 1
     for j in range(2, i + 1):
         if sp.theta(j) > sp.theta(best):
@@ -136,7 +144,6 @@ def test_running_maxima_lookups_match_the_scan(name):
     sp = block_eigenvalues(sub, chain)
     finite = []
     for i in range(1, chain.n + 1):
-        assert sp.lambda_upto(i) is sp.theta(_scanned_upto(sp, i))
         scanned = i == 1 or sp.theta(i).compare(sp.theta(_scanned_upto(sp, i - 1))) > 0
         assert sp.level_is_finite(i) == scanned
         finite.append(scanned)
@@ -397,13 +404,12 @@ def test_perron_vector_of_a_singular_minor_is_refused():
 
 def test_window_and_limit_invariants_survive_optimize():
     # Each broken invariant of the window-substitution build, of the
-    # divergent limit data, of the Perron vectors, of the empty-block test
-    # and of the lifted gamma an irrational level's cylinder table reads must
-    # raise explicitly, also under ``python -O``, which strips assert
-    # statements, as the typed InternalInvariantError.
+    # divergent limit data, of the Perron vectors and of the lifted gamma an
+    # irrational level's cylinder table reads must raise explicitly, also
+    # under ``python -O``, which strips assert statements, as the typed
+    # InternalInvariantError.
     script = (
         "from chainshift import *\n"
-        "import dataclasses\n"
         "from chainshift import auxiliary, spectral, structure\n"
         "def expect(fn, *args):\n"
         "    try:\n"
@@ -444,8 +450,6 @@ def test_window_and_limit_invariants_survive_optimize():
         "np.linalg.eig = lambda arr: (np.ones(len(arr)), np.array([[(-1.0) ** r] * len(arr) for r in range(len(arr))]))\n"
         "fib = Substitution.from_rules({'a': 'ab', 'b': 'a', 'c': 'abc'})\n"
         "expect(pf_vectors, fib, component_chain(fib), 2)\n"
-        "aux = build_auxiliary(sub, chain, 2)\n"
-        "expect(level_empty_diag, dataclasses.replace(aux, q_blocks=((),) * aux.n), 2)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     for flags in ([], ["-O"]):
@@ -458,7 +462,7 @@ def test_window_and_limit_invariants_survive_optimize():
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert len(lines) == 10, proc.stdout
+        assert len(lines) == 9, proc.stdout
         assert "window blocks at m=1 do not partition the language" in lines[0]
         assert "an image window of 'b' is not a language word at m=1" in lines[1]
         assert "divergent mode without a dominating lower level" in lines[2]
@@ -470,7 +474,6 @@ def test_window_and_limit_invariants_survive_optimize():
         # the exact Perron vector (integer theta), then the float one
         assert "Perron vector must be positive" in lines[7]
         assert "Perron vector must be positive" in lines[8]
-        assert "the structural emptiness test does not match the block" in lines[9]
 
 
 # -- the integer vector engine against the dense Fraction reference ---------

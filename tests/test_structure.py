@@ -11,10 +11,12 @@ from chainshift import (
     DomainError,
     NoPrimitiveChainError,
     Substitution,
+    block_eigenvalues,
     component_chain,
     incidence_matrix,
     is_empty_bottom,
 )
+from chainshift.structure import letter_counts
 from conftest import CORPUS_RULES, assert_matches_dense_oracle, make, tower
 from test_classify import fixed_bottom_chains, mixed_towers
 
@@ -170,23 +172,23 @@ def test_chain_is_its_components(rules):
 
 
 def test_blocks_and_couplings_tile_the_matrix(corpus_sub):
-    """Diagonal and coupling views reassemble the full incidence matrix."""
+    """The profile's diagonal blocks and the letter counts of each level's
+    images in the letters of a lower level reassemble the incidence matrix."""
     chain = component_chain(corpus_sub)
+    profile = block_eigenvalues(corpus_sub, chain)
     matrix = incidence_matrix(corpus_sub)
     for i in range(1, chain.n + 1):
         rows = chain.new_letters(i)
-        diag = chain.block(i)
+        diag = profile.levels[i - 1].block
         for r, a in enumerate(rows):
             for c, b in enumerate(rows):
                 assert diag[r][c] == matrix[a, b]
         for j in range(1, i):
             cols = chain.new_letters(j)
-            block = chain.coupling(i, j)
+            block = letter_counts(map(corpus_sub.image, rows), cols)
             for r, a in enumerate(rows):
                 for c, b in enumerate(cols):
                     assert block[r][c] == matrix[a, b]
-    with pytest.raises(DomainError):
-        chain.coupling(1, 1)
 
 
 def test_block_zero_pattern(corpus_sub):
