@@ -16,37 +16,38 @@ when f = e and in G(e-1) when f < e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import zip_longest
+from operator import attrgetter
 
 from .errors import DomainError, InternalInvariantError
 from .structure import ComponentChain, IncidenceMatrix
-from .words import Substitution
+from .words import FrozenRecord, Substitution
 
 
-@dataclass(frozen=True)
-class AuxiliarySubstitution:
-    sub: Substitution
-    components: tuple[tuple[str, ...], ...]  # the chain's own: a chain would hold itself
-    m: int
-    words: tuple[str, ...]
-    q_blocks: tuple[tuple[str, ...], ...]  # Q(1..n)
-    g_blocks: tuple[tuple[str, ...], ...]  # G(1..n-1)
-    word_level: dict[str, int] = field(hash=False, compare=False)  # chain.word_levels(m)
-    images: dict[str, tuple[str, ...]] = field(hash=False, compare=False)
+class AuxiliarySubstitution(FrozenRecord):
+    """Words in block order, Q(1..n) and G(1..n-1), and each word's image sequence.
+    ``components`` is the chain's own (a chain would hold itself); ``word_level``
+    (``chain.word_levels(m)``) and ``images`` take no part in equality."""
+
+    __slots__ = ("sub", "components", "m", "words", "q_blocks", "g_blocks", "word_level", "images")
+    _key = attrgetter("sub", "components", "m", "words", "q_blocks", "g_blocks")
+
+    def __init__(self, sub: Substitution, components: tuple[tuple[str, ...], ...], m: int,
+                 words: tuple[str, ...], q_blocks: tuple[tuple[str, ...], ...],
+                 g_blocks: tuple[tuple[str, ...], ...], word_level: dict[str, int],
+                 images: dict[str, tuple[str, ...]]):
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "q_blocks", q_blocks)
+        object.__setattr__(self, "g_blocks", g_blocks)
+        object.__setattr__(self, "word_level", word_level)
+        object.__setattr__(self, "images", images)
 
     @property
     def n(self) -> int:
         return len(self.components)
-
-    def index(self, word: str) -> int:
-        try:
-            return self.words.index(word)
-        except ValueError:
-            raise DomainError(f"{word!r} is not a language word at m={self.m}") from None
-
-    def image(self, word: str) -> tuple[str, ...]:
-        return self.images[word]
 
     def blocks_in_order(self) -> list[tuple[str, int, tuple[str, ...]]]:
         """Coordinate blocks as (kind, level, words) in matrix order."""

@@ -58,13 +58,12 @@ substitution of its own, ``chain.restrict(2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import BudgetExceeded, DomainError, InternalInvariantError
 from .structure import ComponentChain, check_level, component_chain, is_empty_bottom
 from .spectral import SpectralProfile, block_eigenvalues
-from .words import Substitution, apply, count_occurrences, language
+from .words import Record, Substitution, apply, count_occurrences, language
 
 SEED_BUDGET = 10**7  # letters in one expansion of a seed pair
 WINDOW_CAP = 4096  # longest central window of a periodic-point seed
@@ -240,24 +239,22 @@ def _s_runs(chain: ComponentChain) -> _SRuns:
 # seed pairs
 
 
-@dataclass(slots=True)
-class SeedPair:
+class SeedPair(Record):
     """Word identity anchoring a level: sigma^k(ab) = u a b v (forward) or
     sigma^k(ba) = v b a u (reverse), with a below the level and b new.
 
-    Slotted, not frozen: a frozen record sets each field through
+    Not frozen: a frozen record sets each field through
     ``object.__setattr__``, and one seed is built per level. A stored seed
     is shared by every reader of the chain memo, so it is read-only by that
     contract, as a ``LevelReport`` is.
     """
 
-    level: int
-    a: str
-    b: str
-    k: int
-    u: str
-    v: str
-    orientation: str  # "forward" | "reverse"
+    __slots__ = ("level", "a", "b", "k", "u", "v", "orientation")
+
+    def __init__(self, level: int, a: str, b: str, k: int, u: str, v: str, orientation: str):
+        self.level, self.a, self.b = level, a, b
+        self.k, self.u, self.v = k, u, v
+        self.orientation = orientation  # "forward" | "reverse"
 
 
 def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair:
@@ -350,18 +347,19 @@ def positively_recurrent(sub: Substitution, chain: ComponentChain, seed: SeedPai
 # point seeds and their windows
 
 
-@dataclass
-class PointSeed:
-    kind: str  # "fixed_letter_power" | "bilateral_limit"
-    form: str | None = None  # "pair" | "s_left" | "s_right" | "s_middle"
-    gamma: str | None = None
-    delta: str | None = None
-    q: int = 1
-    middle_s: int = 0
-    shift_periodic: bool = False
-    window: str = ""
-    center: int = 0
-    radius: int = 0
+class PointSeed(Record):
+    """``kind`` is "fixed_letter_power" or "bilateral_limit", and ``form``
+    one of "pair", "s_left", "s_right" and "s_middle"."""
+
+    __slots__ = ("kind", "form", "gamma", "delta", "q", "middle_s", "shift_periodic", "window", "center",
+                 "radius")
+
+    def __init__(self, kind: str, form: str | None = None, gamma: str | None = None, delta: str | None = None,
+                 q: int = 1, middle_s: int = 0, shift_periodic: bool = False, window: str = "",
+                 center: int = 0, radius: int = 0):
+        self.kind, self.form, self.gamma, self.delta = kind, form, gamma, delta
+        self.q, self.middle_s, self.shift_periodic = q, middle_s, shift_periodic
+        self.window, self.center, self.radius = window, center, radius
 
 
 def _grow(sub: Substitution, word: str, q: int, target: int, budget: int) -> str:
@@ -488,24 +486,29 @@ def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> l
 # level reports and the census
 
 
-@dataclass
-class QuasiFixedSeed:
-    seed: SeedPair
-    primitive_type: bool
-    positively_recurrent: bool
-    isolated_orbit: bool
+class QuasiFixedSeed(Record):
+    __slots__ = ("seed", "primitive_type", "positively_recurrent", "isolated_orbit")
+
+    def __init__(self, seed: SeedPair, primitive_type: bool, positively_recurrent: bool,
+                 isolated_orbit: bool):
+        self.seed, self.primitive_type = seed, primitive_type
+        self.positively_recurrent, self.isolated_orbit = positively_recurrent, isolated_orbit
 
 
-@dataclass
-class LevelReport:
-    level: int
-    case: str
-    seed: SeedPair | None = None
-    quasi_fixed: QuasiFixedSeed | None = None
-    anchor: str | None = None
-    point_seeds: list[PointSeed] = field(default_factory=list)
-    x_i_nonempty: bool = False
-    notes: list[str] = field(default_factory=list)
+class LevelReport(Record):
+    """One level's classification; ``point_seeds`` and ``notes`` default to
+    new empty lists."""
+
+    __slots__ = ("level", "case", "seed", "quasi_fixed", "anchor", "point_seeds", "x_i_nonempty", "notes")
+
+    def __init__(self, level: int, case: str, seed: SeedPair | None = None,
+                 quasi_fixed: QuasiFixedSeed | None = None, anchor: str | None = None,
+                 point_seeds: list[PointSeed] | None = None, x_i_nonempty: bool = False,
+                 notes: list[str] | None = None):
+        self.level, self.case, self.seed, self.quasi_fixed = level, case, seed, quasi_fixed
+        self.anchor, self.x_i_nonempty = anchor, x_i_nonempty
+        self.point_seeds = [] if point_seeds is None else point_seeds
+        self.notes = [] if notes is None else notes
 
 
 def _bottom_report(sub: Substitution, chain: ComponentChain) -> LevelReport:
@@ -634,11 +637,14 @@ def _is_single_periodic_orbit(sub_i: Substitution) -> bool:
     return bool(lang) and len(lang) <= probe
 
 
-@dataclass
-class MinimalSets:
-    census: list[str]  # subset of {"X_sigma_1", "X_sigma_2", "s_infinity"}
-    uniquely_ergodic: bool
-    clause: str | None  # "i" | "ii" | "iii" when uniquely ergodic
+class MinimalSets(Record):
+    """``census`` is a subset of "X_sigma_1", "X_sigma_2" and "s_infinity";
+    ``clause`` is "i", "ii" or "iii" when uniquely ergodic."""
+
+    __slots__ = ("census", "uniquely_ergodic", "clause")
+
+    def __init__(self, census: list[str], uniquely_ergodic: bool, clause: str | None):
+        self.census, self.uniquely_ergodic, self.clause = census, uniquely_ergodic, clause
 
 
 def minimal_sets(
@@ -669,11 +675,11 @@ def minimal_sets(
     return MinimalSets(["X_sigma_2", "s_infinity"], False, None)
 
 
-@dataclass
-class DecompositionReport:
-    chain: ComponentChain
-    levels: list[LevelReport]
-    minimal: MinimalSets
+class DecompositionReport(Record):
+    __slots__ = ("chain", "levels", "minimal")
+
+    def __init__(self, chain: ComponentChain, levels: list[LevelReport], minimal: MinimalSets):
+        self.chain, self.levels, self.minimal = chain, levels, minimal
 
 
 def decomposition_report(

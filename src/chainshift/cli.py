@@ -1,10 +1,11 @@
-"""Command line interface: rule parsing, command dispatch, JSON reports.
+"""Command line interface: command dispatch and JSON reports.
 
-Input grammar: one rule per line, ``X -> IMAGE``; ``#`` starts a comment,
-blank lines are ignored, and the alphabet order is the rule declaration
-order. Exit codes: 0 ok, 2 parse error, 3 no primitive component chain,
-4 domain error, 5 budget exceeded, 6 internal invariant violated (every
-library check raises ``InternalInvariantError``). An error prints a JSON
+A rule file is read by ``words.parse_input``: one rule per line,
+``X -> IMAGE``; ``#`` starts a comment, blank lines are ignored, and the
+alphabet order is the rule declaration order. Exit codes: 0 ok, 2 parse
+error, 3 no primitive component chain, 4 domain error, 5 budget exceeded,
+6 internal invariant violated (every library check raises
+``InternalInvariantError``). An error prints a JSON
 ``{"error": {code, kind, message}}`` on stdout and one line on stderr.
 """
 
@@ -16,7 +17,6 @@ import gc
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .auxiliary import auxiliary_matrix, build_auxiliary
@@ -32,7 +32,7 @@ from .errors import (
 from .measures import cylinder_measure, empirical_frequency, level_measure_table
 from .spectral import SpectralProfile, block_eigenvalues, pf_vectors
 from .structure import component_chain, incidence_matrix
-from .words import LANGUAGE_BUDGET, Substitution, apply, language
+from .words import LANGUAGE_BUDGET, InputSpec, apply, language, parse_input
 
 EXIT_CODES = {
     ParseError: 2,
@@ -41,38 +41,6 @@ EXIT_CODES = {
     BudgetExceeded: 5,
     InternalInvariantError: 6,
 }
-
-
-@dataclass
-class InputSpec:
-    substitution: Substitution
-
-
-def parse_input(text: str) -> InputSpec:
-    """Parse rule text into a substitution; alphabet order = declaration order."""
-    rules: dict[str, str] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "->" not in line:
-            raise ParseError(f"line {ln}: expected 'X -> IMAGE'")
-        left, right = line.split("->", 1)
-        letter, image = left.strip(), right.strip()
-        if len(letter) != 1 or not letter.isprintable() or letter.isspace():
-            raise ParseError(f"line {ln}: rule letter must be one printable character")
-        if letter in rules:
-            raise ParseError(f"line {ln}: duplicate rule for {letter!r}")
-        if not image:
-            raise ParseError(f"line {ln}: empty image for {letter!r}")
-        rules[letter] = image
-    if len(rules) < 2:
-        raise ParseError("need at least two rules")
-    for letter, image in rules.items():
-        for c in image:
-            if c not in rules:
-                raise ParseError(f"image of {letter!r} uses undeclared letter {c!r}")
-    return InputSpec(Substitution.from_rules(rules))
 
 
 def _value_str(x):

@@ -46,7 +46,6 @@ own chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, gcd, lcm
 
@@ -60,19 +59,19 @@ from .errors import (
 )
 from .spectral import SpectralProfile, _level_vectors, window_vectors
 from .structure import ComponentChain
-from .words import LANGUAGE_BUDGET, Substitution, count_occurrences
+from .words import LANGUAGE_BUDGET, Record, Substitution, count_occurrences
 
 POWER_BUDGET = 10**12
 
 
-@dataclass
-class MeasureDescriptor:
-    level: int
-    kind: str  # "finite_ergodic" | "infinite_radon" | "counting" | "empty"
-    anchor: str | None
-    i_prime: int | None
-    finite_atoms: int
-    infinite_orbits: int
+class MeasureDescriptor(Record):
+    __slots__ = ("level", "kind", "anchor", "i_prime", "finite_atoms", "infinite_orbits")
+
+    def __init__(self, level: int, kind: str, anchor: str | None, i_prime: int | None, finite_atoms: int,
+                 infinite_orbits: int):
+        self.level, self.anchor, self.i_prime = level, anchor, i_prime
+        self.kind = kind  # "finite_ergodic" | "infinite_radon" | "counting" | "empty"
+        self.finite_atoms, self.infinite_orbits = finite_atoms, infinite_orbits
 
 
 def measure_type(
@@ -127,17 +126,16 @@ def _measure_type(
     return MeasureDescriptor(i, "counting", report.anchor, None, finite_atoms, infinite)
 
 
-@dataclass
-class CylinderValue:
-    level: int
-    word: str
-    infinite: bool
-    exact: Fraction | None
-    value: float | None
-    anchor: str | None
-    # (char poly, isolating interval) when theta is irrational; immutable,
-    # since one note is shared by every value of a cylinder table
-    algebraic: tuple[tuple[int, ...], tuple[str, str]] | None = None
+class CylinderValue(Record):
+    __slots__ = ("level", "word", "infinite", "exact", "value", "anchor", "algebraic")
+
+    def __init__(self, level: int, word: str, infinite: bool, exact: Fraction | None, value: float | None,
+                 anchor: str | None, algebraic: tuple[tuple[int, ...], tuple[str, str]] | None = None):
+        self.level, self.word, self.infinite = level, word, infinite
+        self.exact, self.value, self.anchor = exact, value, anchor
+        # (char poly, isolating interval) when theta is irrational; immutable,
+        # since one note is shared by every value of a cylinder table
+        self.algebraic = algebraic
 
     def as_json(self):
         if self.infinite:
@@ -591,16 +589,15 @@ class _Blocks:
         return size, count, head, tail
 
 
-@dataclass
-class EmpiricalFrequency:
-    level: int
-    word: str
-    length: int
-    power: int
-    ratio: float
-    scaled_power: int | None = None
-    scaled_count: int | None = None
-    scaled_value: float | None = None
+class EmpiricalFrequency(Record):
+    __slots__ = ("level", "word", "length", "power", "ratio", "scaled_power", "scaled_count", "scaled_value")
+
+    def __init__(self, level: int, word: str, length: int, power: int, ratio: float,
+                 scaled_power: int | None = None, scaled_count: int | None = None,
+                 scaled_value: float | None = None):
+        self.level, self.word, self.length = level, word, length
+        self.power, self.ratio = power, ratio
+        self.scaled_power, self.scaled_count, self.scaled_value = scaled_power, scaled_count, scaled_value
 
 
 def empirical_frequency(
@@ -654,14 +651,13 @@ def empirical_frequency(
     return result
 
 
-@dataclass
-class UniformityResult:
-    level: int
-    word: str
-    window_count: int
-    target: float
-    ratios: dict[int, float]
-    max_deviation: float
+class UniformityResult(Record):
+    __slots__ = ("level", "word", "window_count", "target", "ratios", "max_deviation")
+
+    def __init__(self, level: int, word: str, window_count: int, target: float, ratios: dict[int, float],
+                 max_deviation: float):
+        self.level, self.word, self.window_count = level, word, window_count
+        self.target, self.ratios, self.max_deviation = target, ratios, max_deviation
 
 
 def uniformity_check(

@@ -52,7 +52,6 @@ and window length asked for, and lives exactly as long as its chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -62,19 +61,18 @@ from .auxiliary import AuxiliarySubstitution, build_auxiliary
 from .errors import DomainError, InternalInvariantError, LambdaNotDominant, ThetaNotAboveOne
 from .exact import AlgebraicReal, charpoly, solve_linear
 from .structure import ComponentChain, IntMatrix, check_level, letter_counts
-from .words import Substitution
+from .words import Record, Substitution
 
 RESIDUAL_TOL = 1e-9
 
 
-@dataclass
-class LevelSpectrum:
-    level: int
-    letters: tuple[str, ...]
-    block: IntMatrix
-    char_poly: tuple[int, ...]
-    row_bounds: tuple[int, int]
-    theta: AlgebraicReal
+class LevelSpectrum(Record):
+    __slots__ = ("level", "letters", "block", "char_poly", "row_bounds", "theta")
+
+    def __init__(self, level: int, letters: tuple[str, ...], block: IntMatrix, char_poly: tuple[int, ...],
+                 row_bounds: tuple[int, int], theta: AlgebraicReal):
+        self.level, self.letters, self.block = level, letters, block
+        self.char_poly, self.row_bounds, self.theta = char_poly, row_bounds, theta
 
 
 class SpectralProfile:
@@ -226,7 +224,7 @@ def _window_rows(aux: AuxiliarySubstitution) -> dict[str, dict[str, int]]:
     rows: dict[str, dict[str, int]] = {}
     for u in aux.words:
         row = rows[u] = {}
-        for w in aux.image(u):
+        for w in aux.images[u]:
             row[w] = row.get(w, 0) + 1
     return rows
 
@@ -375,18 +373,18 @@ def _level_vectors(blocks, rows, theta, what: str, level: LevelSpectrum | None =
     return delta, gamma
 
 
-@dataclass
-class EigenPair:
+class EigenPair(Record):
     """Right and left dominant eigenvectors over the window alphabet, each
-    scaled so that its smallest positive entry is 1."""
+    scaled so that its smallest positive entry is 1; ``beta_total``, the sum
+    of beta, normalises finite cylinder values."""
 
-    m: int
-    aux: AuxiliarySubstitution
-    lam: AlgebraicReal
-    alpha: dict[str, object]
-    beta: dict[str, object]
-    beta_total: object  # sum of beta: the normaliser of finite cylinder values
-    exact: bool
+    __slots__ = ("m", "aux", "lam", "alpha", "beta", "beta_total", "exact")
+
+    def __init__(self, m: int, aux: AuxiliarySubstitution, lam: AlgebraicReal, alpha: dict[str, object],
+                 beta: dict[str, object], beta_total: object, exact: bool):
+        self.m, self.aux, self.lam = m, aux, lam
+        self.alpha, self.beta, self.beta_total = alpha, beta, beta_total
+        self.exact = exact
 
 
 def pf_vectors(
@@ -465,8 +463,7 @@ def window_vectors(
     return {w: x / total for w, x in delta.items()}, None, frozenset()
 
 
-@dataclass
-class LimitData:
+class LimitData(Record):
     """Normalized growth data of matrix powers scaled by a level's eigenvalue,
     over the windows of the level's chain.
 
@@ -477,21 +474,20 @@ class LimitData:
     modes come from one solve (``_level_vectors``): alpha or gamma is the
     right vector lifted from the level's letter block by each window's first
     letter, with smallest positive entry 1, and beta or delta the left vector
-    over its pairing with it.
+    over its pairing with it. ``mode`` is "convergent" or "divergent".
     """
 
-    level: int
-    m: int
-    mode: str  # "convergent" | "divergent"
-    exact: bool
-    i_prime: int | None
-    theta: AlgebraicReal
-    alpha: dict[str, object] | None = None
-    beta: dict[str, object] | None = None
-    gamma: dict[str, object] | None = None
-    delta: dict[str, object] | None = None
-    infinite_words: frozenset[str] = frozenset()
-    restricted_words: tuple[str, ...] = ()
+    __slots__ = ("level", "m", "mode", "exact", "i_prime", "theta", "alpha", "beta", "gamma", "delta",
+                 "infinite_words", "restricted_words")
+
+    def __init__(self, level: int, m: int, mode: str, exact: bool, i_prime: int | None, theta: AlgebraicReal,
+                 alpha: dict[str, object] | None = None, beta: dict[str, object] | None = None,
+                 gamma: dict[str, object] | None = None, delta: dict[str, object] | None = None,
+                 infinite_words: frozenset[str] = frozenset(), restricted_words: tuple[str, ...] = ()):
+        self.level, self.m, self.mode = level, m, mode
+        self.exact, self.i_prime, self.theta = exact, i_prime, theta
+        self.alpha, self.beta, self.gamma, self.delta = alpha, beta, gamma, delta
+        self.infinite_words, self.restricted_words = infinite_words, restricted_words
 
 
 def limit_data(

@@ -41,10 +41,10 @@ back to the chain, so reference counting frees it all with the chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import DomainError, NoPrimitiveChainError
-from .words import Substitution, word_levels
+from .words import FrozenRecord, Substitution, word_levels
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -73,12 +73,15 @@ def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(FrozenRecord):
     """Integer matrix counting each letter's occurrences in each image."""
 
-    letters: tuple[str, ...]
-    entries: IntMatrix
+    __slots__ = ("letters", "entries")
+    _key = attrgetter("letters", "entries")
+
+    def __init__(self, letters: tuple[str, ...], entries: IntMatrix):
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "entries", entries)
 
     def __getitem__(self, pair: tuple[str, str]) -> int:
         a, b = pair
@@ -164,19 +167,19 @@ def check_level(i: int, n: int) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class ComponentChain:
+class ComponentChain(FrozenRecord):
     """Nested letter levels with per-level diagonal blocks, kept as the
     letters each level adds (its component), in declaration order."""
 
-    sub: Substitution
-    components: tuple[tuple[str, ...], ...]
-    witness_k: int
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
-    _level_of: dict = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("sub", "components", "witness_k", "_memo", "_level_of")
+    _key = attrgetter("sub", "components", "witness_k")
 
-    def __post_init__(self):
-        level_of = {c: i for i, letters in enumerate(self.components, start=1) for c in letters}
+    def __init__(self, sub: Substitution, components: tuple[tuple[str, ...], ...], witness_k: int):
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "witness_k", witness_k)
+        object.__setattr__(self, "_memo", {})
+        level_of = {c: i for i, letters in enumerate(components, start=1) for c in letters}
         object.__setattr__(self, "_level_of", level_of)
 
     def memo(self, key: tuple, compute, *args):

@@ -1,5 +1,6 @@
 """Core word combinatorics: alphabets, substitutions, occurrence counting and
-language enumeration.
+language enumeration, and the parser that turns rule text into a
+substitution (``parse_input``).
 
 Words are plain ``str`` values over single-character letters; the empty word
 is ``""``. Occurrence positions follow the 1-based convention, so ``w[0]`` is
@@ -35,37 +36,75 @@ number per word describes all of them: the level the word enters
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, ParseError
 
 # letters held by one `language` listing, one word -> level index
 # (`word_levels`) or one level's ancestor tables
 LANGUAGE_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Record:
+    """Base of the record classes: slotted, weakly referable, with a written-out
+    ``__init__``. A record equals one of its class with equal public fields and
+    prints them; a ``_`` slot holds data derived from those."""
+
+    __slots__ = ("__weakref__",)
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self._fields().items())})"
+
+
+class FrozenRecord(Record):
+    """A hashable record: equal and hashed by the fields its class attribute
+    ``_key``, an ``attrgetter``, reads, and closed to assignment (``__init__``
+    sets fields by ``object.__setattr__``)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):  # pickle and copy call ``__init__``, whose parameters are the public fields
+        return type(self), tuple(self._fields().values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Alphabet(FrozenRecord):
     """Ordered finite set of letters; the order fixes matrix indexing.
 
     Top-level systems require at least two letters (enforced by the input
     parser); restrictions to a sub-alphabet may be singletons.
     """
 
-    letters: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
-    _ranks: _ImageTable = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("letters", "_index", "_ranks")
+    _key = attrgetter("letters")
 
-    def __post_init__(self):
-        if not self.letters:
+    def __init__(self, letters: tuple[str, ...]):
+        if not letters:
             raise DomainError("alphabet must be nonempty")
-        index = {c: i for i, c in enumerate(self.letters)}
-        if len(index) != len(self.letters):
+        index = {c: i for i, c in enumerate(letters)}
+        if len(index) != len(letters):
             raise DomainError("alphabet has duplicate letters")
-        for c in self.letters:
+        for c in letters:
             if len(c) != 1 or not c.isprintable() or c.isspace():
                 raise DomainError(f"letter {c!r} is not a single printable character")
+        object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_ranks", _ImageTable((ord(c), chr(i)) for c, i in index.items()))
 
@@ -107,23 +146,22 @@ class _ImageTable(dict):
         raise DomainError(f"letter {chr(code)!r} not in alphabet")
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(FrozenRecord):
     """A map from each letter to a nonempty word over the same alphabet."""
 
-    alphabet: Alphabet
-    images: tuple[str, ...]
-    _table: _ImageTable = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("alphabet", "images", "_table")
+    _key = attrgetter("alphabet", "images")
 
-    def __post_init__(self):
-        if len(self.images) != len(self.alphabet):
+    def __init__(self, alphabet: Alphabet, images: tuple[str, ...]):
+        if len(images) != len(alphabet):
             raise DomainError("one image required per letter")
-        for letter, img in zip(self.alphabet, self.images):
+        for letter, img in zip(alphabet, images):
             if not img:
                 raise DomainError(f"image of {letter!r} is empty")
-            self.alphabet.check_word(img)
-        table = _ImageTable(zip(map(ord, self.alphabet), self.images))
-        object.__setattr__(self, "_table", table)
+            alphabet.check_word(img)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_table", _ImageTable(zip(map(ord, alphabet), images)))
 
     @classmethod
     def from_rules(cls, rules: dict[str, str]) -> "Substitution":
@@ -159,6 +197,44 @@ class Substitution:
     def rules_text(self) -> str:
         """Normalized one-rule-per-line source form."""
         return "\n".join(f"{c} -> {img}" for c, img in zip(self.alphabet, self.images))
+
+
+class InputSpec(Record):
+    __slots__ = ("substitution",)
+
+    def __init__(self, substitution: Substitution):
+        self.substitution = substitution
+
+
+def parse_input(text: str) -> InputSpec:
+    """Parse rule text into a substitution; alphabet order = declaration order.
+
+    One rule per line, ``X -> IMAGE``; ``#`` starts a comment and blank lines
+    are ignored. At least two rules, each image over declared letters.
+    """
+    rules: dict[str, str] = {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "->" not in line:
+            raise ParseError(f"line {ln}: expected 'X -> IMAGE'")
+        left, right = line.split("->", 1)
+        letter, image = left.strip(), right.strip()
+        if len(letter) != 1 or not letter.isprintable() or letter.isspace():
+            raise ParseError(f"line {ln}: rule letter must be one printable character")
+        if letter in rules:
+            raise ParseError(f"line {ln}: duplicate rule for {letter!r}")
+        if not image:
+            raise ParseError(f"line {ln}: empty image for {letter!r}")
+        rules[letter] = image
+    if len(rules) < 2:
+        raise ParseError("need at least two rules")
+    for letter, image in rules.items():
+        for c in image:
+            if c not in rules:
+                raise ParseError(f"image of {letter!r} uses undeclared letter {c!r}")
+    return InputSpec(Substitution.from_rules(rules))
 
 
 class Occurrences(NamedTuple):

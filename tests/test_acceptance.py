@@ -85,7 +85,7 @@ def test_criterion_3_window_substitutions():
             "cb": ("cb", "bc", "ca"),
         }
         for word, image in expected.items():
-            assert aux.image(word) == image
+            assert aux.images[word] == image
         assert auxiliary_matrix(aux).entries == (
             (4, 0, 0, 0, 0, 0, 0),
             (4, 0, 0, 0, 0, 0, 0),
@@ -109,7 +109,7 @@ def test_criterion_3_window_substitutions():
             "dd": ("ab", "bc", "cd", "dd", "da"),
         }
         for word, image in expected2.items():
-            assert aux2.image(word) == image
+            assert aux2.images[word] == image
         assert auxiliary_matrix(aux2).entries == (
             (2, 0, 0, 0, 0, 0, 0, 0, 0),
             (2, 0, 0, 0, 0, 0, 0, 0, 0),
@@ -326,13 +326,13 @@ def test_criterion_8c_scaled_power_limits():
             power = mat_pow(matrix.entries, 40)
             for u in ld.restricted_words:
                 for v in ld.restricted_words:
-                    scaled = Fraction(power[aux.index(u)][aux.index(v)], theta**40)
+                    scaled = Fraction(power[aux.words.index(u)][aux.words.index(v)], theta**40)
                     want = float(ld.gamma[u] * ld.delta[v])
                     assert abs(float(scaled) - want) <= 1e-6, (level, u, v)
             # entries over the cut language diverge after scaling
             anchor = next(w for w in ld.restricted_words if float(ld.gamma[w]) > 0)
             blown = max(
-                Fraction(power[aux.index(anchor)][aux.index(v)], theta**40)
+                Fraction(power[aux.words.index(anchor)][aux.words.index(v)], theta**40)
                 for v in ld.infinite_words
             )
             assert float(blown) > 1e3
@@ -345,7 +345,7 @@ def test_criterion_8c_scaled_power_limits():
         power1 = mat_pow(matrix1.entries, 40)
         for u in aux1.words:
             for v in aux1.words:
-                scaled = Fraction(power1[aux1.index(u)][aux1.index(v)], 4**40)
+                scaled = Fraction(power1[aux1.words.index(u)][aux1.words.index(v)], 4**40)
                 want = float(ld1.alpha[u] * ld1.beta[v])
                 assert abs(float(scaled) - want) <= 1e-6, (u, v)
 

@@ -46,23 +46,23 @@ def _aux(name: str, m: int):
 
 def test_quartic_window_images():
     _, _, aux = _aux("quartic", 2)
-    assert aux.image("aa") == ("aa", "aa", "aa", "aa")
-    assert aux.image("ab") == ("aa", "aa", "aa", "aa")
-    assert aux.image("ba") == ("ab", "bb", "bb", "ba")
-    assert aux.image("bb") == ("ab", "bb", "bb", "ba")
-    assert aux.image("bc") == ("ab", "bb", "bb", "bc")
-    assert aux.image("ca") == ("cb", "bc", "ca")
-    assert aux.image("cb") == ("cb", "bc", "ca")
+    assert aux.images["aa"] == ("aa", "aa", "aa", "aa")
+    assert aux.images["ab"] == ("aa", "aa", "aa", "aa")
+    assert aux.images["ba"] == ("ab", "bb", "bb", "ba")
+    assert aux.images["bb"] == ("ab", "bb", "bb", "ba")
+    assert aux.images["bc"] == ("ab", "bb", "bb", "bc")
+    assert aux.images["ca"] == ("cb", "bc", "ca")
+    assert aux.images["cb"] == ("cb", "bc", "ca")
 
 
 def test_mid_dominant_window_images():
     _, _, aux = _aux("mid_dominant", 2)
-    assert aux.image("aa") == ("aa", "aa")
-    assert aux.image("bb") == ("ab", "bb", "bb", "bc", "cc", "cc", "ca")
-    assert aux.image("ca") == ("ab", "bc", "cc", "cc", "cc", "cc", "ca")
-    assert aux.image("cd") == ("ab", "bc", "cc", "cc", "cc", "cc", "ca")
-    assert aux.image("da") == ("ab", "bc", "cd", "dd", "da")
-    assert aux.image("dd") == ("ab", "bc", "cd", "dd", "da")
+    assert aux.images["aa"] == ("aa", "aa")
+    assert aux.images["bb"] == ("ab", "bb", "bb", "bc", "cc", "cc", "ca")
+    assert aux.images["ca"] == ("ab", "bc", "cc", "cc", "cc", "cc", "ca")
+    assert aux.images["cd"] == ("ab", "bc", "cc", "cc", "cc", "cc", "ca")
+    assert aux.images["da"] == ("ab", "bc", "cd", "dd", "da")
+    assert aux.images["dd"] == ("ab", "bc", "cd", "dd", "da")
 
 
 def test_block_coordinate_sets():
@@ -97,7 +97,7 @@ def test_window_one_matches_plain_substitution(corpus_sub):
     chain = component_chain(corpus_sub)
     aux = build_auxiliary(corpus_sub, chain, 1)
     for c in corpus_sub.alphabet:
-        assert aux.image(c) == tuple(corpus_sub.image(c))
+        assert aux.images[c] == tuple(corpus_sub.image(c))
     assert auxiliary_matrix(aux).entries == incidence_matrix(corpus_sub).entries
 
 
@@ -144,7 +144,7 @@ def test_power_semantics_against_direct_windows(name, k):
         width = len(apply(sub, u[0], k))
         for v in aux.words:
             direct = sum(1 for j in range(width) if expanded[j : j + 2] == v)
-            assert direct == power[aux.index(u)][aux.index(v)]
+            assert direct == power[aux.words.index(u)][aux.words.index(v)]
 
 
 def test_transient_block_row_sums_stay_below_window(corpus_sub):
@@ -156,7 +156,7 @@ def test_transient_block_row_sums_stay_below_window(corpus_sub):
             if not ws:
                 continue
             block = tuple(
-                tuple(matrix.entries[aux.index(u)][aux.index(v)] for v in ws) for u in ws
+                tuple(matrix.entries[aux.words.index(u)][aux.words.index(v)] for v in ws) for u in ws
             )
             from chainshift.structure import mat_pow
 

@@ -1,4 +1,3 @@
-import dataclasses
 import fractions
 import json
 import os
@@ -114,7 +113,8 @@ def test_seed_pairs_are_pinned():
     for name, rules in systems.items():
         sub = Substitution.from_rules(rules)
         chain = component_chain(sub)
-        got = [list(dataclasses.astuple(find_seed_pair(sub, chain, i))) for i in range(2, chain.n + 1)]
+        seeds = [find_seed_pair(sub, chain, i) for i in range(2, chain.n + 1)]
+        got = [[s.level, s.a, s.b, s.k, s.u, s.v, s.orientation] for s in seeds]
         assert got == pinned[name], name
 
 
@@ -747,11 +747,12 @@ def test_sweep_invariants_survive_optimize():
         "sub = Substitution.from_rules({'a': 'a', 'b': 'ba'})\n"
         "chain = component_chain(sub)\n"
         "expect(classify_level, sub, chain, block_eigenvalues(sub, chain), 2)\n"
-        "import dataclasses\n"
         "find = classify.find_seed_pair\n"
         "for change in ({'u': ''}, {'v': ''}, {'v': 'a'}):\n"
         "    def changed(*args):\n"
-        "        return dataclasses.replace(find(*args), **change)\n"
+        "        s = find(*args)\n"
+        "        fields = {'level': s.level, 'a': s.a, 'b': s.b, 'k': s.k, 'u': s.u, 'v': s.v, 'orientation': s.orientation}\n"
+        "        return classify.SeedPair(**{**fields, **change})\n"
         "    classify.find_seed_pair = changed\n"
         "    sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
         "    chain = component_chain(sub)\n"

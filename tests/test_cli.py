@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from chainshift import InternalInvariantError, ParseError, parse_input
+from chainshift import CylinderValue, InternalInvariantError, ParseError, parse_input
 from chainshift import cli
 from chainshift.cli import main
 from conftest import CORPUS_RULES
@@ -252,7 +251,8 @@ def test_check_cylinder_consistency_is_exact(tmp_path, capsys, monkeypatch):
     def skewed(*args):
         cv = real(*args)
         if cv.exact is not None and len(cv.word) == 2:
-            cv = dataclasses.replace(cv, exact=cv.exact + Fraction(1, 10**15))
+            exact = cv.exact + Fraction(1, 10**15)
+            cv = CylinderValue(cv.level, cv.word, cv.infinite, exact, cv.value, cv.anchor, cv.algebraic)
         return cv
 
     monkeypatch.setattr(cli, "cylinder_measure", skewed)
@@ -361,14 +361,15 @@ def test_exit_code_internal_invariant(tmp_path):
 
 
 _KOLMOGOROV_FAILURE = """
-import dataclasses, sys
+import sys
 from chainshift import classify, cli, measures
 check, find = measures._check_kolmogorov, classify.find_seed_pair
 def corrupted(shorter, longer, ratio, m):
     w = next(w for w, x in longer.items() if x)
     return check(shorter, {**longer, w: longer[w] + 1}, ratio, m)
 def emptied(*args):
-    return dataclasses.replace(find(*args), u="")
+    s = find(*args)
+    return classify.SeedPair(s.level, s.a, s.b, s.k, "", s.v, s.orientation)
 if sys.argv[1] == "measure":
     measures._check_kolmogorov = corrupted
 else:

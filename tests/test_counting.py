@@ -309,14 +309,14 @@ def test_reverse_seed_invariant_survives_optimize():
     # theta > 1 forces a forward seed; a reverse one reaching the counter must
     # raise the typed invariant error explicitly, also under ``python -O``.
     script = (
-        "import dataclasses\n"
         "from chainshift import *\n"
         "import chainshift.measures as measures\n"
         "sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
         "chain = component_chain(sub)\n"
         "spectral = block_eigenvalues(sub, chain)\n"
         "def reversed_seed(*args):\n"
-        "    return dataclasses.replace(level_seed(*args), orientation='reverse')\n"
+        "    s = level_seed(*args)\n"
+        "    return SeedPair(s.level, s.a, s.b, s.k, s.u, s.v, 'reverse')\n"
         "measures.level_seed = reversed_seed\n"
         "try:\n"
         "    uniformity_check(sub, chain, spectral, 2, 'b', 10)\n"

@@ -2,7 +2,9 @@
 
 ``kernels`` serves only the benchmark probes, so no library module may import
 it, numpy is confined to the float eigen path in ``spectral``, no module
-keeps a cache of its own, and in ``measures`` only the irrational cylinder
+imports ``dataclasses``, ``import chainshift`` leaves ``cli`` (and argparse
+and json) unloaded, since rule parsing lives in ``words``, no module keeps a
+cache of its own, and in ``measures`` only the irrational cylinder
 table reads window eigen data (``spectral.window_vectors``), which every other
 reader takes from that table, while the integer-theta tables, which start from
 the letter level, name no window solve, window substitution or restriction at
@@ -20,6 +22,9 @@ library code or by the benchmark harness: no helper is kept for tests alone.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +76,41 @@ def test_only_spectral_imports_numpy(path):
         return
     names = _imported_modules(path)
     assert not any(n == "numpy" or n.startswith("numpy.") for n in names), path.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_dataclasses(path):
+    # the records are plain slotted classes (``words.Record``): generating
+    # their methods cost about a quarter of the package import
+    names = _imported_modules(path)
+    assert not any(n == "dataclasses" or n.startswith("dataclasses.") for n in names), path.name
+
+
+def test_library_import_leaves_the_cli_out():
+    # ``parse_input`` lives in ``words``: a library caller compiles no
+    # ``cli.py`` and loads neither argparse nor json
+    script = (
+        "import sys\n"
+        "import chainshift\n"
+        "print(sorted({'chainshift.cli', 'argparse', 'json', 'dataclasses'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_one_parser_for_library_and_cli():
+    import chainshift
+    from chainshift import cli, words
+
+    assert chainshift.parse_input is words.parse_input is cli.parse_input
+    assert chainshift.InputSpec is words.InputSpec is cli.InputSpec
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -287,8 +327,10 @@ def test_chain_stores_its_components_only():
     # level index; no cumulative alphabet is stored or rebuilt
     tree = ast.parse((PACKAGE / "structure.py").read_text(encoding="utf-8"))
     chain = next(node for node in tree.body if getattr(node, "name", None) == "ComponentChain")
-    fields = [node.target.id for node in chain.body if isinstance(node, ast.AnnAssign)]
-    assert fields == ["sub", "components", "witness_k", "_memo", "_level_of"]
+    slots = next(
+        node.value for node in chain.body if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__"
+    )
+    assert ast.literal_eval(slots) == ("sub", "components", "witness_k", "_memo", "_level_of")
     assert "itertools.compress" not in _imported_modules(PACKAGE / "structure.py")
 
 

@@ -334,7 +334,7 @@ def test_scaled_powers_converge_to_outer_product():
     aux = build_auxiliary(*chain.restrict(2), 2)
     matrix = auxiliary_matrix(aux)
     words = ld.restricted_words
-    idx = {w: aux.index(w) for w in words}
+    idx = {w: aux.words.index(w) for w in words}
     power = mat_pow(matrix.entries, 30)
     for u in words:
         for v in words:
