@@ -23,15 +23,15 @@ s-run record only with a fixed bottom letter or a pair-seed word. The seed
 check's crossing test also decides the case. Everything is stored on the
 chain (see ``spectral``), each computed once:
 
-- ``("seed_pair", i)``: the seed pair of level i, checked against the level's
-  eigenvalue (``level_seed``). A level with theta > 1 needs nothing more:
-  ``measures`` reads its anchor here, for descriptors, cylinder values,
-  empirical frequencies and uniformity windows.
-- ``("point_seeds", i)``: the periodic-point seeds of level i, the census
-  (none is sought without s or a pair-seed word). Read by the level report.
-- ``("classify_level", i)``: the level report, assembled from the two above
-  plus the case split, read by ``decomposition_report`` and by the measures
-  of levels with theta = 1.
+- ``("seed_pair", i)``: the seed pair of level i (``find_seed_pair``), stored
+  by its first reader and checked against the level's eigenvalue on every
+  read (``level_seed``, ``_level_report``). A level with theta > 1 needs
+  nothing more: ``measures`` reads its anchor here, for descriptors, cylinder
+  values, empirical frequencies and uniformity windows.
+- ``("classify_level", i)``: the level report, assembled from the seed pair,
+  the case split and the periodic-point census (none is sought without s or
+  a pair-seed word), read by ``decomposition_report`` and by the measures of
+  levels with theta = 1. The census runs once per level, inside it.
 - ``("two_words",)``: for every level i, among the two-letter words new at
   that level (in L_2(i) but not in L_2(i-1)), the least forward crossing word
   (a letter below the level, then a new one), the least backward one (the
@@ -50,10 +50,12 @@ chain (see ``spectral``), each computed once:
   of its first letter on the letter's own level.
 - ``("fixed_bottom",)``: the fixed bottom letter s, or None.
 
-No level builds a set of its letters: a letter's level is read from the
-chain's letter -> level index (``chain._level_of``), and no word longer than
-two is looked up. Only the periodicity probe at level 3 needs a level
-substitution of its own, ``chain.restrict(2)``.
+Every key is stored through ``ComponentChain.memo``; nothing here reads the
+stored dict itself. No level builds a set of its letters: a letter's level is
+read from the chain's letter -> level index (``chain._level_of``), and no word
+longer than two is looked up. Only the periodicity probe at level 3 needs a
+level substitution of its own, the restriction of the system to A_2; it
+builds no level chain.
 """
 
 from __future__ import annotations
@@ -528,12 +530,7 @@ def level_seed(
     needs nothing else from the classification: its measure's anchor is
     ``seed.b``, and its kind comes from the spectrum.
     """
-    return spectral.memo(sub, chain, ("seed_pair", i), _level_seed, sub, chain, spectral, i)
-
-
-def _level_seed(sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int) -> SeedPair:
-    """``find_seed_pair``, raising unless the seed's shape agrees with theta."""
-    seed = find_seed_pair(sub, chain, i)
+    seed = spectral.memo(sub, chain, ("seed_pair", i), find_seed_pair, sub, chain, i)
     _check_seed(sub, chain, seed, spectral.theta_is_one(i))
     return seed
 
@@ -578,10 +575,10 @@ def _level_report(
     s: str | None, pair_words: list[str],
 ) -> LevelReport:
     """Level 2 <= i <= n on a checked profile, from the fixed bottom letter s and
-    the level's pair-seed words; a seed pair found here is stored once checked."""
-    seed = chain._memo.get(("seed_pair", i)) or find_seed_pair(sub, chain, i)
+    the level's pair-seed words; the seed pair is the stored one, checked on
+    every read as in ``level_seed``."""
+    seed = chain.memo(("seed_pair", i), find_seed_pair, sub, chain, i)
     crossing = _check_seed(sub, chain, seed, spectral.theta_is_one(i))
-    chain._memo[("seed_pair", i)] = seed
     report = LevelReport(level=i, case="", seed=seed)
     if seed.k > 1:
         report.notes.append(f"analysis uses the power {seed.k} of the substitution")
@@ -611,14 +608,13 @@ def _level_report(
         report.case = "dense_excursions" if crossing else "isolated_quasi_fixed"
         report.quasi_fixed = QuasiFixedSeed(seed, not crossing, crossing, not crossing)
         report.anchor, report.x_i_nonempty = seed.b, crossing
-    if report.case != "level_collapses":  # no census without s or a pair word
-        census = (_periodic_point_seeds, sub, chain, i) if s is not None or pair_words else (list,)
-        report.point_seeds = chain.memo(("point_seeds", i), *census)
+    if report.case != "level_collapses" and (s is not None or pair_words):  # else no census
+        report.point_seeds = _periodic_point_seeds(sub, chain, i)
     if report.case == "single_fixed_point" and not any(
         p.kind == "fixed_letter_power" for p in report.point_seeds
     ):
         raise InternalInvariantError(f"level {i}: a single fixed point without a fixed-letter power seed")
-    if i == 3 and _is_single_periodic_orbit(chain.restrict(2)[0]):
+    if i == 3 and _is_single_periodic_orbit(sub.restrict(chain.alphabet_at(2))):
         report.notes.append("unresolved: whether this level's closure could itself be a single "
                             "shift-periodic orbit of period three")
     return report

@@ -2,9 +2,10 @@
 
 A rule file is read by ``words.parse_input``: one rule per line,
 ``X -> IMAGE``; ``#`` starts a comment, blank lines are ignored, and the
-alphabet order is the rule declaration order. Exit codes: 0 ok, 2 parse
-error, 3 no primitive component chain, 4 domain error, 5 budget exceeded,
-6 internal invariant violated (every library check raises
+alphabet order is the rule declaration order. Exit codes: 0 ok, 2 an
+unreadable file, else the ``exit_code`` of the library error raised (see
+``errors``): 2 parse error, 3 no primitive component chain, 4 domain error,
+5 budget exceeded, 6 internal invariant violated (every library check raises
 ``InternalInvariantError``). An error prints a JSON
 ``{"error": {code, kind, message}}`` on stdout and one line on stderr.
 """
@@ -21,26 +22,11 @@ from fractions import Fraction
 
 from .auxiliary import auxiliary_matrix, build_auxiliary
 from .classify import DecompositionReport, decomposition_report
-from .errors import (
-    BudgetExceeded,
-    ChainshiftError,
-    DomainError,
-    InternalInvariantError,
-    NoPrimitiveChainError,
-    ParseError,
-)
+from .errors import BudgetExceeded, ChainshiftError, DomainError, NoPrimitiveChainError, ParseError
 from .measures import cylinder_measure, empirical_frequency, level_measure_table
 from .spectral import SpectralProfile, block_eigenvalues, pf_vectors
 from .structure import component_chain, incidence_matrix
-from .words import LANGUAGE_BUDGET, InputSpec, apply, language, parse_input
-
-EXIT_CODES = {
-    ParseError: 2,
-    NoPrimitiveChainError: 3,
-    DomainError: 4,
-    BudgetExceeded: 5,
-    InternalInvariantError: 6,
-}
+from .words import InputSpec, apply, language, parse_input
 
 
 def _value_str(x):
@@ -155,11 +141,7 @@ def cmd_analyze(spec: InputSpec, args) -> dict:
 
 def cmd_language(spec: InputSpec, args) -> dict:
     sub = spec.substitution
-    cap = LANGUAGE_BUDGET // max(args.m, 1)  # m < 1 is refused by ``language``
-    lang = language(sub, args.m, cap=cap)
-    if len(lang) > cap:
-        raise BudgetExceeded(f"language at m={args.m} exceeds {LANGUAGE_BUDGET} letters")
-    words = sorted(lang, key=sub.alphabet.word_key)
+    words = sorted(language(sub, args.m), key=sub.alphabet.word_key)
     return {"m": args.m, "count": len(words), "words": words}
 
 
@@ -344,7 +326,6 @@ def cmd_check(spec: InputSpec, args) -> dict:
                 continue
             if "cylinders" not in table:
                 continue
-            sub_i, _ = chain.restrict(i)
             two_words = {w for w, e in chain.word_levels(2).items() if e <= i}
             for v in sorted(w for w, e in chain.word_levels(1).items() if e <= i):
                 base = cylinder_measure(sub, chain, spectral, i, v)
@@ -352,7 +333,7 @@ def cmd_check(spec: InputSpec, args) -> dict:
                     continue
                 exts = [
                     cylinder_measure(sub, chain, spectral, i, v + a)
-                    for a in sub_i.alphabet
+                    for a in chain.alphabet_at(i)
                     if v + a in two_words
                 ]
                 if base.exact is not None and all(e.exact is not None for e in exts):
@@ -428,10 +409,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChainshiftError as exc:
-        code = 4
-        for klass, value in EXIT_CODES.items():
-            if isinstance(exc, klass):
-                code = value
+        code = exc.exit_code
         payload = {"code": code, "kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NoPrimitiveChainError):
             payload["diagnostic"] = exc.diagnostic

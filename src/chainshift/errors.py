@@ -1,27 +1,34 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes, so every error raised by library
-code should derive from one of the classes below.
+Every error raised by library code derives from one of the classes below,
+and each class carries the process exit code the CLI returns for it
+(``exit_code``), inherited by its subclasses.
 """
 
 from __future__ import annotations
 
 
 class ChainshiftError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; it and ``DomainError`` exit 4."""
+
+    exit_code = 4
 
 
 class ParseError(ChainshiftError):
-    """Malformed substitution input text (exit code 2)."""
+    """Malformed substitution input text."""
+
+    exit_code = 2
 
 
 class NoPrimitiveChainError(ChainshiftError):
-    """The substitution has no chain of primitive components (exit code 3).
+    """The substitution has no chain of primitive components.
 
     ``diagnostic`` names the obstruction: either a pair of strongly connected
     components that are incomparable under reachability, or a component whose
     diagonal block is not primitive.
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, diagnostic: dict | None = None):
         super().__init__(message)
@@ -29,7 +36,7 @@ class NoPrimitiveChainError(ChainshiftError):
 
 
 class DomainError(ChainshiftError):
-    """Invalid argument for an otherwise well-formed system (exit code 4)."""
+    """Invalid argument for an otherwise well-formed system."""
 
 
 class WordNotInLevelLanguage(DomainError):
@@ -49,8 +56,12 @@ class ThetaNotAboveOne(DomainError):
 
 
 class BudgetExceeded(ChainshiftError):
-    """A streaming or expansion budget was exhausted (exit code 5)."""
+    """A streaming or expansion budget was exhausted."""
+
+    exit_code = 5
 
 
 class InternalInvariantError(ChainshiftError):
-    """A computed result failed its own check (exit code 6)."""
+    """A computed result failed its own check."""
+
+    exit_code = 6

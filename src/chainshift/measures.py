@@ -19,8 +19,9 @@ levels, whose descriptors count its point seeds. A table maps exactly the words 
 to ``(infinite, exact, float, algebraic note)``. ``_Level.table`` alone
 builds it and every reader takes it from there: a word of a built table is
 one lookup, made before any check, a word outside the language still builds
-its length's table, ``level_measure_table`` lists the keys and the
-uniformity target is a ratio of the values.
+its length's table, ``level_measure_table`` lists the keys, and the
+uniformity windows test membership on the keys and take their target as a
+ratio of the values.
 
 Every table reads one level solve (``spectral._level_vectors``): the left
 vector over the level's blocks, and on an infinite level the right vector
@@ -40,8 +41,9 @@ left one. A failed internal check raises ``InternalInvariantError``.
 Occurrence counts, along the anchor's expansion and in return windows of a
 quasi-fixed point, are exact and never expand a word: they join the letter
 blocks sigma^j(x) of the level, held as lengths, counts and ends
-(``_Blocks``), and test membership on the word-level index of the level's
-own chain.
+(``_Blocks``). Empirical frequencies test membership on the word-level index
+of the level's own chain, ``chain.restrict(i)``; the return windows count
+over the level's substitution alone and build no level chain.
 """
 
 from __future__ import annotations
@@ -696,12 +698,14 @@ def uniformity_check(
     if not any(c in new for c in v):
         raise DomainError("the word must contain a new letter of the level")
     m = len(v)
-    sub_i, chain_i = chain.restrict(i)
-    if v not in chain_i.word_levels(m):
+    # the table's keys are exactly L_m(i), and as in ``cylinder_measure`` a
+    # letter outside the level builds none; mu(v) over the mass of the
+    # m-words that start with a new letter, none of them infinite: exact
+    # where the table is, else correctly rounded
+    level = _level(sub, chain, spectral, i)
+    values = level.table(sub, chain, spectral, m) if level.letters.issuperset(v) else {}
+    if v not in values:
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
-    # mu(v) over the mass of the m-words that start with a new letter, none
-    # of them infinite: exact where the table is, else correctly rounded
-    values = _level(sub, chain, spectral, i).table(sub, chain, spectral, m)
     _, exact, value, _ = values[v]
     if exact is not None:
         target = float(exact / sum(e[1] for w, e in values.items() if w[0] in new))
@@ -712,6 +716,7 @@ def uniformity_check(
 
     # New-letter counts of sigma^t, t = 0..K, beside the blocks' lengths. K
     # grows by k until sigma^K(b) = (lower prefix) R[:covered] holds the visits.
+    sub_i = sub.restrict(chain.alphabet_at(i))
     b, letters = seed.b, sub_i.alphabet.letters
     blocks, visits = _Blocks(sub_i, v), [{c: int(c in new) for c in letters}]
     covered = 1

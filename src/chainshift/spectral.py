@@ -40,8 +40,8 @@ library callers.
 Like everything else derived from a chain, these are stored on the chain
 (``ComponentChain.memo``): ``block_eigenvalues`` under ``("spectral",)``,
 ``pf_vectors`` under ``("pf_right", m)`` and ``limit_data`` under
-``("limit_data", m, i)``; ``classify`` adds seed pairs, point seeds and level
-reports, ``measures`` one record per level, ``("level", i)``, with its
+``("limit_data", m, i)``; ``classify`` adds seed pairs and level reports,
+``measures`` one record per level, ``("level", i)``, with its
 descriptor and cylinder tables. Only ``pf_vectors`` solves the right vector
 over the windows. ``SpectralProfile.memo`` stores on the chain it is given,
 which must have the profile's substitution and components (else

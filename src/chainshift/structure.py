@@ -15,14 +15,17 @@ is not full is named as imprimitive. Each letter's successors (the distinct
 letters of its image) are built once, as a tuple of letter indices in
 increasing order, and Tarjan's search, the reachability closure and the
 witness rows all read them; the order fixes which components Tarjan emits
-first, and so the pair an incomparability diagnostic names. Boolean matrices
-are kept as one int bitset per row: row a of A·P is the OR of the rows P[c]
-over the successors c of a, so a power step costs O(n·|σ|) big-int ORs. The
-search steps only the rows that are not yet full, in place, from a snapshot
-of the previous power. Once the order is total every level is closed, so row
-a of a power never holds a letter above a's level, and a row is finished
-exactly when it equals the mask of the letters on or below that level: one
-int comparison.
+first, and so the pair an incomparability diagnostic names. Tarjan emits the
+components in reverse topological order (Tarjan, SIAM J. Comput. 1, 1972),
+so the order is total iff each component reaches the one emitted before it,
+and the levels are then the components in emission order, bottom first.
+Boolean matrices are kept as one int bitset per row: row a of A·P is the OR
+of the rows P[c] over the successors c of a, so a power step costs O(n·|σ|)
+big-int ORs. The search steps only the rows that are not yet full, in place,
+from a snapshot of the previous power. Once the order is total every level
+is closed, so row a of a power never holds a letter above a's level, and a
+row is finished exactly when it equals the mask of the letters on or below
+that level: one int comparison.
 
 A chain is its components, the letters each level adds in declaration
 order, and one letter -> level index built from them: ``level_of`` reads it,
@@ -35,7 +38,8 @@ profile reads) use ``str.count`` on the images (``letter_counts``).
 
 Everything derived from a chain (word levels, window substitutions, eigen
 data, level reports) is stored on it by ``ComponentChain.memo`` and lives
-exactly as long as the chain; no module keeps a cache. Nothing stored refers
+exactly as long as the chain; no module keeps a cache, and no module but
+this one reads or writes the stored dict, ``_memo``. Nothing stored refers
 back to the chain, so reference counting frees it all with the chain.
 """
 
@@ -270,16 +274,12 @@ def component_chain(sub: Substitution) -> ComponentChain:
             for w in succ[v]:
                 r |= reach[comp_of[w]]
         reach[ci] = r
-    # Reachability is a total order iff, sorted by reach size, every
-    # component reaches the one before it; only a failure needs the pairwise
-    # scan, which names the first incomparable pair.
-    order = sorted(range(ncomp), key=lambda ci: reach[ci].bit_count())
-    if not all((reach[b] >> a) & 1 for a, b in zip(order, order[1:])):
+    # Total iff each component reaches the one emitted before it (see the
+    # module docstring). Only a failure needs the pairwise scan, which names
+    # the first incomparable pair; no component reaches a later one.
+    if not all((reach[ci] >> (ci - 1)) & 1 for ci in range(1, ncomp)):
         a, b = next(
-            (a, b)
-            for a in range(ncomp)
-            for b in range(a + 1, ncomp)
-            if not (reach[b] >> a) & 1 and not (reach[a] >> b) & 1
+            (a, b) for a in range(ncomp) for b in range(a + 1, ncomp) if not (reach[b] >> a) & 1
         )
         raise NoPrimitiveChainError(
             "strongly connected components are incomparable",
@@ -294,8 +294,7 @@ def component_chain(sub: Substitution) -> ComponentChain:
     components = []  # the letters each level adds, in declaration order
     need = [0] * n  # bitset of the letters on or below each letter's level
     mask = 0
-    for ci in order:
-        comp = sorted(sccs[ci])
+    for comp in map(sorted, sccs):
         for v in comp:
             mask |= 1 << v
         for v in comp:
@@ -325,7 +324,7 @@ def component_chain(sub: Substitution) -> ComponentChain:
         if not unfinished:
             return ComponentChain(sub, tuple(components), k)
         todo = unfinished
-    blocks = ((comp, sum(1 << v for v in comp)) for comp in map(sccs.__getitem__, order))
+    blocks = ((comp, sum(1 << v for v in comp)) for comp in sccs)
     comp = next(comp for comp, block in blocks if any(block & ~power[v] for v in comp))
     raise NoPrimitiveChainError(
         "a diagonal block is not primitive",

@@ -71,6 +71,8 @@ class FrozenRecord(Record):
     __slots__ = ()
 
     def __eq__(self, other):
+        if other is self:  # the common case (``sub == chain.sub``) reads no field
+            return True
         return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
@@ -273,14 +275,19 @@ def language(sub: Substitution, m: int, cap: int | None = None) -> frozenset[str
     which matches reading the power range as n >= 1: a letter that is never
     reproduced by an image does not appear in the language.
 
-    With ``cap``, the closure stops once it holds more than ``cap`` words: the
-    result is L_m when |L_m| <= cap, and otherwise more than ``cap`` of its
-    words.
+    The listing holds at most ``LANGUAGE_BUDGET`` letters: the closure stops
+    once it holds more than ``LANGUAGE_BUDGET // m`` words and raises
+    ``BudgetExceeded``. With a smaller ``cap`` it stops once it holds more
+    than ``cap`` words: the result is L_m when |L_m| <= cap, and otherwise
+    more than ``cap`` of its words.
     """
     if m < 1:
         raise DomainError("factor length must be >= 1")
+    budget = LANGUAGE_BUDGET // m
     lang: set[str] = set()
-    _AlignedClosure(sub, m).close(lang, sub.alphabet, cap)
+    _AlignedClosure(sub, m).close(lang, sub.alphabet, budget if cap is None else min(cap, budget))
+    if len(lang) > budget:
+        raise BudgetExceeded(f"language at m={m} exceeds {LANGUAGE_BUDGET} letters")
     return frozenset(lang)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 import oracles
 from chainshift import CylinderValue, InternalInvariantError, ParseError, parse_input
-from chainshift import cli
+from chainshift import cli, errors
 from chainshift.cli import main
 from conftest import CORPUS_RULES
 
@@ -317,6 +318,56 @@ def test_irrational_theta_floats_keep_their_bytes(tmp_path, capsys):
 
 
 # -- exit codes -------------------------------------------------------------------
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the exit-code list of README's "Command line" section, by error class
+README_CODES = {
+    "parse error": errors.ParseError,
+    "no primitive component chain": errors.NoPrimitiveChainError,
+    "domain error": errors.DomainError,
+    "budget exceeded": errors.BudgetExceeded,
+    "internal invariant violated": errors.InternalInvariantError,
+}
+ERROR_CLASSES = sorted(
+    (k for k in vars(errors).values() if isinstance(k, type) and issubclass(k, errors.ChainshiftError)),
+    key=lambda k: k.__name__,
+)
+
+
+def _readme_codes() -> dict[type, int]:
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"Exit codes: 0 ok, (.*?) \(", text).group(1)
+    codes = {}
+    for entry in listed.split(", "):
+        code, phrase = entry.split(" ", 1)
+        codes[README_CODES[phrase]] = int(code)
+    return codes
+
+
+def test_error_classes_carry_the_readme_exit_codes():
+    # each class answers the code README lists for it or for its nearest
+    # listed base; a domain error's subclasses all exit 4, and so does the
+    # base class, the default for a library error no other class names
+    codes = _readme_codes()
+    assert set(codes) == set(README_CODES.values())
+    for klass in ERROR_CLASSES:
+        listed = next((codes[base] for base in klass.__mro__ if base in codes), 4)
+        assert klass.exit_code == listed, klass.__name__
+    assert {k.exit_code for k in ERROR_CLASSES if issubclass(k, errors.DomainError)} == {4}
+    assert errors.ChainshiftError.exit_code == 4
+
+
+@pytest.mark.parametrize("klass", ERROR_CLASSES, ids=[k.__name__ for k in ERROR_CLASSES])
+def test_main_exits_with_the_raised_class_code(klass, tmp_path, capsys, monkeypatch):
+    def raising(spec, args):
+        raise klass("raised on purpose")
+
+    monkeypatch.setattr(cli, "cmd_language", raising)
+    path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
+    code, out = _run(capsys, "language", path, "-m", "2")
+    assert code == out["error"]["code"] == klass.exit_code
+    assert out["error"]["kind"] == klass.__name__ and out["error"]["message"] == "raised on purpose"
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

@@ -10,9 +10,12 @@ reader takes from that table, while the integer-theta tables, which start from
 the letter level, name no window solve, window substitution or restriction at
 all; ``measures`` does not import ``auxiliary``, and ``spectral`` keeps one
 left-vector solve per level (no ``pf_left``, ``LeftVector`` or
-``level_profile``). ``classify`` restricts the chain only for the level-2
-periodicity probe and reads the word -> level index only at length 2: its
-s-run facts come from one record per chain. In ``structure`` the witness
+``level_profile``). ``classify`` builds no level chain and reads the
+word -> level index only at length 2: its s-run facts come from one record
+per chain. No module but ``structure`` names a chain's stored dict,
+``_memo``; a level chain (``chain.restrict(i)``) is built only by
+``measures.empirical_frequency`` and ``spectral._level_windows``; and
+``cli`` keeps no exit-code table, since each error class carries its own. In ``structure`` the witness
 search alone decides primitivity, and a chain keeps its components, the
 letters each level adds: the cumulative alphabets are derived, and only
 ``cli._chain_json`` reads them. ``exact`` keeps one elimination,
@@ -296,11 +299,92 @@ def _calls(path: Path, name: str) -> list[str]:
     ]
 
 
-def test_classify_restricts_only_for_the_periodicity_probe():
-    # the s-run facts of every level come from one ("s_runs",) record
+def test_classify_builds_no_level_chain():
+    # the s-run facts of every level come from one ("s_runs",) record, and
+    # the periodicity probe closes the system restricted to A_2 alone
     path = PACKAGE / "classify.py"
-    assert _calls(path, "restrict") == ["chain.restrict(2)"]
-    assert _calls(path, "_is_single_periodic_orbit") == ["_is_single_periodic_orbit(chain.restrict(2)[0])"]
+    assert _calls(path, "restrict") == ["sub.restrict(chain.alphabet_at(2))"]
+    assert _calls(path, "_is_single_periodic_orbit") == [
+        "_is_single_periodic_orbit(sub.restrict(chain.alphabet_at(2)))"
+    ]
+
+
+def _names(source: str) -> set[str]:
+    """Every name, attribute and string constant in ``source``, docstrings aside."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        body = getattr(node, "body", None)
+        if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
+            if isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+                body[0].value.value = None  # a docstring may name anything
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_structure_touches_the_memo_dict(path):
+    # ``ComponentChain.memo`` is the one door to what a chain stores
+    if path.name == "structure.py":
+        return
+    assert "_memo" not in _names(path.read_text(encoding="utf-8")), path.name
+
+
+def test_memo_guard_sees_every_form():
+    probe = (
+        "def f(chain):\n"
+        "    \"\"\"Reads ``_memo``.\"\"\"\n"
+        "    return chain.memo(('k',), g)\n"
+    )
+    assert "_memo" not in _names(probe)
+    for reach in ("chain._memo.get(k)", "getattr(chain, '_memo')", "vars()['_memo']"):
+        assert "_memo" in _names(probe + f"def g(chain):\n    return {reach}\n"), reach
+
+
+def _level_chain_callers(source: str) -> set[str]:
+    """The module-level definitions of ``source`` that call ``<...>chain.restrict``."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if hasattr(node, "name")
+        and any(
+            isinstance(inner, ast.Call) and ast.unparse(inner.func).endswith("chain.restrict")
+            for inner in ast.walk(node)
+        )
+    }
+
+
+def test_level_chains_only_where_a_level_index_is_read():
+    # a level chain (``chain.restrict(i)``) is built only by the readers of
+    # its own word index or windows; every other reader takes A_i from
+    # ``chain.alphabet_at(i)``
+    callers = {
+        (path.name, name)
+        for path in MODULES
+        if path.name != "structure.py"
+        for name in _level_chain_callers(path.read_text(encoding="utf-8"))
+    }
+    assert callers == {("measures.py", "empirical_frequency"), ("spectral.py", "_level_windows")}
+    probe = "def f(sub, chain):\n    return sub.restrict(chain.alphabet_at(2)), self.chain.restrict(1)\n"
+    assert _level_chain_callers(probe) == {"f"}
+    assert not _level_chain_callers("def g(sub, chain):\n    return sub.restrict(chain.alphabet_at(2))\n")
+
+
+def test_cli_defines_no_exit_code_table():
+    # every error class carries its code (``errors``); the CLI reads it
+    from chainshift import errors
+
+    classes = {name for name, k in vars(errors).items() if isinstance(k, type) and issubclass(k, Exception)}
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = {getattr(key, "id", None) for key in node.keys}
+            assert not keys & classes, ast.unparse(node)
+    assert "EXIT_CODES" not in _names((PACKAGE / "cli.py").read_text(encoding="utf-8"))
 
 
 def test_classify_reads_only_the_two_letter_index():

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from chainshift import (
     measure_type,
     uniformity_check,
 )
-from chainshift import cli, measures, words
+from chainshift import measures, words
 from conftest import CORPUS_RULES, make
 from test_pipeline_fuzz import chain_systems
 
@@ -395,7 +396,7 @@ def test_lower_levels_read_their_own_chains(rules):
 
 def test_ancestor_tables_stop_at_the_letter_budget(monkeypatch):
     # ``language`` and the ancestor tables share one budget
-    assert cli.LANGUAGE_BUDGET is words.LANGUAGE_BUDGET is measures.LANGUAGE_BUDGET
+    assert words.LANGUAGE_BUDGET is measures.LANGUAGE_BUDGET
     setup = _setup("golden_tower")
     rules = {c: CORPUS_RULES["golden_tower"][c] for c in "abcd"}
     word = oracles.power(rules, "c", 5)[:40]
@@ -589,6 +590,28 @@ def _uniformity_levels():
 
 
 UNIFORMITY_LEVELS = _uniformity_levels()
+
+
+@pytest.mark.parametrize(
+    "name, i", UNIFORMITY_LEVELS, ids=[f"{n}-{i}" for n, i in UNIFORMITY_LEVELS]
+)
+def test_uniformity_refuses_words_outside_the_level(name, i):
+    # membership is a key test on the level's cylinder table: a word with a
+    # new letter that L_m(i) lacks is refused, over the level's letters or
+    # with a letter of a higher level or none
+    setup = _setup(name)
+    sub, chain, _ = setup
+    new = set(chain.new_letters(i))
+    outside = []
+    for letters in (chain.alphabet_at(i), sub.alphabet.letters + ("z",)):
+        for m in (2, 3):
+            level = {w for w, e in chain.word_levels(m).items() if e <= i}
+            words = ("".join(w) for w in itertools.product(letters, repeat=m))
+            outside += [w for w in words if new & set(w) and w not in level][:1]
+    assert outside
+    for v in outside:
+        with pytest.raises(WordNotInLevelLanguage, match=f"not in the level-{i} language"):
+            uniformity_check(*setup, i, v, 10)
 
 
 @pytest.mark.parametrize(

@@ -224,6 +224,21 @@ def test_language_refused_past_its_cap():
     assert 1000 < len(partial) < len(whole) and partial < whole
 
 
+def test_language_budget_holds_without_a_cap(monkeypatch):
+    # every listing stops at LANGUAGE_BUDGET letters, 2,000 words at m = 200
+    # here against golden_tower's 3,931; a smaller cap still stops early
+    # without raising
+    sub = make("golden_tower")
+    monkeypatch.setattr(words, "LANGUAGE_BUDGET", 200 * 2000)
+    with pytest.raises(BudgetExceeded, match="^language at m=200 exceeds 400000 letters$"):
+        language(sub, 200)
+    with pytest.raises(BudgetExceeded):
+        language(sub, 200, cap=3000)
+    partial = language(sub, 200, cap=1000)
+    assert 1000 < len(partial) <= 2000
+    assert language(sub, 20) == oracles.language_closure(CORPUS_RULES["golden_tower"], 20)
+
+
 def _new_letters(chain) -> list[tuple[str, ...]]:
     return [chain.new_letters(i) for i in range(1, chain.n + 1)]
 
