@@ -25,7 +25,7 @@ from .classify import DecompositionReport, decomposition_report
 from .errors import BudgetExceeded, ChainshiftError, DomainError, NoPrimitiveChainError, ParseError
 from .measures import cylinder_measure, empirical_frequency, level_measure_table
 from .spectral import SpectralProfile, block_eigenvalues, pf_vectors
-from .structure import component_chain, incidence_matrix
+from .structure import component_chain, incidence_matrix, mat_mul
 from .words import InputSpec, apply, language, parse_input
 
 
@@ -259,12 +259,21 @@ def cmd_check(spec: InputSpec, args) -> dict:
             level = set(chain.alphabet_at(i))
             for c in level:
                 _require(set(sub.image(c)) <= level, f"level {i} not closed at {c!r}")
-        matrix = incidence_matrix(sub)
-        power = matrix.power(chain.witness_k)
-        for r, a in enumerate(matrix.letters):
-            for c, b in enumerate(matrix.letters):
-                if chain.level_of(a) >= chain.level_of(b):
-                    _require(power[r][c] > 0, f"witness power misses {a!r} -> {b!r}")
+        matrix, k = incidence_matrix(sub), chain.witness_k
+        previous = matrix.power(k - 1)
+        power = mat_mul(previous, matrix.entries)
+        letters = matrix.letters
+        required = [
+            (r, c)
+            for r, a in enumerate(letters)
+            for c, b in enumerate(letters)
+            if chain.level_of(a) >= chain.level_of(b)
+        ]
+        for r, c in required:
+            _require(power[r][c] > 0, f"witness power misses {letters[r]!r} -> {letters[c]!r}")
+        # the least such power: the one before it misses a required entry
+        least = k == 1 or not all(previous[r][c] for r, c in required)
+        _require(least, f"power {k - 1} is already a witness")
 
     checks.append(_check("chain_closure_and_witness", chain_closure))
 

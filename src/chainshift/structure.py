@@ -19,13 +19,25 @@ first, and so the pair an incomparability diagnostic names. Tarjan emits the
 components in reverse topological order (Tarjan, SIAM J. Comput. 1, 1972),
 so the order is total iff each component reaches the one emitted before it,
 and the levels are then the components in emission order, bottom first.
-Boolean matrices are kept as one int bitset per row: row a of A·P is the OR
-of the rows P[c] over the successors c of a, so a power step costs O(n·|σ|)
-big-int ORs. The search steps only the rows that are not yet full, in place,
-from a snapshot of the previous power. Once the order is total every level
-is closed, so row a of a power never holds a letter above a's level, and a
-row is finished exactly when it equals the mask of the letters on or below
-that level: one int comparison.
+Boolean matrices are kept as int bitsets, one bit per letter index in each
+row. Once the order is total every level is closed, so row a of a power
+never holds a letter above a's level, and a row is finished exactly when it
+equals the mask of the letters on or below that level: one int comparison.
+The search steps the powers one of two ways. Row by row, row a of A·P is the
+OR of the rows P[c] over the successors c of a, so a step costs O(n·|σ|)
+big-int ORs; only the rows that are not yet full are stepped, in place, from
+a snapshot of the previous power. Packed, A^k is one int that holds each
+letter's row at its slot, its place in level order (the components in
+emission order, each sorted), n bits per slot. An edge a -> c moves row c by
+the offset slot(a) - slot(c), so one step is, for each offset d, the AND of
+the power with a mask of the edges' source slots, shifted by d·n bits: O(D)
+big-int operations on n² bits for D distinct offsets, and the search stops
+when the power equals the packed ``need`` masks. A chain with E edges is
+packed when 4·D <= E and D <= 8. A tower has D = 2 and E = 2n - 1, and its
+steps then cost a few shifts each where the row search ORs about n²/2 rows
+in all. On small chains, and on chains with many offsets, building and
+stepping D masks of n² bits costs more than the rows, so they keep the row
+search (every corpus system has 4·D > E).
 
 A chain is its components, the letters each level adds in declaration
 order, and one letter -> level index built from them: ``level_of`` reads it,
@@ -54,12 +66,19 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def mat_mul(a, b) -> IntMatrix:
-    n, mid, m = len(a), len(b), len(b[0]) if b else 0
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(a[i][k] * bt[j][k] for k in range(mid)) for j in range(m))
-        for i in range(n)
-    )
+    """The integer product a·b, summed over the nonzero entries of both factors
+    only: incidence and window matrices are mostly zeros."""
+    m = len(b[0]) if b else 0
+    b_entries = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    product = []
+    for row in a:
+        out = [0] * m
+        for x, entries in zip(row, b_entries):
+            if x:
+                for j, y in entries:
+                    out[j] += x * y
+        product.append(tuple(out))
+    return tuple(product)
 
 
 def mat_identity(n: int) -> IntMatrix:
@@ -293,25 +312,48 @@ def component_chain(sub: Substitution) -> ComponentChain:
         )
     components = []  # the letters each level adds, in declaration order
     need = [0] * n  # bitset of the letters on or below each letter's level
-    mask = 0
+    slot = [0] * n  # each letter's place in level order, bottom first
+    mask = placed = 0
     for comp in map(sorted, sccs):
         for v in comp:
             mask |= 1 << v
+            slot[v] = placed
+            placed += 1
         for v in comp:
             need[v] = mask
         components.append(tuple([letters[v] for v in comp]))
     # Uniform witness power: the least k at which every row of A^k holds
     # every letter on or below its level. It also decides primitivity (see
     # the module docstring): past the bound, the lowest component whose
-    # diagonal block of the last power is not full is imprimitive. Only the
-    # unfinished rows are stepped and tested: a finished row holds every
-    # letter reachable from its letter, each of which has a predecessor
-    # among them, so the row is the same at every later power, and the
-    # unfinished rows can read it from the stored list. A row never holds a
-    # letter above its level, so it is finished when it equals its mask.
+    # diagonal block of the last power is not full is imprimitive. The
+    # powers are stepped whole when the edges fall into few slot offsets.
     bound = n + max((len(comp) - 1) ** 2 + 1 for comp in sccs)
-    power = [1 << v for v in range(n)]  # A^0
-    todo = list(range(n))
+    offsets = len({slot[a] - slot[c] for a in range(n) for c in succ[a]})
+    if 4 * offsets <= sum(map(len, succ)) and offsets <= 8:
+        k, power = _packed_witness(succ, slot, need, bound)
+    else:
+        k, power = _row_witness(succ, need, bound)
+    if k:
+        return ComponentChain(sub, tuple(components), k)
+    blocks = ((comp, sum(1 << v for v in comp)) for comp in sccs)
+    comp = next(comp for comp, block in blocks if any(block & ~power[v] for v in comp))
+    raise NoPrimitiveChainError(
+        "a diagonal block is not primitive",
+        {"kind": "imprimitive_block", "component": sorted(letters[v] for v in comp)},
+    )
+
+
+def _row_witness(succ: list[tuple[int, ...]], need: list[int], bound: int):
+    """The least k <= ``bound`` at which every row of A^k equals its ``need``
+    mask, with the rows of A^k; (0, the rows of A^bound) if there is none.
+
+    Only the unfinished rows are stepped and tested: a finished row holds
+    every letter reachable from its letter, each of which has a predecessor
+    among them, so the row is the same at every later power, and the
+    unfinished rows can read it from the stored list.
+    """
+    power = [1 << v for v in range(len(succ))]  # A^0
+    todo = list(range(len(succ)))
     for k in range(1, bound + 1):
         previous, unfinished = power.copy(), []
         for a in todo:
@@ -322,14 +364,37 @@ def component_chain(sub: Substitution) -> ComponentChain:
             if row != need[a]:
                 unfinished.append(a)
         if not unfinished:
-            return ComponentChain(sub, tuple(components), k)
+            return k, power
         todo = unfinished
-    blocks = ((comp, sum(1 << v for v in comp)) for comp in sccs)
-    comp = next(comp for comp, block in blocks if any(block & ~power[v] for v in comp))
-    raise NoPrimitiveChainError(
-        "a diagonal block is not primitive",
-        {"kind": "imprimitive_block", "component": sorted(letters[v] for v in comp)},
-    )
+    return 0, power
+
+
+def _packed_witness(succ: list[tuple[int, ...]], slot: list[int], need: list[int], bound: int):
+    """``_row_witness`` on A^k held as one int, row a at bits slot[a]·n on;
+    the rows are unpacked only when there is no witness.
+
+    An edge a -> c moves row c by d = slot[a] - slot[c] slots, so one step
+    ORs, over the offsets d, the rows of the edges' sources at d shifted by
+    d·n bits. Row bits stay letter indices.
+    """
+    n = len(succ)
+    full = (1 << n) - 1
+    sources: dict[int, int] = {}  # offset -> bit slot[c]·n of each source c
+    for a, cs in enumerate(succ):
+        for c in cs:
+            d = slot[a] - slot[c]
+            sources[d] = sources.get(d, 0) | 1 << slot[c] * n
+    moves = [(bits * full, d * n) for d, bits in sources.items()]
+    power = sum(1 << v << slot[v] * n for v in range(n))  # A^0
+    target = sum(need[v] << slot[v] * n for v in range(n))
+    for k in range(1, bound + 1):
+        step = 0
+        for rows, shift in moves:
+            step |= (power & rows) << shift if shift >= 0 else (power & rows) >> -shift
+        power = step
+        if power == target:
+            return k, None
+    return 0, [power >> slot[v] * n & full for v in range(n)]
 
 
 def is_empty_bottom(sub: Substitution, chain: ComponentChain) -> bool:

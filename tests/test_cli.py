@@ -10,10 +10,17 @@ from pathlib import Path
 import pytest
 
 import oracles
-from chainshift import CylinderValue, InternalInvariantError, ParseError, parse_input
+from chainshift import (
+    ComponentChain,
+    CylinderValue,
+    InternalInvariantError,
+    ParseError,
+    component_chain,
+    parse_input,
+)
 from chainshift import cli, errors
 from chainshift.cli import main
-from conftest import CORPUS_RULES
+from conftest import CORPUS_RULES, tower
 
 
 def _write(tmp_path, name, rules):
@@ -223,6 +230,31 @@ def test_check_command(tmp_path, capsys):
     code, out = _run(capsys, "check", path)
     assert code == 0
     assert out["ok"] and all(c["ok"] for c in out["checks"])
+
+
+def test_check_on_a_tall_tower(tmp_path):
+    # 64 levels: the incidence and window powers stay cheap on sparse matrices
+    rules = tower([2, 3] * 32, before=[True, False] * 32)
+    path = _write(tmp_path, "tower_64.sub", rules)
+    proc = _python("-m", "chainshift", "check", path, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["ok"] and all(c["ok"] for c in out["checks"])
+
+
+@pytest.mark.parametrize("name", ("golden_tower", "quartic"))
+def test_check_rejects_a_witness_above_the_least(name, tmp_path, capsys, monkeypatch):
+    # witness_k + 1 is a witness too, but not the least one
+    def late(sub):
+        chain = component_chain(sub)
+        return ComponentChain(sub, chain.components, chain.witness_k + 1)
+
+    monkeypatch.setattr(cli, "component_chain", late)
+    path = _write(tmp_path, f"{name}.sub", CORPUS_RULES[name])
+    code, out = _run(capsys, "check", path)
+    assert code == 0 and not out["ok"]
+    failed = [c for c in out["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == ["chain_closure_and_witness"]
 
 
 _BROKEN_ROW_SUMS = """

@@ -16,7 +16,8 @@ from chainshift import (
     incidence_matrix,
     is_empty_bottom,
 )
-from chainshift.structure import letter_counts
+from chainshift import structure
+from chainshift.structure import letter_counts, mat_mul, mat_pow
 from conftest import CORPUS_RULES, assert_matches_dense_oracle, make, tower
 from test_classify import fixed_bottom_chains, mixed_towers
 
@@ -443,3 +444,101 @@ def test_wielandt_extremal_block(n):
     assert err.value.diagnostic == {"kind": "imprimitive_block", "component": sorted(x)}
     assert oracles.witness_k_dense(cycle) == err.value.diagnostic
 
+
+
+@pytest.fixture
+def witness_paths(monkeypatch):
+    """Which witness search each ``component_chain`` call ran, in call order."""
+    runs: list[str] = []
+    for name in ("_row_witness", "_packed_witness"):
+        def spy(*args, _search=getattr(structure, name), _name=name):
+            runs.append(_name)
+            return _search(*args)
+
+        monkeypatch.setattr(structure, name, spy)
+    return runs
+
+
+def _shuffled(rules: dict[str, str], seed: int) -> dict[str, str]:
+    """The same rules, declared in a seeded random order."""
+    items = list(rules.items())
+    random.Random(seed).shuffle(items)
+    return dict(items)
+
+
+@pytest.mark.parametrize("r", (2, 3))
+@pytest.mark.parametrize("before", (True, False), ids=("before", "after"))
+def test_packed_witness_on_shuffled_towers(r, before, witness_paths):
+    # declared out of level order, so slots and letter indices differ; a
+    # tower has 2 offsets and 2n - 1 edges, so it packs from n = 5 on
+    for n in (2, 3, 4, 5, 7, 10, 16, 25, 40, 64):
+        rules = _shuffled(tower([r] * n, before), seed=n)
+        assert assert_matches_dense_oracle(rules) == "accepted"
+    assert witness_paths == ["_row_witness"] * 3 + ["_packed_witness"] * 7
+
+
+def _fibonacci_tower(levels: int, seed: int) -> dict[str, str]:
+    """Two-letter Fibonacci blocks a_i -> a_(i-1) a_i b_i, b_i -> a_i, shuffled."""
+    a = [chr(0x4E00 + 2 * i) for i in range(levels)]
+    b = [chr(0x4E01 + 2 * i) for i in range(levels)]
+    rules = {a[0]: a[0] + b[0], b[0]: a[0]}
+    for i in range(1, levels):
+        rules[a[i]], rules[b[i]] = a[i - 1] + a[i] + b[i], a[i]
+    return _shuffled(rules, seed)
+
+
+@pytest.mark.parametrize("levels", (6, 9, 16, 24, 32))
+def test_packed_witness_on_fibonacci_towers(levels, witness_paths):
+    rules = _fibonacci_tower(levels, seed=levels)
+    assert assert_matches_dense_oracle(rules) == "accepted"
+    assert witness_paths == ["_packed_witness"]
+
+
+def test_packed_search_names_the_imprimitive_top(witness_paths):
+    # 40 one-letter levels under p -> x_40 q, q -> p: the top block has period
+    # two, so the search runs to the bound and unpacks the last power
+    rules = tower([2] * 40)
+    rules.update({"p": list(rules)[-1] + "q", "q": "p"})
+    rules = _shuffled(rules, seed=40)
+    assert assert_matches_dense_oracle(rules) == "imprimitive_block"
+    assert oracles.witness_k_dense(rules) == {"kind": "imprimitive_block", "component": ["p", "q"]}
+    assert witness_paths == ["_packed_witness"]
+
+
+def test_witness_search_selection(witness_paths):
+    # the corpus chains keep the per-row search; the benchmark's tower shape
+    # (random multiplicities 2 or 3 and orientations, 24..64 levels) packs
+    for name in sorted(CORPUS_RULES):
+        component_chain(make(name))
+    assert witness_paths == ["_row_witness"] * len(CORPUS_RULES)
+    witness_paths.clear()
+    rng = random.Random(24)
+    for n in range(24, 65, 8):
+        rs = [rng.choice((2, 3)) for _ in range(n)]
+        flags = [rng.random() < 0.5 for _ in range(n)]
+        component_chain(Substitution.from_rules(tower(rs, flags)))
+    assert witness_paths == ["_packed_witness"] * 6
+
+
+def _sparse_matrix(rows: int, cols: int):
+    entry = st.sampled_from((0, 0, 0, 1, 2, 3, 17))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _matrix_pair(draw):
+    n, mid, m = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return draw(_sparse_matrix(n, mid)), draw(_sparse_matrix(mid, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix_pair())
+def test_mat_mul_matches_oracle(pair):
+    a, b = pair
+    assert mat_mul(a, b) == tuple(map(tuple, oracles.mat_mul(a, b)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: _sparse_matrix(n, n)), st.integers(0, 7))
+def test_mat_pow_matches_oracle(a, k):
+    assert mat_pow(a, k) == tuple(map(tuple, oracles.mat_pow(a, k)))
