@@ -15,13 +15,12 @@ y s^g z under a gap-weighted step, never by bounded expansion or a cap on p.
 Each such fact is one number, the level at which it starts to hold.
 
 ``decomposition_report`` checks the spectral profile and reads the fixed
-bottom letter and the two-letter word table once, then makes each level with
-``_level_report``, which ``classify_level`` also runs after its own profile
-check. A level reads the letter -> level index, its row of the word table
-and, in ``find_seed_pair``, the oriented images; the letter cycles and the
-s-run record only with a fixed bottom letter or a pair-seed word. The seed
-check's crossing test also decides the case. Everything is stored on the
-chain (see ``spectral``), each computed once:
+bottom letter, the two-letter word table and the oriented images once per
+chain, then hands each level's row to the seed walk (``_seed_pair``) and to
+``_level_report``, which ``classify_level`` runs on ``find_seed_pair``'s
+seed; the letter cycles and the s-run record are read only with a fixed
+bottom letter or a pair-seed word. The seed check's crossing test also
+decides the case. Everything is stored on the chain (see ``spectral``):
 
 - ``("seed_pair", i)``: the seed pair of level i (``find_seed_pair``), stored
   by its first reader and checked against the level's eigenvalue on every
@@ -36,8 +35,8 @@ chain (see ``spectral``), each computed once:
   that level (in L_2(i) but not in L_2(i-1)), the least forward crossing word
   (a letter below the level, then a new one), the least backward one (the
   mirror), in the alphabet's word order, and the sorted pair-seed words (both
-  letters below the level), from one pass over the chain's two-letter word
-  -> level index (``ComponentChain.word_levels``).
+  letters below the level), read off the words one sweep at m = 2 adds at
+  each level (``words.level_words``); no word -> level index is built.
 - ``("letter_cycles",)``: the cycle lengths of the first-letter and the
   last-letter maps, found in one O(|alphabet|) walk (``_eventual_cycles``).
 - ``("s_runs",)``: with a fixed bottom letter s only, the level from which
@@ -53,9 +52,9 @@ chain (see ``spectral``), each computed once:
 Every key is stored through ``ComponentChain.memo``; nothing here reads the
 stored dict itself. No level builds a set of its letters: a letter's level is
 read from the chain's letter -> level index (``chain._level_of``), and no word
-longer than two is looked up. Only the periodicity probe at level 3 needs a
-level substitution of its own, the restriction of the system to A_2; it
-builds no level chain.
+longer than two is looked up. Only the periodicity probe at level 3 may need
+a level substitution of its own, the restriction of the system to A_2, when
+its bound on an image iterate does not decide; it builds no level chain.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from math import lcm
 from .errors import BudgetExceeded, DomainError, InternalInvariantError
 from .structure import ComponentChain, check_level, component_chain, is_empty_bottom
 from .spectral import SpectralProfile, block_eigenvalues
-from .words import Record, Substitution, apply, count_occurrences, language
+from .words import Record, Substitution, apply, count_occurrences, language, level_words
 
 SEED_BUDGET = 10**7  # letters in one expansion of a seed pair
 WINDOW_CAP = 4096  # longest central window of a periodic-point seed
@@ -120,27 +119,28 @@ def _first_last_cycles(sub: Substitution) -> tuple[dict[str, int], dict[str, int
 def _two_words(chain: ComponentChain) -> list[tuple[str | None, str | None, list[str]]]:
     """Per level, its least forward and least backward crossing word (None if
     there is none) and its sorted pair-seed words, among the two-letter words
-    new at the level, from one pass (see the module docstring)."""
+    new at the level, from one sweep (see the module docstring)."""
     return chain.memo(("two_words",), _level_differences, chain)
 
 
 def _level_differences(chain: ComponentChain) -> list[tuple[str | None, str | None, list[str]]]:
     level = chain._level_of
     key = chain.sub.alphabet.word_key
-    forward: list[str | None] = [None] * chain.n
-    backward: list[str | None] = [None] * chain.n
-    pairs: list[list[str]] = [[] for _ in chain.components]
-    for w, e in chain.word_levels(2).items():  # w is new at level e: no letter lies above it
-        if level[w[0]] < e:
-            if level[w[1]] < e:
-                pairs[e - 1].append(w)
-            elif forward[e - 1] is None or key(w) < key(forward[e - 1]):
-                forward[e - 1] = w
-        elif level[w[1]] < e and (backward[e - 1] is None or key(w) < key(backward[e - 1])):
-            backward[e - 1] = w
-    for words in pairs:
-        words.sort()
-    return list(zip(forward, backward, pairs))
+    rows = []
+    for e, new in enumerate(level_words(chain.sub, chain.components, 2), start=1):
+        forward = backward = None
+        pairs = []
+        for w in new:  # w is new at level e: no letter lies above it
+            if level[w[0]] < e:
+                if level[w[1]] < e:
+                    pairs.append(w)
+                elif forward is None or key(w) < key(forward):
+                    forward = w
+            elif level[w[1]] < e and (backward is None or key(w) < key(backward)):
+                backward = w
+        pairs.sort()
+        rows.append((forward, backward, pairs))
+    return rows
 
 
 def _fixed_bottom(chain: ComponentChain) -> str | None:
@@ -273,7 +273,13 @@ def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair
     check_level(i, len(chain.components))
     if i < 2:
         raise DomainError("seed pairs exist for levels >= 2")
-    forward, backward, _ = chain.memo(("two_words",), _level_differences, chain)[i - 1]
+    return _seed_pair(chain, i, _two_words(chain)[i - 1], {})
+
+
+def _seed_pair(chain: ComponentChain, i: int, row: tuple, oriented: dict) -> SeedPair:
+    """``find_seed_pair`` from the level's row of ``_two_words``; ``oriented``
+    keeps the image tables read so far, by orientation, across the levels."""
+    forward, backward, _ = row
     mirrored = forward is None
     if not mirrored:
         a0, b0 = forward
@@ -281,7 +287,9 @@ def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair
         raise InternalInvariantError(f"level {i} has no crossing pair in its two-letter language")
     else:
         b0, a0 = backward
-    images, table, first_new = chain.memo(("oriented_images", mirrored), _image_tables, chain, mirrored)
+    if mirrored not in oriented:
+        oriented[mirrored] = chain.memo(("oriented_images", mirrored), _image_tables, chain, mirrored)
+    images, table, first_new = oriented[mirrored]
     level = chain._level_of  # a letter lies below level i iff its level is < i
 
     seen: dict[tuple[str, str], int] = {}
@@ -567,18 +575,16 @@ def _classify_level(
     chain.check_level(i)
     if i < 2:
         raise DomainError("classify_level applies to levels >= 2; level 1 is the bottom report")
-    return _level_report(sub, chain, spectral, i, _fixed_bottom(chain), _two_words(chain)[i - 1][2])
+    seed, pairs = chain.memo(("seed_pair", i), find_seed_pair, sub, chain, i), _two_words(chain)[i - 1][2]
+    return _level_report(sub, chain, seed, spectral.theta_is_one(i), _fixed_bottom(chain), pairs)
 
 
 def _level_report(
-    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int,
-    s: str | None, pair_words: list[str],
+    sub: Substitution, chain: ComponentChain, seed: SeedPair, theta_one: bool, s: str | None, pair_words: list[str]
 ) -> LevelReport:
-    """Level 2 <= i <= n on a checked profile, from the fixed bottom letter s and
-    the level's pair-seed words; the seed pair is the stored one, checked on
-    every read as in ``level_seed``."""
-    seed = chain.memo(("seed_pair", i), find_seed_pair, sub, chain, i)
-    crossing = _check_seed(sub, chain, seed, spectral.theta_is_one(i))
+    """The level of the stored ``seed``, checked as in ``level_seed``, from
+    whether its theta is 1, the fixed bottom letter s and its pair-seed words."""
+    i, crossing = seed.level, _check_seed(sub, chain, seed, theta_one)
     report = LevelReport(level=i, case="", seed=seed)
     if seed.k > 1:
         report.notes.append(f"analysis uses the power {seed.k} of the substitution")
@@ -614,22 +620,32 @@ def _level_report(
         p.kind == "fixed_letter_power" for p in report.point_seeds
     ):
         raise InternalInvariantError(f"level {i}: a single fixed point without a fixed-letter power seed")
-    if i == 3 and _is_single_periodic_orbit(sub.restrict(chain.alphabet_at(2))):
+    if i == 3 and _is_single_periodic_orbit(sub, chain.alphabet_at(2)):
         report.notes.append("unresolved: whether this level's closure could itself be a single "
                             "shift-periodic orbit of period three")
     return report
 
 
-def _is_single_periodic_orbit(sub_i: Substitution) -> bool:
-    """Whether the closure of a level, given by its restriction, is one
+def _is_single_periodic_orbit(sub: Substitution, letters: tuple[str, ...]) -> bool:
+    """Whether the closure of the level with alphabet ``letters`` is one
     finite shift-periodic orbit.
 
     Bounded word complexity (at most m words of each length m) forces
-    eventual periodicity, so a single probe length suffices, and the closure
-    of the probe language stops as soon as it has more words than that.
+    eventual periodicity, so one probe length P suffices. Each P-window of an
+    image iterate is in L_P: an iterate of the last letter (stepped while
+    shorter than 2P, at most P times; shorter than P, it holds none) with more
+    than P distinct ones answers False. Otherwise the closure of L_P on the
+    restriction to ``letters`` stops as soon as it has more than P words.
     """
-    probe = max(16, 2 * len(sub_i.alphabet))
-    lang = language(sub_i, probe, cap=probe)
+    probe = max(16, 2 * len(letters))
+    word = sub.image(letters[-1])
+    for _ in range(probe):
+        if len(word) >= 2 * probe:
+            break
+        word = sub.step(word)
+    if len({word[j : j + probe] for j in range(len(word) - probe + 1)}) > probe:
+        return False
+    lang = language(sub.restrict(letters), probe, cap=probe)
     return bool(lang) and len(lang) <= probe
 
 
@@ -688,7 +704,8 @@ def decomposition_report(
     levels = [_bottom_report(sub, chain)]
     if chain.n > 1:  # one profile check and one read of the per-chain tables for every level
         spectral.check(sub, chain)
-        s = _fixed_bottom(chain)
-        for i, (_, _, pairs) in enumerate(_two_words(chain)[1:], start=2):
-            levels.append(chain.memo(("classify_level", i), _level_report, sub, chain, spectral, i, s, pairs))
+        s, oriented = _fixed_bottom(chain), {}
+        for i, row in enumerate(_two_words(chain)[1:], start=2):
+            seed, one = chain.memo(("seed_pair", i), _seed_pair, chain, i, row, oriented), spectral.theta_is_one(i)
+            levels.append(chain.memo(("classify_level", i), _level_report, sub, chain, seed, one, s, row[2]))
     return DecompositionReport(chain, levels, minimal_sets(sub, chain, spectral))

@@ -7,9 +7,10 @@ is ``""``. Occurrence positions follow the 1-based convention, so ``w[0]`` is
 position 1.
 
 The languages of nested levels are nested, L_m(1) c L_m(2) c ..., so one
-number per word describes all of them: the level the word enters
-(``word_levels``). Both it and ``language`` run one aligned closure
-(Queffélec, LNM 1294, Ch. 5), at every m:
+sweep lists the words each level adds (``level_words``, which ``classify``
+reads at m = 2), and one number per word, the level it enters, describes
+all of them (``word_levels``, built from the sweep). The sweep and
+``language`` run one aligned closure (Queffélec, LNM 1294, Ch. 5), at every m:
 
 - Closure rule. A word x = x_0 .. x_{m-1} of L_m adds only the m-windows of
   σ(x) that start in σ(x_0) and cross its end, read from the last m-1
@@ -41,8 +42,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, DomainError, ParseError
 
-# letters held by one `language` listing, one word -> level index
-# (`word_levels`) or one level's ancestor tables
+# letters held by one `language` listing, one level-by-level sweep
+# (`level_words`, which `word_levels` indexes) or one level's ancestor tables
 LANGUAGE_BUDGET = 10**7
 
 
@@ -291,31 +292,32 @@ def language(sub: Substitution, m: int, cap: int | None = None) -> frozenset[str
     return frozenset(lang)
 
 
-def word_levels(
-    sub: Substitution, new_letters: Sequence[Iterable[str]], m: int
-) -> dict[str, int]:
-    """The least i with w in L_m(i), for every word w of the top language.
-
-    ``new_letters`` lists the letters each level adds, as in a component
-    chain, and L_m(i) is the language of ``sub`` restricted to levels 1..i,
-    each closed under ``sub``. L_m(i-1) is already closed, so level i closes
-    only the seeds of its new letters on top of it and tags what that adds:
-    every window is expanded once over the whole sweep.
-    ``ComponentChain.word_levels`` keeps one sweep per m on the chain.
-
-    Like a ``language`` listing, the index holds at most ``LANGUAGE_BUDGET``
-    letters; past that it raises ``BudgetExceeded``.
-    """
+def level_words(sub: Substitution, new_letters: Sequence[Iterable[str]], m: int) -> list[list[str]]:
+    """Per level i, the words of L_m(i) not in L_m(i-1), in the order the
+    closure adds them. ``new_letters`` lists the letters each level adds, as
+    in a component chain; L_m(i) is the language of ``sub`` on levels 1..i.
+    L_m(i-1) is closed, so level i closes only the seeds of its new letters
+    on top of it, and every window is expanded once over the whole sweep.
+    Past ``LANGUAGE_BUDGET`` letters it raises ``BudgetExceeded``."""
     if m < 1:
         raise DomainError("factor length must be >= 1")
     closure = _AlignedClosure(sub, m)
     lang: set[str] = set()
-    levels: dict[str, int] = {}
     cap = LANGUAGE_BUDGET // m
-    for i, new in enumerate(new_letters, start=1):
-        levels.update(dict.fromkeys(closure.close(lang, new, cap), i))
+    levels = []
+    for new in new_letters:
+        levels.append(closure.close(lang, new, cap))
         if len(lang) > cap:
             raise BudgetExceeded(f"the word index at m={m} exceeds {LANGUAGE_BUDGET} letters")
+    return levels
+
+
+def word_levels(sub: Substitution, new_letters: Sequence[Iterable[str]], m: int) -> dict[str, int]:
+    """The least i with w in L_m(i), for every word w of the top language, from
+    one ``level_words`` sweep; ``ComponentChain.word_levels`` keeps one per m."""
+    levels: dict[str, int] = {}
+    for i, words in enumerate(level_words(sub, new_letters, m), start=1):
+        levels.update(dict.fromkeys(words, i))
     return levels
 
 

@@ -355,6 +355,25 @@ def word_levels(rules: dict[str, str], levels, m: int) -> dict[str, int]:
     return {w: next(i for i, lang in enumerate(langs, 1) if w in lang) for w in langs[-1]}
 
 
+def two_word_rows(rules: dict[str, str], levels) -> list[tuple]:
+    """Per level i, among the two-letter words new at i (``word_levels``):
+    the least forward crossing word (a letter below i, then one of level i)
+    and the least backward one (the mirror), in declared letter order, or
+    None, and the sorted words with both letters below i."""
+    index = word_levels(rules, levels, 2)
+    level = {c: next(i for i, lv in enumerate(levels, 1) if c in lv) for c in rules}
+    order = {c: k for k, c in enumerate(rules)}
+    rows = []
+    for i in range(1, len(levels) + 1):
+        new = [w for w, e in index.items() if e == i]
+        forward = [w for w in new if level[w[0]] < i == level[w[1]]]
+        backward = [w for w in new if level[w[0]] == i > level[w[1]]]
+        pairs = sorted(w for w in new if level[w[0]] < i and level[w[1]] < i)
+        least = [min(words, key=lambda w: [order[c] for c in w], default=None) for words in (forward, backward)]
+        rows.append((*least, pairs))
+    return rows
+
+
 def q_block_empty(rules: dict[str, str], new_letters, i: int, m: int) -> bool:
     """Whether no length-m word of the level-i language starts with a letter
     the level adds, by the structural rule: m > 1, level i adds one letter s,

@@ -309,6 +309,26 @@ def _entry_points_agree(sub: Substitution):
     return whole, levels
 
 
+def _assert_rows_and_entry_points_match(rules):
+    """The rows of every level (``_two_words``), from one sweep, against the
+    row rule on the independent word -> level oracle, and the report against
+    ``classify_level`` and ``level_seed`` on fresh chains."""
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
+    assert classify._two_words(chain) == oracles.two_word_rows(rules, chain.levels)
+    _entry_points_agree(sub)
+
+
+def test_rows_and_entry_points_match_on_corpus(corpus_sub):
+    _assert_rows_and_entry_points_match({c: corpus_sub.image(c) for c in corpus_sub.alphabet})
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_systems())
+def test_rows_and_entry_points_match_on_chain_systems(rules):
+    _assert_rows_and_entry_points_match(rules)
+
+
 def _with_pinned_examples(test):
     for rules in _pinned_systems().values():
         test = example(rules, 6)(test)
@@ -720,10 +740,10 @@ def test_sweep_invariants_survive_optimize():
         "AlgebraicReal.integer_root = classmethod(lambda cls, poly, r: AlgebraicReal((1, -1)))\n"
         "expect(block_eigenvalues, sub, chain)\n"
         "AlgebraicReal.integer_root = real\n"
-        "word_levels = structure.word_levels\n"
-        "structure.word_levels = lambda sub, new_letters, m: {}\n"
+        "level_words = classify.level_words\n"
+        "classify.level_words = lambda sub, new_letters, m: [[] for _ in new_letters]\n"
         "expect(find_seed_pair, sub, chain, 2)\n"
-        "structure.word_levels = word_levels\n"
+        "classify.level_words = level_words\n"
         "sub = Substitution.from_rules({'a': 'abca', 'b': 'bacb', 'c': 'cbac', 'd': 'abbcad'})\n"
         "chain = component_chain(sub)\n"
         "windows = classify._make_windows\n"
@@ -860,18 +880,39 @@ def test_integer_towers_build_no_fractions(monkeypatch):
 
 
 PERIODIC_LEVEL_2 = {"a": "a", "b": "ab", "c": "bcc"}  # L_16 of {a, b}: a^16 and a^15 b
+DECK_LEVELS = tower([3, 2, 3], [True, False, True])  # levels 1-2: x_1 -> x_1^3, x_2 -> x_2^2 x_1
+FIXED_LAST = {"b": "ab", "a": "a", "c": "bcc"}  # A_2 = (b, a) ends in a fixed letter
+# which branch of the probe each example runs: the bound answers False, or
+# the capped closure answers after the bound counted too few windows, or
+# after an iterate too short to hold a window
+PROBE_BRANCHES = {
+    tuple(PERIODIC_LEVEL_2.items()): "closure",
+    tuple(DECK_LEVELS.items()): "bound",
+    tuple(FIXED_LAST.items()): "short",
+}
 
 
 @settings(max_examples=100, deadline=None)
 @given(chain_systems())
 @example(PERIODIC_LEVEL_2)
+@example(DECK_LEVELS)
+@example(FIXED_LAST)
 def test_capped_periodic_orbit_probe_matches_the_full_language(rules):
-    chain = component_chain(Substitution.from_rules(rules))
+    sub = Substitution.from_rules(rules)
+    chain = component_chain(sub)
     if chain.n < 2:
         return
-    sub_2 = chain.restrict(2)[0]
-    probe = max(16, 2 * len(sub_2.alphabet))
-    expected = 0 < len(language(sub_2, probe)) <= probe
-    assert _is_single_periodic_orbit(sub_2) is expected
-    if rules == PERIODIC_LEVEL_2:
-        assert expected
+    letters = chain.alphabet_at(2)
+    probe = max(16, 2 * len(letters))
+    expected = 0 < len(language(chain.restrict(2)[0], probe)) <= probe
+    closed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "language", lambda *args, **kw: closed.append(args) or language(*args, **kw))
+        assert _is_single_periodic_orbit(sub, letters) is expected
+    branch = PROBE_BRANCHES.get(tuple(rules.items()))
+    if branch == "bound":
+        assert not closed and not expected
+    elif branch == "closure":
+        assert closed and expected and len(apply(sub, letters[-1], probe)) >= probe
+    elif branch == "short":
+        assert closed and expected and sub.image(letters[-1]) == letters[-1]

@@ -446,7 +446,7 @@ def test_exit_code_internal_invariant(tmp_path):
 _KOLMOGOROV_FAILURE = """
 import sys
 from chainshift import classify, cli, measures
-check, find = measures._check_kolmogorov, classify.find_seed_pair
+check, find = measures._check_kolmogorov, classify._seed_pair
 def corrupted(shorter, longer, ratio, m):
     w = next(w for w, x in longer.items() if x)
     return check(shorter, {**longer, w: longer[w] + 1}, ratio, m)
@@ -456,7 +456,7 @@ def emptied(*args):
 if sys.argv[1] == "measure":
     measures._check_kolmogorov = corrupted
 else:
-    classify.find_seed_pair = emptied
+    classify._seed_pair = emptied
 sys.exit(cli.main(sys.argv[1:]))
 """
 

@@ -10,9 +10,9 @@ reader takes from that table, while the integer-theta tables, which start from
 the letter level, name no window solve, window substitution or restriction at
 all; ``measures`` does not import ``auxiliary``, and ``spectral`` keeps one
 left-vector solve per level (no ``pf_left``, ``LeftVector`` or
-``level_profile``). ``classify`` builds no level chain and reads the
-word -> level index only at length 2: its s-run facts come from one record
-per chain. No module but ``structure`` names a chain's stored dict,
+``level_profile``). ``classify`` builds no level chain and closes words
+only at length 2, in one sweep that builds no word -> level index: its
+s-run facts come from one record per chain. No module but ``structure`` names a chain's stored dict,
 ``_memo``; a level chain (``chain.restrict(i)``) is built only by
 ``measures.empirical_frequency`` and ``spectral._level_windows``; and
 ``cli`` keeps no exit-code table, since each error class carries its own. In ``structure`` the witness
@@ -301,12 +301,12 @@ def _calls(path: Path, name: str) -> list[str]:
 
 def test_classify_builds_no_level_chain():
     # the s-run facts of every level come from one ("s_runs",) record, and
-    # the periodicity probe closes the system restricted to A_2 alone
+    # the periodicity probe is handed A_2 and closes the system restricted to
+    # it alone, when its bound does not decide
     path = PACKAGE / "classify.py"
-    assert _calls(path, "restrict") == ["sub.restrict(chain.alphabet_at(2))"]
-    assert _calls(path, "_is_single_periodic_orbit") == [
-        "_is_single_periodic_orbit(sub.restrict(chain.alphabet_at(2)))"
-    ]
+    assert _calls(path, "restrict") == ["sub.restrict(letters)"]
+    assert _calls(path, "_is_single_periodic_orbit") == ["_is_single_periodic_orbit(sub, chain.alphabet_at(2))"]
+    assert _calls(path, "language") == ["language(sub.restrict(letters), probe, cap=probe)"]
 
 
 def _names(source: str) -> set[str]:
@@ -388,10 +388,13 @@ def test_cli_defines_no_exit_code_table():
 
 
 def test_classify_reads_only_the_two_letter_index():
-    # every s-run fact, the s_middle words included, comes from the one
-    # ("s_runs",) closure: no longer words are looked up, and no gap is capped
+    # the rows of every level come from one sweep of the two-letter words,
+    # and every s-run fact, the s_middle words included, from the one
+    # ("s_runs",) closure: no longer words are closed or looked up, no
+    # word -> level index is read, and no gap is capped
     path = PACKAGE / "classify.py"
-    assert _calls(path, "word_levels") == ["chain.word_levels(2)"]
+    assert _calls(path, "level_words") == ["level_words(chain.sub, chain.components, 2)"]
+    assert _calls(path, "word_levels") == []
     assert "MIDDLE_CAP" not in path.read_text(encoding="utf-8")
 
 

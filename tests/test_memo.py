@@ -576,8 +576,7 @@ def test_decomposition_report_leaves_two_keys_per_level():
     decomposition_report(sub, chain, block_eigenvalues(sub, chain))
     per_chain = {
         ("spectral",),
-        ("word_levels", 2),  # the L_2 index
-        ("two_words",),  # its crossing and pair-seed words, by level
+        ("two_words",),  # the crossing and pair-seed words of each level, from one L_2 sweep
         ("oriented_images", False),
         # None here, and no level has a pair-seed word: no census runs, so
         # neither ("letter_cycles",) nor ("s_runs",) is made
@@ -621,16 +620,16 @@ def test_decomposition_report_checks_the_profile_once_per_level(monkeypatch):
 
 def test_decomposition_report_makes_few_python_calls_per_level():
     # A per-level cost guard that times nothing: the Python function calls
-    # the profiler sees while the report classifies tower_64_mixed, with the
-    # L_2 index built beforehand. The report makes about 17.2 per level (it
-    # made 42.3 when each level went through the memo and profile layers of
-    # ``classify_level``); an interpreter that inlines comprehensions makes
-    # fewer, so the bound stays an upper one.
+    # the profiler sees while the report classifies tower_64_mixed, the sweep
+    # of its two-letter words included. The report makes about 14.5 per level
+    # (it made 17.0 with the L_2 index built beforehand, when each level
+    # re-read the chain's tables, and 42.3 when each level went through the
+    # memo and profile layers of ``classify_level``); an interpreter that
+    # inlines comprehensions makes fewer, so the bound stays an upper one.
     n = 64
     sub = Substitution.from_rules(tower([2 + i % 2 for i in range(n)], [i % 3 != 1 for i in range(n)]))
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
-    chain.word_levels(2)
     events = Counter()
 
     def count(frame, event, arg):
@@ -641,7 +640,7 @@ def test_decomposition_report_makes_few_python_calls_per_level():
         decomposition_report(sub, chain, profile)
     finally:
         sys.setprofile(None)
-    assert events["call"] <= 18 * (n - 1)
+    assert events["call"] <= 16 * (n - 1)
 
 
 def test_decomposition_report_sweeps_each_level_once(monkeypatch):
