@@ -49,12 +49,14 @@ decides the case. Everything is stored on the chain (see ``spectral``):
   of its first letter on the letter's own level.
 - ``("fixed_bottom",)``: the fixed bottom letter s, or None.
 
-Every key is stored through ``ComponentChain.memo``; nothing here reads the
-stored dict itself. No level builds a set of its letters: a letter's level is
-read from the chain's letter -> level index (``chain._level_of``), and no word
-longer than two is looked up. Only the periodicity probe at level 3 may need
-a level substitution of its own, the restriction of the system to A_2, when
-its bound on an image iterate does not decide; it builds no level chain.
+Every key is stored through ``ComponentChain.memo``, the one memo door;
+nothing here reads the stored dict itself. Each public function that takes a
+profile checks it once; the private code takes the chain alone. No level
+builds a set of its letters: a letter's level is read from the chain's
+letter -> level index (``chain._level_of``), and no word longer than two is
+looked up. Only the periodicity probe at level 3 may need a level
+substitution of its own, the restriction of the system to A_2, when its
+bound on an image iterate does not decide; it builds no level chain.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import BudgetExceeded, DomainError, InternalInvariantError
-from .structure import ComponentChain, check_level, component_chain, is_empty_bottom
-from .spectral import SpectralProfile, block_eigenvalues
+from .structure import ComponentChain, check_level, is_empty_bottom
+from .spectral import SpectralProfile
 from .words import Record, Substitution, apply, count_occurrences, language, level_words
 
 SEED_BUDGET = 10**7  # letters in one expansion of a seed pair
@@ -449,7 +451,7 @@ def _pair_seeds(chain: ComponentChain, i: int, s: str | None) -> list[PointSeed]
     ]
 
 
-def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> list[PointSeed]:
+def _periodic_point_seeds(chain: ComponentChain, i: int) -> list[PointSeed]:
     """Periodic-point seeds of level i, deduplicated by central windows.
 
     The forms around a fixed bottom letter s are new at level i where the
@@ -475,7 +477,7 @@ def _periodic_point_seeds(sub: Substitution, chain: ComponentChain, i: int) -> l
         for delta, gamma, p in middle.get(i, ()):
             seeds.append(PointSeed(kind="bilateral_limit", form="s_middle", gamma=gamma,
                                    delta=delta, q=lcm(g_cycles[delta], f_cycles[gamma]), middle_s=p))
-    _make_windows(sub, chain.alphabet_at(i), s, seeds, WINDOW_CAP)
+    _make_windows(chain.sub, chain.alphabet_at(i), s, seeds, WINDOW_CAP)
     kept: list[PointSeed] = []
     for seed in seeds:
         if not any(_same_orbit_window(seed, other) for other in kept):
@@ -521,8 +523,8 @@ class LevelReport(Record):
         self.notes = [] if notes is None else notes
 
 
-def _bottom_report(sub: Substitution, chain: ComponentChain) -> LevelReport:
-    if is_empty_bottom(sub, chain):
+def _bottom_report(chain: ComponentChain) -> LevelReport:
+    if is_empty_bottom(chain.sub, chain):
         return LevelReport(level=1, case="bottom_empty")
     return LevelReport(
         level=1, case="bottom_minimal", anchor=chain.new_letters(1)[0], x_i_nonempty=True
@@ -538,17 +540,18 @@ def level_seed(
     needs nothing else from the classification: its measure's anchor is
     ``seed.b``, and its kind comes from the spectrum.
     """
-    seed = spectral.memo(sub, chain, ("seed_pair", i), find_seed_pair, sub, chain, i)
-    _check_seed(sub, chain, seed, spectral.theta_is_one(i))
+    spectral.check(sub, chain)
+    seed = chain.memo(("seed_pair", i), find_seed_pair, sub, chain, i)
+    _check_seed(chain, seed, spectral.theta_is_one(i))
     return seed
 
 
-def _check_seed(sub: Substitution, chain: ComponentChain, seed: SeedPair, theta_one: bool) -> bool:
+def _check_seed(chain: ComponentChain, seed: SeedPair, theta_one: bool) -> bool:
     """Raise unless the seed's shape agrees with theta; return whether u and v
     are nonempty and v holds a new letter (the excursions cross)."""
     i = seed.level
     if seed.u == "":
-        if sub.image(seed.a) != seed.a or theta_one:
+        if chain.sub.image(seed.a) != seed.a or theta_one:
             raise InternalInvariantError(f"level {i}: a seed with empty u needs a fixed letter and theta > 1")
     elif seed.v == "":
         if not theta_one:
@@ -566,25 +569,25 @@ def _check_seed(sub: Substitution, chain: ComponentChain, seed: SeedPair, theta_
 def classify_level(
     sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int
 ) -> LevelReport:
-    return spectral.memo(sub, chain, ("classify_level", i), _classify_level, sub, chain, spectral, i)
+    spectral.check(sub, chain)
+    return chain.memo(("classify_level", i), _classify_level, chain, spectral, i)
 
 
-def _classify_level(
-    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int
-) -> LevelReport:
+def _classify_level(chain: ComponentChain, spectral: SpectralProfile, i: int) -> LevelReport:
     chain.check_level(i)
     if i < 2:
         raise DomainError("classify_level applies to levels >= 2; level 1 is the bottom report")
-    seed, pairs = chain.memo(("seed_pair", i), find_seed_pair, sub, chain, i), _two_words(chain)[i - 1][2]
-    return _level_report(sub, chain, seed, spectral.theta_is_one(i), _fixed_bottom(chain), pairs)
+    seed, pairs = chain.memo(("seed_pair", i), find_seed_pair, chain.sub, chain, i), _two_words(chain)[i - 1][2]
+    return _level_report(chain, seed, spectral.theta_is_one(i), _fixed_bottom(chain), pairs)
 
 
 def _level_report(
-    sub: Substitution, chain: ComponentChain, seed: SeedPair, theta_one: bool, s: str | None, pair_words: list[str]
+    chain: ComponentChain, seed: SeedPair, theta_one: bool, s: str | None, pair_words: list[str]
 ) -> LevelReport:
     """The level of the stored ``seed``, checked as in ``level_seed``, from
     whether its theta is 1, the fixed bottom letter s and its pair-seed words."""
-    i, crossing = seed.level, _check_seed(sub, chain, seed, theta_one)
+    sub = chain.sub
+    i, crossing = seed.level, _check_seed(chain, seed, theta_one)
     report = LevelReport(level=i, case="", seed=seed)
     if seed.k > 1:
         report.notes.append(f"analysis uses the power {seed.k} of the substitution")
@@ -615,7 +618,7 @@ def _level_report(
         report.quasi_fixed = QuasiFixedSeed(seed, not crossing, crossing, not crossing)
         report.anchor, report.x_i_nonempty = seed.b, crossing
     if report.case != "level_collapses" and (s is not None or pair_words):  # else no census
-        report.point_seeds = _periodic_point_seeds(sub, chain, i)
+        report.point_seeds = _periodic_point_seeds(chain, i)
     if report.case == "single_fixed_point" and not any(
         p.kind == "fixed_letter_power" for p in report.point_seeds
     ):
@@ -695,17 +698,13 @@ class DecompositionReport(Record):
 
 
 def decomposition_report(
-    sub: Substitution,
-    chain: ComponentChain | None = None,
-    spectral: SpectralProfile | None = None,
+    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile
 ) -> DecompositionReport:
-    chain = chain or component_chain(sub)
-    spectral = spectral or block_eigenvalues(sub, chain)
-    levels = [_bottom_report(sub, chain)]
+    levels = [_bottom_report(chain)]
     if chain.n > 1:  # one profile check and one read of the per-chain tables for every level
         spectral.check(sub, chain)
         s, oriented = _fixed_bottom(chain), {}
         for i, row in enumerate(_two_words(chain)[1:], start=2):
             seed, one = chain.memo(("seed_pair", i), _seed_pair, chain, i, row, oriented), spectral.theta_is_one(i)
-            levels.append(chain.memo(("classify_level", i), _level_report, sub, chain, seed, one, s, row[2]))
+            levels.append(chain.memo(("classify_level", i), _level_report, chain, seed, one, s, row[2]))
     return DecompositionReport(chain, levels, minimal_sets(sub, chain, spectral))

@@ -230,7 +230,7 @@ class AlgebraicReal:
         self = cls.__new__(cls)
         self.poly = tuple(map(int, poly))
         if _hom_eval(self.poly, r, 1):
-            raise ValueError(f"{r} is not a root of {self.poly}")
+            raise InternalInvariantError(f"{r} is not a root of {self.poly}")
         self._sf = self._chain = self._hi_positive = None  # only irrational values consult them
         self.rational = self._a = self._b = r
         self._k = 0

@@ -10,7 +10,9 @@ block eigenvalue 1 only carry counting measures on orbits and expose no
 cylinder evaluation.
 
 Everything this module keeps of a level is one record, ``_Level``, stored on
-the chain under ``("level", i)`` (see ``spectral``): the descriptor, the
+the chain under ``("level", i)`` through ``ComponentChain.memo``, the one memo
+door, once each public function has checked i and its profile; the private
+code takes the chain alone (see ``spectral``). It holds the descriptor, the
 level's letters, the cylinder tables ``tables[m]`` and, for an integer
 theta, the ``_Ancestors`` state they come from. The descriptor of a level
 with theta > 1 reads only the spectrum and the seed pair,
@@ -92,33 +94,29 @@ def measure_type(
     which must be level i's, supplies the anchor and the point seeds instead,
     and nothing is stored.
     """
-    if report is None:
-        return _level(sub, chain, spectral, i).desc
     chain.check_level(i)
     spectral.check(sub, chain)
+    if report is None:
+        return _level(chain, spectral, i).desc
     if report.level != i:
         raise DomainError(f"the report describes level {report.level}, not level {i}")
-    return _measure_type(sub, chain, spectral, i, report)
+    return _measure_type(chain, spectral, i, report)
 
 
 def _measure_type(
-    sub: Substitution,
-    chain: ComponentChain,
-    spectral: SpectralProfile,
-    i: int,
-    report: LevelReport | None,
+    chain: ComponentChain, spectral: SpectralProfile, i: int, report: LevelReport | None
 ) -> MeasureDescriptor:
     if i == 1:
-        report = report or _bottom_report(sub, chain)
+        report = report or _bottom_report(chain)
         if report.case == "bottom_empty":
             return MeasureDescriptor(1, "empty", None, None, 0, 0)
         return MeasureDescriptor(1, "finite_ergodic", report.anchor, None, 0, 0)
     if not spectral.theta_is_one(i):
-        anchor = report.anchor if report is not None else level_seed(sub, chain, spectral, i).b
+        anchor = report.anchor if report is not None else level_seed(chain.sub, chain, spectral, i).b
         kind = "finite_ergodic" if spectral.level_is_finite(i) else "infinite_radon"
         ip = spectral.i_prime(i) if kind == "infinite_radon" else None
         return MeasureDescriptor(i, kind, anchor, ip, 0, 0)
-    report = report or classify_level(sub, chain, spectral, i)
+    report = report or classify_level(chain.sub, chain, spectral, i)
     finite_atoms = sum(1 for p in report.point_seeds if p.shift_periodic)
     infinite = sum(1 for p in report.point_seeds if not p.shift_periodic)
     if report.quasi_fixed is not None and report.quasi_fixed.isolated_orbit:
@@ -167,7 +165,9 @@ def cylinder_measure(
     any other runs the checks: the level's kind, the empty word, a letter
     outside the level (which builds no table), then the language.
     """
-    level = _level(sub, chain, spectral, i)
+    chain.check_level(i)
+    spectral.check(sub, chain)
+    level = _level(chain, spectral, i)
     entry = level.tables.get(len(v), {}).get(v)
     if entry is None:
         kind = level.desc.kind
@@ -180,17 +180,17 @@ def cylinder_measure(
         if not v:
             raise DomainError("cylinder word must be nonempty")
         if level.letters.issuperset(v):
-            entry = level.table(sub, chain, spectral, len(v)).get(v)
+            entry = level.table(chain, spectral, len(v)).get(v)
         if entry is None:
             raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
     infinite, exact, value, note = entry
     return CylinderValue(i, v, infinite, exact, value, level.desc.anchor, note)
 
 
-def _level(sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int) -> _Level:
-    """Level i's record, stored on the chain under ``("level", i)``."""
-    chain.check_level(i)
-    return spectral.memo(sub, chain, ("level", i), _Level, sub, chain, spectral, i)
+def _level(chain: ComponentChain, spectral: SpectralProfile, i: int) -> _Level:
+    """Level i's record, stored on the chain under ``("level", i)``; the
+    public caller has checked i and the profile."""
+    return chain.memo(("level", i), _Level, chain, spectral, i)
 
 
 class _Level:
@@ -198,13 +198,13 @@ class _Level:
     table of each window length asked for, and for an integer theta the
     ``_Ancestors`` state, built on first use. It holds no chain."""
 
-    def __init__(self, sub, chain, spectral, i):
-        self.desc = _measure_type(sub, chain, spectral, i, None)
+    def __init__(self, chain, spectral, i):
+        self.desc = _measure_type(chain, spectral, i, None)
         self.letters = frozenset(chain.alphabet_at(i))
         self.tables: dict[int, dict[str, tuple]] = {}
         self.ancestors: _Ancestors | None = None
 
-    def table(self, sub, chain, spectral, m: int) -> dict[str, tuple]:
+    def table(self, chain, spectral, m: int) -> dict[str, tuple]:
         """``(infinite, exact, float, algebraic note)`` of every word of L_m(i):
         desubstitution from the letters for an integer theta, the window
         vectors (``spectral.window_vectors``) for an irrational one, each
@@ -215,12 +215,12 @@ class _Level:
         theta = spectral.theta(i)
         if theta.as_integer() is not None:
             if self.ancestors is None:
-                self.ancestors = _Ancestors(sub, chain, spectral, i, self.desc)
+                self.ancestors = _Ancestors(chain, spectral, i, self.desc)
             table = self.ancestors.table(m)
         else:
             theta.refine(Fraction(1, 2**48))
             note = tuple(theta.poly), (str(theta.lo), str(theta.hi))
-            delta, gamma, infinite = window_vectors(sub, chain, m, i, spectral)
+            delta, gamma, infinite = window_vectors(chain, m, i, spectral)
             # an infinite level's values are gamma at the anchor letter times delta
             weight = 1 if gamma is None else next((gamma[w] for w in delta if w[0] == anchor), None)
             if weight is None:
@@ -234,11 +234,7 @@ class _Level:
 
 
 def _letter_base(
-    sub: Substitution,
-    chain: ComponentChain,
-    spectral: SpectralProfile,
-    i: int,
-    desc: MeasureDescriptor,
+    chain: ComponentChain, spectral: SpectralProfile, i: int, desc: MeasureDescriptor
 ) -> tuple[dict[str, int | None], int]:
     """The values of the letters of an integer-theta level i: integer
     numerators at one scale (None for an infinite letter), from the k x k
@@ -260,7 +256,7 @@ def _letter_base(
     first = 1 if desc.kind == "finite_ergodic" else desc.i_prime
     blocks = [chain.new_letters(j) for j in range(first, i + 1)]
     letters = tuple(c for block in blocks for c in block)
-    images = map(sub.image, letters)
+    images = map(chain.sub.image, letters)
     rows = {c: {x: img.count(x) for x in set(img)} for c, img in zip(letters, images)}
     level = None if first == 1 else spectral.levels[i - 1]
     delta, gamma = _level_vectors(blocks, rows, theta, f"level {i} letter vector", level)
@@ -316,19 +312,12 @@ class _Ancestors:
     its image, through the rest.
     """
 
-    def __init__(
-        self,
-        sub: Substitution,
-        chain: ComponentChain,
-        spectral: SpectralProfile,
-        i: int,
-        desc: MeasureDescriptor,
-    ):
-        base, scale = _letter_base(sub, chain, spectral, i, desc)
-        fixed = "".join(c for c in base if sub.image(c) == c)
+    def __init__(self, chain: ComponentChain, spectral: SpectralProfile, i: int, desc: MeasureDescriptor):
+        base, scale = _letter_base(chain, spectral, i, desc)
+        fixed = "".join(c for c in base if chain.sub.image(c) == c)
         images = {c: c for c in base}
         for p in range(1, len(base) + 1):
-            images = {c: sub.step(w) for c, w in images.items()}
+            images = {c: chain.sub.step(w) for c, w in images.items()}
             if all(len(w) >= 2 for c, w in images.items() if c not in fixed):
                 break
         else:
@@ -623,7 +612,9 @@ def empirical_frequency(
     starts with the anchor: the occurrences in ``sigma^k(u)`` less those in
     ``sigma^k(u[1:])``.
     """
-    desc = _level(sub, chain, spectral, i).desc
+    chain.check_level(i)
+    spectral.check(sub, chain)
+    desc = _level(chain, spectral, i).desc
     if desc.kind not in ("finite_ergodic", "infinite_radon"):
         raise DomainError(f"level {i} has no expanding anchor to count along")
     if not v or len(v) > L:
@@ -702,8 +693,8 @@ def uniformity_check(
     # letter outside the level builds none; mu(v) over the mass of the
     # m-words that start with a new letter, none of them infinite: exact
     # where the table is, else correctly rounded
-    level = _level(sub, chain, spectral, i)
-    values = level.table(sub, chain, spectral, m) if level.letters.issuperset(v) else {}
+    level = _level(chain, spectral, i)
+    values = level.table(chain, spectral, m) if level.letters.issuperset(v) else {}
     if v not in values:
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
     _, exact, value, _ = values[v]
@@ -761,7 +752,9 @@ def level_measure_table(
     max_m: int = 2,
 ) -> dict:
     """Descriptor plus cylinder values for all words up to length ``max_m``."""
-    level = _level(sub, chain, spectral, i)
+    chain.check_level(i)
+    spectral.check(sub, chain)
+    level = _level(chain, spectral, i)
     desc = level.desc
     out: dict = {"level": i, "kind": desc.kind, "anchor_letter": desc.anchor}
     if desc.kind == "infinite_radon":
@@ -772,7 +765,7 @@ def level_measure_table(
     if desc.kind in ("finite_ergodic", "infinite_radon"):
         out["cylinders"] = cylinders = {}
         for m in range(1, max_m + 1):
-            table = level.table(sub, chain, spectral, m)
+            table = level.table(chain, spectral, m)
             for w in sorted(table, key=sub.alphabet.word_key):
                 inf, exact, value, note = table[w]
                 cylinders[w] = CylinderValue(i, w, inf, exact, value, desc.anchor, note).as_json()

@@ -43,11 +43,12 @@ Like everything else derived from a chain, these are stored on the chain
 ``("limit_data", m, i)``; ``classify`` adds seed pairs and level reports,
 ``measures`` one record per level, ``("level", i)``, with its
 descriptor and cylinder tables. Only ``pf_vectors`` solves the right vector
-over the windows. ``SpectralProfile.memo`` stores on the chain it is given,
-which must have the profile's substitution and components (else
-``DomainError``); the profile keeps these, not the chain, so nothing stored
-refers back to its chain. The stored data holds at most one entry per level
-and window length asked for, and lives exactly as long as its chain.
+over the windows. Each public function checks once that its profile
+describes its chain (``SpectralProfile.check``) before it stores anything;
+the private code takes the chain alone and reads ``chain.sub``. The profile
+keeps the chain's substitution and components, not the chain, so nothing
+stored refers back to its chain. The stored data holds at most one entry per
+level and window length asked for, and lives exactly as long as its chain.
 """
 
 from __future__ import annotations
@@ -106,12 +107,6 @@ class SpectralProfile:
             sub is chain.sub or sub == chain.sub
         ):
             raise DomainError("the spectral profile describes another chain")
-
-    def memo(self, sub: Substitution, chain: ComponentChain, key: tuple, compute, *args):
-        """``compute(*args)`` once per ``key``, stored on ``chain``, which must
-        have this profile's substitution and components (see ``check``)."""
-        self.check(sub, chain)
-        return chain.memo(key, compute, *args)
 
     @property
     def n(self) -> int:
@@ -269,7 +264,10 @@ def _left_vector(words_blocks: list[tuple[str, ...]], rows, lam, anchor: int):
             shifted = [[-c for c in row] for row in transposed]
             for r, row in enumerate(shifted):
                 row[r] += lam
-            y, det = solve_linear(shifted, rhs)
+            try:
+                y, det = solve_linear(shifted, rhs)
+            except ZeroDivisionError:
+                raise InternalInvariantError(f"lam I - D of a {len(ws)}x{len(ws)} block is singular") from None
             if det != 1:
                 for u in values:
                     values[u] *= det
@@ -375,16 +373,14 @@ def _level_vectors(blocks, rows, theta, what: str, level: LevelSpectrum | None =
 
 class EigenPair(Record):
     """Right and left dominant eigenvectors over the window alphabet, each
-    scaled so that its smallest positive entry is 1; ``beta_total``, the sum
-    of beta, normalises finite cylinder values."""
+    scaled so that its smallest positive entry is 1."""
 
-    __slots__ = ("m", "aux", "lam", "alpha", "beta", "beta_total", "exact")
+    __slots__ = ("m", "aux", "lam", "alpha", "beta", "exact")
 
     def __init__(self, m: int, aux: AuxiliarySubstitution, lam: AlgebraicReal, alpha: dict[str, object],
-                 beta: dict[str, object], beta_total: object, exact: bool):
+                 beta: dict[str, object], exact: bool):
         self.m, self.aux, self.lam = m, aux, lam
-        self.alpha, self.beta, self.beta_total = alpha, beta, beta_total
-        self.exact = exact
+        self.alpha, self.beta, self.exact = alpha, beta, exact
 
 
 def pf_vectors(
@@ -396,14 +392,15 @@ def pf_vectors(
     """Both dominant eigenvectors over the window alphabet: the left one
     anchored at ``i_min``, the right one at ``i_max``."""
     spectral = spectral or block_eigenvalues(sub, chain)
-    return spectral.memo(sub, chain, ("pf_right", m), _pf_vectors, sub, chain, m, spectral)
+    spectral.check(sub, chain)
+    return chain.memo(("pf_right", m), _pf_vectors, chain, m, spectral)
 
 
-def _pf_vectors(sub: Substitution, chain: ComponentChain, m: int, spectral: SpectralProfile) -> EigenPair:
+def _pf_vectors(chain: ComponentChain, m: int, spectral: SpectralProfile) -> EigenPair:
     lam = spectral.lam
     if lam.compare(1) <= 0:
         raise LambdaNotDominant("global growth rate is <= 1; no dominant eigenvector data")
-    aux = build_auxiliary(sub, chain, m)
+    aux = build_auxiliary(chain.sub, chain, m)
     rows = _window_rows(aux)
     exact = lam.as_integer() is not None
     lam_value = lam.as_integer() if exact else float(lam)
@@ -419,9 +416,7 @@ def _pf_vectors(sub: Substitution, chain: ComponentChain, m: int, spectral: Spec
     _check_eigenvector(rows, aux.words, alpha, lam_value, "right", "eigenvector")
     if exact:  # Fractions from the integer numerators, once per word
         alpha, beta = _min_positive_normalize(alpha, exact), _min_positive_normalize(beta, exact)
-    return EigenPair(
-        m=m, aux=aux, lam=lam, alpha=alpha, beta=beta, beta_total=sum(beta.values()), exact=exact
-    )
+    return EigenPair(m=m, aux=aux, lam=lam, alpha=alpha, beta=beta, exact=exact)
 
 
 def _level_windows(
@@ -443,7 +438,7 @@ def _level_windows(
 
 
 def window_vectors(
-    sub: Substitution, chain: ComponentChain, m: int, i: int, spectral: SpectralProfile
+    chain: ComponentChain, m: int, i: int, spectral: SpectralProfile
 ) -> tuple[dict[str, float], dict[str, float] | None, frozenset[str]]:
     """An irrational level's vectors over the windows of length m of its own
     chain, ``chain.restrict(i)``: ``(delta, gamma, infinite words)``.
@@ -451,12 +446,11 @@ def window_vectors(
     On a finite level delta is the left vector scaled to total 1, and gamma
     is None. On an infinite level they are the divergent ``limit_data``'s:
     gamma depends only on the first letter, and the words below i' are
-    infinite.
+    infinite. The caller has checked the profile against the chain.
     """
     if not spectral.level_is_finite(i):
-        ld = limit_data(sub, chain, m, i, spectral)
+        ld = chain.memo(("limit_data", m, i), _limit_data, chain, m, i, spectral)
         return ld.delta, ld.gamma, ld.infinite_words
-    spectral.check(sub, chain)
     aux, blocks = _level_windows(chain, m, i, spectral)
     delta, _ = _level_vectors(blocks, _window_rows(aux), float(spectral.theta(i)), "eigenvector")
     total = sum(delta.values())
@@ -491,21 +485,13 @@ class LimitData(Record):
 
 
 def limit_data(
-    sub: Substitution,
-    chain: ComponentChain,
-    m: int,
-    i: int,
-    spectral: SpectralProfile | None = None,
-) -> LimitData:
-    spectral = spectral or block_eigenvalues(sub, chain)
-    return spectral.memo(
-        sub, chain, ("limit_data", m, i), _limit_data, sub, chain, m, i, spectral
-    )
-
-
-def _limit_data(
     sub: Substitution, chain: ComponentChain, m: int, i: int, spectral: SpectralProfile
 ) -> LimitData:
+    spectral.check(sub, chain)
+    return chain.memo(("limit_data", m, i), _limit_data, chain, m, i, spectral)
+
+
+def _limit_data(chain: ComponentChain, m: int, i: int, spectral: SpectralProfile) -> LimitData:
     chain.check_level(i)
     theta = spectral.theta(i)
     if theta.compare(1) <= 0:

@@ -49,10 +49,12 @@ Letter counts (the incidence matrix, and the diagonal blocks the spectral
 profile reads) use ``str.count`` on the images (``letter_counts``).
 
 Everything derived from a chain (word levels, window substitutions, eigen
-data, level reports) is stored on it by ``ComponentChain.memo`` and lives
-exactly as long as the chain; no module keeps a cache, and no module but
-this one reads or writes the stored dict, ``_memo``. Nothing stored refers
-back to the chain, so reference counting frees it all with the chain.
+data, level reports) is stored on it by ``ComponentChain.memo``, the one memo
+door, and lives exactly as long as the chain; no module keeps a cache, no
+module but this one reads or writes the stored dict, ``_memo``, and each
+public function checks its spectral profile once before it stores anything.
+Nothing stored refers back to the chain, so reference counting frees it all
+with the chain.
 """
 
 from __future__ import annotations

@@ -336,14 +336,12 @@ class _AlignedClosure:
         self.tails = {c: img[-m1:] for c, img in self.images.items()}
         self.longest = max(map(len, self.heads.values()))  # tails are as long
 
-    def close(
-        self, lang: set[str], letters: Iterable[str], cap: int | None = None
-    ) -> list[str]:
+    def close(self, lang: set[str], letters: Iterable[str], cap: int) -> list[str]:
         """Add the seeds of ``letters`` to ``lang`` and close it, in place.
 
         Words already in ``lang`` are taken as closed and are not expanded
-        again. Returns the words added, in the order they were added. With
-        ``cap``, stop as soon as ``lang`` holds more than ``cap`` words.
+        again. Returns the words added, in the order they were added; stops
+        as soon as ``lang`` holds more than ``cap`` words.
         """
         step, m = self.step, self.m
         m1 = m - 1
@@ -360,7 +358,7 @@ class _AlignedClosure:
                     if f not in lang:
                         add(f)
                         push(f)
-                if len(y) >= 2 * m - 3 or y in seen or (cap is not None and len(lang) > cap):
+                if len(y) >= 2 * m - 3 or y in seen or len(lang) > cap:
                     break
                 seen.add(y)
                 image = step(y)
@@ -371,7 +369,7 @@ class _AlignedClosure:
         heads, tails, longest = self.heads, self.tails, self.longest
         if m1 == 1:  # at m = 2 both boundary kinds are the one straddle
             for x in added:  # the list grows while it is walked: a breadth-first queue
-                if cap is not None and len(lang) > cap:
+                if len(lang) > cap:
                     break
                 f = tails[x[0]] + heads[x[1]]
                 if f not in lang:
@@ -379,7 +377,7 @@ class _AlignedClosure:
                     push(f)
             return added
         for x in added:  # as above, for m >= 3
-            if cap is not None and len(lang) > cap:
+            if len(lang) > cap:
                 break
             # windows that start in σ(x_0) and cross its end: the m-1 letters
             # after it come image by image, or, past four images, from about

@@ -754,7 +754,8 @@ def window_table(sub, chain, spectral, i: int, m: int) -> dict[str, tuple]:
         sub_i, chain_i = chain.restrict(i)
         pair = pf_vectors(sub_i, chain_i, m, block_eigenvalues(sub_i, chain_i))
         assert pair.exact == (note is None)
-        return {w: entry(x / pair.beta_total) for w, x in pair.beta.items()}
+        total = sum(pair.beta.values())
+        return {w: entry(x / total) for w, x in pair.beta.items()}
     ld = limit_data(sub, chain, m, i, spectral)
     assert ld.exact == (note is None)
     anchors = [w for w in ld.restricted_words if w[0] == desc.anchor]

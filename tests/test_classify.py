@@ -752,7 +752,7 @@ def test_sweep_invariants_survive_optimize():
         "    for seed in seeds:\n"
         "        seed.window += seed.window\n"
         "classify._make_windows = doubled\n"
-        "expect(classify._periodic_point_seeds, sub, chain, 2)\n"
+        "expect(classify._periodic_point_seeds, chain, 2)\n"
         "classify._make_windows = windows\n"
         "theta_is_one = SpectralProfile.theta_is_one\n"
         "SpectralProfile.theta_is_one = lambda self, i: not theta_is_one(self, i)\n"
@@ -763,7 +763,7 @@ def test_sweep_invariants_survive_optimize():
         "    chain = component_chain(sub)\n"
         "    expect(classify_level, sub, chain, block_eigenvalues(sub, chain), 2)\n"
         "SpectralProfile.theta_is_one = theta_is_one\n"
-        "classify._periodic_point_seeds = lambda sub, chain, i: []\n"
+        "classify._periodic_point_seeds = lambda chain, i: []\n"
         "sub = Substitution.from_rules({'a': 'a', 'b': 'ba'})\n"
         "chain = component_chain(sub)\n"
         "expect(classify_level, sub, chain, block_eigenvalues(sub, chain), 2)\n"

@@ -478,6 +478,44 @@ def test_exit_code_failed_kolmogorov_check(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+_EXACT_FAILURE = """
+import sys
+from chainshift import cli, spectral
+solve, charpoly = spectral.solve_linear, spectral.charpoly
+def singular(A, b):
+    if sys._getframe(1).f_code.co_name == "_left_vector":
+        raise ZeroDivisionError("singular system")
+    return solve(A, b)
+def shifted(block):
+    poly = charpoly(block)
+    return (*poly[:-1], poly[-1] + 1)
+if sys.argv[1] == "measure":
+    spectral.solve_linear = singular
+else:
+    spectral.charpoly = shifted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["debug", "optimized"])
+def test_exit_code_failed_exact_solve_and_root(tmp_path, flags):
+    # a singular block solve of an exact left vector (level 2 of mid_dominant
+    # solves level 1's block under its own), and a row-sum root that does not
+    # annihilate its characteristic polynomial: exit 6 with the typed
+    # payload, not a traceback, also where ``python -O`` strips asserts
+    path = _write(tmp_path, "mid_dominant.sub", CORPUS_RULES["mid_dominant"])
+    for args, message in [
+        (["measure", path, "-i", "2", "-v", "b"], "lam I - D of a 1x1 block is singular"),
+        (["classify", path], "2 is not a root of (1, -1)"),
+    ]:
+        proc = _python(*flags, "-c", _EXACT_FAILURE, *args)
+        assert proc.returncode == 6, proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        assert (error["code"], error["kind"]) == (6, "InternalInvariantError")
+        assert error["message"] == message, error
+        assert "Traceback" not in proc.stderr
+
+
 def test_simulate_long_prefix_without_expansion(tmp_path, capsys):
     path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
     code, out = _run(capsys, "simulate", path, "-i", "1", "-v", "a", "-L", str(10**9))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chainshift import exact
+from chainshift.errors import InternalInvariantError
 from chainshift.exact import (
     AlgebraicReal,
     charpoly,
@@ -87,7 +88,7 @@ def test_algebraic_real_close_roots_separated():
 
 
 def test_integer_root_checks_the_root_and_compares_exactly():
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalInvariantError):
         AlgebraicReal.integer_root((1, -3), 2)
     two = AlgebraicReal.integer_root((1, -1, -2), 2)  # (x - 2)(x + 1)
     assert two.as_integer() == 2 and float(two) == 2.0

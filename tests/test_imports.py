@@ -22,6 +22,9 @@ letters each level adds: the cumulative alphabets are derived, and only
 ``solve_linear``, which ``spectral`` imports with ``AlgebraicReal`` and
 ``charpoly`` alone. Every library function and method is named by other
 library code or by the benchmark harness: no helper is kept for tests alone.
+``memo`` is defined on ``ComponentChain`` alone; only public functions take
+both ``sub`` and ``chain``, the rest read ``chain.sub``; and
+``decomposition_report`` and ``limit_data`` have no argument defaults.
 """
 
 import ast
@@ -372,6 +375,82 @@ def test_level_chains_only_where_a_level_index_is_read():
     probe = "def f(sub, chain):\n    return sub.restrict(chain.alphabet_at(2)), self.chain.restrict(1)\n"
     assert _level_chain_callers(probe) == {"f"}
     assert not _level_chain_callers("def g(sub, chain):\n    return sub.restrict(chain.alphabet_at(2))\n")
+
+
+def _definitions(source: str):
+    """(owner, node) for each module-level function and class method of
+    ``source``; the owner is the class name, or None."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name, part) for part in node.body if isinstance(part, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield None, node
+
+
+def test_memo_is_defined_only_on_the_chain():
+    # one door to what a chain stores: no profile or record keeps a second
+    # memo that reaches the chain's
+    owners = [
+        (path.name, owner)
+        for path in MODULES
+        for owner, node in _definitions(path.read_text(encoding="utf-8"))
+        if node.name == "memo"
+    ]
+    assert owners == [("structure.py", "ComponentChain")]
+
+
+def _private_sub_chain_takers(source: str, exported: set[str]) -> list[str]:
+    """The functions and methods of ``source`` that take both ``sub`` and
+    ``chain`` and are not public: a function outside ``exported``, or a
+    method whose class is outside it or whose own name is private."""
+    found = []
+    for owner, node in _definitions(source):
+        args = node.args
+        if not {"sub", "chain"} <= {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}:
+            continue
+        public = owner in exported and not node.name.startswith("_") if owner else node.name in exported
+        if not public:
+            found.append(f"{owner}.{node.name}" if owner else node.name)
+    return found
+
+
+def test_private_code_takes_the_chain_alone():
+    # the chain holds its substitution, so private code reads ``chain.sub``;
+    # only the public entries take both, and each checks its profile once
+    import chainshift
+
+    exported = set(chainshift.__all__)
+    found = [
+        name for path in MODULES for name in _private_sub_chain_takers(path.read_text(encoding="utf-8"), exported)
+    ]
+    assert found == []
+
+
+def test_sub_chain_guard_sees_every_form():
+    probe = (
+        "def f(sub, chain): pass\n"
+        "def _g(sub, chain, m): pass\n"
+        "def _h(chain, m): pass\n"
+        "class P:\n"
+        "    def check(self, sub, chain): pass\n"
+        "    def _check(self, sub, *, chain): pass\n"
+        "class _Q:\n"
+        "    def table(self, sub, chain): pass\n"
+    )
+    assert _private_sub_chain_takers(probe, {"f", "P"}) == ["_g", "P._check", "_Q.table"]
+
+
+def test_no_defaults_that_no_caller_omits():
+    # every caller passes the chain and the profile; ``pf_vectors`` keeps its
+    # default, since a benchmark probe omits the profile
+    import inspect
+
+    from chainshift import decomposition_report, limit_data, pf_vectors
+
+    for fn in (decomposition_report, limit_data):
+        defaults = [p.name for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
+        assert defaults == [], fn.__name__
+    assert inspect.signature(pf_vectors).parameters["spectral"].default is None
 
 
 def test_cli_defines_no_exit_code_table():

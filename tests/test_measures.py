@@ -324,9 +324,9 @@ def test_ancestor_tables_match_window_solves_on_chain_systems(rules):
     chain = component_chain(sub)
     sp = block_eigenvalues(sub, chain)
     for i in _exact_levels(sub, chain, sp):
-        level = measures._level(sub, chain, sp, i)
+        level = measures._level(chain, sp, i)
         for m in range(1, 11):
-            table = level.table(sub, chain, sp, m)
+            table = level.table(chain, sp, m)
             assert table == oracles.window_table(sub, chain, sp, i, m), (rules, i, m)
             assert set(table) == {w for w, e in chain.word_levels(m).items() if e <= i}
         assert level.ancestors is not None
@@ -370,9 +370,9 @@ def test_irrational_tables_equal_the_window_oracle_bit_for_bit(rules, i, max_m):
     bit: the finite values from ``pf_vectors`` on the level's chain with its
     own profile, the infinite ones from ``limit_data``."""
     sub, chain, sp = _setup_rules(rules)
-    level = measures._level(sub, chain, sp, i)
+    level = measures._level(chain, sp, i)
     for m in range(1, max_m + 1):
-        table = level.table(sub, chain, sp, m)
+        table = level.table(chain, sp, m)
         assert table == oracles.window_table(*_setup_rules(rules), i, m), (rules, i, m)
         assert set(table) == {w for w, e in chain.word_levels(m).items() if e <= i}
         assert all(e[1] is None and (e[0] or isinstance(e[2], float)) for e in table.values())

@@ -67,11 +67,11 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(measures, "window_vectors", lambda sub, chain, m, i, sp: (i, m))
-    count(spectral, "_pf_vectors", lambda sub, chain, m, *anchors: (chain.n, m))
-    count(spectral, "_limit_data", lambda sub, chain, m, i, sp: (i, m))
-    count(measures, "_letter_base", lambda sub, chain, sp, i, desc: i)
-    count(classify, "_classify_level", lambda sub, chain, sp, i: i)
+    count(measures, "window_vectors", lambda chain, m, i, sp: (i, m))
+    count(spectral, "_pf_vectors", lambda chain, m, sp: (chain.n, m))
+    count(spectral, "_limit_data", lambda chain, m, i, sp: (i, m))
+    count(measures, "_letter_base", lambda chain, sp, i, desc: i)
+    count(classify, "_classify_level", lambda chain, sp, i: i)
     count(classify, "find_seed_pair", lambda sub, chain, i: i)
     return counts
 
@@ -513,15 +513,15 @@ def test_measure_type_memo_equals_fresh_descriptor(name, monkeypatch):
     bodies = Counter()
     body = measures._measure_type
 
-    def counted(sub, chain, spectral, i, report):
+    def counted(chain, spectral, i, report):
         bodies[i] += 1
-        return body(sub, chain, spectral, i, report)
+        return body(chain, spectral, i, report)
 
     monkeypatch.setattr(measures, "_measure_type", counted)
     for i in range(1, chain.n + 1):
         desc = measure_type(sub, chain, profile, i)
         assert measure_type(sub, chain, profile, i) is desc
-        assert desc == body(sub, chain, profile, i, None)
+        assert desc == body(chain, profile, i, None)
     assert bodies == Counter(range(1, chain.n + 1))
 
 

@@ -46,7 +46,7 @@ RECORDS = {
         ["sub", "components", "m", "words", "q_blocks", "g_blocks", "word_level", "images"], {}
     ),
     spectral.LevelSpectrum: (["level", "letters", "block", "char_poly", "row_bounds", "theta"], {}),
-    spectral.EigenPair: (["m", "aux", "lam", "alpha", "beta", "beta_total", "exact"], {}),
+    spectral.EigenPair: (["m", "aux", "lam", "alpha", "beta", "exact"], {}),
     spectral.LimitData: (
         ["level", "m", "mode", "exact", "i_prime", "theta", "alpha", "beta", "gamma", "delta",
          "infinite_words", "restricted_words"],

@@ -426,19 +426,19 @@ def test_window_and_limit_invariants_survive_optimize():
         "chain = component_chain(sub)\n"
         "i_prime = spectral.SpectralProfile.i_prime\n"
         "spectral.SpectralProfile.i_prime = lambda self, i: 1\n"
-        "expect(limit_data, sub, chain, 1, 2)\n"
+        "expect(limit_data, sub, chain, 1, 2, block_eigenvalues(sub, chain))\n"
         "spectral.SpectralProfile.i_prime = i_prime\n"
         "blocks = auxiliary.AuxiliarySubstitution.blocks_in_order\n"
         "auxiliary.AuxiliarySubstitution.blocks_in_order = lambda self: blocks(self) + [('G', 2, ())]\n"
-        "expect(limit_data, sub, chain, 2, 2)\n"
+        "expect(limit_data, sub, chain, 2, 2, block_eigenvalues(sub, chain))\n"
         "auxiliary.AuxiliarySubstitution.blocks_in_order = blocks\n"
         "left = spectral._left_vector\n"
         "spectral._left_vector = lambda *args: {w: -v for w, v in left(*args).items()}\n"
-        "expect(limit_data, sub, chain, 3, 2)\n"
+        "expect(limit_data, sub, chain, 3, 2, block_eigenvalues(sub, chain))\n"
         "spectral._left_vector = left\n"
         "perron = spectral._pf_right\n"
         "spectral._pf_right = lambda *args: [-v for v in perron(*args)]\n"
-        "expect(limit_data, sub, chain, 2, 3)\n"
+        "expect(limit_data, sub, chain, 2, 3, block_eigenvalues(sub, chain))\n"
         "golden = Substitution.from_rules({'a': 'aaa', 'b': 'abc', 'c': 'b'})\n"
         "golden_chain = component_chain(golden)\n"
         "expect(cylinder_measure, golden, golden_chain, block_eigenvalues(golden, golden_chain), 2, 'bc')\n"
