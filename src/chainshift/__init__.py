@@ -30,7 +30,6 @@ from .structure import (
     IncidenceMatrix,
     component_chain,
     incidence_matrix,
-    is_empty_bottom,
 )
 from .auxiliary import AuxiliarySubstitution, auxiliary_matrix, build_auxiliary
 from .spectral import (
@@ -47,12 +46,7 @@ from .classify import (
     MinimalSets,
     PointSeed,
     SeedPair,
-    classify_level,
     decomposition_report,
-    find_seed_pair,
-    level_seed,
-    minimal_sets,
-    positively_recurrent,
 )
 from .measures import (
     CylinderValue,
@@ -98,24 +92,18 @@ __all__ = [
     "auxiliary_matrix",
     "block_eigenvalues",
     "build_auxiliary",
-    "classify_level",
     "component_chain",
     "count_occurrences",
     "cylinder_measure",
     "decomposition_report",
     "empirical_frequency",
-    "find_seed_pair",
     "incidence_matrix",
-    "is_empty_bottom",
     "language",
     "level_measure_table",
-    "level_seed",
     "limit_data",
     "measure_type",
-    "minimal_sets",
     "parse_input",
     "pf_vectors",
-    "positively_recurrent",
     "uniformity_check",
     "word_levels",
 ]

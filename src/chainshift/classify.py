@@ -14,23 +14,23 @@ exactly from the first/last non-s letter maps and one closure of the words
 y s^g z under a gap-weighted step, never by bounded expansion or a cap on p.
 Each such fact is one number, the level at which it starts to hold.
 
-``decomposition_report`` checks the spectral profile and reads the fixed
-bottom letter, the two-letter word table and the oriented images once per
-chain, then hands each level's row to the seed walk (``_seed_pair``) and to
-``_level_report``, which ``classify_level`` runs on ``find_seed_pair``'s
-seed; the letter cycles and the s-run record are read only with a fixed
-bottom letter or a pair-seed word. The seed check's crossing test also
-decides the case. Everything is stored on the chain (see ``spectral``):
+``decomposition_report``, the one public function, checks the profile and
+reads the fixed bottom letter, the two-letter word table and the oriented
+images once per chain, then hands each level's row to the seed walk
+(``_seed_pair``) and to ``_level_report``; ``measures`` reads one level
+through ``_level_seed`` and ``_classify_level``. The letter cycles and the
+s-run record need a fixed bottom letter or a pair-seed word; the seed
+check's crossing test decides the case. Everything is stored on the chain:
 
-- ``("seed_pair", i)``: the seed pair of level i (``find_seed_pair``), stored
+- ``("seed_pair", i)``: the seed pair of level i (``_seed_pair``), stored
   by its first reader and checked against the level's eigenvalue on every
-  read (``level_seed``, ``_level_report``). A level with theta > 1 needs
+  read (``_level_seed``, ``_level_report``). A level with theta > 1 needs
   nothing more: ``measures`` reads its anchor here, for descriptors, cylinder
   values, empirical frequencies and uniformity windows.
-- ``("classify_level", i)``: the level report, assembled from the seed pair,
-  the case split and the periodic-point census (none is sought without s or
-  a pair-seed word), read by ``decomposition_report`` and by the measures of
-  levels with theta = 1. The census runs once per level, inside it.
+- ``("classify_level", i)``: the level report (``_level_report``): the seed
+  pair, the case split and the periodic-point census (none is sought
+  without s or a pair-seed word), read by ``decomposition_report`` and by
+  the measures of theta = 1 levels. The census runs once per level, inside it.
 - ``("two_words",)``: for every level i, among the two-letter words new at
   that level (in L_2(i) but not in L_2(i-1)), the least forward crossing word
   (a letter below the level, then a new one), the least backward one (the
@@ -47,11 +47,11 @@ decides the case. Everything is stored on the chain (see ``spectral``):
 - ``("oriented_images", mirrored)``: every image, written backwards for the
   mirror system, as a dict and as a ``str.translate`` table, with the position
   of its first letter on the letter's own level.
-- ``("fixed_bottom",)``: the fixed bottom letter s, or None.
+- ``("fixed_bottom",)``: the fixed bottom letter s (level 1 is s -> s), or None.
 
 Every key is stored through ``ComponentChain.memo``, the one memo door;
-nothing here reads the stored dict itself. Each public function that takes a
-profile checks it once; the private code takes the chain alone. No level
+nothing here reads the stored dict itself. ``decomposition_report`` checks
+its profile once, first; the private code takes the chain alone. No level
 builds a set of its letters: a letter's level is read from the chain's
 letter -> level index (``chain._level_of``), and no word longer than two is
 looked up. Only the periodicity probe at level 3 may need a level
@@ -64,7 +64,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import BudgetExceeded, DomainError, InternalInvariantError
-from .structure import ComponentChain, check_level, is_empty_bottom
+from .structure import ComponentChain
 from .spectral import SpectralProfile
 from .words import Record, Substitution, apply, count_occurrences, language, level_words
 
@@ -146,10 +146,10 @@ def _level_differences(chain: ComponentChain) -> list[tuple[str | None, str | No
 
 
 def _fixed_bottom(chain: ComponentChain) -> str | None:
-    """The fixed bottom letter s, when level 1 is one letter mapped to itself;
-    None otherwise. Read once per chain."""
+    """The fixed bottom letter s, when level 1 is one letter mapped to itself
+    (the bottom subshift is empty); None otherwise. Read once per chain."""
     bottom = chain.components[0]
-    return chain.memo(("fixed_bottom",), lambda: bottom[0] if is_empty_bottom(chain.sub, chain) else None)
+    return chain.memo(("fixed_bottom",), lambda: bottom[0] if bottom == (chain.sub.image(bottom[0]),) else None)
 
 
 _SRuns = tuple[int, dict[str, int], dict[str, int], dict[int, list[tuple[str, str, int]]]]
@@ -261,26 +261,19 @@ class SeedPair(Record):
         self.orientation = orientation  # "forward" | "reverse"
 
 
-def find_seed_pair(sub: Substitution, chain: ComponentChain, i: int) -> SeedPair:
-    """The seed identity of level i, read off the level's two-letter language.
+def _seed_pair(chain: ComponentChain, i: int, row: tuple, oriented: dict) -> SeedPair:
+    """The seed identity of level i >= 2, read off the level's row of
+    ``_two_words``.
 
     The search starts from the level's least forward crossing word, else its
-    least backward one, both stored per chain (``_two_words``). The level's
-    letters are closed under the substitution, so its images are read from
-    the chain's own, stored on the chain for each orientation with each
-    image's first own-level letter: a reverse seed runs on the mirror system,
-    whose powers are the mirrored powers of ``sub``. Expanding sigma^k(ab)
-    may take at most ``SEED_BUDGET`` letters.
+    least backward one. The level's letters are closed under the
+    substitution, so its images are read from the chain's own, stored on the
+    chain for each orientation with each image's first own-level letter
+    (``oriented`` keeps the tables read so far across the levels): a reverse
+    seed runs on the mirror system, whose powers are the mirrored powers of
+    the substitution. Expanding sigma^k(ab) may take at most ``SEED_BUDGET``
+    letters.
     """
-    check_level(i, len(chain.components))
-    if i < 2:
-        raise DomainError("seed pairs exist for levels >= 2")
-    return _seed_pair(chain, i, _two_words(chain)[i - 1], {})
-
-
-def _seed_pair(chain: ComponentChain, i: int, row: tuple, oriented: dict) -> SeedPair:
-    """``find_seed_pair`` from the level's row of ``_two_words``; ``oriented``
-    keeps the image tables read so far, by orientation, across the levels."""
     forward, backward, _ = row
     mirrored = forward is None
     if not mirrored:
@@ -346,13 +339,6 @@ def _image_tables(
         images = {c: img[::-1] for c, img in images.items()}
     first_new = {c: _first_new(img, level, level[c]) for c, img in images.items()}
     return images, {ord(c): img for c, img in images.items()}, first_new
-
-
-def positively_recurrent(sub: Substitution, chain: ComponentChain, seed: SeedPair) -> bool:
-    """Whether the quasi-fixed point revisits its central window forward in time."""
-    if not seed.v:
-        raise DomainError("recurrence is defined for seeds with nonempty v")
-    return chain.check_level(seed.level) in map(chain._level_of.get, seed.v)
 
 
 # ---------------------------------------------------------------------------
@@ -524,24 +510,17 @@ class LevelReport(Record):
 
 
 def _bottom_report(chain: ComponentChain) -> LevelReport:
-    if is_empty_bottom(chain.sub, chain):
+    if _fixed_bottom(chain) is not None:
         return LevelReport(level=1, case="bottom_empty")
     return LevelReport(
         level=1, case="bottom_minimal", anchor=chain.new_letters(1)[0], x_i_nonempty=True
     )
 
 
-def level_seed(
-    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int
-) -> SeedPair:
-    """The seed pair of level i, checked against the level's eigenvalue.
-
-    Stored on the chain under ``("seed_pair", i)``. A level with theta > 1
-    needs nothing else from the classification: its measure's anchor is
-    ``seed.b``, and its kind comes from the spectrum.
-    """
-    spectral.check(sub, chain)
-    seed = chain.memo(("seed_pair", i), find_seed_pair, sub, chain, i)
+def _level_seed(chain: ComponentChain, spectral: SpectralProfile, i: int) -> SeedPair:
+    """The seed pair of level i >= 2 (``("seed_pair", i)``), checked against
+    the level's eigenvalue: all a theta > 1 level reads of the classification."""
+    seed = chain.memo(("seed_pair", i), _seed_pair, chain, i, _two_words(chain)[i - 1], {})
     _check_seed(chain, seed, spectral.theta_is_one(i))
     return seed
 
@@ -566,25 +545,20 @@ def _check_seed(chain: ComponentChain, seed: SeedPair, theta_one: bool) -> bool:
     return False
 
 
-def classify_level(
-    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile, i: int
-) -> LevelReport:
-    spectral.check(sub, chain)
-    return chain.memo(("classify_level", i), _classify_level, chain, spectral, i)
-
-
 def _classify_level(chain: ComponentChain, spectral: SpectralProfile, i: int) -> LevelReport:
-    chain.check_level(i)
-    if i < 2:
-        raise DomainError("classify_level applies to levels >= 2; level 1 is the bottom report")
-    seed, pairs = chain.memo(("seed_pair", i), find_seed_pair, chain.sub, chain, i), _two_words(chain)[i - 1][2]
-    return _level_report(chain, seed, spectral.theta_is_one(i), _fixed_bottom(chain), pairs)
+    """The report of level i >= 2, stored on the chain under
+    ``("classify_level", i)``, as ``decomposition_report`` makes it."""
+    row = _two_words(chain)[i - 1]
+    seed = chain.memo(("seed_pair", i), _seed_pair, chain, i, row, {})
+    return chain.memo(
+        ("classify_level", i), _level_report, chain, seed, spectral.theta_is_one(i), _fixed_bottom(chain), row[2]
+    )
 
 
 def _level_report(
     chain: ComponentChain, seed: SeedPair, theta_one: bool, s: str | None, pair_words: list[str]
 ) -> LevelReport:
-    """The level of the stored ``seed``, checked as in ``level_seed``, from
+    """The level of the stored ``seed``, checked as in ``_level_seed``, from
     whether its theta is 1, the fixed bottom letter s and its pair-seed words."""
     sub = chain.sub
     i, crossing = seed.level, _check_seed(chain, seed, theta_one)
@@ -600,7 +574,8 @@ def _level_report(
         report.case = "almost_minimal" if _s_runs(chain)[0] <= i else "minimal"
         if i > 2:
             report.notes.append("single-fixed-letter seed above level 2; treated like level 2")
-        report.quasi_fixed = QuasiFixedSeed(seed, False, positively_recurrent(sub, chain, seed), False)
+        # positively recurrent iff v holds a new letter
+        report.quasi_fixed = QuasiFixedSeed(seed, False, i in map(chain._level_of.get, seed.v), False)
         report.anchor, report.x_i_nonempty = seed.b, True
     elif seed.v == "":
         sigma_a = sub.image(seed.a)
@@ -662,9 +637,7 @@ class MinimalSets(Record):
         self.census, self.uniquely_ergodic, self.clause = census, uniquely_ergodic, clause
 
 
-def minimal_sets(
-    sub: Substitution, chain: ComponentChain, spectral: SpectralProfile
-) -> MinimalSets:
+def _minimal_sets(chain: ComponentChain, spectral: SpectralProfile) -> MinimalSets:
     """Census of minimal sets plus the unique-ergodicity verdict.
 
     At most two minimal sets exist; the verdict matches one of three clauses:
@@ -691,20 +664,22 @@ def minimal_sets(
 
 
 class DecompositionReport(Record):
-    __slots__ = ("chain", "levels", "minimal")
+    __slots__ = ("levels", "minimal")
 
-    def __init__(self, chain: ComponentChain, levels: list[LevelReport], minimal: MinimalSets):
-        self.chain, self.levels, self.minimal = chain, levels, minimal
+    def __init__(self, levels: list[LevelReport], minimal: MinimalSets):
+        self.levels, self.minimal = levels, minimal
 
 
 def decomposition_report(
     sub: Substitution, chain: ComponentChain, spectral: SpectralProfile
 ) -> DecompositionReport:
+    """The classification of the subshift: every level's report, level 1's
+    from the bottom letter, and the census of minimal sets."""
+    spectral.check(sub, chain)
     levels = [_bottom_report(chain)]
-    if chain.n > 1:  # one profile check and one read of the per-chain tables for every level
-        spectral.check(sub, chain)
+    if chain.n > 1:  # one read of the per-chain tables for every level
         s, oriented = _fixed_bottom(chain), {}
         for i, row in enumerate(_two_words(chain)[1:], start=2):
             seed, one = chain.memo(("seed_pair", i), _seed_pair, chain, i, row, oriented), spectral.theta_is_one(i)
             levels.append(chain.memo(("classify_level", i), _level_report, chain, seed, one, s, row[2]))
-    return DecompositionReport(chain, levels, minimal_sets(sub, chain, spectral))
+    return DecompositionReport(levels, _minimal_sets(chain, spectral))

@@ -15,9 +15,9 @@ door, once each public function has checked i and its profile; the private
 code takes the chain alone (see ``spectral``). It holds the descriptor, the
 level's letters, the cylinder tables ``tables[m]`` and, for an integer
 theta, the ``_Ancestors`` state they come from. The descriptor of a level
-with theta > 1 reads only the spectrum and the seed pair,
-``("seed_pair", i)``; the periodic-point census runs only for theta = 1
-levels, whose descriptors count its point seeds. A table maps exactly the words of L_m(i)
+with theta > 1 reads only the spectrum and the seed pair
+(``classify._level_seed``); the census runs only for theta = 1 levels, whose
+descriptors count the point seeds (``classify._classify_level``). A table maps exactly the words of L_m(i)
 to ``(infinite, exact, float, algebraic note)``. ``_Level.table`` alone
 builds it and every reader takes it from there: a word of a built table is
 one lookup, made before any check, a word outside the language still builds
@@ -43,9 +43,9 @@ left one. A failed internal check raises ``InternalInvariantError``.
 Occurrence counts, along the anchor's expansion and in return windows of a
 quasi-fixed point, are exact and never expand a word: they join the letter
 blocks sigma^j(x) of the level, held as lengths, counts and ends
-(``_Blocks``). Empirical frequencies test membership on the word-level index
-of the level's own chain, ``chain.restrict(i)``; the return windows count
-over the level's substitution alone and build no level chain.
+(``_Blocks``, read off the chain's own images). Empirical frequencies test
+membership on the word-level index of the level's own chain,
+``chain.restrict(i)``; the return windows build no level substitution.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import fsum, gcd, lcm
 
-from .classify import LevelReport, _bottom_report, classify_level, level_seed
+from .classify import LevelReport, _bottom_report, _classify_level, _level_seed
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -89,7 +89,7 @@ def measure_type(
 
     Without a ``report`` the descriptor is the one in level i's record,
     ``("level", i)``. A level with theta > 1 reads its kind from the
-    spectrum and its anchor from the seed pair (``classify.level_seed``); a
+    spectrum and its anchor from the seed pair (``classify._level_seed``); a
     level with theta = 1 reads the full level report. A given ``report``,
     which must be level i's, supplies the anchor and the point seeds instead,
     and nothing is stored.
@@ -112,11 +112,11 @@ def _measure_type(
             return MeasureDescriptor(1, "empty", None, None, 0, 0)
         return MeasureDescriptor(1, "finite_ergodic", report.anchor, None, 0, 0)
     if not spectral.theta_is_one(i):
-        anchor = report.anchor if report is not None else level_seed(chain.sub, chain, spectral, i).b
+        anchor = report.anchor if report is not None else _level_seed(chain, spectral, i).b
         kind = "finite_ergodic" if spectral.level_is_finite(i) else "infinite_radon"
         ip = spectral.i_prime(i) if kind == "infinite_radon" else None
         return MeasureDescriptor(i, kind, anchor, ip, 0, 0)
-    report = report or classify_level(chain.sub, chain, spectral, i)
+    report = report or _classify_level(chain, spectral, i)
     finite_atoms = sum(1 for p in report.point_seeds if p.shift_periodic)
     infinite = sum(1 for p in report.point_seeds if not p.shift_periodic)
     if report.quasi_fixed is not None and report.quasi_fixed.isolated_orbit:
@@ -130,7 +130,7 @@ class CylinderValue(Record):
     __slots__ = ("level", "word", "infinite", "exact", "value", "anchor", "algebraic")
 
     def __init__(self, level: int, word: str, infinite: bool, exact: Fraction | None, value: float | None,
-                 anchor: str | None, algebraic: tuple[tuple[int, ...], tuple[str, str]] | None = None):
+                 anchor: str | None, algebraic: tuple[tuple[int, ...], tuple[str, str]] | None):
         self.level, self.word, self.infinite = level, word, infinite
         self.exact, self.value, self.anchor = exact, value, anchor
         # (char poly, isolating interval) when theta is irrational; immutable,
@@ -523,9 +523,9 @@ class _Blocks:
     partial block per power.
     """
 
-    def __init__(self, sub: Substitution, v: str):
+    def __init__(self, chain: ComponentChain, i: int, v: str):
         self.v, self.m1 = v, len(v) - 1
-        self.images = dict(zip(sub.alphabet.letters, sub.images))
+        self.images = {c: chain.sub.image(c) for c in chain.alphabet_at(i)}
         self.seams: dict[str, int] = {}
         self.powers = [{c: (1, int(c == v), c[: self.m1], c[: self.m1]) for c in self.images}]
 
@@ -627,7 +627,7 @@ def empirical_frequency(
     if L > POWER_BUDGET:
         raise BudgetExceeded(f"prefix length {L} exceeds the power budget {POWER_BUDGET}")
     anchor = desc.anchor
-    blocks = _Blocks(sub_i, v)
+    blocks = _Blocks(chain, i, v)
     k = blocks.reach(anchor, L)
     ratio = blocks.prefix(anchor, k, L) / L
     result = EmpiricalFrequency(level=i, word=v, length=L, power=k, ratio=ratio)
@@ -678,13 +678,14 @@ def uniformity_check(
     also give the lengths; nothing is expanded.
     """
     chain.check_level(i)
+    spectral.check(sub, chain)
     if i < 2:
         raise DomainError("uniformity windows are defined on levels >= 2")
     if n < 1 or not offsets or min(offsets) < 0:
         raise DomainError("need a positive window size and at least one offset, all nonnegative")
     if spectral.theta_is_one(i):
         raise DomainError(f"level {i} has eigenvalue 1; no frequency target exists")
-    seed = level_seed(sub, chain, spectral, i)
+    seed = _level_seed(chain, spectral, i)
     new = set(chain.new_letters(i))
     if not any(c in new for c in v):
         raise DomainError("the word must contain a new letter of the level")
@@ -707,9 +708,9 @@ def uniformity_check(
 
     # New-letter counts of sigma^t, t = 0..K, beside the blocks' lengths. K
     # grows by k until sigma^K(b) = (lower prefix) R[:covered] holds the visits.
-    sub_i = sub.restrict(chain.alphabet_at(i))
-    b, letters = seed.b, sub_i.alphabet.letters
-    blocks, visits = _Blocks(sub_i, v), [{c: int(c in new) for c in letters}]
+    blocks, b = _Blocks(chain, i, v), seed.b
+    images = blocks.images
+    visits = [{c: int(c in new) for c in images}]
     covered = 1
     while visits[-1][b] <= max(offsets) + n:
         lengths = blocks.at(len(visits) - 1)
@@ -717,14 +718,14 @@ def uniformity_check(
         if covered > POWER_BUDGET:
             raise BudgetExceeded(f"return windows exceed the power budget {POWER_BUDGET}")
         for _ in range(seed.k):
-            visits.append({c: sum(visits[-1][x] for x in sub_i.image(c)) for c in letters})
+            visits.append({c: sum(visits[-1][x] for x in img) for c, img in images.items()})
     K = len(visits) - 1
 
     def select(j: int) -> int:  # position in sigma^K(b) of R's j-th new letter, R[0] = b the 0-th
         pos, c = 0, b
         for t in range(K - 1, -1, -1):
             lengths = blocks.at(t)
-            for x in sub_i.image(c):
+            for x in images[c]:
                 if visits[t][x] > j:
                     break
                 j -= visits[t][x]
@@ -749,7 +750,7 @@ def level_measure_table(
     chain: ComponentChain,
     spectral: SpectralProfile,
     i: int,
-    max_m: int = 2,
+    max_m: int,
 ) -> dict:
     """Descriptor plus cylinder values for all words up to length ``max_m``."""
     chain.check_level(i)

@@ -202,8 +202,10 @@ def _pf_right(block, lam):
         if not all(v > 0 for v in vec):
             raise InternalInvariantError("Perron vector must be positive")
         return vec
-    arr = np.array(block, dtype=float)
-    vals, vecs = np.linalg.eig(arr)
+    try:
+        vals, vecs = np.linalg.eig(np.array(block, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise InternalInvariantError(f"the float eigen solve of a {k}x{k} block failed: {exc}") from None
     idx = int(np.argmin(np.abs(vals - lam)))
     vec = np.real(vecs[:, idx])
     if vec.sum() < 0:
@@ -274,7 +276,10 @@ def _left_vector(words_blocks: list[tuple[str, ...]], rows, lam, anchor: int):
             values.update(zip(ws, y))
         else:
             shifted = lam * np.eye(len(ws)) - np.array(transposed, dtype=float)
-            x = np.linalg.solve(shifted, np.array(rhs, dtype=float))
+            try:
+                x = np.linalg.solve(shifted, np.array(rhs, dtype=float))
+            except np.linalg.LinAlgError as exc:
+                raise InternalInvariantError(f"float lam I - D of a {len(ws)}x{len(ws)} block: {exc}") from None
             values.update(zip(ws, (float(v) for v in x)))
     return values
 

@@ -398,8 +398,3 @@ def _packed_witness(succ: list[tuple[int, ...]], slot: list[int], need: list[int
             return k, None
     return 0, [power >> slot[v] * n & full for v in range(n)]
 
-
-def is_empty_bottom(sub: Substitution, chain: ComponentChain) -> bool:
-    """True iff the bottom subshift is empty: A_1 = {s} with s mapped to itself."""
-    bottom = chain.components[0]
-    return len(bottom) == 1 and sub.image(bottom[0]) == bottom[0]

@@ -24,7 +24,6 @@ from chainshift import (
     incidence_matrix,
     language,
     limit_data,
-    minimal_sets,
     pf_vectors,
 )
 from chainshift.structure import mat_pow
@@ -250,7 +249,7 @@ def test_criterion_7_classification():
         }
         for name, verdict in expectations.items():
             sub, chain, sp = _setup(name)
-            assert minimal_sets(sub, chain, sp).uniquely_ergodic == verdict, name
+            assert decomposition_report(sub, chain, sp).minimal.uniquely_ergodic == verdict, name
         # periodic-seed counts
         sub, chain, sp = _setup("two_limit_orbits")
         report = decomposition_report(sub, chain, sp)

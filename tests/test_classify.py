@@ -14,19 +14,13 @@ import oracles
 from chainshift import (
     BudgetExceeded,
     ChainshiftError,
-    DomainError,
     NoPrimitiveChainError,
     Substitution,
     apply,
     block_eigenvalues,
-    classify_level,
     component_chain,
     decomposition_report,
-    find_seed_pair,
     language,
-    level_seed,
-    minimal_sets,
-    positively_recurrent,
 )
 from chainshift import classify, cli
 from chainshift.classify import _is_single_periodic_orbit, _letter_cycles, _pair_seeds, _s_run_levels
@@ -45,12 +39,19 @@ def _report(name: str):
     return sub, chain, sp, decomposition_report(sub, chain, sp)
 
 
+def _seed(sub: Substitution, i: int):
+    """The seed pair of level i >= 2 on a fresh chain, through the private
+    door ``measures`` reads it by."""
+    chain = component_chain(sub)
+    return classify._level_seed(chain, block_eigenvalues(sub, chain), i)
+
+
 # -- seed pairs -------------------------------------------------------------
 
 
 def test_seed_chacon():
-    sub, chain, _ = _setup("chacon")
-    seed = find_seed_pair(sub, chain, 2)
+    sub = make("chacon")
+    seed = _seed(sub, 2)
     assert (seed.a, seed.b, seed.k) == ("a", "b", 1)
     assert seed.orientation == "forward"
     assert seed.u == "" and seed.v == "bab"
@@ -58,30 +59,31 @@ def test_seed_chacon():
 
 
 def test_seed_tower_of_quasi_level_two():
-    sub, chain, _ = _setup("tower_of_quasi")
-    seed = find_seed_pair(sub, chain, 2)
+    sub = make("tower_of_quasi")
+    seed = _seed(sub, 2)
     assert (seed.a, seed.b, seed.u, seed.v) == ("a", "c", "ab", "b")
 
 
 def test_seed_quartic_level_three():
-    sub, chain, _ = _setup("quartic")
-    seed = find_seed_pair(sub, chain, 3)
+    sub = make("quartic")
+    seed = _seed(sub, 3)
     assert seed.orientation == "forward"
     assert (seed.a, seed.b) == ("b", "c")
     assert apply(sub, "bc", seed.k) == seed.u + "bc" + seed.v
 
 
 def test_seed_reverse_orientation():
-    sub, chain, _ = _setup("left_tail")
-    seed = find_seed_pair(sub, chain, 2)
+    sub = make("left_tail")
+    seed = _seed(sub, 2)
     assert seed.orientation == "reverse"
     assert apply(sub, seed.b + seed.a, seed.k) == seed.v + seed.b + seed.a + seed.u
 
 
 def test_seed_identity_on_whole_corpus(corpus_sub):
     chain = component_chain(corpus_sub)
+    profile = block_eigenvalues(corpus_sub, chain)
     for i in range(2, chain.n + 1):
-        seed = find_seed_pair(corpus_sub, chain, i)
+        seed = classify._level_seed(chain, profile, i)
         lower = set(chain.alphabet_at(i - 1))
         assert seed.a in lower and seed.b in chain.new_letters(i)
         if seed.orientation == "forward":
@@ -113,7 +115,8 @@ def test_seed_pairs_are_pinned():
     for name, rules in systems.items():
         sub = Substitution.from_rules(rules)
         chain = component_chain(sub)
-        seeds = [find_seed_pair(sub, chain, i) for i in range(2, chain.n + 1)]
+        profile = block_eigenvalues(sub, chain)
+        seeds = [classify._level_seed(chain, profile, i) for i in range(2, chain.n + 1)]
         got = [[s.level, s.a, s.b, s.k, s.u, s.v, s.orientation] for s in seeds]
         assert got == pinned[name], name
 
@@ -159,12 +162,12 @@ def test_full_reports_are_pinned(name):
 
 def test_seed_expansion_budget_is_exact(monkeypatch):
     # sigma(ab) on quartic is aaaaabbb: eight letters may be expanded, seven may not
-    sub, chain, _ = _setup("quartic")
+    sub = make("quartic")
     monkeypatch.setattr(classify, "SEED_BUDGET", 8)
-    assert find_seed_pair(sub, chain, 2).u == "aaaa"
+    assert _seed(sub, 2).u == "aaaa"
     monkeypatch.setattr(classify, "SEED_BUDGET", 7)
     with pytest.raises(BudgetExceeded, match="seed expansion exceeds 7 letters"):
-        find_seed_pair(sub, chain, 2)
+        _seed(sub, 2)
 
 
 def test_window_radius_reads_image_lengths(corpus_sub, monkeypatch):
@@ -182,12 +185,6 @@ def test_window_radius_reads_image_lengths(corpus_sub, monkeypatch):
     monkeypatch.setattr(classify, "apply", expanded)
     assert [classify._window_radius(corpus_sub, chain.alphabet_at(i), q, 10**9) for i, q in cases] == expected
     assert classify._window_radius(corpus_sub, chain.alphabet_at(chain.n), 3, 40) == min(expected[-1], 40)
-
-
-def test_seed_rejects_bottom_level():
-    sub, chain, _ = _setup("chacon")
-    with pytest.raises(DomainError):
-        find_seed_pair(sub, chain, 1)
 
 
 # -- s-run machinery ---------------------------------------------------------
@@ -295,13 +292,15 @@ def _fresh(sub: Substitution):
 
 
 def _entry_points_agree(sub: Substitution):
-    """The report of a fresh chain, and ``classify_level`` of each level on a
-    fresh chain of its own, checked against each other and against
-    ``level_seed``; failures are compared by type and message."""
+    """The report of a fresh chain, and the level report of each level on a
+    fresh chain of its own (``classify._classify_level``, the door
+    ``measures`` reads a level by), checked against each other and against
+    the seed pair (``classify._level_seed``); failures are compared by type
+    and message."""
     whole = _outcome(decomposition_report, *_fresh(sub))
     n = component_chain(sub).n
-    levels = [_outcome(classify_level, *_fresh(sub), i) for i in range(2, n + 1)]
-    seeds = [_outcome(level_seed, *_fresh(sub), i) for i in range(2, n + 1)]
+    levels = [_outcome(classify._classify_level, *_fresh(sub)[1:], i) for i in range(2, n + 1)]
+    seeds = [_outcome(classify._level_seed, *_fresh(sub)[1:], i) for i in range(2, n + 1)]
     failed = [level for level in levels if isinstance(level, tuple)]
     assert whole == failed[0] if failed else whole.levels[1:] == levels
     for level, seed in zip(levels, seeds):
@@ -312,7 +311,7 @@ def _entry_points_agree(sub: Substitution):
 def _assert_rows_and_entry_points_match(rules):
     """The rows of every level (``_two_words``), from one sweep, against the
     row rule on the independent word -> level oracle, and the report against
-    ``classify_level`` and ``level_seed`` on fresh chains."""
+    the per-level reports and seed pairs on fresh chains."""
     sub = Substitution.from_rules(rules)
     chain = component_chain(sub)
     assert classify._two_words(chain) == oracles.two_word_rows(rules, chain.levels)
@@ -340,7 +339,7 @@ def _with_pinned_examples(test):
 @_with_pinned_examples
 def test_report_and_level_entry_points_agree(rules, budget):
     # The report makes every level in one pass over tables read once per
-    # chain; classify_level and level_seed make one level each. They agree
+    # chain; the per-level doors make one level each. They agree
     # level by level, and under a small seed budget they raise the same
     # BudgetExceeded, while the levels within it keep their full reports.
     sub = Substitution.from_rules(rules)
@@ -473,15 +472,13 @@ def test_bilateral_seed_invariants(corpus_sub):
 
 
 def test_positively_recurrent_examples():
-    sub, chain, _ = _setup("tower_of_quasi")
-    seed = find_seed_pair(sub, chain, 2)
-    assert not positively_recurrent(sub, chain, seed)
-    sub2, chain2, _ = _setup("fib_expanding_tail")
-    seed2 = find_seed_pair(sub2, chain2, 2)
-    assert positively_recurrent(sub2, chain2, seed2)
-    with pytest.raises(DomainError):
-        positively_recurrent(sub, chain, seed.__class__(
-            level=2, a="a", b="c", k=1, u="ab", v="", orientation="forward"))
+    # the quasi-fixed point revisits its central window forward in time iff
+    # v holds a new letter; chacon's seed has u empty, the others do not
+    for name, recurrent in (("tower_of_quasi", False), ("fib_expanding_tail", True), ("chacon", True)):
+        _, chain, _, report = _report(name)
+        level2 = report.levels[1]
+        assert level2.quasi_fixed.positively_recurrent is recurrent, name
+        assert (2 in map(chain.level_of, level2.seed.v)) is recurrent, name
 
 
 # -- census and unique ergodicity ---------------------------------------------
@@ -505,8 +502,7 @@ UE_EXPECTATIONS = {
 
 @pytest.mark.parametrize("name", sorted(UE_EXPECTATIONS))
 def test_unique_ergodicity_verdicts(name):
-    sub, chain, sp = _setup(name)
-    result = minimal_sets(sub, chain, sp)
+    result = _report(name)[3].minimal
     verdict, clause, census = UE_EXPECTATIONS[name]
     assert result.uniquely_ergodic == verdict
     assert result.clause == clause
@@ -519,7 +515,7 @@ def test_verdict_matches_probability_class_count(corpus_sub):
     one per strictly dominating level plus the constant point when present."""
     chain = component_chain(corpus_sub)
     sp = block_eigenvalues(corpus_sub, chain)
-    result = minimal_sets(corpus_sub, chain, sp)
+    result = decomposition_report(corpus_sub, chain, sp).minimal
     classes = 0
     for i in range(1, chain.n + 1):
         if not sp.theta_is_one(i) and sp.level_is_finite(i):
@@ -529,12 +525,6 @@ def test_verdict_matches_probability_class_count(corpus_sub):
         if _flat_runs(corpus_sub, s)[0] == 1:
             classes += 1
     assert result.uniquely_ergodic == (classes == 1)
-
-
-def test_classify_level_rejects_bottom():
-    sub, chain, sp = _setup("chacon")
-    with pytest.raises(DomainError):
-        classify_level(sub, chain, sp, 1)
 
 
 @pytest.mark.parametrize("gap", [2, 12, 13, 20])
@@ -599,10 +589,10 @@ def test_power_two_seed_pipeline():
     sub = Substitution.from_rules({"a": "ab", "b": "a", "c": "adc", "d": "acd"})
     chain = component_chain(sub)
     sp = block_eigenvalues(sub, chain)
-    seed = find_seed_pair(sub, chain, 2)
+    rep = decomposition_report(sub, chain, sp)
+    seed = rep.levels[1].seed
     assert seed.k == 2
     assert apply(sub, seed.a + seed.b, 2) == seed.u + seed.a + seed.b + seed.v
-    rep = decomposition_report(sub, chain, sp)
     assert rep.levels[1].case == "dense_excursions"
     assert any("power 2" in note for note in rep.levels[1].notes)
     assert cylinder_measure(sub, chain, sp, 2, "c").exact == Fraction(1, 8)
@@ -742,7 +732,7 @@ def test_sweep_invariants_survive_optimize():
         "AlgebraicReal.integer_root = real\n"
         "level_words = classify.level_words\n"
         "classify.level_words = lambda sub, new_letters, m: [[] for _ in new_letters]\n"
-        "expect(find_seed_pair, sub, chain, 2)\n"
+        "expect(decomposition_report, sub, chain, block_eigenvalues(sub, chain))\n"
         "classify.level_words = level_words\n"
         "sub = Substitution.from_rules({'a': 'abca', 'b': 'bacb', 'c': 'cbac', 'd': 'abbcad'})\n"
         "chain = component_chain(sub)\n"
@@ -761,23 +751,23 @@ def test_sweep_invariants_survive_optimize():
         "              {'a': 'abca', 'b': 'bacb', 'c': 'cbac', 'd': 'abadcac'}):\n"
         "    sub = Substitution.from_rules(rules)\n"
         "    chain = component_chain(sub)\n"
-        "    expect(classify_level, sub, chain, block_eigenvalues(sub, chain), 2)\n"
+        "    expect(decomposition_report, sub, chain, block_eigenvalues(sub, chain))\n"
         "SpectralProfile.theta_is_one = theta_is_one\n"
         "classify._periodic_point_seeds = lambda chain, i: []\n"
         "sub = Substitution.from_rules({'a': 'a', 'b': 'ba'})\n"
         "chain = component_chain(sub)\n"
-        "expect(classify_level, sub, chain, block_eigenvalues(sub, chain), 2)\n"
-        "find = classify.find_seed_pair\n"
+        "expect(decomposition_report, sub, chain, block_eigenvalues(sub, chain))\n"
+        "find = classify._seed_pair\n"
         "for change in ({'u': ''}, {'v': ''}, {'v': 'a'}):\n"
         "    def changed(*args):\n"
         "        s = find(*args)\n"
         "        fields = {'level': s.level, 'a': s.a, 'b': s.b, 'k': s.k, 'u': s.u, 'v': s.v, 'orientation': s.orientation}\n"
         "        return classify.SeedPair(**{**fields, **change})\n"
-        "    classify.find_seed_pair = changed\n"
+        "    classify._seed_pair = changed\n"
         "    sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
         "    chain = component_chain(sub)\n"
         "    expect(measure_type, sub, chain, block_eigenvalues(sub, chain), 2)\n"
-        "classify.find_seed_pair = find\n"
+        "classify._seed_pair = find\n"
         "thue_morse = Substitution.from_rules({'a': 'ab', 'b': 'ba'})\n"
         "expect(classify._s_run_levels, thue_morse, 'a', (('a', 'b'),))\n"
         "expect(classify._s_run_levels, thue_morse, 'b', (('a', 'b'),))\n"
@@ -798,7 +788,7 @@ def test_sweep_invariants_survive_optimize():
         assert "theta = 1 must hold exactly when the block is [1]" in lines[0]
         assert "no crossing pair" in lines[1]
         assert "is not unique in its window" in lines[2]
-        # each case of classify_level with theta = 1 read the wrong way round
+        # each case of a level report with theta = 1 read the wrong way round
         assert "a seed with empty u needs a fixed letter and theta > 1" in lines[3]
         assert "a seed with empty v needs theta = 1" in lines[4]
         assert "excursions into new letters need theta > 1" in lines[5]
@@ -834,7 +824,7 @@ def _forward_seed_levels(rules: dict[str, str]) -> int:
         lower, new = set(chain.alphabet_at(i - 1)), set(chain.new_letters(i))
         two = oracles.language_closure(oracles.restrict(rules, chain.alphabet_at(i)), 2)
         assert any(w[0] in lower and w[1] in new for w in two), (rules, i)
-        report = classify_level(sub, chain, sp, i)
+        report = classify._classify_level(chain, sp, i)
         assert report.seed.orientation == "forward", (rules, i)
         quasi_fixed += report.quasi_fixed is not None
     return quasi_fixed

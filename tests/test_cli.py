@@ -516,6 +516,34 @@ def test_exit_code_failed_exact_solve_and_root(tmp_path, flags):
         assert "Traceback" not in proc.stderr
 
 
+_FLOAT_FAILURE = """
+import sys
+import numpy as np
+from chainshift import cli
+def failed(*args):
+    raise np.linalg.LinAlgError("injected")
+setattr(np.linalg, sys.argv[1], failed)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["debug", "optimized"])
+def test_exit_code_failed_float_solve_and_eigen(tmp_path, flags):
+    # a numpy failure in the float block solve of a left vector (fib_tail's
+    # right vector solves its 1x1 top block) or in the float Perron vector:
+    # exit 6 with the typed payload, as the exact solves give, not a traceback
+    path = _write(tmp_path, "fib_tail.sub", CORPUS_RULES["fib_tail"])
+    for call, message in [
+        ("solve", "float lam I - D of a 1x1 block: injected"),
+        ("eig", "the float eigen solve of a 3x3 block failed: injected"),
+    ]:
+        proc = _python(*flags, "-c", _FLOAT_FAILURE, call, "spectral", path, "-m", "2")
+        assert proc.returncode == 6, proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        assert (error["code"], error["kind"], error["message"]) == (6, "InternalInvariantError", message)
+        assert "Traceback" not in proc.stderr
+
+
 def test_simulate_long_prefix_without_expansion(tmp_path, capsys):
     path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
     code, out = _run(capsys, "simulate", path, "-i", "1", "-v", "a", "-L", str(10**9))

@@ -27,8 +27,8 @@ import oracles
 from chainshift import (
     BudgetExceeded,
     block_eigenvalues,
-    classify_level,
     component_chain,
+    decomposition_report,
     empirical_frequency,
     language,
     measure_type,
@@ -151,7 +151,7 @@ def test_prefix_counter_invariant_survives_optimize():
     script = (
         "from chainshift import *\n"
         "from chainshift.measures import _Blocks\n"
-        "blocks = _Blocks(Substitution.from_rules({'a': 'ab', 'b': 'a'}), 'ab')\n"
+        "blocks = _Blocks(component_chain(Substitution.from_rules({'a': 'ab', 'b': 'a'})), 1, 'ab')\n"
         "k = blocks.reach('a', 50)\n"
         "try:\n"
         "    blocks.prefix('a', k, blocks.at(k)['a'][0] + 1)\n"
@@ -175,10 +175,11 @@ def _quasi_fixed_levels() -> list[tuple[str, int]]:
     out = []
     for name in sorted(CORPUS_RULES):
         setup = _setup(name)
+        report = decomposition_report(*setup)
         for i in range(2, setup[1].n + 1):
             if setup[2].theta_is_one(i):
                 continue
-            if classify_level(*setup, i).quasi_fixed is not None:
+            if report.levels[i - 1].quasi_fixed is not None:
                 out.append((name, i))
     return out
 
@@ -216,7 +217,7 @@ def _forward_seed(name: str, i: int):
     """(setup, seed, level rules, new letters) of a quasi-fixed level; the
     seed is forward on every level with theta > 1."""
     setup = _setup(name)
-    seed = classify_level(*setup, i).quasi_fixed.seed
+    seed = decomposition_report(*setup).levels[i - 1].quasi_fixed.seed
     assert seed.orientation == "forward", (name, i)
     sub_i, _ = setup[1].restrict(i)
     return setup, seed, dict(zip(sub_i.alphabet.letters, sub_i.images)), set(setup[1].new_letters(i))
@@ -310,14 +311,15 @@ def test_reverse_seed_invariant_survives_optimize():
     # raise the typed invariant error explicitly, also under ``python -O``.
     script = (
         "from chainshift import *\n"
+        "import chainshift.classify as classify\n"
         "import chainshift.measures as measures\n"
         "sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
         "chain = component_chain(sub)\n"
         "spectral = block_eigenvalues(sub, chain)\n"
         "def reversed_seed(*args):\n"
-        "    s = level_seed(*args)\n"
+        "    s = classify._level_seed(*args)\n"
         "    return SeedPair(s.level, s.a, s.b, s.k, s.u, s.v, 'reverse')\n"
-        "measures.level_seed = reversed_seed\n"
+        "measures._level_seed = reversed_seed\n"
         "try:\n"
         "    uniformity_check(sub, chain, spectral, 2, 'b', 10)\n"
         "except InternalInvariantError as exc:\n"

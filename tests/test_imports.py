@@ -24,7 +24,11 @@ letters each level adds: the cumulative alphabets are derived, and only
 library code or by the benchmark harness: no helper is kept for tests alone.
 ``memo`` is defined on ``ComponentChain`` alone; only public functions take
 both ``sub`` and ``chain``, the rest read ``chain.sub``; and
-``decomposition_report`` and ``limit_data`` have no argument defaults.
+``decomposition_report``, ``limit_data``, ``level_measure_table`` and
+``CylinderValue`` have no argument defaults that every caller overrides. The
+classification is read through ``decomposition_report`` alone: ``classify``
+defines no other public function, and the package exports no per-level seed,
+level report, minimal-set census or bottom test.
 """
 
 import ast
@@ -441,16 +445,46 @@ def test_sub_chain_guard_sees_every_form():
 
 
 def test_no_defaults_that_no_caller_omits():
-    # every caller passes the chain and the profile; ``pf_vectors`` keeps its
+    # every caller passes the chain and the profile, the listing's window
+    # length and a cylinder value's algebraic note; ``pf_vectors`` keeps its
     # default, since a benchmark probe omits the profile
     import inspect
 
-    from chainshift import decomposition_report, limit_data, pf_vectors
+    from chainshift import CylinderValue, decomposition_report, level_measure_table, limit_data, pf_vectors
 
-    for fn in (decomposition_report, limit_data):
+    for fn in (decomposition_report, limit_data, level_measure_table, CylinderValue):
         defaults = [p.name for p in inspect.signature(fn).parameters.values() if p.default is not p.empty]
         assert defaults == [], fn.__name__
     assert inspect.signature(pf_vectors).parameters["spectral"].default is None
+
+
+# the entries that served tests alone; their facts are fields of the report
+PRIVATE_CLASSIFICATION = (
+    "classify_level", "level_seed", "find_seed_pair", "minimal_sets", "positively_recurrent", "is_empty_bottom"
+)
+
+
+def _public_functions(source: str) -> list[str]:
+    """The module-level functions of ``source`` whose names are not private."""
+    tree = ast.parse(source)
+    return [node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def test_the_classification_has_one_public_door():
+    # the subshift is classified as one object: the CLI and the benchmark read
+    # it whole, and the seeds, level reports and minimal sets are its fields
+    import chainshift
+
+    assert _public_functions((PACKAGE / "classify.py").read_text(encoding="utf-8")) == ["decomposition_report"]
+    assert not set(PRIVATE_CLASSIFICATION) & set(chainshift.__all__)
+    assert not [name for name in PRIVATE_CLASSIFICATION if hasattr(chainshift, name)]
+    assert "is_empty_bottom" not in _public_functions((PACKAGE / "structure.py").read_text(encoding="utf-8"))
+    assert len(chainshift.__all__) == len(set(chainshift.__all__)) == 45
+
+
+def test_public_function_guard_sees_every_form():
+    probe = "def f(): pass\ndef _g(): pass\nclass C:\n    def h(self): pass\nk = lambda: 0\n"
+    assert _public_functions(probe) == ["f"]
 
 
 def test_cli_defines_no_exit_code_table():

@@ -21,7 +21,6 @@ from chainshift import (
     Substitution,
     WordNotInLevelLanguage,
     block_eigenvalues,
-    classify_level,
     component_chain,
     cylinder_measure,
     empirical_frequency,
@@ -30,7 +29,7 @@ from chainshift import (
     measure_type,
     uniformity_check,
 )
-from chainshift import measures, words
+from chainshift import classify, measures, words
 from conftest import CORPUS_RULES, make
 from test_pipeline_fuzz import chain_systems
 
@@ -222,7 +221,7 @@ def _assert_kinds_follow_the_spectrum(rules: dict[str, str]) -> None:
         dominant = all(bool(theta > lower) for lower in thetas[: i - 1])
         desc = measure_type(sub, chain, sp, i)
         assert desc.kind == ("finite_ergodic" if dominant else "infinite_radon"), (rules, i)
-        assert desc.anchor == classify_level(sub, fresh, fresh_sp, i).anchor, (rules, i)
+        assert desc.anchor == classify._classify_level(fresh, fresh_sp, i).anchor, (rules, i)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_RULES))

@@ -1,7 +1,7 @@
 """The data derived from a chain is computed once per chain and lives with it.
 
-``block_eigenvalues``, ``pf_vectors``, ``limit_data``, ``level_seed``, the
-periodic-point census, ``classify_level`` and ``build_auxiliary`` store
+``block_eigenvalues``, ``pf_vectors``, ``limit_data``, the seed pairs, the
+periodic-point census, the level reports and ``build_auxiliary`` store
 their results on the chain (``ComponentChain.memo``), keyed by window length
 and level, ``ComponentChain.restrict`` keeps each lower level's restriction
 there, and ``decomposition_report`` sweeps the chain's two-letter languages
@@ -71,8 +71,8 @@ def calls(monkeypatch):
     count(spectral, "_pf_vectors", lambda chain, m, sp: (chain.n, m))
     count(spectral, "_limit_data", lambda chain, m, i, sp: (i, m))
     count(measures, "_letter_base", lambda chain, sp, i, desc: i)
-    count(classify, "_classify_level", lambda chain, sp, i: i)
-    count(classify, "find_seed_pair", lambda sub, chain, i: i)
+    count(classify, "_level_report", lambda chain, seed, one, s, pairs: seed.level)
+    count(classify, "_seed_pair", lambda chain, i, row, oriented: i)
     return counts
 
 
@@ -117,9 +117,9 @@ def test_one_solve_per_level_and_window(name, calls):
     assert sorted(key for (body, key) in calls if body == "_letter_base") == exact
     assert [i for i in measured if chain._memo[("level", i)].ancestors is not None] == exact
     # one seed pair per level; the full report only where theta = 1
-    seeds = sorted(key for (body, key) in calls if body == "find_seed_pair")
+    seeds = sorted(key for (body, key) in calls if body == "_seed_pair")
     assert seeds == list(range(2, chain.n + 1))
-    reports = sorted(key for (body, key) in calls if body == "_classify_level")
+    reports = sorted(key for (body, key) in calls if body == "_level_report")
     assert reports == [i for i in range(2, chain.n + 1) if profile.theta_is_one(i)]
     assert set(calls.values()) == {1}
 
@@ -142,8 +142,6 @@ def test_table_above_one_runs_no_census(name, i, monkeypatch):
     def census(*args):
         raise AssertionError("the periodic-point census ran")
 
-    # ``positively_recurrent`` is the seed check's crossing test too, so it
-    # runs for every seed pair and is not patched here
     for body in ("_periodic_point_seeds", "_is_single_periodic_orbit"):
         monkeypatch.setattr(classify, body, census)
     sub = make(name)
@@ -539,7 +537,7 @@ def test_measure_type_reads_a_given_report(name, monkeypatch):
     def solve(*args):
         raise AssertionError("the level was solved again")
 
-    for body in ("find_seed_pair", "_classify_level", "_periodic_point_seeds"):
+    for body in ("_seed_pair", "_level_report", "_periodic_point_seeds"):
         monkeypatch.setattr(classify, body, solve)
     for i in range(1, chain.n + 1):
         given = report.levels[i - 1]
@@ -555,7 +553,7 @@ def test_measure_type_on_another_chain_stores_nothing():
     sub = make("quartic")
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
-    report = classify.classify_level(sub, chain, profile, 2)
+    report = decomposition_report(sub, chain, profile).levels[1]
     sub_2, chain_2 = chain.restrict(2)
     keys, level_keys = set(chain._memo), set(chain_2._memo)
     for given in (None, report):
@@ -616,6 +614,67 @@ def test_decomposition_report_checks_the_profile_once_per_level(monkeypatch):
     monkeypatch.setattr(spectral.SpectralProfile, "check", counted)
     decomposition_report(sub, chain, profile)
     assert checks["check"] == 1
+
+
+def _profile_entries(i: int, word: str) -> dict:
+    """The public entries that take a profile, each a call on (sub, chain,
+    profile) at level i, with ``word`` where one is read."""
+    return {
+        "measure_type": lambda sub, chain, sp: measure_type(sub, chain, sp, i),
+        "cylinder_measure": lambda sub, chain, sp: cylinder_measure(sub, chain, sp, i, word),
+        "empirical_frequency": lambda sub, chain, sp: measures.empirical_frequency(sub, chain, sp, i, word, 100),
+        "uniformity_check": lambda sub, chain, sp: measures.uniformity_check(sub, chain, sp, i, word, 10),
+        "level_measure_table": lambda sub, chain, sp: level_measure_table(sub, chain, sp, i, max_m=2),
+        "pf_vectors": lambda sub, chain, sp: pf_vectors(sub, chain, 2, sp),
+        "limit_data": lambda sub, chain, sp: limit_data(sub, chain, 2, i, sp),
+        "decomposition_report": lambda sub, chain, sp: decomposition_report(sub, chain, sp),
+    }
+
+
+ENTRY_NAMES = sorted(_profile_entries(1, "a"))
+
+
+@pytest.mark.parametrize("name, i, word", [("quartic", 2, "bb"), ("fibonacci", 1, "a")])
+@pytest.mark.parametrize("entry", ENTRY_NAMES)
+def test_first_call_checks_the_profile_once(entry, name, i, word, monkeypatch):
+    # a public entry checks its profile once, before anything reads it, and
+    # the private doors it reads seeds, reports and tables through check
+    # nothing again (a fresh chain, so every level is made on this call)
+    sub = make(name)
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    checks = []
+    check = spectral.SpectralProfile.check
+    monkeypatch.setattr(spectral.SpectralProfile, "check", lambda self, *args: checks.append(1) or check(self, *args))
+    try:
+        _profile_entries(i, word)[entry](sub, chain, profile)
+    except DomainError as exc:  # uniformity windows need a level >= 2
+        assert (entry, i) == ("uniformity_check", 1), exc
+    assert len(checks) == 1
+
+
+def _foreign_profiles() -> dict:
+    """case -> (sub, chain, another chain's profile, level, word): a level
+    chain under the system's profile, two levels and one, and a one-level
+    system under another one-level system's."""
+    quartic, golden = (component_chain(make(name)) for name in ("quartic", "golden_tower"))
+    thue_morse = component_chain(Substitution.from_rules({"a": "ab", "b": "ba"}))
+    fibonacci = component_chain(make("fibonacci"))
+    return {
+        "level-chain": (*quartic.restrict(2), block_eigenvalues(quartic.sub, quartic), 2, "bb"),
+        "one-level-chain": (*golden.restrict(1), block_eigenvalues(golden.sub, golden), 1, "a"),
+        "one-level-system": (fibonacci.sub, fibonacci, block_eigenvalues(thue_morse.sub, thue_morse), 1, "a"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_foreign_profiles()))
+@pytest.mark.parametrize("entry", ENTRY_NAMES)
+def test_another_chains_profile_is_refused_before_anything_is_stored(entry, case):
+    sub, chain, profile, i, word = _foreign_profiles()[case]
+    keys = set(chain._memo)
+    with pytest.raises(DomainError, match="describes another chain"):
+        _profile_entries(i, word)[entry](sub, chain, profile)
+    assert set(chain._memo) == keys
 
 
 def test_decomposition_report_makes_few_python_calls_per_level():

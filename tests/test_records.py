@@ -1,7 +1,8 @@
 """The record classes: plain slotted classes with written-out ``__init__``s.
 
 Each keeps the positional order, keywords and defaults it had as a
-dataclass. The five hashable types compare and hash by exactly their
+dataclass, less the fields that nothing reads and the defaults that no
+caller omits. The five hashable types compare and hash by exactly their
 compared fields and refuse assignment, also under ``python -O``; the other
 records compare by their public fields.
 """
@@ -66,12 +67,12 @@ RECORDS = {
          "x_i_nonempty": False, "notes": NEW_LIST},
     ),
     classify.MinimalSets: (["census", "uniquely_ergodic", "clause"], {}),
-    classify.DecompositionReport: (["chain", "levels", "minimal"], {}),
+    classify.DecompositionReport: (["levels", "minimal"], {}),
     measures.MeasureDescriptor: (
         ["level", "kind", "anchor", "i_prime", "finite_atoms", "infinite_orbits"], {}
     ),
     measures.CylinderValue: (
-        ["level", "word", "infinite", "exact", "value", "anchor", "algebraic"], {"algebraic": None}
+        ["level", "word", "infinite", "exact", "value", "anchor", "algebraic"], {}
     ),
     measures.EmpiricalFrequency: (
         ["level", "word", "length", "power", "ratio", "scaled_power", "scaled_count", "scaled_value"],
@@ -151,9 +152,9 @@ def test_each_level_report_gets_its_own_lists():
 
 
 def test_records_compare_by_their_public_fields():
-    a = measures.CylinderValue(2, "ab", False, None, 0.5, "b")
-    assert a == measures.CylinderValue(2, "ab", False, None, 0.5, "b")
-    assert a != measures.CylinderValue(2, "ab", False, None, 0.25, "b")
+    a = measures.CylinderValue(2, "ab", False, None, 0.5, "b", None)
+    assert a == measures.CylinderValue(2, "ab", False, None, 0.5, "b", None)
+    assert a != measures.CylinderValue(2, "ab", False, None, 0.25, "b", None)
     assert a != (2, "ab", False, None, 0.5, "b", None)
     assert repr(a) == (
         "CylinderValue(level=2, word='ab', infinite=False, exact=None, value=0.5, anchor='b', algebraic=None)"

@@ -13,8 +13,8 @@ from chainshift import (
     Substitution,
     block_eigenvalues,
     component_chain,
+    decomposition_report,
     incidence_matrix,
-    is_empty_bottom,
 )
 from chainshift import structure
 from chainshift.structure import letter_counts, mat_mul, mat_pow
@@ -339,9 +339,12 @@ def test_sub_language_contained(corpus_sub):
 
 
 def test_is_empty_bottom():
-    assert is_empty_bottom(make("chacon"), component_chain(make("chacon")))
-    assert not is_empty_bottom(make("quartic"), component_chain(make("quartic")))
-    assert not is_empty_bottom(make("golden_tower"), component_chain(make("golden_tower")))
+    # the bottom subshift is empty iff level 1 is one letter mapped to itself
+    cases = {"chacon": "bottom_empty", "quartic": "bottom_minimal", "golden_tower": "bottom_minimal"}
+    for name, case in cases.items():
+        sub = make(name)
+        chain = component_chain(sub)
+        assert decomposition_report(sub, chain, block_eigenvalues(sub, chain)).levels[0].case == case, name
 
 
 def test_random_substitutions_match_partition_search():
