@@ -23,7 +23,6 @@ from .words import (
     count_occurrences,
     language,
     parse_input,
-    word_levels,
 )
 from .structure import (
     ComponentChain,
@@ -105,5 +104,4 @@ __all__ = [
     "parse_input",
     "pf_vectors",
     "uniformity_check",
-    "word_levels",
 ]

@@ -9,9 +9,9 @@ window boundaries stay unambiguous. Coordinates are grouped into blocks
 where Q(i) holds the level-i words whose first letter is new at level i and
 G(i) holds words of level i+1 that start with an old letter. In this order
 the incidence matrix is block lower triangular. The blocks are split in one
-pass over the chain's word -> level index (``ComponentChain.word_levels``): a
-word entering at level e whose first letter enters at level f lies in Q(e)
-when f = e and in G(e-1) when f < e.
+pass over the chain's word -> level index (``chain.word_levels(m)``, read
+off its one sweep): a word entering at level e whose first letter enters at
+level f lies in Q(e) when f = e and in G(e-1) when f < e.
 """
 
 from __future__ import annotations

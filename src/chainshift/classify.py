@@ -35,8 +35,8 @@ check's crossing test decides the case. Everything is stored on the chain:
   that level (in L_2(i) but not in L_2(i-1)), the least forward crossing word
   (a letter below the level, then a new one), the least backward one (the
   mirror), in the alphabet's word order, and the sorted pair-seed words (both
-  letters below the level), read off the words one sweep at m = 2 adds at
-  each level (``words.level_words``); no word -> level index is built.
+  letters below the level), read off the words the chain's one sweep at
+  m = 2 adds at each level (``chain.level_words(2)``); no index is built.
 - ``("letter_cycles",)``: the cycle lengths of the first-letter and the
   last-letter maps, found in one O(|alphabet|) walk (``_eventual_cycles``).
 - ``("s_runs",)``: with a fixed bottom letter s only, the level from which
@@ -66,7 +66,7 @@ from math import lcm
 from .errors import BudgetExceeded, DomainError, InternalInvariantError
 from .structure import ComponentChain
 from .spectral import SpectralProfile
-from .words import Record, Substitution, apply, count_occurrences, language, level_words
+from .words import Record, Substitution, apply, count_occurrences, language
 
 SEED_BUDGET = 10**7  # letters in one expansion of a seed pair
 WINDOW_CAP = 4096  # longest central window of a periodic-point seed
@@ -129,7 +129,7 @@ def _level_differences(chain: ComponentChain) -> list[tuple[str | None, str | No
     level = chain._level_of
     key = chain.sub.alphabet.word_key
     rows = []
-    for e, new in enumerate(level_words(chain.sub, chain.components, 2), start=1):
+    for e, new in enumerate(chain.level_words(2), start=1):
         forward = backward = None
         pairs = []
         for w in new:  # w is new at level e: no letter lies above it

@@ -85,38 +85,33 @@ def measure_type(
     i: int,
     report: LevelReport | None = None,
 ) -> MeasureDescriptor:
-    """The kind of invariant measure level i carries, with its anchor data.
+    """The kind of invariant measure level i carries, with its anchor data:
+    the descriptor in level i's record, ``("level", i)``.
 
-    Without a ``report`` the descriptor is the one in level i's record,
-    ``("level", i)``. A level with theta > 1 reads its kind from the
-    spectrum and its anchor from the seed pair (``classify._level_seed``); a
-    level with theta = 1 reads the full level report. A given ``report``,
-    which must be level i's, supplies the anchor and the point seeds instead,
-    and nothing is stored.
+    A level with theta > 1 reads its kind from the spectrum and its anchor
+    from the seed pair (``classify._level_seed``); a level with theta = 1
+    reads the full level report. A given ``report`` must be this chain's own
+    level-i report (``decomposition_report``'s ``levels[i - 1]``), else
+    ``DomainError``; it changes nothing in the answer.
     """
     chain.check_level(i)
     spectral.check(sub, chain)
-    if report is None:
-        return _level(chain, spectral, i).desc
-    if report.level != i:
-        raise DomainError(f"the report describes level {report.level}, not level {i}")
-    return _measure_type(chain, spectral, i, report)
+    if report is not None:
+        own = _bottom_report(chain) if i == 1 else _classify_level(chain, spectral, i)
+        if report != own:
+            raise DomainError(f"the report is not level {i}'s report of this chain")
+    return _level(chain, spectral, i).desc
 
 
-def _measure_type(
-    chain: ComponentChain, spectral: SpectralProfile, i: int, report: LevelReport | None
-) -> MeasureDescriptor:
+def _measure_type(chain: ComponentChain, spectral: SpectralProfile, i: int) -> MeasureDescriptor:
     if i == 1:
-        report = report or _bottom_report(chain)
-        if report.case == "bottom_empty":
-            return MeasureDescriptor(1, "empty", None, None, 0, 0)
-        return MeasureDescriptor(1, "finite_ergodic", report.anchor, None, 0, 0)
+        anchor = _bottom_report(chain).anchor  # None when the bottom is empty
+        return MeasureDescriptor(1, "empty" if anchor is None else "finite_ergodic", anchor, None, 0, 0)
     if not spectral.theta_is_one(i):
-        anchor = report.anchor if report is not None else _level_seed(chain, spectral, i).b
         kind = "finite_ergodic" if spectral.level_is_finite(i) else "infinite_radon"
         ip = spectral.i_prime(i) if kind == "infinite_radon" else None
-        return MeasureDescriptor(i, kind, anchor, ip, 0, 0)
-    report = report or _classify_level(chain, spectral, i)
+        return MeasureDescriptor(i, kind, _level_seed(chain, spectral, i).b, ip, 0, 0)
+    report = _classify_level(chain, spectral, i)
     finite_atoms = sum(1 for p in report.point_seeds if p.shift_periodic)
     infinite = sum(1 for p in report.point_seeds if not p.shift_periodic)
     if report.quasi_fixed is not None and report.quasi_fixed.isolated_orbit:
@@ -199,7 +194,7 @@ class _Level:
     ``_Ancestors`` state, built on first use. It holds no chain."""
 
     def __init__(self, chain, spectral, i):
-        self.desc = _measure_type(chain, spectral, i, None)
+        self.desc = _measure_type(chain, spectral, i)
         self.letters = frozenset(chain.alphabet_at(i))
         self.tables: dict[int, dict[str, tuple]] = {}
         self.ancestors: _Ancestors | None = None

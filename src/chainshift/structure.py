@@ -43,8 +43,9 @@ A chain is its components, the letters each level adds in declaration
 order, and one letter -> level index built from them: ``level_of`` reads it,
 "a letter lies below level i" is the test ``level_of(c) < i``, and the
 alphabets A_i (``alphabet_at``, ``levels``) are derived on each read. Words
-are indexed the same way, one word -> level index per window length
-(``word_levels``): a word lies in the level-i language iff its level is <= i.
+are indexed the same way, per window length, off the one sweep the chain
+runs (``level_words``): a word lies in the level-i language iff its level
+(``word_levels``) is <= i.
 Letter counts (the incidence matrix, and the diagonal blocks the spectral
 profile reads) use ``str.count`` on the images (``letter_counts``).
 
@@ -62,7 +63,7 @@ from __future__ import annotations
 from operator import attrgetter
 
 from .errors import DomainError, NoPrimitiveChainError
-from .words import FrozenRecord, Substitution, word_levels
+from .words import FrozenRecord, Substitution, level_words
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -258,10 +259,17 @@ class ComponentChain(FrozenRecord):
             return self.sub, self
         return self.memo(("restrict", i), _restriction, self, i)
 
+    def level_words(self, m: int) -> list[list[str]]:
+        """Per level i, the length-m words of L_m(i) not in L_m(i-1), in the
+        order the closure adds them: one ``words.level_words`` sweep per m."""
+        return self.memo(("level_words", m), level_words, self.sub, self.components, m)
+
     def word_levels(self, m: int) -> dict[str, int]:
-        """The level each length-m word enters, from one ``words.word_levels``
-        sweep per m: L_m(i) is the set of words with level <= i."""
-        return self.memo(("word_levels", m), word_levels, self.sub, self.components, m)
+        """The level each length-m word enters, read off ``level_words(m)``:
+        L_m(i) is the set of words with level <= i."""
+        return self.memo(
+            ("word_levels", m), lambda: {w: i for i, words in enumerate(self.level_words(m), 1) for w in words}
+        )
 
 
 def _restriction(chain: ComponentChain, i: int) -> tuple[Substitution, ComponentChain]:

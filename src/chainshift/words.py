@@ -7,9 +7,9 @@ is ``""``. Occurrence positions follow the 1-based convention, so ``w[0]`` is
 position 1.
 
 The languages of nested levels are nested, L_m(1) c L_m(2) c ..., so one
-sweep lists the words each level adds (``level_words``, which ``classify``
-reads at m = 2), and one number per word, the level it enters, describes
-all of them (``word_levels``, built from the sweep). The sweep and
+sweep lists the words each level adds (``level_words``). A component chain
+runs it once per window length and reads its word -> level index off it
+(``ComponentChain.level_words``, ``.word_levels``). The sweep and
 ``language`` run one aligned closure (Queffélec, LNM 1294, Ch. 5), at every m:
 
 - Closure rule. A word x = x_0 .. x_{m-1} of L_m adds only the m-windows of
@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import BudgetExceeded, DomainError, ParseError
 
 # letters held by one `language` listing, one level-by-level sweep
-# (`level_words`, which `word_levels` indexes) or one level's ancestor tables
+# (`level_words`) or one level's ancestor tables
 LANGUAGE_BUDGET = 10**7
 
 
@@ -309,15 +309,6 @@ def level_words(sub: Substitution, new_letters: Sequence[Iterable[str]], m: int)
         levels.append(closure.close(lang, new, cap))
         if len(lang) > cap:
             raise BudgetExceeded(f"the word index at m={m} exceeds {LANGUAGE_BUDGET} letters")
-    return levels
-
-
-def word_levels(sub: Substitution, new_letters: Sequence[Iterable[str]], m: int) -> dict[str, int]:
-    """The least i with w in L_m(i), for every word w of the top language, from
-    one ``level_words`` sweep; ``ComponentChain.word_levels`` keeps one per m."""
-    levels: dict[str, int] = {}
-    for i, words in enumerate(level_words(sub, new_letters, m), start=1):
-        levels.update(dict.fromkeys(words, i))
     return levels
 
 

@@ -730,10 +730,10 @@ def test_sweep_invariants_survive_optimize():
         "AlgebraicReal.integer_root = classmethod(lambda cls, poly, r: AlgebraicReal((1, -1)))\n"
         "expect(block_eigenvalues, sub, chain)\n"
         "AlgebraicReal.integer_root = real\n"
-        "level_words = classify.level_words\n"
-        "classify.level_words = lambda sub, new_letters, m: [[] for _ in new_letters]\n"
+        "level_words = structure.level_words\n"
+        "structure.level_words = lambda sub, new_letters, m: [[] for _ in new_letters]\n"
         "expect(decomposition_report, sub, chain, block_eigenvalues(sub, chain))\n"
-        "classify.level_words = level_words\n"
+        "structure.level_words = level_words\n"
         "sub = Substitution.from_rules({'a': 'abca', 'b': 'bacb', 'c': 'cbac', 'd': 'abbcad'})\n"
         "chain = component_chain(sub)\n"
         "windows = classify._make_windows\n"

@@ -10,9 +10,12 @@ reader takes from that table, while the integer-theta tables, which start from
 the letter level, name no window solve, window substitution or restriction at
 all; ``measures`` does not import ``auxiliary``, and ``spectral`` keeps one
 left-vector solve per level (no ``pf_left``, ``LeftVector`` or
-``level_profile``). ``classify`` builds no level chain and closes words
-only at length 2, in one sweep that builds no word -> level index: its
-s-run facts come from one record per chain. No module but ``structure`` names a chain's stored dict,
+``level_profile``). ``classify`` builds no level chain and reads words
+only at length 2, from the chain's one sweep (``chain.level_words(2)``),
+and builds no word -> level index: its s-run facts come from one record per
+chain. Only ``structure`` runs the sweep (``words.level_words``), once per
+chain and window length, and ``words`` keeps no word -> level index of its
+own. No module but ``structure`` names a chain's stored dict,
 ``_memo``; a level chain (``chain.restrict(i)``) is built only by
 ``measures.empirical_frequency`` and ``spectral._level_windows``; and
 ``cli`` keeps no exit-code table, since each error class carries its own. In ``structure`` the witness
@@ -479,7 +482,7 @@ def test_the_classification_has_one_public_door():
     assert not set(PRIVATE_CLASSIFICATION) & set(chainshift.__all__)
     assert not [name for name in PRIVATE_CLASSIFICATION if hasattr(chainshift, name)]
     assert "is_empty_bottom" not in _public_functions((PACKAGE / "structure.py").read_text(encoding="utf-8"))
-    assert len(chainshift.__all__) == len(set(chainshift.__all__)) == 45
+    assert len(chainshift.__all__) == len(set(chainshift.__all__)) == 44
 
 
 def test_public_function_guard_sees_every_form():
@@ -506,9 +509,29 @@ def test_classify_reads_only_the_two_letter_index():
     # ("s_runs",) closure: no longer words are closed or looked up, no
     # word -> level index is read, and no gap is capped
     path = PACKAGE / "classify.py"
-    assert _calls(path, "level_words") == ["level_words(chain.sub, chain.components, 2)"]
+    assert _calls(path, "level_words") == ["chain.level_words(2)"]
     assert _calls(path, "word_levels") == []
     assert "MIDDLE_CAP" not in path.read_text(encoding="utf-8")
+
+
+def test_the_chain_is_the_one_producer_of_its_language_sweep():
+    # ``ComponentChain.level_words`` runs the sweep once per window length;
+    # every other reader, the word -> level index included, reads it there
+    import chainshift
+
+    importers = [
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and "level_words" in {alias.name for alias in node.names}
+        or isinstance(node, ast.Attribute) and node.attr == "level_words" and getattr(node.value, "id", None) == "words"
+    ]
+    assert importers == ["structure.py"]
+    calls = [call for path in MODULES for call in _calls(path, "level_words")]
+    assert calls and all(call.startswith(("chain.level_words(", "self.level_words(")) for call in calls), calls
+    tree = ast.parse((PACKAGE / "words.py").read_text(encoding="utf-8"))
+    assert "word_levels" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "word_levels" not in chainshift.__all__
 
 
 def test_structure_decides_primitivity_in_the_witness_search():

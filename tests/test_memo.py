@@ -84,7 +84,7 @@ def _solved(profile, i):
 
 
 # memo keys a window solve makes: an integer level's tables make none of them
-WINDOW_KEYS = ("restrict", "word_levels", "aux", "pf_right", "limit_data")
+WINDOW_KEYS = ("restrict", "level_words", "word_levels", "aux", "pf_right", "limit_data")
 
 
 def _tables(name):
@@ -308,7 +308,7 @@ def test_long_window_reads_no_window_substitution(name, i):
         with pytest.raises(WordNotInLevelLanguage):
             cylinder_measure(sub, chain, profile, i, w)
     for c in (chain, chain_i):
-        assert not [k for k in c._memo if k[0] in ("aux", "word_levels", "pf_right") and k[1] > 2]
+        assert not [k for k in c._memo if k[0] in ("aux", "level_words", "word_levels", "pf_right") and k[1] > 2]
     assert not [k for k in chain._memo if k[0] == "limit_data" and k[1] > 2]
     fresh = component_chain(sub)
     assert value == cylinder_measure(sub, fresh, block_eigenvalues(sub, fresh), i, word)
@@ -322,7 +322,7 @@ def test_level_listing_reads_the_table_keys(name, i):
     chain = component_chain(sub)
     level_measure_table(sub, chain, block_eigenvalues(sub, chain), i, max_m=3)
     for c in (chain, chain.restrict(i)[1]):
-        assert not [k for k in c._memo if k in (("aux", 3), ("word_levels", 3))]
+        assert not [k for k in c._memo if k in (("aux", 3), ("level_words", 3), ("word_levels", 3))]
 
 
 UNIFORM = [(n, i) for n, i in EXACT if i >= 2]
@@ -511,21 +511,23 @@ def test_measure_type_memo_equals_fresh_descriptor(name, monkeypatch):
     bodies = Counter()
     body = measures._measure_type
 
-    def counted(chain, spectral, i, report):
+    def counted(chain, spectral, i):
         bodies[i] += 1
-        return body(chain, spectral, i, report)
+        return body(chain, spectral, i)
 
     monkeypatch.setattr(measures, "_measure_type", counted)
     for i in range(1, chain.n + 1):
         desc = measure_type(sub, chain, profile, i)
         assert measure_type(sub, chain, profile, i) is desc
-        assert desc == body(chain, profile, i, None)
+        assert desc == body(chain, profile, i)
     assert bodies == Counter(range(1, chain.n + 1))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_RULES))
-def test_measure_type_reads_a_given_report(name, monkeypatch):
-    # a given level report supplies the anchor: nothing is solved again
+def test_measure_type_reads_a_given_report(name):
+    # a given report is checked against the chain's own level report and
+    # changes nothing: the system's own report, made on another chain object,
+    # gives the descriptor of no report
     sub = make(name)
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
@@ -533,20 +535,27 @@ def test_measure_type_reads_a_given_report(name, monkeypatch):
     stored = [measure_type(sub, chain, profile, i) for i in range(1, chain.n + 1)]
     fresh = component_chain(sub)
     fresh_profile = block_eigenvalues(sub, fresh)
-
-    def solve(*args):
-        raise AssertionError("the level was solved again")
-
-    for body in ("_seed_pair", "_level_report", "_periodic_point_seeds"):
-        monkeypatch.setattr(classify, body, solve)
     for i in range(1, chain.n + 1):
         given = report.levels[i - 1]
         assert measure_type(sub, fresh, fresh_profile, i, given) == stored[i - 1]
-    assert not [key for key in fresh._memo if key[0] == "seed_pair"]
     # a report of another level would lend its anchor
     if chain.n > 1:
-        with pytest.raises(DomainError, match="describes level"):
+        with pytest.raises(DomainError, match=f"not level {chain.n}'s report of this chain"):
             measure_type(sub, fresh, fresh_profile, chain.n, report.levels[chain.n - 2])
+
+
+def test_measure_type_refuses_another_systems_report():
+    # golden_tower's level-2 report would lend quartic's level 2 the anchor
+    # c, which is no quartic letter; the refusal comes before any answer
+    golden = make("golden_tower")
+    golden_chain = component_chain(golden)
+    given = decomposition_report(golden, golden_chain, block_eigenvalues(golden, golden_chain)).levels[1]
+    sub = make("quartic")
+    chain = component_chain(sub)
+    profile = block_eigenvalues(sub, chain)
+    with pytest.raises(DomainError, match="not level 2's report of this chain"):
+        measure_type(sub, chain, profile, 2, given)
+    assert measure_type(sub, chain, profile, 2).anchor == "b"
 
 
 def test_measure_type_on_another_chain_stores_nothing():
@@ -574,7 +583,8 @@ def test_decomposition_report_leaves_two_keys_per_level():
     decomposition_report(sub, chain, block_eigenvalues(sub, chain))
     per_chain = {
         ("spectral",),
-        ("two_words",),  # the crossing and pair-seed words of each level, from one L_2 sweep
+        ("level_words", 2),  # the one L_2 sweep: the words each level adds
+        ("two_words",),  # the crossing and pair-seed words of each level, read off it
         ("oriented_images", False),
         # None here, and no level has a pair-seed word: no census runs, so
         # neither ("letter_cycles",) nor ("s_runs",) is made
@@ -593,7 +603,7 @@ def test_fixed_bottom_stores_one_s_run_record(name):
     decomposition_report(sub, chain, block_eigenvalues(sub, chain))
     assert ("s_runs",) in chain._memo
     assert {key for key in chain._memo if key[0] == "restrict"} <= {("restrict", 2)}
-    assert not [key for key in chain._memo if key[0] == "word_levels" and key[1] > 2]
+    assert not [key for key in chain._memo if key[0] in ("level_words", "word_levels") and key[1] > 2]
 
 
 def test_decomposition_report_checks_the_profile_once_per_level(monkeypatch):
@@ -702,6 +712,19 @@ def test_decomposition_report_makes_few_python_calls_per_level():
     assert events["call"] <= 16 * (n - 1)
 
 
+def _counted_closures(monkeypatch) -> Counter:
+    """Counts the level closures made from here on, per window length."""
+    closures: Counter = Counter()
+    close = words._AlignedClosure.close
+
+    def counted_close(self, lang, letters, cap):
+        closures[self.m] += 1
+        return close(self, lang, letters, cap)
+
+    monkeypatch.setattr(words._AlignedClosure, "close", counted_close)
+    return closures
+
+
 def test_decomposition_report_sweeps_each_level_once(monkeypatch):
     """One closure call per level at m = 2 and at most one restriction per level.
 
@@ -717,14 +740,10 @@ def test_decomposition_report_sweeps_each_level_once(monkeypatch):
     sub = Substitution.from_rules(rules)
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
-    closures: Counter = Counter()
+    closures = _counted_closures(monkeypatch)
     restricted: list[tuple[str, ...]] = []
     steps = Counter()
-    close, restrict, step = words._AlignedClosure.close, Substitution.restrict, Substitution.step
-
-    def counted_close(self, lang, letters, cap=None):
-        closures[self.m] += 1
-        return close(self, lang, letters, cap)
+    restrict, step = Substitution.restrict, Substitution.step
 
     def counted_restrict(self, letters):
         restricted.append(letters)
@@ -734,7 +753,6 @@ def test_decomposition_report_sweeps_each_level_once(monkeypatch):
         steps["step"] += 1
         return step(self, word)
 
-    monkeypatch.setattr(words._AlignedClosure, "close", counted_close)
     monkeypatch.setattr(Substitution, "restrict", counted_restrict)
     monkeypatch.setattr(Substitution, "step", counted_step)
     decomposition_report(sub, chain, profile)
@@ -742,6 +760,28 @@ def test_decomposition_report_sweeps_each_level_once(monkeypatch):
     assert sum(closures.values()) <= n + 1  # plus the level-2 probe at level 3
     assert len(restricted) <= n and len(set(restricted)) == len(restricted)
     assert steps["step"] <= 16
+
+
+@pytest.mark.parametrize("name, count", [("almost_min_tower", 6), ("golden_tower", 4)])
+def test_check_sweeps_each_chain_once_per_window_length(name, count, tmp_path, capsys, monkeypatch):
+    # the classification's rows, the window substitution and the cylinder
+    # check read one two-letter sweep per chain: one closure per level of the
+    # system, and per level of each level chain an irrational table solves on
+    path = tmp_path / f"{name}.txt"
+    path.write_text("".join(f"{c} -> {img}\n" for c, img in CORPUS_RULES[name].items()))
+    closures = _counted_closures(monkeypatch)
+    cli.main(["check", str(path)])
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert closures[2] == count
+
+
+def test_top_level_frequency_sweeps_the_chain_once(monkeypatch):
+    # the descriptor's seed pair and the word index read one sweep at m = 2
+    sub = make("golden_tower")
+    chain = component_chain(sub)
+    closures = _counted_closures(monkeypatch)
+    measures.empirical_frequency(sub, chain, block_eigenvalues(sub, chain), 3, "cd", 1000)
+    assert closures[2] == chain.n == 3
 
 
 def test_chain_data_is_released_with_the_chain():

@@ -24,7 +24,6 @@ from chainshift import (
     language,
     measure_type,
     pf_vectors,
-    word_levels,
 )
 from conftest import assert_matches_dense_oracle
 
@@ -224,7 +223,6 @@ def test_chain_systems_match_oracles(rules):
 @given(chain_systems())
 def test_word_levels_match_oracle_on_chain_systems(rules):
     # m = 2 runs the straddle loop of the aligned closure, m = 3 the general one
-    sub = Substitution.from_rules(rules)
-    chain = component_chain(sub)
+    chain = component_chain(Substitution.from_rules(rules))
     for m in (2, 3):
-        assert word_levels(sub, chain.components, m) == oracles.word_levels(rules, chain.levels, m)
+        assert chain.word_levels(m) == oracles.word_levels(rules, chain.levels, m)

@@ -417,12 +417,12 @@ def test_window_and_limit_invariants_survive_optimize():
         "    except InternalInvariantError as exc:\n"
         "        print('raised', type(exc).__name__, exc)\n"
         "sub = Substitution.from_rules({'a': 'aaaa', 'b': 'abbb', 'c': 'cbc'})\n"
-        "word_levels = structure.word_levels\n"
-        "structure.word_levels = lambda sub, new_letters, m: dict.fromkeys('abcz', 1)\n"
+        "level_words = structure.level_words\n"
+        "structure.level_words = lambda sub, new_letters, m: [list('abcz'), [], []]\n"
         "expect(build_auxiliary, sub, component_chain(sub), 1)\n"
-        "structure.word_levels = lambda sub, new_letters, m: {'b': 2}\n"
+        "structure.level_words = lambda sub, new_letters, m: [[], ['b'], []]\n"
         "expect(build_auxiliary, sub, component_chain(sub), 1)\n"
-        "structure.word_levels = word_levels\n"
+        "structure.level_words = level_words\n"
         "chain = component_chain(sub)\n"
         "i_prime = spectral.SpectralProfile.i_prime\n"
         "spectral.SpectralProfile.i_prime = lambda self, i: 1\n"

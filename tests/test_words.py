@@ -15,7 +15,6 @@ from chainshift import (
     count_occurrences,
     incidence_matrix,
     language,
-    word_levels,
 )
 from chainshift import words
 from conftest import CORPUS_RULES, make, tower
@@ -239,20 +238,15 @@ def test_language_budget_holds_without_a_cap(monkeypatch):
     assert language(sub, 20) == oracles.language_closure(CORPUS_RULES["golden_tower"], 20)
 
 
-def _new_letters(chain) -> list[tuple[str, ...]]:
-    return [chain.new_letters(i) for i in range(1, chain.n + 1)]
-
-
 @pytest.mark.parametrize("m", range(1, 5))
 def test_level_languages_match_per_level_oracle(corpus_sub, m):
     # L_m(i) is the set of words whose level is <= i
     rules = {c: corpus_sub.image(c) for c in corpus_sub.alphabet}
     chain = component_chain(corpus_sub)
-    got = word_levels(corpus_sub, _new_letters(chain), m)
+    got = chain.word_levels(m)
     expected = oracles.level_languages(rules, chain.levels, m)
     assert [{w for w, e in got.items() if e <= i} for i in range(1, chain.n + 1)] == expected
     assert set(got) == language(corpus_sub, m)
-    assert chain.word_levels(m) == got
 
 
 @pytest.mark.parametrize("before", (True, False), ids=("before", "after"))
@@ -271,7 +265,7 @@ def test_level_languages_on_towers(before):
         assert list(chain.levels) == levels[:n]
         for m in range(1, 5):
             want = {w: e for w, e in expected[m].items() if e <= n}
-            assert word_levels(sub, _new_letters(chain), m) == want
+            assert chain.word_levels(m) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -288,24 +282,23 @@ def test_level_languages_stop_at_the_letter_budget(monkeypatch):
     # the index holds at most LANGUAGE_BUDGET letters, as a ``language``
     # listing does: golden_tower has 33 words at m = 4, 132 letters
     sub = make("golden_tower")
-    new = _new_letters(component_chain(sub))
-    whole = word_levels(sub, new, 4)
+    whole = component_chain(sub).word_levels(4)
     assert len(whole) == 33 and max(whole.values()) == 3
     monkeypatch.setattr(words, "LANGUAGE_BUDGET", 132)
-    assert word_levels(sub, new, 4) == whole
+    assert component_chain(sub).word_levels(4) == whole
     monkeypatch.setattr(words, "LANGUAGE_BUDGET", 131)
     with pytest.raises(BudgetExceeded, match="word index at m=4 exceeds 131 letters"):
-        word_levels(sub, new, 4)
-    with pytest.raises(BudgetExceeded):
         component_chain(sub).word_levels(4)
+    with pytest.raises(BudgetExceeded, match="word index at m=4 exceeds 131 letters"):
+        component_chain(sub).level_words(4)
 
 
 def test_level_languages_reject_bad_length():
-    sub = make("chacon")
+    chain = component_chain(make("chacon"))
     with pytest.raises(DomainError):
-        word_levels(sub, _new_letters(component_chain(sub)), 0)
+        chain.level_words(0)
     with pytest.raises(DomainError):
-        component_chain(sub).word_levels(0)
+        chain.word_levels(0)
 
 
 def test_occurrences_match_matrix_powers():
