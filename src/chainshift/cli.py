@@ -6,8 +6,8 @@ alphabet order is the rule declaration order. Exit codes: 0 ok, 2 an
 unreadable file, else the ``exit_code`` of the library error raised (see
 ``errors``): 2 parse error, 3 no primitive component chain, 4 domain error,
 5 budget exceeded, 6 internal invariant violated (every library check raises
-``InternalInvariantError``). An error prints a JSON
-``{"error": {code, kind, message}}`` on stdout and one line on stderr.
+``InternalInvariantError``), 141 stdout closed by its reader. An error prints
+a JSON ``{"error": {code, kind, message}}`` on stdout and one line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import atexit
 import gc
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -403,30 +404,31 @@ def _freeze_heap_at_exit() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _freeze_heap_at_exit()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         with open(args.file, encoding="utf-8-sig") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:
                 raise ParseError(f"rule file is not valid UTF-8: {exc}") from None
-        spec = parse_input(text)
-        result = args.fn(spec, args)
+        code, out = 0, json.dumps(args.fn(parse_input(text), args), indent=2)
     except OSError as exc:
-        print(json.dumps({"error": {"code": 2, "kind": "io", "message": str(exc)}}))
+        code, out = 2, json.dumps({"error": {"code": 2, "kind": "io", "message": str(exc)}})
         print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ChainshiftError as exc:
         code = exc.exit_code
         payload = {"code": code, "kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NoPrimitiveChainError):
             payload["diagnostic"] = exc.diagnostic
-        print(json.dumps({"error": payload}))
+        out = json.dumps({"error": payload})
         print(f"error: {exc}", file=sys.stderr)
-        return code
-    print(json.dumps(result, indent=2))
-    return 0
+    try:
+        print(out)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:  # the reader closed stdout: devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # what a shell reports for a writer killed by SIGPIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -33,9 +33,9 @@ starts at the letter level: the solve on the k x k letter blocks of levels
 <= i (``_letter_base``) gives the letter values, and every longer length,
 m = 2 included, comes from the lengths below it by desubstitution
 (``_Ancestors``), checked for exact Kolmogorov consistency against the
-length below. This path builds no window substitution, window eigen data or
-restricted chain. Only a level with an irrational theta solves over the
-windows, once per m, and reads the vectors alone
+length below. This path builds no window substitution or window eigen data.
+Only a level with an irrational theta solves over the chain's windows, once
+per m, and reads the vectors alone
 (``spectral.window_vectors``): a finite value is the left vector scaled to
 total 1, an infinite one the right vector at the anchor letter times the
 left one. A failed internal check raises ``InternalInvariantError``.
@@ -44,8 +44,8 @@ Occurrence counts, along the anchor's expansion and in return windows of a
 quasi-fixed point, are exact and never expand a word: they join the letter
 blocks sigma^j(x) of the level, held as lengths, counts and ends
 (``_Blocks``, read off the chain's own images). Empirical frequencies test
-membership on the word-level index of the level's own chain,
-``chain.restrict(i)``; the return windows build no level substitution.
+membership on the chain's word -> level index (a word of L_m(i) has level
+<= i); the return windows build no level substitution.
 """
 
 from __future__ import annotations
@@ -614,10 +614,8 @@ def empirical_frequency(
         raise DomainError(f"level {i} has no expanding anchor to count along")
     if not v or len(v) > L:
         raise DomainError("need a nonempty word no longer than the prefix")
-    m = len(v)
-    sub_i, chain_i = chain.restrict(i)
-    words = chain_i.word_levels(m)
-    if v not in words:
+    index = chain.word_levels(len(v))  # L_m(i): the words of level <= i
+    if index.get(v, i + 1) > i:
         raise WordNotInLevelLanguage(f"{v!r} is not in the level-{i} language")
     if L > POWER_BUDGET:
         raise BudgetExceeded(f"prefix length {L} exceeds the power budget {POWER_BUDGET}")
@@ -629,7 +627,8 @@ def empirical_frequency(
     if desc.kind == "infinite_radon":
         # k2 is the last power within the budget, one below the first past it
         k2 = blocks.reach(anchor, POWER_BUDGET + 1) - 1
-        u = min((w for w in words if w[0] == anchor), key=sub_i.alphabet.word_key)
+        starts = (w for w, e in index.items() if e <= i and w[0] == anchor)
+        u = min(starts, key=chain.sub.alphabet.word_key)
         count = blocks.count(u, k2) - blocks.count(u[1:], k2)
         # int / int rounds the exact quotient once: an integer theta needs no Fraction
         theta = spectral.theta(i)

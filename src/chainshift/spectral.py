@@ -30,10 +30,10 @@ block last (``_level_vectors``). Its right vector needs no further solve: it
 vanishes below that block, and on it a row counts the letters of
 sigma(u[0]), so gamma(u) = r(u[0]) for the Perron vector r of the level's
 letter block. This solve serves every cylinder table: on the k x k letter
-blocks for an integer theta (``measures``), on the windows of the level's
-chain ``chain.restrict(i)`` for an irrational one (``window_vectors``). It
-also gives ``limit_data`` in both modes, on that chain's blocks from Q(1),
-or from G(i'-1) on an infinite level, up to Q(i) (``_level_windows``).
+blocks for an integer theta (``measures``), on the chain's own windows for
+an irrational one (``window_vectors``), and ``limit_data`` in both modes:
+on the window blocks from Q(1), or G(i'-1) on an infinite level, up to Q(i)
+(``_level_windows``), as L_m(i) is closed under the window map.
 ``pf_vectors`` and ``limit_data`` serve ``spectral -m``, ``check`` and
 library callers.
 
@@ -98,8 +98,7 @@ class SpectralProfile:
     def check(self, sub: Substitution, chain: ComponentChain) -> None:
         """Raise ``DomainError`` unless the profile describes ``(sub, chain)``:
         its eigenvalues, i_min and i_max would be wrong for a chain with
-        another substitution or other components. The witness power plays no
-        part: a level chain (``restrict``) keeps the system's."""
+        another substitution or other components; the witness power plays no part."""
         # Equal tuples compare their items by identity first: every memo
         # lookup checks, and the caller almost always passes the profile's
         # own objects.
@@ -427,26 +426,26 @@ def _pf_vectors(chain: ComponentChain, m: int, spectral: SpectralProfile) -> Eig
 def _level_windows(
     chain: ComponentChain, m: int, i: int, spectral: SpectralProfile
 ) -> tuple[AuxiliarySubstitution, list[tuple[str, ...]]]:
-    """Level i's window substitution on its own chain, ``chain.restrict(i)``,
-    and the blocks its vectors live on, the level's block last: Q(1) .. Q(i)
-    on a finite level, G(i'-1) .. Q(i) on an infinite one."""
-    aux = build_auxiliary(*chain.restrict(i), m)
+    """The chain's window substitution and the blocks of it that level i's
+    vectors live on, the level's block last: Q(1) .. Q(i) on a finite level,
+    G(i'-1) .. Q(i) on an infinite one."""
+    aux = build_auxiliary(chain.sub, chain, m)
     start = 1
     if not spectral.level_is_finite(i):
         start = spectral.i_prime(i)
         if start < 2:
             raise InternalInvariantError(f"level {i}: divergent mode without a dominating lower level")
-    blocks = [(kind, lvl, ws) for kind, lvl, ws in aux.blocks_in_order() if lvl >= start - (kind == "G")]
-    if _anchor(blocks, i) != len(blocks) - 1:
-        raise InternalInvariantError(f"level {i}: the level block is not last in the restriction")
+    blocks = [(kind, lvl, ws) for kind, lvl, ws in aux.blocks_in_order() if start <= lvl + (kind == "G") <= i]
+    if blocks[-1][:2] != ("Q", i):
+        raise InternalInvariantError(f"level {i}: the level block is not last among its blocks")
     return aux, [ws for _, _, ws in blocks]
 
 
 def window_vectors(
     chain: ComponentChain, m: int, i: int, spectral: SpectralProfile
 ) -> tuple[dict[str, float], dict[str, float] | None, frozenset[str]]:
-    """An irrational level's vectors over the windows of length m of its own
-    chain, ``chain.restrict(i)``: ``(delta, gamma, infinite words)``.
+    """An irrational level's vectors over the chain's windows of length m in
+    its blocks (``_level_windows``): ``(delta, gamma, infinite words)``.
 
     On a finite level delta is the left vector scaled to total 1, and gamma
     is None. On an infinite level they are the divergent ``limit_data``'s:
@@ -464,7 +463,7 @@ def window_vectors(
 
 class LimitData(Record):
     """Normalized growth data of matrix powers scaled by a level's eigenvalue,
-    over the windows of the level's chain.
+    over the chain's windows in the level's blocks.
 
     Convergent mode (the level dominates everything below): the scaled powers
     converge entrywise to an outer product alpha * beta with pairing 1.

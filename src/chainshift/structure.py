@@ -45,7 +45,8 @@ order, and one letter -> level index built from them: ``level_of`` reads it,
 alphabets A_i (``alphabet_at``, ``levels``) are derived on each read. Words
 are indexed the same way, per window length, off the one sweep the chain
 runs (``level_words``): a word lies in the level-i language iff its level
-(``word_levels``) is <= i.
+(``word_levels``) is <= i, and level i's windows are the chain's window
+blocks up to Q(i): a level is an index into its chain, not a chain.
 Letter counts (the incidence matrix, and the diagonal blocks the spectral
 profile reads) use ``str.count`` on the images (``letter_counts``).
 
@@ -244,12 +245,9 @@ class ComponentChain(FrozenRecord):
             raise DomainError(f"letter {letter!r} not in alphabet") from None
 
     def restrict(self, i: int) -> tuple[Substitution, "ComponentChain"]:
-        """The level-i sub-substitution together with its own chain, built once
-        per level and chain.
-
-        The top level's restriction is the chain itself, so the level and the
-        system share one memo; it is not stored, since the chain would then
-        hold itself.
+        """The level-i sub-substitution with a chain of its own, built once per
+        level and chain, for the benchmark harness; the library reads a level
+        off this chain. The top level's is this chain, not stored in itself.
 
         A level chain keeps the system's ``witness_k``. That power is a
         witness for the level too, but not always its least one (golden_tower

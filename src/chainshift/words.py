@@ -278,15 +278,14 @@ def language(sub: Substitution, m: int, cap: int | None = None) -> frozenset[str
 
     The listing holds at most ``LANGUAGE_BUDGET`` letters: the closure stops
     once it holds more than ``LANGUAGE_BUDGET // m`` words and raises
-    ``BudgetExceeded``. With a smaller ``cap`` it stops once it holds more
-    than ``cap`` words: the result is L_m when |L_m| <= cap, and otherwise
-    more than ``cap`` of its words.
+    ``BudgetExceeded``, at once when m is past the budget. With a smaller
+    ``cap`` it stops once it holds more than ``cap`` words: the result is
+    L_m when |L_m| <= cap, and otherwise more than ``cap`` of its words.
     """
-    if m < 1:
-        raise DomainError("factor length must be >= 1")
+    closure = _AlignedClosure(sub, m)
     budget = LANGUAGE_BUDGET // m
     lang: set[str] = set()
-    _AlignedClosure(sub, m).close(lang, sub.alphabet, budget if cap is None else min(cap, budget))
+    closure.close(lang, sub.alphabet, budget if cap is None else min(cap, budget))
     if len(lang) > budget:
         raise BudgetExceeded(f"language at m={m} exceeds {LANGUAGE_BUDGET} letters")
     return frozenset(lang)
@@ -299,8 +298,6 @@ def level_words(sub: Substitution, new_letters: Sequence[Iterable[str]], m: int)
     L_m(i-1) is closed, so level i closes only the seeds of its new letters
     on top of it, and every window is expanded once over the whole sweep.
     Past ``LANGUAGE_BUDGET`` letters it raises ``BudgetExceeded``."""
-    if m < 1:
-        raise DomainError("factor length must be >= 1")
     closure = _AlignedClosure(sub, m)
     lang: set[str] = set()
     cap = LANGUAGE_BUDGET // m
@@ -315,11 +312,15 @@ def level_words(sub: Substitution, new_letters: Sequence[Iterable[str]], m: int)
 class _AlignedClosure:
     """The aligned closure at window length m (see the module docstring).
 
-    Built once per sweep: every image, and its first and its last m-1
-    letters.
+    Built once per sweep, m checked first: every image, and its first and
+    its last m-1 letters.
     """
 
     def __init__(self, sub: Substitution, m: int):
+        if m < 1:
+            raise DomainError("factor length must be >= 1")
+        if m > LANGUAGE_BUDGET:
+            raise BudgetExceeded(f"one word at m={m} exceeds {LANGUAGE_BUDGET} letters")
         self.step, self.m = sub.step, m
         m1 = max(m - 1, 1)  # the tables go unread at m = 1
         self.images = dict(zip(sub.alphabet.letters, sub.images))

@@ -161,6 +161,40 @@ def test_language_command_long_windows(tmp_path, capsys):
     assert out["count"] == len(out["words"])
 
 
+def test_language_past_the_budget_refuses_before_expanding(tmp_path):
+    # one word of 2 * 10^7 letters is already past the 10^7-letter budget:
+    # the refusal comes before any seed iterate is expanded
+    path = _write(tmp_path, "quartic.sub", CORPUS_RULES["quartic"])
+    proc = _python("-m", "chainshift", "language", path, "-m", "20000000", timeout=5)
+    assert proc.returncode == 5, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert (error["code"], error["kind"]) == (5, "BudgetExceeded")
+    assert "m=20000000" in error["message"]
+
+
+def test_closed_stdout_exits_without_a_traceback(tmp_path):
+    # a reader that stops after a few bytes (``| head -c 10``) closes the
+    # pipe while the 330 kB window matrix is written: exit 141, no traceback
+    path = _write(tmp_path, "golden_tower.sub", CORPUS_RULES["golden_tower"])
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chainshift", "matrix", path, "-m", "16"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141, stderr
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head == b'{\n  "m": 16'[:10]
+    assert "Traceback" not in stderr, stderr
+
+
 def test_main_registers_one_exit_hook(tmp_path, capsys, monkeypatch):
     # gc.freeze at exit spares the interpreter its final collections; two
     # calls in one process register it once

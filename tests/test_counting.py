@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import oracles
 from chainshift import (
     BudgetExceeded,
+    WordNotInLevelLanguage,
     block_eigenvalues,
     component_chain,
     decomposition_report,
@@ -93,10 +94,17 @@ def test_prefix_counts_match_expansion(name, i, monkeypatch):
     k = next(j for j, img in enumerate(images) if len(img) >= 1000)
     below, full = len(images[k - 1]), len(images[k])
     for m in (1, 2, 3):
-        words = sorted(language(sub_i, m))
+        # every word of L_m(i) is counted, and below the top a word that
+        # enters at level i + 1 is refused
+        langs = oracles.level_languages(CORPUS_RULES[name], setup[1].levels, m)
+        words = sorted(langs[i - 1])
         for v in words:
             for L in (m, m + 1, below, below + 1, full, 10**5):
                 _check(name, i, v, L)
+        above = sorted(langs[i] - langs[i - 1]) if i < setup[1].n else []
+        for v in above[:1]:
+            with pytest.raises(WordNotInLevelLanguage, match=f"not in the level-{i} language"):
+                empirical_frequency(*setup, i, v, 10**5)
         # A full block counts every window of sigma^k(u) for the window u
         # that starts with the anchor: the window-matrix power entry, which
         # exceeds the prefix count by the windows straddling its end.

@@ -15,10 +15,10 @@ only at length 2, from the chain's one sweep (``chain.level_words(2)``),
 and builds no word -> level index: its s-run facts come from one record per
 chain. Only ``structure`` runs the sweep (``words.level_words``), once per
 chain and window length, and ``words`` keeps no word -> level index of its
-own. No module but ``structure`` names a chain's stored dict,
-``_memo``; a level chain (``chain.restrict(i)``) is built only by
-``measures.empirical_frequency`` and ``spectral._level_windows``; and
-``cli`` keeps no exit-code table, since each error class carries its own. In ``structure`` the witness
+own. No module but ``structure`` names a chain's stored dict, ``_memo``, or
+builds a level chain (``chain.restrict(i)``): a level is an index into its
+chain's word index and window substitution. ``cli`` keeps no exit-code
+table, since each error class carries its own. In ``structure`` the witness
 search alone decides primitivity, and a chain keeps its components, the
 letters each level adds: the cumulative alphabets are derived, and only
 ``cli._chain_json`` reads them. ``exact`` keeps one elimination,
@@ -369,16 +369,16 @@ def _level_chain_callers(source: str) -> set[str]:
 
 
 def test_level_chains_only_where_a_level_index_is_read():
-    # a level chain (``chain.restrict(i)``) is built only by the readers of
-    # its own word index or windows; every other reader takes A_i from
-    # ``chain.alphabet_at(i)``
+    # a level is an index: its words are the chain's of level <= i, its
+    # windows the chain's blocks up to Q(i), and A_i is
+    # ``chain.alphabet_at(i)``; only ``structure`` names ``restrict``
     callers = {
         (path.name, name)
         for path in MODULES
         if path.name != "structure.py"
         for name in _level_chain_callers(path.read_text(encoding="utf-8"))
     }
-    assert callers == {("measures.py", "empirical_frequency"), ("spectral.py", "_level_windows")}
+    assert callers == set()
     probe = "def f(sub, chain):\n    return sub.restrict(chain.alphabet_at(2)), self.chain.restrict(1)\n"
     assert _level_chain_callers(probe) == {"f"}
     assert not _level_chain_callers("def g(sub, chain):\n    return sub.restrict(chain.alphabet_at(2))\n")

@@ -17,7 +17,8 @@ tables there: every length, m = 1 and 2 included, comes from the record's
 ancestor state, with no window substitution, restriction or
 ``("limit_data", m, i)`` for any table. Only an irrational level
 window-solves (``spectral.window_vectors``), once per window length: the
-left vector on the level's chain, or the limit data. The level listing
+left vector over the level's blocks of the chain's windows, or the limit
+data. No request builds a level chain. The level listing
 and the uniformity target read those tables too, and a word of a built
 table is one lookup. The tests count calls of the un-memoised bodies; a
 fresh chain starts with an empty memo.
@@ -37,6 +38,7 @@ from chainshift import (
     MeasureTypeCounting,
     Substitution,
     WordNotInLevelLanguage,
+    auxiliary,
     block_eigenvalues,
     build_auxiliary,
     classify,
@@ -104,8 +106,8 @@ def test_one_solve_per_level_and_window(name, calls):
     assert measured
     profile = block_eigenvalues(sub, chain)
     # irrational levels read the window vectors once per length: finite ones
-    # solve the left vector on the level's own chain (whose top level is the
-    # level), infinite ones through limit_data; no table solves the right
+    # solve the left vector over the level's blocks of the chain's windows,
+    # infinite ones through limit_data; no table solves the right
     # vector of pf_vectors, and an integer-theta level makes one
     # letter-level solve and no window solve
     solves = sorted(key for (body, key) in calls if body == "window_vectors")
@@ -231,10 +233,9 @@ def test_finite_table_solves_the_left_vector_only(name, i, perron_calls, monkeyp
     table, added = _table_keys(sub, chain, profile, i)
     assert perron_calls == []
     solved = _solved(profile, i)
-    if solved:  # irrational: the left vector over the level chain's windows
-        chain_i = chain.restrict(i)[1]
-        for m in solved:
-            assert ("aux", m) in chain_i._memo and ("pf_right", m) not in chain_i._memo
+    if solved:  # irrational: the left vector over the chain's own windows
+        assert all(("aux", m) in chain._memo for m in solved)
+        assert not [key for key in chain._memo if key[0] == "restrict"]
     else:  # integer: the letter-level solve only
         assert not [key for key in added if key[0] in WINDOW_KEYS], added
     level = chain._memo[("level", i)]
@@ -299,7 +300,7 @@ def test_long_window_reads_no_window_substitution(name, i):
     sub = make(name)
     chain = component_chain(sub)
     profile = block_eigenvalues(sub, chain)
-    sub_i, chain_i = chain.restrict(i)
+    sub_i = sub.restrict(chain.alphabet_at(i))
     language = words.language(sub_i, 6)
     word = min(language)
     value = cylinder_measure(sub, chain, profile, i, word)
@@ -307,8 +308,8 @@ def test_long_window_reads_no_window_substitution(name, i):
     for w in outside + [word[:5] + "?"]:
         with pytest.raises(WordNotInLevelLanguage):
             cylinder_measure(sub, chain, profile, i, w)
-    for c in (chain, chain_i):
-        assert not [k for k in c._memo if k[0] in ("aux", "level_words", "word_levels", "pf_right") and k[1] > 2]
+    assert not [k for k in chain._memo if k[0] in ("aux", "level_words", "word_levels", "pf_right") and k[1] > 2]
+    assert not [k for k in chain._memo if k[0] == "restrict"]
     assert not [k for k in chain._memo if k[0] == "limit_data" and k[1] > 2]
     fresh = component_chain(sub)
     assert value == cylinder_measure(sub, fresh, block_eigenvalues(sub, fresh), i, word)
@@ -321,8 +322,8 @@ def test_level_listing_reads_the_table_keys(name, i):
     sub = make(name)
     chain = component_chain(sub)
     level_measure_table(sub, chain, block_eigenvalues(sub, chain), i, max_m=3)
-    for c in (chain, chain.restrict(i)[1]):
-        assert not [k for k in c._memo if k in (("aux", 3), ("level_words", 3), ("word_levels", 3))]
+    assert not [k for k in chain._memo if k in (("aux", 3), ("level_words", 3), ("word_levels", 3))]
+    assert not [k for k in chain._memo if k[0] == "restrict"]
 
 
 UNIFORM = [(n, i) for n, i in EXACT if i >= 2]
@@ -340,8 +341,8 @@ def test_uniformity_target_reads_the_table(name, i):
     for word in sorted(level_words):
         chain = component_chain(sub)  # each word on an empty memo
         measures.uniformity_check(sub, chain, block_eigenvalues(sub, chain), i, word, 2)
-        assert ("aux", 3) not in chain.restrict(i)[1]._memo, word
-        assert ("limit_data", 3, i) not in chain._memo, word
+        assert ("aux", 3) not in chain._memo and ("limit_data", 3, i) not in chain._memo, word
+        assert not [k for k in chain._memo if k[0] == "restrict"], word
 
 
 def test_spectral_window_fills_both_sides(monkeypatch, capsys, tmp_path):
@@ -762,17 +763,62 @@ def test_decomposition_report_sweeps_each_level_once(monkeypatch):
     assert steps["step"] <= 16
 
 
-@pytest.mark.parametrize("name, count", [("almost_min_tower", 6), ("golden_tower", 4)])
-def test_check_sweeps_each_chain_once_per_window_length(name, count, tmp_path, capsys, monkeypatch):
-    # the classification's rows, the window substitution and the cylinder
-    # check read one two-letter sweep per chain: one closure per level of the
-    # system, and per level of each level chain an irrational table solves on
+def _corpus_file(tmp_path, name):
     path = tmp_path / f"{name}.txt"
     path.write_text("".join(f"{c} -> {img}\n" for c, img in CORPUS_RULES[name].items()))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, count", [("almost_min_tower", 4), ("golden_tower", 3)])
+def test_check_sweeps_each_chain_once_per_window_length(name, count, tmp_path, capsys, monkeypatch):
+    # the classification's rows, the window substitution, the irrational
+    # tables and the cylinder check read one two-letter sweep: one closure
+    # per level of the system, and no level chain sweeps its own
     closures = _counted_closures(monkeypatch)
-    cli.main(["check", str(path)])
+    cli.main(["check", _corpus_file(tmp_path, name)])
     assert json.loads(capsys.readouterr().out)["ok"]
     assert closures[2] == count
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RULES))
+def test_no_command_builds_a_level_chain(name, tmp_path, capsys, monkeypatch):
+    # a level is read off its system's chain: no command, on any level,
+    # stores a level chain on it
+    chains = []
+
+    def recorded(sub):
+        chains.append(component_chain(sub))
+        return chains[-1]
+
+    monkeypatch.setattr(cli, "component_chain", recorded)
+    path = _corpus_file(tmp_path, name)
+    commands = [["analyze"], ["language", "-m", "2"], ["matrix", "-m", "2"], ["spectral", "-m", "2"],
+                ["classify"], ["check"]]
+    for i, letters in enumerate(component_chain(make(name)).components, 1):
+        word = ["-i", str(i), "-v", letters[0]]
+        commands += [["measure", *word], ["simulate", *word, "-L", "1000"]]
+    for command in commands:
+        cli.main([command[0], path, *command[1:]])
+        capsys.readouterr()
+    assert len(chains) == len(commands) - 1  # ``language`` builds no chain
+    assert not [key for chain in chains for key in chain._memo if key[0] == "restrict"]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RULES))
+def test_check_builds_one_window_substitution_per_length(name, tmp_path, capsys, monkeypatch):
+    # the window matrix checks, the eigenvectors and every irrational level's
+    # tables read the chain's own window substitution at each length
+    builds: Counter = Counter()
+    build = auxiliary._build
+
+    def counted(chain, m):
+        builds[m] += 1
+        return build(chain, m)
+
+    monkeypatch.setattr(auxiliary, "_build", counted)
+    assert cli.main(["check", _corpus_file(tmp_path, name)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert builds and set(builds.values()) == {1}, builds
 
 
 def test_top_level_frequency_sweeps_the_chain_once(monkeypatch):

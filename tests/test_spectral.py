@@ -22,6 +22,7 @@ from chainshift import (
     component_chain,
     limit_data,
     pf_vectors,
+    spectral,
 )
 from chainshift.exact import AlgebraicReal
 from chainshift.spectral import _check_eigenvector, _pf_right
@@ -429,7 +430,7 @@ def test_window_and_limit_invariants_survive_optimize():
         "expect(limit_data, sub, chain, 1, 2, block_eigenvalues(sub, chain))\n"
         "spectral.SpectralProfile.i_prime = i_prime\n"
         "blocks = auxiliary.AuxiliarySubstitution.blocks_in_order\n"
-        "auxiliary.AuxiliarySubstitution.blocks_in_order = lambda self: blocks(self) + [('G', 2, ())]\n"
+        "auxiliary.AuxiliarySubstitution.blocks_in_order = lambda self: [b for b in blocks(self) if b[:2] != ('Q', 2)]\n"
         "expect(limit_data, sub, chain, 2, 2, block_eigenvalues(sub, chain))\n"
         "auxiliary.AuxiliarySubstitution.blocks_in_order = blocks\n"
         "left = spectral._left_vector\n"
@@ -466,7 +467,7 @@ def test_window_and_limit_invariants_survive_optimize():
         assert "window blocks at m=1 do not partition the language" in lines[0]
         assert "an image window of 'b' is not a language word at m=1" in lines[1]
         assert "divergent mode without a dominating lower level" in lines[2]
-        assert "the level block is not last in the restriction" in lines[3]
+        assert "the level block is not last among its blocks" in lines[3]
         assert "the left limit vector is not positive" in lines[4]
         assert "level 3: the lifted right limit vector is not positive" in lines[5]
         assert "InternalInvariantError level 2: the lifted right limit vector is not positive" in lines[6]
@@ -601,3 +602,68 @@ def test_no_corpus_level_is_divergent_with_irrational_theta():
         for i in range(2, chain.n + 1):
             if not sp.theta_is_one(i) and not sp.level_is_finite(i):
                 assert sp.theta(i).as_integer() is not None, (name, i)
+
+
+def _level_chain_solve(chain, sp, i: int, m: int):
+    """Level i's solve at window length m over the windows of its own chain,
+    ``build_auxiliary(*chain.restrict(i), m)``: ``(limit data, window vectors)``.
+
+    The reference for the solve over the system's own windows: the blocks
+    from Q(1), or G(i'-1) on an infinite level, up to Q(i) of the level
+    chain, the same level solve and the same normalizations.
+    """
+    from chainshift.spectral import LimitData, _level_vectors, _min_positive_normalize
+
+    aux = build_auxiliary(*chain.restrict(i), m)
+    finite = sp.level_is_finite(i)
+    ip = None if finite else sp.i_prime(i)
+    start = 1 if finite else ip
+    blocks = [ws for kind, lvl, ws in aux.blocks_in_order() if lvl >= start - (kind == "G")]
+    rows = {}
+    for u in aux.words:
+        row = rows[u] = {}
+        for w in aux.images[u]:
+            row[w] = row.get(w, 0) + 1
+    theta = sp.theta(i)
+    exact = theta.as_integer() is not None
+    value = theta.as_integer() if exact else float(theta)
+    delta, gamma = _level_vectors(blocks, rows, value, "limit vector", sp.levels[i - 1])
+    if exact:
+        gamma = _min_positive_normalize(gamma, exact)
+    restricted = tuple(w for ws in blocks for w in ws)
+    pairing = sum(gamma[w] * delta[w] for w in restricted)
+    delta = {w: v / pairing for w, v in delta.items()}
+    if not finite:
+        infinite = frozenset(w for w, e in aux.word_level.items() if e < ip)
+        ld = LimitData(i, m, "divergent", exact, ip, theta, gamma=gamma, delta=delta,
+                       infinite_words=infinite, restricted_words=restricted)
+        return ld, (ld.delta, ld.gamma, ld.infinite_words)
+    ld = LimitData(i, m, "convergent", exact, None, theta, alpha=gamma, beta=delta)
+    left, _ = _level_vectors(blocks, rows, float(theta), "eigenvector")
+    total = sum(left.values())
+    return ld, ({w: x / total for w, x in left.items()}, None, frozenset())
+
+
+def _expanding_levels():
+    out = []
+    for name in sorted(CORPUS_RULES):
+        sub = make(name)
+        sp = block_eigenvalues(sub, component_chain(sub))
+        out += [(name, i) for i in range(1, sp.n + 1) if not sp.theta_is_one(i)]
+    return out
+
+
+EXPANDING = _expanding_levels()
+
+
+@pytest.mark.parametrize("name, i", EXPANDING, ids=[f"{n}-{i}" for n, i in EXPANDING])
+def test_level_solve_equals_the_level_chain_solve(name, i):
+    # Bit for bit: the limit data of either mode and the window vectors of a
+    # level equal, as printed, the solve over the windows of the level's own
+    # chain; every word keeps its value, its place and its float sum order.
+    sub = make(name)
+    for m in range(1, 5):
+        chain = component_chain(sub)
+        sp = block_eigenvalues(sub, chain)
+        got = (limit_data(sub, chain, m, i, sp), spectral.window_vectors(chain, m, i, sp))
+        assert repr(got) == repr(_level_chain_solve(chain, sp, i, m)), (name, i, m)
